@@ -9,8 +9,8 @@ by the verification suites (``polylog verify``).
 """
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated, stirling1
-from .closedform import (Atom, ClosedForm, NumericContext, cf_add, cf_eval,
-                         cf_mul, eta_factor_closed, zeta_closed)
+from .closedform import (Atom, ClosedForm, NumericContext, eta_factor_closed,
+                         zeta_closed)
 from .digamma import euler_gamma, psi
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      EvaluationError, ShapeError)
@@ -22,8 +22,8 @@ from .lognm import (LogIntegralKind, h_closed, h_pde_residual, i_closed,
                     i_pde_residual, lognm_numeric, s_sigma_relation_residual,
                     sigma_weight6_count, sigma_weight6_report)
 from .quadrature import Integrand, QuadratureResult, integrate01
-from .seriesring import (BivariateSeries, beta_derivative_inm, bps_exp,
-                         bps_mul, gamma_ratio_series, kolbig_snp)
+from .seriesring import (BivariateSeries, beta_derivative_inm,
+                         gamma_ratio_series, kolbig_snp)
 from .sigma import build_context, cf_num, default_context, sigma_tilde
 from .special import li_moment, mpl2, nielsen_num, polylog
 from .summation import sum_alternating, sum_tail
@@ -34,8 +34,8 @@ __all__ = [
     "ConvergenceError", "DomainError", "EvaluationError", "Family",
     "Integrand", "IpqValue", "LogIntegralKind", "NumericContext",
     "QuadratureResult", "ShapeError", "SumKind", "VerificationReport",
-    "beta_derivative_inm", "bps_exp", "bps_mul", "build_context", "c_sum",
-    "cf_add", "cf_eval", "cf_mul", "cf_num", "default_context",
+    "beta_derivative_inm", "build_context", "c_sum", "cf_num",
+    "default_context",
     "eta_factor_closed", "euler_gamma", "gamma_ratio_series", "h_closed",
     "h_pde_residual", "i_closed", "i_pde_residual", "integrate01",
     "ipq_final", "ipq_numeric", "ipq_series", "ipq_value", "jordan_even",

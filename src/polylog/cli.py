@@ -22,9 +22,12 @@ from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus,
                         s_plus, sum_oracle)
 from .ipq import Family, ipq_final, ipq_numeric
 from .lognm import h_closed, i_closed
-from .seriesring import kolbig_snp
+from .seriesring import MAX_WEIGHT, kolbig_snp
 from .sigma import cf_num, registry, sigma_tilde
 from .verify import run_suite
+
+# `eval s-np` serves the s_{n,p} table to this weight and exits 3 above it.
+SNP_TABLE_WEIGHT = 8
 
 _EVAL_TARGETS = ("ipq", "s-plus", "s-minus", "jordan1", "jordan2", "milgram",
                  "c", "s-np", "sigma-np", "inm", "hnm", "approx")
@@ -56,7 +59,7 @@ def _eval_target(args: argparse.Namespace) -> dict:
         return {"target": t, "params": {"r": args.r}, **_closed_payload(cf)}
     if t == "s-np":
         _need(args, "n", "p")
-        cf = kolbig_snp(args.n, args.p)
+        cf = kolbig_snp(args.n, args.p, max_weight=SNP_TABLE_WEIGHT)
         return {"target": t, "params": {"n": args.n, "p": args.p}, **_closed_payload(cf)}
     if t == "sigma-np":
         _need(args, "n", "p")
@@ -164,6 +167,10 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
             if n + p <= max_weight:
                 entries.append((f"sigma_{n}_{p}", cf))
     elif kind == "ipq":
+        # I(p,q) has weight p+q+1: refuse the table before building any entry
+        if max_weight + 1 > MAX_WEIGHT:
+            raise CapacityError(f"I(p,q) to p+q = {max_weight} needs weight {max_weight + 1}, "
+                                f"above the ceiling MAX_WEIGHT = {MAX_WEIGHT}")
         for fam in Family:
             for p in range(1, max_weight):
                 for q in range(1, max_weight):

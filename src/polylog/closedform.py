@@ -431,14 +431,3 @@ class NumericContext:
             return value
         raise EvaluationError(f"no numeric value for atom {atom.name}")
 
-
-def cf_add(a: ClosedForm, b: ClosedForm) -> ClosedForm:
-    return a + b
-
-
-def cf_mul(a: ClosedForm, b: ClosedForm) -> ClosedForm:
-    return a * b
-
-
-def cf_eval(x: ClosedForm, ctx: NumericContext) -> float:
-    return x.evaluate(ctx)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .closedform import ClosedForm, LN2, zeta_closed
 from .digamma import euler_gamma, psi
 from .errors import DomainError
-from .seriesring import DEFAULT_MAX_WEIGHT, kolbig_snp
+from .seriesring import MAX_WEIGHT, kolbig_snp
 from .summation import sum_alternating, sum_tail
 
 _TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
@@ -45,12 +45,12 @@ def s_plus(r: int) -> ClosedForm:
     return out
 
 
-def c_sum(r: int, max_weight: int = DEFAULT_MAX_WEIGHT) -> ClosedForm:
+def c_sum(r: int) -> ClosedForm:
     """C(r) = 2^{-r-1} S+(r); its Nielsen form is asserted equal when in reach."""
     if r < 2:
         raise DomainError("C requires order >= 2")
     direct = Fraction(1, 2 ** (r + 1)) * s_plus(r)
-    if r + 1 <= max_weight:
+    if r + 1 <= MAX_WEIGHT:
         nielsen = Fraction(1, 2 ** (r + 1)) * (zeta_closed(r + 1) + kolbig_snp(r - 1, 2))
         if nielsen != direct:
             raise RuntimeError(f"C({r}) dual expressions disagree")
@@ -114,8 +114,7 @@ def milgram(r: int) -> ClosedForm:
     return simplified
 
 
-def jordan_nielsen(which: str, r: int,
-                   max_weight: int = DEFAULT_MAX_WEIGHT + 1) -> ClosedForm:
+def jordan_nielsen(which: str, r: int) -> ClosedForm:
     """J1(r) or J2(r) in Nielsen terms, valid for any order r >= 2.
 
     J1(r) = (s_{r-1,2} - sigma~_{r-1,2})/2 - M(r)
@@ -130,7 +129,7 @@ def jordan_nielsen(which: str, r: int,
         raise DomainError("Jordan sums require order >= 2")
     from .sigma import sigma_tilde
 
-    s = kolbig_snp(r - 1, 2, max_weight=max(max_weight, r + 1))
+    s = kolbig_snp(r - 1, 2)
     sig = sigma_tilde(r - 1, 2)
     if which == "J1":
         out = Fraction(1, 2) * (s - sig) - milgram(r)
@@ -155,7 +154,7 @@ def s_minus_even_closed(r: int) -> ClosedForm:
             - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
 
 
-def s_minus(r: int, max_weight: int = DEFAULT_MAX_WEIGHT + 1) -> ClosedForm:
+def s_minus(r: int) -> ClosedForm:
     """S-(r) = sum_k (-1)^k [psi(k+1)+gamma] / k^r.
 
     Computed both as (2^-r - 1) zeta(r+1) + sigma~_{r-1,2} and through the
@@ -167,7 +166,7 @@ def s_minus(r: int, max_weight: int = DEFAULT_MAX_WEIGHT + 1) -> ClosedForm:
     from .sigma import sigma_tilde
 
     direct = (_half_pow(r) - 1) * zeta_closed(r + 1) + sigma_tilde(r - 1, 2)
-    decomposed = (jordan_nielsen("J2", r, max_weight) - jordan_nielsen("J1", r, max_weight)
+    decomposed = (jordan_nielsen("J2", r) - jordan_nielsen("J1", r)
                   + c_sum(r) - milgram(r)
                   - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
     if direct != decomposed:

@@ -239,7 +239,7 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
     r = p + q
     sign = Fraction((-1) ** p)
     if family is Family.PLUS:
-        body = _mu_sum(family, p, q) * sign - zeta_closed(r + 1) - kolbig_snp(r - 1, 2, max_weight=max(8, r + 1))
+        body = _mu_sum(family, p, q) * sign - zeta_closed(r + 1) - kolbig_snp(r - 1, 2)
         return sign * body
     if family is Family.MIXED:
         body = (_mu_sum(family, p, q) * sign
@@ -249,7 +249,7 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
     body = (_mu_sum(family, p, q) * sign
             + Fraction(2) * (ClosedForm.atom(LN2) * Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r))
             + Fraction(2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1)
-            + (1 - Fraction(1, 2 ** r)) * kolbig_snp(r - 1, 2, max_weight=max(8, r + 1))
+            + (1 - Fraction(1, 2 ** r)) * kolbig_snp(r - 1, 2)
             - zeta_closed(r + 1)
             - 2 * milgram(r))
     return sign * body

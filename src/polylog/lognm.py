@@ -166,7 +166,7 @@ def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
     if n < 1 or m < 1:
         raise DomainError("indices must be >= 1")
     w = n + m
-    lhs = Fraction((-1) ** w) * kolbig_snp(n, m, max_weight=max(8, w))
+    lhs = Fraction((-1) ** w) * kolbig_snp(n, m)
     rhs = ClosedForm.zero()
     for k in range(1, n + 1):
         rhs = rhs + Fraction((-1) ** k * math.comb(w - 1 - k, m - 1)) * sigma_tilde(k, w - k)
@@ -190,7 +190,7 @@ def s_sigma_relation_matrix(weight: int):
             coeffs[k - 1] += Fraction((-1) ** k * math.comb(weight - 1 - k, m - 1))
         for k in range(1, m + 1):
             coeffs[k - 1] += Fraction((-1) ** k * math.comb(weight - 1 - k, n - 1))
-        rhs = Fraction((-1) ** weight) * kolbig_snp(n, m, max_weight=max(8, weight))
+        rhs = Fraction((-1) ** weight) * kolbig_snp(n, m)
         rows.append((coeffs, rhs))
     return rows
 

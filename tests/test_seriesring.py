@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from polylog.closedform import ClosedForm, PI, zeta_closed
 from polylog.errors import CapacityError, DomainError, ShapeError
+from polylog import seriesring
 from polylog.quadrature import Integrand, integrate01, log1m
-from polylog.seriesring import (BivariateSeries, beta_derivative_inm, bps_exp,
-                                bps_mul, gamma_ratio_series, kolbig_snp)
+from polylog.seriesring import (MAX_WEIGHT, BivariateSeries, beta_derivative_inm,
+                                gamma_ratio_series, kolbig_snp)
 from polylog.sigma import cf_num
 
 
@@ -25,7 +28,7 @@ def _series_from(na, nb, entries):
 def test_mul_basic():
     a = _series_from(1, 1, {(0, 0): 1, (1, 0): 1})   # 1 + x
     b = _series_from(1, 1, {(0, 0): 1, (0, 1): 1})   # 1 + y
-    p = bps_mul(a, b)
+    p = a * b
     assert p.c[0][0] == ClosedForm.one()
     assert p.c[1][0] == ClosedForm.one()
     assert p.c[0][1] == ClosedForm.one()
@@ -35,21 +38,21 @@ def test_mul_basic():
 def test_mul_identity_and_truncation():
     a = _series_from(1, 2, {(0, 0): 3, (1, 1): 2})
     one = BivariateSeries.constant(1, 2, ClosedForm.one())
-    assert bps_mul(a, one).c == a.c
+    assert (a * one).c == a.c
     x = _series_from(1, 0, {(1, 0): 1})
-    assert bps_mul(x, x).is_zero()  # x^2 truncates away at order (1, 0)
+    assert (x * x).is_zero()  # x^2 truncates away at order (1, 0)
 
 
 def test_shape_mismatch():
     with pytest.raises(ShapeError):
-        bps_mul(BivariateSeries(1, 1), BivariateSeries(2, 1))
+        BivariateSeries(1, 1) * BivariateSeries(2, 1)
 
 
 def test_exp_basic():
     zero = BivariateSeries(2, 0)
-    assert bps_exp(zero).c[0][0] == ClosedForm.one()
+    assert zero.exp().c[0][0] == ClosedForm.one()
     x = _series_from(2, 0, {(1, 0): 1})
-    e = bps_exp(x)
+    e = x.exp()
     assert e.c[0][0] == ClosedForm.one()
     assert e.c[1][0] == ClosedForm.one()
     assert e.c[2][0] == ClosedForm.rational(Fraction(1, 2))
@@ -57,7 +60,7 @@ def test_exp_basic():
 
 def test_exp_requires_zero_constant():
     with pytest.raises(DomainError):
-        bps_exp(_series_from(1, 1, {(0, 0): 1}))
+        _series_from(1, 1, {(0, 0): 1}).exp()
 
 
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(-5, 5), st.integers(-5, 5))
@@ -78,7 +81,7 @@ def test_exp_log_round_trip(i, j, num1, num2):
         if power.is_zero():
             break
         log = log + power.scale(Fraction((-1) ** (k + 1), k))
-    back = bps_exp(log)
+    back = log.exp()
     one_plus_u = u + BivariateSeries.constant(na, nb, ClosedForm.one())
     assert back.c == one_plus_u.c
 
@@ -122,11 +125,59 @@ def test_snp_symmetry():
 
 
 def test_snp_capacity():
-    with pytest.raises(CapacityError):
-        kolbig_snp(5, 4)
-    assert kolbig_snp(5, 4, max_weight=9).atoms()  # raised cap works
+    with pytest.raises(CapacityError, match="weight 9 above cap 8"):
+        kolbig_snp(5, 4, max_weight=8)
+    assert kolbig_snp(5, 4).atoms()  # the default cap is the ceiling
     with pytest.raises(DomainError):
         kolbig_snp(0, 1)
+
+
+def test_weight_ceiling_binds_above_any_requested_cap():
+    assert kolbig_snp(MAX_WEIGHT - 2, 2, max_weight=40).atoms()
+    with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
+        kolbig_snp(MAX_WEIGHT - 1, 2, max_weight=40)
+    with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
+        beta_derivative_inm(MAX_WEIGHT // 2 + 1, MAX_WEIGHT // 2, max_weight=40)
+
+
+def test_snp_graded_route_matches_dense_series():
+    dense = gamma_ratio_series((8, 9))
+    for n in range(1, 9):
+        for p in range(1, 10 - n):
+            assert kolbig_snp(n, p, 9) == Fraction((-1) ** (n + p - 1)) * dense.c[p][n], (n, p)
+
+
+def test_snp_symmetry_and_first_column_to_ceiling():
+    for n in range(1, MAX_WEIGHT):
+        for p in range(1, MAX_WEIGHT + 1 - n):
+            assert kolbig_snp(n, p, MAX_WEIGHT) == kolbig_snp(p, n, MAX_WEIGHT), (n, p)
+    for p in range(1, MAX_WEIGHT):
+        assert kolbig_snp(1, p, MAX_WEIGHT) == zeta_closed(p + 1), p
+
+
+def test_slice_cache_is_thread_safe():
+    w = 12
+    pairs = [(n, p) for n in range(1, w) for p in range(1, w + 1 - n)]
+    expected = [kolbig_snp(n, p, w) for n, p in pairs]
+    results = [None] * 8
+
+    def work(slot):
+        results[slot] = [kolbig_snp(n, p, w) for n, p in pairs]
+
+    interval = sys.getswitchinterval()
+    seriesring._ratio_slice.cache_clear()
+    seriesring._log_slice.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
 
 
 def test_snp_against_quadrature():
@@ -160,6 +211,20 @@ def test_inm_symmetry():
             assert beta_derivative_inm(n, m) == beta_derivative_inm(m, n)
 
 
+def test_inm_graded_route_matches_dense_series():
+    geom = BivariateSeries(8, 8)   # 1/(1+a+b)
+    for i in range(9):
+        for j in range(9):
+            geom.c[i][j] = ClosedForm.rational((-1) ** (i + j) * math.comb(i + j, i))
+    dense = gamma_ratio_series((8, 8)) * geom
+    for n in range(1, 9):
+        for m in range(1, 10 - n):
+            expected = Fraction(math.factorial(n) * math.factorial(m)) * dense.c[n][m]
+            assert beta_derivative_inm(n, m, 9) == expected, (n, m)
+
+
 def test_inm_capacity():
-    with pytest.raises(CapacityError):
-        beta_derivative_inm(5, 5)
+    with pytest.raises(CapacityError, match="weight 10 above cap 8"):
+        beta_derivative_inm(5, 5, max_weight=8)
+    with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
+        beta_derivative_inm(MAX_WEIGHT, 1)

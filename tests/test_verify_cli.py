@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import polylog
 from polylog.cli import main
+from polylog.seriesring import MAX_WEIGHT
 from polylog.verify import run_suite
 
 
@@ -184,3 +191,45 @@ def test_eval_missing_parameter_usage_error(capsys):
         main(["eval", "ipq", "--p", "2", "--q", "3"])  # --family missing
     assert exc.value.code == 2
     assert "--family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "s-minus", "--r", "30"],
+    ["eval", "jordan1", "--r", "20"],
+    ["eval", "ipq", "--family", "plus", "--p", "9", "--q", "9"],
+])
+def test_beyond_weight_ceiling_fails_fast(argv):
+    # a fresh interpreter, so no cache filled by other tests hides a slow path
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "polylog", *argv], env=env,
+                          capture_output=True, text=True, timeout=2.0)
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 3
+    assert f"ceiling MAX_WEIGHT = {MAX_WEIGHT}" in proc.stderr
+
+
+def test_weight_above_twelve_within_ceiling_returns_value(capsys):
+    code, out = _run(capsys, "eval", "s-minus", "--r", "12")   # weight 13
+    assert code == 0
+    # S-(12) = sum_k (-1)^k H_k / k^12; 40 terms are far below double precision
+    direct = sum((-1) ** k * sum(1 / j for j in range(1, k + 1)) / k ** 12 for k in range(1, 41))
+    assert json.loads(out)["decimal"] == pytest.approx(direct, abs=1e-15)
+
+
+def test_ipq_table_beyond_ceiling_refused_before_any_build(tmp_path, capsys):
+    t0 = time.perf_counter()
+    code = main(["table", "--kind", "ipq", "--max-weight", str(MAX_WEIGHT),
+                 "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3
+    assert f"needs weight {MAX_WEIGHT + 1}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_ipq_table_above_weight_twelve_is_written(tmp_path, capsys):
+    code, _ = _run(capsys, "table", "--kind", "ipq", "--max-weight", "12",
+                   "--out", str(tmp_path))
+    assert code == 0
+    obj = json.loads((tmp_path / "ipq_table.json").read_text())
+    assert len(obj["entries"]) == 3 * 66   # p, q >= 1 with p + q <= 12
