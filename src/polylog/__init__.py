@@ -17,22 +17,23 @@ from .errors import (CapacityError, ConvergenceError, DomainError,
 from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
                         s_minus, s_plus, sum_oracle)
 from .ipq import (Family, IpqValue, ipq_final, ipq_numeric, ipq_series,
-                  ipq_value, low_order_report, r_value, recurrence_shift)
+                  ipq_value, r_value, recurrence_shift)
 from .lognm import (LogIntegralKind, h_closed, h_pde_residual, i_closed,
                     i_pde_residual, lognm_numeric, s_sigma_relation_residual,
-                    sigma_weight6_count, sigma_weight6_report)
-from .quadrature import Integrand, QuadratureResult, integrate01
+                    sigma_weight6_count)
+from .quadrature import QuadratureResult, integrate01
 from .seriesring import (BivariateSeries, beta_derivative_inm,
                          gamma_ratio_series, kolbig_snp)
 from .sigma import build_context, cf_num, default_context, sigma_tilde
 from .special import li_moment, mpl2, nielsen_num, polylog
 from .summation import sum_alternating, sum_tail
-from .verify import VerificationReport, run_suite
+from .verify import (VerificationReport, low_order_report, run_suite,
+                     sigma_weight6_report)
 
 __all__ = [
     "Atom", "BivariateSeries", "CapacityError", "ClosedForm",
     "ConvergenceError", "DomainError", "EvaluationError", "Family",
-    "Integrand", "IpqValue", "LogIntegralKind", "NumericContext",
+    "IpqValue", "LogIntegralKind", "NumericContext",
     "QuadratureResult", "ShapeError", "SumKind", "VerificationReport",
     "beta_derivative_inm", "build_context", "c_sum", "cf_num",
     "default_context",

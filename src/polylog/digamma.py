@@ -7,7 +7,7 @@ asymptotic series finishes; relative error is below 1e-13 on (0, inf).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 
 from .errors import DomainError
 
@@ -43,7 +43,7 @@ def psi(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - tail
 
 
-@lru_cache(maxsize=1)
+@cache
 def euler_gamma() -> float:
     """Euler's constant, as -psi(1)."""
     return -psi(1.0)

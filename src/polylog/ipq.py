@@ -5,8 +5,10 @@
     I+-(p,q) = integral_0^1 Li_p(t) Li_q(-t) dt/t
 
 with their difference-equation machinery, closed forms, infinite-series
-representations, and quadrature oracles.  Every closed form is computed by
-at least two independent displays which are asserted exactly equal.
+representations, and quadrature oracles.  ipq_final builds each closed form
+once, from the named-sum display, and memoizes it; the Nielsen display and
+the difference-equation reductions are its second routes, which the verify
+suites check exactly against it.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
-from .closedform import ClosedForm, LN2, zeta_closed
-from .digamma import euler_gamma, psi
+from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
-from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus
-from .quadrature import Integrand, integrate01
+from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus, s_plus,
+                        sum_oracle)
+from .quadrature import integrate01
+from .seriesring import _check_weight, kolbig_snp
+from .sigma import cf_num, sigma_tilde
 from .special import li_neg, li_pos
-from .summation import sum_alternating, sum_tail, zeta_num
+from .summation import zeta_num
 
 
 class Family(Enum):
@@ -71,7 +76,6 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
     R+ = zeta(p) zeta(q); R- = Li_p(-1) Li_q(-1); R+- = zeta(p) Li_q(-1);
     eta-type slots admit the order-1 limit -ln 2, zeta-type slots do not.
     """
-    from .closedform import eta_factor_closed
     _check_orders(p, q)
     if family is Family.PLUS:
         if p < 2 or q < 2:
@@ -100,7 +104,7 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = 1e-11) -> float:
     else:
         def ev(x: float, omx: float) -> float:
             return li_pos(p, x, omx) * li_neg(q, x, omx) / x
-    return integrate01(Integrand(ev, "log_singular_both"), tol).value
+    return integrate01(ev, tol).value
 
 
 # q = 0 extensions: Li_0(-t) = -t/(1+t) keeps these two integrable.
@@ -109,18 +113,14 @@ def ipq_mixed_q0(p: int, tol: float = 1e-11) -> float:
     """I+-(p, 0) = -integral_0^1 Li_p(t) / (1+t) dt."""
     if p < 1:
         raise DomainError("order must be >= 1")
-    return -integrate01(
-        Integrand(lambda x, omx: li_pos(p, x, omx) / (1.0 + x), "log_singular_at_1"),
-        tol).value
+    return -integrate01(lambda x, omx: li_pos(p, x, omx) / (1.0 + x), tol).value
 
 
 def ipq_minus_q0(p: int, tol: float = 1e-11) -> float:
     """I-(p, 0) = -integral_0^1 Li_p(-t) / (1+t) dt."""
     if p < 1:
         raise DomainError("order must be >= 1")
-    return -integrate01(
-        Integrand(lambda x, omx: li_neg(p, x, omx) / (1.0 + x), "regular"),
-        tol).value
+    return -integrate01(lambda x, omx: li_neg(p, x, omx) / (1.0 + x), tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,6 @@ def recurrence_shift(family: Family, p: int, q: int, n: int, base: IpqValue) -> 
     rsum = _r_sum(family, p, q, n)
     sign = Fraction((-1) ** n)
     closed = None if base.closed is None else sign * (base.closed - rsum)
-    from .sigma import cf_num
     numeric = float(sign) * (base.numeric - cf_num(rsum))
     return IpqValue(family, p + n, q - n, closed, numeric)
 
@@ -233,9 +232,10 @@ def _final_sum_form(family: Family, p: int, q: int) -> ClosedForm:
 
 
 def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
-    """Final display in Nielsen terms (s_{r-1,2} and sigma~_{r-1,2})."""
-    from .seriesring import kolbig_snp
-    from .sigma import sigma_tilde
+    """Final display in Nielsen terms (s_{r-1,2} and sigma~_{r-1,2}).
+
+    A second route to ipq_final, which verify checks term by term.
+    """
     r = p + q
     sign = Fraction((-1) ** p)
     if family is Family.PLUS:
@@ -255,28 +255,23 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
     return sign * body
 
 
+@cache
 def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
-    """Closed form of I(p,q), asserted identical across independent routes.
+    """Closed form of I(p,q), from the named-sum display.
 
-    Routes: the named-sum display, the Nielsen display, and (where one
-    exists) the difference-equation reduction to R values or the diagonal.
-    sigma~ atoms survive exactly when the required alternating sum has no
-    known closed form (odd p+q >= 5 in the mixed family).
+    Its weight p+q+1 is held to the series ceiling MAX_WEIGHT.  The Nielsen
+    display and (where one exists) the difference-equation reduction to R
+    values or the diagonal are checked against it in verify.  sigma~ atoms
+    survive exactly when the required alternating sum has no known closed
+    form (odd p+q >= 5 in the mixed family).
     """
     _check_orders(p, q)
-    sum_form = _final_sum_form(family, p, q)
-    nielsen_form = _final_nielsen_form(family, p, q)
-    if sum_form != nielsen_form:
-        raise RuntimeError(
-            f"I[{family.value}]({p},{q}): named-sum and Nielsen displays disagree")
-    reduction = _reduction_route(family, p, q)
-    if reduction is not None and reduction != sum_form:
-        raise RuntimeError(
-            f"I[{family.value}]({p},{q}): difference-equation route disagrees")
-    return sum_form
+    _check_weight(p + q + 1)
+    return _final_sum_form(family, p, q)
 
 
 def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
+    """I(p,q) by the difference-equation reductions, or None where none applies."""
     if family.symmetric:
         lo, hi = min(p, q), max(p, q)
         diff = hi - lo
@@ -295,18 +290,6 @@ def ipq_value(family: Family, p: int, q: int, tol: float = 1e-11) -> IpqValue:
                     ipq_numeric(family, p, q, tol))
 
 
-def low_order_report(p: int):
-    """Verify the low-order (q = 0, 1) special-integral identities at one p.
-
-    Returns a VerificationReport; disagreements are recorded as failing
-    entries rather than raised.
-    """
-    if not 2 <= p <= 4:
-        raise DomainError("low-order report covers p in 2..4")
-    from .verify import low_order_entries, report_from_entries
-    return report_from_entries(low_order_entries(p))
-
-
 # ---------------------------------------------------------------------------
 # infinite-series representations (third, fully numeric route)
 # ---------------------------------------------------------------------------
@@ -318,7 +301,6 @@ def ipq_series(family: Family, p: int, q: int, tol: float = 1e-9) -> float:
     _check_orders(p, q)
     r = p + q
     part = tol / 16.0
-    g = euler_gamma()
     mu_sum = 0.0
     for mu in range(2, p + 1):
         if family is Family.PLUS:
@@ -332,18 +314,14 @@ def ipq_series(family: Family, p: int, q: int, tol: float = 1e-9) -> float:
     mu_sum *= (-1.0) ** p
 
     if family is Family.PLUS:
-        s = sum_tail(lambda k: (psi(k + 1.0) + g) * k ** (-float(r)), part, r)
-        return mu_sum + (-1.0) ** (p + 1) * s
+        return mu_sum + (-1.0) ** (p + 1) * sum_oracle(SumKind("SPlus", r), part)
+    s_alt = sum_oracle(SumKind("SMinus", r), part)
     if family is Family.MIXED:
-        s = sum_alternating(
-            lambda k: (-1) ** k * (psi(k + 1.0) + g) * float(k) ** (-float(r)), part)
-        return mu_sum + (-1.0) ** (p + 1) * s
+        return mu_sum + (-1.0) ** (p + 1) * s_alt
 
     prefix = (-1.0) ** p * 2.0 * (math.log(2.0) * (2.0 ** (-r) - 1.0) * zeta_num(r)
                                   + (1.0 - 2.0 ** (-r - 1)) * zeta_num(r + 1))
-    s_alt = sum_alternating(
-        lambda k: (-1) ** k * (psi(k + 1.0) + g) * float(k) ** (-float(r)), part)
-    s_even = sum_tail(lambda k: (psi(k + 1.0) + g) * (2.0 * k) ** (-float(r)), part, r)
-    s_half = sum_tail(lambda k: (psi(k + 0.5) - psi(0.5)) * (2 * k + 1.0) ** (-float(r)),
-                      part, r)
+    # sum (psi(k+1)+gamma)/(2k)^r = 2 C(r); sum (psi(k+1/2)-psi(1/2))/(2k+1)^r = 2 J1(r)
+    s_even = 2.0 * sum_oracle(SumKind("CSum", r), part / 2)
+    s_half = 2.0 * sum_oracle(SumKind("Jordan1", r), part / 2)
     return prefix + mu_sum + (-1.0) ** p * (s_alt - s_even + s_half)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .closedform import ClosedForm, LN2
 from .errors import CapacityError, DomainError
-from .quadrature import Integrand, integrate01, log1m
+from .quadrature import integrate01, log1m
 from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
 
@@ -141,12 +141,10 @@ def lognm_numeric(kind: LogIntegralKind, tol: float = 1e-11) -> float:
     if kind.tag == "INM":
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** n * log1m(x, omx) ** m
-        cls = "log_singular_both"
     else:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** n * math.log1p(x) ** m
-        cls = "log_singular_at_0"
-    return integrate01(Integrand(ev, cls), tol).value
+    return integrate01(ev, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +218,3 @@ def sigma_weight6_count() -> tuple[int, int, int]:
     rank = _rank(rows)
     unknowns = 5
     return unknowns, rank, unknowns - rank
-
-
-def sigma_weight6_report():
-    """Verify the weight-6 sigma~ relations numerically and count the
-    remaining free constants; returns a VerificationReport."""
-    from .verify import report_from_entries, sigma_weight6_entries
-    return report_from_entries(sigma_weight6_entries())

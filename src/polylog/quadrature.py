@@ -2,15 +2,17 @@
 
 The rule is double-exponential (tanh-sinh): nodes x = sigmoid(pi*sinh(t))
 cluster at both endpoints, and weights decay fast enough to absorb any
-power of log x or log(1-x).  Integrand evaluators receive both x and 1-x,
-each computed without cancellation, so expressions like ln(1-x) stay
-accurate at nodes within 1e-300 of an endpoint.
+power of log x or log(1-x).  An integrand is an evaluator f(x, 1-x): it
+receives both x and 1-x, each computed without cancellation, so
+expressions like ln(1-x) stay accurate at nodes within 1e-300 of an
+endpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
@@ -18,18 +20,6 @@ from .errors import ConvergenceError, DomainError
 _T_MAX = 6.3          # |pi*sinh(t)| > 745 beyond this: nodes underflow
 _MAX_LEVEL = 11
 _MIN_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class Integrand:
-    """Integrand on (0, 1); evaluator is called as f(x, 1-x)."""
-
-    evaluator: Callable[[float, float], float]
-    endpoint_class: str = "regular"
-
-    @classmethod
-    def plain(cls, f: Callable[[float], float], endpoint_class: str = "regular") -> "Integrand":
-        return cls(lambda x, omx: f(x), endpoint_class)
 
 
 def log1m(x: float, omx: float) -> float:
@@ -65,36 +55,28 @@ def _node(t: float) -> tuple[float, float, float]:
 # Node geometry is integrand-independent; cache it per level.
 # Level 0 holds all integer t in [-T_MAX, T_MAX]; level L >= 1 holds the
 # odd multiples of 2^-L.
-_LEVEL_CACHE: list[list[tuple[float, float, float]]] = []
+@cache
+def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+    h = 0.5 ** level
+    n = int(_T_MAX / h)
+    nodes = []
+    for k in range(-n, n + 1):
+        if level and not k % 2:
+            continue
+        x, omx, w = _node(k * h)
+        # nodes closer than 1e-300 to an endpoint carry weights below
+        # any tolerance this module supports; dropping them keeps
+        # downstream coordinate transforms clear of subnormals
+        if x > 1e-300 and omx > 1e-300 and w > 0.0:
+            nodes.append((x, omx, w))
+    return tuple(nodes)
 
 
-def _level_nodes(level: int) -> list[tuple[float, float, float]]:
-    while len(_LEVEL_CACHE) <= level:
-        lvl = len(_LEVEL_CACHE)
-        h = 0.5 ** lvl
-        nodes = []
-        if lvl == 0:
-            ts = [k * h for k in range(-int(_T_MAX / h), int(_T_MAX / h) + 1)]
-        else:
-            n = int(_T_MAX / h)
-            ts = [k * h for k in range(-n, n + 1) if k % 2]
-        for t in ts:
-            x, omx, w = _node(t)
-            # nodes closer than 1e-300 to an endpoint carry weights below
-            # any tolerance this module supports; dropping them keeps
-            # downstream coordinate transforms clear of subnormals
-            if x > 1e-300 and omx > 1e-300 and w > 0.0:
-                nodes.append((x, omx, w))
-        _LEVEL_CACHE.append(nodes)
-    return _LEVEL_CACHE[level]
-
-
-def integrate01(f: Integrand | Callable[[float, float], float], tol: float,
+def integrate01(ev: Callable[[float, float], float], tol: float,
                 _allow_split: bool = True) -> QuadratureResult:
-    """Integrate f over (0, 1) to absolute tolerance tol (tol >= 1e-13)."""
+    """Integrate ev(x, 1-x) over (0, 1) to absolute tolerance tol (tol >= 1e-13)."""
     if tol < _MIN_TOL:
         raise DomainError(f"tolerance below supported floor {_MIN_TOL}")
-    ev = f.evaluator if isinstance(f, Integrand) else f
 
     total_g = 0.0
     evals = 0
@@ -123,12 +105,10 @@ def integrate01(f: Integrand | Callable[[float, float], float], tol: float,
 
     if _allow_split:
         # Bisect at 1/2; each half keeps exact endpoint distances.
-        left = integrate01(
-            Integrand(lambda u, omu: 0.5 * ev(0.5 * u, 1.0 - 0.5 * u)),
-            max(tol / 2, _MIN_TOL), _allow_split=False)
-        right = integrate01(
-            Integrand(lambda v, omv: 0.5 * ev(1.0 - 0.5 * v, 0.5 * v)),
-            max(tol / 2, _MIN_TOL), _allow_split=False)
+        left = integrate01(lambda u, omu: 0.5 * ev(0.5 * u, 1.0 - 0.5 * u),
+                           max(tol / 2, _MIN_TOL), _allow_split=False)
+        right = integrate01(lambda v, omv: 0.5 * ev(1.0 - 0.5 * v, 0.5 * v),
+                            max(tol / 2, _MIN_TOL), _allow_split=False)
         return QuadratureResult(
             left.value + right.value,
             left.error_estimate + right.error_estimate,

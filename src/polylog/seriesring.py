@@ -14,7 +14,9 @@ the weight-k slice of the log.  Each slice is memoized once per process,
 so every caller shares one cache, and a weight-w query never builds
 anything above weight w.  MAX_WEIGHT = 18 is the one weight limit:
 kolbig_snp and beta_derivative_inm raise CapacityError above it (a caller
-may pass a lower max_weight, never a higher one).  A cold build of every
+may pass a lower max_weight, never a higher one), and so do s_minus and
+ipq_final, which call _check_weight themselves because their routes need
+not read the series.  A cold build of every
 slice takes about 30 ms to weight 12 and 0.4 s to weight 18 on a 2-core
 x86 host, so no query within the ceiling runs for long.
 
@@ -145,9 +147,7 @@ def _lngamma_ratio_log(na: int, nb: int) -> BivariateSeries:
     return s
 
 
-_RATIO_CACHE: dict[tuple[int, int], BivariateSeries] = {}
-
-
+@cache
 def gamma_ratio_series(orders: tuple[int, int]) -> BivariateSeries:
     """Series of Gamma(1+a) Gamma(1+b) / Gamma(1+a+b), as a dense box.
 
@@ -158,16 +158,13 @@ def gamma_ratio_series(orders: tuple[int, int]) -> BivariateSeries:
     na, nb = orders
     if na < 1 or nb < 1:
         raise ShapeError("gamma ratio series needs orders >= (1, 1)")
-    key = (na, nb)
-    if key not in _RATIO_CACHE:
-        logs = _lngamma_ratio_log(na, nb)
-        for i in range(na + 1):
-            for j in range(nb + 1):
-                if GAMMA in logs.c[i][j].atoms():
-                    raise RuntimeError(
-                        "Euler-gamma terms failed to cancel in the log-Gamma ratio")
-        _RATIO_CACHE[key] = logs.exp()
-    return _RATIO_CACHE[key]
+    logs = _lngamma_ratio_log(na, nb)
+    for i in range(na + 1):
+        for j in range(nb + 1):
+            if GAMMA in logs.c[i][j].atoms():
+                raise RuntimeError(
+                    "Euler-gamma terms failed to cancel in the log-Gamma ratio")
+    return logs.exp()
 
 
 @cache
@@ -210,7 +207,7 @@ def _ratio_slice(w: int) -> tuple[ClosedForm, ...]:
     return tuple(acc)
 
 
-def _check_weight(weight: int, max_weight: int) -> None:
+def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
     cap = min(max_weight, MAX_WEIGHT)
     if weight > cap:
         raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")

@@ -9,9 +9,9 @@ three groups:
 * the S_{n,1}(-1) = Li_{n+1}(-1) column, valid for every n;
 * the tabulated values of weight <= 5 plus the closed weight-6 entries
   sigma~_{1,5} and sigma~_{5,1};
-* the odd-first-index family sigma~_{2n+1,2}, recovered exactly from the
-  even-order alternating Euler sums (this also re-derives the tabulated
-  sigma~_{1,2} and sigma~_{3,2}, which is asserted).
+* sigma~_{5,2} and sigma~_{7,2}, recovered exactly from the even-order
+  alternating Euler sums (the verify suites check the tabulated
+  sigma~_{1,2} and sigma~_{3,2} against the same route).
 
 At weight 6 the mid-table entries sigma~_{2,4}, sigma~_{3,3}, sigma~_{4,2}
 have no individual closed forms, only two linear relations; those are kept
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .closedform import (Atom, ClosedForm, GAMMA, LN2, NumericContext, PI,
                          eta_factor_closed, li_half_atom, sigma_atom,
@@ -33,8 +33,6 @@ from .errors import DomainError, EvaluationError
 from .eulersums import s_minus_even_closed
 from .special import nielsen_num, polylog
 from .summation import zeta_num
-
-_MAX_DERIVED_EVEN_ORDER = 8
 
 
 def _li_half_cf(k: int) -> ClosedForm:
@@ -105,16 +103,10 @@ def _build_registry() -> SigmaRegistry:
                           + _ln2_pow(1) * li5
                           + li6)
 
-    # odd-first-index sigma~_{r-1,2} from the even-order alternating sums
-    for r in range(2, _MAX_DERIVED_EVEN_ORDER + 1, 2):
-        derived = s_minus_even_closed(r) - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1)
-        key = (r - 1, 2)
-        if key in reg.closed:
-            if reg.closed[key] != derived:
-                raise RuntimeError(
-                    f"sigma~{key} from the even-order route contradicts its table value")
-        else:
-            reg.closed[key] = derived
+    # sigma~_{r-1,2} from the even-order alternating sums, past the table
+    for r in (6, 8):
+        reg.closed[(r - 1, 2)] = (s_minus_even_closed(r)
+                                  - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1))
 
     # weight-6 relations among the open entries
     rel1_rhs = (Fraction(-53, 15120) * pi6
@@ -131,7 +123,7 @@ def _build_registry() -> SigmaRegistry:
     return reg
 
 
-@lru_cache(maxsize=1)
+@cache
 def registry() -> SigmaRegistry:
     return _build_registry()
 
@@ -187,7 +179,7 @@ def build_context() -> NumericContext:
     return ctx
 
 
-@lru_cache(maxsize=1)
+@cache
 def default_context() -> NumericContext:
     return build_context()
 
@@ -195,23 +187,3 @@ def default_context() -> NumericContext:
 def cf_num(x: ClosedForm) -> float:
     """Evaluate against the shared default context."""
     return x.evaluate(default_context())
-
-
-def verify_registry(tol: float = 1e-9) -> list[tuple[str, float, float, bool]]:
-    """Check every registered closed form against quadrature.
-
-    Returns (key, closed_value, quadrature_value, ok) rows; used by the
-    verification suite rather than at import time so that building the
-    registry stays cheap.
-    """
-    rows = []
-    for (n, p), cf in sorted(registry().closed.items()):
-        closed_value = cf_num(cf)
-        quad_value = _sigma_numeric(n, p)
-        rows.append((f"sigma_{n}_{p}", closed_value, quad_value,
-                     abs(closed_value - quad_value) <= tol))
-    for i, (coeffs, rhs) in enumerate(registry().relations, start=1):
-        lhs = math.fsum(float(c) * _sigma_numeric(n, p) for (n, p), c in sorted(coeffs.items()))
-        rv = cf_num(rhs)
-        rows.append((f"sigma_weight6_relation_{i}", lhs, rv, abs(lhs - rv) <= tol))
-    return rows

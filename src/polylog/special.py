@@ -19,7 +19,7 @@ from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .digamma import psi
 from .errors import ConvergenceError, DomainError
-from .quadrature import Integrand, integrate01, log1m
+from .quadrature import integrate01, log1m
 from .summation import (_cvz, alternating_zeta_num, eta_num, sum_alternating,
                         sum_tail, zeta_num)
 
@@ -127,17 +127,14 @@ def nielsen_num(n: int, p: int, z: float, tol: float = 1e-12) -> float:
     if z == 1.0:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** (n - 1) * log1m(x, omx) ** p / x
-        cls = "log_singular_both"
     elif z == -1.0:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** (n - 1) * math.log1p(x) ** p / x
-        cls = "log_singular_at_0"
     else:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** (n - 1) * math.log1p(-z * x) ** p / x
-        cls = "log_singular_at_0"
 
-    quad = integrate01(Integrand(ev, cls), tol)
+    quad = integrate01(ev, tol)
     return pref * quad.value
 
 

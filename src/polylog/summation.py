@@ -11,10 +11,11 @@ real (not just integer) arguments beyond the cutoff.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import Integrand, integrate01
+from .quadrature import integrate01
 
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 
@@ -90,8 +91,7 @@ def _em_tail(term: Callable[[float], float], m: float, tol: float) -> float:
         x = m / u
         return x * term(x) / u
 
-    quad = integrate01(Integrand(transformed, "log_singular_at_0"),
-                       max(1e-13, tol / 8.0))
+    quad = integrate01(transformed, max(1e-13, tol / 8.0))
     h = max(1e-4, 1e-6 * m)
     slope = (term(m + h) - term(m - h)) / (2.0 * h)
     return quad.value + term(m) / 2.0 - slope / 12.0
@@ -101,26 +101,20 @@ def _em_tail(term: Callable[[float], float], m: float, tol: float) -> float:
 # zeta and friends, numeric
 # ---------------------------------------------------------------------------
 
-_ZETA_CACHE: dict[int, float] = {}
-_ETA_CACHE: dict[int, float] = {}
-
-
+@cache
 def eta_num(s: int) -> float:
     """eta(s) = sum_{k>=1} (-1)^{k-1} k^-s for s >= 1."""
     if s < 1:
         raise DomainError("eta_num requires s >= 1")
-    if s not in _ETA_CACHE:
-        _ETA_CACHE[s] = sum_alternating(lambda k: (-1) ** (k - 1) * float(k) ** (-s), 1e-15)
-    return _ETA_CACHE[s]
+    return sum_alternating(lambda k: (-1) ** (k - 1) * float(k) ** (-s), 1e-15)
 
 
+@cache
 def zeta_num(s: int) -> float:
     """zeta(s) for integer s >= 2, via the alternating eta series."""
     if s < 2:
         raise DomainError("zeta_num requires s >= 2")
-    if s not in _ZETA_CACHE:
-        _ZETA_CACHE[s] = eta_num(s) / (1.0 - 2.0 ** (1 - s))
-    return _ZETA_CACHE[s]
+    return eta_num(s) / (1.0 - 2.0 ** (1 - s))
 
 
 def alternating_zeta_num(s: int) -> float:

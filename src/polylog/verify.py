@@ -5,6 +5,11 @@ check producing one report entry: an identity id, the symbolic value when
 one exists, the oracle and closed values, the absolute error, the
 tolerance, and pass/fail.  Exact (term-map) checks carry tolerance 0.
 
+Each builder takes one production route; the second exact routes to the
+same quantities (the Nielsen and reduction displays of I(p,q), the full
+Milgram sum, the Jordan decomposition of S-, the even-order route to the
+tabulated sigma~ values) are written here once, as exact entries.
+
 Checks that certify a correction to a commonly printed value carry a
 ``note`` naming the independent routes that pin the corrected value down.
 """
@@ -21,14 +26,14 @@ from .approx import polylog_derivative_at_minus1, s_minus_truncated
 from .closedform import ClosedForm, LN2, PI, zeta_closed, zeta_odd_atom
 from .errors import DomainError
 from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
-                        s_minus, s_plus, sum_oracle)
-from .ipq import (Family, ipq_final, ipq_minus_q0, ipq_mixed_q0,
-                  ipq_numeric, ipq_series, ipq_value, r_value,
-                  recurrence_shift)
+                        s_minus, s_minus_even_closed, s_plus, sum_oracle)
+from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
+                  ipq_minus_q0, ipq_mixed_q0, ipq_numeric, ipq_series, ipq_value,
+                  r_value, recurrence_shift)
 from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
                     h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
                     s_sigma_relation_residual, sigma_weight6_count)
-from .quadrature import Integrand, integrate01, log1m
+from .quadrature import integrate01, log1m
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import cf_num, registry, sigma_tilde
 from .special import li_neg, li_pos, mpl2, nielsen_num, polylog
@@ -143,11 +148,19 @@ def _checks_sums(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
         out.append(_exact_entry(f"sums.csum-dual-forms.r{r}",
                                 f"C({r}): S+ multiple vs Nielsen form", direct, nielsen))
     for which in ("J1", "J2"):
-        for r in (2, 4, 6):
+        for r in (2, 4, 6, 8):
             out.append(_exact_entry(
                 f"sums.jordan-nielsen-equals-even.{which}.r{r}",
                 f"{which}({r}): Nielsen form vs even-order closed form",
                 jordan_nielsen(which, r), jordan_even(which, r)))
+    for r in range(2, 10):
+        out.append(_exact_entry(f"sums.milgram-full-vs-simplified.r{r}",
+                                f"M({r}): full mu-sum vs simplified display",
+                                _milgram_full(r), milgram(r)))
+    for r in range(2, 9):
+        out.append(_exact_entry(f"sums.sminus-direct-vs-decomposed.r{r}",
+                                f"S-({r}): (2^-r - 1) zeta(r+1) + sigma~ vs Jordan decomposition",
+                                s_minus(r), _s_minus_decomposed(r)))
     for r in range(2, 9):
         ident = f"sums.sminus-decomposition.r{r}"
         tol = tol_for(ident, 1e-10)
@@ -186,6 +199,23 @@ def _checks_sums(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
     return out
 
 
+def _milgram_full(r: int) -> ClosedForm:
+    """M(r) as the full mu-sum that the simplified display condenses."""
+    out = Fraction(r, 2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1) \
+        - ClosedForm.atom(LN2) * (1 - Fraction(1, 2 ** r)) * zeta_closed(r)
+    for mu in range(0, r - 2):
+        out = out - Fraction(mu + 1, 2 * (r - 1)) * Fraction(2 ** (mu + 2) - 1, 1) \
+            * zeta_closed(mu + 2) * (Fraction(1, 2 ** (mu + 1)) - Fraction(1, 2 ** r)) \
+            * zeta_closed(r - 1 - mu)
+    return out
+
+
+def _s_minus_decomposed(r: int) -> ClosedForm:
+    """S-(r) = J2 - J1 + C - M - (1 - 2^{-r-1}) zeta(r+1), Jordan sums in Nielsen form."""
+    return (jordan_nielsen("J2", r) - jordan_nielsen("J1", r) + c_sum(r) - milgram(r)
+            - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
+
+
 # ---------------------------------------------------------------------------
 # appendix suite
 # ---------------------------------------------------------------------------
@@ -198,7 +228,7 @@ def _log2_quadrature(kind: str, tol: float) -> float:
         "mp": lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / (1.0 + x),
         "pp": lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1.0 + x),
     }
-    return integrate01(Integrand(evs[kind], "log_singular_both"), tol).value
+    return integrate01(evs[kind], tol).value
 
 
 def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
@@ -235,7 +265,7 @@ def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]
         def ev(x: float, omx: float, sgn=sgn) -> float:
             return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
                     * (1.0 / omx + sgn / (1.0 + x)))
-        quad = integrate01(Integrand(ev, "log_singular_both"), max(tol / 8, 1e-13)).value
+        quad = integrate01(ev, max(tol / 8, 1e-13)).value
         quad /= 4.0 * math.factorial(2)
         oracle = sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3), tol / 8)
         out.append(_entry(ident, f"{which}(3) integral representation vs series", quad,
@@ -247,7 +277,7 @@ def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]
 
         def ev(x: float, omx: float, r=r) -> float:
             return math.log(x) ** (r - 1) * log1m(x, omx) / (x * omx)
-        quad = integrate01(Integrand(ev, "log_singular_both"), max(tol / 8, 1e-13)).value
+        quad = integrate01(ev, max(tol / 8, 1e-13)).value
         quad *= (-1.0) ** r / (2 ** (r + 1) * math.factorial(r - 1))
         out.append(_entry(ident, f"C({r}) integral representation vs closed form",
                           quad, cf_num(c_sum(r)), tol))
@@ -321,6 +351,16 @@ def _checks_ipq(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
                                   f"I[{family.value}]({p},{q}) closed vs quadrature",
                                   ipq_numeric(family, p, q, max(tol / 100, 1e-12)),
                                   cf_num(cf), tol, cf))
+                out.append(_exact_entry(
+                    f"ipq.nielsen-display.{family.value}.p{p}q{q}",
+                    f"I[{family.value}]({p},{q}): named-sum vs Nielsen display",
+                    cf, _final_nielsen_form(family, p, q)))
+                reduction = _reduction_route(family, p, q)
+                if reduction is not None:
+                    out.append(_exact_entry(
+                        f"ipq.reduction-route.{family.value}.p{p}q{q}",
+                        f"I[{family.value}]({p},{q}) vs its difference-equation reduction",
+                        cf, reduction))
     for family in (Family.PLUS, Family.MINUS):
         for p in range(1, 4):
             for q in range(p + 1, 5):
@@ -410,8 +450,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     out: list[CheckEntry] = []
     quad_tol = 1e-12
     # 1. integral Li_p(t)/(1+t) = -I+-(p,0) = -mpl2(1, p, -1, -1)
-    lhs = integrate01(Integrand(lambda x, omx: li_pos(p, x, omx) / (1 + x),
-                                "log_singular_at_1"), quad_tol).value
+    lhs = integrate01(lambda x, omx: li_pos(p, x, omx) / (1 + x), quad_tol).value
     ident = f"ipq.low-order.mixed-q0.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs -I+-({p},0)",
@@ -421,8 +460,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
                       lhs, -mpl2(1, p, -1.0, -1.0, tol_for(ident, 1e-9) / 8),
                       tol_for(ident, 1e-9)))
     # 2. integral Li_p(-t)/(1+t) = -I-(p,0) = -mpl2(1, p, -1, +1)
-    lhs = integrate01(Integrand(lambda x, omx: li_neg(p, x, omx) / (1 + x),
-                                "regular"), quad_tol).value
+    lhs = integrate01(lambda x, omx: li_neg(p, x, omx) / (1 + x), quad_tol).value
     ident = f"ipq.low-order.minus-q0.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs -I-({p},0)",
                       lhs, -ipq_minus_q0(p, quad_tol), tol_for(ident, 1e-9)))
@@ -432,9 +470,8 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
                       tol_for(ident, 1e-9)))
     # 3. integral [Li_p(t) - Li_p(1)]/(1-t) = -I+(1,p-1)
     #    = -mpl2(p,1,1,1) - zeta(p+1)
-    lhs = integrate01(Integrand(
-        lambda x, omx: (li_pos(p, x, omx) - zeta_num(p)) / omx,
-        "log_singular_at_1"), quad_tol).value
+    lhs = integrate01(lambda x, omx: (li_pos(p, x, omx) - zeta_num(p)) / omx,
+                      quad_tol).value
     ident = f"ipq.low-order.plus-subtracted.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident,
@@ -448,9 +485,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     # 4. integral [Li_p(-t) - Li_p(-1)]/(1-t) = -I+-(1,p-1)
     #    = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
     lim = (2.0 ** (1 - p) - 1.0) * zeta_num(p)
-    lhs = integrate01(Integrand(
-        lambda x, omx: (li_neg(p, x, omx) - lim) / omx,
-        "log_singular_at_1"), quad_tol).value
+    lhs = integrate01(lambda x, omx: (li_neg(p, x, omx) - lim) / omx, quad_tol).value
     ident = f"ipq.low-order.mixed-subtracted.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident,
@@ -561,6 +596,12 @@ def _checks_lognm(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
                                    f"s({n},{w - n}) reflection relation residual",
                                    s_sigma_relation_residual(n, w - n)))
     out.extend(sigma_weight6_entries(tol_for))
+    for r in (2, 4):
+        out.append(_exact_entry(
+            f"lognm.sigma-even-route.n{r - 1}p2",
+            f"sigma~({r - 1},2) table value vs the even-order S- route",
+            sigma_tilde(r - 1, 2),
+            s_minus_even_closed(r) - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1)))
     for (n, p), cf in sorted(registry().closed.items()):
         ident = f"lognm.sigma-registry.n{n}p{p}"
         tol = tol_for(ident, 1e-9)
@@ -625,6 +666,22 @@ def report_from_entries(entries: list[CheckEntry]) -> VerificationReport:
     report = VerificationReport(list(entries))
     report.sort()
     return report
+
+
+def low_order_report(p: int) -> VerificationReport:
+    """Verify the low-order (q = 0, 1) special-integral identities at one p.
+
+    Disagreements are recorded as failing entries rather than raised.
+    """
+    if not 2 <= p <= 4:
+        raise DomainError("low-order report covers p in 2..4")
+    return report_from_entries(low_order_entries(p))
+
+
+def sigma_weight6_report() -> VerificationReport:
+    """Verify the weight-6 sigma~ relations numerically and count the
+    remaining free constants."""
+    return report_from_entries(sigma_weight6_entries())
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from polylog.ipq import _final_nielsen_form, _final_sum_form
 from polylog.lognm import (LogIntegralKind, h_closed, h_pde_residual,
                            i_closed, i_pde_residual, lognm_numeric,
                            s_sigma_relation_residual, sigma_weight6_count)
-from polylog.quadrature import Integrand, integrate01, log1m
+from polylog.quadrature import integrate01, log1m
 from polylog.seriesring import beta_derivative_inm, kolbig_snp
 from polylog.sigma import cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num, polylog
@@ -226,13 +226,13 @@ def test_criterion_9_appendix_integrals():
                           + ln2 ** 4 / 6.0 + 3.5 * ln2 * z3),
     }
     for name, (ev, expected) in cases.items():
-        got = integrate01(Integrand(ev, "log_singular_both"), 1e-12).value
+        got = integrate01(ev, 1e-12).value
         assert abs(got - expected) <= 1e-10, name
     for which, sgn, tag in (("J1", -1.0, "Jordan1"), ("J2", +1.0, "Jordan2")):
         def ev(x, omx, sgn=sgn):
             return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
                     * (1.0 / omx + sgn / (1.0 + x)))
-        quad = integrate01(Integrand(ev, "log_singular_both"), 1e-12).value / 8.0
+        quad = integrate01(ev, 1e-12).value / 8.0
         oracle = sum_oracle(SumKind(tag, 3), 1e-12)
         assert abs(quad - oracle) <= 1e-9, which
     for r in range(2, 8):

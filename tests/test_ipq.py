@@ -170,16 +170,12 @@ def test_series_route():
 
 def test_low_order_extensions():
     # Li_0(-t) = -t/(1+t) makes the q = 0 mixed/minus integrals well-defined
-    from polylog.quadrature import Integrand, integrate01
+    from polylog.quadrature import integrate01
     from polylog.special import li_pos, li_neg
     for p in (2, 3):
-        direct = integrate01(Integrand(
-            lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x), "log_singular_at_1"),
-            1e-12).value
+        direct = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x), 1e-12).value
         assert abs(ipq_mixed_q0(p) + direct) <= 1e-10
-        direct = integrate01(Integrand(
-            lambda x, omx, p=p: li_neg(p, x, omx) / (1 + x), "regular"),
-            1e-12).value
+        direct = integrate01(lambda x, omx, p=p: li_neg(p, x, omx) / (1 + x), 1e-12).value
         assert abs(ipq_minus_q0(p) + direct) <= 1e-10
 
 
@@ -210,7 +206,7 @@ def test_family_parse():
 
 
 def test_low_order_report():
-    from polylog.ipq import low_order_report
+    from polylog.verify import low_order_report
     rep = low_order_report(3)
     assert rep.failed == 0 and rep.passed == 8
     with pytest.raises(DomainError):

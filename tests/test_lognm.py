@@ -174,7 +174,7 @@ def test_relation_matrix_shape():
 
 
 def test_sigma_weight6_report():
-    from polylog.lognm import sigma_weight6_report
+    from polylog.verify import sigma_weight6_report
     rep = sigma_weight6_report()
     assert rep.failed == 0
     ids = [e.identity_id for e in rep.entries]

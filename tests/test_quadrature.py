@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from polylog import quadrature
 from polylog.errors import DomainError
-from polylog.quadrature import Integrand, QuadratureResult, integrate01
+from polylog.quadrature import QuadratureResult, integrate01
 
 from conftest import zeta_brute
 
@@ -13,14 +16,13 @@ from conftest import zeta_brute
 
 
 def test_constant():
-    r = integrate01(Integrand(lambda x, omx: 1.0), 1e-12)
+    r = integrate01(lambda x, omx: 1.0, 1e-12)
     assert abs(r.value - 1.0) <= 1e-14
     assert r.evaluations > 0
 
 
 def test_log_times_log():
-    r = integrate01(Integrand(lambda x, omx: math.log(x) * math.log(omx),
-                              "log_singular_both"), 1e-12)
+    r = integrate01(lambda x, omx: math.log(x) * math.log(omx), 1e-12)
     expected = 2.0 - zeta_brute(2)
     assert abs(r.value - expected) <= 1e-12
     assert abs(r.value - expected) <= max(1e-12, r.error_estimate)
@@ -29,14 +31,13 @@ def test_log_times_log():
 def test_log_power_singularities():
     # integral ln^n(x) dx = (-1)^n n!
     for n in (1, 2, 3, 5):
-        r = integrate01(Integrand(lambda x, omx, n=n: math.log(x) ** n,
-                                  "log_singular_at_0"), 1e-12)
+        r = integrate01(lambda x, omx, n=n: math.log(x) ** n, 1e-12)
         assert abs(r.value - (-1.0) ** n * math.factorial(n)) <= 1e-11
 
 
 def test_symmetric_pair():
     # integral ln(1-x) dx = -1, via the 1-x channel
-    r = integrate01(Integrand(lambda x, omx: math.log(omx), "log_singular_at_1"), 1e-12)
+    r = integrate01(lambda x, omx: math.log(omx), 1e-12)
     assert abs(r.value + 1.0) <= 1e-13
 
 
@@ -48,7 +49,7 @@ def test_one_minus_x_is_exact_near_endpoint():
         seen.append((x, omx))
         return 1.0
 
-    integrate01(Integrand(ev), 1e-12)
+    integrate01(ev, 1e-12)
     xs = [x for x, _ in seen]
     omxs = [omx for _, omx in seen]
     assert min(xs) < 1e-50 and min(omxs) < 1e-50  # nodes hug both endpoints
@@ -70,22 +71,20 @@ def test_mixed_log_integrand():
         prev = partial
         partial += (-1.0) ** (k + 1) * h * (2.0 / (k + 1) ** 3)
     expected = 0.5 * (partial + prev)
-    r = integrate01(Integrand(lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1 + x),
-                              "log_singular_at_0"), 1e-12)
+    r = integrate01(lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1 + x), 1e-12)
     assert abs(r.value - expected) <= 1e-11
 
 
 def test_tolerance_floor():
     with pytest.raises(DomainError):
-        integrate01(Integrand(lambda x, omx: 1.0), 1e-14)
+        integrate01(lambda x, omx: 1.0, 1e-14)
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(a, b):
-    f = Integrand(lambda x, omx: math.log(x), "log_singular_at_0")
-    g = Integrand(lambda x, omx: math.log(omx), "log_singular_at_1")
-    combo = Integrand(lambda x, omx: a * math.log(x) + b * math.log(omx),
-                      "log_singular_both")
+    f = lambda x, omx: math.log(x)
+    g = lambda x, omx: math.log(omx)
+    combo = lambda x, omx: a * math.log(x) + b * math.log(omx)
     rf = integrate01(f, 1e-12)
     rg = integrate01(g, 1e-12)
     rc = integrate01(combo, 1e-12)
@@ -95,14 +94,14 @@ def test_linearity(a, b):
 
 
 def test_determinism():
-    f = Integrand(lambda x, omx: math.log(x) ** 2 * math.log(omx), "log_singular_both")
+    f = lambda x, omx: math.log(x) ** 2 * math.log(omx)
     r1 = integrate01(f, 1e-12)
     r2 = integrate01(f, 1e-12)
     assert r1.value == r2.value and r1.evaluations == r2.evaluations
 
 
 def test_result_record():
-    r = integrate01(Integrand(lambda x, omx: x * omx), 1e-12)
+    r = integrate01(lambda x, omx: x * omx, 1e-12)
     assert isinstance(r, QuadratureResult)
     assert abs(r.value - 1.0 / 6.0) < 1e-13
     assert r.error_estimate >= 0.0
@@ -112,7 +111,7 @@ def test_discontinuous_integrand_raises_with_partial():
     from polylog.errors import ConvergenceError
     # a jump at an irrational point defeats the double-exponential rule and
     # the single bisection fallback; the error must carry a usable partial
-    f = Integrand(lambda x, omx: 1.0 if x < 0.43721 else 0.0)
+    f = lambda x, omx: 1.0 if x < 0.43721 else 0.0
     with pytest.raises(ConvergenceError) as exc:
         integrate01(f, 1e-13)
     assert exc.value.partial is not None
@@ -131,10 +130,34 @@ def test_split_agrees_with_direct_on_log_class(a, b, c, d):
         v *= omx ** (0.5 * d)
         return v
 
-    whole = integrate01(Integrand(f, "log_singular_both"), 1e-12).value
-    left = integrate01(Integrand(lambda u, omu: 0.5 * f(0.5 * u, 1.0 - 0.5 * u)),
+    whole = integrate01(f, 1e-12).value
+    left = integrate01(lambda u, omu: 0.5 * f(0.5 * u, 1.0 - 0.5 * u),
                        1e-12).value
-    right = integrate01(Integrand(lambda v, omv: 0.5 * f(1.0 - 0.5 * v, 0.5 * v)),
+    right = integrate01(lambda v, omv: 0.5 * f(1.0 - 0.5 * v, 0.5 * v),
                         1e-12).value
     scale = 1.0 + abs(whole)
     assert abs(whole - (left + right)) <= 5e-12 * scale
+
+
+def test_level_cache_is_thread_safe():
+    f = lambda x, omx: math.log(x) * math.log(omx)
+    expected = integrate01(f, 1e-12)
+    results = [None] * 8
+
+    def work(slot):
+        results[slot] = integrate01(f, 1e-12)
+
+    interval = sys.getswitchinterval()
+    quadrature._level_nodes.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert integrate01(f, 1e-12) == expected

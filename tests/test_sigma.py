@@ -6,7 +6,7 @@ import pytest
 from polylog.closedform import ClosedForm, PI, sigma_atom
 from polylog.errors import DomainError, EvaluationError
 from polylog.sigma import (build_context, cf_num, registered_keys,
-                           registry, sigma_tilde, verify_registry)
+                           registry, sigma_tilde)
 from polylog.special import nielsen_num
 
 from conftest import li_half_brute, zeta_brute
@@ -66,11 +66,6 @@ def test_sigma_tilde_domain():
 
 def test_registry_is_deterministic():
     assert registered_keys() == registered_keys()
-
-
-def test_verify_registry_rows():
-    rows = verify_registry(1e-9)
-    assert rows and all(ok for _, _, _, ok in rows)
 
 
 def test_context_values_and_provenance():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from polylog.closedform import ClosedForm, LN2
 from polylog.errors import DomainError
-from polylog.quadrature import Integrand, integrate01
+from polylog.quadrature import integrate01
 from polylog.special import (li_moment, li_neg, li_pos, mpl2, nielsen_num,
                              polylog)
 from polylog.summation import zeta_num
@@ -76,9 +76,7 @@ def test_polylog_weight_raising_integral():
     # integral_0^1 Li_p(t)/t dt = zeta(p+1): exercises the derivative
     # structure of the ladder through quadrature
     for p in (1, 2, 3, 4):
-        got = integrate01(Integrand(
-            lambda x, omx, p=p: li_pos(p, x, omx) / x, "log_singular_at_1"),
-            1e-12).value
+        got = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / x, 1e-12).value
         assert abs(got - zeta_brute(p + 1)) <= 1e-11, p
 
 
@@ -169,14 +167,12 @@ def test_mpl2_divergent_configurations():
 def test_mpl2_integral_identities():
     # integral Li_p(t)/(1+t) dt = -mpl2(1, p, -1, -1)
     for p in (2, 3):
-        quad = integrate01(Integrand(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x),
-                                     "log_singular_at_1"), 1e-12).value
+        quad = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x), 1e-12).value
         assert abs(quad + mpl2(1, p, -1.0, -1.0, 1e-10)) <= 1e-9
     # integral [Li_p(t) - Li_p(1)]/(1-t) dt = -mpl2(p,1,1,1) - zeta(p+1)
     for p in (2, 3):
-        quad = integrate01(Integrand(
-            lambda x, omx, p=p: (li_pos(p, x, omx) - zeta_num(p)) / omx,
-            "log_singular_at_1"), 1e-12).value
+        quad = integrate01(lambda x, omx, p=p: (li_pos(p, x, omx) - zeta_num(p)) / omx,
+                           1e-12).value
         assert abs(quad + mpl2(p, 1, 1.0, 1.0, 1e-10) + zeta_num(p + 1)) <= 1e-9
 
 
@@ -191,9 +187,8 @@ def test_li_moment_examples(ctx):
 
 def test_li_moment_against_quadrature(ctx):
     for (p, k) in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 1)):
-        quad = integrate01(Integrand(
-            lambda t, omt, p=p, k=k: li_neg(p, t, omt) * t ** (k - 1), "regular"),
-            1e-12).value
+        quad = integrate01(lambda t, omt, p=p, k=k: li_neg(p, t, omt) * t ** (k - 1),
+                           1e-12).value
         assert abs(li_moment(p, k).evaluate(ctx) - quad) <= 1e-11
 
 

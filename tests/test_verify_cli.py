@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,31 @@ import polylog
 from polylog.cli import main
 from polylog.seriesring import MAX_WEIGHT
 from polylog.verify import run_suite
+
+
+def _imports_verify(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "polylog.verify" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    if node.level == 0 and not module.startswith("polylog"):
+        return False
+    target = module.removeprefix("polylog").lstrip(".")
+    return target == "verify" or (target == "" and any(a.name == "verify" for a in node.names))
+
+
+def test_only_cli_and_package_init_import_verify():
+    # verify sits above every builder; an import of it from below, even a
+    # lazy one inside a function, would close an import cycle
+    offenders = []
+    for path in sorted(Path(polylog.__file__).parent.glob("*.py")):
+        if path.stem in ("cli", "__init__"):
+            continue
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if _imports_verify(node)]
+    assert offenders == []
 
 
 def _run(capsys, *argv):
@@ -197,6 +223,9 @@ def test_eval_missing_parameter_usage_error(capsys):
     ["eval", "s-minus", "--r", "30"],
     ["eval", "jordan1", "--r", "20"],
     ["eval", "ipq", "--family", "plus", "--p", "9", "--q", "9"],
+    ["eval", "ipq", "--family", "minus", "--p", "9", "--q", "9"],
+    ["eval", "ipq", "--family", "mixed", "--p", "9", "--q", "9"],
+    ["eval", "s-minus", "--r", "18"],
 ])
 def test_beyond_weight_ceiling_fails_fast(argv):
     # a fresh interpreter, so no cache filled by other tests hides a slow path
