@@ -21,6 +21,7 @@ from fractions import Fraction
 from .closedform import (ClosedForm, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .errors import DomainError
+from .seriesring import _check_weight
 
 _STIRLING_ROWS: list[list[int]] = [[1]]  # row k holds S_k^(1..k)
 
@@ -78,10 +79,12 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     """Truncation at k = kt of the Stirling expansion of S-(p).
 
     Exact closed form in {1, pi powers, zeta(odd), ln 2}; accuracy improves
-    with kt (nine decimals at p = 5, kt = 10).
+    with kt (nine decimals at p = 5, kt = 10).  The weight p+1 of S-(p) is
+    held to the series ceiling MAX_WEIGHT, as in s_minus.
     """
     if p < 3:
         raise DomainError("requires p >= 3")
+    _check_weight(p + 1)
     if kt < 1:
         raise DomainError("requires kt >= 1")
     out = ClosedForm.zero()

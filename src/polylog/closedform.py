@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping
 
 from .errors import DomainError, EvaluationError
@@ -348,19 +349,20 @@ class ClosedForm:
 # Bernoulli numbers and zeta closed forms
 # ---------------------------------------------------------------------------
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-
-
+@cache
 def bernoulli_fraction(n: int) -> Fraction:
-    """B_n with the B_1 = -1/2 convention, exact."""
+    """B_n with the B_1 = -1/2 convention, exact.
+
+    Memoized; the recurrence asks for B_0..B_{n-1} in increasing order, so
+    the recursion is never more than two calls deep.
+    """
     if n < 0:
         raise DomainError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        # sum_{j=0}^{m} C(m+1, j) B_j = 0
-        s = sum(math.comb(m + 1, j) * _BERNOULLI[j] for j in range(m))
-        _BERNOULLI.append(Fraction(-s, m + 1))
-    return _BERNOULLI[n]
+    if n == 0:
+        return Fraction(1)
+    # sum_{j=0}^{n} C(n+1, j) B_j = 0
+    s = sum(math.comb(n + 1, j) * bernoulli_fraction(j) for j in range(n))
+    return Fraction(-s, n + 1)
 
 
 def zeta_even_coefficient(n: int) -> Fraction:

@@ -2,9 +2,11 @@
 
 Each builder takes one route and is memoized.  Each closed form also
 exists as a direct accelerated summation of its defining series
-(sum_oracle).  The second exact routes (the Nielsen form of C, the full
-Milgram sum, the even-order Jordan forms against the Nielsen ones, the
-Jordan decomposition of S-) are verify entries.
+(sum_oracle), memoized as well: one float per (kind, tol) asked for.  The
+second exact routes (the Nielsen form of C, the full Milgram sum, the
+even-order Jordan forms against the Nielsen ones, the Jordan decomposition
+of S-) are verify entries.  Every builder holds the weight r+1 of its sum
+to the series ceiling MAX_WEIGHT.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ def s_plus(r: int) -> ClosedForm:
     """S+(r) = sum_k [psi(k+1)+gamma] / k^r, Euler's closed form."""
     if r < 2:
         raise DomainError("S+ requires order >= 2")
+    _check_weight(r + 1)
     out = Fraction(r + 2, 2) * zeta_closed(r + 1)
     for mu in range(1, r - 1):
         out = out - Fraction(1, 2) * zeta_closed(mu + 1) * zeta_closed(r - mu)
@@ -54,6 +57,7 @@ def c_sum(r: int) -> ClosedForm:
     """C(r) = 2^{-r-1} S+(r)."""
     if r < 2:
         raise DomainError("C requires order >= 2")
+    _check_weight(r + 1)
     return Fraction(1, 2 ** (r + 1)) * s_plus(r)
 
 
@@ -65,6 +69,7 @@ def jordan_even(which: str, r: int) -> ClosedForm:
     if r < 2 or r % 2:
         raise DomainError("even-order Jordan form needs even r >= 2; "
                           "odd orders go through jordan_nielsen")
+    _check_weight(r + 1)
     n = r // 2
     if which == "J1":
         out = Fraction(-1, 2) * (1 - Fraction(1, 2 ** (2 * n + 1))) * zeta_closed(2 * n + 1)
@@ -86,6 +91,7 @@ def milgram(r: int) -> ClosedForm:
     """M(r) closed, in its simplified even/odd display."""
     if r < 2:
         raise DomainError("M requires order >= 2")
+    _check_weight(r + 1)
     out = Fraction(r, 2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1) \
         - ClosedForm.atom(LN2) * (1 - Fraction(1, 2 ** r)) * zeta_closed(r)
     if r % 2:
@@ -150,8 +156,10 @@ def s_minus(r: int) -> ClosedForm:
     return (_half_pow(r) - 1) * zeta_closed(r + 1) + sigma_tilde(r - 1, 2)
 
 
+@cache
 def sum_oracle(kind: SumKind, tol: float = 1e-11) -> float:
-    """Direct accelerated summation of the defining series."""
+    """Direct accelerated summation of the defining series, memoized per
+    (kind, tol): the verify suites ask for the same sums many times."""
     r = kind.order
     g = euler_gamma()
     if kind.tag == "SPlus":

@@ -26,7 +26,7 @@ from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus, s_plus
 from .quadrature import integrate01
 from .seriesring import _check_weight, kolbig_snp
 from .sigma import cf_num, sigma_tilde
-from .special import li_neg, li_pos
+from .special import li_node
 from .summation import zeta_num
 
 
@@ -94,16 +94,14 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 
 
 def ipq_numeric(family: Family, p: int, q: int, tol: float = 1e-11) -> float:
+    """I(p,q) by tanh-sinh quadrature; the Li values at the nodes are shared
+    with every other integral through li_node."""
     _check_orders(p, q)
-    if family is Family.PLUS:
-        def ev(x: float, omx: float) -> float:
-            return li_pos(p, x, omx) * li_pos(q, x, omx) / x
-    elif family is Family.MINUS:
-        def ev(x: float, omx: float) -> float:
-            return li_neg(p, x, omx) * li_neg(q, x, omx) / x
-    else:
-        def ev(x: float, omx: float) -> float:
-            return li_pos(p, x, omx) * li_neg(q, x, omx) / x
+    sp = -1 if family is Family.MINUS else 1
+    sq = 1 if family is Family.PLUS else -1
+
+    def ev(x: float, omx: float) -> float:
+        return li_node(p, sp, x, omx) * li_node(q, sq, x, omx) / x
     return integrate01(ev, tol).value
 
 
@@ -113,14 +111,14 @@ def ipq_mixed_q0(p: int, tol: float = 1e-11) -> float:
     """I+-(p, 0) = -integral_0^1 Li_p(t) / (1+t) dt."""
     if p < 1:
         raise DomainError("order must be >= 1")
-    return -integrate01(lambda x, omx: li_pos(p, x, omx) / (1.0 + x), tol).value
+    return -integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1.0 + x), tol).value
 
 
 def ipq_minus_q0(p: int, tol: float = 1e-11) -> float:
     """I-(p, 0) = -integral_0^1 Li_p(-t) / (1+t) dt."""
     if p < 1:
         raise DomainError("order must be >= 1")
-    return -integrate01(lambda x, omx: li_neg(p, x, omx) / (1.0 + x), tol).value
+    return -integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1.0 + x), tol).value
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .closedform import (Atom, ClosedForm, GAMMA, LN2, NumericContext, PI,
 from .digamma import euler_gamma
 from .errors import DomainError, EvaluationError
 from .eulersums import s_minus_even_closed
+from .seriesring import _check_weight
 from .special import nielsen_num, polylog
 from .summation import zeta_num
 
@@ -129,9 +130,13 @@ def registry() -> SigmaRegistry:
 
 
 def sigma_tilde(n: int, p: int) -> ClosedForm:
-    """sigma~_{n,p} = S_{n,p}(-1): registered closed form, else atomic."""
+    """sigma~_{n,p} = S_{n,p}(-1): registered closed form, else atomic.
+
+    Its weight n+p is held to the series ceiling MAX_WEIGHT.
+    """
     if n < 1 or p < 1:
         raise DomainError("sigma~ indices must be >= 1")
+    _check_weight(n + p)
     reg = registry()
     if (n, p) in reg.closed:
         return reg.closed[(n, p)]

@@ -8,12 +8,21 @@ Evaluation strategy for Li_p(x):
                        which lands both evaluations on positive arguments.
 Helpers threaded with 1-x allow full accuracy at quadrature nodes hugging
 either endpoint.
+
+Values that do not depend on the caller are computed once per process:
+the coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
+integer argument, none below -78 since k < 80), and Li_p(+-x) at the
+quadrature nodes (li_node), which every product integrand shares.  The node
+cache holds one entry per (order, sign, node); the nodes are the fixed
+tanh-sinh abscissae of levels 0..11 and of the two split halves, so its size
+is bounded by the orders asked for times that node set.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
@@ -26,6 +35,7 @@ from .summation import (_cvz, alternating_zeta_num, eta_num, sum_alternating,
 _EPS = 2.2e-16
 
 
+@cache
 def _zeta_int(s: int) -> float:
     if s >= 2:
         return zeta_num(s)
@@ -84,6 +94,16 @@ def li_neg(p: int, t: float, omt: float) -> float:
     tsq = t * t
     omtsq = omt * (1.0 + t)
     return 2.0 ** (1 - p) * li_pos(p, tsq, omtsq) - li_pos(p, t, omt)
+
+
+@cache
+def li_node(p: int, sign: int, x: float, omx: float) -> float:
+    """Li_p(sign * x) at a quadrature node x in (0, 1), memoized.
+
+    Only integrands integrated over the tanh-sinh node set call this, so the
+    cache stays bounded; li_pos/li_neg remain the one evaluation route.
+    """
+    return li_pos(p, x, omx) if sign > 0 else li_neg(p, x, omx)
 
 
 def polylog(p: int, x: float) -> float:

@@ -6,6 +6,10 @@ smoothly decaying magnitudes.  Monotone sums with a known power-law decay
 use direct summation plus an Euler-Maclaurin tail whose integral part is
 evaluated by the tanh-sinh rule; the term callable must therefore accept
 real (not just integer) arguments beyond the cutoff.
+
+Nothing here caches across calls except eta_num/zeta_num, one float per
+integer order; within a call, sum_tail keeps its direct terms across the
+doublings of its cutoff (at most max_terms floats).
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
 
     Direct summation to a cutoff K plus the Euler-Maclaurin tail
     integral(K..inf) + term(K)/2 - term'(K)/12; K doubles until the total
-    moves by less than tol/4.
+    moves by less than tol/4.  Each integer k is evaluated once: a doubling
+    extends the list of direct terms kept from the previous cutoff.
     """
     if decay_exponent < 2:
         raise DomainError("tail summation needs decay exponent >= 2 (sum may diverge)")
@@ -69,9 +74,12 @@ def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
         raise DomainError("tolerance must be positive")
     K = 256
     prev = None
+    terms: list[float] = []
     while K <= max_terms:
-        direct = math.fsum(term(k) for k in range(start, K))
-        total = direct + _em_tail(term, float(K), tol)
+        # each doubling only adds term(k) for the new k; fsum is correctly
+        # rounded, so summing the whole list equals a fresh summation
+        terms.extend(term(k) for k in range(start + len(terms), K))
+        total = math.fsum(terms) + _em_tail(term, float(K), tol)
         if prev is not None and abs(total - prev) <= tol / 4:
             return total
         prev = total

@@ -36,7 +36,7 @@ from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
 from .quadrature import integrate01, log1m
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import cf_num, registry, sigma_tilde
-from .special import li_neg, li_pos, mpl2, nielsen_num, polylog
+from .special import li_node, mpl2, nielsen_num, polylog
 from .summation import zeta_num
 
 
@@ -450,7 +450,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     out: list[CheckEntry] = []
     quad_tol = 1e-12
     # 1. integral Li_p(t)/(1+t) = -I+-(p,0) = -mpl2(1, p, -1, -1)
-    lhs = integrate01(lambda x, omx: li_pos(p, x, omx) / (1 + x), quad_tol).value
+    lhs = integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1 + x), quad_tol).value
     ident = f"ipq.low-order.mixed-q0.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs -I+-({p},0)",
@@ -460,7 +460,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
                       lhs, -mpl2(1, p, -1.0, -1.0, tol_for(ident, 1e-9) / 8),
                       tol_for(ident, 1e-9)))
     # 2. integral Li_p(-t)/(1+t) = -I-(p,0) = -mpl2(1, p, -1, +1)
-    lhs = integrate01(lambda x, omx: li_neg(p, x, omx) / (1 + x), quad_tol).value
+    lhs = integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1 + x), quad_tol).value
     ident = f"ipq.low-order.minus-q0.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs -I-({p},0)",
                       lhs, -ipq_minus_q0(p, quad_tol), tol_for(ident, 1e-9)))
@@ -470,7 +470,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
                       tol_for(ident, 1e-9)))
     # 3. integral [Li_p(t) - Li_p(1)]/(1-t) = -I+(1,p-1)
     #    = -mpl2(p,1,1,1) - zeta(p+1)
-    lhs = integrate01(lambda x, omx: (li_pos(p, x, omx) - zeta_num(p)) / omx,
+    lhs = integrate01(lambda x, omx: (li_node(p, 1, x, omx) - zeta_num(p)) / omx,
                       quad_tol).value
     ident = f"ipq.low-order.plus-subtracted.p{p}"
     tol = tol_for(ident, 1e-9)
@@ -485,7 +485,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     # 4. integral [Li_p(-t) - Li_p(-1)]/(1-t) = -I+-(1,p-1)
     #    = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
     lim = (2.0 ** (1 - p) - 1.0) * zeta_num(p)
-    lhs = integrate01(lambda x, omx: (li_neg(p, x, omx) - lim) / omx, quad_tol).value
+    lhs = integrate01(lambda x, omx: (li_node(p, -1, x, omx) - lim) / omx, quad_tol).value
     ident = f"ipq.low-order.mixed-subtracted.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident,

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,29 @@ def test_bernoulli_values():
     expected = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0),
                 Fraction(-1, 30), Fraction(0), Fraction(1, 42)]
     assert [bernoulli_fraction(n) for n in range(7)] == expected
+
+
+def test_bernoulli_table_is_thread_safe():
+    expected = [bernoulli_fraction(n) for n in range(81)]
+    results = [None] * 8
+
+    def work(slot):
+        results[slot] = [bernoulli_fraction(n) for n in range(81)]
+
+    interval = sys.getswitchinterval()
+    bernoulli_fraction.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert [bernoulli_fraction(n) for n in range(81)] == expected
 
 
 def test_zeta_closed_even():

@@ -139,3 +139,36 @@ def test_sminus_odd_general_vs_dropped_minus_one():
     variant = cf_num(Fraction(1, 32) * zeta_closed(6) + sigma_tilde(4, 2))
     assert abs(oracle - general) <= 1e-10
     assert abs(oracle - variant) > 1.0
+
+
+# sum_oracle(SumKind(tag, r)) for r = 2..9, as computed before the oracle was
+# memoized and sum_tail made incremental; both changes keep every bit
+_ORACLE_VALUES = {
+    "SPlus": [2.404113806319194, 1.3529040421389225, 1.1334789151328135, 1.0578799592559687,
+              1.026705205699417, 1.0127278852975052, 1.0061786348715647, 1.0030322872352364],
+    "SMinus": [-0.7512855644747464, -0.8592471579285902, -0.9231833733969399,
+               -0.9591519425043179, -0.9786774861751242, -0.9890151059772533,
+               -0.9943929850523178, -0.9971564834064574],
+    "Jordan1": [0.3292361628498178, 0.05944110386190106, 0.015687052544619478,
+                0.004684241825317659, 0.0014750285940842434, 0.0004766695204320553,
+                0.00015614597925012023, 5.153126868057102e-05],
+    "Jordan2": [0.5258998951323232, 0.16227193947148333, 0.06972655477003625,
+                0.03283463401245083, 0.015992725342619765, 0.007900421358182488,
+                0.0039276322633898415, 0.0019583781963863163],
+    "Milgram": [0.19666373228250608, 0.031956464567663545, 0.00812032892511785,
+                0.0023846324138837353, 0.000744768690810024, 0.0002396470916513964,
+                7.831879884759425e-05, 2.5812689121708054e-05],
+    "CSum": [0.3005142257898992, 0.08455650263368265, 0.03542121609790042,
+             0.01652937436337451, 0.008021134419526696, 0.00395596830194338,
+             0.0019651926462335247, 0.0009795237180031606],
+}
+
+
+def test_sum_oracle_values_are_unchanged_and_memoized():
+    sum_oracle.cache_clear()
+    for tag, values in _ORACLE_VALUES.items():
+        assert [sum_oracle(SumKind(tag, r)) for r in range(2, 10)] == values, tag
+    misses = sum_oracle.cache_info().misses
+    assert [sum_oracle(SumKind("SMinus", r)) for r in range(2, 10)] == _ORACLE_VALUES["SMinus"]
+    assert sum_oracle.cache_info().misses == misses
+

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import DomainError
 from polylog.ipq import (Family, IpqValue, ipq_closed_odd, ipq_even_reduction,
                          ipq_final, ipq_minus_q0, ipq_mixed_odd_reduction,
                          ipq_mixed_q0, ipq_numeric, ipq_series, ipq_value,
                          r_value, recurrence_shift)
+from polylog.quadrature import integrate01
 from polylog.sigma import cf_num
+from polylog.special import li_neg, li_pos
 
 from conftest import zeta_brute
 
@@ -211,3 +214,37 @@ def test_low_order_report():
     assert rep.failed == 0 and rep.passed == 8
     with pytest.raises(DomainError):
         low_order_report(5)
+
+
+# -- shared node values --------------------------------------------------------
+
+_GRID = [(fam, p, q) for fam in Family for p in range(1, 5) for q in range(1, 5)]
+
+
+def test_ipq_numeric_equals_direct_integrand_bit_for_bit():
+    # the integrand as written before the node values were shared
+    for fam, p, q in _GRID:
+        if fam is Family.PLUS:
+            ev = lambda x, omx: li_pos(p, x, omx) * li_pos(q, x, omx) / x
+        elif fam is Family.MINUS:
+            ev = lambda x, omx: li_neg(p, x, omx) * li_neg(q, x, omx) / x
+        else:
+            ev = lambda x, omx: li_pos(p, x, omx) * li_neg(q, x, omx) / x
+        assert ipq_numeric(fam, p, q) == integrate01(ev, 1e-11).value, (fam, p, q)
+
+
+def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):
+    asked = []
+
+    def recording(p, sign, x, omx):
+        asked.append((p, sign, x, omx))
+        return special.li_node(p, sign, x, omx)
+
+    monkeypatch.setattr(ipq, "li_node", recording)
+    special.li_node.cache_clear()
+    for fam, p, q in _GRID:
+        ipq_numeric(fam, p, q)
+    info = special.li_node.cache_info()
+    assert info.misses == info.currsize == len(set(asked))
+    assert info.hits + info.misses == len(asked)
+    assert info.hits >= 5 * info.misses

@@ -4,8 +4,8 @@ import pytest
 
 from polylog.digamma import euler_gamma, psi
 from polylog.errors import DomainError
-from polylog.summation import (alternating_zeta_num, eta_num, sum_alternating,
-                               sum_tail, zeta_num)
+from polylog.summation import (_em_tail, alternating_zeta_num, eta_num,
+                               sum_alternating, sum_tail, zeta_num)
 
 from conftest import eta_brute, zeta_brute
 
@@ -84,3 +84,26 @@ def test_alternating_factorial_terms_raise():
     with pytest.raises(ConvergenceError):
         sum_alternating(lambda k: (-1) ** k * math.factorial(min(k, 170)),
                         1e-12, max_terms=120)
+
+
+def test_sum_tail_evaluates_each_integer_once():
+    seen = {}
+
+    def term(k):
+        if isinstance(k, int):
+            seen[k] = seen.get(k, 0) + 1
+        return k ** -2.0
+
+    got = sum_tail(term, 1e-13, 2.0, start=3)
+    assert set(seen.values()) == {1}
+    last = max(seen)
+    # several doublings of the cutoff happened, each adding only new k
+    assert last + 1 >= 1024 and sorted(seen) == list(range(3, last + 1))
+    # the same value as summing every cutoff's direct terms afresh
+    K, prev = 256, None
+    while True:
+        total = math.fsum(k ** -2.0 for k in range(3, K)) + _em_tail(term, float(K), 1e-13)
+        if prev is not None and abs(total - prev) <= 1e-13 / 4:
+            break
+        prev, K = total, 2 * K
+    assert got == total and K == last + 1

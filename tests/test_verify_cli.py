@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import polylog
-from polylog.cli import main
+from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
+from polylog.lognm import MAX_WEIGHT as LOGNM_MAX_WEIGHT
 from polylog.seriesring import MAX_WEIGHT
 from polylog.verify import run_suite
 
@@ -226,6 +227,9 @@ def test_eval_missing_parameter_usage_error(capsys):
     ["eval", "ipq", "--family", "minus", "--p", "9", "--q", "9"],
     ["eval", "ipq", "--family", "mixed", "--p", "9", "--q", "9"],
     ["eval", "s-minus", "--r", "18"],
+    ["eval", "milgram", "--r", "30"],
+    ["eval", "c", "--r", "30"],
+    ["eval", "s-plus", "--r", "30"],
 ])
 def test_beyond_weight_ceiling_fails_fast(argv):
     # a fresh interpreter, so no cache filled by other tests hides a slow path
@@ -236,6 +240,32 @@ def test_beyond_weight_ceiling_fails_fast(argv):
     assert time.perf_counter() - t0 < 2.0
     assert proc.returncode == 3
     assert f"ceiling MAX_WEIGHT = {MAX_WEIGHT}" in proc.stderr
+
+
+# Each eval target just past its own cap: MAX_WEIGHT, or the narrower table
+# caps of s_{n,p} and of the log integrals.  A target missing here fails.
+_PAST_CAP = {
+    "ipq": ["--family", "mixed", "--p", str(MAX_WEIGHT // 2),
+            "--q", str(MAX_WEIGHT - MAX_WEIGHT // 2)],
+    **{t: ["--r", str(MAX_WEIGHT)]
+       for t in ("s-plus", "s-minus", "jordan1", "jordan2", "milgram", "c")},
+    "s-np": ["--n", "1", "--p", str(SNP_TABLE_WEIGHT)],
+    "sigma-np": ["--n", str(MAX_WEIGHT - 1), "--p", "2"],
+    "inm": ["--n", "1", "--m", str(LOGNM_MAX_WEIGHT)],
+    "hnm": ["--n", "1", "--m", str(LOGNM_MAX_WEIGHT)],
+    "approx": ["--p", str(MAX_WEIGHT), "--kt", "1"],
+}
+
+
+@pytest.mark.parametrize("target", _EVAL_TARGETS)
+def test_every_eval_target_fails_fast_past_its_cap(target):
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "polylog", "eval", target, *_PAST_CAP[target]],
+                          env=env, capture_output=True, text=True, timeout=2.0)
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 3, proc.stderr
+    assert "above" in proc.stderr and "cap" in proc.stderr
 
 
 def test_weight_above_twelve_within_ceiling_returns_value(capsys):
