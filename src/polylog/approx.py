@@ -17,31 +17,41 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .closedform import (ClosedForm, eta_factor_closed,
                          zeta_nonpositive_rational)
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .seriesring import _check_weight
 
-_STIRLING_ROWS: list[list[int]] = [[1]]  # row k holds S_k^(1..k)
+# Deepest truncation and Stirling row served.  The cost of the exact form grows
+# steeply with kt; nine decimals at p = 5 need only kt = 12, and 100 keeps any
+# query within a fraction of a second.
+MAX_KT = 100
+
+
+def _check_kt(k: int) -> None:
+    if k > MAX_KT:
+        raise CapacityError(f"truncation depth {k} above cap MAX_KT = {MAX_KT}")
+
+
+@cache
+def _stirling_row(k: int) -> tuple[int, ...]:
+    """S_k^(1..k) from S_k^(j) = S_{k-1}^(j-1) - (k-1) S_{k-1}^(j)."""
+    if k == 1:
+        return (1,)
+    prev = (0, *_stirling_row(k - 1), 0)   # S_{k-1}^(0..k)
+    return tuple(prev[j - 1] - (k - 1) * prev[j] for j in range(1, k + 1))
 
 
 def stirling1(k: int, j: int) -> int:
-    """Signed Stirling number of the first kind S_k^(j), exact."""
+    """Signed Stirling number of the first kind S_k^(j), exact, for k <= MAX_KT."""
     if k < 1:
         raise DomainError("row index must be >= 1")
+    _check_kt(k)
     if j < 1 or j > k:
         raise DomainError(f"column {j} outside 1..{k}")
-    while len(_STIRLING_ROWS) < k:
-        prev = _STIRLING_ROWS[-1]
-        kk = len(_STIRLING_ROWS)
-        row = []
-        for jj in range(1, kk + 2):
-            left = prev[jj - 2] if 2 <= jj <= kk + 1 else 0
-            right = prev[jj - 1] if jj <= kk else 0
-            row.append(left - kk * right)
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[k - 1][j - 1]
+    return _stirling_row(k)[j - 1]
 
 
 def _alt_zeta_closed(s: int) -> ClosedForm:
@@ -80,13 +90,14 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
 
     Exact closed form in {1, pi powers, zeta(odd), ln 2}; accuracy improves
     with kt (nine decimals at p = 5, kt = 10).  The weight p+1 of S-(p) is
-    held to the series ceiling MAX_WEIGHT, as in s_minus.
+    held to the series ceiling MAX_WEIGHT, as in s_minus, and kt to MAX_KT.
     """
     if p < 3:
         raise DomainError("requires p >= 3")
     _check_weight(p + 1)
     if kt < 1:
         raise DomainError("requires kt >= 1")
+    _check_kt(kt)
     out = ClosedForm.zero()
     for k in range(1, kt + 1):
         out = out + Fraction((-1) ** (k + 1), k * math.factorial(k)) * _derivative_cf(p, k)

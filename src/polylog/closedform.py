@@ -155,21 +155,18 @@ def _monomial_key(m: Monomial):
 class ClosedForm:
     """Finite rational-linear combination of constant monomials.
 
-    Immutable; arithmetic prunes zero coefficients so equality is exact
-    term-map equality.
+    Immutable; the constructor alone drops zero coefficients, so equality is
+    exact term-map equality.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-                    if not clean[mono]:
-                        del clean[mono]
+        for mono, coeff in (terms or {}).items():
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            if c:
+                clean[mono] = c
         object.__setattr__(self, "_terms", clean)
 
     # -- constructors -----------------------------------------------------
@@ -184,11 +181,11 @@ class ClosedForm:
 
     @classmethod
     def rational(cls, value) -> "ClosedForm":
-        return cls({UNIT: Fraction(value)})
+        return cls({UNIT: value})
 
     @classmethod
     def atom(cls, a: Atom, exp: int = 1, coeff=1) -> "ClosedForm":
-        return cls({monomial((a, exp)): Fraction(coeff)})
+        return cls({monomial((a, exp)): coeff})
 
     # -- access ------------------------------------------------------------
 
@@ -225,7 +222,7 @@ class ClosedForm:
             return NotImplemented
         acc = dict(self._terms)
         for mono, coeff in o._terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
         return ClosedForm(acc)
 
     __radd__ = __add__
@@ -253,7 +250,7 @@ class ClosedForm:
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
                 m = monomial_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
         return ClosedForm(acc)
 
     __rmul__ = __mul__
@@ -283,9 +280,10 @@ class ClosedForm:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, ctx: "NumericContext") -> float:
+        # fsum is correctly rounded, so the result does not depend on term order
         parts = []
-        for mono in sorted(self._terms, key=_monomial_key):
-            v = float(self._terms[mono])
+        for mono, c in self._terms.items():
+            v = float(c)
             for a, e in mono:
                 v *= ctx.value(a) ** e
             parts.append(v)
@@ -309,7 +307,8 @@ class ClosedForm:
         acc: dict[Monomial, Fraction] = {}
         for term in obj["terms"]:
             mono = monomial(*((atom_from_name(n), int(e)) for n, e in term["monomial"]))
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(int(term["num"]), int(term["den"]))
+            c = Fraction(int(term["num"]), int(term["den"]))
+            acc[mono] = acc[mono] + c if mono in acc else c
         return cls(acc)
 
     def to_json(self) -> str:

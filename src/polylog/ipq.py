@@ -105,22 +105,6 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = 1e-11) -> float:
     return integrate01(ev, tol).value
 
 
-# q = 0 extensions: Li_0(-t) = -t/(1+t) keeps these two integrable.
-
-def ipq_mixed_q0(p: int, tol: float = 1e-11) -> float:
-    """I+-(p, 0) = -integral_0^1 Li_p(t) / (1+t) dt."""
-    if p < 1:
-        raise DomainError("order must be >= 1")
-    return -integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1.0 + x), tol).value
-
-
-def ipq_minus_q0(p: int, tol: float = 1e-11) -> float:
-    """I-(p, 0) = -integral_0^1 Li_p(-t) / (1+t) dt."""
-    if p < 1:
-        raise DomainError("order must be >= 1")
-    return -integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1.0 + x), tol).value
-
-
 # ---------------------------------------------------------------------------
 # difference-equation machinery
 # ---------------------------------------------------------------------------

@@ -23,13 +23,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated
-from .closedform import ClosedForm, LN2, PI, zeta_closed, zeta_odd_atom
+from .closedform import (ClosedForm, LN2, PI, eta_factor_closed, zeta_closed,
+                         zeta_odd_atom)
 from .errors import DomainError
 from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
                         s_minus, s_minus_even_closed, s_plus, sum_oracle)
 from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
-                  ipq_minus_q0, ipq_mixed_q0, ipq_numeric, ipq_series, ipq_value,
-                  r_value, recurrence_shift)
+                  ipq_numeric, ipq_series, ipq_value, r_value, recurrence_shift)
 from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
                     h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
                     s_sigma_relation_residual, sigma_weight6_count)
@@ -449,21 +449,25 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
         tol_for = lambda ident, default: default
     out: list[CheckEntry] = []
     quad_tol = 1e-12
+    ln2 = ClosedForm.atom(LN2)
     # 1. integral Li_p(t)/(1+t) = -I+-(p,0) = -mpl2(1, p, -1, -1)
+    #    = zeta(p) ln 2 + I+-(p-1,1), integrating by parts
     lhs = integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1 + x), quad_tol).value
     ident = f"ipq.low-order.mixed-q0.p{p}"
-    tol = tol_for(ident, 1e-9)
-    out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs -I+-({p},0)",
-                      lhs, -ipq_mixed_q0(p, quad_tol), tol))
+    out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs zeta({p}) ln 2 + I+-({p-1},1)",
+                      lhs, cf_num(zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)),
+                      tol_for(ident, 1e-9)))
     ident = f"ipq.low-order.mixed-q0-mpl.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs depth-2 sum",
                       lhs, -mpl2(1, p, -1.0, -1.0, tol_for(ident, 1e-9) / 8),
                       tol_for(ident, 1e-9)))
     # 2. integral Li_p(-t)/(1+t) = -I-(p,0) = -mpl2(1, p, -1, +1)
+    #    = Li_p(-1) ln 2 + I-(p-1,1), integrating by parts
     lhs = integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1 + x), quad_tol).value
     ident = f"ipq.low-order.minus-q0.p{p}"
-    out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs -I-({p},0)",
-                      lhs, -ipq_minus_q0(p, quad_tol), tol_for(ident, 1e-9)))
+    out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs Li_{p}(-1) ln 2 + I-({p-1},1)",
+                      lhs, cf_num(eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)),
+                      tol_for(ident, 1e-9)))
     ident = f"ipq.low-order.minus-q0-mpl.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs depth-2 sum",
                       lhs, -mpl2(1, p, -1.0, 1.0, tol_for(ident, 1e-9) / 8),

@@ -1,14 +1,16 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.approx import (polylog_derivative_at_minus1, s_minus_truncated,
-                            stirling1)
+from polylog.approx import (MAX_KT, _stirling_row, polylog_derivative_at_minus1,
+                            s_minus_truncated, stirling1)
 from polylog.closedform import (LN2, PI, UNIT, monomial, zeta_closed,
                                 zeta_odd_atom)
-from polylog.errors import DomainError
+from polylog.errors import CapacityError, DomainError
 from polylog.eulersums import SumKind, sum_oracle
 from polylog.sigma import cf_num
 from polylog.special import polylog
@@ -54,6 +56,37 @@ def test_stirling_recurrence(k, j):
     left = stirling1(k - 1, j - 1) if j >= 2 else 0
     right = stirling1(k - 1, j) if j <= k - 1 else 0
     assert stirling1(k, j) == left - (k - 1) * right
+
+
+def test_stirling_rows_are_thread_safe():
+    expected = [[stirling1(k, j) for j in range(1, k + 1)] for k in range(1, MAX_KT + 1)]
+    results = [None] * 8
+
+    def work(slot):
+        results[slot] = [[stirling1(k, j) for j in range(1, k + 1)]
+                         for k in range(1, MAX_KT + 1)]
+
+    interval = sys.getswitchinterval()
+    _stirling_row.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert stirling1(MAX_KT, 1) == (-1) ** (MAX_KT - 1) * math.factorial(MAX_KT - 1)
+
+
+def test_truncation_depth_cap():
+    with pytest.raises(CapacityError, match=f"depth {MAX_KT + 1} above cap MAX_KT = {MAX_KT}"):
+        s_minus_truncated(5, MAX_KT + 1)
+    with pytest.raises(CapacityError):
+        stirling1(MAX_KT + 1, 1)
 
 
 # -- derivatives of Li_p(-t) at t = 1 -----------------------------------------------

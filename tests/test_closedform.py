@@ -149,6 +149,37 @@ def test_bernoulli_values():
     assert [bernoulli_fraction(n) for n in range(7)] == expected
 
 
+def _fraction_constructions(fn) -> int:
+    new = vars(Fraction)["__new__"]
+    count = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        fn()
+    finally:
+        Fraction.__new__ = new
+    return count
+
+
+def test_normalization_constructs_no_fractions():
+    # a term map is normalized once, in the constructor; building a form from
+    # Fractions, or adding forms with disjoint monomials, only re-keys them
+    third = Fraction(1, 3)
+    assert _fraction_constructions(lambda: ClosedForm.rational(third)) == 0
+    assert _fraction_constructions(lambda: ClosedForm.atom(PI, 2, third)) == 0
+    terms = {monomial((PI, 2)): Fraction(1, 6), monomial((LN2, 1)): Fraction(-3, 4)}
+    x = ClosedForm(terms)
+    y = ClosedForm({monomial((zeta_odd_atom(3), 1)): Fraction(5, 7)})
+    assert _fraction_constructions(lambda: ClosedForm(terms)) == 0
+    assert _fraction_constructions(lambda: x + y) == 0
+    assert (x + y).terms == {**terms, **y.terms}
+
+
 def test_bernoulli_table_is_thread_safe():
     expected = [bernoulli_fraction(n) for n in range(81)]
     results = [None] * 8

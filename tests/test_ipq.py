@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from polylog import ipq, special
-from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
+from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
 from polylog.errors import DomainError
 from polylog.ipq import (Family, IpqValue, ipq_closed_odd, ipq_even_reduction,
-                         ipq_final, ipq_minus_q0, ipq_mixed_odd_reduction,
-                         ipq_mixed_q0, ipq_numeric, ipq_series, ipq_value,
-                         r_value, recurrence_shift)
+                         ipq_final, ipq_mixed_odd_reduction, ipq_numeric,
+                         ipq_series, ipq_value, r_value, recurrence_shift)
 from polylog.quadrature import integrate01
 from polylog.sigma import cf_num
 from polylog.special import li_neg, li_pos
@@ -172,14 +171,16 @@ def test_series_route():
 
 
 def test_low_order_extensions():
-    # Li_0(-t) = -t/(1+t) makes the q = 0 mixed/minus integrals well-defined
-    from polylog.quadrature import integrate01
-    from polylog.special import li_pos, li_neg
-    for p in (2, 3):
+    # the q = 0 mixed/minus integrals, -I(p,0) = integral Li_p(+-t)/(1+t),
+    # integrated by parts: Li_p(+-1) ln 2 + I(p-1,1) in the same family
+    ln2 = ClosedForm.atom(LN2)
+    for p in (2, 3, 4):
         direct = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x), 1e-12).value
-        assert abs(ipq_mixed_q0(p) + direct) <= 1e-10
+        closed = zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)
+        assert abs(cf_num(closed) - direct) <= 1e-10
         direct = integrate01(lambda x, omx, p=p: li_neg(p, x, omx) / (1 + x), 1e-12).value
-        assert abs(ipq_minus_q0(p) + direct) <= 1e-10
+        closed = eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)
+        assert abs(cf_num(closed) - direct) <= 1e-10
 
 
 def test_shift_solution_matches_iteration_randomized():

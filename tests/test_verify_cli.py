@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import polylog
+from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
 from polylog.lognm import MAX_WEIGHT as LOGNM_MAX_WEIGHT
 from polylog.seriesring import MAX_WEIGHT
@@ -266,6 +267,17 @@ def test_every_eval_target_fails_fast_past_its_cap(target):
     assert time.perf_counter() - t0 < 2.0
     assert proc.returncode == 3, proc.stderr
     assert "above" in proc.stderr and "cap" in proc.stderr
+
+
+def test_truncation_depth_past_its_cap_fails_fast():
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "polylog", "eval", "approx", "--p", "5",
+                           "--kt", str(MAX_KT + 1)],
+                          env=env, capture_output=True, text=True, timeout=2.0)
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 3, proc.stderr
+    assert f"above cap MAX_KT = {MAX_KT}" in proc.stderr
 
 
 def test_weight_above_twelve_within_ceiling_returns_value(capsys):
