@@ -8,7 +8,6 @@ switches to indented JSON.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -16,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .approx import s_minus_truncated
-from .closedform import ClosedForm, monomial_name
+from .closedform import ClosedForm, _monomial_key, monomial_name
 from .errors import CapacityError, ConvergenceError, DomainError
 from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus,
                         s_plus, sum_oracle)
@@ -182,6 +181,8 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    import csv
+
     entries = _table_entries(args.kind, args.max_weight)
     out = _out_dir(args)
 
@@ -192,7 +193,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
             if mono not in seen:
                 seen.add(mono)
                 columns.append(mono)
-    from .closedform import _monomial_key
     columns.sort(key=_monomial_key)
 
     buf = io.StringIO()

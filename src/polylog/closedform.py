@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping
+from operator import itemgetter
 
 from .errors import DomainError, EvaluationError
 
@@ -34,12 +34,22 @@ _TAG_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atomic constant; ``args`` disambiguates parametric families."""
+class Atom(tuple):
+    """One atomic constant; ``args`` disambiguates parametric families.
 
-    tag: str
-    args: tuple = ()
+    A (tag, args) tuple underneath, so hashing and comparing an atom (and
+    every monomial that holds one) runs in C.
+    """
+
+    __slots__ = ()
+    tag = property(itemgetter(0))
+    args = property(itemgetter(1))
+
+    def __new__(cls, tag: str, args: tuple = ()):
+        return tuple.__new__(cls, (tag, args))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def sort_key(self):
         return (_TAG_ORDER[self.tag], self.args)
@@ -405,7 +415,6 @@ def eta_factor_closed(n: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class NumericContext:
     """Double-precision values for atoms, with provenance per atom.
 
@@ -413,9 +422,14 @@ class NumericContext:
     results are cached so repeat evaluations are deterministic.
     """
 
-    atom_values: dict[Atom, float] = field(default_factory=dict)
-    provenance: dict[Atom, str] = field(default_factory=dict)
-    fallback: Callable[[Atom], tuple[float, str]] | None = None
+    __slots__ = ("atom_values", "provenance", "fallback")
+
+    def __init__(self, atom_values: dict[Atom, float] | None = None,
+                 provenance: dict[Atom, str] | None = None,
+                 fallback: Callable[[Atom], tuple[float, str]] | None = None):
+        self.atom_values = {} if atom_values is None else atom_values
+        self.provenance = {} if provenance is None else provenance
+        self.fallback = fallback
 
     def set(self, atom: Atom, value: float, how: str) -> None:
         self.atom_values[atom] = value

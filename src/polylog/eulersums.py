@@ -11,9 +11,9 @@ to the series ceiling MAX_WEIGHT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from .closedform import ClosedForm, LN2, zeta_closed
 from .digamma import euler_gamma, psi
@@ -24,16 +24,25 @@ from .summation import sum_alternating, sum_tail
 _TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
 
 
-@dataclass(frozen=True)
-class SumKind:
-    tag: str
-    order: int
+class SumKind(tuple):
+    """A (tag, order) tuple: hashed in C as the key of sum_oracle's cache."""
 
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise DomainError(f"unknown sum tag {self.tag!r}")
-        if self.order < 2:
+    __slots__ = ()
+    tag = property(itemgetter(0))
+    order = property(itemgetter(1))
+
+    def __new__(cls, tag: str, order: int):
+        if tag not in _TAGS:
+            raise DomainError(f"unknown sum tag {tag!r}")
+        if order < 2:
             raise DomainError("sum order must be >= 2")
+        return tuple.__new__(cls, (tag, order))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"SumKind(tag={self.tag!r}, order={self.order!r})"
 
 
 def _half_pow(r: int) -> Fraction:

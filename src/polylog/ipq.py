@@ -14,10 +14,10 @@ suites check exactly against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
@@ -47,13 +47,24 @@ class Family(Enum):
         return self is not Family.MIXED
 
 
-@dataclass(frozen=True)
-class IpqValue:
-    family: Family
-    p: int
-    q: int
-    closed: ClosedForm | None
-    numeric: float
+class IpqValue(tuple):
+    __slots__ = ()
+    family = property(itemgetter(0))
+    p = property(itemgetter(1))
+    q = property(itemgetter(2))
+    closed = property(itemgetter(3))  # ClosedForm | None
+    numeric = property(itemgetter(4))
+
+    def __new__(cls, family: Family, p: int, q: int, closed: ClosedForm | None,
+                numeric: float):
+        return tuple.__new__(cls, (family, p, q, closed, numeric))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return (f"IpqValue(family={self.family!r}, p={self.p!r}, q={self.q!r}, "
+                f"closed={self.closed!r}, numeric={self.numeric!r})")
 
     @property
     def residual_sigma_atoms(self):

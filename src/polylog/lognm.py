@@ -13,8 +13,8 @@ sums over s_{n,p} resp. sigma~_{n,p}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .closedform import ClosedForm, LN2
 from .errors import CapacityError, DomainError
@@ -25,17 +25,24 @@ from .sigma import sigma_tilde
 MAX_WEIGHT = 6
 
 
-@dataclass(frozen=True)
-class LogIntegralKind:
-    tag: str  # "INM" or "HNM"
-    n: int
-    m: int
+class LogIntegralKind(tuple):
+    __slots__ = ()
+    tag = property(itemgetter(0))  # "INM" or "HNM"
+    n = property(itemgetter(1))
+    m = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.tag not in ("INM", "HNM"):
-            raise DomainError(f"unknown log-integral tag {self.tag!r}")
-        if self.n < 0 or self.m < 0 or self.n + self.m < 1:
+    def __new__(cls, tag: str, n: int, m: int):
+        if tag not in ("INM", "HNM"):
+            raise DomainError(f"unknown log-integral tag {tag!r}")
+        if n < 0 or m < 0 or n + m < 1:
             raise DomainError("need n, m >= 0 with n + m >= 1")
+        return tuple.__new__(cls, (tag, n, m))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"LogIntegralKind(tag={self.tag!r}, n={self.n!r}, m={self.m!r})"
 
 
 def _check_weight(n: int, m: int) -> None:

@@ -11,9 +11,9 @@ endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
+from operator import itemgetter
 
 from .errors import ConvergenceError, DomainError
 
@@ -32,11 +32,21 @@ def log1m(x: float, omx: float) -> float:
     return math.log1p(-x) if x < 0.5 else math.log(omx)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+class QuadratureResult(tuple):
+    __slots__ = ()
+    value = property(itemgetter(0))
+    error_estimate = property(itemgetter(1))
+    evaluations = property(itemgetter(2))
+
+    def __new__(cls, value: float, error_estimate: float, evaluations: int):
+        return tuple.__new__(cls, (value, error_estimate, evaluations))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return (f"QuadratureResult(value={self.value!r}, "
+                f"error_estimate={self.error_estimate!r}, evaluations={self.evaluations!r})")
 
 
 def _node(t: float) -> tuple[float, float, float]:

@@ -21,7 +21,6 @@ as relation records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -44,12 +43,13 @@ def _ln2_pow(e: int) -> ClosedForm:
     return ClosedForm.atom(LN2, e)
 
 
-@dataclass
 class SigmaRegistry:
-    closed: dict[tuple[int, int], ClosedForm] = field(default_factory=dict)
-    # each relation: (coefficient map over (n, p) atoms, right-hand side)
-    relations: list[tuple[dict[tuple[int, int], Fraction], ClosedForm]] = \
-        field(default_factory=list)
+    __slots__ = ("closed", "relations")
+
+    def __init__(self):
+        self.closed: dict[tuple[int, int], ClosedForm] = {}
+        # each relation: (coefficient map over (n, p) atoms, right-hand side)
+        self.relations: list[tuple[dict[tuple[int, int], Fraction], ClosedForm]] = []
 
 
 def _build_registry() -> SigmaRegistry:

@@ -15,8 +15,8 @@ doublings of its cutoff (at most max_terms floats).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate01

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated
 from .closedform import (ClosedForm, LN2, PI, eta_factor_closed, zeta_closed,
@@ -40,35 +39,32 @@ from .special import li_node, mpl2, nielsen_num, polylog
 from .summation import zeta_num
 
 
-@dataclass
 class CheckEntry:
-    identity_id: str
-    source: str
-    symbolic: str | None
-    oracle_value: float | None
-    closed_value: float | None
-    abs_error: float
-    tolerance: float
-    status: str
-    note: str = ""
+    __slots__ = ("identity_id", "source", "symbolic", "oracle_value",
+                 "closed_value", "abs_error", "tolerance", "status", "note")
+
+    def __init__(self, identity_id: str, source: str, symbolic: str | None,
+                 oracle_value: float | None, closed_value: float | None,
+                 abs_error: float, tolerance: float, status: str, note: str = ""):
+        self.identity_id = identity_id
+        self.source = source
+        self.symbolic = symbolic
+        self.oracle_value = oracle_value
+        self.closed_value = closed_value
+        self.abs_error = abs_error
+        self.tolerance = tolerance
+        self.status = status
+        self.note = note
 
     def to_obj(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "source": self.source,
-            "symbolic": self.symbolic,
-            "oracle_value": self.oracle_value,
-            "closed_value": self.closed_value,
-            "abs_error": self.abs_error,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "note": self.note,
-        }
+        return {name: getattr(self, name) for name in CheckEntry.__slots__}
 
 
-@dataclass
 class VerificationReport:
-    entries: list[CheckEntry] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[CheckEntry] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> int:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import settings
@@ -31,6 +33,22 @@ def eta_brute(s: int, pairs: int = 50000) -> float:
 
 def li_half_brute(k: int) -> float:
     return math.fsum(2.0 ** (-j) * j ** (-float(k)) for j in range(1, 80))
+
+
+# ---------------------------------------------------------------------------
+# record classes
+# ---------------------------------------------------------------------------
+
+
+def assert_frozen_value(obj, field: str) -> None:
+    """obj is an immutable value: its fields cannot be assigned (a frozen
+    dataclass's FrozenInstanceError is an AttributeError too), and a copy or
+    a pickle round trip returns an equal, equally hashed object."""
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj)
+        assert twin == obj and hash(twin) == hash(obj)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
                                 zeta_nonpositive_rational, zeta_odd_atom)
 from polylog.errors import DomainError, EvaluationError
 
-from conftest import zeta_brute
+from conftest import assert_frozen_value, zeta_brute
 
 
 # -- strategies --------------------------------------------------------------
@@ -63,6 +63,17 @@ def test_atom_validation():
         li_half_atom(3)
     with pytest.raises(DomainError):
         sigma_atom(0, 1)
+
+
+def test_atom_is_a_frozen_value():
+    a, b = zeta_odd_atom(3), Atom("zeta_odd", (3,))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != zeta_odd_atom(5) and a != li_half_atom(4)
+    assert (a.tag, a.args) == ("zeta_odd", (3,))
+    assert Atom("pi") == PI and PI.args == ()
+    assert repr(a) == "Atom(zeta3)"
+    assert_frozen_value(a, "tag")
+    assert_frozen_value(sigma_atom(2, 4), "args")
 
 
 def test_atom_names_round_trip():

@@ -10,7 +10,7 @@ from polylog.eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen,
                                sum_oracle)
 from polylog.sigma import cf_num, sigma_tilde
 
-from conftest import li_half_brute, zeta_brute
+from conftest import assert_frozen_value, li_half_brute, zeta_brute
 
 
 def _pi_pow(e, c):
@@ -130,6 +130,19 @@ def test_sumkind_validation():
         SumKind("SPlus", 1)
     with pytest.raises(DomainError):
         SumKind("Nope", 3)
+
+
+def test_sumkind_is_a_frozen_value():
+    a, b = SumKind("SMinus", 3), SumKind("SMinus", 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != SumKind("SMinus", 4) and a != SumKind("SPlus", 3)
+    assert (a.tag, a.order) == ("SMinus", 3)
+    assert_frozen_value(a, "order")
+    # a freshly built kind finds the value cached under an equal one
+    sum_oracle(a, 1e-11)
+    hits = sum_oracle.cache_info().hits
+    sum_oracle(b, 1e-11)
+    assert sum_oracle.cache_info().hits == hits + 1
 
 
 def test_sminus_odd_general_vs_dropped_minus_one():

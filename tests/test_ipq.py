@@ -13,7 +13,7 @@ from polylog.quadrature import integrate01
 from polylog.sigma import cf_num
 from polylog.special import li_neg, li_pos
 
-from conftest import zeta_brute
+from conftest import assert_frozen_value, zeta_brute
 
 
 def _pi_pow(e, c):
@@ -160,6 +160,9 @@ def test_ipq_value_record():
     assert isinstance(v, IpqValue)
     assert abs(cf_num(v.closed) - v.numeric) <= 1e-9
     assert [a.name for a in v.residual_sigma_atoms] == ["sigma_4_2"]
+    twin = IpqValue(v.family, v.p, v.q, v.closed, v.numeric)
+    assert twin is not v and twin == v and hash(twin) == hash(v)
+    assert_frozen_value(v, "closed")
 
 
 def test_series_route():

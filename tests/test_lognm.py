@@ -14,6 +14,8 @@ from polylog.seriesring import beta_derivative_inm
 from polylog.sigma import cf_num
 from polylog.verify import expected_inm_table
 
+from conftest import assert_frozen_value
+
 
 def _pi_pow(e, c):
     return ClosedForm.atom(PI, e, Fraction(c))
@@ -144,6 +146,16 @@ def test_lognm_numeric_edges():
         LogIntegralKind("INM", 0, 0)
     with pytest.raises(DomainError):
         LogIntegralKind("XNM", 1, 1)
+
+
+def test_log_integral_kind_is_a_frozen_value():
+    a, b = LogIntegralKind("HNM", 2, 4), LogIntegralKind("HNM", 2, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != LogIntegralKind("INM", 2, 4) and a != LogIntegralKind("HNM", 4, 2)
+    assert (a.tag, a.n, a.m) == ("HNM", 2, 4)
+    assert_frozen_value(a, "n")
+    with pytest.raises(DomainError):
+        LogIntegralKind("HNM", -1, 2)
 
 
 # -- the s <-> sigma~ network ---------------------------------------------------

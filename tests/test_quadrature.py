@@ -9,7 +9,7 @@ from polylog import quadrature
 from polylog.errors import DomainError
 from polylog.quadrature import QuadratureResult, integrate01
 
-from conftest import zeta_brute
+from conftest import assert_frozen_value, zeta_brute
 
 # Expected values below come from elementary series or antiderivatives
 # computed inline, never through the quadrature under test.
@@ -19,6 +19,14 @@ def test_constant():
     r = integrate01(lambda x, omx: 1.0, 1e-12)
     assert abs(r.value - 1.0) <= 1e-14
     assert r.evaluations > 0
+
+
+def test_result_is_a_frozen_value():
+    r = integrate01(lambda x, omx: x * x, 1e-12)
+    twin = QuadratureResult(r.value, r.error_estimate, r.evaluations)
+    assert twin is not r and twin == r and hash(twin) == hash(r)
+    assert twin != QuadratureResult(r.value, r.error_estimate, r.evaluations + 1)
+    assert_frozen_value(r, "evaluations")
 
 
 def test_log_times_log():

@@ -243,6 +243,20 @@ def test_beyond_weight_ceiling_fails_fast(argv):
     assert f"ceiling MAX_WEIGHT = {MAX_WEIGHT}" in proc.stderr
 
 
+def test_cold_start_imports_no_heavy_stdlib_modules():
+    # what every cold query pays before its own work, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    code = ("import sys; before = set(sys.modules); "
+            "import polylog; from polylog import cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30, check=True)
+    loaded = set(proc.stdout.split())
+    assert "polylog.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv"}
+    assert not loaded & heavy
+
+
 # Each eval target just past its own cap: MAX_WEIGHT, or the narrower table
 # caps of s_{n,p} and of the log integrals.  A target missing here fails.
 _PAST_CAP = {
