@@ -97,11 +97,6 @@ def opaque_atom(name: str) -> Atom:
     return Atom("opaque", (name,))
 
 
-_ZETA_RE = re.compile(r"^zeta(\d+)$")
-_LI_RE = re.compile(r"^li(\d+)_half$")
-_SIGMA_RE = re.compile(r"^sigma_(\d+)_(\d+)$")
-
-
 def atom_from_name(name: str) -> Atom:
     if name == "pi":
         return PI
@@ -109,11 +104,13 @@ def atom_from_name(name: str) -> Atom:
         return LN2
     if name == "gamma":
         return GAMMA
-    if m := _ZETA_RE.match(name):
+    # patterns rather than compiled constants: no command parses atom names,
+    # so the compile is paid (once, in re's own cache) only by those who do
+    if m := re.match(r"zeta(\d+)$", name):
         return zeta_odd_atom(int(m.group(1)))
-    if m := _LI_RE.match(name):
+    if m := re.match(r"li(\d+)_half$", name):
         return li_half_atom(int(m.group(1)))
-    if m := _SIGMA_RE.match(name):
+    if m := re.match(r"sigma_(\d+)_(\d+)$", name):
         return sigma_atom(int(m.group(1)), int(m.group(2)))
     return opaque_atom(name)
 

@@ -2,6 +2,12 @@
 
 Upward recurrence pushes the argument above 10, then an eight-term
 asymptotic series finishes; relative error is below 1e-13 on (0, inf).
+
+psi is the uncached kernel.  psi_point memoizes it for the series oracles
+(sum_oracle, the harmonic branch of mpl2), whose terms all walk the same
+integers, half-integers and Euler-Maclaurin tail nodes; its cache holds one
+float per point those series reach.  psi itself stays uncached: a cache on
+arbitrary floats would grow without bound for library callers.
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ def psi(x: float) -> float:
     for c in reversed(_TAIL):
         tail = (tail + c) * y
     return acc + math.log(x) - 0.5 / x - tail
+
+
+@cache
+def psi_point(x: float) -> float:
+    """psi(x) memoized, for the points the series oracles share."""
+    return psi(x)
 
 
 @cache

@@ -2,7 +2,9 @@
 
 Each builder takes one route and is memoized.  Each closed form also
 exists as a direct accelerated summation of its defining series
-(sum_oracle), memoized as well: one float per (kind, tol) asked for.  The
+(sum_oracle), memoized as well: one float per (kind, tol) asked for.  Its
+term lambdas read digamma through psi_point, so the sums share each psi
+value at the integers, half-integers and tail nodes they walk.  The
 second exact routes (the Nielsen form of C, the full Milgram sum, the
 even-order Jordan forms against the Nielsen ones, the Jordan decomposition
 of S-) are verify entries.  Every builder holds the weight r+1 of its sum
@@ -16,7 +18,7 @@ from functools import cache
 from operator import itemgetter
 
 from .closedform import ClosedForm, LN2, zeta_closed
-from .digamma import euler_gamma, psi
+from .digamma import euler_gamma, psi_point
 from .errors import DomainError
 from .seriesring import _check_weight, kolbig_snp
 from .summation import sum_alternating, sum_tail
@@ -170,20 +172,22 @@ def sum_oracle(kind: SumKind, tol: float = 1e-11) -> float:
     """Direct accelerated summation of the defining series, memoized per
     (kind, tol): the verify suites ask for the same sums many times."""
     r = kind.order
+    e = -float(r)
     g = euler_gamma()
+    p_half = psi_point(0.5)
     if kind.tag == "SPlus":
-        return sum_tail(lambda k: (psi(k + 1.0) + g) * k ** (-float(r)), tol, r)
+        return sum_tail(lambda k: (psi_point(k + 1.0) + g) * k ** e, tol, r)
     if kind.tag == "SMinus":
         return sum_alternating(
-            lambda k: (-1) ** k * (psi(k + 1.0) + g) * float(k) ** (-float(r)), tol)
+            lambda k: (-1) ** k * (psi_point(k + 1.0) + g) * float(k) ** e, tol)
     if kind.tag == "Jordan1":
         # k = 0 term vanishes
-        return sum_tail(lambda k: 0.5 * (psi(k + 0.5) - psi(0.5)) * (2 * k + 1.0) ** (-float(r)),
+        return sum_tail(lambda k: 0.5 * (psi_point(k + 0.5) - p_half) * (2 * k + 1.0) ** e,
                         tol, r)
     if kind.tag == "Jordan2":
-        return sum_tail(lambda k: 0.5 * (psi(k + 0.5) - psi(0.5)) * (2.0 * k) ** (-float(r)),
+        return sum_tail(lambda k: 0.5 * (psi_point(k + 0.5) - p_half) * (2.0 * k) ** e,
                         tol, r)
     if kind.tag == "Milgram":
-        return sum_tail(lambda k: 0.5 * (psi(k + 1.0) + g) * (2 * k + 1.0) ** (-float(r)),
+        return sum_tail(lambda k: 0.5 * (psi_point(k + 1.0) + g) * (2 * k + 1.0) ** e,
                         tol, r)
-    return sum_tail(lambda k: 0.5 * (psi(k + 1.0) + g) * (2.0 * k) ** (-float(r)), tol, r)
+    return sum_tail(lambda k: 0.5 * (psi_point(k + 1.0) + g) * (2.0 * k) ** e, tol, r)

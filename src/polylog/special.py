@@ -26,7 +26,7 @@ from functools import cache
 
 from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
-from .digamma import psi
+from .digamma import psi_point
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate01, log1m
 from .summation import (_cvz, alternating_zeta_num, eta_num, sum_alternating,
@@ -207,11 +207,12 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float,
 
     if x_inner == 1.0 and m_inner == 1:
         # inner partial sum is the harmonic number, real-evaluable as is
+        psi_one = psi_point(1.0)
         if x_outer == 1.0:
-            return sum_tail(lambda k: (psi(k) - psi(1.0)) * k ** (-m_outer),
+            return sum_tail(lambda k: (psi_point(k) - psi_one) * k ** (-m_outer),
                             part_tol, m_outer)
         return sum_alternating(
-            lambda k: (-1) ** k * (psi(float(k)) - psi(1.0)) * float(k) ** (-m_outer),
+            lambda k: (-1) ** k * (psi_point(float(k)) - psi_one) * float(k) ** (-m_outer),
             part_tol)
 
     if x_inner == 1.0:

@@ -7,9 +7,11 @@ use direct summation plus an Euler-Maclaurin tail whose integral part is
 evaluated by the tanh-sinh rule; the term callable must therefore accept
 real (not just integer) arguments beyond the cutoff.
 
-Nothing here caches across calls except eta_num/zeta_num, one float per
-integer order; within a call, sum_tail keeps its direct terms across the
-doublings of its cutoff (at most max_terms floats).
+Across calls, eta_num/zeta_num keep one float per integer order and the
+CVZ weights are kept per depth n (_cvz_weights, at most max_terms floats per
+depth asked for).  Within a call, sum_tail keeps its direct terms across
+the doublings of its cutoff and sum_alternating its terms across its
+deepenings, so each index is evaluated once (at most max_terms floats).
 """
 
 from __future__ import annotations
@@ -24,18 +26,27 @@ from .quadrature import integrate01
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 
 
-def _cvz(a: list[float]) -> float:
-    """sum_{j>=0} (-1)^j a_j for a smooth, eventually monotone magnitude a."""
-    n = len(a)
+@cache
+def _cvz_weights(n: int) -> tuple[tuple[float, ...], float]:
+    """The n Chebyshev weights c_k of the CVZ scheme and their divisor d."""
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
     c = -d
-    s = 0.0
+    weights = []
     for k in range(n):
         c = b - c
-        s += c * a[k]
+        weights.append(c)
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return tuple(weights), d
+
+
+def _cvz(a: list[float]) -> float:
+    """sum_{j>=0} (-1)^j a_j for a smooth, eventually monotone magnitude a."""
+    weights, d = _cvz_weights(len(a))
+    s = 0.0
+    for c, x in zip(weights, a):
+        s += c * x
     return s / d
 
 
@@ -49,8 +60,10 @@ def sum_alternating(term: Callable[[int], float], tol: float, max_terms: int = 8
         raise DomainError("tolerance must be positive")
     n = max(12, int(math.log(max(4.0 / tol, 10.0)) / _LOG_CVZ_BASE) + 6)
     prev = None
+    a: list[float] = []
     while n <= max_terms:
-        a = [(-1) ** (j + 1) * term(j + 1) for j in range(n)]
+        # each deepening only adds the terms past the previous depth
+        a.extend((-1) ** (j + 1) * term(j + 1) for j in range(len(a), n))
         value = -_cvz(a)
         if prev is not None and abs(value - prev) <= max(tol / 2, 4e-16 * (1.0 + abs(value))):
             return value

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polylog import digamma
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import DomainError
 from polylog.eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen,
@@ -185,3 +186,49 @@ def test_sum_oracle_values_are_unchanged_and_memoized():
     assert [sum_oracle(SumKind("SMinus", r)) for r in range(2, 10)] == _ORACLE_VALUES["SMinus"]
     assert sum_oracle.cache_info().misses == misses
 
+
+
+# The other (kind, tol) keys the verify suites ask sum_oracle for.  Every
+# sum below settles at the depth it reaches at tol = 1e-11, so it returns
+# the bits of the table above; S- at 1.5625e-10 stops one depth earlier.
+_VERIFY_KEYS = {
+    1e-12: {"SMinus": range(5, 6)},
+    1.25e-11: {"SPlus": range(2, 7), "SMinus": range(2, 9), "Jordan1": range(2, 9),
+               "Jordan2": range(2, 9), "Milgram": range(2, 9), "CSum": range(2, 9)},
+    7.8125e-11: {"Jordan1": range(2, 7), "CSum": range(2, 7)},
+    1.25e-10: {"Jordan1": range(3, 4), "Jordan2": range(3, 4)},
+    1.5625e-10: {"SPlus": range(2, 7)},
+}
+_SMINUS_AT_1_5625E_10 = [-0.751285564474746, -0.8592471579285906, -0.92318337339694,
+                         -0.9591519425043176, -0.9786774861751243]
+
+
+def test_sum_oracle_at_verify_tolerances_is_unchanged():
+    sum_oracle.cache_clear()
+    for tol, kinds in _VERIFY_KEYS.items():
+        for tag, orders in kinds.items():
+            got = [sum_oracle(SumKind(tag, r), tol) for r in orders]
+            assert got == [_ORACLE_VALUES[tag][r - 2] for r in orders], (tag, tol)
+    got = [sum_oracle(SumKind("SMinus", r), 1.5625e-10) for r in range(2, 7)]
+    assert got == _SMINUS_AT_1_5625E_10
+
+
+def test_sum_oracle_calls_the_psi_kernel_once_per_point(monkeypatch):
+    kernel = digamma.psi
+    assert not hasattr(kernel, "cache_info")  # the public kernel stays uncached
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return kernel(x)
+
+    digamma.euler_gamma()  # a cached constant, filled outside the count
+    sum_oracle.cache_clear()
+    digamma.psi_point.cache_clear()
+    monkeypatch.setattr(digamma, "psi", counted)
+    for tag, values in _ORACLE_VALUES.items():
+        assert [sum_oracle(SumKind(tag, r)) for r in range(2, 10)] == values, tag
+    info = digamma.psi_point.cache_info()
+    # one kernel call per distinct point, shared by every tag and order
+    assert len(calls) == info.misses == len(set(calls))
+    assert info.hits > 10 * info.misses

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from polylog import digamma, summation
 from polylog.closedform import ClosedForm, LN2
 from polylog.errors import DomainError
 from polylog.quadrature import integrate01
@@ -174,6 +177,50 @@ def test_mpl2_integral_identities():
         quad = integrate01(lambda x, omx, p=p: (li_pos(p, x, omx) - zeta_num(p)) / omx,
                            1e-12).value
         assert abs(quad + mpl2(p, 1, 1.0, 1.0, 1e-10) + zeta_num(p + 1)) <= 1e-9
+
+
+# mpl2 at the arguments the ipq.low-order.* verify entries ask for (p = 2..4,
+# tol = 1.25e-10), as computed before the digamma points, CVZ weights and
+# alternating terms were computed once
+_MPL2_LOW_ORDER = [
+    ((1, 2, -1.0, -1.0), -0.3888958461681067), ((1, 2, -1.0, 1.0), 0.26957647953152386),
+    ((2, 1, 1.0, 1.0), 1.2020569031595996), ((2, 1, -1.0, 1.0), 0.15025711289494922),
+    ((1, 3, -1.0, -1.0), -0.3395454690873604), ((1, 3, -1.0, 1.0), 0.2866757544385379),
+    ((3, 1, 1.0, 1.0), 0.27058080842778454), ((3, 1, -1.0, 1.0), 0.08778567156865529),
+    ((1, 4, -1.0, -1.0), -0.3213520120787817), ((1, 4, -1.0, 1.0), 0.2961865271853782),
+    ((4, 1, 1.0, 1.0), 0.0965511599894437), ((4, 1, -1.0, 1.0), 0.04893639704996904),
+]
+
+
+def test_mpl2_low_order_values_are_unchanged():
+    for args, value in _MPL2_LOW_ORDER:
+        assert mpl2(*args, 1.25e-10) == value, args
+
+
+def test_shared_series_caches_are_thread_safe():
+    def work():
+        return [mpl2(*args, 1.25e-10) for args, _ in _MPL2_LOW_ORDER[:4]]
+
+    expected = work()
+    results = [None] * 8
+
+    def run(slot):
+        results[slot] = work()
+
+    interval = sys.getswitchinterval()
+    digamma.psi_point.cache_clear()
+    summation._cvz_weights.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
 
 
 # -- moments of Li_p(-t) ---------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from polylog.digamma import euler_gamma, psi
 from polylog.errors import DomainError
-from polylog.summation import (_em_tail, alternating_zeta_num, eta_num,
+from polylog.summation import (_cvz, _em_tail, alternating_zeta_num, eta_num,
                                sum_alternating, sum_tail, zeta_num)
 
 from conftest import eta_brute, zeta_brute
@@ -107,3 +108,44 @@ def test_sum_tail_evaluates_each_integer_once():
             break
         prev, K = total, 2 * K
     assert got == total and K == last + 1
+
+
+def _cvz_reference(a):
+    # the loop that rebuilt the Chebyshev weights on every call, kept as the
+    # reference the per-depth weights must reproduce bit for bit
+    n = len(a)
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b = -1.0
+    c = -d
+    s = 0.0
+    for k in range(n):
+        c = b - c
+        s += c * a[k]
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return s / d
+
+
+def test_cvz_matches_reference_loop_bit_for_bit():
+    rng = random.Random(20100)
+    for n in range(1, 81):
+        smooth = [(k + 1.0) ** -rng.uniform(1.0, 4.0) for k in range(n)]
+        noisy = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        for a in (smooth, noisy):
+            assert _cvz(a) == _cvz_reference(a), n
+
+
+def test_sum_alternating_evaluates_each_index_once():
+    seen = {}
+
+    def term(k):
+        seen[k] = seen.get(k, 0) + 1
+        return (-1) ** k * (k + 1.0) ** -1.5
+
+    got = sum_alternating(term, 1e-14)
+    assert set(seen.values()) == {1}
+    last = max(seen)
+    # at least one deepening happened, each adding only the new indices
+    assert last > 12 and sorted(seen) == list(range(1, last + 1))
+    # the same value as a fresh acceleration of the final depth's terms
+    assert got == -_cvz([(-1) ** k * term(k) for k in range(1, last + 1)])
