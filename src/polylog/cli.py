@@ -96,7 +96,7 @@ def _cmd_ipq(args: argparse.Namespace) -> int:
     fam = Family.parse(args.family)
     cf = ipq_final(fam, args.p, args.q)
     closed_value = cf_num(cf)
-    oracle = ipq_numeric(fam, args.p, args.q, args.tol)
+    oracle = ipq_numeric(fam, args.p, args.q)
     _emit({"closed": cf.to_obj(), "pretty": cf.pretty(), "decimal": closed_value,
            "oracle": oracle, "abs_error": abs(closed_value - oracle)}, args.pretty)
     return 0
@@ -107,7 +107,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
         raise DomainError(f"unknown approximation target {args.quantity!r}")
     cf = s_minus_truncated(args.p, args.kt)
     value = cf_num(cf)
-    reference = sum_oracle(SumKind("SMinus", args.p), 1e-12)
+    reference = sum_oracle(SumKind("SMinus", args.p))
     _emit({"closed_form": cf.to_obj(), "pretty": cf.pretty(), "decimal": value,
            "reference_decimal": reference, "abs_error": abs(value - reference)},
           args.pretty)
@@ -117,15 +117,22 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 def _read_config(path: str | None) -> dict[str, float]:
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config {path!r}: {exc}") from None
     overrides: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         if not _:
             raise DomainError(f"config line without '=': {line!r}")
-        overrides[key.strip()] = float(value.strip())
+        try:
+            overrides[key.strip()] = float(value)
+        except ValueError:
+            raise DomainError(f"config value is not a number: {line!r}") from None
     return overrides
 
 
@@ -239,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--family", required=True)
     pi.add_argument("--p", type=int, required=True)
     pi.add_argument("--q", type=int, required=True)
-    pi.add_argument("--tol", type=float, default=1e-11)
     pi.add_argument("--pretty", action="store_true")
     pi.set_defaults(fn=_cmd_ipq)
 

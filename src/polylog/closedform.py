@@ -282,6 +282,9 @@ class ClosedForm:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a pure-rational form (zero included) equals its Fraction: hash as one
+        if self._terms.keys() <= {UNIT}:
+            return hash(self._terms.get(UNIT, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- evaluation ----------------------------------------------------------

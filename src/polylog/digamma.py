@@ -59,12 +59,3 @@ def psi_point(x: float) -> float:
 def euler_gamma() -> float:
     """Euler's constant, as -psi(1)."""
     return -psi(1.0)
-
-
-def harmonic(n: int) -> float:
-    """H_n = psi(n + 1) + gamma; exact summation for small n."""
-    if n < 0:
-        raise DomainError("harmonic number index must be >= 0")
-    if n < 64:
-        return math.fsum(1.0 / k for k in range(1, n + 1))
-    return psi(n + 1.0) + euler_gamma()

@@ -2,7 +2,7 @@
 
 Each builder takes one route and is memoized.  Each closed form also
 exists as a direct accelerated summation of its defining series
-(sum_oracle), memoized as well: one float per (kind, tol) asked for.  Its
+(sum_oracle), at ORACLE_TOL and memoized as well: one float per kind.  Its
 term lambdas read digamma through psi_point, so the sums share each psi
 value at the integers, half-integers and tail nodes they walk.  The
 second exact routes (the Nielsen form of C, the full Milgram sum, the
@@ -20,6 +20,7 @@ from operator import itemgetter
 from .closedform import ClosedForm, LN2, zeta_closed
 from .digamma import euler_gamma, psi_point
 from .errors import DomainError
+from .quadrature import ORACLE_TOL
 from .seriesring import _check_weight, kolbig_snp
 from .summation import sum_alternating, sum_tail
 
@@ -168,9 +169,10 @@ def s_minus(r: int) -> ClosedForm:
 
 
 @cache
-def sum_oracle(kind: SumKind, tol: float = 1e-11) -> float:
-    """Direct accelerated summation of the defining series, memoized per
-    (kind, tol): the verify suites ask for the same sums many times."""
+def sum_oracle(kind: SumKind) -> float:
+    """Direct accelerated summation of the defining series at ORACLE_TOL,
+    memoized per kind: the verify suites ask for the same sums many times."""
+    tol = ORACLE_TOL
     r = kind.order
     e = -float(r)
     g = euler_gamma()

@@ -23,7 +23,7 @@ from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
 from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus, s_plus,
                         sum_oracle)
-from .quadrature import integrate01
+from .quadrature import ORACLE_TOL, integrate01
 from .seriesring import _check_weight, kolbig_snp
 from .sigma import cf_num, sigma_tilde
 from .special import li_node
@@ -104,9 +104,11 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def ipq_numeric(family: Family, p: int, q: int, tol: float = 1e-11) -> float:
-    """I(p,q) by tanh-sinh quadrature; the Li values at the nodes are shared
-    with every other integral through li_node."""
+@cache
+def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> float:
+    """I(p,q) by tanh-sinh quadrature at ORACLE_TOL, memoized per (family,
+    p, q); the Li values at the nodes are shared with every other integral
+    through li_node.  Only perfbench's evaluation count passes its own tol."""
     _check_orders(p, q)
     sp = -1 if family is Family.MINUS else 1
     sq = 1 if family is Family.PLUS else -1
@@ -278,9 +280,8 @@ def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
     return None
 
 
-def ipq_value(family: Family, p: int, q: int, tol: float = 1e-11) -> IpqValue:
-    return IpqValue(family, p, q, ipq_final(family, p, q),
-                    ipq_numeric(family, p, q, tol))
+def ipq_value(family: Family, p: int, q: int) -> IpqValue:
+    return IpqValue(family, p, q, ipq_final(family, p, q), ipq_numeric(family, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +289,11 @@ def ipq_value(family: Family, p: int, q: int, tol: float = 1e-11) -> IpqValue:
 # ---------------------------------------------------------------------------
 
 
-def ipq_series(family: Family, p: int, q: int, tol: float = 1e-9) -> float:
-    """I(p,q) from the series displays, with every psi-sum evaluated
-    numerically (never through the closed forms)."""
+def ipq_series(family: Family, p: int, q: int) -> float:
+    """I(p,q) from the series displays, with every psi-sum taken from
+    sum_oracle (never through the closed forms)."""
     _check_orders(p, q)
     r = p + q
-    part = tol / 16.0
     mu_sum = 0.0
     for mu in range(2, p + 1):
         if family is Family.PLUS:
@@ -307,14 +307,14 @@ def ipq_series(family: Family, p: int, q: int, tol: float = 1e-9) -> float:
     mu_sum *= (-1.0) ** p
 
     if family is Family.PLUS:
-        return mu_sum + (-1.0) ** (p + 1) * sum_oracle(SumKind("SPlus", r), part)
-    s_alt = sum_oracle(SumKind("SMinus", r), part)
+        return mu_sum + (-1.0) ** (p + 1) * sum_oracle(SumKind("SPlus", r))
+    s_alt = sum_oracle(SumKind("SMinus", r))
     if family is Family.MIXED:
         return mu_sum + (-1.0) ** (p + 1) * s_alt
 
     prefix = (-1.0) ** p * 2.0 * (math.log(2.0) * (2.0 ** (-r) - 1.0) * zeta_num(r)
                                   + (1.0 - 2.0 ** (-r - 1)) * zeta_num(r + 1))
     # sum (psi(k+1)+gamma)/(2k)^r = 2 C(r); sum (psi(k+1/2)-psi(1/2))/(2k+1)^r = 2 J1(r)
-    s_even = 2.0 * sum_oracle(SumKind("CSum", r), part / 2)
-    s_half = 2.0 * sum_oracle(SumKind("Jordan1", r), part / 2)
+    s_even = 2.0 * sum_oracle(SumKind("CSum", r))
+    s_half = 2.0 * sum_oracle(SumKind("Jordan1", r))
     return prefix + mu_sum + (-1.0) ** p * (s_alt - s_even + s_half)

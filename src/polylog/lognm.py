@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 
 from .closedform import ClosedForm, LN2
 from .errors import CapacityError, DomainError
-from .quadrature import integrate01, log1m
+from .quadrature import ORACLE_TOL, integrate01, log1m
 from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
 
@@ -143,7 +144,9 @@ def h_boundary_closed(m: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def lognm_numeric(kind: LogIntegralKind, tol: float = 1e-11) -> float:
+@cache
+def lognm_numeric(kind: LogIntegralKind) -> float:
+    """i(n,m) or h(n,m) by quadrature at ORACLE_TOL, memoized per kind."""
     n, m = kind.n, kind.m
     if kind.tag == "INM":
         def ev(x: float, omx: float) -> float:
@@ -151,7 +154,7 @@ def lognm_numeric(kind: LogIntegralKind, tol: float = 1e-11) -> float:
     else:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** n * math.log1p(x) ** m
-    return integrate01(ev, tol).value
+    return integrate01(ev, ORACLE_TOL).value
 
 
 # ---------------------------------------------------------------------------

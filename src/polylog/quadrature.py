@@ -20,6 +20,9 @@ from .errors import ConvergenceError, DomainError
 _T_MAX = 6.3          # |pi*sinh(t)| > 745 beyond this: nodes underflow
 _MAX_LEVEL = 11
 _MIN_TOL = 1e-13
+# The one precision of every quantity oracle (sum_oracle, ipq_numeric,
+# lognm_numeric, nielsen_num, mpl2); verify tolerances only judge.
+ORACLE_TOL = 1e-12
 
 
 def log1m(x: float, omx: float) -> float:

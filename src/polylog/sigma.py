@@ -152,14 +152,9 @@ def registered_keys() -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_numeric(n: int, p: int) -> float:
-    return nielsen_num(n, p, -1.0, tol=1e-12)
-
-
 def _fallback(atom: Atom) -> tuple[float, str]:
     if atom.tag == "sigma":
-        n, p = atom.args
-        return _sigma_numeric(n, p), "quadrature"
+        return nielsen_num(*atom.args, -1.0), "quadrature"
     if atom.tag == "zeta_odd":
         return zeta_num(atom.args[0]), "series"
     if atom.tag == "li_half":

@@ -28,7 +28,7 @@ from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .digamma import psi_point
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate01, log1m
+from .quadrature import ORACLE_TOL, integrate01, log1m
 from .summation import (_cvz, alternating_zeta_num, eta_num, sum_alternating,
                         sum_tail, zeta_num)
 
@@ -130,8 +130,8 @@ def polylog(p: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nielsen_num(n: int, p: int, z: float, tol: float = 1e-12) -> float:
-    """S_{n,p}(z) by quadrature of its defining integral, |z| <= 1.
+def nielsen_num(n: int, p: int, z: float) -> float:
+    """S_{n,p}(z) by quadrature of its defining integral at ORACLE_TOL, |z| <= 1.
 
     S_{n,p}(z) = (-1)^{n+p-1} / ((n-1)! p!) *
                  integral_0^1 ln^{n-1}(x) ln^p(1 - z x) / x dx.
@@ -154,8 +154,7 @@ def nielsen_num(n: int, p: int, z: float, tol: float = 1e-12) -> float:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** (n - 1) * math.log1p(-z * x) ** p / x
 
-    quad = integrate01(ev, tol)
-    return pref * quad.value
+    return pref * integrate01(ev, ORACLE_TOL).value
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,7 @@ def _alternating_tail(m: int, x: float) -> float:
     return _cvz([(x + i) ** (-m) for i in range(40)])
 
 
-def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float,
-         tol: float = 1e-10) -> float:
+def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     """Depth-2 multiple polylogarithm
     sum_{k2 > k1 >= 1} x_outer^k2 x_inner^k1 / (k2^m_outer k1^m_inner).
 
@@ -201,9 +199,10 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float,
     if m_outer == 1 and x_outer != -1.0:
         raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
 
-    part_tol = tol / 8.0
+    # each correction sum gets an eighth of the oracle precision
+    part_tol = ORACLE_TOL / 8.0
     if abs(x_inner) < 1.0 or abs(x_outer) < 1.0:
-        return _mpl2_direct(m_outer, m_inner, x_outer, x_inner, tol)
+        return _mpl2_direct(m_outer, m_inner, x_outer, x_inner)
 
     if x_inner == 1.0 and m_inner == 1:
         # inner partial sum is the harmonic number, real-evaluable as is
@@ -242,8 +241,7 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float,
     return limit * outer_full - corr
 
 
-def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float,
-                 tol: float) -> float:
+def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     total = 0.0
     inner = 0.0
     powi = 1.0
@@ -254,7 +252,7 @@ def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float,
         powo *= x_outer
         t = powo * inner / float(k2) ** m_outer
         total += t
-        if abs(t) < tol * 1e-3 and k2 > 30:
+        if abs(t) < ORACLE_TOL * 1e-3 and k2 > 30:
             return total
     raise ConvergenceError("multiple polylog direct sum stalled", partial=total)
 

@@ -4,6 +4,8 @@ Every deterministic identity the package exposes is registered here as a
 check producing one report entry: an identity id, the symbolic value when
 one exists, the oracle and closed values, the absolute error, the
 tolerance, and pass/fail.  Exact (term-map) checks carry tolerance 0.
+Every oracle value is computed at the one precision ORACLE_TOL; a
+tolerance (scaled or overridden in run_suite) only judges the distance.
 
 Each builder takes one production route; the second exact routes to the
 same quantities (the Nielsen and reduction displays of I(p,q), the full
@@ -32,7 +34,7 @@ from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
 from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
                     h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
                     s_sigma_relation_residual, sigma_weight6_count)
-from .quadrature import integrate01, log1m
+from .quadrature import ORACLE_TOL, integrate01, log1m
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import cf_num, registry, sigma_tilde
 from .special import li_node, mpl2, nielsen_num, polylog
@@ -136,8 +138,7 @@ def _checks_sums(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
             tol = tol_for(ident, 1e-10)
             cf = fn(r)
             out.append(_entry(ident, f"{name}({r}) closed form vs defining series",
-                              sum_oracle(SumKind(tags[name], r), tol / 8),
-                              cf_num(cf), tol, cf))
+                              sum_oracle(SumKind(tags[name], r)), cf_num(cf), tol, cf))
     for r in range(2, 8):
         direct = Fraction(1, 2 ** (r + 1)) * s_plus(r)
         nielsen = Fraction(1, 2 ** (r + 1)) * (zeta_closed(r + 1) + kolbig_snp(r - 1, 2))
@@ -160,11 +161,11 @@ def _checks_sums(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
     for r in range(2, 9):
         ident = f"sums.sminus-decomposition.r{r}"
         tol = tol_for(ident, 1e-10)
-        lhs = sum_oracle(SumKind("SMinus", r), tol / 8)
-        rhs = (sum_oracle(SumKind("Jordan2", r), tol / 8)
-               - sum_oracle(SumKind("Jordan1", r), tol / 8)
-               + sum_oracle(SumKind("CSum", r), tol / 8)
-               - sum_oracle(SumKind("Milgram", r), tol / 8)
+        lhs = sum_oracle(SumKind("SMinus", r))
+        rhs = (sum_oracle(SumKind("Jordan2", r))
+               - sum_oracle(SumKind("Jordan1", r))
+               + sum_oracle(SumKind("CSum", r))
+               - sum_oracle(SumKind("Milgram", r))
                - (1 - 2.0 ** (-r - 1)) * zeta_num(r + 1))
         out.append(_entry(ident, f"S-({r}) sum decomposition, every term from its own oracle",
                           lhs, rhs, tol))
@@ -175,16 +176,15 @@ def _checks_sums(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
         tol = tol_for(ident, 1e-10)
         cf = fn()
         out.append(_entry(ident, f"{which}(3) closed form vs defining series",
-                          sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3),
-                                     tol / 8),
+                          sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3)),
                           cf_num(cf), tol, cf))
     ident = "sums.sminus3-closed"
     tol = tol_for(ident, 1e-10)
     cf3 = s_minus(3)
     out.append(_entry(ident, "S-(3) closed form vs defining series",
-                      sum_oracle(SumKind("SMinus", 3), tol / 8), cf_num(cf3), tol, cf3))
+                      sum_oracle(SumKind("SMinus", 3)), cf_num(cf3), tol, cf3))
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
-    oracle = sum_oracle(SumKind("SMinus", 5), 1e-11)
+    oracle = sum_oracle(SumKind("SMinus", 5))
     general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
     variant = cf_num(Fraction(1, 2 ** 5) * zeta_closed(6) + sigma_tilde(4, 2))
     ident = "sums.sminus-odd-general-form.r5"
@@ -217,14 +217,14 @@ def _s_minus_decomposed(r: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _log2_quadrature(kind: str, tol: float) -> float:
+def _log2_quadrature(kind: str) -> float:
     evs = {
         "mm": lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / omx,
         "pm": lambda x, omx: math.log(x) ** 2 * math.log1p(x) / omx,
         "mp": lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / (1.0 + x),
         "pp": lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1.0 + x),
     }
-    return integrate01(evs[kind], tol).value
+    return integrate01(evs[kind], ORACLE_TOL).value
 
 
 def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
@@ -251,8 +251,7 @@ def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]
         note = ("pi^4/24 term: the weight-4 power of pi is forced by dimensional "
                 "consistency and confirmed by quadrature" if kind == "pp" else "")
         out.append(_entry(ident, names[kind] + " vs closed form",
-                          _log2_quadrature(kind, max(tol / 8, 1e-13)), closed[kind],
-                          tol, note=note))
+                          _log2_quadrature(kind), closed[kind], tol, note=note))
     # odd-order Jordan integral representations, n = 1 (order 3)
     for which, sgn in (("J1", -1.0), ("J2", +1.0)):
         ident = f"appendix.jordan-integral-rep.{which}"
@@ -261,9 +260,9 @@ def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]
         def ev(x: float, omx: float, sgn=sgn) -> float:
             return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
                     * (1.0 / omx + sgn / (1.0 + x)))
-        quad = integrate01(ev, max(tol / 8, 1e-13)).value
+        quad = integrate01(ev, ORACLE_TOL).value
         quad /= 4.0 * math.factorial(2)
-        oracle = sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3), tol / 8)
+        oracle = sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3))
         out.append(_entry(ident, f"{which}(3) integral representation vs series", quad,
                           oracle, tol))
     # C(r) integral representation
@@ -273,7 +272,7 @@ def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]
 
         def ev(x: float, omx: float, r=r) -> float:
             return math.log(x) ** (r - 1) * log1m(x, omx) / (x * omx)
-        quad = integrate01(ev, max(tol / 8, 1e-13)).value
+        quad = integrate01(ev, ORACLE_TOL).value
         quad *= (-1.0) ** r / (2 ** (r + 1) * math.factorial(r - 1))
         out.append(_entry(ident, f"C({r}) integral representation vs closed form",
                           quad, cf_num(c_sum(r)), tol))
@@ -282,7 +281,7 @@ def _checks_appendix(tol_for: Callable[[str, float], float]) -> list[CheckEntry]
     out.append(_exact_entry("appendix.truncation-display-exact.p5kt10",
                             "S-(5) truncation at kt=10 vs its printed rationals",
                             s_minus_truncated(5, 10), display))
-    oracle5 = sum_oracle(SumKind("SMinus", 5), 1e-12)
+    oracle5 = sum_oracle(SumKind("SMinus", 5))
     ident = "appendix.truncation-nine-decimals.p5kt10"
     tol = tol_for(ident, 5e-10)
     out.append(_entry(ident, "S-(5) truncation at kt=10 against the series oracle",
@@ -345,8 +344,7 @@ def _checks_ipq(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
                 cf = ipq_final(family, p, q)
                 out.append(_entry(ident,
                                   f"I[{family.value}]({p},{q}) closed vs quadrature",
-                                  ipq_numeric(family, p, q, max(tol / 100, 1e-12)),
-                                  cf_num(cf), tol, cf))
+                                  ipq_numeric(family, p, q), cf_num(cf), tol, cf))
                 out.append(_exact_entry(
                     f"ipq.nielsen-display.{family.value}.p{p}q{q}",
                     f"I[{family.value}]({p},{q}): named-sum vs Nielsen display",
@@ -363,8 +361,7 @@ def _checks_ipq(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
                 ident = f"ipq.symmetry.{family.value}.p{p}q{q}"
                 tol = tol_for(ident, 1e-9)
                 out.append(_entry(ident, f"I[{family.value}] order symmetry",
-                                  ipq_numeric(family, p, q, max(tol / 8, 1e-12)),
-                                  ipq_numeric(family, q, p, max(tol / 8, 1e-12)), tol))
+                                  ipq_numeric(family, p, q), ipq_numeric(family, q, p), tol))
         # odd/even reduction examples at weights 5 and 6
         pairs = {
             "1.4": ipq_final(family, 1, 4),
@@ -395,7 +392,7 @@ def _checks_ipq(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
     # n-step shift solution vs single steps
     for (family, p, q, n) in ((Family.PLUS, 1, 4, 2), (Family.MINUS, 1, 4, 3),
                               (Family.MIXED, 2, 4, 2), (Family.PLUS, 2, 3, 1)):
-        base = ipq_value(family, p, q, 1e-11)
+        base = ipq_value(family, p, q)
         multi = recurrence_shift(family, p, q, n, base)
         stepped = base
         for k in range(n):
@@ -410,8 +407,8 @@ def _checks_ipq(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
             for q in range(1, 4):
                 ident = f"ipq.three-routes.{family.value}.p{p}q{q}"
                 tol = tol_for(ident, 1e-8)
-                nv = ipq_numeric(family, p, q, max(tol / 100, 1e-12))
-                sv = ipq_series(family, p, q, tol / 4)
+                nv = ipq_numeric(family, p, q)
+                sv = ipq_series(family, p, q)
                 cv = cf_num(ipq_final(family, p, q))
                 worst = max(abs(nv - sv), abs(nv - cv), abs(sv - cv))
                 out.append(CheckEntry(ident,
@@ -444,34 +441,33 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     if tol_for is None:
         tol_for = lambda ident, default: default
     out: list[CheckEntry] = []
-    quad_tol = 1e-12
     ln2 = ClosedForm.atom(LN2)
     # 1. integral Li_p(t)/(1+t) = -I+-(p,0) = -mpl2(1, p, -1, -1)
     #    = zeta(p) ln 2 + I+-(p-1,1), integrating by parts
-    lhs = integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1 + x), quad_tol).value
+    lhs = integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1 + x), ORACLE_TOL).value
     ident = f"ipq.low-order.mixed-q0.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs zeta({p}) ln 2 + I+-({p-1},1)",
                       lhs, cf_num(zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)),
                       tol_for(ident, 1e-9)))
     ident = f"ipq.low-order.mixed-q0-mpl.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(t)/(1+t) vs depth-2 sum",
-                      lhs, -mpl2(1, p, -1.0, -1.0, tol_for(ident, 1e-9) / 8),
+                      lhs, -mpl2(1, p, -1.0, -1.0),
                       tol_for(ident, 1e-9)))
     # 2. integral Li_p(-t)/(1+t) = -I-(p,0) = -mpl2(1, p, -1, +1)
     #    = Li_p(-1) ln 2 + I-(p-1,1), integrating by parts
-    lhs = integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1 + x), quad_tol).value
+    lhs = integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1 + x), ORACLE_TOL).value
     ident = f"ipq.low-order.minus-q0.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs Li_{p}(-1) ln 2 + I-({p-1},1)",
                       lhs, cf_num(eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)),
                       tol_for(ident, 1e-9)))
     ident = f"ipq.low-order.minus-q0-mpl.p{p}"
     out.append(_entry(ident, f"integral Li_{p}(-t)/(1+t) vs depth-2 sum",
-                      lhs, -mpl2(1, p, -1.0, 1.0, tol_for(ident, 1e-9) / 8),
+                      lhs, -mpl2(1, p, -1.0, 1.0),
                       tol_for(ident, 1e-9)))
     # 3. integral [Li_p(t) - Li_p(1)]/(1-t) = -I+(1,p-1)
     #    = -mpl2(p,1,1,1) - zeta(p+1)
     lhs = integrate01(lambda x, omx: (li_node(p, 1, x, omx) - zeta_num(p)) / omx,
-                      quad_tol).value
+                      ORACLE_TOL).value
     ident = f"ipq.low-order.plus-subtracted.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident,
@@ -480,12 +476,12 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     ident = f"ipq.low-order.plus-subtracted-mpl.p{p}"
     out.append(_entry(ident,
                       f"integral [Li_{p}(t)-Li_{p}(1)]/(1-t) vs depth-2 sum",
-                      lhs, -mpl2(p, 1, 1.0, 1.0, tol / 8) - zeta_num(p + 1), tol,
+                      lhs, -mpl2(p, 1, 1.0, 1.0) - zeta_num(p + 1), tol,
                       note="sign-corrected form: the sum enters negated"))
     # 4. integral [Li_p(-t) - Li_p(-1)]/(1-t) = -I+-(1,p-1)
     #    = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
     lim = (2.0 ** (1 - p) - 1.0) * zeta_num(p)
-    lhs = integrate01(lambda x, omx: (li_node(p, -1, x, omx) - lim) / omx, quad_tol).value
+    lhs = integrate01(lambda x, omx: (li_node(p, -1, x, omx) - lim) / omx, ORACLE_TOL).value
     ident = f"ipq.low-order.mixed-subtracted.p{p}"
     tol = tol_for(ident, 1e-9)
     out.append(_entry(ident,
@@ -494,7 +490,7 @@ def low_order_entries(p: int, tol_for: Callable[[str, float], float] | None = No
     ident = f"ipq.low-order.mixed-subtracted-mpl.p{p}"
     out.append(_entry(ident,
                       f"integral [Li_{p}(-t)-Li_{p}(-1)]/(1-t) vs depth-2 sum",
-                      lhs, -mpl2(p, 1, -1.0, 1.0, tol / 8)
+                      lhs, -mpl2(p, 1, -1.0, 1.0)
                       + (1 - 2.0 ** (-p)) * zeta_num(p + 1), tol,
                       note="argument-corrected form: the alternating sign sits on "
                            "the outer (weight-p) index"))
@@ -548,8 +544,7 @@ def _checks_lognm(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
         ident = f"lognm.inm-numeric.n{n}m{m}"
         tol = tol_for(ident, 1e-9)
         out.append(_entry(ident, f"i({n},{m}) vs quadrature",
-                          lognm_numeric(LogIntegralKind("INM", n, m), max(tol / 100, 1e-12)),
-                          cf_num(cf), tol))
+                          lognm_numeric(LogIntegralKind("INM", n, m)), cf_num(cf), tol))
         out.append(_exact_entry(f"lognm.inm-symmetry.n{n}m{m}",
                                 f"i({n},{m}) = i({m},{n})",
                                 i_closed(n, m), i_closed(m, n)))
@@ -569,14 +564,13 @@ def _checks_lognm(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
             tol = tol_for(ident, 1e-9)
             cf = h_closed(n, m)
             out.append(_entry(ident, f"h({n},{m}) closed form vs quadrature",
-                              lognm_numeric(LogIntegralKind("HNM", n, m),
-                                            max(tol / 100, 1e-12)),
+                              lognm_numeric(LogIntegralKind("HNM", n, m)),
                               cf_num(cf), tol, cf, note=h_notes.get((n, m), "")))
     for m in range(1, 5):
         ident = f"lognm.hnm-boundary.m{m}"
         tol = tol_for(ident, 1e-9)
         out.append(_entry(ident, f"h(0,{m}) vs (-1)^m m! (2 e_m(-ln2) - 1)",
-                          lognm_numeric(LogIntegralKind("HNM", 0, m), max(tol / 100, 1e-12)),
+                          lognm_numeric(LogIntegralKind("HNM", 0, m)),
                           cf_num(h_boundary_closed(m)), tol,
                           note="the truncated-exponential boundary value needs the "
                                "(-1)^m m! factor restored from the starred normalization"))
@@ -610,7 +604,7 @@ def _checks_lognm(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
             note = ("ln^3(2) zeta(3) coefficient 7/48: quadrature pins it to 14 "
                     "digits (a commonly printed 7/28 misses by 0.1)")
         out.append(_entry(ident, f"sigma~({n},{p}) registered closed form vs quadrature",
-                          nielsen_num(n, p, -1.0, max(tol / 100, 1e-12)), cf_num(cf),
+                          nielsen_num(n, p, -1.0), cf_num(cf),
                           tol, cf, note=note))
     for n in range(1, 6):
         for p in range(1, 6):
@@ -619,7 +613,7 @@ def _checks_lognm(tol_for: Callable[[str, float], float]) -> list[CheckEntry]:
             ident = f"lognm.nielsen-vs-snp.n{n}p{p}"
             tol = tol_for(ident, 1e-10)
             out.append(_entry(ident, f"S_({n},{p})(1) quadrature vs generating function",
-                              nielsen_num(n, p, 1.0, max(tol / 10, 1e-12)),
+                              nielsen_num(n, p, 1.0),
                               cf_num(kolbig_snp(n, p)), tol))
     return out
 
@@ -645,7 +639,7 @@ def sigma_weight6_entries(tol_for: Callable[[str, float], float] | None = None
     for i, (coeffs, rhs) in enumerate(registry().relations, start=1):
         ident = f"lognm.sigma-weight6-relation.{i}"
         tol = tol_for(ident, 1e-9)
-        lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0, 1e-12)
+        lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0)
                         for (n, p), c in sorted(coeffs.items()))
         out.append(_entry(ident,
                           " + ".join(f"{c}*sigma~({n},{p})"
@@ -658,7 +652,7 @@ def sigma_weight6_entries(tol_for: Callable[[str, float], float] | None = None
         cf = sigma_tilde(*key)
         out.append(_entry(ident,
                           f"sigma~({key[0]},{key[1]}) closed form vs quadrature",
-                          nielsen_num(*key, -1.0, 1e-12), cf_num(cf), tol, cf))
+                          nielsen_num(*key, -1.0), cf_num(cf), tol, cf))
     return out
 
 
@@ -702,9 +696,12 @@ def run_suite(suite: str = "all", tol_scale: float = 1.0,
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected all, "
                           + ", ".join(sorted(SUITES)))
-    if tol_scale <= 0:
-        raise DomainError("tolerance scale must be positive")
     overrides = overrides or {}
+    # each override is judged as scaled, so a finite pair cannot overflow to inf
+    scaled = [(ident, value * tol_scale) for ident, value in overrides.items()]
+    for name, value in [("scale", tol_scale), *scaled]:
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"tolerance {name} = {value} is not finite and positive")
 
     def tol_for(identity_id: str, default: float) -> float:
         return overrides.get(identity_id, default) * tol_scale

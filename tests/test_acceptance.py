@@ -108,7 +108,7 @@ def test_criterion_2_h_values():
     for (n, m), expected in sorted(H_EXPECTED.items()):
         got = h_closed(n, m)
         assert got == expected, (n, m)
-        quad = lognm_numeric(LogIntegralKind("HNM", n, m), 1e-12)
+        quad = lognm_numeric(LogIntegralKind("HNM", n, m))
         assert abs(cf_num(got) - quad) <= 1e-9, (n, m)
     print(f"\nACCEPTANCE 2: PASS  all {len(H_EXPECTED)} h(n,m) values exact "
           "and within 1e-9 of quadrature")
@@ -120,7 +120,7 @@ def test_criterion_3_sigma_tables():
             (1, 4), (2, 3), (3, 2), (4, 1)]
     for (n, p) in keys:
         closed_value = cf_num(sigma_tilde(n, p))
-        quad = nielsen_num(n, p, -1.0, 1e-12)
+        quad = nielsen_num(n, p, -1.0)
         assert abs(closed_value - quad) <= 1e-9, (n, p)
     print(f"\nACCEPTANCE 3: PASS  sigma~ tables (weights 2..5, {len(keys)} "
           "entries) within 1e-9 of their defining integrals")
@@ -130,10 +130,10 @@ def test_criterion_4_odd_jordan_and_sminus3():
     pairs = [("J1", "Jordan1"), ("J2", "Jordan2")]
     for which, tag in pairs:
         closed_value = cf_num(jordan_nielsen(which, 3))
-        oracle = sum_oracle(SumKind(tag, 3), 1e-12)
+        oracle = sum_oracle(SumKind(tag, 3))
         assert abs(closed_value - oracle) <= 1e-10, which
     closed_value = cf_num(s_minus(3))
-    oracle = sum_oracle(SumKind("SMinus", 3), 1e-12)
+    oracle = sum_oracle(SumKind("SMinus", 3))
     assert abs(closed_value - oracle) <= 1e-10
     print("\nACCEPTANCE 4: PASS  odd-order Jordan values and S-(3) within "
           "1e-10 of their series oracles")
@@ -144,7 +144,7 @@ def test_criterion_4_odd_jordan_and_sminus3():
     "value differs from S-(5) by 3.394e-9; the 5e-10 tolerance stated here is "
     "first reached at kt=12 (see test_approx.test_truncation_error_profile)"))
 def test_criterion_5_nine_decimals():
-    oracle = sum_oracle(SumKind("SMinus", 5), 1e-12)
+    oracle = sum_oracle(SumKind("SMinus", 5))
     err = abs(cf_num(s_minus_truncated(5, 10)) - oracle)
     status = "PASS" if err <= 5e-10 else "FAIL"
     print(f"\nACCEPTANCE 5: {status}  |truncation(5,10) - S-(5)| = {err:.3e} "
@@ -158,7 +158,7 @@ def test_criterion_6_ipq_grid_and_examples():
         for p in range(1, 5):
             for q in range(1, 5):
                 closed_value = cf_num(ipq_final(family, p, q))
-                numeric = ipq_numeric(family, p, q, 1e-11)
+                numeric = ipq_numeric(family, p, q)
                 worst = max(worst, abs(closed_value - numeric))
                 assert abs(closed_value - numeric) <= 1e-8, (family, p, q)
     for fam in (Family.PLUS, Family.MINUS):
@@ -198,12 +198,12 @@ def test_criterion_8_s_sigma_network():
     unknowns, rank, free = sigma_weight6_count()
     assert (rank, free) == (3, 2)
     for coeffs, rhs in registry().relations:
-        lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0, 1e-12)
+        lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0)
                         for (n, p), c in sorted(coeffs.items()))
         assert abs(lhs - cf_num(rhs)) <= 1e-9
     for key in ((1, 5), (5, 1)):
         assert abs(cf_num(sigma_tilde(*key))
-                   - nielsen_num(*key, -1.0, 1e-12)) <= 1e-9
+                   - nielsen_num(*key, -1.0)) <= 1e-9
     print(f"\nACCEPTANCE 8: PASS  s<->sigma~ network exact through weight 5; "
           f"weight-6 system rank {rank} with {free} free atoms, relations "
           "verified to 1e-9")
@@ -233,7 +233,7 @@ def test_criterion_9_appendix_integrals():
             return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
                     * (1.0 / omx + sgn / (1.0 + x)))
         quad = integrate01(ev, 1e-12).value / 8.0
-        oracle = sum_oracle(SumKind(tag, 3), 1e-12)
+        oracle = sum_oracle(SumKind(tag, 3))
         assert abs(quad - oracle) <= 1e-9, which
     for r in range(2, 8):
         direct = Fraction(1, 2 ** (r + 1)) * s_plus(r)
@@ -252,7 +252,7 @@ def test_criterion_10_cross_route_coherence():
     for n in range(1, 6):
         for p in range(1, 6):
             if n + p <= 6:
-                quad = nielsen_num(n, p, 1.0, 1e-12)
+                quad = nielsen_num(n, p, 1.0)
                 assert abs(quad - cf_num(kolbig_snp(n, p))) <= 1e-10, (n, p)
     for family in Family:
         for p in range(1, 5):

@@ -156,7 +156,7 @@ def test_truncation_error_profile():
     """kt = 10 reproduces the published rationals exactly, whose true error
     against S-(5) is 3.39e-9 (eight decimal places); the advertised ninth
     decimal is first reached at kt = 12."""
-    oracle = sum_oracle(SumKind("SMinus", 5), 1e-12)
+    oracle = sum_oracle(SumKind("SMinus", 5))
     errs = {kt: abs(cf_num(s_minus_truncated(5, kt)) - oracle)
             for kt in range(3, 13)}
     for kt in range(4, 13):

@@ -136,6 +136,14 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
 
 
+@given(_coeffs | st.integers(-30, 30))
+def test_rational_forms_hash_like_the_numbers_they_equal(q):
+    cf = ClosedForm.rational(q)
+    assert cf == q and hash(cf) == hash(q)
+    assert len({cf, q, Fraction(q)}) == 1
+    assert hash(ClosedForm.zero()) == hash(0) and {ClosedForm.one(), 1} == {1}
+
+
 @given(_closed_forms)
 def test_normalization_idempotent(a):
     assert ClosedForm(a.terms) == a

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.digamma import euler_gamma, harmonic, psi
+from polylog.digamma import euler_gamma, psi
 from polylog.errors import DomainError
 
 # gamma by brute force: H_n - ln(n) - 1/(2n) + 1/(12n^2) at large n
@@ -54,9 +54,3 @@ def test_domain_errors():
     for bad in (0.0, -1.0, -0.5):
         with pytest.raises(DomainError):
             psi(bad)
-
-
-def test_harmonic():
-    assert harmonic(0) == 0.0
-    assert abs(harmonic(4) - (1 + 0.5 + 1 / 3 + 0.25)) < 1e-15
-    assert abs(harmonic(100) - math.fsum(1.0 / k for k in range(1, 101))) < 1e-12

@@ -9,7 +9,7 @@ from polylog.errors import DomainError
 from polylog.ipq import (Family, IpqValue, ipq_closed_odd, ipq_even_reduction,
                          ipq_final, ipq_mixed_odd_reduction, ipq_numeric,
                          ipq_series, ipq_value, r_value, recurrence_shift)
-from polylog.quadrature import integrate01
+from polylog.quadrature import ORACLE_TOL, integrate01
 from polylog.sigma import cf_num
 from polylog.special import li_neg, li_pos
 
@@ -46,19 +46,19 @@ def test_r_value_divergent_slots():
 
 def test_numeric_examples():
     # antiderivative: I(1,2) families with equal signs are Li_2(+-1)^2 / 2
-    assert ipq_numeric(Family.PLUS, 1, 2, 1e-12) == pytest.approx(
+    assert ipq_numeric(Family.PLUS, 1, 2) == pytest.approx(
         0.5 * zeta_brute(2) ** 2, abs=1e-11)
-    assert ipq_numeric(Family.MINUS, 1, 2, 1e-12) == pytest.approx(
+    assert ipq_numeric(Family.MINUS, 1, 2) == pytest.approx(
         0.5 * (math.pi ** 2 / 12) ** 2, abs=1e-11)
-    assert ipq_numeric(Family.PLUS, 2, 3, 1e-12) == pytest.approx(
+    assert ipq_numeric(Family.PLUS, 2, 3) == pytest.approx(
         0.5 * zeta_brute(3) ** 2, abs=1e-11)
 
 
 def test_numeric_symmetry():
     for fam in (Family.PLUS, Family.MINUS):
         for (p, q) in ((1, 2), (1, 4), (2, 3), (3, 4)):
-            a = ipq_numeric(fam, p, q, 1e-11)
-            b = ipq_numeric(fam, q, p, 1e-11)
+            a = ipq_numeric(fam, p, q)
+            b = ipq_numeric(fam, q, p)
             assert abs(a - b) <= 2e-11
 
 
@@ -141,7 +141,7 @@ def test_grid_closed_vs_numeric():
         for p in range(1, 5):
             for q in range(1, 5):
                 closed_value = cf_num(ipq_final(fam, p, q))
-                numeric = ipq_numeric(fam, p, q, 1e-11)
+                numeric = ipq_numeric(fam, p, q)
                 assert abs(closed_value - numeric) <= 1e-8, (fam, p, q)
 
 
@@ -168,8 +168,8 @@ def test_ipq_value_record():
 def test_series_route():
     for fam in Family:
         for (p, q) in ((1, 2), (2, 2), (2, 3)):
-            sv = ipq_series(fam, p, q, 1e-9)
-            nv = ipq_numeric(fam, p, q, 1e-11)
+            sv = ipq_series(fam, p, q)
+            nv = ipq_numeric(fam, p, q)
             assert abs(sv - nv) <= 1e-9, (fam, p, q)
 
 
@@ -234,7 +234,7 @@ def test_ipq_numeric_equals_direct_integrand_bit_for_bit():
             ev = lambda x, omx: li_neg(p, x, omx) * li_neg(q, x, omx) / x
         else:
             ev = lambda x, omx: li_pos(p, x, omx) * li_neg(q, x, omx) / x
-        assert ipq_numeric(fam, p, q) == integrate01(ev, 1e-11).value, (fam, p, q)
+        assert ipq_numeric(fam, p, q) == integrate01(ev, ORACLE_TOL).value, (fam, p, q)
 
 
 def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):
@@ -245,6 +245,7 @@ def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):
         return special.li_node(p, sign, x, omx)
 
     monkeypatch.setattr(ipq, "li_node", recording)
+    ipq_numeric.cache_clear()
     special.li_node.cache_clear()
     for fam, p, q in _GRID:
         ipq_numeric(fam, p, q)
@@ -252,3 +253,37 @@ def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):
     assert info.misses == info.currsize == len(set(asked))
     assert info.hits + info.misses == len(asked)
     assert info.hits >= 5 * info.misses
+
+
+# ipq_numeric on the grid above, row by row (p = 1..4, then q = 1..4), as
+# computed before the oracle was memoized at the one precision
+# ORACLE_TOL = 1e-12
+_GRID_VALUES = {
+    "plus": [
+        2.4041138063191885, 1.3529040421389218, 1.1334789151328137, 1.0578799592559691,
+        1.3529040421389218, 0.8438254351644815, 0.7224703992168169, 0.678972583596368,
+        1.1334789151328137, 0.7224703992168169, 0.6220415309361207, 0.5857117911154678,
+        1.0578799592559691, 0.678972583596368, 0.5857117911154678, 0.5518761933074294,
+    ],
+    "minus": [
+        0.30051422578989856, 0.3382260105347305, 0.36024660847834455, 0.3725136822723844,
+        0.3382260105347305, 0.3812425228831411, 0.40638959955945947, 0.4204094279038062,
+        0.36024660847834455, 0.40638959955945947, 0.4333810847581395, 0.4484355900727801,
+        0.3725136822723844, 0.4204094279038062, 0.4484355900727801, 0.4640707888044536,
+    ],
+    "mixed": [
+        -0.7512855644747465, -0.8592471579285901, -0.9231833733969403, -0.9591519425043186,
+        -0.4936568842103319, -0.5597948893260312, -0.5986546211593694, -0.6203954412896744,
+        -0.4288572858226163, -0.4850509776658558, -0.5179919089262532, -0.5363918220462838,
+        -0.405124201570537, -0.4577686769731133, -0.4886038124057849, -0.5058177246758344,
+    ],
+}
+
+
+def test_ipq_numeric_values_are_unchanged_and_memoized():
+    ipq_numeric.cache_clear()
+    assert [ipq_numeric(fam, p, q) for fam, p, q in _GRID] == \
+        [v for fam in Family for v in _GRID_VALUES[fam.value]]
+    assert ipq_numeric(Family.MIXED, 2, 3) == _GRID_VALUES["mixed"][6]
+    info = ipq_numeric.cache_info()
+    assert (info.misses, info.hits) == (len(_GRID), 1)

@@ -51,7 +51,7 @@ def test_i_matches_quadrature():
     for n in range(1, 4):
         for m in range(n, 4):
             closed_value = cf_num(i_closed(n, m))
-            quad = lognm_numeric(LogIntegralKind("INM", n, m), 1e-12)
+            quad = lognm_numeric(LogIntegralKind("INM", n, m))
             assert abs(closed_value - quad) <= 1e-9, (n, m)
 
 
@@ -85,7 +85,7 @@ def test_h_12_sign():
     # integrand ln(x) ln^2(1+x) < 0 on (0,1), so h(1,2) must be negative
     cf = h_closed(1, 2)
     assert cf_num(cf) < 0
-    quad = lognm_numeric(LogIntegralKind("HNM", 1, 2), 1e-12)
+    quad = lognm_numeric(LogIntegralKind("HNM", 1, 2))
     assert abs(cf_num(cf) - quad) <= 1e-11
 
 
@@ -102,14 +102,14 @@ def test_h_matches_quadrature_weights_2_to_5():
             if not 2 <= n + m <= 5:
                 continue
             closed_value = cf_num(h_closed(n, m))
-            quad = lognm_numeric(LogIntegralKind("HNM", n, m), 1e-12)
+            quad = lognm_numeric(LogIntegralKind("HNM", n, m))
             assert abs(closed_value - quad) <= 1e-9, (n, m)
 
 
 def test_h_weight6_carries_atoms_but_matches_quadrature():
     cf = h_closed(2, 4)
     assert cf.sigma_atoms()
-    quad = lognm_numeric(LogIntegralKind("HNM", 2, 4), 1e-12)
+    quad = lognm_numeric(LogIntegralKind("HNM", 2, 4))
     assert abs(cf_num(cf) - quad) <= 1e-9
 
 
@@ -124,7 +124,7 @@ def test_h_boundary_condition():
     # h(0,1) = 2 ln 2 - 1 fixes the (-1)^m m! normalization
     assert h_boundary_closed(1) == ClosedForm.atom(LN2, 1, 2) - 1
     for m in range(1, 5):
-        quad = lognm_numeric(LogIntegralKind("HNM", 0, m), 1e-12)
+        quad = lognm_numeric(LogIntegralKind("HNM", 0, m))
         assert abs(cf_num(h_boundary_closed(m)) - quad) <= 1e-10, m
 
 
@@ -139,13 +139,38 @@ def test_truncated_exponential():
 
 
 def test_lognm_numeric_edges():
-    assert lognm_numeric(LogIntegralKind("INM", 0, 1), 1e-12) == pytest.approx(-1.0, abs=1e-12)
-    assert lognm_numeric(LogIntegralKind("INM", 1, 1), 1e-12) == pytest.approx(
+    assert lognm_numeric(LogIntegralKind("INM", 0, 1)) == pytest.approx(-1.0, abs=1e-12)
+    assert lognm_numeric(LogIntegralKind("INM", 1, 1)) == pytest.approx(
         2 - math.pi ** 2 / 6, abs=1e-12)
     with pytest.raises(DomainError):
         LogIntegralKind("INM", 0, 0)
     with pytest.raises(DomainError):
         LogIntegralKind("XNM", 1, 1)
+
+
+# lognm_numeric at the 20 kinds the lognm verify suite asks for, as computed
+# before the oracle was memoized at the one precision ORACLE_TOL = 1e-12
+_LOGNM_VALUES = {
+    ("INM", 1, 1): 0.3550659331517736, ("INM", 1, 2): -0.3060180599843586,
+    ("INM", 1, 3): 0.4241147776862467, ("INM", 2, 2): 0.14174900622629605,
+    ("INM", 2, 3): -0.11486265417805637, ("INM", 3, 3): 0.05954121098392741,
+    ("HNM", 1, 1): -0.20876139454400386, ("HNM", 1, 2): -0.0713087422985125,
+    ("HNM", 1, 3): -0.029685358228167515, ("HNM", 1, 4): -0.013779445941861047,
+    ("HNM", 2, 1): 0.22060814382739913, ("HNM", 2, 2): 0.052543883216848025,
+    ("HNM", 2, 3): 0.016957888123348953, ("HNM", 3, 1): -0.34402140846567286,
+    ("HNM", 3, 2): -0.056825597318827206, ("HNM", 4, 1): 0.7069601245885146,
+    ("HNM", 0, 1): 0.38629436111989063, ("HNM", 0, 2): 0.1883173055966216,
+    ("HNM", 0, 3): 0.10109738718799413, ("HNM", 0, 4): 0.0572806484141904,
+}
+
+
+def test_lognm_numeric_values_are_unchanged_and_memoized():
+    lognm_numeric.cache_clear()
+    for kind, value in _LOGNM_VALUES.items():
+        assert lognm_numeric(LogIntegralKind(*kind)) == value, kind
+    assert lognm_numeric(LogIntegralKind("HNM", 1, 2)) == _LOGNM_VALUES[("HNM", 1, 2)]
+    info = lognm_numeric.cache_info()
+    assert (info.misses, info.hits) == (len(_LOGNM_VALUES), 1)
 
 
 def test_log_integral_kind_is_a_frozen_value():

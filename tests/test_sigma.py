@@ -23,7 +23,7 @@ def test_table_values_match_quadrature():
     for (n, p) in ((1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4), (2, 3),
                    (3, 2), (4, 1), (1, 5), (5, 1)):
         closed_value = cf_num(sigma_tilde(n, p))
-        quad = nielsen_num(n, p, -1.0, 1e-12)
+        quad = nielsen_num(n, p, -1.0)
         assert abs(closed_value - quad) <= 1e-10, (n, p)
 
 
@@ -47,14 +47,14 @@ def test_derived_odd_first_index_entries():
         assert key in registry().closed
         cf = sigma_tilde(*key)
         assert not cf.sigma_atoms()
-        assert abs(cf_num(cf) - nielsen_num(*key, -1.0, 1e-12)) <= 1e-10
+        assert abs(cf_num(cf) - nielsen_num(*key, -1.0)) <= 1e-10
 
 
 def test_weight6_relations_in_registry():
     reg = registry()
     assert len(reg.relations) == 2
     for coeffs, rhs in reg.relations:
-        lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0, 1e-12)
+        lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0)
                         for (n, p), c in coeffs.items())
         assert abs(lhs - cf_num(rhs)) <= 1e-10
 
@@ -81,7 +81,7 @@ def test_context_values_and_provenance():
     # sigma atoms resolve through quadrature and are recorded as such
     v = ctx.value(sigma_atom(2, 4))
     assert ctx.provenance[sigma_atom(2, 4)] == "quadrature"
-    assert abs(v - nielsen_num(2, 4, -1.0, 1e-12)) <= 1e-11
+    assert abs(v - nielsen_num(2, 4, -1.0)) <= 1e-11
 
 
 def test_context_reproducibility():

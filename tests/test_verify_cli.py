@@ -11,7 +11,10 @@ import pytest
 import polylog
 from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
+from polylog.eulersums import sum_oracle
+from polylog.ipq import ipq_numeric
 from polylog.lognm import MAX_WEIGHT as LOGNM_MAX_WEIGHT
+from polylog.lognm import lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
 from polylog.verify import run_suite
 
@@ -187,6 +190,46 @@ def test_verify_report_is_sorted_and_deterministic():
     assert r1.to_json() == r2.to_json()
     ids = [e.identity_id for e in r1.entries]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--tol-scale", "inf"], None),
+    (["--tol-scale", "nan"], None),
+    (["--tol-scale", "0"], None),
+    (["--tol-scale=-1"], None),
+    ([], "sums.sminus3-closed = abc\n"),
+    ([], "sums.sminus3-closed = inf\n"),
+    ([], "sums.sminus3-closed = nan\n"),
+    ([], "sums.sminus3-closed = 0\n"),
+    (["--tol-scale", "1e10"], "appendix.truncation-nine-decimals.p5kt10 = 1e300\n"),
+    ([], "missing"),
+    ([], "directory"),
+], ids=["scale-inf", "scale-nan", "scale-zero", "scale-negative", "config-text",
+        "config-inf", "config-nan", "config-zero", "scaled-override-overflows",
+        "config-missing", "config-directory"])
+def test_verify_rejects_bad_tolerance_inputs_fast(tmp_path, args, config):
+    # a fresh interpreter, so the exit code and stderr are the command's own
+    if config == "missing":
+        args = args + ["--config", str(tmp_path / "no-such.cfg")]
+    elif config == "directory":
+        args = args + ["--config", str(tmp_path)]
+    elif config is not None:
+        (tmp_path / "tols.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "tols.cfg")]
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "polylog", "verify", *args], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_run_suite_computes_each_oracle_quantity_once():
+    oracles = (sum_oracle, ipq_numeric, lognm_numeric)
+    for fn in oracles:
+        fn.cache_clear()
+    run_suite("all")
+    assert [fn.cache_info().misses for fn in oracles] == [40, 48, 20]
 
 
 def test_entry_status_matches_tolerance_invariant():
