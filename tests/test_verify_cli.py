@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from polylog.ipq import ipq_numeric
 from polylog.lognm import MAX_WEIGHT as LOGNM_MAX_WEIGHT
 from polylog.lognm import lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
+from polylog.sigma import default_context
+from polylog.special import nielsen_num
 from polylog.verify import run_suite
 
 
@@ -204,9 +207,13 @@ def test_verify_report_is_sorted_and_deterministic():
     (["--tol-scale", "1e10"], "appendix.truncation-nine-decimals.p5kt10 = 1e300\n"),
     ([], "missing"),
     ([], "directory"),
+    (["--suite", "sums"], "sums.sminus3-closd = 1e-3\n"),
+    (["--suite", "sums"], "sums.csum-dual-forms.r2 = 1e-3\n"),
+    (["--suite", "sums"], "lognm.inm-numeric.n1m1 = 1e-3\n"),
 ], ids=["scale-inf", "scale-nan", "scale-zero", "scale-negative", "config-text",
         "config-inf", "config-nan", "config-zero", "scaled-override-overflows",
-        "config-missing", "config-directory"])
+        "config-missing", "config-directory", "config-unknown-id", "config-exact-entry",
+        "config-other-suite"])
 def test_verify_rejects_bad_tolerance_inputs_fast(tmp_path, args, config):
     # a fresh interpreter, so the exit code and stderr are the command's own
     if config == "missing":
@@ -224,12 +231,36 @@ def test_verify_rejects_bad_tolerance_inputs_fast(tmp_path, args, config):
     assert proc.stdout == ""
 
 
-def test_run_suite_computes_each_oracle_quantity_once():
+def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
     oracles = (sum_oracle, ipq_numeric, lognm_numeric)
     for fn in oracles:
         fn.cache_clear()
+    # nielsen_num is uncached: each S_{n,p}(z) must be asked for once, the
+    # sigma~ values (z = -1) through the default context that keeps them
+    default_context.cache_clear()
+    calls = Counter()
+
+    def counted(n, p, z):
+        calls[n, p, z] += 1
+        return nielsen_num(n, p, z)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polylog") and getattr(module, "nielsen_num", None) is nielsen_num:
+            monkeypatch.setattr(module, "nielsen_num", counted)
     run_suite("all")
     assert [fn.cache_info().misses for fn in oracles] == [40, 48, 20]
+    assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
+
+
+@pytest.mark.parametrize("ident", [
+    "ipq.low-order.plus-subtracted.p3", "ipq.low-order.plus-subtracted-mpl.p3",
+    "ipq.low-order.mixed-subtracted.p3", "ipq.low-order.mixed-subtracted-mpl.p3",
+])
+def test_override_changes_exactly_the_entry_it_names(ident):
+    default = {e.identity_id: e.tolerance for e in run_suite("ipq").entries}
+    overridden = {e.identity_id: e.tolerance
+                  for e in run_suite("ipq", overrides={ident: 1e-3}).entries}
+    assert overridden[ident] == 1e-3
+    assert [i for i in default if default[i] != overridden[i]] == [ident]
 
 
 def test_entry_status_matches_tolerance_invariant():
