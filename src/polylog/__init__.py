@@ -9,8 +9,7 @@ by the verification suites (``polylog verify``).
 """
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated, stirling1
-from .closedform import (Atom, ClosedForm, NumericContext, eta_factor_closed,
-                         zeta_closed)
+from .closedform import Atom, ClosedForm, eta_factor_closed, zeta_closed
 from .digamma import euler_gamma, psi
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      EvaluationError, ShapeError)
@@ -24,7 +23,7 @@ from .lognm import (LogIntegralKind, h_closed, h_pde_residual, i_closed,
 from .quadrature import QuadratureResult, integrate01
 from .seriesring import (BivariateSeries, beta_derivative_inm,
                          gamma_ratio_series, kolbig_snp)
-from .sigma import build_context, cf_num, default_context, sigma_tilde
+from .sigma import atom_value, cf_num, sigma_tilde
 from .special import li_moment, mpl2, nielsen_num, polylog
 from .summation import sum_alternating, sum_tail
 from .verify import (VerificationReport, low_order_report, run_suite,
@@ -33,10 +32,9 @@ from .verify import (VerificationReport, low_order_report, run_suite,
 __all__ = [
     "Atom", "BivariateSeries", "CapacityError", "ClosedForm",
     "ConvergenceError", "DomainError", "EvaluationError", "Family",
-    "IpqValue", "LogIntegralKind", "NumericContext",
-    "QuadratureResult", "ShapeError", "SumKind", "VerificationReport",
-    "beta_derivative_inm", "build_context", "c_sum", "cf_num",
-    "default_context",
+    "IpqValue", "LogIntegralKind", "QuadratureResult", "ShapeError",
+    "SumKind", "VerificationReport", "atom_value", "beta_derivative_inm",
+    "c_sum", "cf_num",
     "eta_factor_closed", "euler_gamma", "gamma_ratio_series", "h_closed",
     "h_pde_residual", "i_closed", "i_pde_residual", "integrate01",
     "ipq_final", "ipq_numeric", "ipq_series", "ipq_value", "jordan_even",

@@ -2,7 +2,8 @@
 
 Output is machine-first JSON (sorted keys, stable float repr); --pretty
 switches to indented JSON.  Exit codes: 0 success, 1 verification failure,
-2 usage error (argparse), 3 domain/capacity error from the math modules.
+2 usage error (argparse), 3 domain/capacity error from the math modules or
+an input/output file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, CapacityError) as exc:
+    except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:

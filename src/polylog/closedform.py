@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -289,13 +289,13 @@ class ClosedForm:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, ctx: "NumericContext") -> float:
+    def evaluate(self, value: Callable[[Atom], float]) -> float:
         # fsum is correctly rounded, so the result does not depend on term order
         parts = []
         for mono, c in self._terms.items():
             v = float(c)
             for a, e in mono:
-                v *= ctx.value(a) ** e
+                v *= value(a) ** e
             parts.append(v)
         return math.fsum(parts)
 
@@ -408,41 +408,3 @@ def eta_factor_closed(n: int) -> ClosedForm:
     if n == 1:
         return ClosedForm.atom(LN2, 1, -1)
     return Fraction(1 - 2 ** (n - 1), 2 ** (n - 1)) * zeta_closed(n)
-
-
-# ---------------------------------------------------------------------------
-# numeric evaluation context
-# ---------------------------------------------------------------------------
-
-
-class NumericContext:
-    """Double-precision values for atoms, with provenance per atom.
-
-    ``fallback`` may supply (value, provenance) for atoms not preloaded;
-    results are cached so repeat evaluations are deterministic.
-    """
-
-    __slots__ = ("atom_values", "provenance", "fallback")
-
-    def __init__(self, atom_values: dict[Atom, float] | None = None,
-                 provenance: dict[Atom, str] | None = None,
-                 fallback: Callable[[Atom], tuple[float, str]] | None = None):
-        self.atom_values = {} if atom_values is None else atom_values
-        self.provenance = {} if provenance is None else provenance
-        self.fallback = fallback
-
-    def set(self, atom: Atom, value: float, how: str) -> None:
-        self.atom_values[atom] = value
-        self.provenance[atom] = how
-
-    def value(self, atom: Atom) -> float:
-        try:
-            return self.atom_values[atom]
-        except KeyError:
-            pass
-        if self.fallback is not None:
-            value, how = self.fallback(atom)
-            self.set(atom, value, how)
-            return value
-        raise EvaluationError(f"no numeric value for atom {atom.name}")
-

@@ -1,5 +1,5 @@
-"""Registry of Nielsen sigma~ constants (S_{n,p}(-1)) and the default
-numeric evaluation context.
+"""Registry of Nielsen sigma~ constants (S_{n,p}(-1)) and the float value
+of every atom of the constant basis.
 
 The registry is data: every (n, p) with a known closed form maps to that
 form; everything else stays an atomic constant whose numeric value comes
@@ -24,9 +24,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import (Atom, ClosedForm, GAMMA, LN2, NumericContext, PI,
-                         eta_factor_closed, li_half_atom, sigma_atom,
-                         zeta_closed, zeta_odd_atom)
+from .closedform import (Atom, ClosedForm, LN2, PI, eta_factor_closed,
+                         li_half_atom, sigma_atom, zeta_closed)
 from .digamma import euler_gamma
 from .errors import DomainError, EvaluationError
 from .eulersums import s_minus_even_closed
@@ -52,7 +51,8 @@ class SigmaRegistry:
         self.relations: list[tuple[dict[tuple[int, int], Fraction], ClosedForm]] = []
 
 
-def _build_registry() -> SigmaRegistry:
+@cache
+def registry() -> SigmaRegistry:
     reg = SigmaRegistry()
     z3 = zeta_closed(3)
     z5 = zeta_closed(5)
@@ -124,11 +124,6 @@ def _build_registry() -> SigmaRegistry:
     return reg
 
 
-@cache
-def registry() -> SigmaRegistry:
-    return _build_registry()
-
-
 def sigma_tilde(n: int, p: int) -> ClosedForm:
     """sigma~_{n,p} = S_{n,p}(-1): registered closed form, else atomic.
 
@@ -143,47 +138,38 @@ def sigma_tilde(n: int, p: int) -> ClosedForm:
     return ClosedForm.atom(sigma_atom(n, p))
 
 
-def registered_keys() -> list[tuple[int, int]]:
-    return sorted(registry().closed)
-
-
 # ---------------------------------------------------------------------------
-# numeric context
+# atom values
 # ---------------------------------------------------------------------------
 
-
-def _fallback(atom: Atom) -> tuple[float, str]:
-    if atom.tag == "sigma":
-        return nielsen_num(*atom.args, -1.0), "quadrature"
-    if atom.tag == "zeta_odd":
-        return zeta_num(atom.args[0]), "series"
-    if atom.tag == "li_half":
-        return polylog(atom.args[0], 0.5), "series"
-    raise EvaluationError(f"no numeric value for atom {atom.name}")
-
-
-def build_context() -> NumericContext:
-    """Fresh evaluation context with all standard atoms preloaded.
-
-    sigma~ atoms resolve lazily through quadrature and are cached, so a
-    context stays deterministic across repeated evaluations.
-    """
-    ctx = NumericContext(fallback=_fallback)
-    ctx.set(PI, math.pi, "builtin")
-    ctx.set(LN2, math.log(2.0), "builtin")
-    ctx.set(GAMMA, euler_gamma(), "series")
-    for n in range(3, 18, 2):
-        ctx.set(zeta_odd_atom(n), zeta_num(n), "series")
-    for k in range(4, 9):
-        ctx.set(li_half_atom(k), polylog(k, 0.5), "series")
-    return ctx
+# how atom_value computes each kind of atom
+PROVENANCE = {"pi": "builtin", "ln2": "builtin", "gamma": "series",
+              "zeta_odd": "series", "li_half": "series", "sigma": "quadrature"}
 
 
 @cache
-def default_context() -> NumericContext:
-    return build_context()
+def atom_value(atom: Atom) -> float:
+    """Double-precision value of one atom, computed once per process.
+
+    Each kind of atom has one route, named in PROVENANCE: the sigma~ atoms
+    are integrated by quadrature, the other atoms summed or built in.
+    """
+    tag, args = atom
+    if tag == "pi":
+        return math.pi
+    if tag == "ln2":
+        return math.log(2.0)
+    if tag == "gamma":
+        return euler_gamma()
+    if tag == "zeta_odd":
+        return zeta_num(*args)
+    if tag == "li_half":
+        return polylog(*args, 0.5)
+    if tag == "sigma":
+        return nielsen_num(*args, -1.0)
+    raise EvaluationError(f"no numeric value for atom {atom.name}")
 
 
 def cf_num(x: ClosedForm) -> float:
-    """Evaluate against the shared default context."""
-    return x.evaluate(default_context())
+    """Float value of a closed form, each atom read through atom_value."""
+    return x.evaluate(atom_value)

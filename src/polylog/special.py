@@ -147,9 +147,6 @@ def nielsen_num(n: int, p: int, z: float) -> float:
     if z == 1.0:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** (n - 1) * log1m(x, omx) ** p / x
-    elif z == -1.0:
-        def ev(x: float, omx: float) -> float:
-            return math.log(x) ** (n - 1) * math.log1p(x) ** p / x
     else:
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** (n - 1) * math.log1p(-z * x) ** p / x

@@ -43,7 +43,7 @@ from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
                     s_sigma_relation_residual, sigma_weight6_count)
 from .quadrature import ORACLE_TOL, integrate01, log1m
 from .seriesring import beta_derivative_inm, kolbig_snp
-from .sigma import cf_num, default_context, registry, sigma_tilde
+from .sigma import atom_value, cf_num, registry, sigma_tilde
 from .special import li_node, mpl2, nielsen_num, polylog
 from .summation import zeta_num
 
@@ -111,11 +111,6 @@ def _exact_entry(identity_id: str, source: str, lhs: ClosedForm, rhs: ClosedForm
     diff = lhs - rhs
     return CheckEntry(identity_id, source, diff.to_json(), None, None,
                       0.0 if diff.is_zero else math.inf, 0.0, note)
-
-
-def _sigma_oracle(n: int, p: int) -> float:
-    """sigma~_{n,p} by quadrature, read through the default context that keeps it."""
-    return default_context().value(sigma_atom(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +560,7 @@ def _checks_lognm() -> list[CheckEntry]:
                     "digits (a commonly printed 7/28 misses by 0.1)")
         out.append(_entry(f"lognm.sigma-registry.n{n}p{p}",
                           f"sigma~({n},{p}) registered closed form vs quadrature",
-                          _sigma_oracle(n, p), cf_num(cf), 1e-9, cf, note=note))
+                          atom_value(sigma_atom(n, p)), cf_num(cf), 1e-9, cf, note=note))
     for n in range(1, 6):
         for p in range(1, 6):
             if n + p > 6:
@@ -591,7 +586,7 @@ def sigma_weight6_entries() -> list[CheckEntry]:
                           0.0 if (rank, free) == (3, 2) else math.inf, 0.0,
                           note=f"{unknowns} unknowns, rank {rank}, {free} free atoms"))
     for i, (coeffs, rhs) in enumerate(registry().relations, start=1):
-        lhs = math.fsum(float(c) * _sigma_oracle(n, p)
+        lhs = math.fsum(float(c) * atom_value(sigma_atom(n, p))
                         for (n, p), c in sorted(coeffs.items()))
         out.append(_entry(f"lognm.sigma-weight6-relation.{i}",
                           " + ".join(f"{c}*sigma~({n},{p})"
@@ -602,7 +597,7 @@ def sigma_weight6_entries() -> list[CheckEntry]:
         cf = sigma_tilde(*key)
         out.append(_entry(f"lognm.sigma-weight6-closed.n{key[0]}p{key[1]}",
                           f"sigma~({key[0]},{key[1]}) closed form vs quadrature",
-                          _sigma_oracle(*key), cf_num(cf), 1e-9, cf))
+                          atom_value(sigma_atom(*key)), cf_num(cf), 1e-9, cf))
     return out
 
 

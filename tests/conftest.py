@@ -49,9 +49,3 @@ def assert_frozen_value(obj, field: str) -> None:
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj)
         assert twin == obj and hash(twin) == hash(obj)
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    from polylog.sigma import default_context
-    return default_context()

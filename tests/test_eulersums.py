@@ -54,7 +54,7 @@ def test_milgram_values():
         milgram(r)  # simplified == unsimplified asserted inside
 
 
-def test_jordan_odd_order3_closed_forms(ctx):
+def test_jordan_odd_order3_closed_forms():
     ln2 = math.log(2.0)
     li4h = li_half_brute(4)
     j1 = (23 * math.pi ** 4 / 5760 + math.pi ** 2 * ln2 ** 2 / 24
@@ -71,7 +71,7 @@ def test_jordan_nielsen_matches_even():
             assert jordan_nielsen(which, r) == jordan_even(which, r)
 
 
-def test_sminus_values(ctx):
+def test_sminus_values():
     assert s_minus(2) == Fraction(-5, 8) * zeta_closed(3)
     ln2 = math.log(2.0)
     expected3 = (1.75 * ln2 * zeta_brute(3) - 11 * math.pi ** 4 / 360

@@ -1,12 +1,15 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from polylog.closedform import ClosedForm, PI, sigma_atom
+from polylog.closedform import (_TAG_ORDER, ClosedForm, GAMMA, LN2, PI,
+                                li_half_atom, opaque_atom, sigma_atom,
+                                zeta_odd_atom)
 from polylog.errors import DomainError, EvaluationError
-from polylog.sigma import (build_context, cf_num, registered_keys,
-                           registry, sigma_tilde)
+from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num
 
 from conftest import li_half_brute, zeta_brute
@@ -64,38 +67,63 @@ def test_sigma_tilde_domain():
         sigma_tilde(0, 1)
 
 
-def test_registry_is_deterministic():
-    assert registered_keys() == registered_keys()
-
-
 def test_context_values_and_provenance():
-    ctx = build_context()
-    from polylog.closedform import GAMMA, LN2, li_half_atom, zeta_odd_atom
-    assert ctx.value(PI) == math.pi
-    assert ctx.value(LN2) == math.log(2.0)
-    assert abs(ctx.value(GAMMA) - 0.5772156649015329) < 1e-14
-    assert abs(ctx.value(zeta_odd_atom(3)) - zeta_brute(3)) < 1e-13
-    assert abs(ctx.value(li_half_atom(4)) - li_half_brute(4)) < 1e-14
-    assert ctx.provenance[PI] == "builtin"
-    assert ctx.provenance[zeta_odd_atom(3)] == "series"
-    # sigma atoms resolve through quadrature and are recorded as such
-    v = ctx.value(sigma_atom(2, 4))
-    assert ctx.provenance[sigma_atom(2, 4)] == "quadrature"
-    assert abs(v - nielsen_num(2, 4, -1.0)) <= 1e-11
+    assert atom_value(PI) == math.pi
+    assert atom_value(LN2) == math.log(2.0)
+    assert abs(atom_value(GAMMA) - 0.5772156649015329) < 1e-14
+    assert abs(atom_value(zeta_odd_atom(3)) - zeta_brute(3)) < 1e-13
+    assert abs(atom_value(li_half_atom(4)) - li_half_brute(4)) < 1e-14
+    # every atom kind but the opaque one has a value, and says how it is made
+    assert set(PROVENANCE) == set(_TAG_ORDER) - {"opaque"}
+    assert PROVENANCE[PI.tag] == "builtin"
+    assert PROVENANCE[zeta_odd_atom(3).tag] == "series"
+    # sigma atoms resolve through quadrature
+    assert PROVENANCE[sigma_atom(2, 4).tag] == "quadrature"
+    assert atom_value(sigma_atom(2, 4)) == nielsen_num(2, 4, -1.0)
 
 
 def test_context_reproducibility():
-    a, b = build_context(), build_context()
-    for atom, value in a.atom_values.items():
-        assert b.value(atom) == value
-    # lazily resolved atoms are cached, so repeat lookups are identical
-    ctx = build_context()
-    first = ctx.value(sigma_atom(3, 3))
-    assert ctx.value(sigma_atom(3, 3)) == first
+    atoms = [PI, LN2, GAMMA, zeta_odd_atom(17), li_half_atom(8), sigma_atom(3, 3)]
+    first = [atom_value(a) for a in atoms]
+    assert [atom_value(a) for a in atoms] == first
+    # a recomputed value is bit for bit the cached one
+    atom_value.cache_clear()
+    assert [atom_value(a) for a in atoms] == first
 
 
 def test_context_unknown_atom():
-    from polylog.closedform import opaque_atom
-    ctx = build_context()
-    with pytest.raises(EvaluationError):
-        ctx.value(opaque_atom("mystery"))
+    with pytest.raises(EvaluationError, match="mystery"):
+        atom_value(opaque_atom("mystery"))
+    with pytest.raises(EvaluationError, match="mystery"):
+        cf_num(ClosedForm.atom(opaque_atom("mystery")))
+
+
+def test_atom_values_are_thread_safe():
+    # atom_value is shared by the whole process: concurrent first lookups
+    # must agree with a single-threaded run
+    forms = list(registry().closed.values())
+    free = [sigma_atom(2, 4), sigma_atom(3, 3), sigma_atom(4, 2)]
+
+    def values():
+        return [cf_num(cf) for cf in forms] + [atom_value(a) for a in free]
+
+    atom_value.cache_clear()
+    expected = values()
+    results = [None] * 8
+
+    def work(slot):
+        results[slot] = values()
+
+    interval = sys.getswitchinterval()
+    atom_value.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8

@@ -10,6 +10,7 @@ from polylog import digamma, summation
 from polylog.closedform import ClosedForm, LN2
 from polylog.errors import DomainError
 from polylog.quadrature import integrate01
+from polylog.sigma import cf_num
 from polylog.special import (li_moment, li_neg, li_pos, mpl2, nielsen_num,
                              polylog)
 from polylog.summation import zeta_num
@@ -226,17 +227,17 @@ def test_shared_series_caches_are_thread_safe():
 # -- moments of Li_p(-t) ---------------------------------------------------------
 
 
-def test_li_moment_examples(ctx):
+def test_li_moment_examples():
     m11 = li_moment(1, 1)
     assert m11 == ClosedForm.rational(1) + ClosedForm.atom(LN2, 1, -2)
     assert li_moment(1, 2) == ClosedForm.rational(Fraction(-1, 4))
 
 
-def test_li_moment_against_quadrature(ctx):
+def test_li_moment_against_quadrature():
     for (p, k) in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 1)):
         quad = integrate01(lambda t, omt, p=p, k=k: li_neg(p, t, omt) * t ** (k - 1),
                            1e-12).value
-        assert abs(li_moment(p, k).evaluate(ctx) - quad) <= 1e-11
+        assert abs(cf_num(li_moment(p, k)) - quad) <= 1e-11
 
 
 def test_li_moment_domain():

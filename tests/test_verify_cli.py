@@ -17,7 +17,7 @@ from polylog.ipq import ipq_numeric
 from polylog.lognm import MAX_WEIGHT as LOGNM_MAX_WEIGHT
 from polylog.lognm import lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
-from polylog.sigma import default_context
+from polylog.sigma import atom_value
 from polylog.special import nielsen_num
 from polylog.verify import run_suite
 
@@ -157,6 +157,14 @@ def test_table_determinism(tmp_path, capsys):
         (tmp_path / "b" / "ipq_table.json").read_bytes()
 
 
+def test_table_unwritable_output_is_exit_3(tmp_path, capsys):
+    # --out names an existing file, so its directory cannot be made
+    (tmp_path / "taken").write_text("")
+    code = main(["table", "--kind", "sigma", "--out", str(tmp_path / "taken")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -168,6 +176,15 @@ def test_verify_suite_sums(tmp_path, capsys):
     obj = json.loads(report_path.read_text())
     assert obj["summary"]["fail"] == 0
     assert all(e["status"] == "pass" for e in obj["entries"])
+
+
+def test_verify_unwritable_json_is_exit_3(tmp_path, capsys):
+    code = main(["verify", "--suite", "sums",
+                 "--json", str(tmp_path / "no-such-dir" / "r.json")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert "summary: 70 pass, 0 fail" in out
+    assert err.startswith("error: ")
 
 
 def test_verify_tol_scale_loosens(capsys):
@@ -236,8 +253,8 @@ def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
     for fn in oracles:
         fn.cache_clear()
     # nielsen_num is uncached: each S_{n,p}(z) must be asked for once, the
-    # sigma~ values (z = -1) through the default context that keeps them
-    default_context.cache_clear()
+    # sigma~ values (z = -1) through atom_value, which keeps them
+    atom_value.cache_clear()
     calls = Counter()
 
     def counted(n, p, z):
