@@ -15,8 +15,8 @@ from .errors import (CapacityError, ConvergenceError, DomainError,
                      EvaluationError, ShapeError)
 from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
                         s_minus, s_plus, sum_oracle)
-from .ipq import (Family, IpqValue, ipq_final, ipq_numeric, ipq_series,
-                  ipq_value, r_value, recurrence_shift)
+from .ipq import (Family, ipq_final, ipq_numeric, ipq_series, r_value,
+                  recurrence_shift)
 from .lognm import (LogIntegralKind, h_closed, h_pde_residual, i_closed,
                     i_pde_residual, lognm_numeric, s_sigma_relation_residual,
                     sigma_weight6_count)
@@ -26,23 +26,22 @@ from .seriesring import (BivariateSeries, beta_derivative_inm,
 from .sigma import atom_value, cf_num, sigma_tilde
 from .special import li_moment, mpl2, nielsen_num, polylog
 from .summation import sum_alternating, sum_tail
-from .verify import (VerificationReport, low_order_report, run_suite,
-                     sigma_weight6_report)
+from .verify import VerificationReport, run_suite
 
 __all__ = [
     "Atom", "BivariateSeries", "CapacityError", "ClosedForm",
     "ConvergenceError", "DomainError", "EvaluationError", "Family",
-    "IpqValue", "LogIntegralKind", "QuadratureResult", "ShapeError",
+    "LogIntegralKind", "QuadratureResult", "ShapeError",
     "SumKind", "VerificationReport", "atom_value", "beta_derivative_inm",
     "c_sum", "cf_num",
     "eta_factor_closed", "euler_gamma", "gamma_ratio_series", "h_closed",
     "h_pde_residual", "i_closed", "i_pde_residual", "integrate01",
-    "ipq_final", "ipq_numeric", "ipq_series", "ipq_value", "jordan_even",
-    "jordan_nielsen", "kolbig_snp", "li_moment", "lognm_numeric", "low_order_report", "milgram",
+    "ipq_final", "ipq_numeric", "ipq_series", "jordan_even",
+    "jordan_nielsen", "kolbig_snp", "li_moment", "lognm_numeric", "milgram",
     "mpl2", "nielsen_num", "polylog", "polylog_derivative_at_minus1", "psi",
     "r_value", "recurrence_shift", "run_suite", "s_minus",
     "s_minus_truncated", "s_plus", "s_sigma_relation_residual",
-    "sigma_tilde", "sigma_weight6_count", "sigma_weight6_report",
+    "sigma_tilde", "sigma_weight6_count",
     "stirling1", "sum_alternating",
     "sum_oracle", "sum_tail", "zeta_closed",
 ]

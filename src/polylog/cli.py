@@ -158,6 +158,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
+    if max_weight < 2:
+        raise DomainError(f"max weight {max_weight} is below 2, the lowest weight of every table")
     entries: list[tuple[str, ClosedForm]] = []
     if kind == "inm":
         for n in range(1, max_weight):

@@ -17,7 +17,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
 from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
@@ -25,7 +24,7 @@ from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus, s_plus
                         sum_oracle)
 from .quadrature import ORACLE_TOL, integrate01
 from .seriesring import _check_weight, kolbig_snp
-from .sigma import cf_num, sigma_tilde
+from .sigma import sigma_tilde
 from .special import li_node
 from .summation import zeta_num
 
@@ -45,30 +44,6 @@ class Family(Enum):
     @property
     def symmetric(self) -> bool:
         return self is not Family.MIXED
-
-
-class IpqValue(tuple):
-    __slots__ = ()
-    family = property(itemgetter(0))
-    p = property(itemgetter(1))
-    q = property(itemgetter(2))
-    closed = property(itemgetter(3))  # ClosedForm | None
-    numeric = property(itemgetter(4))
-
-    def __new__(cls, family: Family, p: int, q: int, closed: ClosedForm | None,
-                numeric: float):
-        return tuple.__new__(cls, (family, p, q, closed, numeric))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return (f"IpqValue(family={self.family!r}, p={self.p!r}, q={self.q!r}, "
-                f"closed={self.closed!r}, numeric={self.numeric!r})")
-
-    @property
-    def residual_sigma_atoms(self):
-        return [] if self.closed is None else self.closed.sigma_atoms()
 
 
 def _check_orders(p: int, q: int) -> None:
@@ -130,21 +105,15 @@ def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
     return out
 
 
-def recurrence_shift(family: Family, p: int, q: int, n: int, base: IpqValue) -> IpqValue:
-    """I(p+n, q-n) from I(p, q) by the closed telescoping solution."""
+def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -> ClosedForm:
+    """I(p+n, q-n) from I(p, q) = base by the closed telescoping solution."""
     if n < 0:
         raise DomainError("shift count must be >= 0")
-    if (base.family, base.p, base.q) != (family, p, q):
-        raise DomainError("base value does not match the requested (family, p, q)")
     if n == 0:
         return base
     if q - n < 1:
         raise DomainError("shift would leave the (p, q >= 1) domain")
-    rsum = _r_sum(family, p, q, n)
-    sign = Fraction((-1) ** n)
-    closed = None if base.closed is None else sign * (base.closed - rsum)
-    numeric = float(sign) * (base.numeric - cf_num(rsum))
-    return IpqValue(family, p + n, q - n, closed, numeric)
+    return Fraction((-1) ** n) * (base - _r_sum(family, p, q, n))
 
 
 def ipq_closed_odd(family: Family, p: int, n: int) -> ClosedForm:
@@ -278,10 +247,6 @@ def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
     if q >= p and (q - p) % 2 == 0:
         return ipq_even_reduction(family, p, (q - p) // 2)
     return None
-
-
-def ipq_value(family: Family, p: int, q: int) -> IpqValue:
-    return IpqValue(family, p, q, ipq_final(family, p, q), ipq_numeric(family, p, q))
 
 
 # ---------------------------------------------------------------------------

@@ -162,25 +162,37 @@ def lognm_numeric(kind: LogIntegralKind) -> float:
 # ---------------------------------------------------------------------------
 
 
-def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
-    """Residual of the reflection network tying s_{n,m} to weight n+m sigma~.
+def _relation_row(n: int, m: int) -> list[Fraction]:
+    """Coefficients of sigma~_{k, n+m-k}, k = 1..n+m-1, in the reflection
+    relation for s_{n,m}:
 
     (-1)^{n+m} s_{n,m} = sum_{k=1}^{n} (-1)^k C(n+m-1-k, m-1) sigma~_{k,n+m-k}
-                       + sum_{k=1}^{m} (-1)^k C(n+m-1-k, n-1) sigma~_{k,n+m-k};
-    returns the left side minus the right side.  Exactly zero whenever every
-    needed sigma~ has a registered closed form (all weights <= 5); at weight
-    6 the surviving atomic combination is itself a checkable relation.
+                       + sum_{k=1}^{m} (-1)^k C(n+m-1-k, n-1) sigma~_{k,n+m-k}.
     """
     if n < 1 or m < 1:
         raise DomainError("indices must be >= 1")
     w = n + m
-    lhs = Fraction((-1) ** w) * kolbig_snp(n, m)
-    rhs = ClosedForm.zero()
+    row = [Fraction(0)] * (w - 1)
     for k in range(1, n + 1):
-        rhs = rhs + Fraction((-1) ** k * math.comb(w - 1 - k, m - 1)) * sigma_tilde(k, w - k)
+        row[k - 1] += Fraction((-1) ** k * math.comb(w - 1 - k, m - 1))
     for k in range(1, m + 1):
-        rhs = rhs + Fraction((-1) ** k * math.comb(w - 1 - k, n - 1)) * sigma_tilde(k, w - k)
-    return lhs - rhs
+        row[k - 1] += Fraction((-1) ** k * math.comb(w - 1 - k, n - 1))
+    return row
+
+
+def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
+    """Residual of the reflection network tying s_{n,m} to weight n+m sigma~:
+    the left side of the relation in _relation_row minus its right side.
+
+    Exactly zero whenever every needed sigma~ has a registered closed form
+    (all weights <= 5); at weight 6 the surviving atomic combination is
+    itself a checkable relation.
+    """
+    w = n + m
+    rhs = ClosedForm.zero()
+    for k, c in enumerate(_relation_row(n, m), start=1):
+        rhs = rhs + c * sigma_tilde(k, w - k)
+    return Fraction((-1) ** w) * kolbig_snp(n, m) - rhs
 
 
 def s_sigma_relation_matrix(weight: int):
@@ -190,17 +202,8 @@ def s_sigma_relation_matrix(weight: int):
     the unknowns sigma~_{k, weight-k} (k = 1..weight-1) and the exact
     right-hand side (-1)^weight s_{n,m}.
     """
-    rows = []
-    for n in range(1, weight // 2 + 1):
-        m = weight - n
-        coeffs = [Fraction(0)] * (weight - 1)
-        for k in range(1, n + 1):
-            coeffs[k - 1] += Fraction((-1) ** k * math.comb(weight - 1 - k, m - 1))
-        for k in range(1, m + 1):
-            coeffs[k - 1] += Fraction((-1) ** k * math.comb(weight - 1 - k, n - 1))
-        rhs = Fraction((-1) ** weight) * kolbig_snp(n, m)
-        rows.append((coeffs, rhs))
-    return rows
+    return [(_relation_row(n, weight - n), Fraction((-1) ** weight) * kolbig_snp(n, weight - n))
+            for n in range(1, weight // 2 + 1)]
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
@@ -226,5 +229,5 @@ def sigma_weight6_count() -> tuple[int, int, int]:
     """(unknowns, relation rank, free atoms) for the weight-6 sigma~ block."""
     rows = [coeffs for coeffs, _ in s_sigma_relation_matrix(6)]
     rank = _rank(rows)
-    unknowns = 5
+    unknowns = len(rows[0])
     return unknowns, rank, unknowns - rank

@@ -17,7 +17,7 @@ kolbig_snp and beta_derivative_inm raise CapacityError above it (a caller
 may pass a lower max_weight, never a higher one), and so do s_minus and
 ipq_final, which call _check_weight themselves because their routes need
 not read the series.  A cold build of every
-slice takes about 30 ms to weight 12 and 0.4 s to weight 18 on a 2-core
+slice takes about 15 ms to weight 12 and 0.1 s to weight 18 on a 2-core
 x86 host, so no query within the ceiling runs for long.
 
 ln Gamma(1+z) is encoded with its Euler-gamma term included; the ratios

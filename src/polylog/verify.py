@@ -37,7 +37,7 @@ from .errors import DomainError
 from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
                         s_minus, s_minus_even_closed, s_plus, sum_oracle)
 from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
-                  ipq_numeric, ipq_series, ipq_value, r_value, recurrence_shift)
+                  ipq_numeric, ipq_series, r_value, recurrence_shift)
 from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
                     h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
                     s_sigma_relation_residual, sigma_weight6_count)
@@ -86,9 +86,6 @@ class VerificationReport:
     def failed(self) -> int:
         return sum(1 for e in self.entries if e.status == "fail")
 
-    def sort(self) -> None:
-        self.entries.sort(key=lambda e: e.identity_id)
-
     def to_obj(self) -> dict:
         return {
             "entries": [e.to_obj() for e in self.entries],
@@ -106,11 +103,17 @@ def _entry(identity_id: str, source: str, oracle: float, closed: float,
                       oracle, closed, abs(oracle - closed), tol, note)
 
 
+def _verdict_entry(identity_id: str, source: str, ok: bool, symbolic: str | None = None,
+                   note: str = "") -> CheckEntry:
+    """A pass/fail entry: error 0 if ok else inf, at tolerance 0."""
+    return CheckEntry(identity_id, source, symbolic, None, None,
+                      0.0 if ok else math.inf, 0.0, note)
+
+
 def _exact_entry(identity_id: str, source: str, lhs: ClosedForm, rhs: ClosedForm | int,
                  note: str = "") -> CheckEntry:
     diff = lhs - rhs
-    return CheckEntry(identity_id, source, diff.to_json(), None, None,
-                      0.0 if diff.is_zero else math.inf, 0.0, note)
+    return _verdict_entry(identity_id, source, diff.is_zero, diff.to_json(), note)
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +123,18 @@ def _exact_entry(identity_id: str, source: str, lhs: ClosedForm, rhs: ClosedForm
 
 def _checks_sums() -> list[CheckEntry]:
     out: list[CheckEntry] = []
-    closed_fns = {
-        "splus": s_plus,
-        "jordan1": lambda r: jordan_nielsen("J1", r),
-        "jordan2": lambda r: jordan_nielsen("J2", r),
-        "milgram": milgram,
-        "csum": c_sum,
-        "sminus": s_minus,
-    }
-    tags = {"splus": "SPlus", "jordan1": "Jordan1", "jordan2": "Jordan2",
-            "milgram": "Milgram", "csum": "CSum", "sminus": "SMinus"}
-    for name, fn in closed_fns.items():
+    # each named sum: its closed-form builder and the tag of its defining series
+    for name, fn, tag in (("splus", s_plus, "SPlus"),
+                          ("jordan1", lambda r: jordan_nielsen("J1", r), "Jordan1"),
+                          ("jordan2", lambda r: jordan_nielsen("J2", r), "Jordan2"),
+                          ("milgram", milgram, "Milgram"),
+                          ("csum", c_sum, "CSum"),
+                          ("sminus", s_minus, "SMinus")):
         for r in range(2, 7):
             cf = fn(r)
             out.append(_entry(f"sums.closed-vs-oracle.{name}.r{r}",
                               f"{name}({r}) closed form vs defining series",
-                              sum_oracle(SumKind(tags[name], r)), cf_num(cf), 1e-10, cf))
+                              sum_oracle(SumKind(tag, r)), cf_num(cf), 1e-10, cf))
     for r in range(2, 8):
         direct = Fraction(1, 2 ** (r + 1)) * s_plus(r)
         nielsen = Fraction(1, 2 ** (r + 1)) * (zeta_closed(r + 1) + kolbig_snp(r - 1, 2))
@@ -166,16 +165,12 @@ def _checks_sums() -> list[CheckEntry]:
                           f"S-({r}) sum decomposition, every term from its own oracle",
                           lhs, rhs, 1e-10))
     # odd-order Jordan closed forms (order 3) and S-(3)
-    for which, fn in (("J1", lambda: jordan_nielsen("J1", 3)),
-                      ("J2", lambda: jordan_nielsen("J2", 3))):
-        cf = fn()
-        out.append(_entry(f"sums.jordan-odd-order3.{which}",
-                          f"{which}(3) closed form vs defining series",
-                          sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3)),
-                          cf_num(cf), 1e-10, cf))
-    cf3 = s_minus(3)
-    out.append(_entry("sums.sminus3-closed", "S-(3) closed form vs defining series",
-                      sum_oracle(SumKind("SMinus", 3)), cf_num(cf3), 1e-10, cf3))
+    for name, label, tag, cf in (
+            ("jordan-odd-order3.J1", "J1", "Jordan1", jordan_nielsen("J1", 3)),
+            ("jordan-odd-order3.J2", "J2", "Jordan2", jordan_nielsen("J2", 3)),
+            ("sminus3-closed", "S-", "SMinus", s_minus(3))):
+        out.append(_entry(f"sums.{name}", f"{label}(3) closed form vs defining series",
+                          sum_oracle(SumKind(tag, 3)), cf_num(cf), 1e-10, cf))
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
     oracle = sum_oracle(SumKind("SMinus", 5))
     general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
@@ -210,39 +205,31 @@ def _s_minus_decomposed(r: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _log2_quadrature(kind: str) -> float:
-    evs = {
-        "mm": lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / omx,
-        "pm": lambda x, omx: math.log(x) ** 2 * math.log1p(x) / omx,
-        "mp": lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / (1.0 + x),
-        "pp": lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1.0 + x),
-    }
-    return integrate01(evs[kind], ORACLE_TOL).value
-
-
 def _checks_appendix() -> list[CheckEntry]:
     out: list[CheckEntry] = []
     pi, ln2 = math.pi, math.log(2.0)
     z3 = zeta_num(3)
     li4h = polylog(4, 0.5)
-    closed = {
-        "mm": -pi ** 4 / 180.0,
-        "pm": 3.5 * ln2 * z3 - 19 * pi ** 4 / 720.0,
-        "mp": pi ** 4 / 90.0 + pi ** 2 * ln2 ** 2 / 6.0 - ln2 ** 4 / 6.0 - 4 * li4h,
-        "pp": 4 * li4h - pi ** 4 / 24.0 - pi ** 2 * ln2 ** 2 / 6.0 + ln2 ** 4 / 6.0
-              + 3.5 * ln2 * z3,
-    }
-    names = {
-        "mm": "integral ln^2(x) ln(1-x)/(1-x)",
-        "pm": "integral ln^2(x) ln(1+x)/(1-x)",
-        "mp": "integral ln^2(x) ln(1-x)/(1+x)",
-        "pp": "integral ln^2(x) ln(1+x)/(1+x)",
-    }
-    for kind in ("mm", "pm", "mp", "pp"):
+    # integral_0^1 ln^2(x) f(x) dx: the kind, f, its integrand, the closed value
+    for kind, f, ev, closed in (
+            ("mm", "ln(1-x)/(1-x)",
+             lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / omx,
+             -pi ** 4 / 180.0),
+            ("pm", "ln(1+x)/(1-x)",
+             lambda x, omx: math.log(x) ** 2 * math.log1p(x) / omx,
+             3.5 * ln2 * z3 - 19 * pi ** 4 / 720.0),
+            ("mp", "ln(1-x)/(1+x)",
+             lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / (1.0 + x),
+             pi ** 4 / 90.0 + pi ** 2 * ln2 ** 2 / 6.0 - ln2 ** 4 / 6.0 - 4 * li4h),
+            ("pp", "ln(1+x)/(1+x)",
+             lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1.0 + x),
+             4 * li4h - pi ** 4 / 24.0 - pi ** 2 * ln2 ** 2 / 6.0 + ln2 ** 4 / 6.0
+             + 3.5 * ln2 * z3)):
         note = ("pi^4/24 term: the weight-4 power of pi is forced by dimensional "
                 "consistency and confirmed by quadrature" if kind == "pp" else "")
-        out.append(_entry(f"appendix.log2-integral.{kind}", names[kind] + " vs closed form",
-                          _log2_quadrature(kind), closed[kind], 1e-10, note=note))
+        out.append(_entry(f"appendix.log2-integral.{kind}",
+                          f"integral ln^2(x) {f} vs closed form",
+                          integrate01(ev, ORACLE_TOL).value, closed, 1e-10, note=note))
     # odd-order Jordan integral representations, n = 1 (order 3)
     for which, sgn in (("J1", -1.0), ("J2", +1.0)):
 
@@ -276,16 +263,10 @@ def _checks_appendix() -> list[CheckEntry]:
                       note="the kt=10 truncation is exactly its published value but "
                            "sits 3.39e-9 from S-(5); the stated nine-decimal accuracy "
                            "is first reached at kt=12 (3.5e-10)"))
-    prev = None
-    ok = True
-    for kt in range(3, 11):
-        err = abs(cf_num(s_minus_truncated(5, kt)) - oracle5)
-        if prev is not None and err > prev:
-            ok = False
-        prev = err
-    out.append(CheckEntry("appendix.truncation-monotone.p5",
-                          "S-(5) truncation error decreases for kt = 3..10",
-                          None, None, None, 0.0 if ok else math.inf, 0.0))
+    errs = [abs(cf_num(s_minus_truncated(5, kt)) - oracle5) for kt in range(3, 11)]
+    out.append(_verdict_entry("appendix.truncation-monotone.p5",
+                              "S-(5) truncation error decreases for kt = 3..10",
+                              not any(b > a for a, b in zip(errs, errs[1:]))))
     # derivative values vs one-sided finite differences (domain ends at t = 1)
     for (p, k) in ((5, 1), (5, 2), (4, 1)):
         exact = cf_num(polylog_derivative_at_minus1(p, k))
@@ -344,23 +325,14 @@ def _checks_ipq() -> list[CheckEntry]:
                                   f"I[{family.value}] order symmetry",
                                   ipq_numeric(family, p, q), ipq_numeric(family, q, p), 1e-9))
         # odd/even reduction examples at weights 5 and 6
-        pairs = {
-            "1.4": ipq_final(family, 1, 4),
-            "2.3": ipq_final(family, 2, 3),
-            "1.5": ipq_final(family, 1, 5),
-            "2.4": ipq_final(family, 2, 4),
-        }
-        expected = {
-            "1.4": Fraction(-1, 2) * r_value(family, 3, 3) + r_value(family, 2, 4),
-            "2.3": Fraction(1, 2) * r_value(family, 3, 3),
-            "1.5": ipq_final(family, 3, 3) + r_value(family, 2, 5) - r_value(family, 3, 4),
-            "2.4": -ipq_final(family, 3, 3) + r_value(family, 3, 4),
-        }
-        for key, cf in pairs.items():
-            out.append(_exact_entry(
-                f"ipq.reduction-examples.{family.value}.{key.replace('.', 'q')}",
-                f"I[{family.value}]({key.replace('.', ',')}) vs its R-combination",
-                cf, expected[key]))
+        for p, q, combination in (
+                (1, 4, Fraction(-1, 2) * r_value(family, 3, 3) + r_value(family, 2, 4)),
+                (2, 3, Fraction(1, 2) * r_value(family, 3, 3)),
+                (1, 5, ipq_final(family, 3, 3) + r_value(family, 2, 5) - r_value(family, 3, 4)),
+                (2, 4, -ipq_final(family, 3, 3) + r_value(family, 3, 4))):
+            out.append(_exact_entry(f"ipq.reduction-examples.{family.value}.{p}q{q}",
+                                    f"I[{family.value}]({p},{q}) vs its R-combination",
+                                    ipq_final(family, p, q), combination))
     for family in Family:
         for p in range(2, 5):
             for q in range(2, 5):
@@ -373,15 +345,14 @@ def _checks_ipq() -> list[CheckEntry]:
     # n-step shift solution vs single steps
     for (family, p, q, n) in ((Family.PLUS, 1, 4, 2), (Family.MINUS, 1, 4, 3),
                               (Family.MIXED, 2, 4, 2), (Family.PLUS, 2, 3, 1)):
-        base = ipq_value(family, p, q)
-        multi = recurrence_shift(family, p, q, n, base)
+        base = ipq_final(family, p, q)
         stepped = base
         for k in range(n):
-            stepped = recurrence_shift(family, stepped.p, stepped.q, 1, stepped)
+            stepped = recurrence_shift(family, p + k, q - k, 1, stepped)
         out.append(_exact_entry(
             f"ipq.shift-solution.{family.value}.p{p}q{q}n{n}",
             f"I[{family.value}] {n}-step shift: closed solution vs iteration",
-            multi.closed, stepped.closed))
+            recurrence_shift(family, p, q, n, base), stepped))
     # three routes
     for family in Family:
         for p in range(1, 4):
@@ -394,12 +365,13 @@ def _checks_ipq() -> list[CheckEntry]:
                                       f"I[{family.value}]({p},{q}): quadrature vs "
                                       f"series vs closed", None, nv, cv, worst, 1e-8))
     for p in (2, 3, 4):
-        out.extend(low_order_entries(p))
+        out.extend(_low_order_entries(p))
     return out
 
 
-def low_order_entries(p: int) -> list[CheckEntry]:
-    """Low-order special integrals and their depth-2 polylog forms.
+def _low_order_entries(p: int) -> list[CheckEntry]:
+    """Low-order special integrals, each against a closed route and its
+    depth-2 polylog form.
 
     Two of the four identities hold only after correcting commonly printed
     right-hand sides: the all-positive case needs an overall sign on the
@@ -407,54 +379,43 @@ def low_order_entries(p: int) -> list[CheckEntry]:
     on the alternating argument.  Both corrected forms verify to full
     precision.
     """
-    if p < 2:
-        raise DomainError("low-order checks need p >= 2")
     out: list[CheckEntry] = []
     ln2 = ClosedForm.atom(LN2)
-    # 1. integral Li_p(t)/(1+t) = -I+-(p,0) = -mpl2(1, p, -1, -1)
-    #    = zeta(p) ln 2 + I+-(p-1,1), integrating by parts
-    lhs = integrate01(lambda x, omx: li_node(p, 1, x, omx) / (1 + x), ORACLE_TOL).value
-    out.append(_entry(f"ipq.low-order.mixed-q0.p{p}",
-                      f"integral Li_{p}(t)/(1+t) vs zeta({p}) ln 2 + I+-({p-1},1)",
-                      lhs, cf_num(zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)),
-                      1e-9))
-    out.append(_entry(f"ipq.low-order.mixed-q0-mpl.p{p}",
-                      f"integral Li_{p}(t)/(1+t) vs depth-2 sum",
-                      lhs, -mpl2(1, p, -1.0, -1.0), 1e-9))
-    # 2. integral Li_p(-t)/(1+t) = -I-(p,0) = -mpl2(1, p, -1, +1)
-    #    = Li_p(-1) ln 2 + I-(p-1,1), integrating by parts
-    lhs = integrate01(lambda x, omx: li_node(p, -1, x, omx) / (1 + x), ORACLE_TOL).value
-    out.append(_entry(f"ipq.low-order.minus-q0.p{p}",
-                      f"integral Li_{p}(-t)/(1+t) vs Li_{p}(-1) ln 2 + I-({p-1},1)",
-                      lhs, cf_num(eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)),
-                      1e-9))
-    out.append(_entry(f"ipq.low-order.minus-q0-mpl.p{p}",
-                      f"integral Li_{p}(-t)/(1+t) vs depth-2 sum",
-                      lhs, -mpl2(1, p, -1.0, 1.0), 1e-9))
-    # 3. integral [Li_p(t) - Li_p(1)]/(1-t) = -I+(1,p-1)
-    #    = -mpl2(p,1,1,1) - zeta(p+1)
-    lhs = integrate01(lambda x, omx: (li_node(p, 1, x, omx) - zeta_num(p)) / omx,
-                      ORACLE_TOL).value
-    out.append(_entry(f"ipq.low-order.plus-subtracted.p{p}",
-                      f"integral [Li_{p}(t)-Li_{p}(1)]/(1-t) vs -I+(1,{p-1})",
-                      lhs, -cf_num(ipq_final(Family.PLUS, 1, p - 1)), 1e-9))
-    out.append(_entry(f"ipq.low-order.plus-subtracted-mpl.p{p}",
-                      f"integral [Li_{p}(t)-Li_{p}(1)]/(1-t) vs depth-2 sum",
-                      lhs, -mpl2(p, 1, 1.0, 1.0) - zeta_num(p + 1), 1e-9,
-                      note="sign-corrected form: the sum enters negated"))
-    # 4. integral [Li_p(-t) - Li_p(-1)]/(1-t) = -I+-(1,p-1)
-    #    = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
     lim = (2.0 ** (1 - p) - 1.0) * zeta_num(p)
-    lhs = integrate01(lambda x, omx: (li_node(p, -1, x, omx) - lim) / omx, ORACLE_TOL).value
-    out.append(_entry(f"ipq.low-order.mixed-subtracted.p{p}",
-                      f"integral [Li_{p}(-t)-Li_{p}(-1)]/(1-t) vs -I+-(1,{p-1})",
-                      lhs, -cf_num(ipq_final(Family.MIXED, 1, p - 1)), 1e-9))
-    out.append(_entry(f"ipq.low-order.mixed-subtracted-mpl.p{p}",
-                      f"integral [Li_{p}(-t)-Li_{p}(-1)]/(1-t) vs depth-2 sum",
-                      lhs, -mpl2(p, 1, -1.0, 1.0)
-                      + (1 - 2.0 ** (-p)) * zeta_num(p + 1), 1e-9,
-                      note="argument-corrected form: the alternating sign sits on "
-                           "the outer (weight-p) index"))
+    # the integral, its integrand, the closed route, the depth-2 route, the note
+    for name, integral, ev, closed_text, closed, depth2, note in (
+            # -I+-(p,0) = -mpl2(1, p, -1, -1) = zeta(p) ln 2 + I+-(p-1,1) by parts
+            ("mixed-q0", f"integral Li_{p}(t)/(1+t)",
+             lambda x, omx: li_node(p, 1, x, omx) / (1 + x),
+             f"zeta({p}) ln 2 + I+-({p-1},1)",
+             lambda: cf_num(zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)),
+             lambda: -mpl2(1, p, -1.0, -1.0), ""),
+            # -I-(p,0) = -mpl2(1, p, -1, +1) = Li_p(-1) ln 2 + I-(p-1,1) by parts
+            ("minus-q0", f"integral Li_{p}(-t)/(1+t)",
+             lambda x, omx: li_node(p, -1, x, omx) / (1 + x),
+             f"Li_{p}(-1) ln 2 + I-({p-1},1)",
+             lambda: cf_num(eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)),
+             lambda: -mpl2(1, p, -1.0, 1.0), ""),
+            # -I+(1,p-1) = -mpl2(p,1,1,1) - zeta(p+1)
+            ("plus-subtracted", f"integral [Li_{p}(t)-Li_{p}(1)]/(1-t)",
+             lambda x, omx: (li_node(p, 1, x, omx) - zeta_num(p)) / omx,
+             f"-I+(1,{p-1})",
+             lambda: -cf_num(ipq_final(Family.PLUS, 1, p - 1)),
+             lambda: -mpl2(p, 1, 1.0, 1.0) - zeta_num(p + 1),
+             "sign-corrected form: the sum enters negated"),
+            # -I+-(1,p-1) = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
+            ("mixed-subtracted", f"integral [Li_{p}(-t)-Li_{p}(-1)]/(1-t)",
+             lambda x, omx: (li_node(p, -1, x, omx) - lim) / omx,
+             f"-I+-(1,{p-1})",
+             lambda: -cf_num(ipq_final(Family.MIXED, 1, p - 1)),
+             lambda: -mpl2(p, 1, -1.0, 1.0) + (1 - 2.0 ** (-p)) * zeta_num(p + 1),
+             "argument-corrected form: the alternating sign sits on "
+             "the outer (weight-p) index")):
+        lhs = integrate01(ev, ORACLE_TOL).value
+        out.append(_entry(f"ipq.low-order.{name}.p{p}", f"{integral} vs {closed_text}",
+                          lhs, closed(), 1e-9))
+        out.append(_entry(f"ipq.low-order.{name}-mpl.p{p}", f"{integral} vs depth-2 sum",
+                          lhs, depth2(), 1e-9, note=note))
     return out
 
 
@@ -546,7 +507,7 @@ def _checks_lognm() -> list[CheckEntry]:
             out.append(_exact_entry(f"lognm.s-sigma-network.n{n}m{w - n}",
                                     f"s({n},{w - n}) reflection relation residual",
                                     s_sigma_relation_residual(n, w - n), 0))
-    out.extend(sigma_weight6_entries())
+    out.extend(_sigma_weight6_entries())
     for r in (2, 4):
         out.append(_exact_entry(
             f"lognm.sigma-even-route.n{r - 1}p2",
@@ -571,7 +532,7 @@ def _checks_lognm() -> list[CheckEntry]:
     return out
 
 
-def sigma_weight6_entries() -> list[CheckEntry]:
+def _sigma_weight6_entries() -> list[CheckEntry]:
     """The weight-6 sigma~ block: displayed relations plus the rank count.
 
     The linear network at weight 6 has five unknowns and rank 3, leaving
@@ -580,11 +541,10 @@ def sigma_weight6_entries() -> list[CheckEntry]:
     """
     out: list[CheckEntry] = []
     unknowns, rank, free = sigma_weight6_count()
-    out.append(CheckEntry("lognm.sigma-weight6-rank",
-                          "weight-6 sigma~ relation system: rank and free atoms",
-                          None, None, None,
-                          0.0 if (rank, free) == (3, 2) else math.inf, 0.0,
-                          note=f"{unknowns} unknowns, rank {rank}, {free} free atoms"))
+    out.append(_verdict_entry("lognm.sigma-weight6-rank",
+                              "weight-6 sigma~ relation system: rank and free atoms",
+                              (rank, free) == (3, 2),
+                              note=f"{unknowns} unknowns, rank {rank}, {free} free atoms"))
     for i, (coeffs, rhs) in enumerate(registry().relations, start=1):
         lhs = math.fsum(float(c) * atom_value(sigma_atom(n, p))
                         for (n, p), c in sorted(coeffs.items()))
@@ -599,28 +559,6 @@ def sigma_weight6_entries() -> list[CheckEntry]:
                           f"sigma~({key[0]},{key[1]}) closed form vs quadrature",
                           atom_value(sigma_atom(*key)), cf_num(cf), 1e-9, cf))
     return out
-
-
-def report_from_entries(entries: list[CheckEntry]) -> VerificationReport:
-    report = VerificationReport(list(entries))
-    report.sort()
-    return report
-
-
-def low_order_report(p: int) -> VerificationReport:
-    """Verify the low-order (q = 0, 1) special-integral identities at one p.
-
-    Disagreements are recorded as failing entries rather than raised.
-    """
-    if not 2 <= p <= 4:
-        raise DomainError("low-order report covers p in 2..4")
-    return report_from_entries(low_order_entries(p))
-
-
-def sigma_weight6_report() -> VerificationReport:
-    """Verify the weight-6 sigma~ relations numerically and count the
-    remaining free constants."""
-    return report_from_entries(sigma_weight6_entries())
 
 
 # ---------------------------------------------------------------------------
@@ -662,5 +600,5 @@ def run_suite(suite: str = "all", tol_scale: float = 1.0,
                           + ", ".join(unknown))
     for e in numeric:
         e.tolerance = overrides.get(e.identity_id, e.tolerance) * tol_scale
-    report.sort()
+    report.entries.sort(key=lambda e: e.identity_id)
     return report

@@ -1,4 +1,5 @@
 import math
+from fnmatch import fnmatch
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,15 @@ import pytest
 from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
 from polylog.errors import DomainError
-from polylog.ipq import (Family, IpqValue, ipq_closed_odd, ipq_even_reduction,
-                         ipq_final, ipq_mixed_odd_reduction, ipq_numeric,
-                         ipq_series, ipq_value, r_value, recurrence_shift)
+from polylog.ipq import (Family, ipq_closed_odd, ipq_even_reduction, ipq_final,
+                         ipq_mixed_odd_reduction, ipq_numeric, ipq_series, r_value,
+                         recurrence_shift)
 from polylog.quadrature import ORACLE_TOL, integrate01
 from polylog.sigma import cf_num
 from polylog.special import li_neg, li_pos
+from polylog.verify import run_suite
 
-from conftest import assert_frozen_value, zeta_brute
+from conftest import zeta_brute
 
 
 def _pi_pow(e, c):
@@ -66,26 +68,25 @@ def test_numeric_symmetry():
 
 
 def test_recurrence_shift_single_step_is_the_basic_relation():
-    base = ipq_value(Family.PLUS, 1, 4)
+    base = ipq_final(Family.PLUS, 1, 4)
     shifted = recurrence_shift(Family.PLUS, 1, 4, 1, base)
     # I(2,3) = R(2,4) - I(1,4)
-    assert shifted.closed == r_value(Family.PLUS, 2, 4) - base.closed
-    assert shifted.p == 2 and shifted.q == 3
+    assert shifted == r_value(Family.PLUS, 2, 4) - base
 
 
 def test_recurrence_shift_reaches_known_value():
-    base = ipq_value(Family.PLUS, 1, 4)
+    base = ipq_final(Family.PLUS, 1, 4)
     shifted = recurrence_shift(Family.PLUS, 1, 4, 1, base)
-    assert shifted.closed == Fraction(1, 2) * r_value(Family.PLUS, 3, 3)
+    assert shifted == Fraction(1, 2) * r_value(Family.PLUS, 3, 3)
 
 
 def test_recurrence_shift_identity_and_domain():
-    base = ipq_value(Family.MINUS, 2, 3)
+    base = ipq_final(Family.MINUS, 2, 3)
     assert recurrence_shift(Family.MINUS, 2, 3, 0, base) is base
     with pytest.raises(DomainError):
         recurrence_shift(Family.MINUS, 2, 3, 3, base)
     with pytest.raises(DomainError):
-        recurrence_shift(Family.MINUS, 2, 2, 1, base)
+        recurrence_shift(Family.MINUS, 2, 3, -1, base)
 
 
 def test_closed_odd_examples():
@@ -155,16 +156,6 @@ def test_sigma_atoms_appear_only_at_open_orders():
             assert ipq_final(Family.MINUS, p, q).sigma_atoms() == []
 
 
-def test_ipq_value_record():
-    v = ipq_value(Family.MIXED, 1, 4)
-    assert isinstance(v, IpqValue)
-    assert abs(cf_num(v.closed) - v.numeric) <= 1e-9
-    assert [a.name for a in v.residual_sigma_atoms] == ["sigma_4_2"]
-    twin = IpqValue(v.family, v.p, v.q, v.closed, v.numeric)
-    assert twin is not v and twin == v and hash(twin) == hash(v)
-    assert_frozen_value(v, "closed")
-
-
 def test_series_route():
     for fam in Family:
         for (p, q) in ((1, 2), (2, 2), (2, 3)):
@@ -194,14 +185,11 @@ def test_shift_solution_matches_iteration_randomized():
     def inner(family, p, q, n):
         if q - n < 1:
             return  # every R slot along the path then stays in range
-        closed = ipq_final(family, p, q)
-        base = IpqValue(family, p, q, closed, cf_num(closed))
-        multi = recurrence_shift(family, p, q, n, base)
+        base = ipq_final(family, p, q)
         stepped = base
-        for _ in range(n):
-            stepped = recurrence_shift(family, stepped.p, stepped.q, 1, stepped)
-        assert multi.closed == stepped.closed
-        assert abs(multi.numeric - stepped.numeric) <= 1e-12 * (1 + abs(multi.numeric))
+        for k in range(n):
+            stepped = recurrence_shift(family, p + k, q - k, 1, stepped)
+        assert recurrence_shift(family, p, q, n, base) == stepped
 
     inner()
 
@@ -213,11 +201,9 @@ def test_family_parse():
 
 
 def test_low_order_report():
-    from polylog.verify import low_order_report
-    rep = low_order_report(3)
-    assert rep.failed == 0 and rep.passed == 8
-    with pytest.raises(DomainError):
-        low_order_report(5)
+    entries = [e for e in run_suite("ipq").entries
+               if fnmatch(e.identity_id, "ipq.low-order.*.p3")]
+    assert [e.status for e in entries] == ["pass"] * 8
 
 
 # -- shared node values --------------------------------------------------------

@@ -47,6 +47,22 @@ def test_only_cli_and_package_init_import_verify():
     assert offenders == []
 
 
+def test_package_modules_import_only_names_they_use():
+    # a deleted caller must not leave its import behind
+    unused = []
+    for path in sorted(Path(polylog.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -157,6 +173,17 @@ def test_table_determinism(tmp_path, capsys):
         (tmp_path / "b" / "ipq_table.json").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["inm", "hnm", "sigma", "ipq"])
+@pytest.mark.parametrize("max_weight", ["-3", "1"])
+def test_table_below_lowest_weight_is_refused(tmp_path, capsys, kind, max_weight):
+    # every table starts at weight 2, so a lower cap would write empty tables
+    code = main(["table", "--kind", kind, "--max-weight", max_weight,
+                 "--out", str(tmp_path / "tables")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "tables").exists()
+
+
 def test_table_unwritable_output_is_exit_3(tmp_path, capsys):
     # --out names an existing file, so its directory cannot be made
     (tmp_path / "taken").write_text("")
@@ -202,6 +229,16 @@ def test_verify_config_overrides(tmp_path, capsys):
 def test_verify_unknown_suite_is_domain_error(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+def test_verify_entry_set_is_pinned():
+    # a rewrite of the suites must not silently drop (or rename away) a check
+    entries = run_suite("all").entries
+    ids = [e.identity_id for e in entries]
+    assert len(set(ids)) == len(ids) == 436
+    assert Counter(i.split(".")[0] for i in ids) == {
+        "ipq": 240, "lognm": 112, "sums": 70, "appendix": 14}
+    assert sum(1 for e in entries if e.tolerance == 0) == 217
 
 
 def test_verify_report_is_sorted_and_deterministic():
