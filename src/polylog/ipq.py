@@ -7,8 +7,8 @@
 with their difference-equation machinery, closed forms, infinite-series
 representations, and quadrature oracles.  ipq_final builds each closed form
 once, from the named-sum display, and memoizes it; the Nielsen display and
-the difference-equation reductions are its second routes, which the verify
-suites check exactly against it.
+the telescoping solution of the difference equation (_reduction_route) are
+its second routes, which the verify suites check exactly against it.
 """
 
 from __future__ import annotations
@@ -99,6 +99,11 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> floa
 
 
 def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
+    """sum_{k<n} (-1)^k R(p+k+1, q-k): the R part of the telescoping solution
+
+        I(p,q) = (-1)^n I(p+n, q-n) + sum_{k<n} (-1)^k R(p+k+1, q-k)
+
+    of the difference equation I(p,q-1) + I(p-1,q) = R(p,q)."""
     out = ClosedForm.zero()
     for k in range(n):
         out = out + Fraction((-1) ** k) * r_value(family, p + k + 1, q - k)
@@ -114,39 +119,6 @@ def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -
     if q - n < 1:
         raise DomainError("shift would leave the (p, q >= 1) domain")
     return Fraction((-1) ** n) * (base - _r_sum(family, p, q, n))
-
-
-def ipq_closed_odd(family: Family, p: int, n: int) -> ClosedForm:
-    """I(p, p+2n-1) for the symmetric families: a pure R combination."""
-    if not family.symmetric:
-        raise DomainError("odd closed form applies to the symmetric families only; "
-                          "use ipq_mixed_odd_reduction for the mixed family")
-    if p < 1 or n < 1:
-        raise DomainError("p, n must be >= 1")
-    out = Fraction((-1) ** (n + 1), 2) * r_value(family, p + n, p + n)
-    for k in range(n - 1):
-        out = out + Fraction((-1) ** k) * r_value(family, p + k + 1, p + 2 * n - 1 - k)
-    return out
-
-
-def ipq_mixed_odd_reduction(p: int, n: int) -> ClosedForm:
-    """I+-(p, p+2n-1) reduced to the near-diagonal I+-(p+n-1, p+n)."""
-    if p < 1 or n < 1:
-        raise DomainError("p, n must be >= 1")
-    out = Fraction((-1) ** (n + 1)) * _final_sum_form(Family.MIXED, p + n - 1, p + n)
-    for k in range(n - 1):
-        out = out + Fraction((-1) ** k) * r_value(Family.MIXED, p + k + 1, p + 2 * n - 1 - k)
-    return out
-
-
-def ipq_even_reduction(family: Family, p: int, n: int) -> ClosedForm:
-    """I(p, p+2n) reduced to the diagonal I(p+n, p+n), any family."""
-    if p < 1 or n < 0:
-        raise DomainError("p >= 1 and n >= 0 required")
-    out = Fraction((-1) ** n) * _final_sum_form(family, p + n, p + n)
-    for k in range(n):
-        out = out + Fraction((-1) ** k) * r_value(family, p + k + 1, p + 2 * n - k)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +207,23 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
 
 
 def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
-    """I(p,q) by the difference-equation reductions, or None where none applies."""
+    """I(p,q) by the telescoping solution, or None for the mixed family with q < p.
+
+    n = (q-p)//2 shifts reach the diagonal I(m,m) or the near-diagonal
+    I(m,m+1) (symmetric orders folded to p <= q first); there the symmetric
+    families give I(m,m+1) = R(m+1,m+1)/2, and every other endpoint is its
+    final display.
+    """
     if family.symmetric:
-        lo, hi = min(p, q), max(p, q)
-        diff = hi - lo
-        if diff % 2 == 1:
-            return ipq_closed_odd(family, lo, (diff + 1) // 2)
-        return ipq_even_reduction(family, lo, diff // 2)
-    if q > p and (q - p) % 2 == 1:
-        return ipq_mixed_odd_reduction(p, (q - p + 1) // 2)
-    if q >= p and (q - p) % 2 == 0:
-        return ipq_even_reduction(family, p, (q - p) // 2)
-    return None
+        p, q = min(p, q), max(p, q)
+    elif q < p:
+        return None
+    n = (q - p) // 2
+    if family.symmetric and (q - p) % 2:
+        endpoint = Fraction(1, 2) * r_value(family, p + n + 1, p + n + 1)
+    else:
+        endpoint = _final_sum_form(family, p + n, q - n)
+    return Fraction((-1) ** n) * endpoint + _r_sum(family, p, q, n)
 
 
 # ---------------------------------------------------------------------------

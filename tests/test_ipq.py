@@ -7,10 +7,10 @@ import pytest
 from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
 from polylog.errors import DomainError
-from polylog.ipq import (Family, ipq_closed_odd, ipq_even_reduction, ipq_final,
-                         ipq_mixed_odd_reduction, ipq_numeric, ipq_series, r_value,
-                         recurrence_shift)
+from polylog.ipq import (Family, _reduction_route, ipq_final, ipq_numeric, ipq_series,
+                         r_value, recurrence_shift)
 from polylog.quadrature import ORACLE_TOL, integrate01
+from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import cf_num
 from polylog.special import li_neg, li_pos
 from polylog.verify import run_suite
@@ -90,15 +90,13 @@ def test_recurrence_shift_identity_and_domain():
 
 
 def test_closed_odd_examples():
-    assert ipq_closed_odd(Family.PLUS, 2, 1) == Fraction(1, 2) * r_value(Family.PLUS, 3, 3)
+    assert _reduction_route(Family.PLUS, 2, 3) == Fraction(1, 2) * r_value(Family.PLUS, 3, 3)
     expected = (Fraction(-1, 2) * r_value(Family.PLUS, 3, 3)
                 + r_value(Family.PLUS, 2, 4))
-    assert ipq_closed_odd(Family.PLUS, 1, 2) == expected
+    assert _reduction_route(Family.PLUS, 1, 4) == expected
     # I-(2,3) = (9/32) zeta(3)^2
-    assert ipq_closed_odd(Family.MINUS, 2, 1) == \
+    assert _reduction_route(Family.MINUS, 2, 3) == \
         Fraction(9, 32) * zeta_closed(3) * zeta_closed(3)
-    with pytest.raises(DomainError):
-        ipq_closed_odd(Family.MIXED, 2, 1)
 
 
 def test_final_closed_examples():
@@ -129,12 +127,16 @@ def test_pair_residual_is_exactly_zero():
                 assert res.is_zero, (fam, p, q)
 
 
-def test_even_reduction_and_mixed_odd_reduction():
-    for fam in (Family.PLUS, Family.MINUS):
-        for (p, n) in ((1, 1), (1, 2), (2, 1)):
-            assert ipq_even_reduction(fam, p, n) == ipq_final(fam, p, p + 2 * n)
-    for (p, n) in ((1, 1), (1, 2), (2, 1)):
-        assert ipq_mixed_odd_reduction(p, n) == ipq_final(Family.MIXED, p, p + 2 * n - 1)
+def test_reduction_route_equals_ipq_final_to_the_ceiling():
+    # every I(p,q) of weight p+q+1 <= MAX_WEIGHT: the telescoping solution
+    # exists except for the mixed family with q < p, and then equals ipq_final
+    for fam in Family:
+        for p in range(1, MAX_WEIGHT):
+            for q in range(1, MAX_WEIGHT - p):
+                route = _reduction_route(fam, p, q)
+                assert (route is None) == (fam is Family.MIXED and q < p), (fam, p, q)
+                if route is not None:
+                    assert route == ipq_final(fam, p, q), (fam, p, q)
 
 
 def test_grid_closed_vs_numeric():
