@@ -164,13 +164,19 @@ def _checks_sums() -> list[CheckEntry]:
         out.append(_entry(f"sums.sminus-decomposition.r{r}",
                           f"S-({r}) sum decomposition, every term from its own oracle",
                           lhs, rhs, 1e-10))
-    # odd-order Jordan closed forms (order 3) and S-(3)
-    for name, label, tag, cf in (
-            ("jordan-odd-order3.J1", "J1", "Jordan1", jordan_nielsen("J1", 3)),
-            ("jordan-odd-order3.J2", "J2", "Jordan2", jordan_nielsen("J2", 3)),
-            ("sminus3-closed", "S-", "SMinus", s_minus(3))):
-        out.append(_entry(f"sums.{name}", f"{label}(3) closed form vs defining series",
-                          sum_oracle(SumKind(tag, 3)), cf_num(cf), 1e-10, cf))
+    # order-3 closed forms against integrals no other entry pairs them with
+    for which in ("J1", "J2"):
+        cf = jordan_nielsen(which, 3)
+        out.append(_entry(f"sums.jordan-odd-order3.{which}",
+                          f"{which}(3) closed form vs its integral representation",
+                          _jordan_order3_integral(which), cf_num(cf), 1e-10, cf))
+    # S-(3) = -1/2 integral ln^2(x) ln(1+x) / (x(1+x)), the harmonic generating function
+    cf = s_minus(3)
+    quad = integrate01(lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (x * (1.0 + x)),
+                       ORACLE_TOL).value
+    out.append(_entry("sums.sminus3-closed",
+                      "S-(3) closed form vs its harmonic generating-function integral",
+                      -0.5 * quad, cf_num(cf), 1e-10, cf))
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
     oracle = sum_oracle(SumKind("SMinus", 5))
     general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
@@ -231,16 +237,11 @@ def _checks_appendix() -> list[CheckEntry]:
                           f"integral ln^2(x) {f} vs closed form",
                           integrate01(ev, ORACLE_TOL).value, closed, 1e-10, note=note))
     # odd-order Jordan integral representations, n = 1 (order 3)
-    for which, sgn in (("J1", -1.0), ("J2", +1.0)):
-
-        def ev(x: float, omx: float, sgn=sgn) -> float:
-            return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
-                    * (1.0 / omx + sgn / (1.0 + x)))
-        quad = integrate01(ev, ORACLE_TOL).value
-        quad /= 4.0 * math.factorial(2)
+    for which in ("J1", "J2"):
         oracle = sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3))
         out.append(_entry(f"appendix.jordan-integral-rep.{which}",
-                          f"{which}(3) integral representation vs series", quad, oracle, 1e-9))
+                          f"{which}(3) integral representation vs series",
+                          _jordan_order3_integral(which), oracle, 1e-9))
     # C(r) integral representation
     for r in (2, 3):
 
@@ -275,6 +276,17 @@ def _checks_appendix() -> list[CheckEntry]:
                           f"d^{k} Li_{p}(-t)/dt^{k} at t=1 vs finite differences",
                           fd, exact, 1e-6))
     return out
+
+
+def _jordan_order3_integral(which: str) -> float:
+    """J1(3) or J2(3) from the order-3 integral representation
+    1/(4*2!) integral ln^2(x) (ln(1+x) - ln(1-x)) (1/(1-x) -+ 1/(1+x))."""
+    sgn = -1.0 if which == "J1" else 1.0
+
+    def ev(x: float, omx: float) -> float:
+        return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
+                * (1.0 / omx + sgn / (1.0 + x)))
+    return integrate01(ev, ORACLE_TOL).value / (4.0 * math.factorial(2))
 
 
 def _li_derivative_fd(p: int, k: int) -> float:

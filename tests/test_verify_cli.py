@@ -241,6 +241,18 @@ def test_verify_entry_set_is_pinned():
     assert sum(1 for e in entries if e.tolerance == 0) == 217
 
 
+def test_order3_sums_entries_have_oracles_of_their_own():
+    # J1(3), J2(3) and S-(3) are checked against integrals, so no other entry
+    # pairs their closed form with the same oracle value
+    entries = run_suite("sums").entries
+    pairs = Counter((e.symbolic, e.oracle_value) for e in entries)
+    for ident in ("sums.jordan-odd-order3.J1", "sums.jordan-odd-order3.J2",
+                  "sums.sminus3-closed"):
+        e = next(e for e in entries if e.identity_id == ident)
+        assert e.symbolic is not None and e.tolerance == 1e-10 and e.status == "pass"
+        assert pairs[e.symbolic, e.oracle_value] == 1, ident
+
+
 def test_verify_report_is_sorted_and_deterministic():
     r1 = run_suite("sums")
     r2 = run_suite("sums")
