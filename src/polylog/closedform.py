@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache
@@ -30,7 +29,6 @@ _TAG_ORDER = {
     "zeta_odd": 3,
     "li_half": 4,
     "sigma": 5,
-    "opaque": 6,
 }
 
 
@@ -62,8 +60,6 @@ class Atom(tuple):
             return f"li{self.args[0]}_half"
         if self.tag == "sigma":
             return f"sigma_{self.args[0]}_{self.args[1]}"
-        if self.tag == "opaque":
-            return self.args[0]
         return self.tag
 
     def __repr__(self):
@@ -91,28 +87,6 @@ def sigma_atom(n: int, p: int) -> Atom:
     if n < 1 or p < 1:
         raise DomainError(f"sigma atom requires n, p >= 1, got ({n}, {p})")
     return Atom("sigma", (n, p))
-
-
-def opaque_atom(name: str) -> Atom:
-    return Atom("opaque", (name,))
-
-
-def atom_from_name(name: str) -> Atom:
-    if name == "pi":
-        return PI
-    if name == "ln2":
-        return LN2
-    if name == "gamma":
-        return GAMMA
-    # patterns rather than compiled constants: no command parses atom names,
-    # so the compile is paid (once, in re's own cache) only by those who do
-    if m := re.match(r"zeta(\d+)$", name):
-        return zeta_odd_atom(int(m.group(1)))
-    if m := re.match(r"li(\d+)_half$", name):
-        return li_half_atom(int(m.group(1)))
-    if m := re.match(r"sigma_(\d+)_(\d+)$", name):
-        return sigma_atom(int(m.group(1)), int(m.group(2)))
-    return opaque_atom(name)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +286,8 @@ class ClosedForm:
             })
         return {"terms": terms}
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ClosedForm":
-        acc: dict[Monomial, Fraction] = {}
-        for term in obj["terms"]:
-            mono = monomial(*((atom_from_name(n), int(e)) for n, e in term["monomial"]))
-            c = Fraction(int(term["num"]), int(term["den"]))
-            acc[mono] = acc[mono] + c if mono in acc else c
-        return cls(acc)
-
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClosedForm":
-        return cls.from_obj(json.loads(text))
 
     # -- display -----------------------------------------------------------------
 

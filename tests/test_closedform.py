@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
-                                atom_from_name, bernoulli_fraction,
+                                bernoulli_fraction,
                                 eta_factor_closed, li_half_atom, monomial,
                                 monomial_mul, monomial_name, sigma_atom,
                                 zeta_closed, zeta_nonpositive_rational,
@@ -76,9 +77,11 @@ def test_atom_is_a_frozen_value():
     assert_frozen_value(sigma_atom(2, 4), "args")
 
 
-def test_atom_names_round_trip():
-    for a in _ATOMS:
-        assert atom_from_name(a.name) == a
+def test_atom_names_are_distinct():
+    # serialized monomials name their atoms, so no two atoms may share a name
+    atoms = _ATOMS + [zeta_odd_atom(17), li_half_atom(8), sigma_atom(1, 21),
+                      sigma_atom(12, 1), sigma_atom(1, 2), sigma_atom(2, 1)]
+    assert len({a.name for a in atoms}) == len(set(atoms)) == len(atoms)
 
 
 def test_monomial_normalization():
@@ -273,9 +276,16 @@ def test_evaluate_examples():
 # -- serialization ----------------------------------------------------------------
 
 
+def _terms_by_name(obj: dict) -> dict:
+    return {tuple((n, e) for n, e in t["monomial"]): Fraction(int(t["num"]), int(t["den"]))
+            for t in obj["terms"]}
+
+
 @given(_closed_forms)
 def test_json_round_trip(a):
-    assert ClosedForm.from_json(a.to_json()) == a
+    # the serialized terms are exactly the term map, under the atom names
+    assert _terms_by_name(json.loads(a.to_json())) == \
+        {tuple((x.name, e) for x, e in m): c for m, c in a.terms.items()}
 
 
 def test_json_shape():
@@ -290,7 +300,7 @@ def test_json_shape():
 def test_json_big_integers_exact():
     big = Fraction(10 ** 40 + 1, 10 ** 39 + 7)
     cf = ClosedForm.atom(LN2, 1, big)
-    assert ClosedForm.from_json(cf.to_json()).coefficient(monomial((LN2, 1))) == big
+    assert _terms_by_name(cf.to_obj()) == {(("ln2", 1),): big}
 
 
 def test_pretty():

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polylog.closedform import (_TAG_ORDER, ClosedForm, GAMMA, LN2, PI,
-                                li_half_atom, opaque_atom, sigma_atom,
-                                zeta_odd_atom)
+from polylog.closedform import (_TAG_ORDER, Atom, ClosedForm, GAMMA, LN2, PI,
+                                li_half_atom, sigma_atom, zeta_odd_atom)
 from polylog.errors import DomainError, EvaluationError
 from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num
@@ -73,8 +72,8 @@ def test_context_values_and_provenance():
     assert abs(atom_value(GAMMA) - 0.5772156649015329) < 1e-14
     assert abs(atom_value(zeta_odd_atom(3)) - zeta_brute(3)) < 1e-13
     assert abs(atom_value(li_half_atom(4)) - li_half_brute(4)) < 1e-14
-    # every atom kind but the opaque one has a value, and says how it is made
-    assert set(PROVENANCE) == set(_TAG_ORDER) - {"opaque"}
+    # every atom kind has a value, and says how it is made
+    assert set(PROVENANCE) == set(_TAG_ORDER)
     assert PROVENANCE[PI.tag] == "builtin"
     assert PROVENANCE[zeta_odd_atom(3).tag] == "series"
     # sigma atoms resolve through quadrature
@@ -93,9 +92,9 @@ def test_context_reproducibility():
 
 def test_context_unknown_atom():
     with pytest.raises(EvaluationError, match="mystery"):
-        atom_value(opaque_atom("mystery"))
+        atom_value(Atom("mystery"))
     with pytest.raises(EvaluationError, match="mystery"):
-        cf_num(ClosedForm.atom(opaque_atom("mystery")))
+        cf_num(ClosedForm({((Atom("mystery"), 1),): 1}))
 
 
 def test_atom_values_are_thread_safe():
