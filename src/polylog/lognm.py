@@ -18,12 +18,13 @@ from functools import cache
 from operator import itemgetter
 
 from .closedform import ClosedForm, LN2
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .quadrature import ORACLE_TOL, integrate01, log1m
-from .seriesring import kolbig_snp
+from .seriesring import _check_weight as _check_series_weight, kolbig_snp
 from .sigma import sigma_tilde
 
-MAX_WEIGHT = 6
+# the i/h tables end at this weight, below the series ceiling MAX_WEIGHT
+TABLE_WEIGHT = 6
 
 
 class LogIntegralKind(tuple):
@@ -49,8 +50,7 @@ class LogIntegralKind(tuple):
 def _check_weight(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise DomainError("closed forms need n, m >= 1")
-    if n + m > MAX_WEIGHT:
-        raise CapacityError(f"weight {n + m} above the table cap {MAX_WEIGHT}")
+    _check_series_weight(n + m, TABLE_WEIGHT)
 
 
 # ---------------------------------------------------------------------------

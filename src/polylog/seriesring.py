@@ -12,13 +12,13 @@ slice F_w (the coefficients of a^i b^(w-i)) follows from the lower slices
 by the Euler-operator recurrence w F_w = sum_k k G_k F_{w-k}, where G_k is
 the weight-k slice of the log.  Each slice is memoized once per process,
 so every caller shares one cache, and a weight-w query never builds
-anything above weight w.  MAX_WEIGHT = 18 is the one weight limit:
-kolbig_snp and beta_derivative_inm raise CapacityError above it (a caller
-may pass a lower max_weight, never a higher one), and so do s_minus and
-ipq_final, which call _check_weight themselves because their routes need
-not read the series.  A cold build of every
-slice takes about 15 ms to weight 12 and 0.1 s to weight 18 on a 2-core
-x86 host, so no query within the ceiling runs for long.
+anything above weight w.  MAX_WEIGHT = 18 is the one weight limit, and
+_check_weight alone applies it: to kolbig_snp, beta_derivative_inm and the
+builders whose routes need not read the series.  A table cap is the same
+check at a lower max_weight (kolbig_snp's for eval s-np, lognm's
+TABLE_WEIGHT).  A cold build of every slice takes about 15 ms to weight 12
+and 0.1 s to weight 18 on a 2-core x86 host, so no query within the
+ceiling runs for long.
 
 ln Gamma(1+z) is encoded with its Euler-gamma term included; the ratios
 used here cancel gamma identically and that cancellation is asserted, not
@@ -226,7 +226,7 @@ def kolbig_snp(n: int, p: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:
     return Fraction((-1) ** (n + p - 1)) * _ratio_slice(n + p)[p]
 
 
-def beta_derivative_inm(n: int, m: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:
+def beta_derivative_inm(n: int, m: int) -> ClosedForm:
     """i(n,m) as the mixed Taylor coefficient of the Beta function route.
 
     B(a+1, b+1) is the Gamma ratio times 1/(1+a+b), whose weight-d slice
@@ -234,7 +234,7 @@ def beta_derivative_inm(n: int, m: int, max_weight: int = MAX_WEIGHT) -> ClosedF
     """
     if n < 1 or m < 1:
         raise DomainError("i(n,m) requires n, m >= 1")
-    _check_weight(n + m, max_weight)
+    _check_weight(n + m)
     coeff = ClosedForm.zero()
     for k in range(n + m + 1):
         d = n + m - k

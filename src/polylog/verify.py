@@ -164,19 +164,18 @@ def _checks_sums() -> list[CheckEntry]:
         out.append(_entry(f"sums.sminus-decomposition.r{r}",
                           f"S-({r}) sum decomposition, every term from its own oracle",
                           lhs, rhs, 1e-10))
-    # order-3 closed forms against integrals no other entry pairs them with
-    for which in ("J1", "J2"):
-        cf = jordan_nielsen(which, 3)
-        out.append(_entry(f"sums.jordan-odd-order3.{which}",
-                          f"{which}(3) closed form vs its integral representation",
-                          _jordan_order3_integral(which), cf_num(cf), 1e-10, cf))
-    # S-(3) = -1/2 integral ln^2(x) ln(1+x) / (x(1+x)), the harmonic generating function
-    cf = s_minus(3)
-    quad = integrate01(lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (x * (1.0 + x)),
-                       ORACLE_TOL).value
-    out.append(_entry("sums.sminus3-closed",
-                      "S-(3) closed form vs its harmonic generating-function integral",
-                      -0.5 * quad, cf_num(cf), 1e-10, cf))
+    # order-3 closed forms vs integrals that no other entry pairs them with:
+    # S-(3) = -1/2 integral ln^2(x) ln(1+x) / (x(1+x)) is its generating function
+    s_minus3 = -0.5 * integrate01(lambda x, omx: math.log(x) ** 2 * math.log1p(x)
+                                  / (x * (1.0 + x)), ORACLE_TOL).value
+    for name, label, cf, oracle, route in (
+            ("jordan-odd-order3.J1", "J1", jordan_nielsen("J1", 3),
+             _jordan_order3_integral("J1"), "integral representation"),
+            ("jordan-odd-order3.J2", "J2", jordan_nielsen("J2", 3),
+             _jordan_order3_integral("J2"), "integral representation"),
+            ("sminus3-closed", "S-", s_minus(3), s_minus3, "harmonic generating-function integral")):
+        out.append(_entry(f"sums.{name}", f"{label}(3) closed form vs its {route}",
+                          oracle, cf_num(cf), 1e-10, cf))
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
     oracle = sum_oracle(SumKind("SMinus", 5))
     general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
@@ -282,11 +281,9 @@ def _jordan_order3_integral(which: str) -> float:
     """J1(3) or J2(3) from the order-3 integral representation
     1/(4*2!) integral ln^2(x) (ln(1+x) - ln(1-x)) (1/(1-x) -+ 1/(1+x))."""
     sgn = -1.0 if which == "J1" else 1.0
-
-    def ev(x: float, omx: float) -> float:
-        return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
-                * (1.0 / omx + sgn / (1.0 + x)))
-    return integrate01(ev, ORACLE_TOL).value / (4.0 * math.factorial(2))
+    quad = integrate01(lambda x, omx: math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
+                       * (1.0 / omx + sgn / (1.0 + x)), ORACLE_TOL).value
+    return quad / (4.0 * math.factorial(2))
 
 
 def _li_derivative_fd(p: int, k: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 from fnmatch import fnmatch
 from fractions import Fraction
 
@@ -6,12 +7,12 @@ import pytest
 
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import CapacityError, DomainError
-from polylog.lognm import (LogIntegralKind, h_boundary_closed, h_closed,
+from polylog.lognm import (TABLE_WEIGHT, LogIntegralKind, h_boundary_closed, h_closed,
                            h_pde_residual, i_closed, i_pde_residual,
                            lognm_numeric, s_sigma_relation_matrix,
                            s_sigma_relation_residual, sigma_weight6_count,
                            truncated_exp_ln2)
-from polylog.seriesring import beta_derivative_inm
+from polylog.seriesring import MAX_WEIGHT, beta_derivative_inm
 from polylog.sigma import cf_num
 from polylog.verify import expected_inm_table, run_suite
 
@@ -64,7 +65,9 @@ def test_i_pde_residuals_vanish():
 
 
 def test_i_capacity_and_domain():
-    with pytest.raises(CapacityError):
+    # the table weight is applied by the series ceiling's one check
+    msg = f"weight {TABLE_WEIGHT + 1} above cap {TABLE_WEIGHT} (ceiling MAX_WEIGHT = {MAX_WEIGHT})"
+    with pytest.raises(CapacityError, match=re.escape(msg)):
         i_closed(4, 3)
     with pytest.raises(DomainError):
         i_closed(0, 2)

@@ -137,7 +137,7 @@ def test_weight_ceiling_binds_above_any_requested_cap():
     with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
         kolbig_snp(MAX_WEIGHT - 1, 2, max_weight=40)
     with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
-        beta_derivative_inm(MAX_WEIGHT // 2 + 1, MAX_WEIGHT // 2, max_weight=40)
+        beta_derivative_inm(MAX_WEIGHT // 2 + 1, MAX_WEIGHT // 2)
 
 
 def test_snp_graded_route_matches_dense_series():
@@ -220,11 +220,11 @@ def test_inm_graded_route_matches_dense_series():
     for n in range(1, 9):
         for m in range(1, 10 - n):
             expected = Fraction(math.factorial(n) * math.factorial(m)) * dense.c[n][m]
-            assert beta_derivative_inm(n, m, 9) == expected, (n, m)
+            assert beta_derivative_inm(n, m) == expected, (n, m)
 
 
 def test_inm_capacity():
-    with pytest.raises(CapacityError, match="weight 10 above cap 8"):
-        beta_derivative_inm(5, 5, max_weight=8)
-    with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
+    with pytest.raises(CapacityError, match=f"weight {MAX_WEIGHT + 1} above cap {MAX_WEIGHT} "):
         beta_derivative_inm(MAX_WEIGHT, 1)
+    with pytest.raises(DomainError):
+        beta_derivative_inm(0, 2)

@@ -14,37 +14,49 @@ from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
 from polylog.eulersums import sum_oracle
 from polylog.ipq import ipq_numeric
-from polylog.lognm import MAX_WEIGHT as LOGNM_MAX_WEIGHT
-from polylog.lognm import lognm_numeric
+from polylog.lognm import TABLE_WEIGHT, lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import atom_value
 from polylog.special import nielsen_num
 from polylog.verify import run_suite
 
 
-def _imports_verify(node: ast.AST) -> bool:
+def _polylog_target(node: ast.AST) -> str | None:
+    """The package module an import statement names ("" for the package
+    itself), or None when it imports nothing from polylog."""
     if isinstance(node, ast.Import):
-        return any(a.name == "polylog.verify" for a in node.names)
+        names = [a.name for a in node.names if a.name.split(".")[0] == "polylog"]
+        return names[0].removeprefix("polylog").lstrip(".") if names else None
     if not isinstance(node, ast.ImportFrom):
-        return False
+        return None
     module = node.module or ""
-    if node.level == 0 and not module.startswith("polylog"):
-        return False
-    target = module.removeprefix("polylog").lstrip(".")
-    return target == "verify" or (target == "" and any(a.name == "verify" for a in node.names))
+    if node.level == 0 and module.split(".")[0] != "polylog":
+        return None
+    return module.removeprefix("polylog").lstrip(".")
 
 
-def test_only_cli_and_package_init_import_verify():
-    # verify sits above every builder; an import of it from below, even a
-    # lazy one inside a function, would close an import cycle
-    offenders = []
+def test_no_import_cycles_between_package_modules():
+    # verify sits above every builder, so only cli and the package import
+    # it; and an import inside a function is how a cycle between package
+    # modules hides, so the sigma <-> eulersums one is the only one left
+    verify_importers, lazy = [], Counter()
     for path in sorted(Path(polylog.__file__).parent.glob("*.py")):
-        if path.stem in ("cli", "__init__"):
-            continue
         tree = ast.parse(path.read_text())
-        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if _imports_verify(node)]
-    assert offenders == []
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                        for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            target = _polylog_target(node)
+            if target is None:
+                continue
+            names = [a.name for a in node.names]
+            if path.stem not in ("cli", "__init__") and \
+                    (target == "verify" or (target == "" and "verify" in names)):
+                verify_importers.append(f"{path.name}:{node.lineno}")
+            if id(node) in in_functions:
+                lazy[path.name, target or names[0]] += 1
+    assert verify_importers == []
+    assert lazy == {("eulersums.py", "sigma"): 2}
 
 
 def test_package_modules_import_only_names_they_use():
@@ -406,8 +418,8 @@ _PAST_CAP = {
        for t in ("s-plus", "s-minus", "jordan1", "jordan2", "milgram", "c")},
     "s-np": ["--n", "1", "--p", str(SNP_TABLE_WEIGHT)],
     "sigma-np": ["--n", str(MAX_WEIGHT - 1), "--p", "2"],
-    "inm": ["--n", "1", "--m", str(LOGNM_MAX_WEIGHT)],
-    "hnm": ["--n", "1", "--m", str(LOGNM_MAX_WEIGHT)],
+    "inm": ["--n", "1", "--m", str(TABLE_WEIGHT)],
+    "hnm": ["--n", "1", "--m", str(TABLE_WEIGHT)],
     "approx": ["--p", str(MAX_WEIGHT), "--kt", "1"],
 }
 
