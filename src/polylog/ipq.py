@@ -99,11 +99,8 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> floa
 
 
 def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
-    """sum_{k<n} (-1)^k R(p+k+1, q-k): the R part of the telescoping solution
-
-        I(p,q) = (-1)^n I(p+n, q-n) + sum_{k<n} (-1)^k R(p+k+1, q-k)
-
-    of the difference equation I(p,q-1) + I(p-1,q) = R(p,q)."""
+    """The R part of the telescoping solution of I(p,q-1) + I(p-1,q) = R(p,q):
+    I(p,q) = (-1)^n I(p+n, q-n) + sum_{k<n} (-1)^k R(p+k+1, q-k)."""
     out = ClosedForm.zero()
     for k in range(n):
         out = out + Fraction((-1) ** k) * r_value(family, p + k + 1, q - k)
@@ -207,22 +204,16 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
 
 
 def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
-    """I(p,q) by the telescoping solution, or None for the mixed family with q < p.
-
-    n = (q-p)//2 shifts reach the diagonal I(m,m) or the near-diagonal
-    I(m,m+1) (symmetric orders folded to p <= q first); there the symmetric
-    families give I(m,m+1) = R(m+1,m+1)/2, and every other endpoint is its
-    final display.
-    """
+    """I(p,q) by the telescoping solution shifted n = (q-p)//2 steps to the
+    diagonal I(m,m) or near-diagonal I(m,m+1), where a symmetric family has
+    I(m,m+1) = R(m+1,m+1)/2; None for the mixed family with q < p."""
     if family.symmetric:
         p, q = min(p, q), max(p, q)
     elif q < p:
         return None
     n = (q - p) // 2
-    if family.symmetric and (q - p) % 2:
-        endpoint = Fraction(1, 2) * r_value(family, p + n + 1, p + n + 1)
-    else:
-        endpoint = _final_sum_form(family, p + n, q - n)
+    endpoint = (Fraction(1, 2) * r_value(family, p + n + 1, p + n + 1)
+                if family.symmetric and (q - p) % 2 else _final_sum_form(family, p + n, q - n))
     return Fraction((-1) ** n) * endpoint + _r_sum(family, p, q, n)
 
 
