@@ -173,7 +173,8 @@ def _checks_sums() -> list[CheckEntry]:
              _jordan_order3_integral("J1"), "integral representation"),
             ("jordan-odd-order3.J2", "J2", jordan_nielsen("J2", 3),
              _jordan_order3_integral("J2"), "integral representation"),
-            ("sminus3-closed", "S-", s_minus(3), s_minus3, "harmonic generating-function integral")):
+            ("sminus3-closed", "S-", s_minus(3), s_minus3,
+             "harmonic generating-function integral")):
         out.append(_entry(f"sums.{name}", f"{label}(3) closed form vs its {route}",
                           oracle, cf_num(cf), 1e-10, cf))
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
