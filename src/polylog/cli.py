@@ -29,8 +29,22 @@ from .verify import run_suite
 # `eval s-np` serves the s_{n,p} table to this weight and exits 3 above it.
 SNP_TABLE_WEIGHT = 8
 
-_EVAL_TARGETS = ("ipq", "s-plus", "s-minus", "jordan1", "jordan2", "milgram",
-                 "c", "s-np", "sigma-np", "inm", "hnm", "approx")
+# Each eval target: the flags it requires, and its builder.  The builders
+# are lambdas so that each call reads the module's names afresh.
+_EVAL_TARGETS = {
+    "ipq": (("family", "p", "q"), lambda family, p, q: ipq_final(Family(family), p, q)),
+    "s-plus": (("r",), lambda r: s_plus(r)),
+    "s-minus": (("r",), lambda r: s_minus(r)),
+    "jordan1": (("r",), lambda r: jordan_nielsen("J1", r)),
+    "jordan2": (("r",), lambda r: jordan_nielsen("J2", r)),
+    "milgram": (("r",), lambda r: milgram(r)),
+    "c": (("r",), lambda r: c_sum(r)),
+    "s-np": (("n", "p"), lambda n, p: kolbig_snp(n, p, max_weight=SNP_TABLE_WEIGHT)),
+    "sigma-np": (("n", "p"), lambda n, p: sigma_tilde(n, p)),
+    "inm": (("n", "m"), lambda n, m: i_closed(n, m)),
+    "hnm": (("n", "m"), lambda n, m: h_closed(n, m)),
+    "approx": (("p", "kt"), lambda p, kt: s_minus_truncated(p, kt)),
+}
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -41,55 +55,18 @@ def _closed_payload(cf: ClosedForm) -> dict:
     return {"closed": cf.to_obj(), "pretty": cf.pretty(), "decimal": cf_num(cf)}
 
 
-def _eval_target(args: argparse.Namespace) -> dict:
-    t = args.target
-    if t == "ipq":
-        _need(args, "family", "p", "q")
-        fam = Family.parse(args.family)
-        cf = ipq_final(fam, args.p, args.q)
-        return {"target": t, "params": {"family": fam.value, "p": args.p, "q": args.q},
-                **_closed_payload(cf)}
-    if t in ("s-plus", "s-minus", "jordan1", "jordan2", "milgram", "c"):
-        _need(args, "r")
-        fn = {"s-plus": s_plus, "s-minus": s_minus,
-              "jordan1": lambda r: jordan_nielsen("J1", r),
-              "jordan2": lambda r: jordan_nielsen("J2", r),
-              "milgram": milgram, "c": c_sum}[t]
-        cf = fn(args.r)
-        return {"target": t, "params": {"r": args.r}, **_closed_payload(cf)}
-    if t == "s-np":
-        _need(args, "n", "p")
-        cf = kolbig_snp(args.n, args.p, max_weight=SNP_TABLE_WEIGHT)
-        return {"target": t, "params": {"n": args.n, "p": args.p}, **_closed_payload(cf)}
-    if t == "sigma-np":
-        _need(args, "n", "p")
-        cf = sigma_tilde(args.n, args.p)
-        return {"target": t, "params": {"n": args.n, "p": args.p}, **_closed_payload(cf)}
-    if t == "inm":
-        _need(args, "n", "m")
-        cf = i_closed(args.n, args.m)
-        return {"target": t, "params": {"n": args.n, "m": args.m}, **_closed_payload(cf)}
-    if t == "hnm":
-        _need(args, "n", "m")
-        cf = h_closed(args.n, args.m)
-        return {"target": t, "params": {"n": args.n, "m": args.m}, **_closed_payload(cf)}
-    if t == "approx":
-        _need(args, "p", "kt")
-        cf = s_minus_truncated(args.p, args.kt)
-        return {"target": t, "params": {"p": args.p, "kt": args.kt}, **_closed_payload(cf)}
-    raise DomainError(f"unknown target {t!r}")
-
-
-def _need(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
+def _cmd_eval(args: argparse.Namespace) -> int:
+    names, build = _EVAL_TARGETS[args.target]
+    params = {n: getattr(args, n) for n in names}
+    missing = [n for n in names if params[n] is None]
     if missing:
         print(f"error: target {args.target!r} requires "
               + ", ".join(f"--{n}" for n in missing), file=sys.stderr)
         raise SystemExit(2)
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    _emit(_eval_target(args), args.pretty)
+    if "family" in params:
+        params["family"] = Family.parse(params["family"]).value
+    _emit({"target": args.target, "params": params, **_closed_payload(build(**params))},
+          args.pretty)
     return 0
 
 
@@ -104,8 +81,6 @@ def _cmd_ipq(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    if args.quantity != "s-minus":
-        raise DomainError(f"unknown approximation target {args.quantity!r}")
     cf = s_minus_truncated(args.p, args.kt)
     value = cf_num(cf)
     reference = sum_oracle(SumKind("SMinus", args.p))
@@ -175,7 +150,7 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
         for (n, p), cf in sorted(registry().closed.items()):
             if n + p <= max_weight:
                 entries.append((f"sigma_{n}_{p}", cf))
-    elif kind == "ipq":
+    else:  # ipq
         # I(p,q) has weight p+q+1: refuse the table before building any entry
         if max_weight + 1 > MAX_WEIGHT:
             raise CapacityError(f"I(p,q) to p+q = {max_weight} needs weight {max_weight + 1}, "
@@ -185,8 +160,6 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
                 for q in range(1, max_weight):
                     if p + q <= max_weight:
                         entries.append((f"I[{fam.value}]({p},{q})", ipq_final(fam, p, q)))
-    else:
-        raise DomainError(f"unknown table kind {kind!r}")
     return entries
 
 

@@ -1,5 +1,9 @@
 """Euler sums: S+, S-, the Jordan sums J1/J2, the Milgram sum M, and C.
 
+S-(r) and the Nielsen forms of J1/J2 read sigma~_{r-1,2} = S_{r-1,2}(-1)
+from the sigma registry; s_minus_even_closed, which never touches sigma~,
+is the route the verify entries check that registry against.
+
 Each builder takes one route and is memoized.  Each closed form also
 exists as a direct accelerated summation of its defining series
 (sum_oracle), at ORACLE_TOL and memoized as well: one float per kind.  Its
@@ -22,6 +26,7 @@ from .digamma import euler_gamma, psi_point
 from .errors import DomainError
 from .quadrature import ORACLE_TOL
 from .seriesring import _check_weight, kolbig_snp
+from .sigma import sigma_tilde
 from .summation import sum_alternating, sum_tail
 
 _TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
@@ -46,10 +51,6 @@ class SumKind(tuple):
 
     def __repr__(self):
         return f"SumKind(tag={self.tag!r}, order={self.order!r})"
-
-
-def _half_pow(r: int) -> Fraction:
-    return Fraction(1, 2 ** r)
 
 
 @cache
@@ -131,13 +132,11 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
         raise DomainError("which must be 'J1' or 'J2'")
     if r < 2:
         raise DomainError("Jordan sums require order >= 2")
-    from .sigma import sigma_tilde
-
     s = kolbig_snp(r - 1, 2)
     sig = sigma_tilde(r - 1, 2)
     if which == "J1":
         return Fraction(1, 2) * (s - sig) - milgram(r)
-    return Fraction(1, 2) * ((1 - _half_pow(r)) * s + sig)
+    return Fraction(1, 2) * ((1 - Fraction(1, 2 ** r)) * s + sig)
 
 
 def s_minus_even_closed(r: int) -> ClosedForm:
@@ -163,9 +162,7 @@ def s_minus(r: int) -> ClosedForm:
     if r < 2:
         raise DomainError("S- requires order >= 2")
     _check_weight(r + 1)
-    from .sigma import sigma_tilde
-
-    return (_half_pow(r) - 1) * zeta_closed(r + 1) + sigma_tilde(r - 1, 2)
+    return (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1) + sigma_tilde(r - 1, 2)
 
 
 @cache

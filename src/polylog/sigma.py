@@ -9,9 +9,9 @@ three groups:
 * the S_{n,1}(-1) = Li_{n+1}(-1) column, valid for every n;
 * the tabulated values of weight <= 5 plus the closed weight-6 entries
   sigma~_{1,5} and sigma~_{5,1};
-* sigma~_{5,2} and sigma~_{7,2}, recovered exactly from the even-order
-  alternating Euler sums (the verify suites check the tabulated
-  sigma~_{1,2} and sigma~_{3,2} against the same route).
+* sigma~_{5,2} and sigma~_{7,2}, tabulated like sigma~_{3,2}.  The S- and
+  Jordan sums of eulersums are built on them; lognm.sigma-even-route.*
+  checks all four sigma~_{r-1,2} against the even-order S- route.
 
 At weight 6 the mid-table entries sigma~_{2,4}, sigma~_{3,3}, sigma~_{4,2}
 have no individual closed forms, only two linear relations; those are kept
@@ -28,7 +28,6 @@ from .closedform import (Atom, ClosedForm, LN2, PI, eta_factor_closed,
                          li_half_atom, sigma_atom, zeta_closed)
 from .digamma import euler_gamma
 from .errors import DomainError, EvaluationError
-from .eulersums import s_minus_even_closed
 from .seriesring import _check_weight
 from .special import nielsen_num, polylog
 from .summation import zeta_num
@@ -103,11 +102,14 @@ def registry() -> SigmaRegistry:
                           + Fraction(1, 2) * _ln2_pow(2) * li4
                           + _ln2_pow(1) * li5
                           + li6)
-
-    # sigma~_{r-1,2} from the even-order alternating sums, past the table
-    for r in (6, 8):
-        reg.closed[(r - 1, 2)] = (s_minus_even_closed(r)
-                                  - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1))
+    # weights 7 and 9
+    reg.closed[(5, 2)] = (Fraction(1, 12) * pi2 * z5
+                          + Fraction(7, 720) * pi4 * z3
+                          - Fraction(251, 128) * zeta_closed(7))
+    reg.closed[(7, 2)] = (Fraction(1, 12) * pi2 * zeta_closed(7)
+                          + Fraction(7, 720) * pi4 * z5
+                          + Fraction(31, 30240) * pi6 * z3
+                          - Fraction(1529, 512) * zeta_closed(9))
 
     # weight-6 relations among the open entries
     rel1_rhs = (Fraction(-53, 15120) * pi6

@@ -7,11 +7,14 @@ use direct summation plus an Euler-Maclaurin tail whose integral part is
 evaluated by the tanh-sinh rule; the term callable must therefore accept
 real (not just integer) arguments beyond the cutoff.
 
+sum_alternating and sum_tail raise ConvergenceError past their term budgets,
+the module constants ALTERNATING_TERMS and TAIL_TERMS.
+
 Across calls, eta_num/zeta_num keep one float per integer order and the
-CVZ weights are kept per depth n (_cvz_weights, at most max_terms floats per
-depth asked for).  Within a call, sum_tail keeps its direct terms across
-the doublings of its cutoff and sum_alternating its terms across its
-deepenings, so each index is evaluated once (at most max_terms floats).
+CVZ weights are kept per depth n (_cvz_weights, at most ALTERNATING_TERMS
+floats per depth asked for).  Within a call, sum_tail keeps its direct
+terms across the doublings of its cutoff and sum_alternating its terms
+across its deepenings, so each index is evaluated once.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import integrate01
 
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
+# the CVZ divisor (3 + sqrt 8)^n overflows a double past n = 402
+ALTERNATING_TERMS = 400
+TAIL_TERMS = 1 << 21
 
 
 @cache
@@ -50,7 +56,7 @@ def _cvz(a: list[float]) -> float:
     return s / d
 
 
-def sum_alternating(term: Callable[[int], float], tol: float, max_terms: int = 800) -> float:
+def sum_alternating(term: Callable[[int], float], tol: float) -> float:
     """sum_{k>=1} term(k) where term alternates in sign.
 
     The sign may sit inside ``term``; magnitudes must eventually decrease
@@ -61,7 +67,7 @@ def sum_alternating(term: Callable[[int], float], tol: float, max_terms: int = 8
     n = max(12, int(math.log(max(4.0 / tol, 10.0)) / _LOG_CVZ_BASE) + 6)
     prev = None
     a: list[float] = []
-    while n <= max_terms:
+    while n <= ALTERNATING_TERMS:
         # each deepening only adds the terms past the previous depth
         a.extend((-1) ** (j + 1) * term(j + 1) for j in range(len(a), n))
         value = -_cvz(a)
@@ -72,9 +78,8 @@ def sum_alternating(term: Callable[[int], float], tol: float, max_terms: int = 8
     raise ConvergenceError("alternating-series acceleration did not settle", partial=prev)
 
 
-def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
-             start: int = 1, max_terms: int = 1 << 21) -> float:
-    """sum_{k>=start} term(k) for term(k) = O(k^-s) with s = decay_exponent >= 2.
+def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float) -> float:
+    """sum_{k>=1} term(k) for term(k) = O(k^-s) with s = decay_exponent >= 2.
 
     Direct summation to a cutoff K plus the Euler-Maclaurin tail
     integral(K..inf) + term(K)/2 - term'(K)/12; K doubles until the total
@@ -88,10 +93,10 @@ def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
     K = 256
     prev = None
     terms: list[float] = []
-    while K <= max_terms:
+    while K <= TAIL_TERMS:
         # each doubling only adds term(k) for the new k; fsum is correctly
         # rounded, so summing the whole list equals a fresh summation
-        terms.extend(term(k) for k in range(start + len(terms), K))
+        terms.extend(term(k) for k in range(1 + len(terms), K))
         total = math.fsum(terms) + _em_tail(term, float(K), tol)
         if prev is not None and abs(total - prev) <= tol / 4:
             return total

@@ -331,9 +331,10 @@ def _checks_ipq() -> list[CheckEntry]:
     for family in (Family.PLUS, Family.MINUS):
         for p in range(1, 4):
             for q in range(p + 1, 5):
+                # the series route sums different mu-terms at (p,q) and (q,p)
                 out.append(_entry(f"ipq.symmetry.{family.value}.p{p}q{q}",
-                                  f"I[{family.value}] order symmetry",
-                                  ipq_numeric(family, p, q), ipq_numeric(family, q, p), 1e-9))
+                                  f"I[{family.value}] order symmetry of the series route",
+                                  ipq_series(family, p, q), ipq_series(family, q, p), 1e-9))
         # odd/even reduction examples at weights 5 and 6
         for p, q, combination in (
                 (1, 4, Fraction(-1, 2) * r_value(family, 3, 3) + r_value(family, 2, 4)),
@@ -518,7 +519,7 @@ def _checks_lognm() -> list[CheckEntry]:
                                     f"s({n},{w - n}) reflection relation residual",
                                     s_sigma_relation_residual(n, w - n), 0))
     out.extend(_sigma_weight6_entries())
-    for r in (2, 4):
+    for r in (2, 4, 6, 8):
         out.append(_exact_entry(
             f"lognm.sigma-even-route.n{r - 1}p2",
             f"sigma~({r - 1},2) table value vs the even-order S- route",

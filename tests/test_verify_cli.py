@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import polylog
 from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
 from polylog.eulersums import sum_oracle
-from polylog.ipq import ipq_numeric
+from polylog.ipq import Family, ipq_numeric, ipq_series
 from polylog.lognm import TABLE_WEIGHT, lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import atom_value
@@ -36,11 +37,13 @@ def _polylog_target(node: ast.AST) -> str | None:
 
 
 def test_no_import_cycles_between_package_modules():
-    # verify sits above every builder, so only cli and the package import
-    # it; and an import inside a function is how a cycle between package
-    # modules hides, so the sigma <-> eulersums one is the only one left
-    verify_importers, lazy = [], Counter()
-    for path in sorted(Path(polylog.__file__).parent.glob("*.py")):
+    # an import inside a function is how a cycle between package modules
+    # hides, so there is none; the module-level import graph is acyclic
+    package = Path(polylog.__file__).parent
+    stems = {path.stem for path in package.glob("*.py")}
+    graph: dict[str, set[str]] = {stem: set() for stem in stems}
+    lazy = []
+    for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         in_functions = {id(node) for fn in ast.walk(tree)
                         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
@@ -49,14 +52,14 @@ def test_no_import_cycles_between_package_modules():
             target = _polylog_target(node)
             if target is None:
                 continue
-            names = [a.name for a in node.names]
-            if path.stem not in ("cli", "__init__") and \
-                    (target == "verify" or (target == "" and "verify" in names)):
-                verify_importers.append(f"{path.name}:{node.lineno}")
             if id(node) in in_functions:
-                lazy[path.name, target or names[0]] += 1
-    assert verify_importers == []
-    assert lazy == {("eulersums.py", "sigma"): 2}
+                lazy.append(f"{path.name}:{node.lineno}")
+            modules = {a.name for a in node.names} & stems if target == "" else {target}
+            graph[path.stem] |= modules or {"__init__"}
+    assert lazy == []
+    # verify sits above every builder, so only cli and the package import it
+    assert {stem for stem, deps in graph.items() if "verify" in deps} == {"cli", "__init__"}
+    graphlib.TopologicalSorter(graph).prepare()   # raises CycleError on a cycle
 
 
 def test_package_modules_import_only_names_they_use():
@@ -247,10 +250,10 @@ def test_verify_entry_set_is_pinned():
     # a rewrite of the suites must not silently drop (or rename away) a check
     entries = run_suite("all").entries
     ids = [e.identity_id for e in entries]
-    assert len(set(ids)) == len(ids) == 436
+    assert len(set(ids)) == len(ids) == 438
     assert Counter(i.split(".")[0] for i in ids) == {
-        "ipq": 240, "lognm": 112, "sums": 70, "appendix": 14}
-    assert sum(1 for e in entries if e.tolerance == 0) == 217
+        "ipq": 240, "lognm": 114, "sums": 70, "appendix": 14}
+    assert sum(1 for e in entries if e.tolerance == 0) == 219
 
 
 def test_order3_sums_entries_have_oracles_of_their_own():
@@ -263,6 +266,21 @@ def test_order3_sums_entries_have_oracles_of_their_own():
         e = next(e for e in entries if e.identity_id == ident)
         assert e.symbolic is not None and e.tolerance == 1e-10 and e.status == "pass"
         assert pairs[e.symbolic, e.oracle_value] == 1, ident
+
+
+def test_symmetry_entries_compare_the_series_route_at_swapped_orders():
+    # the series route sums different mu-terms at (p,q) and (q,p), so unlike
+    # the quadrature of one symmetric integrand its two values can differ
+    entries = [e for e in run_suite("ipq").entries
+               if e.identity_id.startswith("ipq.symmetry.")]
+    assert len(entries) == 12
+    for e in entries:
+        family, orders = e.identity_id.split(".")[2:]
+        p, q = map(int, orders.removeprefix("p").split("q"))
+        assert (e.oracle_value, e.closed_value) == (
+            ipq_series(Family(family), p, q), ipq_series(Family(family), q, p))
+        assert e.symbolic is None and e.tolerance == 1e-9 and e.status == "pass"
+    assert any(e.abs_error > 0 for e in entries)
 
 
 def test_verify_report_is_sorted_and_deterministic():
@@ -325,7 +343,7 @@ def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
         if name.startswith("polylog") and getattr(module, "nielsen_num", None) is nielsen_num:
             monkeypatch.setattr(module, "nielsen_num", counted)
     run_suite("all")
-    assert [fn.cache_info().misses for fn in oracles] == [40, 48, 20]
+    assert [fn.cache_info().misses for fn in oracles] == [41, 48, 20]
     assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
 
 
