@@ -1,10 +1,12 @@
 """Exact constant algebra: rational-linear combinations of constant monomials.
 
-A value is a map ``{monomial -> Fraction}`` where each monomial is a product
+A value maps monomials to rational coefficients.  Each monomial is a product
 of powers of atomic constants (pi, ln 2, Euler's gamma, odd zeta values,
-Li_k(1/2), and open Nielsen sigma constants).  Even zeta arguments are
-rewritten as rational multiples of pi powers at construction, so comparing
-two closed forms against a table reduces to term-map equality.
+Li_k(1/2), and open Nielsen sigma constants); the coefficients are stored as
+integer numerators over one common denominator (see ``ClosedForm``).  Even
+zeta arguments are rewritten as rational multiples of pi powers at
+construction, so comparing two closed forms against a table reduces to
+term-map equality.
 """
 
 from __future__ import annotations
@@ -115,6 +117,11 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    return _monomial_product(a, b)
+
+
+@cache
+def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
     return monomial(*a, *b)
 
 
@@ -136,29 +143,63 @@ def _monomial_key(m: Monomial):
 class ClosedForm:
     """Finite rational-linear combination of constant monomials.
 
-    Immutable; the constructor alone drops zero coefficients, so equality is
-    exact term-map equality.
+    Immutable.  The coefficients are integer numerators ``_num`` over one
+    common denominator ``_den`` (the layout of FLINT's ``fmpq_poly``).  The
+    pair is canonical: ``_den > 0``, no numerator is zero, and
+    ``gcd(_den, *numerators) == 1``.  So equal forms have equal pairs, and
+    equality is exact term-map equality.  Arithmetic works on the integers
+    and ends with one variadic ``math.gcd``, where a map of ``Fraction``
+    values would pay a gcd per coefficient.  Its results are built by
+    ``_reduced`` and ``_canonical``, which skip the public constructor's
+    per-coefficient checks.  ``terms`` and ``coefficient`` hand out
+    ``Fraction`` values.
+
+    ``evaluate`` divides each numerator by ``_den``.  That int/int division
+    is correctly rounded, as ``float(Fraction)`` is, so each term's float
+    equals that of its reduced coefficient and every decimal keeps its bits.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        coeffs = {}
+        den = 1
         for mono, coeff in (terms or {}).items():
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             if c:
-                clean[mono] = c
-        object.__setattr__(self, "_terms", clean)
+                coeffs[mono] = c
+                den = math.lcm(den, c.denominator)
+        # each c is in lowest terms and den is the lcm of their denominators,
+        # so the scaled numerators already share no factor with den
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self._den = den
+
+    @classmethod
+    def _canonical(cls, num: dict[Monomial, int], den: int) -> "ClosedForm":
+        """A form from a map that already meets the class invariant."""
+        out = object.__new__(cls)
+        out._num = num
+        out._den = den
+        return out
+
+    @classmethod
+    def _reduced(cls, num: dict[Monomial, int], den: int) -> "ClosedForm":
+        """A form from nonzero numerators over a positive den: divide out the gcd."""
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+        return cls._canonical(num, den)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ClosedForm":
-        return cls()
+        return cls._canonical({}, 1)
 
     @classmethod
     def one(cls) -> "ClosedForm":
-        return cls({UNIT: Fraction(1)})
+        return cls._canonical({UNIT: 1}, 1)
 
     @classmethod
     def rational(cls, value) -> "ClosedForm":
@@ -172,17 +213,18 @@ class ClosedForm:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._num.items()}
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        return Fraction(self._num.get(m, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def atoms(self) -> set[Atom]:
-        return {a for mono in self._terms for a, _ in mono}
+        return {a for mono in self._num for a, _ in mono}
 
     def sigma_atoms(self) -> list[Atom]:
         return sorted((a for a in self.atoms() if a.tag == "sigma"),
@@ -190,59 +232,87 @@ class ClosedForm:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other) -> "ClosedForm | None":
+    def _sum(self, other, sign: int) -> "ClosedForm":
+        """self + sign * other for a ClosedForm, int or Fraction other."""
         if isinstance(other, ClosedForm):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ClosedForm.rational(other)
-        return None
+            onum, oden = other._num, other._den
+        elif isinstance(other, (int, Fraction)):
+            onum, oden = ({UNIT: other.numerator} if other else {}), other.denominator
+        else:
+            return NotImplemented
+        if not onum:
+            return self
+        num, den = self._num, self._den
+        if den == oden:
+            acc = dict(num)
+            scale = sign
+        else:
+            lcm = math.lcm(den, oden)
+            f = lcm // den
+            acc = {m: c * f for m, c in num.items()}
+            scale = sign * (lcm // oden)
+            den = lcm
+        for m, c in onum.items():
+            c *= scale
+            if m in acc:
+                c += acc[m]
+                if not c:
+                    del acc[m]
+                    continue
+            acc[m] = c
+        return ClosedForm._reduced(acc, den)
+
+    def _scaled(self, n: int, d: int) -> "ClosedForm":
+        """self * n / d for d > 0."""
+        if not n:
+            return ClosedForm.zero()
+        return ClosedForm._reduced({m: c * n for m, c in self._num.items()}, self._den * d)
 
     def __add__(self, other) -> "ClosedForm":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        return ClosedForm(acc)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ClosedForm":
-        return ClosedForm({m: -c for m, c in self._terms.items()})
+        return ClosedForm._canonical({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "ClosedForm":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "ClosedForm":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        out = self._sum(other, -1)
+        return out if out is NotImplemented else -out
 
     def __mul__(self, other) -> "ClosedForm":
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, ClosedForm):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
+        acc: dict[Monomial, int] = {}
+        for m1, c1 in self._num.items():
+            for m2, c2 in other._num.items():
                 m = monomial_mul(m1, m2)
-                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-        return ClosedForm(acc)
+                c = c1 * c2
+                if m in acc:
+                    c += acc[m]
+                    if not c:
+                        del acc[m]
+                        continue
+                acc[m] = c
+        return ClosedForm._reduced(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ClosedForm":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise DomainError("division of a closed form by zero")
+        n, d = other.numerator, other.denominator
+        return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
 
     def __pow__(self, exp: int) -> "ClosedForm":
-        if exp < 0:
+        if not isinstance(exp, int) or exp < 0:
             raise DomainError("closed forms support nonnegative integer powers only")
         out = ClosedForm.one()
         for _ in range(exp):
@@ -250,24 +320,28 @@ class ClosedForm:
         return out
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
+        if isinstance(other, ClosedForm):
+            return self._den == other._den and self._num == other._num
+        if isinstance(other, (int, Fraction)):
+            return (self._num.keys() <= {UNIT} and self._den == other.denominator
+                    and self._num.get(UNIT, 0) == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
         # a pure-rational form (zero included) equals its Fraction: hash as one
-        if self._terms.keys() <= {UNIT}:
-            return hash(self._terms.get(UNIT, 0))
-        return hash(frozenset(self._terms.items()))
+        if self._num.keys() <= {UNIT}:
+            return hash(self.coefficient(UNIT))
+        return hash(frozenset(self.terms.items()))
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, value: Callable[[Atom], float]) -> float:
-        # fsum is correctly rounded, so the result does not depend on term order
+        # n / den is correctly rounded, as float(Fraction(n, den)) is, so each
+        # term, and the correctly rounded fsum, keeps its bits
+        den = self._den
         parts = []
-        for mono, c in self._terms.items():
-            v = float(c)
+        for mono, c in self._num.items():
+            v = c / den
             for a, e in mono:
                 v *= value(a) ** e
             parts.append(v)
@@ -275,16 +349,18 @@ class ClosedForm:
 
     # -- serialization ---------------------------------------------------------
 
+    def _sorted_terms(self):
+        """(monomial, numerator, denominator) in lowest terms, in display order."""
+        den = self._den
+        for mono in sorted(self._num, key=_monomial_key):
+            c = self._num[mono]
+            g = math.gcd(c, den)
+            yield mono, c // g, den // g
+
     def to_obj(self) -> dict:
-        terms = []
-        for mono in sorted(self._terms, key=_monomial_key):
-            c = self._terms[mono]
-            terms.append({
-                "monomial": [[a.name, e] for a, e in mono],
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            })
-        return {"terms": terms}
+        return {"terms": [{"monomial": [[a.name, e] for a, e in mono],
+                           "num": str(n), "den": str(d)}
+                          for mono, n, d in self._sorted_terms()]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
@@ -292,19 +368,18 @@ class ClosedForm:
     # -- display -----------------------------------------------------------------
 
     def pretty(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for mono in sorted(self._terms, key=_monomial_key):
-            c = self._terms[mono]
-            mag = abs(c)
+        for mono, n, d in self._sorted_terms():
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = monomial_name(mono)
             else:
                 body = f"{mag}*{monomial_name(mono)}"
-            parts.append(("-" if c < 0 else "+", body))
+            parts.append(("-" if n < 0 else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in parts[1:]:
@@ -343,8 +418,12 @@ def zeta_even_coefficient(n: int) -> Fraction:
     return Fraction((-1) ** (m + 1)) * bernoulli_fraction(n) * Fraction(2 ** n, 2 * math.factorial(n))
 
 
+@cache
 def zeta_closed(n: int) -> ClosedForm:
-    """zeta(n) as a closed form: pi-power for even n, atomic for odd n."""
+    """zeta(n) as a closed form: pi-power for even n, atomic for odd n.
+
+    Memoized; a ClosedForm is immutable, so every caller may share it.
+    """
     if n < 2:
         raise DomainError("zeta(n) requires n >= 2 (the n = 1 limit lives in eta_factor_closed)")
     if n % 2 == 0:

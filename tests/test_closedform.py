@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from polylog import closedform, seriesring
 from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
                                 bernoulli_fraction,
                                 eta_factor_closed, li_half_atom, monomial,
@@ -14,6 +15,7 @@ from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
                                 zeta_closed, zeta_nonpositive_rational,
                                 zeta_odd_atom)
 from polylog.errors import DomainError
+from polylog.seriesring import kolbig_snp
 
 from conftest import assert_frozen_value, zeta_brute
 
@@ -29,7 +31,9 @@ _monomials = st.lists(
 
 _coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
-_closed_forms = st.dictionaries(_monomials, _coeffs, max_size=4).map(ClosedForm)
+_term_maps = st.dictionaries(_monomials, _coeffs, max_size=4)
+
+_closed_forms = _term_maps.map(ClosedForm)
 
 
 # evaluate() reads atom values through any callable: here a fixed table
@@ -161,6 +165,93 @@ def test_numeric_consistency(a, b):
     assert abs((a * b).evaluate(_value) - va * vb) <= 1e-12 * scale
 
 
+def test_division_by_zero_and_fractional_powers_are_domain_errors():
+    z3 = zeta_closed(3)
+    for divisor in (0, Fraction(0)):
+        with pytest.raises(DomainError):
+            z3 / divisor
+    for exp in (Fraction(1, 2), Fraction(2), 0.5):
+        with pytest.raises(DomainError):
+            z3 ** exp
+    assert z3 / Fraction(-2, 3) == Fraction(-3, 2) * z3
+
+
+# -- the dict-of-Fraction arithmetic, as the reference for the integer layout --
+
+
+class _FractionForm:
+    """A ClosedForm kept as {monomial: Fraction}, one Fraction per coefficient."""
+
+    def __init__(self, terms):
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    @staticmethod
+    def _coerce(x):
+        return x if isinstance(x, _FractionForm) else _FractionForm({UNIT: x})
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for m, c in self._coerce(other).terms.items():
+            acc[m] = acc[m] + c if m in acc else c
+        return _FractionForm(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionForm({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        acc = {}
+        o = self._coerce(other)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                m = monomial(*m1, *m2)
+                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+        return _FractionForm(acc)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (Fraction(1) / Fraction(other))
+
+    def __pow__(self, exp):
+        out = _FractionForm({UNIT: 1})
+        for _ in range(exp):
+            out = out * self
+        return out
+
+    def __hash__(self):
+        if self.terms.keys() <= {UNIT}:
+            return hash(self.terms.get(UNIT, 0))
+        return hash(frozenset(self.terms.items()))
+
+
+def _assert_canonical(cf):
+    assert cf._den > 0 and all(type(c) is int and c for c in cf._num.values())
+    assert math.gcd(cf._den, *cf._num.values()) == 1
+
+
+@given(_term_maps, _term_maps, _coeffs | st.integers(-30, 30), st.integers(0, 3))
+def test_arithmetic_matches_the_fraction_reference(ta, tb, s, k):
+    a, b = ClosedForm(ta), ClosedForm(tb)
+    ra, rb = _FractionForm(ta), _FractionForm(tb)
+    pairs = [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb),
+             (a ** k, ra ** k), (a + s, ra + s), (s + a, s + ra), (a - s, ra - s),
+             (s - a, s - ra), (a * s, ra * s), (s * a, s * ra)]
+    if s:
+        pairs.append((a / s, ra / s))
+    for new, ref in pairs:
+        assert new.terms == ref.terms
+        assert hash(new) == hash(ref)
+        _assert_canonical(new)
+
+
 # -- zeta / eta closed forms ---------------------------------------------------
 
 
@@ -199,6 +290,16 @@ def test_normalization_constructs_no_fractions():
     assert _fraction_constructions(lambda: ClosedForm(terms)) == 0
     assert _fraction_constructions(lambda: x + y) == 0
     assert (x + y).terms == {**terms, **y.terms}
+
+
+def test_snp_builds_to_weight_12_construct_few_fractions():
+    # coefficients are integers over one denominator, so a cold build of every
+    # s_{n,p} to weight 12 makes Fractions only for its rational inputs
+    for memo in (seriesring._ratio_slice, seriesring._log_slice, closedform.zeta_closed,
+                 closedform._monomial_product, bernoulli_fraction):
+        memo.cache_clear()
+    build = lambda: [kolbig_snp(n, p) for n in range(1, 12) for p in range(1, 13 - n)]
+    assert _fraction_constructions(build) <= 600
 
 
 def test_bernoulli_table_is_thread_safe():

@@ -8,6 +8,7 @@ import pytest
 from polylog.closedform import (_TAG_ORDER, Atom, ClosedForm, GAMMA, LN2, PI,
                                 li_half_atom, sigma_atom, zeta_odd_atom)
 from polylog.errors import DomainError, EvaluationError
+from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num
 
@@ -27,6 +28,23 @@ def test_table_values_match_quadrature():
         closed_value = cf_num(sigma_tilde(n, p))
         quad = nielsen_num(n, p, -1.0)
         assert abs(closed_value - quad) <= 1e-10, (n, p)
+
+
+def test_decimals_keep_the_bits_of_float_coefficients():
+    # evaluate divides integer numerators by one denominator; that is correctly
+    # rounded, as float(Fraction) is, so every decimal keeps its bits
+    reg = registry()
+    forms = [kolbig_snp(n, p) for n in range(1, MAX_WEIGHT)
+             for p in range(1, MAX_WEIGHT + 1 - n)]
+    forms += list(reg.closed.values()) + [rhs for _, rhs in reg.relations]
+    for cf in forms:
+        parts = []
+        for mono, c in cf.terms.items():
+            v = float(c)
+            for a, e in mono:
+                v *= atom_value(a) ** e
+            parts.append(v)
+        assert cf.evaluate(atom_value) == math.fsum(parts), cf
 
 
 def test_weight22_value():
