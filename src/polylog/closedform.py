@@ -441,8 +441,9 @@ def zeta_nonpositive_rational(n: int) -> Fraction:
     return -bernoulli_fraction(k) / k
 
 
+@cache
 def eta_factor_closed(n: int) -> ClosedForm:
-    """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2."""
+    """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized."""
     if n < 1:
         raise DomainError("eta_factor_closed requires n >= 1")
     if n == 1:

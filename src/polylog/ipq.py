@@ -123,45 +123,40 @@ def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _mu_sum(family: Family, p: int, q: int) -> ClosedForm:
-    """(-1)^p sum_{mu=2}^{p} (-1)^mu (zeta factor) (companion factor).
+    """M(p) = (-1)^p sum_{mu=2}^{p} (-1)^mu t(mu), t the zeta factor times its
+    companion at weight r = p+q: the sign-dense block of all three displays.
 
-    The single sign-dense block shared by all three final displays.
+    Memoized, by the one-term recurrence M(p) = t(p) - M(p-1) at fixed r.
     """
+    if p < 2:
+        return ClosedForm.zero()
     r = p + q
-    out = ClosedForm.zero()
-    for mu in range(2, p + 1):
-        if family is Family.PLUS:
-            term = zeta_closed(mu) * zeta_closed(r + 1 - mu)
-        elif family is Family.MIXED:
-            term = Fraction(1 - 2 ** (r - mu), 2 ** (r - mu)) \
-                * zeta_closed(mu) * zeta_closed(r + 1 - mu)
-        else:
-            term = Fraction(1 - 2 ** (mu - 1), 2 ** (mu - 1)) \
-                * Fraction(1 - 2 ** (r - mu), 2 ** (r - mu)) \
-                * zeta_closed(mu) * zeta_closed(r + 1 - mu)
-        out = out + Fraction((-1) ** mu) * term
-    return Fraction((-1) ** p) * out
+    term = zeta_closed(p) * zeta_closed(r + 1 - p)
+    if family is Family.MIXED:
+        term = Fraction(1 - 2 ** (r - p), 2 ** (r - p)) * term
+    elif family is Family.MINUS:
+        term = Fraction((1 - 2 ** (p - 1)) * (1 - 2 ** (r - p)), 2 ** (r - 1)) * term
+    return term - _mu_sum(family, p - 1, q + 1)
 
 
-def _minus_prefix(p: int, r: int) -> ClosedForm:
-    # (-1)^p * 2 * [ln2 (2^-r - 1) zeta(r) + (1 - 2^{-r-1}) zeta(r+1)]
-    inner = (ClosedForm.atom(LN2) * Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r)
-             + (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
-    return Fraction(2 * (-1) ** p) * inner
+@cache
+def _minus_named_part(r: int) -> ClosedForm:
+    """The p-independent part of the minus family's display at weight r = p+q:
+    2 [ln2 (2^-r - 1) zeta(r) + (1 - 2^{-r-1}) zeta(r+1)] + S-(r) - 2C(r) + 2J1(r)."""
+    return (ClosedForm.atom(LN2, 1, Fraction(2 - 2 ** (r + 1), 2 ** r)) * zeta_closed(r)
+            + Fraction(2 ** (r + 1) - 1, 2 ** r) * zeta_closed(r + 1)
+            + s_minus(r) - 2 * c_sum(r) + 2 * jordan_nielsen("J1", r))
 
 
 def _final_sum_form(family: Family, p: int, q: int) -> ClosedForm:
     """Final display in terms of the named sums S+/S-/C/J1/M."""
     r = p + q
-    sign = Fraction((-1) ** (p + 1))
-    if family is Family.PLUS:
-        return _mu_sum(family, p, q) + sign * s_plus(r)
-    if family is Family.MIXED:
-        return _mu_sum(family, p, q) + sign * s_minus(r)
-    bracket = s_minus(r) - 2 * c_sum(r) + 2 * jordan_nielsen("J1", r)
-    return (_minus_prefix(p, r) + _mu_sum(family, p, q)
-            + Fraction((-1) ** p) * bracket)
+    if family is Family.MINUS:
+        return _mu_sum(family, p, q) + (-1) ** p * _minus_named_part(r)
+    named = s_plus(r) if family is Family.PLUS else s_minus(r)
+    return _mu_sum(family, p, q) - (-1) ** p * named
 
 
 def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:

@@ -58,6 +58,7 @@ def _check_weight(n: int, m: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def i_star(n: int, m: int) -> ClosedForm:
     """i*(n,m): lattice-path solution with unit boundary on both axes."""
     if n == 0 or m == 0:
@@ -98,6 +99,7 @@ def truncated_exp_ln2(m: int) -> ClosedForm:
     return out
 
 
+@cache
 def h_star(n: int, m: int) -> ClosedForm:
     """h*(n,m): lattice-path solution with boundary h*(0,m) = -1 + 2 e_m(-ln 2)."""
     if m == 0:

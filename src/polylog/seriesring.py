@@ -10,21 +10,22 @@ This is the machinery behind two generating-function routes:
 The builders read the Gamma ratio one homogeneous weight at a time: the
 slice F_w (the coefficients of a^i b^(w-i)) follows from the lower slices
 by the Euler-operator recurrence w F_w = sum_k k G_k F_{w-k}, where G_k is
-the weight-k slice of the log.  Each slice is memoized once per process,
-so every caller shares one cache, and a weight-w query never builds
-anything above weight w.  MAX_WEIGHT = 18 is the one weight limit, and
+the weight-k slice of the log; F_w is symmetric, so only its entries
+i <= w/2 are built.  Each slice is memoized once per process, so every
+caller shares one cache, and a weight-w query never builds anything above
+weight w.  MAX_WEIGHT = 18 is the one weight limit, and
 _check_weight alone applies it: to kolbig_snp, beta_derivative_inm and the
 builders whose routes need not read the series.  A table cap is the same
 check at a lower max_weight (kolbig_snp's for eval s-np, lognm's
-TABLE_WEIGHT).  A cold build of every slice takes about 15 ms to weight 12
-and 0.1 s to weight 18 on a 2-core x86 host, so no query within the
+TABLE_WEIGHT).  A cold build of every slice takes about 5 ms to weight 12
+and 25 ms to weight 18 on a 2-core x86 host, so no query within the
 ceiling runs for long.
 
-ln Gamma(1+z) is encoded with its Euler-gamma term included; the ratios
-used here cancel gamma identically and that cancellation is asserted, not
-assumed.  The dense BivariateSeries route (gamma_ratio_series) builds the
-same ratio as a full box by series exponentiation; it is kept as the
-reference the graded slices are tested against.
+ln Gamma(1+z) is encoded with its Euler-gamma term included.  The dense
+BivariateSeries route (gamma_ratio_series) builds the same ratio as a full
+box by series exponentiation, asserts that gamma cancels in its log, and
+is kept as the reference the graded slices are tested against.  The slices
+use the closed form of each log slice, in which gamma is already gone.
 """
 
 from __future__ import annotations
@@ -168,43 +169,35 @@ def gamma_ratio_series(orders: tuple[int, int]) -> BivariateSeries:
 
 
 @cache
-def _log_slice(k: int) -> tuple[ClosedForm, ...]:
-    """Weight-k part of ln Gamma(1+a) + ln Gamma(1+b) - ln Gamma(1+a+b).
-
-    Entry i is the coefficient of a^i b^(k-i).  The axis terms of the two
-    single logs cancel those of the joint one, which removes the Euler-gamma
-    term at k = 1; that cancellation is checked, not assumed.
-    """
-    lg = _lngamma_coeff(k)
-    out = tuple((lg if i in (0, k) else ClosedForm.zero()) - math.comb(k, i) * lg
-                for i in range(k + 1))
-    if any(GAMMA in c.atoms() for c in out):
-        raise RuntimeError("Euler-gamma terms failed to cancel in the log-Gamma ratio")
-    return out
-
-
-@cache
 def _ratio_slice(w: int) -> tuple[ClosedForm, ...]:
     """Weight-w part F_w of Gamma(1+a) Gamma(1+b) / Gamma(1+a+b).
 
     Entry i is the coefficient of a^i b^(w-i).  The Euler operator
     a d/da + b d/db multiplies a weight-w term by w, and on F = exp(G) it
-    gives E F = (E G) F, so w F_w = sum_{k=1}^{w} k G_k F_{w-k} with G_k the
-    log slices.
+    gives E F = (E G) F, so w F_w = sum_k k G_k F_{w-k}.  The log slice G_k
+    is -C(k,l) lg_k at a^l b^(k-l) for 0 < l < k and zero at both ends (so
+    G_1, the Euler-gamma term, vanishes), with lg_k = (-1)^k zeta(k)/k.  So
+
+        F_w[i] = sum_{k=2}^{w} (-k/w) lg_k * sum_{0<l<k} C(k,l) F_{w-k}[i-l],
+
+    one product per (k, i) with an integer combination of lower entries.
+    F is symmetric in a and b: only the entries i <= w/2 are built, and the
+    rest mirror them.
     """
     if w == 0:
         return (ClosedForm.one(),)
-    acc = [ClosedForm.zero()] * (w + 1)
-    for k in range(1, w + 1):
+    half = [ClosedForm.zero()] * (w // 2 + 1)
+    for k in range(2, w + 1):
         lower = _ratio_slice(w - k)
-        for l, g in enumerate(_log_slice(k)):
-            if g.is_zero:
-                continue
-            g = Fraction(k, w) * g
-            for i, f in enumerate(lower):
-                if not f.is_zero:
-                    acc[i + l] = acc[i + l] + g * f
-    return tuple(acc)
+        g = Fraction(-k, w) * _lngamma_coeff(k)
+        for i in range(1, len(half)):
+            combo = ClosedForm.zero()
+            for l in range(max(1, i - w + k), min(k - 1, i) + 1):
+                if not lower[i - l].is_zero:
+                    combo = combo + math.comb(k, l) * lower[i - l]
+            if not combo.is_zero:
+                half[i] = half[i] + g * combo
+    return (*half, *reversed(half[:(w + 1) // 2]))
 
 
 def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:

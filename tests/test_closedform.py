@@ -295,7 +295,7 @@ def test_normalization_constructs_no_fractions():
 def test_snp_builds_to_weight_12_construct_few_fractions():
     # coefficients are integers over one denominator, so a cold build of every
     # s_{n,p} to weight 12 makes Fractions only for its rational inputs
-    for memo in (seriesring._ratio_slice, seriesring._log_slice, closedform.zeta_closed,
+    for memo in (seriesring._ratio_slice, closedform.zeta_closed,
                  closedform._monomial_product, bernoulli_fraction):
         memo.cache_clear()
     build = lambda: [kolbig_snp(n, p) for n in range(1, 12) for p in range(1, 13 - n)]
@@ -362,6 +362,14 @@ def test_eta_factor_closed():
     assert eta_factor_closed(3) == Fraction(-3, 4) * zeta_closed(3)
     with pytest.raises(DomainError):
         eta_factor_closed(0)
+
+
+def test_eta_factor_closed_is_memoized():
+    eta_factor_closed.cache_clear()
+    first = [eta_factor_closed(n) for n in range(1, 9)]
+    assert all(eta_factor_closed(n) is f for n, f in zip(range(1, 9), first))
+    info = eta_factor_closed.cache_info()
+    assert (info.hits, info.misses) == (8, 8)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
 from polylog.errors import DomainError
+from polylog.eulersums import c_sum, jordan_nielsen, s_minus, s_plus
 from polylog.ipq import (Family, _reduction_route, ipq_final, ipq_numeric, ipq_series,
                          r_value, recurrence_shift)
 from polylog.quadrature import ORACLE_TOL, integrate01
@@ -104,7 +105,6 @@ def test_final_closed_examples():
     assert ipq_final(Family.PLUS, 2, 3) == \
         Fraction(1, 2) * zeta_closed(3) * zeta_closed(3)
     # the weight-3 mixed value is the alternating sum S-(3), fully closed
-    from polylog.eulersums import s_minus
     assert ipq_final(Family.MIXED, 1, 2) == s_minus(3)
 
 
@@ -137,6 +137,37 @@ def test_reduction_route_equals_ipq_final_to_the_ceiling():
                 assert (route is None) == (fam is Family.MIXED and q < p), (fam, p, q)
                 if route is not None:
                     assert route == ipq_final(fam, p, q), (fam, p, q)
+
+
+def _final_sum_form_reference(family, p, q):
+    # the named-sum display summed directly: the mu-loop over every mu <= p,
+    # and the minus family's prefix and bracket built per (p, q)
+    r = p + q
+    mu_sum = ClosedForm.zero()
+    for mu in range(2, p + 1):
+        term = zeta_closed(mu) * zeta_closed(r + 1 - mu)
+        if family is not Family.PLUS:
+            term = Fraction(1 - 2 ** (r - mu), 2 ** (r - mu)) * term
+        if family is Family.MINUS:
+            term = Fraction(1 - 2 ** (mu - 1), 2 ** (mu - 1)) * term
+        mu_sum = mu_sum + Fraction((-1) ** mu) * term
+    mu_sum = Fraction((-1) ** p) * mu_sum
+    if family is Family.PLUS:
+        return mu_sum + Fraction((-1) ** (p + 1)) * s_plus(r)
+    if family is Family.MIXED:
+        return mu_sum + Fraction((-1) ** (p + 1)) * s_minus(r)
+    prefix = Fraction(2 * (-1) ** p) * (
+        ClosedForm.atom(LN2) * Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r)
+        + (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
+    bracket = s_minus(r) - 2 * c_sum(r) + 2 * jordan_nielsen("J1", r)
+    return prefix + mu_sum + Fraction((-1) ** p) * bracket
+
+
+def test_ipq_final_equals_the_direct_mu_loop_to_the_ceiling():
+    for fam in Family:
+        for p in range(1, MAX_WEIGHT):
+            for q in range(1, MAX_WEIGHT - p):
+                assert ipq_final(fam, p, q) == _final_sum_form_reference(fam, p, q), (fam, p, q)
 
 
 def test_grid_closed_vs_numeric():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.closedform import ClosedForm, PI, zeta_closed
+from polylog.closedform import ClosedForm, GAMMA, PI, zeta_closed
 from polylog.errors import CapacityError, DomainError, ShapeError
 from polylog import seriesring
 from polylog.quadrature import integrate01, log1m
@@ -155,6 +155,70 @@ def test_snp_symmetry_and_first_column_to_ceiling():
         assert kolbig_snp(1, p, MAX_WEIGHT) == zeta_closed(p + 1), p
 
 
+def _log_slice_reference(k):
+    """lg_k and G_k, the weight-k part of ln Gamma(1+a) + ln Gamma(1+b) -
+    ln Gamma(1+a+b), from ln Gamma(1+z) = -gamma z + sum_{k>=2} (-1)^k zeta(k) z^k / k."""
+    lg = ClosedForm.atom(GAMMA, 1, -1) if k == 1 else Fraction((-1) ** k, k) * zeta_closed(k)
+    return lg, tuple((lg if i in (0, k) else ClosedForm.zero()) - math.comb(k, i) * lg
+                     for i in range(k + 1))
+
+
+def _ratio_slices_reference(top):
+    """F_0..F_top by w F_w = sum_{k=1}^{w} k G_k F_{w-k}: every entry, no mirroring."""
+    slices = [(ClosedForm.one(),)]
+    for w in range(1, top + 1):
+        acc = [ClosedForm.zero()] * (w + 1)
+        for k in range(1, w + 1):
+            for l, g in enumerate(_log_slice_reference(k)[1]):
+                if g.is_zero:
+                    continue
+                g = Fraction(k, w) * g
+                for i, f in enumerate(slices[w - k]):
+                    if not f.is_zero:
+                        acc[i + l] = acc[i + l] + g * f
+        slices.append(tuple(acc))
+    return slices
+
+
+def test_slices_match_the_full_recurrence_to_ceiling():
+    # the log slice cancels Euler's gamma (k = 1) and is -C(k,l) lg_k inside
+    for k in range(1, MAX_WEIGHT + 1):
+        lg, g = _log_slice_reference(k)
+        assert not any(GAMMA in c.atoms() for c in g), k
+        assert g == tuple(ClosedForm.zero() if l in (0, k) else -math.comb(k, l) * lg
+                          for l in range(k + 1)), k
+    # so the half-size, mirrored slices equal the full recurrence entry for entry
+    seriesring._ratio_slice.cache_clear()
+    for w, expected in enumerate(_ratio_slices_reference(MAX_WEIGHT)):
+        assert seriesring._ratio_slice(w) == expected, w
+
+
+def _form_products(fn) -> int:
+    mul = vars(ClosedForm)["__mul__"]
+    count = 0
+
+    def counted(self, other):
+        nonlocal count
+        count += isinstance(other, ClosedForm)
+        return mul(self, other)
+
+    ClosedForm.__mul__ = counted
+    try:
+        fn()
+    finally:
+        ClosedForm.__mul__ = mul
+    return count
+
+
+def test_snp_build_to_ceiling_makes_one_product_per_entry_and_log_slice():
+    # a cold build of every s_{n,p} to weight 18 multiplies forms once per
+    # (k, i <= w/2), not once per (k, l, i) over both halves of each slice
+    seriesring._ratio_slice.cache_clear()
+    build = lambda: [kolbig_snp(n, p) for n in range(1, MAX_WEIGHT)
+                     for p in range(1, MAX_WEIGHT + 1 - n)]
+    assert _form_products(build) <= 1000
+
+
 def test_slice_cache_is_thread_safe():
     w = 12
     pairs = [(n, p) for n in range(1, w) for p in range(1, w + 1 - n)]
@@ -166,7 +230,6 @@ def test_slice_cache_is_thread_safe():
 
     interval = sys.getswitchinterval()
     seriesring._ratio_slice.cache_clear()
-    seriesring._log_slice.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
