@@ -4,9 +4,11 @@ Upward recurrence pushes the argument above 10, then an eight-term
 asymptotic series finishes; relative error is below 1e-13 on (0, inf).
 
 psi is the uncached kernel.  psi_point memoizes it for the series oracles
-(sum_oracle, the harmonic branch of mpl2), whose terms all walk the same
-integers, half-integers and Euler-Maclaurin tail nodes; its cache holds one
-float per point those series reach.  psi itself stays uncached: a cache on
+(sum_oracle, the harmonic branch of mpl2, and the alternating tail
+V_1(x) = [psi((x+1)/2) - psi(x/2)]/2 of mpl2's doubly alternating sums),
+whose terms all walk the same integers, half-integers and Euler-Maclaurin
+tail nodes (halved, for V_1); its cache holds one float per point those
+series reach.  psi itself stays uncached: a cache on
 arbitrary floats would grow without bound for library callers.
 """
 
@@ -51,7 +53,12 @@ def psi(x: float) -> float:
 
 @cache
 def psi_point(x: float) -> float:
-    """psi(x) memoized, for the points the series oracles share."""
+    """psi(x) memoized, for the points the series oracles share.
+
+    The cache holds the integers, half-integers and tail nodes of sum_oracle
+    and of mpl2's harmonic branch, and the halved points (x+1)/2 and x/2 of
+    the V_1 tail in mpl2's doubly alternating branch.
+    """
     return psi(x)
 
 

@@ -98,9 +98,7 @@ def integrate01(ev: Callable[[float, float], float], tol: float,
     stalls = 0
     value = 0.0
     for level in range(_MAX_LEVEL + 1):
-        parts = []
-        for x, omx, w in _level_nodes(level):
-            parts.append(w * ev(x, omx))
+        parts = [w * ev(x, omx) for x, omx, w in _level_nodes(level)]
         evals += len(parts)
         total_g += math.fsum(parts)
         h = 0.5 ** level

@@ -9,6 +9,12 @@ Evaluation strategy for Li_p(x):
 Helpers threaded with 1-x allow full accuracy at quadrature nodes hugging
 either endpoint.
 
+The depth-2 sums at unit arguments reduce to one accelerated series each.
+With x_inner = +-1 the inner partial sum splits into its limit and a smooth
+tail; with both arguments -1 the outer index is summed first, so the series
+is monotone and its alternating tail V_1(x) = [psi((x+1)/2) - psi(x/2)]/2 is
+a digamma difference read through psi_point, not a CVZ run per term.
+
 Values that do not depend on the caller are computed once per process:
 the coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
 integer argument, none below -78 since k < 80), and Li_p(+-x) at the
@@ -29,8 +35,7 @@ from .closedform import (ClosedForm, LN2, eta_factor_closed,
 from .digamma import psi_point
 from .errors import ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, integrate01, log1m
-from .summation import (_cvz, alternating_zeta_num, eta_num, sum_alternating,
-                        sum_tail, zeta_num)
+from .summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
 
@@ -170,7 +175,13 @@ def _hurwitz_tail(m: int, x: float) -> float:
 
 
 def _alternating_tail(m: int, x: float) -> float:
-    """sum_{i>=0} (-1)^i (x + i)^-m for m >= 1, x >= 1."""
+    """V_m(x) = sum_{i>=0} (-1)^i (x + i)^-m for m >= 1, x >= 1.
+
+    V_1(x) = [psi((x+1)/2) - psi(x/2)] / 2, read through psi_point; higher
+    orders by a 40-term CVZ.
+    """
+    if m == 1:
+        return 0.5 * (psi_point((x + 1) / 2) - psi_point(x / 2))
     return _cvz([(x + i) ** (-m) for i in range(40)])
 
 
@@ -184,7 +195,11 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
 
     For |x_inner| = 1 the inner partial sum is split into its limit plus a
     smooth tail, so the outer sum separates into a closed piece and a
-    series that the tail/alternating accelerators handle directly.
+    series that the tail/alternating accelerators handle directly.  When
+    both arguments are -1 the outer index is summed first instead:
+    mpl2(m_o, m_i, -1, -1) = -sum_{k>=1} k^-m_i V_{m_o}(k+1), with
+    V_m(x) = sum_{i>=0} (-1)^i (x+i)^-m, one monotone series for sum_tail
+    (V_1 is a digamma difference, see _alternating_tail).
     """
     for x in (x_outer, x_inner):
         if x < -1.0 or x > 1.0:
@@ -224,18 +239,17 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
                 part_tol)
         return limit * outer_full - corr
 
-    # x_inner == -1: partial sum = A - (-1)^k V(k), V smooth and positive
-    limit = -eta_num(m_inner)
-    if x_outer == 1.0:
-        outer_full = zeta_num(m_outer)
-        corr = sum_alternating(
-            lambda k: (-1) ** k * _alternating_tail(m_inner, float(k)) * float(k) ** (-m_outer),
-            part_tol)
-    else:
-        outer_full = alternating_zeta_num(m_outer)
-        corr = sum_tail(lambda k: _alternating_tail(m_inner, k) * k ** (-m_outer),
-                        part_tol, m_outer + m_inner)
-    return limit * outer_full - corr
+    # x_inner == -1
+    if x_outer == -1.0:
+        # outer index first: sum_{k2>k} (-1)^k2 k2^-m_outer = (-1)^{k+1} V(k+1),
+        # whose sign cancels the inner (-1)^k, leaving a monotone series
+        return -sum_tail(lambda k: k ** (-m_inner) * _alternating_tail(m_outer, k + 1),
+                         part_tol, m_outer + m_inner)
+    # x_outer == 1: partial sum = A - (-1)^k V(k), V smooth and positive
+    corr = sum_alternating(
+        lambda k: (-1) ** k * _alternating_tail(m_inner, float(k)) * float(k) ** (-m_outer),
+        part_tol)
+    return -eta_num(m_inner) * zeta_num(m_outer) - corr
 
 
 def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:

@@ -96,7 +96,7 @@ def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float) 
     while K <= TAIL_TERMS:
         # each doubling only adds term(k) for the new k; fsum is correctly
         # rounded, so summing the whole list equals a fresh summation
-        terms.extend(term(k) for k in range(1 + len(terms), K))
+        terms.extend(map(term, range(1 + len(terms), K)))
         total = math.fsum(terms) + _em_tail(term, float(K), tol)
         if prev is not None and abs(total - prev) <= tol / 4:
             return total
@@ -141,10 +141,3 @@ def zeta_num(s: int) -> float:
     if s < 2:
         raise DomainError("zeta_num requires s >= 2")
     return eta_num(s) / (1.0 - 2.0 ** (1 - s))
-
-
-def alternating_zeta_num(s: int) -> float:
-    """Li_s(-1) = (2^{1-s} - 1) zeta(s) = -eta(s), with the s = 1 limit -ln 2."""
-    if s == 1:
-        return -math.log(2.0)
-    return -eta_num(s)

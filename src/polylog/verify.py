@@ -19,6 +19,12 @@ same quantities (the Nielsen and reduction displays of I(p,q), the full
 Milgram sum, the Jordan decomposition of S-, the even-order route to the
 tabulated sigma~ values) are written here once, as exact entries.
 
+No two numeric entries compare the same pair of computations: the swapped
+twins of the symmetric I(p,q) families take the integration-by-parts value
+as their numeric leg, and the closed weight-6 sigma~ endpoints the
+alternating series of sigma~, while the registry entries keep its
+quadrature.
+
 Checks that certify a correction to a commonly printed value carry a
 ``note`` naming the independent routes that pin the corrected value down.
 """
@@ -45,7 +51,7 @@ from .quadrature import ORACLE_TOL, integrate01, log1m
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import atom_value, cf_num, registry, sigma_tilde
 from .special import li_node, mpl2, nielsen_num, polylog
-from .summation import zeta_num
+from .summation import ALTERNATING_TERMS, sum_alternating, zeta_num
 
 
 class CheckEntry:
@@ -309,15 +315,30 @@ def _expected_truncation_display() -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
+def _ipq_oracle(family: Family, p: int, q: int) -> tuple[float, str]:
+    """I(p,q) and the name of its numeric route: quadrature, or for a
+    symmetric family with p > q integration by parts on the Li_q factor, so
+    the swapped twin is a computation of its own:
+    I(p,q) = Li_{q+1}(s) Li_p(s) - I(q+1, p-1), s = +-1, which at p = q+1
+    is Li_p(s)^2 / 2."""
+    if not family.symmetric or p <= q:
+        return ipq_numeric(family, p, q), "quadrature"
+    s = 1.0 if family is Family.PLUS else -1.0
+    if p == q + 1:
+        return 0.5 * polylog(p, s) ** 2, "by parts"
+    return polylog(q + 1, s) * polylog(p, s) - ipq_numeric(family, q + 1, p - 1), "by parts"
+
+
 def _checks_ipq() -> list[CheckEntry]:
     out: list[CheckEntry] = []
     for family in Family:
         for p in range(1, 5):
             for q in range(1, 5):
                 cf = ipq_final(family, p, q)
+                nv, leg = _ipq_oracle(family, p, q)
                 out.append(_entry(f"ipq.grid.{family.value}.p{p}q{q}",
-                                  f"I[{family.value}]({p},{q}) closed vs quadrature",
-                                  ipq_numeric(family, p, q), cf_num(cf), 1e-8, cf))
+                                  f"I[{family.value}]({p},{q}) closed vs {leg}",
+                                  nv, cf_num(cf), 1e-8, cf))
                 out.append(_exact_entry(
                     f"ipq.nielsen-display.{family.value}.p{p}q{q}",
                     f"I[{family.value}]({p},{q}): named-sum vs Nielsen display",
@@ -368,12 +389,12 @@ def _checks_ipq() -> list[CheckEntry]:
     for family in Family:
         for p in range(1, 4):
             for q in range(1, 4):
-                nv = ipq_numeric(family, p, q)
+                nv, leg = _ipq_oracle(family, p, q)
                 sv = ipq_series(family, p, q)
                 cv = cf_num(ipq_final(family, p, q))
                 worst = max(abs(nv - sv), abs(nv - cv), abs(sv - cv))
                 out.append(CheckEntry(f"ipq.three-routes.{family.value}.p{p}q{q}",
-                                      f"I[{family.value}]({p},{q}): quadrature vs "
+                                      f"I[{family.value}]({p},{q}): {leg} vs "
                                       f"series vs closed", None, nv, cv, worst, 1e-8))
     for p in (2, 3, 4):
         out.extend(_low_order_entries(p))
@@ -547,8 +568,10 @@ def _sigma_weight6_entries() -> list[CheckEntry]:
     """The weight-6 sigma~ block: displayed relations plus the rank count.
 
     The linear network at weight 6 has five unknowns and rank 3, leaving
-    two genuinely free constants; the two displayed combination relations
-    and the two closed endpoint entries are all checked against quadrature.
+    two genuinely free constants.  The two displayed combination relations
+    are checked against quadrature, and the two closed endpoint entries
+    against the alternating series of sigma~ (the registry entries check the
+    same closed forms against quadrature).
     """
     out: list[CheckEntry] = []
     unknowns, rank, free = sigma_weight6_count()
@@ -567,9 +590,22 @@ def _sigma_weight6_entries() -> list[CheckEntry]:
     for key in ((1, 5), (5, 1)):
         cf = sigma_tilde(*key)
         out.append(_entry(f"lognm.sigma-weight6-closed.n{key[0]}p{key[1]}",
-                          f"sigma~({key[0]},{key[1]}) closed form vs quadrature",
-                          atom_value(sigma_atom(*key)), cf_num(cf), 1e-9, cf))
+                          f"sigma~({key[0]},{key[1]}) closed form vs alternating series",
+                          _sigma_series(*key), cf_num(cf), 1e-9, cf))
     return out
+
+
+def _sigma_series(n: int, p: int) -> float:
+    """sigma~_{n,p} = sum_{k>=1} (-1)^k e_{p-1}(1, 1/2, ..., 1/(k-1)) / k^{n+1}
+    by CVZ, a second route beside atom_value's quadrature; e_{p-1} is the
+    elementary symmetric sum, built up in k for every index CVZ can reach."""
+    e = [1.0] + [0.0] * (p - 1)
+    top = [0.0]
+    for k in range(1, ALTERNATING_TERMS + 1):
+        top.append(e[-1])
+        for j in range(p - 1, 0, -1):
+            e[j] += e[j - 1] / k
+    return sum_alternating(lambda k: (-1) ** k * top[k] / float(k) ** (n + 1), ORACLE_TOL)
 
 
 # ---------------------------------------------------------------------------

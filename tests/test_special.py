@@ -147,7 +147,8 @@ def test_mpl2_zero_argument():
 def test_mpl2_alternating_cases_match_brute():
     # alternating outer sums: brute partial sums converge after pairing
     for (mo, mi, xo, xi) in ((1, 2, -1.0, -1.0), (1, 2, -1.0, 1.0),
-                             (2, 1, -1.0, 1.0), (2, 2, -1.0, -1.0)):
+                             (2, 1, -1.0, 1.0), (2, 2, -1.0, -1.0),
+                             (2, 1, -1.0, -1.0), (1, 3, -1.0, -1.0)):
         got = mpl2(mo, mi, xo, xi)
         b1 = _mpl2_brute(mo, mi, xo, xi, 20000)
         b2 = _mpl2_brute(mo, mi, xo, xi, 20001)
@@ -182,13 +183,14 @@ def test_mpl2_integral_identities():
 
 # mpl2 at the arguments the ipq.low-order.* verify entries ask for (p = 2..4),
 # at ORACLE_TOL = 1e-12, as computed before the digamma points, CVZ weights and
-# alternating terms were computed once
+# alternating terms were computed once; the three doubly alternating values
+# (1, p, -1, -1) as computed once the outer index is summed first
 _MPL2_LOW_ORDER = [
-    ((1, 2, -1.0, -1.0), -0.3888958461681067), ((1, 2, -1.0, 1.0), 0.2695764795315243),
+    ((1, 2, -1.0, -1.0), -0.3888958461681061), ((1, 2, -1.0, 1.0), 0.2695764795315243),
     ((2, 1, 1.0, 1.0), 1.2020569031595942), ((2, 1, -1.0, 1.0), 0.15025711289494922),
-    ((1, 3, -1.0, -1.0), -0.3395454690873604), ((1, 3, -1.0, 1.0), 0.2866757544385379),
+    ((1, 3, -1.0, -1.0), -0.33954546908735955), ((1, 3, -1.0, 1.0), 0.2866757544385379),
     ((3, 1, 1.0, 1.0), 0.27058080842778454), ((3, 1, -1.0, 1.0), 0.08778567156865533),
-    ((1, 4, -1.0, -1.0), -0.3213520120787817), ((1, 4, -1.0, 1.0), 0.2961865271853784),
+    ((1, 4, -1.0, -1.0), -0.3213520120787816), ((1, 4, -1.0, 1.0), 0.2961865271853784),
     ((4, 1, 1.0, 1.0), 0.0965511599894437), ((4, 1, -1.0, 1.0), 0.04893639704996907),
 ]
 
@@ -196,6 +198,20 @@ _MPL2_LOW_ORDER = [
 def test_mpl2_low_order_values_are_unchanged():
     for args, value in _MPL2_LOW_ORDER:
         assert mpl2(*args) == value, args
+
+
+# mpl2(1, p, -1, -1) to 32 digits: -sum_k k^-p [psi((k+2)/2) - psi((k+1)/2)]/2
+# summed at 40 digits by mpmath, and equal to the inner-first order there
+_MPL2_DOUBLY_ALTERNATING = {
+    2: -0.38889584616810632909974350804769,
+    3: -0.33954546908735986959066784846086,
+    4: -0.32135201207878197700381936288068,
+}
+
+
+def test_mpl2_doubly_alternating_against_references():
+    for p, ref in _MPL2_DOUBLY_ALTERNATING.items():
+        assert abs(mpl2(1, p, -1.0, -1.0) - ref) <= 2e-15 * abs(ref), p
 
 
 def test_shared_series_caches_are_thread_safe():

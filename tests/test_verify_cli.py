@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
 import polylog
+from polylog import special, summation
 from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
 from polylog.eulersums import sum_oracle
@@ -343,8 +344,62 @@ def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
         if name.startswith("polylog") and getattr(module, "nielsen_num", None) is nielsen_num:
             monkeypatch.setattr(module, "nielsen_num", counted)
     run_suite("all")
-    assert [fn.cache_info().misses for fn in oracles] == [41, 48, 20]
+    assert [fn.cache_info().misses for fn in oracles] == [41, 36, 20]
     assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
+
+
+def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
+    # the doubly alternating depth-2 sums are summed outer index first, with
+    # V_1 a digamma difference, not a 40-term CVZ run per term (2,083 runs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polylog"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    runs = []
+    cvz = summation._cvz
+
+    def counted(a):
+        runs.append(len(a))
+        return cvz(a)
+    for module in (summation, special):
+        monkeypatch.setattr(module, "_cvz", counted)
+    run_suite("all")
+    assert 0 < len(runs) <= 50, len(runs)
+
+
+# every pair of numeric entries whose symbolic field, oracle value and closed
+# value all agree, with the reason: different computations that round alike
+_DUALITY = "S_{n,p}(1) = S_{p,n}(1): different integrands, equal floats"
+_BY_PARTS = "the by-parts value rounds to the twin's quadrature bits"
+_NUMERIC_COINCIDENCES = {
+    ("lognm.nielsen-vs-snp.n1p2", "lognm.nielsen-vs-snp.n2p1"): _DUALITY,
+    ("lognm.nielsen-vs-snp.n1p3", "lognm.nielsen-vs-snp.n3p1"): _DUALITY,
+    ("lognm.nielsen-vs-snp.n1p4", "lognm.nielsen-vs-snp.n4p1"): _DUALITY,
+    ("lognm.nielsen-vs-snp.n1p5", "lognm.nielsen-vs-snp.n5p1"): _DUALITY,
+    ("lognm.nielsen-vs-snp.n2p3", "lognm.nielsen-vs-snp.n3p2"): _DUALITY,
+    ("ipq.low-order.minus-q0-mpl.p4", "ipq.low-order.minus-q0.p4"):
+        "the depth-2 sum and the closed route round alike",
+    ("ipq.low-order.plus-subtracted-mpl.p2", "ipq.low-order.plus-subtracted.p2"):
+        "the depth-2 sum and the closed route round alike",
+    ("ipq.grid.plus.p1q3", "ipq.grid.plus.p3q1"): _BY_PARTS,
+    ("ipq.grid.plus.p1q4", "ipq.grid.plus.p4q1"): _BY_PARTS,
+    ("ipq.grid.minus.p1q3", "ipq.grid.minus.p3q1"): _BY_PARTS,
+    ("ipq.grid.minus.p3q4", "ipq.grid.minus.p4q3"): _BY_PARTS,
+    ("ipq.three-routes.plus.p1q3", "ipq.three-routes.plus.p3q1"): _BY_PARTS,
+    ("ipq.three-routes.minus.p1q3", "ipq.three-routes.minus.p3q1"): _BY_PARTS,
+    ("lognm.sigma-registry.n5p1", "lognm.sigma-weight6-closed.n5p1"):
+        "quadrature and the alternating series both round -eta(6) correctly",
+}
+
+
+def test_numeric_entries_are_checks_of_their_own():
+    groups = defaultdict(list)
+    for e in run_suite("all").entries:
+        if e.tolerance:
+            groups[e.symbolic, e.oracle_value, e.closed_value].append(e.identity_id)
+    shared = sorted(tuple(ids) for ids in groups.values() if len(ids) > 1)
+    assert shared == sorted(_NUMERIC_COINCIDENCES)
 
 
 @pytest.mark.parametrize("ident", [
