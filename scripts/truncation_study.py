@@ -12,7 +12,7 @@ Usage:
 import argparse
 
 from polylog.approx import s_minus_truncated
-from polylog.eulersums import SumKind, sum_oracle
+from polylog.eulersums import sum_oracle
 from polylog.sigma import cf_num
 
 
@@ -22,7 +22,7 @@ def main() -> None:
     parser.add_argument("--kt-max", type=int, default=14)
     args = parser.parse_args()
 
-    oracle = sum_oracle(SumKind("SMinus", args.p))
+    oracle = sum_oracle("SMinus", args.p)
     print(f"S-({args.p}) oracle = {oracle:.15f}")
     print(f"{'kt':>3s}  {'truncated value':>20s}  {'abs error':>12s}")
     for kt in range(1, args.kt_max + 1):

@@ -13,13 +13,12 @@ from .closedform import Atom, ClosedForm, eta_factor_closed, zeta_closed
 from .digamma import euler_gamma, psi
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      EvaluationError, ShapeError)
-from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
-                        s_minus, s_plus, sum_oracle)
+from .eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus,
+                        s_plus, sum_oracle)
 from .ipq import (Family, ipq_final, ipq_numeric, ipq_series, r_value,
                   recurrence_shift)
-from .lognm import (LogIntegralKind, h_closed, h_pde_residual, i_closed,
-                    i_pde_residual, lognm_numeric, s_sigma_relation_residual,
-                    sigma_weight6_count)
+from .lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual,
+                    lognm_numeric, s_sigma_relation_residual, sigma_weight6_count)
 from .quadrature import QuadratureResult, integrate01
 from .seriesring import (BivariateSeries, beta_derivative_inm,
                          gamma_ratio_series, kolbig_snp)
@@ -31,9 +30,8 @@ from .verify import VerificationReport, run_suite
 __all__ = [
     "Atom", "BivariateSeries", "CapacityError", "ClosedForm",
     "ConvergenceError", "DomainError", "EvaluationError", "Family",
-    "LogIntegralKind", "QuadratureResult", "ShapeError",
-    "SumKind", "VerificationReport", "atom_value", "beta_derivative_inm",
-    "c_sum", "cf_num",
+    "QuadratureResult", "ShapeError", "VerificationReport", "atom_value",
+    "beta_derivative_inm", "c_sum", "cf_num",
     "eta_factor_closed", "euler_gamma", "gamma_ratio_series", "h_closed",
     "h_pde_residual", "i_closed", "i_pde_residual", "integrate01",
     "ipq_final", "ipq_numeric", "ipq_series", "jordan_even",

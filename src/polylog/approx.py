@@ -56,10 +56,8 @@ def stirling1(k: int, j: int) -> int:
 
 def _alt_zeta_closed(s: int) -> ClosedForm:
     """(2^{1-s} - 1) zeta(s) continued to every integer s."""
-    if s >= 2:
+    if s >= 1:
         return eta_factor_closed(s)
-    if s == 1:
-        return eta_factor_closed(1)
     return ClosedForm.rational(
         Fraction(2 ** (1 - s) - 1) * zeta_nonpositive_rational(s))
 
@@ -78,6 +76,7 @@ def polylog_derivative_at_minus1(p: int, k: int) -> ClosedForm:
     return _derivative_cf(p, k)
 
 
+@cache
 def _derivative_cf(p: int, k: int) -> ClosedForm:
     out = ClosedForm.zero()
     for j in range(1, k + 1):

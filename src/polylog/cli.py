@@ -18,13 +18,12 @@ from pathlib import Path
 from .approx import s_minus_truncated
 from .closedform import ClosedForm, _monomial_key, monomial_name
 from .errors import CapacityError, ConvergenceError, DomainError
-from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus,
-                        s_plus, sum_oracle)
+from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .ipq import Family, ipq_final, ipq_numeric
 from .lognm import h_closed, i_closed
 from .seriesring import MAX_WEIGHT, kolbig_snp
 from .sigma import cf_num, registry, sigma_tilde
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 # `eval s-np` serves the s_{n,p} table to this weight and exits 3 above it.
 SNP_TABLE_WEIGHT = 8
@@ -72,18 +71,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ipq(args: argparse.Namespace) -> int:
     fam = Family.parse(args.family)
-    cf = ipq_final(fam, args.p, args.q)
-    closed_value = cf_num(cf)
+    payload = _closed_payload(ipq_final(fam, args.p, args.q))
     oracle = ipq_numeric(fam, args.p, args.q)
-    _emit({"closed": cf.to_obj(), "pretty": cf.pretty(), "decimal": closed_value,
-           "oracle": oracle, "abs_error": abs(closed_value - oracle)}, args.pretty)
+    _emit({**payload, "oracle": oracle, "abs_error": abs(payload["decimal"] - oracle)},
+          args.pretty)
     return 0
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     cf = s_minus_truncated(args.p, args.kt)
     value = cf_num(cf)
-    reference = sum_oracle(SumKind("SMinus", args.p))
+    reference = sum_oracle("SMinus", args.p)
     _emit({"closed_form": cf.to_obj(), "pretty": cf.pretty(), "decimal": value,
            "reference_decimal": reference, "abs_error": abs(value - reference)},
           args.pretty)
@@ -233,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(fn=_cmd_approx)
 
     pv = sub.add_parser("verify", help="run identity verification suites")
-    pv.add_argument("--suite", default="all",
-                    choices=["all", "ipq", "sums", "lognm", "appendix"])
+    pv.add_argument("--suite", default="all", choices=["all", *SUITES])
     pv.add_argument("--tol-scale", type=float, default=1.0)
     pv.add_argument("--config", type=str, default=None,
                     help="key = value file of per-identity tolerance overrides")

@@ -6,20 +6,19 @@ is the route the verify entries check that registry against.
 
 Each builder takes one route and is memoized.  Each closed form also
 exists as a direct accelerated summation of its defining series
-(sum_oracle), at ORACLE_TOL and memoized as well: one float per kind.  Its
-term lambdas read digamma through psi_point, so the sums share each psi
-value at the integers, half-integers and tail nodes they walk.  The
-second exact routes (the Nielsen form of C, the full Milgram sum, the
-even-order Jordan forms against the Nielsen ones, the Jordan decomposition
-of S-) are verify entries.  Every builder holds the weight r+1 of its sum
-to the series ceiling MAX_WEIGHT.
+(sum_oracle(tag, r)), at ORACLE_TOL and memoized as well: one float per
+tag and order.  Its term lambdas read digamma through psi_point, so the
+sums share each psi value at the integers, half-integers and tail nodes
+they walk.  The second exact routes (the Nielsen form of C, the full
+Milgram sum, the even-order Jordan forms against the Nielsen ones, the
+Jordan decomposition of S-) are verify entries.  Every builder holds the
+weight r+1 of its sum to the series ceiling MAX_WEIGHT.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
 from .closedform import ClosedForm, LN2, zeta_closed
 from .digamma import euler_gamma, psi_point
@@ -30,27 +29,6 @@ from .sigma import sigma_tilde
 from .summation import sum_alternating, sum_tail
 
 _TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
-
-
-class SumKind(tuple):
-    """A (tag, order) tuple: hashed in C as the key of sum_oracle's cache."""
-
-    __slots__ = ()
-    tag = property(itemgetter(0))
-    order = property(itemgetter(1))
-
-    def __new__(cls, tag: str, order: int):
-        if tag not in _TAGS:
-            raise DomainError(f"unknown sum tag {tag!r}")
-        if order < 2:
-            raise DomainError("sum order must be >= 2")
-        return tuple.__new__(cls, (tag, order))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"SumKind(tag={self.tag!r}, order={self.order!r})"
 
 
 @cache
@@ -166,27 +144,32 @@ def s_minus(r: int) -> ClosedForm:
 
 
 @cache
-def sum_oracle(kind: SumKind) -> float:
-    """Direct accelerated summation of the defining series at ORACLE_TOL,
-    memoized per kind: the verify suites ask for the same sums many times."""
+def sum_oracle(tag: str, r: int) -> float:
+    """The sum named by tag (SPlus, SMinus, Jordan1, Jordan2, Milgram or
+    CSum) at order r >= 2, by direct accelerated summation of its defining
+    series at ORACLE_TOL, memoized per (tag, r): the verify suites ask for
+    the same sums many times."""
+    if tag not in _TAGS:
+        raise DomainError(f"unknown sum tag {tag!r}")
+    if r < 2:
+        raise DomainError("sum order must be >= 2")
     tol = ORACLE_TOL
-    r = kind.order
     e = -float(r)
     g = euler_gamma()
     p_half = psi_point(0.5)
-    if kind.tag == "SPlus":
+    if tag == "SPlus":
         return sum_tail(lambda k: (psi_point(k + 1.0) + g) * k ** e, tol, r)
-    if kind.tag == "SMinus":
+    if tag == "SMinus":
         return sum_alternating(
             lambda k: (-1) ** k * (psi_point(k + 1.0) + g) * float(k) ** e, tol)
-    if kind.tag == "Jordan1":
+    if tag == "Jordan1":
         # k = 0 term vanishes
         return sum_tail(lambda k: 0.5 * (psi_point(k + 0.5) - p_half) * (2 * k + 1.0) ** e,
                         tol, r)
-    if kind.tag == "Jordan2":
+    if tag == "Jordan2":
         return sum_tail(lambda k: 0.5 * (psi_point(k + 0.5) - p_half) * (2.0 * k) ** e,
                         tol, r)
-    if kind.tag == "Milgram":
+    if tag == "Milgram":
         return sum_tail(lambda k: 0.5 * (psi_point(k + 1.0) + g) * (2 * k + 1.0) ** e,
                         tol, r)
     return sum_tail(lambda k: 0.5 * (psi_point(k + 1.0) + g) * (2.0 * k) ** e, tol, r)

@@ -20,8 +20,7 @@ from functools import cache
 
 from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
-from .eulersums import (SumKind, c_sum, jordan_nielsen, milgram, s_minus, s_plus,
-                        sum_oracle)
+from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, integrate01
 from .seriesring import _check_weight, kolbig_snp
 from .sigma import sigma_tilde
@@ -235,14 +234,14 @@ def ipq_series(family: Family, p: int, q: int) -> float:
     mu_sum *= (-1.0) ** p
 
     if family is Family.PLUS:
-        return mu_sum + (-1.0) ** (p + 1) * sum_oracle(SumKind("SPlus", r))
-    s_alt = sum_oracle(SumKind("SMinus", r))
+        return mu_sum + (-1.0) ** (p + 1) * sum_oracle("SPlus", r)
+    s_alt = sum_oracle("SMinus", r)
     if family is Family.MIXED:
         return mu_sum + (-1.0) ** (p + 1) * s_alt
 
     prefix = (-1.0) ** p * 2.0 * (math.log(2.0) * (2.0 ** (-r) - 1.0) * zeta_num(r)
                                   + (1.0 - 2.0 ** (-r - 1)) * zeta_num(r + 1))
     # sum (psi(k+1)+gamma)/(2k)^r = 2 C(r); sum (psi(k+1/2)-psi(1/2))/(2k+1)^r = 2 J1(r)
-    s_even = 2.0 * sum_oracle(SumKind("CSum", r))
-    s_half = 2.0 * sum_oracle(SumKind("Jordan1", r))
+    s_even = 2.0 * sum_oracle("CSum", r)
+    s_half = 2.0 * sum_oracle("Jordan1", r)
     return prefix + mu_sum + (-1.0) ** p * (s_alt - s_even + s_half)

@@ -7,7 +7,8 @@ equations, and the linear network relating s_{n,p} to sigma~_{n,p}.
 Both solve a three-term partial difference equation in their starred
 normalizations i*(n,m) = (-1)^{n+m} i(n,m)/(n! m!) (same for h*), which a
 lattice-path (generating function) argument turns into explicit binomial
-sums over s_{n,p} resp. sigma~_{n,p}.
+sums over s_{n,p} resp. sigma~_{n,p}.  lognm_numeric(tag, n, m) is their
+quadrature oracle, memoized per (tag, n, m).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
 from .closedform import ClosedForm, LN2
 from .errors import DomainError
@@ -25,26 +25,6 @@ from .sigma import sigma_tilde
 
 # the i/h tables end at this weight, below the series ceiling MAX_WEIGHT
 TABLE_WEIGHT = 6
-
-
-class LogIntegralKind(tuple):
-    __slots__ = ()
-    tag = property(itemgetter(0))  # "INM" or "HNM"
-    n = property(itemgetter(1))
-    m = property(itemgetter(2))
-
-    def __new__(cls, tag: str, n: int, m: int):
-        if tag not in ("INM", "HNM"):
-            raise DomainError(f"unknown log-integral tag {tag!r}")
-        if n < 0 or m < 0 or n + m < 1:
-            raise DomainError("need n, m >= 0 with n + m >= 1")
-        return tuple.__new__(cls, (tag, n, m))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"LogIntegralKind(tag={self.tag!r}, n={self.n!r}, m={self.m!r})"
 
 
 def _check_weight(n: int, m: int) -> None:
@@ -147,10 +127,14 @@ def h_boundary_closed(m: int) -> ClosedForm:
 
 
 @cache
-def lognm_numeric(kind: LogIntegralKind) -> float:
-    """i(n,m) or h(n,m) by quadrature at ORACLE_TOL, memoized per kind."""
-    n, m = kind.n, kind.m
-    if kind.tag == "INM":
+def lognm_numeric(tag: str, n: int, m: int) -> float:
+    """i(n,m) (tag "INM") or h(n,m) (tag "HNM") by quadrature at ORACLE_TOL,
+    memoized per (tag, n, m)."""
+    if tag not in ("INM", "HNM"):
+        raise DomainError(f"unknown log-integral tag {tag!r}")
+    if n < 0 or m < 0 or n + m < 1:
+        raise DomainError("need n, m >= 0 with n + m >= 1")
+    if tag == "INM":
         def ev(x: float, omx: float) -> float:
             return math.log(x) ** n * log1m(x, omx) ** m
     else:

@@ -35,18 +35,19 @@ import json
 import math
 from collections.abc import Callable
 from fractions import Fraction
+from functools import cache
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated
 from .closedform import (ClosedForm, LN2, PI, eta_factor_closed, sigma_atom,
                          zeta_closed, zeta_odd_atom)
 from .errors import DomainError
-from .eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen, milgram,
-                        s_minus, s_minus_even_closed, s_plus, sum_oracle)
+from .eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus,
+                        s_minus_even_closed, s_plus, sum_oracle)
 from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
                   ipq_numeric, ipq_series, r_value, recurrence_shift)
-from .lognm import (LogIntegralKind, h_boundary_closed, h_closed,
-                    h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
-                    s_sigma_relation_residual, sigma_weight6_count)
+from .lognm import (h_boundary_closed, h_closed, h_pde_residual, i_closed,
+                    i_pde_residual, lognm_numeric, s_sigma_relation_residual,
+                    sigma_weight6_count)
 from .quadrature import ORACLE_TOL, integrate01, log1m
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import atom_value, cf_num, registry, sigma_tilde
@@ -140,7 +141,7 @@ def _checks_sums() -> list[CheckEntry]:
             cf = fn(r)
             out.append(_entry(f"sums.closed-vs-oracle.{name}.r{r}",
                               f"{name}({r}) closed form vs defining series",
-                              sum_oracle(SumKind(tag, r)), cf_num(cf), 1e-10, cf))
+                              sum_oracle(tag, r), cf_num(cf), 1e-10, cf))
     for r in range(2, 8):
         direct = Fraction(1, 2 ** (r + 1)) * s_plus(r)
         nielsen = Fraction(1, 2 ** (r + 1)) * (zeta_closed(r + 1) + kolbig_snp(r - 1, 2))
@@ -161,11 +162,9 @@ def _checks_sums() -> list[CheckEntry]:
                                 f"S-({r}): (2^-r - 1) zeta(r+1) + sigma~ vs Jordan decomposition",
                                 s_minus(r), _s_minus_decomposed(r)))
     for r in range(2, 9):
-        lhs = sum_oracle(SumKind("SMinus", r))
-        rhs = (sum_oracle(SumKind("Jordan2", r))
-               - sum_oracle(SumKind("Jordan1", r))
-               + sum_oracle(SumKind("CSum", r))
-               - sum_oracle(SumKind("Milgram", r))
+        lhs = sum_oracle("SMinus", r)
+        rhs = (sum_oracle("Jordan2", r) - sum_oracle("Jordan1", r) + sum_oracle("CSum", r)
+               - sum_oracle("Milgram", r)
                - (1 - 2.0 ** (-r - 1)) * zeta_num(r + 1))
         out.append(_entry(f"sums.sminus-decomposition.r{r}",
                           f"S-({r}) sum decomposition, every term from its own oracle",
@@ -184,7 +183,7 @@ def _checks_sums() -> list[CheckEntry]:
         out.append(_entry(f"sums.{name}", f"{label}(3) closed form vs its {route}",
                           oracle, cf_num(cf), 1e-10, cf))
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
-    oracle = sum_oracle(SumKind("SMinus", 5))
+    oracle = sum_oracle("SMinus", 5)
     general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
     variant = cf_num(Fraction(1, 2 ** 5) * zeta_closed(6) + sigma_tilde(4, 2))
     out.append(_entry("sums.sminus-odd-general-form.r5",
@@ -244,7 +243,7 @@ def _checks_appendix() -> list[CheckEntry]:
                           integrate01(ev, ORACLE_TOL).value, closed, 1e-10, note=note))
     # odd-order Jordan integral representations, n = 1 (order 3)
     for which in ("J1", "J2"):
-        oracle = sum_oracle(SumKind("Jordan1" if which == "J1" else "Jordan2", 3))
+        oracle = sum_oracle("Jordan1" if which == "J1" else "Jordan2", 3)
         out.append(_entry(f"appendix.jordan-integral-rep.{which}",
                           f"{which}(3) integral representation vs series",
                           _jordan_order3_integral(which), oracle, 1e-9))
@@ -263,7 +262,7 @@ def _checks_appendix() -> list[CheckEntry]:
     out.append(_exact_entry("appendix.truncation-display-exact.p5kt10",
                             "S-(5) truncation at kt=10 vs its printed rationals",
                             s_minus_truncated(5, 10), display))
-    oracle5 = sum_oracle(SumKind("SMinus", 5))
+    oracle5 = sum_oracle("SMinus", 5)
     out.append(_entry("appendix.truncation-nine-decimals.p5kt10",
                       "S-(5) truncation at kt=10 against the series oracle",
                       oracle5, cf_num(s_minus_truncated(5, 10)), 5e-10,
@@ -284,6 +283,7 @@ def _checks_appendix() -> list[CheckEntry]:
     return out
 
 
+@cache
 def _jordan_order3_integral(which: str) -> float:
     """J1(3) or J2(3) from the order-3 integral representation
     1/(4*2!) integral ln^2(x) (ln(1+x) - ln(1-x)) (1/(1-x) -+ 1/(1+x))."""
@@ -496,7 +496,7 @@ def _checks_lognm() -> list[CheckEntry]:
                                 f"i({n},{m}) closed form vs certified table",
                                 i_closed(n, m), cf, note=corrected.get((n, m), "")))
         out.append(_entry(f"lognm.inm-numeric.n{n}m{m}", f"i({n},{m}) vs quadrature",
-                          lognm_numeric(LogIntegralKind("INM", n, m)), cf_num(cf), 1e-9))
+                          lognm_numeric("INM", n, m), cf_num(cf), 1e-9))
         out.append(_exact_entry(f"lognm.inm-symmetry.n{n}m{m}",
                                 f"i({n},{m}) = i({m},{n})",
                                 i_closed(n, m), i_closed(m, n)))
@@ -515,13 +515,12 @@ def _checks_lognm() -> list[CheckEntry]:
             cf = h_closed(n, m)
             out.append(_entry(f"lognm.hnm-numeric.n{n}m{m}",
                               f"h({n},{m}) closed form vs quadrature",
-                              lognm_numeric(LogIntegralKind("HNM", n, m)),
-                              cf_num(cf), 1e-9, cf, note=h_notes.get((n, m), "")))
+                              lognm_numeric("HNM", n, m), cf_num(cf), 1e-9, cf,
+                              note=h_notes.get((n, m), "")))
     for m in range(1, 5):
         out.append(_entry(f"lognm.hnm-boundary.m{m}",
                           f"h(0,{m}) vs (-1)^m m! (2 e_m(-ln2) - 1)",
-                          lognm_numeric(LogIntegralKind("HNM", 0, m)),
-                          cf_num(h_boundary_closed(m)), 1e-9,
+                          lognm_numeric("HNM", 0, m), cf_num(h_boundary_closed(m)), 1e-9,
                           note="the truncated-exponential boundary value needs the "
                                "(-1)^m m! factor restored from the starred normalization"))
     for n in range(1, 6):

@@ -16,13 +16,12 @@ import pytest
 
 from polylog.closedform import (ClosedForm, LN2, PI, li_half_atom,
                                 zeta_closed, zeta_odd_atom)
-from polylog.eulersums import (SumKind, c_sum, jordan_nielsen, s_minus,
-                               s_plus, sum_oracle)
+from polylog.eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from polylog.ipq import Family, ipq_final, ipq_numeric, r_value
 from polylog.ipq import _final_nielsen_form, _final_sum_form
-from polylog.lognm import (LogIntegralKind, h_closed, h_pde_residual,
-                           i_closed, i_pde_residual, lognm_numeric,
-                           s_sigma_relation_residual, sigma_weight6_count)
+from polylog.lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual,
+                           lognm_numeric, s_sigma_relation_residual,
+                           sigma_weight6_count)
 from polylog.quadrature import integrate01, log1m
 from polylog.seriesring import beta_derivative_inm, kolbig_snp
 from polylog.sigma import cf_num, registry, sigma_tilde
@@ -108,7 +107,7 @@ def test_criterion_2_h_values():
     for (n, m), expected in sorted(H_EXPECTED.items()):
         got = h_closed(n, m)
         assert got == expected, (n, m)
-        quad = lognm_numeric(LogIntegralKind("HNM", n, m))
+        quad = lognm_numeric("HNM", n, m)
         assert abs(cf_num(got) - quad) <= 1e-9, (n, m)
     print(f"\nACCEPTANCE 2: PASS  all {len(H_EXPECTED)} h(n,m) values exact "
           "and within 1e-9 of quadrature")
@@ -130,10 +129,10 @@ def test_criterion_4_odd_jordan_and_sminus3():
     pairs = [("J1", "Jordan1"), ("J2", "Jordan2")]
     for which, tag in pairs:
         closed_value = cf_num(jordan_nielsen(which, 3))
-        oracle = sum_oracle(SumKind(tag, 3))
+        oracle = sum_oracle(tag, 3)
         assert abs(closed_value - oracle) <= 1e-10, which
     closed_value = cf_num(s_minus(3))
-    oracle = sum_oracle(SumKind("SMinus", 3))
+    oracle = sum_oracle("SMinus", 3)
     assert abs(closed_value - oracle) <= 1e-10
     print("\nACCEPTANCE 4: PASS  odd-order Jordan values and S-(3) within "
           "1e-10 of their series oracles")
@@ -144,7 +143,7 @@ def test_criterion_4_odd_jordan_and_sminus3():
     "value differs from S-(5) by 3.394e-9; the 5e-10 tolerance stated here is "
     "first reached at kt=12 (see test_approx.test_truncation_error_profile)"))
 def test_criterion_5_nine_decimals():
-    oracle = sum_oracle(SumKind("SMinus", 5))
+    oracle = sum_oracle("SMinus", 5)
     err = abs(cf_num(s_minus_truncated(5, 10)) - oracle)
     status = "PASS" if err <= 5e-10 else "FAIL"
     print(f"\nACCEPTANCE 5: {status}  |truncation(5,10) - S-(5)| = {err:.3e} "
@@ -233,7 +232,7 @@ def test_criterion_9_appendix_integrals():
             return (math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
                     * (1.0 / omx + sgn / (1.0 + x)))
         quad = integrate01(ev, 1e-12).value / 8.0
-        oracle = sum_oracle(SumKind(tag, 3))
+        oracle = sum_oracle(tag, 3)
         assert abs(quad - oracle) <= 1e-9, which
     for r in range(2, 8):
         direct = Fraction(1, 2 ** (r + 1)) * s_plus(r)

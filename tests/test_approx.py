@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.approx import (MAX_KT, _stirling_row, polylog_derivative_at_minus1,
-                            s_minus_truncated, stirling1)
+from polylog.approx import (MAX_KT, _derivative_cf, _stirling_row,
+                            polylog_derivative_at_minus1, s_minus_truncated,
+                            stirling1)
 from polylog.closedform import (LN2, PI, UNIT, monomial, zeta_closed,
                                 zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
-from polylog.eulersums import SumKind, sum_oracle
+from polylog.eulersums import sum_oracle
 from polylog.sigma import cf_num
 from polylog.special import polylog
+from polylog.verify import run_suite
 
 
 # -- Stirling numbers -----------------------------------------------------------
@@ -156,10 +158,18 @@ def test_truncation_error_profile():
     """kt = 10 reproduces the published rationals exactly, whose true error
     against S-(5) is 3.39e-9 (eight decimal places); the advertised ninth
     decimal is first reached at kt = 12."""
-    oracle = sum_oracle(SumKind("SMinus", 5))
+    oracle = sum_oracle("SMinus", 5)
     errs = {kt: abs(cf_num(s_minus_truncated(5, kt)) - oracle)
             for kt in range(3, 13)}
     for kt in range(4, 13):
         assert errs[kt] < errs[kt - 1], kt
     assert 3.3e-9 < errs[10] < 3.5e-9
     assert errs[12] <= 5e-10
+
+
+def test_cold_run_suite_builds_each_derivative_form_once():
+    # every s_minus_truncated(5, kt) shares the (5, k) pieces of the shallower
+    # truncations; the derivative entries add (4, 1)
+    _derivative_cf.cache_clear()
+    run_suite("all")
+    assert _derivative_cf.cache_info().misses == 11

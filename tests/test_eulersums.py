@@ -6,12 +6,11 @@ import pytest
 from polylog import digamma
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import DomainError
-from polylog.eulersums import (SumKind, c_sum, jordan_even, jordan_nielsen,
-                               milgram, s_minus, s_minus_even_closed, s_plus,
-                               sum_oracle)
+from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram,
+                               s_minus, s_minus_even_closed, s_plus, sum_oracle)
 from polylog.sigma import cf_num, sigma_tilde
 
-from conftest import assert_frozen_value, li_half_brute, zeta_brute
+from conftest import li_half_brute, zeta_brute
 
 
 def _pi_pow(e, c):
@@ -81,7 +80,7 @@ def test_sminus_values():
     # odd r >= 5 keeps the open sigma~ constant
     cf5 = s_minus(5)
     assert [a.name for a in cf5.sigma_atoms()] == ["sigma_4_2"]
-    assert abs(cf_num(cf5) - sum_oracle(SumKind("SMinus", 5))) <= 1e-10
+    assert abs(cf_num(cf5) - sum_oracle("SMinus", 5)) <= 1e-10
     with pytest.raises(DomainError):
         s_minus(1)
 
@@ -103,59 +102,49 @@ def test_closed_vs_oracles():
     for fn, tag in cases:
         for r in (2, 3, 4):
             closed_value = cf_num(fn(r))
-            oracle = sum_oracle(SumKind(tag, r))
+            oracle = sum_oracle(tag, r)
             assert abs(closed_value - oracle) <= 1e-10, (tag, r)
 
 
 def test_decomposition_identity():
     for r in range(2, 9):
-        lhs = sum_oracle(SumKind("SMinus", r))
-        rhs = (sum_oracle(SumKind("Jordan2", r))
-               - sum_oracle(SumKind("Jordan1", r))
-               + sum_oracle(SumKind("CSum", r))
-               - sum_oracle(SumKind("Milgram", r))
+        lhs = sum_oracle("SMinus", r)
+        rhs = (sum_oracle("Jordan2", r) - sum_oracle("Jordan1", r) + sum_oracle("CSum", r)
+               - sum_oracle("Milgram", r)
                - (1 - 2.0 ** (-r - 1)) * zeta_brute(r + 1))
         assert abs(lhs - rhs) <= 1e-10, r
 
 
 def test_even_closed_forms_vs_oracles():
     for r in (2, 4, 6):
-        assert abs(cf_num(s_minus(r)) - sum_oracle(SumKind("SMinus", r))) <= 1e-10
+        assert abs(cf_num(s_minus(r)) - sum_oracle("SMinus", r)) <= 1e-10
         for which, tag in (("J1", "Jordan1"), ("J2", "Jordan2")):
             assert abs(cf_num(jordan_even(which, r))
-                       - sum_oracle(SumKind(tag, r))) <= 1e-10
+                       - sum_oracle(tag, r)) <= 1e-10
 
 
-def test_sumkind_validation():
-    with pytest.raises(DomainError):
-        SumKind("SPlus", 1)
-    with pytest.raises(DomainError):
-        SumKind("Nope", 3)
-
-
-def test_sumkind_is_a_frozen_value():
-    a, b = SumKind("SMinus", 3), SumKind("SMinus", 3)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != SumKind("SMinus", 4) and a != SumKind("SPlus", 3)
-    assert (a.tag, a.order) == ("SMinus", 3)
-    assert_frozen_value(a, "order")
-    # a freshly built kind finds the value cached under an equal one
-    sum_oracle(a)
+def test_sum_oracle_validates_and_memoizes():
+    with pytest.raises(DomainError, match="sum order must be >= 2"):
+        sum_oracle("SPlus", 1)
+    with pytest.raises(DomainError, match="unknown sum tag 'Nope'"):
+        sum_oracle("Nope", 3)
+    # a repeated call finds the value cached under the same arguments
+    sum_oracle("SMinus", 3)
     hits = sum_oracle.cache_info().hits
-    sum_oracle(b)
+    sum_oracle("SMinus", 3)
     assert sum_oracle.cache_info().hits == hits + 1
 
 
 def test_sminus_odd_general_vs_dropped_minus_one():
     # the general display keeps (2^-r - 1); dropping the -1 fails numerically
-    oracle = sum_oracle(SumKind("SMinus", 5))
+    oracle = sum_oracle("SMinus", 5)
     general = cf_num((Fraction(1, 32) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
     variant = cf_num(Fraction(1, 32) * zeta_closed(6) + sigma_tilde(4, 2))
     assert abs(oracle - general) <= 1e-10
     assert abs(oracle - variant) > 1.0
 
 
-# sum_oracle(SumKind(tag, r)) for r = 2..9 at ORACLE_TOL = 1e-12, as computed
+# sum_oracle(tag, r) for r = 2..9 at ORACLE_TOL = 1e-12, as computed
 # before the oracle was memoized and sum_tail made incremental; both changes
 # keep every bit.  The other five tags return the bits they had at 1e-11; the
 # S- values differ from those by 1-3 ulp.
@@ -183,9 +172,9 @@ _ORACLE_VALUES = {
 def test_sum_oracle_values_are_unchanged_and_memoized():
     sum_oracle.cache_clear()
     for tag, values in _ORACLE_VALUES.items():
-        assert [sum_oracle(SumKind(tag, r)) for r in range(2, 10)] == values, tag
+        assert [sum_oracle(tag, r) for r in range(2, 10)] == values, tag
     misses = sum_oracle.cache_info().misses
-    assert [sum_oracle(SumKind("SMinus", r)) for r in range(2, 10)] == _ORACLE_VALUES["SMinus"]
+    assert [sum_oracle("SMinus", r) for r in range(2, 10)] == _ORACLE_VALUES["SMinus"]
     assert sum_oracle.cache_info().misses == misses
 
 
@@ -203,7 +192,7 @@ def test_sum_oracle_calls_the_psi_kernel_once_per_point(monkeypatch):
     digamma.psi_point.cache_clear()
     monkeypatch.setattr(digamma, "psi", counted)
     for tag, values in _ORACLE_VALUES.items():
-        assert [sum_oracle(SumKind(tag, r)) for r in range(2, 10)] == values, tag
+        assert [sum_oracle(tag, r) for r in range(2, 10)] == values, tag
     info = digamma.psi_point.cache_info()
     # one kernel call per distinct point, shared by every tag and order
     assert len(calls) == info.misses == len(set(calls))

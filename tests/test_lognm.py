@@ -7,7 +7,7 @@ import pytest
 
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import CapacityError, DomainError
-from polylog.lognm import (TABLE_WEIGHT, LogIntegralKind, h_boundary_closed, h_closed,
+from polylog.lognm import (TABLE_WEIGHT, h_boundary_closed, h_closed,
                            h_pde_residual, i_closed, i_pde_residual,
                            lognm_numeric, s_sigma_relation_matrix,
                            s_sigma_relation_residual, sigma_weight6_count,
@@ -15,8 +15,6 @@ from polylog.lognm import (TABLE_WEIGHT, LogIntegralKind, h_boundary_closed, h_c
 from polylog.seriesring import MAX_WEIGHT, beta_derivative_inm
 from polylog.sigma import cf_num
 from polylog.verify import expected_inm_table, run_suite
-
-from conftest import assert_frozen_value
 
 
 def _pi_pow(e, c):
@@ -53,7 +51,7 @@ def test_i_matches_quadrature():
     for n in range(1, 4):
         for m in range(n, 4):
             closed_value = cf_num(i_closed(n, m))
-            quad = lognm_numeric(LogIntegralKind("INM", n, m))
+            quad = lognm_numeric("INM", n, m)
             assert abs(closed_value - quad) <= 1e-9, (n, m)
 
 
@@ -89,7 +87,7 @@ def test_h_12_sign():
     # integrand ln(x) ln^2(1+x) < 0 on (0,1), so h(1,2) must be negative
     cf = h_closed(1, 2)
     assert cf_num(cf) < 0
-    quad = lognm_numeric(LogIntegralKind("HNM", 1, 2))
+    quad = lognm_numeric("HNM", 1, 2)
     assert abs(cf_num(cf) - quad) <= 1e-11
 
 
@@ -106,14 +104,14 @@ def test_h_matches_quadrature_weights_2_to_5():
             if not 2 <= n + m <= 5:
                 continue
             closed_value = cf_num(h_closed(n, m))
-            quad = lognm_numeric(LogIntegralKind("HNM", n, m))
+            quad = lognm_numeric("HNM", n, m)
             assert abs(closed_value - quad) <= 1e-9, (n, m)
 
 
 def test_h_weight6_carries_atoms_but_matches_quadrature():
     cf = h_closed(2, 4)
     assert cf.sigma_atoms()
-    quad = lognm_numeric(LogIntegralKind("HNM", 2, 4))
+    quad = lognm_numeric("HNM", 2, 4)
     assert abs(cf_num(cf) - quad) <= 1e-9
 
 
@@ -128,7 +126,7 @@ def test_h_boundary_condition():
     # h(0,1) = 2 ln 2 - 1 fixes the (-1)^m m! normalization
     assert h_boundary_closed(1) == ClosedForm.atom(LN2, 1, 2) - 1
     for m in range(1, 5):
-        quad = lognm_numeric(LogIntegralKind("HNM", 0, m))
+        quad = lognm_numeric("HNM", 0, m)
         assert abs(cf_num(h_boundary_closed(m)) - quad) <= 1e-10, m
 
 
@@ -143,16 +141,16 @@ def test_truncated_exponential():
 
 
 def test_lognm_numeric_edges():
-    assert lognm_numeric(LogIntegralKind("INM", 0, 1)) == pytest.approx(-1.0, abs=1e-12)
-    assert lognm_numeric(LogIntegralKind("INM", 1, 1)) == pytest.approx(
-        2 - math.pi ** 2 / 6, abs=1e-12)
-    with pytest.raises(DomainError):
-        LogIntegralKind("INM", 0, 0)
-    with pytest.raises(DomainError):
-        LogIntegralKind("XNM", 1, 1)
+    assert lognm_numeric("INM", 0, 1) == pytest.approx(-1.0, abs=1e-12)
+    assert lognm_numeric("INM", 1, 1) == pytest.approx(2 - math.pi ** 2 / 6, abs=1e-12)
+    for tag, n, m in (("INM", 0, 0), ("HNM", -1, 2)):
+        with pytest.raises(DomainError, match="need n, m >= 0 with n \\+ m >= 1"):
+            lognm_numeric(tag, n, m)
+    with pytest.raises(DomainError, match="unknown log-integral tag 'XNM'"):
+        lognm_numeric("XNM", 1, 1)
 
 
-# lognm_numeric at the 20 kinds the lognm verify suite asks for, as computed
+# lognm_numeric at the 20 (tag, n, m) the lognm verify suite asks for, as computed
 # before the oracle was memoized at the one precision ORACLE_TOL = 1e-12
 _LOGNM_VALUES = {
     ("INM", 1, 1): 0.3550659331517736, ("INM", 1, 2): -0.3060180599843586,
@@ -170,21 +168,11 @@ _LOGNM_VALUES = {
 
 def test_lognm_numeric_values_are_unchanged_and_memoized():
     lognm_numeric.cache_clear()
-    for kind, value in _LOGNM_VALUES.items():
-        assert lognm_numeric(LogIntegralKind(*kind)) == value, kind
-    assert lognm_numeric(LogIntegralKind("HNM", 1, 2)) == _LOGNM_VALUES[("HNM", 1, 2)]
+    for args, value in _LOGNM_VALUES.items():
+        assert lognm_numeric(*args) == value, args
+    assert lognm_numeric("HNM", 1, 2) == _LOGNM_VALUES[("HNM", 1, 2)]
     info = lognm_numeric.cache_info()
     assert (info.misses, info.hits) == (len(_LOGNM_VALUES), 1)
-
-
-def test_log_integral_kind_is_a_frozen_value():
-    a, b = LogIntegralKind("HNM", 2, 4), LogIntegralKind("HNM", 2, 4)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != LogIntegralKind("INM", 2, 4) and a != LogIntegralKind("HNM", 4, 2)
-    assert (a.tag, a.n, a.m) == ("HNM", 2, 4)
-    assert_frozen_value(a, "n")
-    with pytest.raises(DomainError):
-        LogIntegralKind("HNM", -1, 2)
 
 
 # -- the s <-> sigma~ network ---------------------------------------------------

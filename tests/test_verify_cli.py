@@ -1,3 +1,4 @@
+import argparse
 import ast
 import graphlib
 import json
@@ -13,14 +14,14 @@ import pytest
 import polylog
 from polylog import special, summation
 from polylog.approx import MAX_KT
-from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
+from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, build_parser, main
 from polylog.eulersums import sum_oracle
 from polylog.ipq import Family, ipq_numeric, ipq_series
 from polylog.lognm import TABLE_WEIGHT, lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import atom_value
 from polylog.special import nielsen_num
-from polylog.verify import run_suite
+from polylog.verify import SUITES, _jordan_order3_integral, run_suite
 
 
 def _polylog_target(node: ast.AST) -> str | None:
@@ -247,6 +248,13 @@ def test_verify_unknown_suite_is_domain_error(capsys):
         main(["verify", "--suite", "bogus"])
 
 
+def test_verify_suite_choices_come_from_the_suite_table():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in subparsers.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == ["all", *SUITES]
+
+
 def test_verify_entry_set_is_pinned():
     # a rewrite of the suites must not silently drop (or rename away) a check
     entries = run_suite("all").entries
@@ -346,6 +354,14 @@ def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
     run_suite("all")
     assert [fn.cache_info().misses for fn in oracles] == [41, 36, 20]
     assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
+
+
+def test_cold_run_suite_integrates_each_order3_jordan_form_once():
+    # the sums and appendix suites both ask for J1(3) and J2(3) by quadrature
+    _jordan_order3_integral.cache_clear()
+    run_suite("all")
+    info = _jordan_order3_integral.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
