@@ -1,15 +1,19 @@
 """Digamma function for positive real arguments.
 
 Upward recurrence pushes the argument above 10, then an eight-term
-asymptotic series finishes; relative error is below 1e-13 on (0, inf).
+asymptotic series, evaluated as an unrolled Horner scheme, finishes;
+relative error is below 1e-13 on (0, inf).
 
 psi is the uncached kernel.  psi_point memoizes it for the series oracles
 (sum_oracle, the harmonic branch of mpl2, and the alternating tail
 V_1(x) = [psi((x+1)/2) - psi(x/2)]/2 of mpl2's doubly alternating sums),
 whose terms all walk the same integers, half-integers and Euler-Maclaurin
 tail nodes (halved, for V_1); its cache holds one float per point those
-series reach.  psi itself stays uncached: a cache on
-arbitrary floats would grow without bound for library callers.
+series reach.  psi_table keeps their direct terms' digamma differences
+psi(k + shift) - psi(base) as one tuple per block of indices, read through
+psi_point, so each point still meets the kernel once.  psi itself stays
+uncached: a cache on arbitrary floats would grow without bound for library
+callers.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cache
 from .errors import DomainError
 
 # B_{2n} / (2n) for the asymptotic tail, n = 1..8.
-_TAIL = (
+_TAIL = _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = (
     1.0 / 12.0,
     -1.0 / 120.0,
     1.0 / 252.0,
@@ -45,9 +49,8 @@ def psi(x: float) -> float:
         acc -= 1.0 / x
         x += 1.0
     y = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_TAIL):
-        tail = (tail + c) * y
+    tail = (((((((_B8 * y + _B7) * y + _B6) * y + _B5) * y + _B4) * y + _B3) * y + _B2) * y
+            + _B1) * y
     return acc + math.log(x) - 0.5 / x - tail
 
 
@@ -63,6 +66,14 @@ def psi_point(x: float) -> float:
 
 
 @cache
+def psi_table(shift: float, base: float, start: int, stop: int) -> tuple[float, ...]:
+    """psi(k + shift) - psi(base) for k in range(start, stop), read through
+    psi_point.  The series oracles ask for the blocks their cutoffs add."""
+    origin = psi_point(base)
+    return tuple(psi_point(k + shift) - origin for k in range(start, stop))
+
+
+@cache
 def euler_gamma() -> float:
     """Euler's constant, as -psi(1)."""
-    return -psi(1.0)
+    return -psi_point(1.0)

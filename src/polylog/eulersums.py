@@ -7,9 +7,13 @@ is the route the verify entries check that registry against.
 Each builder takes one route and is memoized.  Each closed form also
 exists as a direct accelerated summation of its defining series
 (sum_oracle(tag, r)), at ORACLE_TOL and memoized as well: one float per
-tag and order.  Its term lambdas read digamma through psi_point, so the
-sums share each psi value at the integers, half-integers and tail nodes
-they walk.  The second exact routes (the Nielsen form of C, the full
+tag and order.  Every series but S- is
+sum_k scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r, so its
+direct terms are one memoized digamma table (digamma.psi_table) times one
+map(pow, ...); its term lambda serves the Euler-Maclaurin tail, and S-'s
+the alternating acceleration.  All of them read digamma through psi_point,
+so the sums share each psi value at the integers, half-integers and tail
+nodes they walk.  The second exact routes (the Nielsen form of C, the full
 Milgram sum, the even-order Jordan forms against the Nielsen ones, the
 Jordan decomposition of S-) are verify entries.  Every builder holds the
 weight r+1 of its sum to the series ceiling MAX_WEIGHT.
@@ -19,9 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
+from operator import mul
 
 from .closedform import ClosedForm, LN2, zeta_closed
-from .digamma import euler_gamma, psi_point
+from .digamma import euler_gamma, psi_point, psi_table
 from .errors import DomainError
 from .quadrature import ORACLE_TOL
 from .seriesring import _check_weight, kolbig_snp
@@ -29,6 +35,16 @@ from .sigma import sigma_tilde
 from .summation import sum_alternating, sum_tail
 
 _TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
+# (scale, shift, step, offset) of each monotone series
+# sum_{k>=1} scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r;
+# Jordan1's k = 0 term vanishes
+_MONOTONE = {
+    "SPlus": (1.0, 1.0, 1, 0),
+    "Jordan1": (0.5, 0.5, 2, 1),
+    "Jordan2": (0.5, 0.5, 2, 0),
+    "Milgram": (0.5, 1.0, 2, 1),
+    "CSum": (0.5, 1.0, 2, 0),
+}
 
 
 @cache
@@ -153,23 +169,17 @@ def sum_oracle(tag: str, r: int) -> float:
         raise DomainError(f"unknown sum tag {tag!r}")
     if r < 2:
         raise DomainError("sum order must be >= 2")
-    tol = ORACLE_TOL
     e = -float(r)
-    g = euler_gamma()
-    p_half = psi_point(0.5)
-    if tag == "SPlus":
-        return sum_tail(lambda k: (psi_point(k + 1.0) + g) * k ** e, tol, r)
     if tag == "SMinus":
+        g = euler_gamma()
         return sum_alternating(
-            lambda k: (-1) ** k * (psi_point(k + 1.0) + g) * float(k) ** e, tol)
-    if tag == "Jordan1":
-        # k = 0 term vanishes
-        return sum_tail(lambda k: 0.5 * (psi_point(k + 0.5) - p_half) * (2 * k + 1.0) ** e,
-                        tol, r)
-    if tag == "Jordan2":
-        return sum_tail(lambda k: 0.5 * (psi_point(k + 0.5) - p_half) * (2.0 * k) ** e,
-                        tol, r)
-    if tag == "Milgram":
-        return sum_tail(lambda k: 0.5 * (psi_point(k + 1.0) + g) * (2 * k + 1.0) ** e,
-                        tol, r)
-    return sum_tail(lambda k: 0.5 * (psi_point(k + 1.0) + g) * (2.0 * k) ** e, tol, r)
+            lambda k: (-1) ** k * (psi_point(k + 1.0) + g) * float(k) ** e, ORACLE_TOL)
+    scale, shift, step, offset = _MONOTONE[tag]
+    origin = psi_point(shift)
+
+    def term(k: float) -> float:
+        return scale * (psi_point(k + shift) - origin) * (step * k + offset) ** e
+
+    def weights(a: int, b: int):
+        return map(mul, repeat(scale), psi_table(shift, shift, a, b))
+    return sum_tail(term, ORACLE_TOL, r, direct=(weights, step, offset, e))

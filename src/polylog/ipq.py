@@ -17,14 +17,15 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from operator import mul, truediv
 
 from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
-from .quadrature import ORACLE_TOL, integrate01
+from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, nodes
 from .seriesring import _check_weight, kolbig_snp
 from .sigma import sigma_tilde
-from .special import li_node
+from .special import li_column
 from .summation import zeta_num
 
 
@@ -82,14 +83,15 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> float:
     """I(p,q) by tanh-sinh quadrature at ORACLE_TOL, memoized per (family,
     p, q); the Li values at the nodes are shared with every other integral
-    through li_node.  Only perfbench's evaluation count passes its own tol."""
+    through li_column.  Only perfbench's evaluation count passes its own tol."""
     _check_orders(p, q)
     sp = -1 if family is Family.MINUS else 1
     sq = 1 if family is Family.PLUS else -1
 
-    def ev(x: float, omx: float) -> float:
-        return li_node(p, sp, x, omx) * li_node(q, sq, x, omx) / x
-    return integrate01(ev, tol).value
+    def values(grid: Grid):
+        return map(truediv, map(mul, li_column(p, sp, grid), li_column(q, sq, grid)),
+                   nodes(grid)[0])
+    return integrate01(Columns(values), tol).value
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .closedform import ClosedForm, LN2
 from .errors import DomainError
-from .quadrature import ORACLE_TOL, integrate01, log1m
+from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, log_power
 from .seriesring import _check_weight as _check_series_weight, kolbig_snp
 from .sigma import sigma_tilde
 
@@ -134,13 +135,12 @@ def lognm_numeric(tag: str, n: int, m: int) -> float:
         raise DomainError(f"unknown log-integral tag {tag!r}")
     if n < 0 or m < 0 or n + m < 1:
         raise DomainError("need n, m >= 0 with n + m >= 1")
-    if tag == "INM":
-        def ev(x: float, omx: float) -> float:
-            return math.log(x) ** n * log1m(x, omx) ** m
-    else:
-        def ev(x: float, omx: float) -> float:
-            return math.log(x) ** n * math.log1p(x) ** m
-    return integrate01(ev, ORACLE_TOL).value
+    # ln^n(x) ln^m(1-x) for i(n,m), ln^n(x) ln^m(1+x) for h(n,m)
+    arg = "1-x" if tag == "INM" else "1+x"
+
+    def values(grid: Grid):
+        return map(mul, log_power("x", n, grid), log_power(arg, m, grid))
+    return integrate01(Columns(values), ORACLE_TOL).value
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,30 @@
 
 The rule is double-exponential (tanh-sinh): nodes x = sigmoid(pi*sinh(t))
 cluster at both endpoints, and weights decay fast enough to absorb any
-power of log x or log(1-x).  An integrand is an evaluator f(x, 1-x): it
-receives both x and 1-x, each computed without cancellation, so
-expressions like ln(1-x) stay accurate at nodes within 1e-300 of an
-endpoint.
+power of log x or log(1-x).  Every node comes with both x and 1-x, each
+computed without cancellation, so expressions like ln(1-x) stay accurate at
+nodes within 1e-300 of an endpoint.
+
+The rule is evaluated one grid at a time.  A grid is a refinement level of
+the whole interval or of one of its halves, keyed (half, level) with half
+WHOLE, LEFT or RIGHT; its columns x, 1-x and w are cached (nodes).  An
+integrand is either an evaluator f(x, 1-x), mapped over a grid's columns in
+one call, or a Columns integrand, which returns its values on a whole grid
+from cached per-grid columns: the logarithms here (log_column, log_power)
+and Li_p(+-x) in special.li_column.  Each per-node quantity is then computed
+once per process and combined by C-level map pipelines, in the same float
+operations as the pointwise expression it replaces.  The column caches are
+bounded by the fixed node set: levels 0..11 of the whole interval and of
+the two halves.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cache
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, mul
 
 from .errors import ConvergenceError, DomainError
 
@@ -24,6 +36,10 @@ _MIN_TOL = 1e-13
 # lognm_numeric, nielsen_num, mpl2); verify tolerances only judge.
 ORACLE_TOL = 1e-12
 
+WHOLE, LEFT, RIGHT = 0, 1, 2
+
+Grid = tuple[int, int]
+
 
 def log1m(x: float, omx: float) -> float:
     """ln(1 - x) accurate at both endpoints.
@@ -33,6 +49,12 @@ def log1m(x: float, omx: float) -> float:
     exact one the node generator produced.
     """
     return math.log1p(-x) if x < 0.5 else math.log(omx)
+
+
+def _check_tolerance(tol: float) -> None:
+    """Raise DomainError unless tol is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance {tol} is not finite and positive")
 
 
 class QuadratureResult(tuple):
@@ -52,6 +74,15 @@ class QuadratureResult(tuple):
                 f"error_estimate={self.error_estimate!r}, evaluations={self.evaluations!r})")
 
 
+class Columns:
+    """An integrand given a grid at a time: values(grid) returns its values
+    at the nodes of that grid, in order."""
+    __slots__ = ("values",)
+
+    def __init__(self, values: Callable[[Grid], Iterable[float]]):
+        self.values = values
+
+
 def _node(t: float) -> tuple[float, float, float]:
     """Abscissa pieces for the tanh-sinh map: (x, 1-x, weight/h)."""
     u = math.pi * math.sinh(t)
@@ -65,14 +96,14 @@ def _node(t: float) -> tuple[float, float, float]:
     return x, omx, w
 
 
-# Node geometry is integrand-independent; cache it per level.
 # Level 0 holds all integer t in [-T_MAX, T_MAX]; level L >= 1 holds the
 # odd multiples of 2^-L.
 @cache
-def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+def _level_nodes(level: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The columns (x, 1-x, w) of one level on the whole interval."""
     h = 0.5 ** level
     n = int(_T_MAX / h)
-    nodes = []
+    pts = []
     for k in range(-n, n + 1):
         if level and not k % 2:
             continue
@@ -81,13 +112,51 @@ def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
         # any tolerance this module supports; dropping them keeps
         # downstream coordinate transforms clear of subnormals
         if x > 1e-300 and omx > 1e-300 and w > 0.0:
-            nodes.append((x, omx, w))
-    return tuple(nodes)
+            pts.append((x, omx, w))
+    xs, omxs, ws = zip(*pts)
+    return xs, omxs, ws
 
 
-def integrate01(ev: Callable[[float, float], float], tol: float,
-                _allow_split: bool = True) -> QuadratureResult:
-    """Integrate ev(x, 1-x) over (0, 1) to absolute tolerance tol (tol >= 1e-13)."""
+@cache
+def nodes(grid: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The columns (x, 1-x, w) of a grid.  A half maps the level's nodes u
+    onto x = u/2 (LEFT) or x = 1 - u/2 (RIGHT), keeping the exact distance
+    to the nearer endpoint; its values are halved by integrate01."""
+    half, level = grid
+    us, omus, ws = _level_nodes(level)
+    if half == WHOLE:
+        return us, omus, ws
+    halved = tuple(0.5 * u for u in us)
+    far = tuple(1.0 - 0.5 * u for u in us)
+    return (halved, far, ws) if half == LEFT else (far, halved, ws)
+
+
+@cache
+def log_column(arg: str, grid: Grid) -> tuple[float, ...]:
+    """ln x, ln(1-x) or ln(1+x) (arg "x", "1-x" or "1+x") at every node of a grid."""
+    xs, omxs, _ = nodes(grid)
+    if arg == "x":
+        return tuple(map(math.log, xs))
+    if arg == "1-x":
+        return tuple(map(log1m, xs, omxs))
+    if arg == "1+x":
+        return tuple(map(math.log1p, xs))
+    raise DomainError(f"unknown log column {arg!r}")
+
+
+@cache
+def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
+    """log_column(arg, grid) raised to the integer power n, node by node."""
+    return tuple(map(pow, log_column(arg, grid), repeat(n)))
+
+
+def integrate01(ev: Callable[[float, float], float] | Columns, tol: float,
+                _allow_split: bool = True, _half: int = WHOLE) -> QuadratureResult:
+    """Integrate ev(x, 1-x) over (0, 1) to absolute tolerance tol (tol >= 1e-13).
+
+    ev is an evaluator of (x, 1-x) or a Columns integrand.
+    """
+    _check_tolerance(tol)
     if tol < _MIN_TOL:
         raise DomainError(f"tolerance below supported floor {_MIN_TOL}")
 
@@ -98,9 +167,13 @@ def integrate01(ev: Callable[[float, float], float], tol: float,
     stalls = 0
     value = 0.0
     for level in range(_MAX_LEVEL + 1):
-        parts = [w * ev(x, omx) for x, omx, w in _level_nodes(level)]
-        evals += len(parts)
-        total_g += math.fsum(parts)
+        grid = (_half, level)
+        xs, omxs, ws = nodes(grid)
+        values = ev.values(grid) if isinstance(ev, Columns) else map(ev, xs, omxs)
+        if _half != WHOLE:
+            values = map(mul, repeat(0.5), values)
+        evals += len(ws)
+        total_g += math.fsum(map(mul, ws, values))
         h = 0.5 ** level
         value = h * total_g
         if prev_value is not None and level >= 2:
@@ -116,10 +189,8 @@ def integrate01(ev: Callable[[float, float], float], tol: float,
 
     if _allow_split:
         # Bisect at 1/2; each half keeps exact endpoint distances.
-        left = integrate01(lambda u, omu: 0.5 * ev(0.5 * u, 1.0 - 0.5 * u),
-                           max(tol / 2, _MIN_TOL), _allow_split=False)
-        right = integrate01(lambda v, omv: 0.5 * ev(1.0 - 0.5 * v, 0.5 * v),
-                            max(tol / 2, _MIN_TOL), _allow_split=False)
+        left = integrate01(ev, max(tol / 2, _MIN_TOL), _allow_split=False, _half=LEFT)
+        right = integrate01(ev, max(tol / 2, _MIN_TOL), _allow_split=False, _half=RIGHT)
         return QuadratureResult(
             left.value + right.value,
             left.error_estimate + right.error_estimate,

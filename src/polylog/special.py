@@ -17,24 +17,30 @@ a digamma difference read through psi_point, not a CVZ run per term.
 
 Values that do not depend on the caller are computed once per process:
 the coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
-integer argument, none below -78 since k < 80), and Li_p(+-x) at the
-quadrature nodes (li_node), which every product integrand shares.  The node
-cache holds one entry per (order, sign, node); the nodes are the fixed
-tanh-sinh abscissae of levels 0..11 and of the two split halves, so its size
-is bounded by the orders asked for times that node set.
+integer argument, none below -78 since k < 80), the powers k^-p of the
+direct series (_inverse_powers, one tuple per order), the alternating tails
+V_m(k+1) of the doubly alternating sums (alternating_tail_table, one tuple
+per block of indices), and Li_p(+-x) at the quadrature nodes (li_column),
+which every product integrand shares.  li_column holds one tuple per
+(order, sign, grid); Li_p(-t) at t > 1/2 reads Li_p(t) from the plus
+column, so li_pos meets each node once.  The grids are the fixed tanh-sinh
+levels 0..11 of the whole interval and of its two halves, so the columns
+are bounded by the orders asked for times that node set.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import repeat
+from operator import mul, truediv
 
 from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
-from .digamma import psi_point
+from .digamma import psi_point, psi_table
 from .errors import ConvergenceError, DomainError
-from .quadrature import ORACLE_TOL, integrate01, log1m
+from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, log_power, nodes
 from .summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
@@ -49,12 +55,18 @@ def _zeta_int(s: int) -> float:
     return float(zeta_nonpositive_rational(s))
 
 
+@cache
+def _inverse_powers(p: int) -> tuple[float, ...]:
+    """k^-p for k = 1..399, the divisors of the direct series."""
+    return tuple(float(k) ** (-p) for k in range(1, 400))
+
+
 def _li_series(p: int, x: float) -> float:
     total = 0.0
     powx = 1.0
-    for k in range(1, 400):
+    for k, inv in enumerate(_inverse_powers(p), 1):
         powx *= x
-        t = powx * float(k) ** (-p)
+        t = powx * inv
         total += t
         if abs(t) <= _EPS * abs(total) and k > 4:
             return total
@@ -90,32 +102,40 @@ def li_pos(p: int, x: float, omx: float) -> float:
     return _li_log_expansion(p, math.log1p(-omx))
 
 
-def li_neg(p: int, t: float, omt: float) -> float:
-    """Li_p(-t) for t in (0, 1], with 1-t supplied exactly."""
+def li_neg(p: int, t: float, omt: float, li_t: float | None = None) -> float:
+    """Li_p(-t) for t in (0, 1], with 1-t supplied exactly.
+
+    li_t, when known, is Li_p(t), which the square relation needs for t > 1/2.
+    """
     if t == 1.0:
         return -eta_num(p)
     if t <= 0.5:
         return _li_series(p, -t)
+    if li_t is None:
+        li_t = li_pos(p, t, omt)
     tsq = t * t
     omtsq = omt * (1.0 + t)
-    return 2.0 ** (1 - p) * li_pos(p, tsq, omtsq) - li_pos(p, t, omt)
+    return 2.0 ** (1 - p) * li_pos(p, tsq, omtsq) - li_t
 
 
 @cache
-def li_node(p: int, sign: int, x: float, omx: float) -> float:
-    """Li_p(sign * x) at a quadrature node x in (0, 1), memoized.
+def li_column(p: int, sign: int, grid: Grid) -> tuple[float, ...]:
+    """Li_p(sign * x) at every node x of a quadrature grid.
 
-    Only integrands integrated over the tanh-sinh node set call this, so the
-    cache stays bounded; li_pos/li_neg remain the one evaluation route.
+    The minus column reads Li_p(t) from the plus column; li_pos/li_neg
+    remain the one evaluation route.
     """
-    return li_pos(p, x, omx) if sign > 0 else li_neg(p, x, omx)
+    xs, omxs, _ = nodes(grid)
+    if sign > 0:
+        return tuple(map(li_pos, repeat(p), xs, omxs))
+    return tuple(map(li_neg, repeat(p), xs, omxs, li_column(p, 1, grid)))
 
 
 def polylog(p: int, x: float) -> float:
     """Li_p(x) for integer p >= 1 and -1 <= x <= 1 (x < 1 when p = 1)."""
     if p < 1:
         raise DomainError("polylog order must be >= 1")
-    if x < -1.0 or x > 1.0:
+    if not -1.0 <= x <= 1.0:
         raise DomainError("polylog argument must lie in [-1, 1]")
     if p == 1:
         if x == 1.0:
@@ -127,6 +147,8 @@ def polylog(p: int, x: float) -> float:
         return zeta_num(p)
     if x < 0.0:
         return li_neg(p, -x, 1.0 + x)
+    if x <= 0.5:
+        return _li_series(p, x)
     return li_pos(p, x, 1.0 - x)
 
 
@@ -143,20 +165,24 @@ def nielsen_num(n: int, p: int, z: float) -> float:
     """
     if n < 1 or p < 1:
         raise DomainError("Nielsen indices must be >= 1")
-    if z < -1.0 or z > 1.0:
+    if not -1.0 <= z <= 1.0:
         raise DomainError("Nielsen argument must lie in [-1, 1]")
     if z == 0.0:
         return 0.0
     pref = (-1.0) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p))
 
-    if z == 1.0:
-        def ev(x: float, omx: float) -> float:
-            return math.log(x) ** (n - 1) * log1m(x, omx) ** p / x
-    else:
-        def ev(x: float, omx: float) -> float:
-            return math.log(x) ** (n - 1) * math.log1p(-z * x) ** p / x
+    def values(grid: Grid):
+        # ln^{n-1}(x) ln^p(1 - z x) / x; at z = -1, -z*x is x itself
+        xs = nodes(grid)[0]
+        if z == 1.0:
+            lz = log_power("1-x", p, grid)
+        elif z == -1.0:
+            lz = log_power("1+x", p, grid)
+        else:
+            lz = map(pow, map(math.log1p, map(mul, repeat(-z), xs)), repeat(p))
+        return map(truediv, map(mul, log_power("x", n - 1, grid), lz), xs)
 
-    return pref * integrate01(ev, ORACLE_TOL).value
+    return pref * integrate01(Columns(values), ORACLE_TOL).value
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +211,13 @@ def _alternating_tail(m: int, x: float) -> float:
     return _cvz([(x + i) ** (-m) for i in range(40)])
 
 
+@cache
+def alternating_tail_table(m: int, start: int, stop: int) -> tuple[float, ...]:
+    """V_m(k + 1) for k in range(start, stop): the weights of the doubly
+    alternating series, one block per cutoff doubling."""
+    return tuple(map(_alternating_tail, repeat(m), range(start + 1, stop + 1)))
+
+
 def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     """Depth-2 multiple polylogarithm
     sum_{k2 > k1 >= 1} x_outer^k2 x_inner^k1 / (k2^m_outer k1^m_inner).
@@ -202,7 +235,7 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     (V_1 is a digamma difference, see _alternating_tail).
     """
     for x in (x_outer, x_inner):
-        if x < -1.0 or x > 1.0:
+        if not -1.0 <= x <= 1.0:
             raise DomainError("multiple polylog arguments must lie in [-1, 1]")
     if m_outer < 1 or m_inner < 1:
         raise DomainError("multiple polylog weights must be >= 1")
@@ -221,7 +254,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
         psi_one = psi_point(1.0)
         if x_outer == 1.0:
             return sum_tail(lambda k: (psi_point(k) - psi_one) * k ** (-m_outer),
-                            part_tol, m_outer)
+                            part_tol, m_outer,
+                            direct=(partial(psi_table, 0.0, 1.0), 1, 0, -m_outer))
         return sum_alternating(
             lambda k: (-1) ** k * (psi_point(float(k)) - psi_one) * float(k) ** (-m_outer),
             part_tol)
@@ -244,7 +278,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
         # outer index first: sum_{k2>k} (-1)^k2 k2^-m_outer = (-1)^{k+1} V(k+1),
         # whose sign cancels the inner (-1)^k, leaving a monotone series
         return -sum_tail(lambda k: k ** (-m_inner) * _alternating_tail(m_outer, k + 1),
-                         part_tol, m_outer + m_inner)
+                         part_tol, m_outer + m_inner,
+                         direct=(partial(alternating_tail_table, m_outer), 1, 0, -m_inner))
     # x_outer == 1: partial sum = A - (-1)^k V(k), V smooth and positive
     corr = sum_alternating(
         lambda k: (-1) ** k * _alternating_tail(m_inner, float(k)) * float(k) ** (-m_outer),

@@ -8,23 +8,31 @@ evaluated by the tanh-sinh rule; the term callable must therefore accept
 real (not just integer) arguments beyond the cutoff.
 
 sum_alternating and sum_tail raise ConvergenceError past their term budgets,
-the module constants ALTERNATING_TERMS and TAIL_TERMS.
+the module constants ALTERNATING_TERMS and TAIL_TERMS, and DomainError for a
+tolerance that is not finite and positive.
 
 Across calls, eta_num/zeta_num keep one float per integer order and the
 CVZ weights are kept per depth n (_cvz_weights, at most ALTERNATING_TERMS
 floats per depth asked for).  Within a call, sum_tail keeps its direct
 terms across the doublings of its cutoff and sum_alternating its terms
-across its deepenings, so each index is evaluated once.
+across its deepenings, so each index is evaluated once.  A sum_tail caller
+whose terms are weight(k) * base(k)^e passes them as ``direct``: each
+doubling's direct terms are then one map over a memoized per-index table of
+the weights (digamma.psi_table, special.alternating_tail_table) and one
+map(pow, ...) over the bases, and the term callable is called only for the
+Euler-Maclaurin tail.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cache
+from itertools import repeat
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate01
+from .quadrature import _check_tolerance, integrate01
 
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 # the CVZ divisor (3 + sqrt 8)^n overflows a double past n = 402
@@ -62,8 +70,7 @@ def sum_alternating(term: Callable[[int], float], tol: float) -> float:
     The sign may sit inside ``term``; magnitudes must eventually decrease
     smoothly.  Two runs at different depths must agree within tol.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _check_tolerance(tol)
     n = max(12, int(math.log(max(4.0 / tol, 10.0)) / _LOG_CVZ_BASE) + 6)
     prev = None
     a: list[float] = []
@@ -78,25 +85,39 @@ def sum_alternating(term: Callable[[int], float], tol: float) -> float:
     raise ConvergenceError("alternating-series acceleration did not settle", partial=prev)
 
 
-def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float) -> float:
+Direct = tuple[Callable[[int, int], Iterable[float]], int, int, float]
+
+
+def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
+             direct: Direct | None = None) -> float:
     """sum_{k>=1} term(k) for term(k) = O(k^-s) with s = decay_exponent >= 2.
 
     Direct summation to a cutoff K plus the Euler-Maclaurin tail
     integral(K..inf) + term(K)/2 - term'(K)/12; K doubles until the total
     moves by less than tol/4.  Each integer k is evaluated once: a doubling
     extends the list of direct terms kept from the previous cutoff.
+
+    direct = (weights, step, offset, e) gives the direct terms without
+    calling term: for k in range(a, b) they are
+    weights(a, b)[k - a] * (step*k + offset) ** e, which must equal term(k)
+    bit for bit.
     """
     if decay_exponent < 2:
         raise DomainError("tail summation needs decay exponent >= 2 (sum may diverge)")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    _check_tolerance(tol)
     K = 256
     prev = None
     terms: list[float] = []
     while K <= TAIL_TERMS:
-        # each doubling only adds term(k) for the new k; fsum is correctly
+        # each doubling only adds the terms of the new k; fsum is correctly
         # rounded, so summing the whole list equals a fresh summation
-        terms.extend(map(term, range(1 + len(terms), K)))
+        a = 1 + len(terms)
+        if direct is None:
+            terms.extend(map(term, range(a, K)))
+        else:
+            weights, step, offset, e = direct
+            bases = range(step * a + offset, step * K + offset, step)
+            terms.extend(map(mul, weights(a, K), map(pow, bases, repeat(e))))
         total = math.fsum(terms) + _em_tail(term, float(K), tol)
         if prev is not None and abs(total - prev) <= tol / 4:
             return total

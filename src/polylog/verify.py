@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
+from operator import add, mul, sub, truediv
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated
-from .closedform import (ClosedForm, LN2, PI, eta_factor_closed, sigma_atom,
-                         zeta_closed, zeta_odd_atom)
+from .closedform import (ClosedForm, LN2, PI, eta_factor_closed, li_half_atom,
+                         sigma_atom, zeta_closed, zeta_odd_atom)
 from .errors import DomainError
 from .eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus,
                         s_minus_even_closed, s_plus, sum_oracle)
@@ -48,10 +50,11 @@ from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
 from .lognm import (h_boundary_closed, h_closed, h_pde_residual, i_closed,
                     i_pde_residual, lognm_numeric, s_sigma_relation_residual,
                     sigma_weight6_count)
-from .quadrature import ORACLE_TOL, integrate01, log1m
+from .quadrature import (ORACLE_TOL, Columns, Grid, integrate01, log_column, log_power,
+                         nodes)
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import atom_value, cf_num, registry, sigma_tilde
-from .special import li_node, mpl2, nielsen_num, polylog
+from .special import li_column, mpl2, nielsen_num, polylog
 from .summation import ALTERNATING_TERMS, sum_alternating, zeta_num
 
 
@@ -171,8 +174,8 @@ def _checks_sums() -> list[CheckEntry]:
                           lhs, rhs, 1e-10))
     # order-3 closed forms vs integrals that no other entry pairs them with:
     # S-(3) = -1/2 integral ln^2(x) ln(1+x) / (x(1+x)) is its generating function
-    s_minus3 = -0.5 * integrate01(lambda x, omx: math.log(x) ** 2 * math.log1p(x)
-                                  / (x * (1.0 + x)), ORACLE_TOL).value
+    s_minus3 = -0.5 * integrate01(_log2_integrand(
+        "1+x", lambda g: map(mul, nodes(g)[0], _one_plus_x(g))), ORACLE_TOL).value
     for name, label, cf, oracle, route in (
             ("jordan-odd-order3.J1", "J1", jordan_nielsen("J1", 3),
              _jordan_order3_integral("J1"), "integral representation"),
@@ -220,20 +223,16 @@ def _checks_appendix() -> list[CheckEntry]:
     out: list[CheckEntry] = []
     pi, ln2 = math.pi, math.log(2.0)
     z3 = zeta_num(3)
-    li4h = polylog(4, 0.5)
+    li4h = atom_value(li_half_atom(4))
     # integral_0^1 ln^2(x) f(x) dx: the kind, f, its integrand, the closed value
     for kind, f, ev, closed in (
-            ("mm", "ln(1-x)/(1-x)",
-             lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / omx,
+            ("mm", "ln(1-x)/(1-x)", _log2_integrand("1-x", _one_minus_x),
              -pi ** 4 / 180.0),
-            ("pm", "ln(1+x)/(1-x)",
-             lambda x, omx: math.log(x) ** 2 * math.log1p(x) / omx,
+            ("pm", "ln(1+x)/(1-x)", _log2_integrand("1+x", _one_minus_x),
              3.5 * ln2 * z3 - 19 * pi ** 4 / 720.0),
-            ("mp", "ln(1-x)/(1+x)",
-             lambda x, omx: math.log(x) ** 2 * log1m(x, omx) / (1.0 + x),
+            ("mp", "ln(1-x)/(1+x)", _log2_integrand("1-x", _one_plus_x),
              pi ** 4 / 90.0 + pi ** 2 * ln2 ** 2 / 6.0 - ln2 ** 4 / 6.0 - 4 * li4h),
-            ("pp", "ln(1+x)/(1+x)",
-             lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1.0 + x),
+            ("pp", "ln(1+x)/(1+x)", _log2_integrand("1+x", _one_plus_x),
              4 * li4h - pi ** 4 / 24.0 - pi ** 2 * ln2 ** 2 / 6.0 + ln2 ** 4 / 6.0
              + 3.5 * ln2 * z3)):
         note = ("pi^4/24 term: the weight-4 power of pi is forced by dimensional "
@@ -250,9 +249,12 @@ def _checks_appendix() -> list[CheckEntry]:
     # C(r) integral representation
     for r in (2, 3):
 
-        def ev(x: float, omx: float, r=r) -> float:
-            return math.log(x) ** (r - 1) * log1m(x, omx) / (x * omx)
-        quad = integrate01(ev, ORACLE_TOL).value
+        def values(g: Grid, r=r):
+            # ln^{r-1}(x) ln(1-x) / (x (1-x))
+            xs, omxs, _ = nodes(g)
+            return map(truediv, map(mul, log_power("x", r - 1, g), log_column("1-x", g)),
+                       map(mul, xs, omxs))
+        quad = integrate01(Columns(values), ORACLE_TOL).value
         quad *= (-1.0) ** r / (2 ** (r + 1) * math.factorial(r - 1))
         out.append(_entry(f"appendix.csum-integral-rep.r{r}",
                           f"C({r}) integral representation vs closed form",
@@ -288,9 +290,28 @@ def _jordan_order3_integral(which: str) -> float:
     """J1(3) or J2(3) from the order-3 integral representation
     1/(4*2!) integral ln^2(x) (ln(1+x) - ln(1-x)) (1/(1-x) -+ 1/(1+x))."""
     sgn = -1.0 if which == "J1" else 1.0
-    quad = integrate01(lambda x, omx: math.log(x) ** 2 * (math.log1p(x) - log1m(x, omx))
-                       * (1.0 / omx + sgn / (1.0 + x)), ORACLE_TOL).value
+
+    def values(g: Grid):
+        logs = map(sub, log_column("1+x", g), log_column("1-x", g))
+        weights = map(add, map(truediv, repeat(1.0), _one_minus_x(g)),
+                      map(truediv, repeat(sgn), _one_plus_x(g)))
+        return map(mul, map(mul, log_power("x", 2, g), logs), weights)
+    quad = integrate01(Columns(values), ORACLE_TOL).value
     return quad / (4.0 * math.factorial(2))
+
+
+def _one_minus_x(g: Grid):
+    return nodes(g)[1]
+
+
+def _one_plus_x(g: Grid):
+    return map(add, repeat(1.0), nodes(g)[0])
+
+
+def _log2_integrand(arg: str, den: Callable[[Grid], Iterable[float]]) -> Columns:
+    """ln^2(x) ln(arg) / den(x) as a column integrand."""
+    return Columns(lambda g: map(truediv, map(mul, log_power("x", 2, g), log_column(arg, g)),
+                                 den(g)))
 
 
 def _li_derivative_fd(p: int, k: int) -> float:
@@ -418,26 +439,28 @@ def _low_order_entries(p: int) -> list[CheckEntry]:
     for name, integral, ev, closed_text, closed, depth2, note in (
             # -I+-(p,0) = -mpl2(1, p, -1, -1) = zeta(p) ln 2 + I+-(p-1,1) by parts
             ("mixed-q0", f"integral Li_{p}(t)/(1+t)",
-             lambda x, omx: li_node(p, 1, x, omx) / (1 + x),
+             Columns(lambda g: map(truediv, li_column(p, 1, g), _one_plus_x(g))),
              f"zeta({p}) ln 2 + I+-({p-1},1)",
              lambda: cf_num(zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)),
              lambda: -mpl2(1, p, -1.0, -1.0), ""),
             # -I-(p,0) = -mpl2(1, p, -1, +1) = Li_p(-1) ln 2 + I-(p-1,1) by parts
             ("minus-q0", f"integral Li_{p}(-t)/(1+t)",
-             lambda x, omx: li_node(p, -1, x, omx) / (1 + x),
+             Columns(lambda g: map(truediv, li_column(p, -1, g), _one_plus_x(g))),
              f"Li_{p}(-1) ln 2 + I-({p-1},1)",
              lambda: cf_num(eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)),
              lambda: -mpl2(1, p, -1.0, 1.0), ""),
             # -I+(1,p-1) = -mpl2(p,1,1,1) - zeta(p+1)
             ("plus-subtracted", f"integral [Li_{p}(t)-Li_{p}(1)]/(1-t)",
-             lambda x, omx: (li_node(p, 1, x, omx) - zeta_num(p)) / omx,
+             Columns(lambda g: map(truediv, map(sub, li_column(p, 1, g), repeat(zeta_num(p))),
+                                   _one_minus_x(g))),
              f"-I+(1,{p-1})",
              lambda: -cf_num(ipq_final(Family.PLUS, 1, p - 1)),
              lambda: -mpl2(p, 1, 1.0, 1.0) - zeta_num(p + 1),
              "sign-corrected form: the sum enters negated"),
             # -I+-(1,p-1) = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
             ("mixed-subtracted", f"integral [Li_{p}(-t)-Li_{p}(-1)]/(1-t)",
-             lambda x, omx: (li_node(p, -1, x, omx) - lim) / omx,
+             Columns(lambda g: map(truediv, map(sub, li_column(p, -1, g), repeat(lim)),
+                                   _one_minus_x(g))),
              f"-I+-(1,{p-1})",
              lambda: -cf_num(ipq_final(Family.MIXED, 1, p - 1)),
              lambda: -mpl2(p, 1, -1.0, 1.0) + (1 - 2.0 ** (-p)) * zeta_num(p + 1),

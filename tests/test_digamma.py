@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,3 +55,25 @@ def test_domain_errors():
     for bad in (0.0, -1.0, -0.5):
         with pytest.raises(DomainError):
             psi(bad)
+
+
+def _psi_reference(x):
+    # the Horner loop as written before it was unrolled
+    from polylog.digamma import _TAIL
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    y = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_TAIL):
+        tail = (tail + c) * y
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def test_psi_matches_reference_loop_bit_for_bit():
+    rng = random.Random(20100)
+    points = [k / 2.0 for k in range(1, 2001)] + [k + 0.5 for k in range(0, 5000, 7)]
+    points += [rng.uniform(1e-3, 1e6) for _ in range(2000)] + [1e-300, 1e300]
+    for x in points:
+        assert psi(x) == _psi_reference(x), x

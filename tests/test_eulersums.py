@@ -190,10 +190,35 @@ def test_sum_oracle_calls_the_psi_kernel_once_per_point(monkeypatch):
     digamma.euler_gamma()  # a cached constant, filled outside the count
     sum_oracle.cache_clear()
     digamma.psi_point.cache_clear()
+    digamma.psi_table.cache_clear()
     monkeypatch.setattr(digamma, "psi", counted)
     for tag, values in _ORACLE_VALUES.items():
         assert [sum_oracle(tag, r) for r in range(2, 10)] == values, tag
     info = digamma.psi_point.cache_info()
     # one kernel call per distinct point, shared by every tag and order
     assert len(calls) == info.misses == len(set(calls))
-    assert info.hits > 10 * info.misses
+    # the direct terms' digamma tables are built once and shared by every
+    # order and by the tags with the same shift
+    tables = digamma.psi_table.cache_info()
+    assert tables.misses == tables.currsize
+    assert tables.hits > 10 * tables.misses
+
+
+def test_sum_oracle_direct_terms_equal_the_term_callable(monkeypatch):
+    from polylog import eulersums, summation
+    captured = []
+    tail = summation.sum_tail
+
+    def capturing(term, tol, decay, direct=None):
+        captured.append((term, direct))
+        return tail(term, tol, decay, direct=direct)
+
+    monkeypatch.setattr(eulersums, "sum_tail", capturing)
+    sum_oracle.cache_clear()
+    for tag, values in _ORACLE_VALUES.items():
+        assert [sum_oracle(tag, r) for r in range(2, 10)] == values, tag
+    assert len(captured) == 5 * 8
+    for term, (weights, step, offset, e) in captured:
+        for a, b in ((1, 256), (256, 512), (512, 1024)):
+            got = [w * (step * k + offset) ** e for w, k in zip(weights(a, b), range(a, b))]
+            assert got == [term(k) for k in range(a, b)], (a, b)

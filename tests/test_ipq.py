@@ -257,21 +257,32 @@ def test_ipq_numeric_equals_direct_integrand_bit_for_bit():
 
 
 def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):
+    # the node cache is the Li columns: each (order, sign, grid) column is
+    # built once, li_pos meets each node once (Li_p(-t) at t > 1/2 reads the
+    # plus column), and the 48 integrals reuse the columns
     asked = []
 
-    def recording(p, sign, x, omx):
-        asked.append((p, sign, x, omx))
-        return special.li_node(p, sign, x, omx)
+    def recording(p, sign, grid):
+        asked.append((p, sign, grid))
+        return special.li_column(p, sign, grid)
 
-    monkeypatch.setattr(ipq, "li_node", recording)
+    evaluated = []
+    kernel = special.li_pos
+
+    def counted(p, x, omx):
+        evaluated.append((p, x, omx))
+        return kernel(p, x, omx)
+
+    monkeypatch.setattr(ipq, "li_column", recording)
+    monkeypatch.setattr(special, "li_pos", counted)
     ipq_numeric.cache_clear()
-    special.li_node.cache_clear()
+    special.li_column.cache_clear()
     for fam, p, q in _GRID:
         ipq_numeric(fam, p, q)
-    info = special.li_node.cache_info()
-    assert info.misses == info.currsize == len(set(asked))
-    assert info.hits + info.misses == len(asked)
-    assert info.hits >= 5 * info.misses
+    info = special.li_column.cache_info()
+    assert info.misses == info.currsize >= len(set(asked))
+    assert evaluated and len(evaluated) == len(set(evaluated))
+    assert len(asked) >= 5 * len(set(asked))
 
 
 # ipq_numeric on the grid above, row by row (p = 1..4, then q = 1..4), as

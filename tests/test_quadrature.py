@@ -169,3 +169,96 @@ def test_level_cache_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
     assert integrate01(f, 1e-12) == expected
+
+
+# -- cached node columns ---------------------------------------------------------
+
+_GRIDS = [(half, level) for half in (quadrature.WHOLE, quadrature.LEFT, quadrature.RIGHT)
+          for level in range(7)]
+
+
+def test_grid_columns_are_the_level_nodes_and_their_halves():
+    for half, level in _GRIDS:
+        us, omus, ws = quadrature._level_nodes(level)
+        xs, omxs, ws2 = quadrature.nodes((half, level))
+        assert ws2 == ws and len(xs) == len(omxs) == len(ws)
+        if half == quadrature.WHOLE:
+            assert (xs, omxs) == (us, omus)
+        elif half == quadrature.LEFT:
+            assert xs == tuple(0.5 * u for u in us)
+            assert omxs == tuple(1.0 - 0.5 * u for u in us)
+        else:
+            assert xs == tuple(1.0 - 0.5 * v for v in us)
+            assert omxs == tuple(0.5 * v for v in us)
+
+
+def test_log_columns_equal_the_scalar_kernels_bit_for_bit():
+    from polylog.quadrature import log1m, log_column, log_power
+    for grid in _GRIDS:
+        xs, omxs, _ = quadrature.nodes(grid)
+        assert log_column("x", grid) == tuple(math.log(x) for x in xs)
+        assert log_column("1-x", grid) == tuple(log1m(x, omx) for x, omx in zip(xs, omxs))
+        assert log_column("1+x", grid) == tuple(math.log1p(x) for x in xs)
+        for n in range(4):
+            assert log_power("1-x", n, grid) == tuple(log1m(x, omx) ** n
+                                                      for x, omx in zip(xs, omxs))
+    with pytest.raises(DomainError):
+        log_column("2-x", (quadrature.WHOLE, 0))
+
+
+def _kink(x, omx):
+    return abs(x - 0.5) * math.log(x)
+
+
+def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
+    from polylog.quadrature import Columns, log_column, nodes
+
+    def kink_columns(grid):
+        xs = nodes(grid)[0]
+        return (abs(x - 0.5) * lx for x, lx in zip(xs, log_column("x", grid)))
+
+    # the kink at 1/2 stalls the whole-interval rule, so this one splits
+    pointwise = integrate01(_kink, 1e-12)
+    assert integrate01(Columns(kink_columns), 1e-12) == pointwise
+    # the split halves as they were written before the grids held them
+    left = integrate01(lambda u, omu: 0.5 * _kink(0.5 * u, 1.0 - 0.5 * u), 5e-13,
+                       _allow_split=False)
+    right = integrate01(lambda v, omv: 0.5 * _kink(1.0 - 0.5 * v, 0.5 * v), 5e-13,
+                        _allow_split=False)
+    assert pointwise.value == left.value + right.value
+    assert pointwise.evaluations > left.evaluations + right.evaluations
+
+
+def test_node_columns_are_thread_safe():
+    from polylog.ipq import Family, ipq_numeric
+    from polylog.lognm import lognm_numeric
+    from polylog.special import li_column, mpl2, nielsen_num
+
+    def work():
+        return [ipq_numeric.__wrapped__(Family.MIXED, 2, 3),
+                lognm_numeric.__wrapped__("HNM", 2, 2), nielsen_num(2, 2, -1.0),
+                mpl2(1, 3, -1.0, -1.0), mpl2(3, 1, 1.0, 1.0)]
+
+    expected = work()
+    results = [None] * 8
+
+    def run(slot):
+        results[slot] = work()
+
+    interval = sys.getswitchinterval()
+    from polylog import digamma, special
+    for fn in (quadrature._level_nodes, quadrature.nodes, quadrature.log_column,
+               quadrature.log_power, li_column, special._inverse_powers,
+               special.alternating_tail_table, digamma.psi_table, digamma.psi_point):
+        fn.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog import digamma, summation
+from polylog import digamma, special, summation
 from polylog.closedform import ClosedForm, LN2
 from polylog.errors import DomainError
 from polylog.quadrature import integrate01
@@ -261,3 +261,92 @@ def test_li_moment_domain():
         li_moment(0, 1)
     with pytest.raises(DomainError):
         li_moment(1, 0)
+
+
+# -- cached columns and tables ---------------------------------------------------
+
+
+def test_li_columns_equal_the_scalar_kernels_bit_for_bit():
+    from polylog.quadrature import LEFT, RIGHT, WHOLE, nodes
+    from polylog.special import li_column
+    for grid in [(half, level) for half in (WHOLE, LEFT, RIGHT) for level in range(7)]:
+        xs, omxs, _ = nodes(grid)
+        for p in range(1, 9):
+            assert li_column(p, 1, grid) == tuple(li_pos(p, x, omx)
+                                                  for x, omx in zip(xs, omxs)), (grid, p)
+            assert li_column(p, -1, grid) == tuple(li_neg(p, x, omx)
+                                                   for x, omx in zip(xs, omxs)), (grid, p)
+
+
+def _li_series_reference(p, x):
+    # the loop as written before the powers k^-p were tabulated
+    total = 0.0
+    powx = 1.0
+    for k in range(1, 400):
+        powx *= x
+        t = powx * float(k) ** (-p)
+        total += t
+        if abs(t) <= 2.2e-16 * abs(total) and k > 4:
+            return total
+
+
+def test_li_series_matches_reference_loop_bit_for_bit():
+    from polylog.special import _li_series
+    for p in range(1, 12):
+        for j in range(-50, 51):
+            x = j / 100.0
+            assert _li_series(p, x) == _li_series_reference(p, x), (p, x)
+
+
+def test_table_driven_direct_terms_equal_the_term_callable(monkeypatch):
+    # mpl2's harmonic and doubly alternating branches hand sum_tail a table
+    # of weights and a power of the index; each direct term must be the
+    # term callable's value at k, and the sum the same as without the table
+    captured = []
+    tail = summation.sum_tail
+
+    def capturing(term, tol, decay, direct=None):
+        captured.append((term, tol, decay, direct))
+        return tail(term, tol, decay, direct=direct)
+
+    monkeypatch.setattr(special, "sum_tail", capturing)
+    for args in ((2, 1, 1.0, 1.0), (3, 1, 1.0, 1.0), (1, 2, -1.0, -1.0), (1, 1, -1.0, -1.0),
+                 (2, 3, -1.0, -1.0)):
+        mpl2(*args)
+    assert len(captured) == 5 and all(c[3] is not None for c in captured)
+    for term, tol, decay, direct in captured:
+        weights, step, offset, e = direct
+        for a, b in ((1, 256), (256, 512), (512, 1024)):
+            got = [w * (step * k + offset) ** e for w, k in zip(weights(a, b), range(a, b))]
+            assert got == [term(k) for k in range(a, b)], (a, b)
+        assert tail(term, tol, decay, direct=direct) == tail(term, tol, decay)
+
+
+# NaN arguments and tolerances that are not finite and positive
+_QUIET = lambda x, omx: 1.0  # noqa: E731
+_TERM = lambda k: k ** -2.0  # noqa: E731
+_ALT = lambda k: (-1) ** k / k ** 2.0  # noqa: E731
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polylog(2, _NAN),
+    lambda: nielsen_num(1, 2, _NAN),
+    lambda: mpl2(2, 1, _NAN, 0.5),
+    lambda: mpl2(2, 1, 0.5, _NAN),
+    lambda: integrate01(_QUIET, _NAN),
+    lambda: integrate01(_QUIET, math.inf),
+    lambda: integrate01(_QUIET, -1e-12),
+    lambda: summation.sum_tail(_TERM, _NAN, 2.0),
+    lambda: summation.sum_tail(_TERM, math.inf, 2.0),
+    lambda: summation.sum_tail(_TERM, 0.0, 2.0),
+    lambda: summation.sum_alternating(_ALT, _NAN),
+    lambda: summation.sum_alternating(_ALT, math.inf),
+    lambda: summation.sum_alternating(_ALT, -1.0),
+], ids=["polylog-nan", "nielsen-nan", "mpl2-outer-nan", "mpl2-inner-nan",
+        "integrate01-nan", "integrate01-inf", "integrate01-negative",
+        "sum_tail-nan", "sum_tail-inf", "sum_tail-zero",
+        "sum_alternating-nan", "sum_alternating-inf", "sum_alternating-negative"])
+def test_nan_arguments_and_bad_tolerances_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import polylog
-from polylog import special, summation
+from polylog import digamma, special, summation
 from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, build_parser, main
 from polylog.eulersums import sum_oracle
@@ -364,14 +364,18 @@ def test_cold_run_suite_integrates_each_order3_jordan_form_once():
     assert (info.misses, info.hits) == (2, 2)
 
 
-def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
-    # the doubly alternating depth-2 sums are summed outer index first, with
-    # V_1 a digamma difference, not a 40-term CVZ run per term (2,083 runs)
+def _clear_package_caches():
     for name, module in list(sys.modules.items()):
         if name.startswith("polylog"):
             for obj in list(vars(module).values()):
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
+    # the doubly alternating depth-2 sums are summed outer index first, with
+    # V_1 a digamma difference, not a 40-term CVZ run per term (2,083 runs)
+    _clear_package_caches()
     runs = []
     cvz = summation._cvz
 
@@ -382,6 +386,38 @@ def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
         monkeypatch.setattr(module, "_cvz", counted)
     run_suite("all")
     assert 0 < len(runs) <= 50, len(runs)
+
+
+def test_cold_run_suite_evaluates_li_pos_once_per_point(monkeypatch):
+    # Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column instead of
+    # evaluating it again (1,198 calls at 996 points before)
+    _clear_package_caches()
+    calls = Counter()
+    kernel = special.li_pos
+
+    def counted(p, x, omx):
+        calls[p, x, omx] += 1
+        return kernel(p, x, omx)
+    monkeypatch.setattr(special, "li_pos", counted)
+    run_suite("all")
+    assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
+
+
+def test_cold_run_suite_calls_the_psi_kernel_once_per_point(monkeypatch):
+    # the direct terms read digamma tables, each built once through
+    # psi_point (2,604 kernel calls at 2,090 points before)
+    _clear_package_caches()
+    calls = Counter()
+    kernel = digamma.psi
+
+    def counted(x):
+        calls[x] += 1
+        return kernel(x)
+    monkeypatch.setattr(digamma, "psi", counted)
+    run_suite("all")
+    assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
+    tables = digamma.psi_table.cache_info()
+    assert 0 < tables.misses == tables.currsize < tables.hits
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
