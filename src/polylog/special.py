@@ -13,7 +13,8 @@ The depth-2 sums at unit arguments reduce to one accelerated series each.
 With x_inner = +-1 the inner partial sum splits into its limit and a smooth
 tail; with both arguments -1 the outer index is summed first, so the series
 is monotone and its alternating tail V_1(x) = [psi((x+1)/2) - psi(x/2)]/2 is
-a digamma difference read through psi_point, not a CVZ run per term.
+a digamma difference read through psi_point (an asymptotic series from
+x = 32 on), not a CVZ run per term.
 
 Values that do not depend on the caller are computed once per process:
 the coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
@@ -38,7 +39,7 @@ from operator import mul, truediv
 
 from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
-from .digamma import psi_point, psi_table
+from .digamma import _TAIL, psi_point, psi_table
 from .errors import ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, log_power, nodes
 from .summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
@@ -200,13 +201,27 @@ def _hurwitz_tail(m: int, x: float) -> float:
     return s
 
 
+# (4^k - 1) B_{2k} / (2k), k = 1..8: the asymptotic series of V_1
+_V1, _V2, _V3, _V4, _V5, _V6, _V7, _V8 = (
+    (4 ** k - 1) * c for k, c in enumerate(_TAIL, 1))
+# from here on the series is below 4e-20 relative, and the digamma
+# difference would lose digits to cancellation
+_V1_ASYMPTOTIC = 32.0
+
+
 def _alternating_tail(m: int, x: float) -> float:
     """V_m(x) = sum_{i>=0} (-1)^i (x + i)^-m for m >= 1, x >= 1.
 
-    V_1(x) = [psi((x+1)/2) - psi(x/2)] / 2, read through psi_point; higher
-    orders by a 40-term CVZ.
+    V_1(x) = [psi((x+1)/2) - psi(x/2)] / 2, read through psi_point, and for
+    x >= 32 its asymptotic series 1/(2x) + sum_k (4^k - 1) B_{2k}/(2k) x^-2k;
+    higher orders by a 40-term CVZ.
     """
     if m == 1:
+        if x >= _V1_ASYMPTOTIC:
+            y = 1.0 / (x * x)
+            series = (((((((_V8 * y + _V7) * y + _V6) * y + _V5) * y + _V4) * y + _V3) * y
+                       + _V2) * y + _V1) * y
+            return 0.5 / x + series
         return 0.5 * (psi_point((x + 1) / 2) - psi_point(x / 2))
     return _cvz([(x + i) ** (-m) for i in range(40)])
 

@@ -214,6 +214,27 @@ def test_mpl2_doubly_alternating_against_references():
         assert abs(mpl2(1, p, -1.0, -1.0) - ref) <= 2e-15 * abs(ref), p
 
 
+# (ln^2 2 - pi^2/6)/2 = mpl2(1, 1, -1, -1), and V_1(x) = [psi((x+1)/2) -
+# psi(x/2)]/2, to 32 digits (mpmath at 40 digits)
+_MPL2_WEIGHT_TWO = -0.58224052646501250590265632015968
+_V1_REFERENCES = {
+    31: 0.016389042868547467908687450562792,
+    32: 0.015869021647581564349377065566240,
+    1000: 0.00050024999987500024999893750774991,
+    2 ** 20: 4.7683738557680044312866190219083e-7,
+}
+
+
+def test_mpl2_doubly_alternating_weight_one_against_reference():
+    # thousands of 1/k^2 terms with the alternating tail V_1(k+1): its
+    # asymptotic series from x = 32 on keeps them from losing digits
+    assert abs(mpl2(1, 1, -1.0, -1.0) - _MPL2_WEIGHT_TWO) <= 1e-15 * abs(_MPL2_WEIGHT_TWO)
+    from polylog.special import _alternating_tail
+    for x, ref in _V1_REFERENCES.items():
+        tol = 1e-14 if x < 32 else 2e-16
+        assert abs(_alternating_tail(1, x) - ref) <= tol * ref, x
+
+
 def test_shared_series_caches_are_thread_safe():
     def work():
         return [mpl2(*args) for args, _ in _MPL2_LOW_ORDER[:4]]
