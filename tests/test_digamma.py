@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.digamma import euler_gamma, psi
+from polylog.digamma import _TAIL, euler_gamma, psi
 from polylog.errors import DomainError
 
 # gamma by brute force: H_n - ln(n) - 1/(2n) + 1/(12n^2) at large n
@@ -59,7 +59,6 @@ def test_domain_errors():
 
 def _psi_reference(x):
     # the Horner loop as written before it was unrolled
-    from polylog.digamma import _TAIL
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x

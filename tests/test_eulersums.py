@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polylog import digamma
+from polylog import digamma, eulersums, summation
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram,
@@ -205,7 +205,6 @@ def test_sum_oracle_calls_the_psi_kernel_once_per_point(monkeypatch):
 
 
 def test_sum_oracle_direct_terms_equal_the_term_callable(monkeypatch):
-    from polylog import eulersums, summation
     captured = []
     tail = summation.sum_tail
 

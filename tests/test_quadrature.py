@@ -5,9 +5,13 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog import quadrature
+from polylog import digamma, quadrature, special
 from polylog.errors import DomainError
-from polylog.quadrature import QuadratureResult, integrate01
+from polylog.ipq import Family, ipq_numeric
+from polylog.lognm import lognm_numeric
+from polylog.quadrature import (Columns, QuadratureResult, integrate01, log1m, log_column,
+                                log_power, nodes)
+from polylog.special import li_column, mpl2, nielsen_num
 
 from conftest import assert_frozen_value, zeta_brute
 
@@ -180,7 +184,7 @@ _GRIDS = [(half, level) for half in (quadrature.WHOLE, quadrature.LEFT, quadratu
 def test_grid_columns_are_the_level_nodes_and_their_halves():
     for half, level in _GRIDS:
         us, omus, ws = quadrature._level_nodes(level)
-        xs, omxs, ws2 = quadrature.nodes((half, level))
+        xs, omxs, ws2 = nodes((half, level))
         assert ws2 == ws and len(xs) == len(omxs) == len(ws)
         if half == quadrature.WHOLE:
             assert (xs, omxs) == (us, omus)
@@ -193,9 +197,8 @@ def test_grid_columns_are_the_level_nodes_and_their_halves():
 
 
 def test_log_columns_equal_the_scalar_kernels_bit_for_bit():
-    from polylog.quadrature import log1m, log_column, log_power
     for grid in _GRIDS:
-        xs, omxs, _ = quadrature.nodes(grid)
+        xs, omxs, _ = nodes(grid)
         assert log_column("x", grid) == tuple(math.log(x) for x in xs)
         assert log_column("1-x", grid) == tuple(log1m(x, omx) for x, omx in zip(xs, omxs))
         assert log_column("1+x", grid) == tuple(math.log1p(x) for x in xs)
@@ -211,7 +214,6 @@ def _kink(x, omx):
 
 
 def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
-    from polylog.quadrature import Columns, log_column, nodes
 
     def kink_columns(grid):
         xs = nodes(grid)[0]
@@ -230,9 +232,6 @@ def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
 
 
 def test_node_columns_are_thread_safe():
-    from polylog.ipq import Family, ipq_numeric
-    from polylog.lognm import lognm_numeric
-    from polylog.special import li_column, mpl2, nielsen_num
 
     def work():
         return [ipq_numeric.__wrapped__(Family.MIXED, 2, 3),
@@ -246,9 +245,7 @@ def test_node_columns_are_thread_safe():
         results[slot] = work()
 
     interval = sys.getswitchinterval()
-    from polylog import digamma, special
-    for fn in (quadrature._level_nodes, quadrature.nodes, quadrature.log_column,
-               quadrature.log_power, li_column, special._inverse_powers,
+    for fn in (quadrature._level_nodes, nodes, log_column, log_power, li_column, special._inverse_powers,
                special.alternating_tail_table, digamma.psi_table, digamma.psi_point):
         fn.cache_clear()
     sys.setswitchinterval(1e-6)

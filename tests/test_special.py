@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 from polylog import digamma, special, summation
 from polylog.closedform import ClosedForm, LN2
 from polylog.errors import DomainError
-from polylog.quadrature import integrate01
+from polylog.quadrature import LEFT, RIGHT, WHOLE, integrate01, nodes
 from polylog.sigma import cf_num
-from polylog.special import (li_moment, li_neg, li_pos, mpl2, nielsen_num,
-                             polylog)
+from polylog.special import (_alternating_tail, _li_series, li_column, li_moment, li_neg,
+                             li_pos, mpl2, nielsen_num, polylog)
 from polylog.summation import zeta_num
 
 from conftest import eta_brute, li_half_brute, zeta_brute
@@ -229,7 +229,6 @@ def test_mpl2_doubly_alternating_weight_one_against_reference():
     # thousands of 1/k^2 terms with the alternating tail V_1(k+1): its
     # asymptotic series from x = 32 on keeps them from losing digits
     assert abs(mpl2(1, 1, -1.0, -1.0) - _MPL2_WEIGHT_TWO) <= 1e-15 * abs(_MPL2_WEIGHT_TWO)
-    from polylog.special import _alternating_tail
     for x, ref in _V1_REFERENCES.items():
         tol = 1e-14 if x < 32 else 2e-16
         assert abs(_alternating_tail(1, x) - ref) <= tol * ref, x
@@ -288,8 +287,6 @@ def test_li_moment_domain():
 
 
 def test_li_columns_equal_the_scalar_kernels_bit_for_bit():
-    from polylog.quadrature import LEFT, RIGHT, WHOLE, nodes
-    from polylog.special import li_column
     for grid in [(half, level) for half in (WHOLE, LEFT, RIGHT) for level in range(7)]:
         xs, omxs, _ = nodes(grid)
         for p in range(1, 9):
@@ -312,7 +309,6 @@ def _li_series_reference(p, x):
 
 
 def test_li_series_matches_reference_loop_bit_for_bit():
-    from polylog.special import _li_series
     for p in range(1, 12):
         for j in range(-50, 51):
             x = j / 100.0
