@@ -22,7 +22,7 @@ from operator import mul, truediv
 from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
 from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
-from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, nodes
+from .quadrature import ORACLE_TOL, Grid, integrate01, nodes
 from .seriesring import _check_weight, kolbig_snp
 from .sigma import sigma_tilde
 from .special import li_column
@@ -91,7 +91,7 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> floa
     def values(grid: Grid):
         return map(truediv, map(mul, li_column(p, sp, grid), li_column(q, sq, grid)),
                    nodes(grid)[0])
-    return integrate01(Columns(values), tol).value
+    return integrate01(values, tol).value
 
 
 # ---------------------------------------------------------------------------

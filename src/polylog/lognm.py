@@ -20,7 +20,7 @@ from operator import mul
 
 from .closedform import ClosedForm, LN2
 from .errors import DomainError
-from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, log_power
+from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
 from .seriesring import _check_weight as _check_series_weight, kolbig_snp
 from .sigma import sigma_tilde
 
@@ -140,7 +140,7 @@ def lognm_numeric(tag: str, n: int, m: int) -> float:
 
     def values(grid: Grid):
         return map(mul, log_power("x", n, grid), log_power(arg, m, grid))
-    return integrate01(Columns(values), ORACLE_TOL).value
+    return integrate01(values, ORACLE_TOL).value
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ nodes within 1e-300 of an endpoint.
 The rule is evaluated one grid at a time.  A grid is a refinement level of
 the whole interval or of one of its halves, keyed (half, level) with half
 WHOLE, LEFT or RIGHT; its columns x, 1-x and w are cached (nodes).  An
-integrand is either an evaluator f(x, 1-x), mapped over a grid's columns in
-one call, or a Columns integrand, which returns its values on a whole grid
-from cached per-grid columns: the logarithms here (log_column, log_power)
-and Li_p(+-x) in special.li_column.  Each per-node quantity is then computed
-once per process and combined by C-level map pipelines, in the same float
-operations as the pointwise expression it replaces.  The column caches are
-bounded by the fixed node set: levels 0..11 of the whole interval and of
-the two halves.
+integrand is a grid function, values(grid) -> its values at the grid's
+nodes in order; f(x, 1-x) reads lambda g: map(f, *nodes(g)[:2]).  The
+production integrands combine cached per-grid columns, ln^n here (log_power)
+and Li_p(+-x) in special.li_column, by C-level map pipelines, in the same
+float operations as the pointwise expression, so each per-node quantity is
+computed once per process.  The caches are bounded by the fixed node set:
+levels 0..11 of the whole interval and of the two halves.
 """
 
 from __future__ import annotations
@@ -74,15 +73,6 @@ class QuadratureResult(tuple):
                 f"error_estimate={self.error_estimate!r}, evaluations={self.evaluations!r})")
 
 
-class Columns:
-    """An integrand given a grid at a time: values(grid) returns its values
-    at the nodes of that grid, in order."""
-    __slots__ = ("values",)
-
-    def __init__(self, values: Callable[[Grid], Iterable[float]]):
-        self.values = values
-
-
 def _node(t: float) -> tuple[float, float, float]:
     """Abscissa pieces for the tanh-sinh map: (x, 1-x, weight/h)."""
     u = math.pi * math.sinh(t)
@@ -99,8 +89,16 @@ def _node(t: float) -> tuple[float, float, float]:
 # Level 0 holds all integer t in [-T_MAX, T_MAX]; level L >= 1 holds the
 # odd multiples of 2^-L.
 @cache
-def _level_nodes(level: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The columns (x, 1-x, w) of one level on the whole interval."""
+def nodes(grid: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The columns (x, 1-x, w) of a grid.  A half maps the whole level's
+    nodes u onto x = u/2 (LEFT) or x = 1 - u/2 (RIGHT), keeping the exact
+    distance to the nearer endpoint; integrate01 halves its values."""
+    half, level = grid
+    if half != WHOLE:
+        us, omus, ws = nodes((WHOLE, level))
+        halved = tuple(0.5 * u for u in us)
+        far = tuple(1.0 - 0.5 * u for u in us)
+        return (halved, far, ws) if half == LEFT else (far, halved, ws)
     h = 0.5 ** level
     n = int(_T_MAX / h)
     pts = []
@@ -118,22 +116,11 @@ def _level_nodes(level: int) -> tuple[tuple[float, ...], tuple[float, ...], tupl
 
 
 @cache
-def nodes(grid: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The columns (x, 1-x, w) of a grid.  A half maps the level's nodes u
-    onto x = u/2 (LEFT) or x = 1 - u/2 (RIGHT), keeping the exact distance
-    to the nearer endpoint; its values are halved by integrate01."""
-    half, level = grid
-    us, omus, ws = _level_nodes(level)
-    if half == WHOLE:
-        return us, omus, ws
-    halved = tuple(0.5 * u for u in us)
-    far = tuple(1.0 - 0.5 * u for u in us)
-    return (halved, far, ws) if half == LEFT else (far, halved, ws)
-
-
-@cache
-def log_column(arg: str, grid: Grid) -> tuple[float, ...]:
-    """ln x, ln(1-x) or ln(1+x) (arg "x", "1-x" or "1+x") at every node of a grid."""
+def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
+    """ln^n of x, 1-x or 1+x (arg "x", "1-x", "1+x") at every node of a grid;
+    each n != 1 raises the n = 1 column to the power n, node by node."""
+    if n != 1:
+        return tuple(map(pow, log_power(arg, 1, grid), repeat(n)))
     xs, omxs, _ = nodes(grid)
     if arg == "x":
         return tuple(map(math.log, xs))
@@ -144,18 +131,10 @@ def log_column(arg: str, grid: Grid) -> tuple[float, ...]:
     raise DomainError(f"unknown log column {arg!r}")
 
 
-@cache
-def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
-    """log_column(arg, grid) raised to the integer power n, node by node."""
-    return tuple(map(pow, log_column(arg, grid), repeat(n)))
-
-
-def integrate01(ev: Callable[[float, float], float] | Columns, tol: float,
+def integrate01(values: Callable[[Grid], Iterable[float]], tol: float,
                 _allow_split: bool = True, _half: int = WHOLE) -> QuadratureResult:
-    """Integrate ev(x, 1-x) over (0, 1) to absolute tolerance tol (tol >= 1e-13).
-
-    ev is an evaluator of (x, 1-x) or a Columns integrand.
-    """
+    """Integrate over (0, 1) to absolute tolerance tol (tol >= 1e-13) the
+    integrand whose values at the nodes of each grid are values(grid)."""
     _check_tolerance(tol)
     if tol < _MIN_TOL:
         raise DomainError(f"tolerance below supported floor {_MIN_TOL}")
@@ -168,12 +147,12 @@ def integrate01(ev: Callable[[float, float], float] | Columns, tol: float,
     value = 0.0
     for level in range(_MAX_LEVEL + 1):
         grid = (_half, level)
-        xs, omxs, ws = nodes(grid)
-        values = ev.values(grid) if isinstance(ev, Columns) else map(ev, xs, omxs)
+        ws = nodes(grid)[2]
+        column = values(grid)
         if _half != WHOLE:
-            values = map(mul, repeat(0.5), values)
+            column = map(mul, repeat(0.5), column)
         evals += len(ws)
-        total_g += math.fsum(map(mul, ws, values))
+        total_g += math.fsum(map(mul, ws, column))
         h = 0.5 ** level
         value = h * total_g
         if prev_value is not None and level >= 2:
@@ -189,8 +168,8 @@ def integrate01(ev: Callable[[float, float], float] | Columns, tol: float,
 
     if _allow_split:
         # Bisect at 1/2; each half keeps exact endpoint distances.
-        left = integrate01(ev, max(tol / 2, _MIN_TOL), _allow_split=False, _half=LEFT)
-        right = integrate01(ev, max(tol / 2, _MIN_TOL), _allow_split=False, _half=RIGHT)
+        left = integrate01(values, max(tol / 2, _MIN_TOL), _allow_split=False, _half=LEFT)
+        right = integrate01(values, max(tol / 2, _MIN_TOL), _allow_split=False, _half=RIGHT)
         return QuadratureResult(
             left.value + right.value,
             left.error_estimate + right.error_estimate,

@@ -41,7 +41,7 @@ from .closedform import (ClosedForm, LN2, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .digamma import _TAIL, psi_point, psi_table
 from .errors import ConvergenceError, DomainError
-from .quadrature import ORACLE_TOL, Columns, Grid, integrate01, log_power, nodes
+from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
 from .summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
@@ -183,7 +183,7 @@ def nielsen_num(n: int, p: int, z: float) -> float:
             lz = map(pow, map(math.log1p, map(mul, repeat(-z), xs)), repeat(p))
         return map(truediv, map(mul, log_power("x", n - 1, grid), lz), xs)
 
-    return pref * integrate01(Columns(values), ORACLE_TOL).value
+    return pref * integrate01(values, ORACLE_TOL).value
 
 
 # ---------------------------------------------------------------------------

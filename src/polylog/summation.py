@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import _check_tolerance, integrate01
+from .quadrature import _check_tolerance, integrate01, nodes
 
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 # the CVZ divisor (3 + sqrt 8)^n overflows a double past n = 402
@@ -138,7 +138,7 @@ def _em_tail(term: Callable[[float], float], m: float, tol: float) -> float:
         x = m / u
         return x * term(x) / u
 
-    quad = integrate01(transformed, max(1e-13, tol / 8.0))
+    quad = integrate01(lambda g: map(transformed, *nodes(g)[:2]), max(1e-13, tol / 8.0))
     h = max(1e-4, 1e-6 * m)
     slope = (term(m + h) - term(m - h)) / (2.0 * h)
     return quad.value + term(m) / 2.0 - slope / 12.0

@@ -50,8 +50,7 @@ from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
 from .lognm import (h_boundary_closed, h_closed, h_pde_residual, i_closed,
                     i_pde_residual, lognm_numeric, s_sigma_relation_residual,
                     sigma_weight6_count)
-from .quadrature import (ORACLE_TOL, Columns, Grid, integrate01, log_column, log_power,
-                         nodes)
+from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import atom_value, cf_num, registry, sigma_tilde
 from .special import li_column, mpl2, nielsen_num, polylog
@@ -252,9 +251,9 @@ def _checks_appendix() -> list[CheckEntry]:
         def values(g: Grid, r=r):
             # ln^{r-1}(x) ln(1-x) / (x (1-x))
             xs, omxs, _ = nodes(g)
-            return map(truediv, map(mul, log_power("x", r - 1, g), log_column("1-x", g)),
+            return map(truediv, map(mul, log_power("x", r - 1, g), log_power("1-x", 1, g)),
                        map(mul, xs, omxs))
-        quad = integrate01(Columns(values), ORACLE_TOL).value
+        quad = integrate01(values, ORACLE_TOL).value
         quad *= (-1.0) ** r / (2 ** (r + 1) * math.factorial(r - 1))
         out.append(_entry(f"appendix.csum-integral-rep.r{r}",
                           f"C({r}) integral representation vs closed form",
@@ -292,11 +291,11 @@ def _jordan_order3_integral(which: str) -> float:
     sgn = -1.0 if which == "J1" else 1.0
 
     def values(g: Grid):
-        logs = map(sub, log_column("1+x", g), log_column("1-x", g))
+        logs = map(sub, log_power("1+x", 1, g), log_power("1-x", 1, g))
         weights = map(add, map(truediv, repeat(1.0), _one_minus_x(g)),
                       map(truediv, repeat(sgn), _one_plus_x(g)))
         return map(mul, map(mul, log_power("x", 2, g), logs), weights)
-    quad = integrate01(Columns(values), ORACLE_TOL).value
+    quad = integrate01(values, ORACLE_TOL).value
     return quad / (4.0 * math.factorial(2))
 
 
@@ -308,10 +307,9 @@ def _one_plus_x(g: Grid):
     return map(add, repeat(1.0), nodes(g)[0])
 
 
-def _log2_integrand(arg: str, den: Callable[[Grid], Iterable[float]]) -> Columns:
-    """ln^2(x) ln(arg) / den(x) as a column integrand."""
-    return Columns(lambda g: map(truediv, map(mul, log_power("x", 2, g), log_column(arg, g)),
-                                 den(g)))
+def _log2_integrand(arg: str, den: Callable[[Grid], Iterable[float]]):
+    """ln^2(x) ln(arg) / den(x) as a grid integrand."""
+    return lambda g: map(truediv, map(mul, log_power("x", 2, g), log_power(arg, 1, g)), den(g))
 
 
 def _li_derivative_fd(p: int, k: int) -> float:
@@ -439,28 +437,28 @@ def _low_order_entries(p: int) -> list[CheckEntry]:
     for name, integral, ev, closed_text, closed, depth2, note in (
             # -I+-(p,0) = -mpl2(1, p, -1, -1) = zeta(p) ln 2 + I+-(p-1,1) by parts
             ("mixed-q0", f"integral Li_{p}(t)/(1+t)",
-             Columns(lambda g: map(truediv, li_column(p, 1, g), _one_plus_x(g))),
+             lambda g: map(truediv, li_column(p, 1, g), _one_plus_x(g)),
              f"zeta({p}) ln 2 + I+-({p-1},1)",
              lambda: cf_num(zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)),
              lambda: -mpl2(1, p, -1.0, -1.0), ""),
             # -I-(p,0) = -mpl2(1, p, -1, +1) = Li_p(-1) ln 2 + I-(p-1,1) by parts
             ("minus-q0", f"integral Li_{p}(-t)/(1+t)",
-             Columns(lambda g: map(truediv, li_column(p, -1, g), _one_plus_x(g))),
+             lambda g: map(truediv, li_column(p, -1, g), _one_plus_x(g)),
              f"Li_{p}(-1) ln 2 + I-({p-1},1)",
              lambda: cf_num(eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)),
              lambda: -mpl2(1, p, -1.0, 1.0), ""),
             # -I+(1,p-1) = -mpl2(p,1,1,1) - zeta(p+1)
             ("plus-subtracted", f"integral [Li_{p}(t)-Li_{p}(1)]/(1-t)",
-             Columns(lambda g: map(truediv, map(sub, li_column(p, 1, g), repeat(zeta_num(p))),
-                                   _one_minus_x(g))),
+             lambda g: map(truediv, map(sub, li_column(p, 1, g), repeat(zeta_num(p))),
+                           _one_minus_x(g)),
              f"-I+(1,{p-1})",
              lambda: -cf_num(ipq_final(Family.PLUS, 1, p - 1)),
              lambda: -mpl2(p, 1, 1.0, 1.0) - zeta_num(p + 1),
              "sign-corrected form: the sum enters negated"),
             # -I+-(1,p-1) = -mpl2(p,1,-1,1) + (1-2^-p) zeta(p+1)
             ("mixed-subtracted", f"integral [Li_{p}(-t)-Li_{p}(-1)]/(1-t)",
-             Columns(lambda g: map(truediv, map(sub, li_column(p, -1, g), repeat(lim)),
-                                   _one_minus_x(g))),
+             lambda g: map(truediv, map(sub, li_column(p, -1, g), repeat(lim)),
+                           _one_minus_x(g)),
              f"-I+-(1,{p-1})",
              lambda: -cf_num(ipq_final(Family.MIXED, 1, p - 1)),
              lambda: -mpl2(p, 1, -1.0, 1.0) + (1 - 2.0 ** (-p)) * zeta_num(p + 1),

@@ -5,6 +5,8 @@ import pickle
 import pytest
 from hypothesis import settings
 
+from polylog.quadrature import nodes
+
 settings.register_profile("default", max_examples=60, deadline=None)
 settings.load_profile("default")
 
@@ -33,6 +35,16 @@ def eta_brute(s: int, pairs: int = 50000) -> float:
 
 def li_half_brute(k: int) -> float:
     return math.fsum(2.0 ** (-j) * j ** (-float(k)) for j in range(1, 80))
+
+
+# ---------------------------------------------------------------------------
+# integrands
+# ---------------------------------------------------------------------------
+
+
+def pointwise(f):
+    """The grid integrand of an expression f(x, 1-x), evaluated node by node."""
+    return lambda grid: map(f, *nodes(grid)[:2])
 
 
 # ---------------------------------------------------------------------------

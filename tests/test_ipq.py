@@ -16,7 +16,7 @@ from polylog.sigma import cf_num
 from polylog.special import li_neg, li_pos
 from polylog.verify import run_suite
 
-from conftest import zeta_brute
+from conftest import pointwise, zeta_brute
 
 
 def _pi_pow(e, c):
@@ -202,10 +202,12 @@ def test_low_order_extensions():
     # integrated by parts: Li_p(+-1) ln 2 + I(p-1,1) in the same family
     ln2 = ClosedForm.atom(LN2)
     for p in (2, 3, 4):
-        direct = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x), 1e-12).value
+        direct = integrate01(pointwise(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x)),
+                             1e-12).value
         closed = zeta_closed(p) * ln2 + ipq_final(Family.MIXED, p - 1, 1)
         assert abs(cf_num(closed) - direct) <= 1e-10
-        direct = integrate01(lambda x, omx, p=p: li_neg(p, x, omx) / (1 + x), 1e-12).value
+        direct = integrate01(pointwise(lambda x, omx, p=p: li_neg(p, x, omx) / (1 + x)),
+                             1e-12).value
         closed = eta_factor_closed(p) * ln2 + ipq_final(Family.MINUS, p - 1, 1)
         assert abs(cf_num(closed) - direct) <= 1e-10
 
@@ -253,7 +255,7 @@ def test_ipq_numeric_equals_direct_integrand_bit_for_bit():
             ev = lambda x, omx: li_neg(p, x, omx) * li_neg(q, x, omx) / x
         else:
             ev = lambda x, omx: li_pos(p, x, omx) * li_neg(q, x, omx) / x
-        assert ipq_numeric(fam, p, q) == integrate01(ev, ORACLE_TOL).value, (fam, p, q)
+        assert ipq_numeric(fam, p, q) == integrate01(pointwise(ev), ORACLE_TOL).value, (fam, p, q)
 
 
 def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):

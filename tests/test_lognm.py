@@ -12,9 +12,12 @@ from polylog.lognm import (TABLE_WEIGHT, h_boundary_closed, h_closed,
                            lognm_numeric, s_sigma_relation_matrix,
                            s_sigma_relation_residual, sigma_weight6_count,
                            truncated_exp_ln2)
+from polylog.quadrature import ORACLE_TOL, integrate01, log1m
 from polylog.seriesring import MAX_WEIGHT, beta_derivative_inm
 from polylog.sigma import cf_num
 from polylog.verify import expected_inm_table, run_suite
+
+from conftest import pointwise
 
 
 def _pi_pow(e, c):
@@ -173,6 +176,17 @@ def test_lognm_numeric_values_are_unchanged_and_memoized():
     assert lognm_numeric("HNM", 1, 2) == _LOGNM_VALUES[("HNM", 1, 2)]
     info = lognm_numeric.cache_info()
     assert (info.misses, info.hits) == (len(_LOGNM_VALUES), 1)
+
+
+def test_lognm_numeric_equals_direct_integrand_bit_for_bit():
+    # the integrands as written before the log columns were shared
+    for tag, n, m in _LOGNM_VALUES:
+        if tag == "INM":
+            ev = lambda x, omx: math.log(x) ** n * log1m(x, omx) ** m
+        else:
+            ev = lambda x, omx: math.log(x) ** n * math.log1p(x) ** m
+        direct = integrate01(pointwise(ev), ORACLE_TOL).value
+        assert lognm_numeric(tag, n, m) == direct, (tag, n, m)
 
 
 # -- the s <-> sigma~ network ---------------------------------------------------

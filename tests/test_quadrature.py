@@ -9,24 +9,23 @@ from polylog import digamma, quadrature, special
 from polylog.errors import DomainError
 from polylog.ipq import Family, ipq_numeric
 from polylog.lognm import lognm_numeric
-from polylog.quadrature import (Columns, QuadratureResult, integrate01, log1m, log_column,
-                                log_power, nodes)
+from polylog.quadrature import QuadratureResult, integrate01, log1m, log_power, nodes
 from polylog.special import li_column, mpl2, nielsen_num
 
-from conftest import assert_frozen_value, zeta_brute
+from conftest import assert_frozen_value, pointwise, zeta_brute
 
 # Expected values below come from elementary series or antiderivatives
 # computed inline, never through the quadrature under test.
 
 
 def test_constant():
-    r = integrate01(lambda x, omx: 1.0, 1e-12)
+    r = integrate01(pointwise(lambda x, omx: 1.0), 1e-12)
     assert abs(r.value - 1.0) <= 1e-14
     assert r.evaluations > 0
 
 
 def test_result_is_a_frozen_value():
-    r = integrate01(lambda x, omx: x * x, 1e-12)
+    r = integrate01(pointwise(lambda x, omx: x * x), 1e-12)
     twin = QuadratureResult(r.value, r.error_estimate, r.evaluations)
     assert twin is not r and twin == r and hash(twin) == hash(r)
     assert twin != QuadratureResult(r.value, r.error_estimate, r.evaluations + 1)
@@ -34,7 +33,7 @@ def test_result_is_a_frozen_value():
 
 
 def test_log_times_log():
-    r = integrate01(lambda x, omx: math.log(x) * math.log(omx), 1e-12)
+    r = integrate01(pointwise(lambda x, omx: math.log(x) * math.log(omx)), 1e-12)
     expected = 2.0 - zeta_brute(2)
     assert abs(r.value - expected) <= 1e-12
     assert abs(r.value - expected) <= max(1e-12, r.error_estimate)
@@ -43,13 +42,13 @@ def test_log_times_log():
 def test_log_power_singularities():
     # integral ln^n(x) dx = (-1)^n n!
     for n in (1, 2, 3, 5):
-        r = integrate01(lambda x, omx, n=n: math.log(x) ** n, 1e-12)
+        r = integrate01(pointwise(lambda x, omx, n=n: math.log(x) ** n), 1e-12)
         assert abs(r.value - (-1.0) ** n * math.factorial(n)) <= 1e-11
 
 
 def test_symmetric_pair():
     # integral ln(1-x) dx = -1, via the 1-x channel
-    r = integrate01(lambda x, omx: math.log(omx), 1e-12)
+    r = integrate01(pointwise(lambda x, omx: math.log(omx)), 1e-12)
     assert abs(r.value + 1.0) <= 1e-13
 
 
@@ -61,7 +60,7 @@ def test_one_minus_x_is_exact_near_endpoint():
         seen.append((x, omx))
         return 1.0
 
-    integrate01(ev, 1e-12)
+    integrate01(pointwise(ev), 1e-12)
     xs = [x for x, _ in seen]
     omxs = [omx for _, omx in seen]
     assert min(xs) < 1e-50 and min(omxs) < 1e-50  # nodes hug both endpoints
@@ -83,20 +82,20 @@ def test_mixed_log_integrand():
         prev = partial
         partial += (-1.0) ** (k + 1) * h * (2.0 / (k + 1) ** 3)
     expected = 0.5 * (partial + prev)
-    r = integrate01(lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1 + x), 1e-12)
+    r = integrate01(pointwise(lambda x, omx: math.log(x) ** 2 * math.log1p(x) / (1 + x)), 1e-12)
     assert abs(r.value - expected) <= 1e-11
 
 
 def test_tolerance_floor():
     with pytest.raises(DomainError):
-        integrate01(lambda x, omx: 1.0, 1e-14)
+        integrate01(pointwise(lambda x, omx: 1.0), 1e-14)
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(a, b):
-    f = lambda x, omx: math.log(x)
-    g = lambda x, omx: math.log(omx)
-    combo = lambda x, omx: a * math.log(x) + b * math.log(omx)
+    f = pointwise(lambda x, omx: math.log(x))
+    g = pointwise(lambda x, omx: math.log(omx))
+    combo = pointwise(lambda x, omx: a * math.log(x) + b * math.log(omx))
     rf = integrate01(f, 1e-12)
     rg = integrate01(g, 1e-12)
     rc = integrate01(combo, 1e-12)
@@ -106,14 +105,14 @@ def test_linearity(a, b):
 
 
 def test_determinism():
-    f = lambda x, omx: math.log(x) ** 2 * math.log(omx)
+    f = pointwise(lambda x, omx: math.log(x) ** 2 * math.log(omx))
     r1 = integrate01(f, 1e-12)
     r2 = integrate01(f, 1e-12)
     assert r1.value == r2.value and r1.evaluations == r2.evaluations
 
 
 def test_result_record():
-    r = integrate01(lambda x, omx: x * omx, 1e-12)
+    r = integrate01(pointwise(lambda x, omx: x * omx), 1e-12)
     assert isinstance(r, QuadratureResult)
     assert abs(r.value - 1.0 / 6.0) < 1e-13
     assert r.error_estimate >= 0.0
@@ -123,7 +122,7 @@ def test_discontinuous_integrand_raises_with_partial():
     from polylog.errors import ConvergenceError
     # a jump at an irrational point defeats the double-exponential rule and
     # the single bisection fallback; the error must carry a usable partial
-    f = lambda x, omx: 1.0 if x < 0.43721 else 0.0
+    f = pointwise(lambda x, omx: 1.0 if x < 0.43721 else 0.0)
     with pytest.raises(ConvergenceError) as exc:
         integrate01(f, 1e-13)
     assert exc.value.partial is not None
@@ -142,17 +141,17 @@ def test_split_agrees_with_direct_on_log_class(a, b, c, d):
         v *= omx ** (0.5 * d)
         return v
 
-    whole = integrate01(f, 1e-12).value
-    left = integrate01(lambda u, omu: 0.5 * f(0.5 * u, 1.0 - 0.5 * u),
+    whole = integrate01(pointwise(f), 1e-12).value
+    left = integrate01(pointwise(lambda u, omu: 0.5 * f(0.5 * u, 1.0 - 0.5 * u)),
                        1e-12).value
-    right = integrate01(lambda v, omv: 0.5 * f(1.0 - 0.5 * v, 0.5 * v),
+    right = integrate01(pointwise(lambda v, omv: 0.5 * f(1.0 - 0.5 * v, 0.5 * v)),
                         1e-12).value
     scale = 1.0 + abs(whole)
     assert abs(whole - (left + right)) <= 5e-12 * scale
 
 
 def test_level_cache_is_thread_safe():
-    f = lambda x, omx: math.log(x) * math.log(omx)
+    f = pointwise(lambda x, omx: math.log(x) * math.log(omx))
     expected = integrate01(f, 1e-12)
     results = [None] * 8
 
@@ -160,7 +159,7 @@ def test_level_cache_is_thread_safe():
         results[slot] = integrate01(f, 1e-12)
 
     interval = sys.getswitchinterval()
-    quadrature._level_nodes.cache_clear()
+    nodes.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
@@ -183,7 +182,7 @@ _GRIDS = [(half, level) for half in (quadrature.WHOLE, quadrature.LEFT, quadratu
 
 def test_grid_columns_are_the_level_nodes_and_their_halves():
     for half, level in _GRIDS:
-        us, omus, ws = quadrature._level_nodes(level)
+        us, omus, ws = nodes((quadrature.WHOLE, level))
         xs, omxs, ws2 = nodes((half, level))
         assert ws2 == ws and len(xs) == len(omxs) == len(ws)
         if half == quadrature.WHOLE:
@@ -199,14 +198,14 @@ def test_grid_columns_are_the_level_nodes_and_their_halves():
 def test_log_columns_equal_the_scalar_kernels_bit_for_bit():
     for grid in _GRIDS:
         xs, omxs, _ = nodes(grid)
-        assert log_column("x", grid) == tuple(math.log(x) for x in xs)
-        assert log_column("1-x", grid) == tuple(log1m(x, omx) for x, omx in zip(xs, omxs))
-        assert log_column("1+x", grid) == tuple(math.log1p(x) for x in xs)
+        assert log_power("x", 1, grid) == tuple(math.log(x) for x in xs)
+        assert log_power("1-x", 1, grid) == tuple(log1m(x, omx) for x, omx in zip(xs, omxs))
+        assert log_power("1+x", 1, grid) == tuple(math.log1p(x) for x in xs)
         for n in range(4):
             assert log_power("1-x", n, grid) == tuple(log1m(x, omx) ** n
                                                       for x, omx in zip(xs, omxs))
     with pytest.raises(DomainError):
-        log_column("2-x", (quadrature.WHOLE, 0))
+        log_power("2-x", 1, (quadrature.WHOLE, 0))
 
 
 def _kink(x, omx):
@@ -217,18 +216,18 @@ def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
 
     def kink_columns(grid):
         xs = nodes(grid)[0]
-        return (abs(x - 0.5) * lx for x, lx in zip(xs, log_column("x", grid)))
+        return (abs(x - 0.5) * lx for x, lx in zip(xs, log_power("x", 1, grid)))
 
     # the kink at 1/2 stalls the whole-interval rule, so this one splits
-    pointwise = integrate01(_kink, 1e-12)
-    assert integrate01(Columns(kink_columns), 1e-12) == pointwise
+    direct = integrate01(pointwise(_kink), 1e-12)
+    assert integrate01(kink_columns, 1e-12) == direct
     # the split halves as they were written before the grids held them
-    left = integrate01(lambda u, omu: 0.5 * _kink(0.5 * u, 1.0 - 0.5 * u), 5e-13,
+    left = integrate01(pointwise(lambda u, omu: 0.5 * _kink(0.5 * u, 1.0 - 0.5 * u)), 5e-13,
                        _allow_split=False)
-    right = integrate01(lambda v, omv: 0.5 * _kink(1.0 - 0.5 * v, 0.5 * v), 5e-13,
+    right = integrate01(pointwise(lambda v, omv: 0.5 * _kink(1.0 - 0.5 * v, 0.5 * v)), 5e-13,
                         _allow_split=False)
-    assert pointwise.value == left.value + right.value
-    assert pointwise.evaluations > left.evaluations + right.evaluations
+    assert direct.value == left.value + right.value
+    assert direct.evaluations > left.evaluations + right.evaluations
 
 
 def test_node_columns_are_thread_safe():
@@ -245,7 +244,7 @@ def test_node_columns_are_thread_safe():
         results[slot] = work()
 
     interval = sys.getswitchinterval()
-    for fn in (quadrature._level_nodes, nodes, log_column, log_power, li_column, special._inverse_powers,
+    for fn in (nodes, log_power, li_column, special._inverse_powers,
                special.alternating_tail_table, digamma.psi_table, digamma.psi_point):
         fn.cache_clear()
     sys.setswitchinterval(1e-6)

@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 from polylog import digamma, special, summation
 from polylog.closedform import ClosedForm, LN2
 from polylog.errors import DomainError
-from polylog.quadrature import LEFT, RIGHT, WHOLE, integrate01, nodes
+from polylog.quadrature import LEFT, ORACLE_TOL, RIGHT, WHOLE, integrate01, log1m, nodes
 from polylog.sigma import cf_num
 from polylog.special import (_alternating_tail, _li_series, li_column, li_moment, li_neg,
                              li_pos, mpl2, nielsen_num, polylog)
 from polylog.summation import zeta_num
 
-from conftest import eta_brute, li_half_brute, zeta_brute
+from conftest import eta_brute, li_half_brute, pointwise, zeta_brute
 
 
 def _li_brute(p: int, x: float, terms: int = 2_000_000) -> float:
@@ -80,7 +80,7 @@ def test_polylog_weight_raising_integral():
     # integral_0^1 Li_p(t)/t dt = zeta(p+1): exercises the derivative
     # structure of the ladder through quadrature
     for p in (1, 2, 3, 4):
-        got = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / x, 1e-12).value
+        got = integrate01(pointwise(lambda x, omx, p=p: li_pos(p, x, omx) / x), 1e-12).value
         assert abs(got - zeta_brute(p + 1)) <= 1e-11, p
 
 
@@ -108,6 +108,20 @@ def test_nielsen_is_li_when_p_is_one():
     for n in (1, 2, 3):
         for z in (1.0, -1.0, 0.5):
             assert abs(nielsen_num(n, 1, z) - polylog(n + 1, z)) <= 1e-11
+
+
+def test_nielsen_num_equals_direct_integrand_bit_for_bit():
+    # the integrands as written before the log columns were shared, at the
+    # (n, p) the verify suites ask for
+    for n, p in ((n, p) for n in range(1, 6) for p in range(1, 6) if n + p <= 6):
+        pref = (-1.0) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p))
+        for z in (1.0, -1.0, 0.3):
+            if z == 1.0:
+                ev = lambda x, omx: math.log(x) ** (n - 1) * log1m(x, omx) ** p / x
+            else:
+                ev = lambda x, omx: math.log(x) ** (n - 1) * math.log1p(-z * x) ** p / x
+            direct = pref * integrate01(pointwise(ev), ORACLE_TOL).value
+            assert nielsen_num(n, p, z) == direct, (n, p, z)
 
 
 def test_nielsen_domain():
@@ -172,12 +186,13 @@ def test_mpl2_divergent_configurations():
 def test_mpl2_integral_identities():
     # integral Li_p(t)/(1+t) dt = -mpl2(1, p, -1, -1)
     for p in (2, 3):
-        quad = integrate01(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x), 1e-12).value
+        quad = integrate01(pointwise(lambda x, omx, p=p: li_pos(p, x, omx) / (1 + x)), 1e-12).value
         assert abs(quad + mpl2(1, p, -1.0, -1.0)) <= 1e-9
     # integral [Li_p(t) - Li_p(1)]/(1-t) dt = -mpl2(p,1,1,1) - zeta(p+1)
     for p in (2, 3):
-        quad = integrate01(lambda x, omx, p=p: (li_pos(p, x, omx) - zeta_num(p)) / omx,
-                           1e-12).value
+        quad = integrate01(
+            pointwise(lambda x, omx, p=p: (li_pos(p, x, omx) - zeta_num(p)) / omx),
+            1e-12).value
         assert abs(quad + mpl2(p, 1, 1.0, 1.0) + zeta_num(p + 1)) <= 1e-9
 
 
@@ -271,8 +286,9 @@ def test_li_moment_examples():
 
 def test_li_moment_against_quadrature():
     for (p, k) in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 1)):
-        quad = integrate01(lambda t, omt, p=p, k=k: li_neg(p, t, omt) * t ** (k - 1),
-                           1e-12).value
+        quad = integrate01(
+            pointwise(lambda t, omt, p=p, k=k: li_neg(p, t, omt) * t ** (k - 1)),
+            1e-12).value
         assert abs(cf_num(li_moment(p, k)) - quad) <= 1e-11
 
 
@@ -340,7 +356,7 @@ def test_table_driven_direct_terms_equal_the_term_callable(monkeypatch):
 
 
 # NaN arguments and tolerances that are not finite and positive
-_QUIET = lambda x, omx: 1.0  # noqa: E731
+_QUIET = pointwise(lambda x, omx: 1.0)
 _TERM = lambda k: k ** -2.0  # noqa: E731
 _ALT = lambda k: (-1) ** k / k ** 2.0  # noqa: E731
 _NAN = math.nan
