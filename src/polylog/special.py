@@ -247,7 +247,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     both arguments are -1 the outer index is summed first instead:
     mpl2(m_o, m_i, -1, -1) = -sum_{k>=1} k^-m_i V_{m_o}(k+1), with
     V_m(x) = sum_{i>=0} (-1)^i (x+i)^-m, one monotone series for sum_tail
-    (V_1 is a digamma difference, see _alternating_tail).
+    (V_1 is a digamma difference, see _alternating_tail).  It is summed
+    first too when |x_inner| < 1 = |x_outer| (_mpl2_outer_first).
     """
     for x in (x_outer, x_inner):
         if not -1.0 <= x <= 1.0:
@@ -261,8 +262,10 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
 
     # each correction sum gets an eighth of the oracle precision
     part_tol = ORACLE_TOL / 8.0
-    if abs(x_inner) < 1.0 or abs(x_outer) < 1.0:
+    if abs(x_outer) < 1.0:
         return _mpl2_direct(m_outer, m_inner, x_outer, x_inner)
+    if abs(x_inner) < 1.0:
+        return _mpl2_outer_first(m_outer, m_inner, x_outer, x_inner)
 
     if x_inner == 1.0 and m_inner == 1:
         # inner partial sum is the harmonic number, real-evaluable as is
@@ -316,6 +319,24 @@ def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> 
         if abs(t) < ORACLE_TOL * 1e-3 and k2 > 30:
             return total
     raise ConvergenceError("multiple polylog direct sum stalled", partial=total)
+
+
+def _mpl2_outer_first(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
+    """sum_{k>=1} x_inner^k k^-m_inner T(k+1) for |x_inner| < 1 = |x_outer|,
+    with T(k+1) = sum_{k2>k} x_outer^k2 k2^-m_outer: a Hurwitz tail at
+    x_outer = 1, (-1)^{k+1} V(k+1) at x_outer = -1.  |T| falls with k, so
+    once a term is t the rest is at most |t| |x_inner| / (1 - |x_inner|)."""
+    rest = abs(x_inner) / (1.0 - abs(x_inner))
+    terms = []
+    powi = 1.0
+    for k in range(1, 40000):
+        powi *= x_inner
+        tail = (_hurwitz_tail(m_outer, k + 1.0) if x_outer == 1.0
+                else (-1) ** (k + 1) * _alternating_tail(m_outer, k + 1.0))
+        terms.append(powi * tail / float(k) ** m_inner)
+        if abs(terms[-1]) * rest < ORACLE_TOL * 1e-3 and k > 30:
+            return math.fsum(terms)
+    raise ConvergenceError("multiple polylog outer-first sum stalled", partial=math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------

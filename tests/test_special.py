@@ -174,6 +174,30 @@ def test_mpl2_interior_arguments():
     assert abs(got - _mpl2_brute(2, 1, 0.7, -0.6)) <= 1e-10
 
 
+# mpl2 with |x_inner| < 1 = |x_outer| to 32 digits: sum_k x_inner^k k^-m_inner
+# T(k+1) with the outer tail T(k+1) = sum_{k2>k} x_outer^k2 k2^-m_outer, run up
+# from T(2) = Li_m(x_outer) - x_outer, summed at 50 digits by mpmath
+_MPL2_UNIT_OUTER = {
+    (2, 2, 1.0, 0.5): 0.35228267839753708837784718983456,
+    (1, 2, -1.0, 0.5): 0.14296025157172716584492349670129,
+    (2, 1, -1.0, 0.999): 0.15012777666560946079358572763933,
+}
+
+
+def test_mpl2_unit_outer_and_interior_inner_against_references():
+    for args, ref in _MPL2_UNIT_OUTER.items():
+        assert abs(mpl2(*args) - ref) <= 2e-14 * abs(ref), args
+
+
+def test_mpl2_unit_outer_and_interior_inner_meet_the_stuffle_identity():
+    # mpl2(a,b,x,y) + mpl2(b,a,y,x) + Li_{a+b}(xy) = Li_a(x) Li_b(y); the
+    # swapped sum has its outer argument inside the disc
+    for a, b, x, y in ((2, 2, 1.0, 0.5), (1, 2, -1.0, 0.5), (2, 3, -1.0, -0.7),
+                       (3, 2, 1.0, -0.3)):
+        lhs = mpl2(a, b, x, y) + mpl2(b, a, y, x) + polylog(a + b, x * y)
+        assert abs(lhs - polylog(a, x) * polylog(b, y)) <= 1e-14, (a, b, x, y)
+
+
 def test_mpl2_divergent_configurations():
     with pytest.raises(DomainError):
         mpl2(1, 1, 1.0, 1.0)
