@@ -61,8 +61,10 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 
     R+ = zeta(p) zeta(q); R- = Li_p(-1) Li_q(-1); R+- = zeta(p) Li_q(-1);
     eta-type slots admit the order-1 limit -ln 2, zeta-type slots do not.
+    Its weight p+q is held to the series ceiling MAX_WEIGHT.
     """
     _check_orders(p, q)
+    _check_weight(p + q)
     if family is Family.PLUS:
         if p < 2 or q < 2:
             raise DomainError("R+ diverges when either order is 1")

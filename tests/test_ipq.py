@@ -6,7 +6,7 @@ import pytest
 
 from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
-from polylog.errors import DomainError
+from polylog.errors import CapacityError, DomainError
 from polylog.eulersums import c_sum, jordan_nielsen, s_minus, s_plus
 from polylog.ipq import (Family, _reduction_route, ipq_final, ipq_numeric, ipq_series,
                          r_value, recurrence_shift)
@@ -42,6 +42,18 @@ def test_r_value_divergent_slots():
         r_value(Family.MIXED, 1, 2)
     r_value(Family.MIXED, 2, 1)  # eta slot admits order 1
     r_value(Family.MINUS, 1, 1)
+
+
+def test_r_value_is_held_to_the_weight_cap():
+    # weight p+q above MAX_WEIGHT fails before any zeta value is built, also
+    # through the R sum of a shift far beyond the cap
+    assert 10 + 10 > MAX_WEIGHT
+    for fam in Family:
+        with pytest.raises(CapacityError):
+            r_value(fam, 10, 10)
+    with pytest.raises(CapacityError):
+        recurrence_shift(Family.PLUS, 2, 400, 300, zeta_closed(3))
+    assert r_value(Family.PLUS, 2, MAX_WEIGHT - 2) == zeta_closed(2) * zeta_closed(MAX_WEIGHT - 2)
 
 
 # -- quadrature oracle -----------------------------------------------------------
