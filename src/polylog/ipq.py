@@ -128,20 +128,14 @@ def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -
 
 @cache
 def _mu_sum(family: Family, p: int, q: int) -> ClosedForm:
-    """M(p) = (-1)^p sum_{mu=2}^{p} (-1)^mu t(mu), t the zeta factor times its
-    companion at weight r = p+q: the sign-dense block of all three displays.
+    """M(p) = (-1)^p sum_{mu=2}^{p} (-1)^mu R(mu, r+1-mu) at weight r = p+q:
+    the sign-dense block of all three displays.
 
-    Memoized, by the one-term recurrence M(p) = t(p) - M(p-1) at fixed r.
+    Memoized, by the one-term recurrence M(p) = R(p, q+1) - M(p-1) at fixed r.
     """
     if p < 2:
         return ClosedForm.zero()
-    r = p + q
-    term = zeta_closed(p) * zeta_closed(r + 1 - p)
-    if family is Family.MIXED:
-        term = Fraction(1 - 2 ** (r - p), 2 ** (r - p)) * term
-    elif family is Family.MINUS:
-        term = Fraction((1 - 2 ** (p - 1)) * (1 - 2 ** (r - p)), 2 ** (r - 1)) * term
-    return term - _mu_sum(family, p - 1, q + 1)
+    return r_value(family, p, q + 1) - _mu_sum(family, p - 1, q + 1)
 
 
 @cache
