@@ -247,8 +247,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     both arguments are -1 the outer index is summed first instead:
     mpl2(m_o, m_i, -1, -1) = -sum_{k>=1} k^-m_i V_{m_o}(k+1), with
     V_m(x) = sum_{i>=0} (-1)^i (x+i)^-m, one monotone series for sum_tail
-    (V_1 is a digamma difference, see _alternating_tail).  It is summed
-    first too when |x_inner| < 1 = |x_outer| (_mpl2_outer_first).
+    (V_1 is a digamma difference, see _alternating_tail).  The outer index
+    is also summed first when |x_inner| < 1 = |x_outer| (_mpl2_outer_first).
     """
     for x in (x_outer, x_inner):
         if not -1.0 <= x <= 1.0:
