@@ -4,16 +4,15 @@ Upward recurrence pushes the argument above 10, then an eight-term
 asymptotic series, evaluated as an unrolled Horner scheme, finishes;
 relative error is below 1e-13 on (0, inf).
 
-psi is the uncached kernel.  psi_point memoizes it for the series oracles
-(sum_oracle, the harmonic branch of mpl2, and the alternating tail
-V_1(x) = [psi((x+1)/2) - psi(x/2)]/2 of mpl2's doubly alternating sums below
-x = 32), whose terms all walk the same integers, half-integers and
-Euler-Maclaurin tail nodes (halved, for V_1); its cache holds one float per
-point those series reach.  psi_table keeps their direct terms' digamma
-differences psi(k + shift) - psi(base) as one tuple per block of indices,
-read through psi_point, so each point still meets the kernel once.  psi
-itself stays uncached: a cache on arbitrary floats would grow without bound
-for library callers.
+psi is the uncached kernel.  psi_point memoizes it for the Euler-sum
+series oracles (eulersums.sum_oracle), whose terms all walk the same
+integers, half-integers and Euler-Maclaurin tail nodes; its cache holds one
+float per point those series reach.  psi_table keeps their direct terms'
+digamma differences psi(k + shift) - psi(shift) as one tuple per block of
+indices, read through psi_point, so each point still meets the kernel once.
+Neither serves special.mpl2, whose outer tails have an asymptotic series of
+their own.  psi itself stays uncached: a cache on arbitrary floats would
+grow without bound for library callers.
 """
 
 from __future__ import annotations
@@ -59,18 +58,17 @@ def psi_point(x: float) -> float:
     """psi(x) memoized, for the points the series oracles share.
 
     The cache holds the integers, half-integers and tail nodes of sum_oracle
-    and of mpl2's harmonic branch (psi_table reads its points through here),
-    and the halved points (x+1)/2 and x/2 of the V_1 tail below x = 32 in
-    mpl2's doubly alternating branch.
+    (psi_table reads its points through here) and the point 1 of
+    euler_gamma.
     """
     return psi(x)
 
 
 @cache
-def psi_table(shift: float, base: float, start: int, stop: int) -> tuple[float, ...]:
-    """psi(k + shift) - psi(base) for k in range(start, stop), read through
+def psi_table(shift: float, start: int, stop: int) -> tuple[float, ...]:
+    """psi(k + shift) - psi(shift) for k in range(start, stop), read through
     psi_point.  The series oracles ask for the blocks their cutoffs add."""
-    origin = psi_point(base)
+    origin = psi_point(shift)
     return tuple(psi_point(k + shift) - origin for k in range(start, stop))
 
 

@@ -181,5 +181,5 @@ def sum_oracle(tag: str, r: int) -> float:
         return scale * (psi_point(k + shift) - origin) * (step * k + offset) ** e
 
     def weights(a: int, b: int):
-        return map(mul, repeat(scale), psi_table(shift, shift, a, b))
+        return map(mul, repeat(scale), psi_table(shift, a, b))
     return sum_tail(term, ORACLE_TOL, r, direct=(weights, step, offset, e))

@@ -9,24 +9,23 @@ Evaluation strategy for Li_p(x):
 Helpers threaded with 1-x allow full accuracy at quadrature nodes hugging
 either endpoint.
 
-The depth-2 sums at unit arguments reduce to one accelerated series each.
-With x_inner = +-1 the inner partial sum splits into its limit and a smooth
-tail; with both arguments -1 the outer index is summed first, so the series
-is monotone and its alternating tail V_1(x) = [psi((x+1)/2) - psi(x/2)]/2 is
-a digamma difference read through psi_point (an asymptotic series from
-x = 32 on), not a CVZ run per term.
+The depth-2 sums with |x_outer| = 1 are one series, outer index first:
+mpl2 = x_o sum_k (x_i x_o)^k k^-m_i T(k+1), the outer tail
+T(y) = sum_{i>=0} x_o^i (y+i)^-m_o read from its Euler-Maclaurin (x_o = 1)
+or Boole (x_o = -1) asymptotic series at an anchor, run down to y.
 
-Values that do not depend on the caller are computed once per process:
-the coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
+Values that do not depend on the caller are computed once per process: the
+coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
 integer argument, none below -78 since k < 80), the powers k^-p of the
-direct series (_inverse_powers, one tuple per order), the alternating tails
-V_m(k+1) of the doubly alternating sums (alternating_tail_table, one tuple
-per block of indices), and Li_p(+-x) at the quadrature nodes (li_column),
-which every product integrand shares.  li_column holds one tuple per
-(order, sign, grid); Li_p(-t) at t > 1/2 reads Li_p(t) from the plus
-column, so li_pos meets each node once.  The grids are the fixed tanh-sinh
-levels 0..11 of the whole interval and of its two halves, so the columns
-are bounded by the orders asked for times that node set.
+direct series (_inverse_powers, one tuple per order), the outer tails'
+series coefficients (_tail_series, one tuple per order and sign) and their
+values at the integers (_tail_block, one tuple per anchor, 16 values past
+the first), and Li_p(+-x) at the quadrature nodes (li_column), which every
+product integrand shares.  li_column holds one tuple per (order, sign,
+grid); Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column, so li_pos
+meets each node once.  The grids are the fixed tanh-sinh levels 0..11 of the
+whole interval and of its two halves, so the columns are bounded by the
+orders asked for times that node set.
 """
 
 from __future__ import annotations
@@ -34,15 +33,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, partial
-from itertools import repeat
+from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import (ClosedForm, LN2, eta_factor_closed,
-                         zeta_nonpositive_rational)
-from .digamma import _TAIL, psi_point, psi_table
+from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_nonpositive_rational
+from .digamma import _TAIL
 from .errors import ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
-from .summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
+from .summation import eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
 
@@ -190,47 +188,80 @@ def nielsen_num(n: int, p: int, z: float) -> float:
 # depth-2 multiple polylogarithms
 # ---------------------------------------------------------------------------
 
-
-def _hurwitz_tail(m: int, x: float) -> float:
-    """sum_{i>=0} (x + i)^-m for m >= 2, x >= 1."""
-    M = 64
-    s = math.fsum((x + i) ** (-m) for i in range(M))
-    y = x + M
-    s += y ** (1 - m) / (m - 1) + 0.5 * y ** (-m) + m * y ** (-m - 1) / 12.0
-    s -= m * (m + 1) * (m + 2) * y ** (-m - 3) / 720.0
-    return s
-
-
-# (4^k - 1) B_{2k} / (2k), k = 1..8: the asymptotic series of V_1
-_V1, _V2, _V3, _V4, _V5, _V6, _V7, _V8 = (
-    (4 ** k - 1) * c for k, c in enumerate(_TAIL, 1))
-# from here on the series is below 4e-20 relative, and the digamma
-# difference would lose digits to cancellation
-_V1_ASYMPTOTIC = 32.0
-
-
-def _alternating_tail(m: int, x: float) -> float:
-    """V_m(x) = sum_{i>=0} (-1)^i (x + i)^-m for m >= 1, x >= 1.
-
-    V_1(x) = [psi((x+1)/2) - psi(x/2)] / 2, read through psi_point, and for
-    x >= 32 its asymptotic series 1/(2x) + sum_k (4^k - 1) B_{2k}/(2k) x^-2k;
-    higher orders by a 40-term CVZ.
-    """
-    if m == 1:
-        if x >= _V1_ASYMPTOTIC:
-            y = 1.0 / (x * x)
-            series = (((((((_V8 * y + _V7) * y + _V6) * y + _V5) * y + _V4) * y + _V3) * y
-                       + _V2) * y + _V1) * y
-            return 0.5 / x + series
-        return 0.5 * (psi_point((x + 1) / 2) - psi_point(x / 2))
-    return _cvz([(x + i) ** (-m) for i in range(40)])
+_BLOCK = 16  # the blocks of T at the integers end at anchors this far apart
 
 
 @cache
-def alternating_tail_table(m: int, start: int, stop: int) -> tuple[float, ...]:
-    """V_m(k + 1) for k in range(start, stop): the weights of the doubly
-    alternating series, one block per cutoff doubling."""
-    return tuple(map(_alternating_tail, repeat(m), range(start + 1, stop + 1)))
+def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
+    """First anchor and coefficients c_1..c_8 of the outer tail's asymptotic
+    series T(y) ~ y^-m [a y + 1/2 + sum_j c_j y^(1-2j)]: Euler-Maclaurin at
+    x_outer = 1 (a = 1/(m-1), c_j = B_2j/(2j)! (m)_(2j-1)), Boole at -1 (a = 0,
+    c_j times 4^j - 1).  The first anchor is the least of 64, 80, ... where
+    the first dropped term c_9 y^-17 is below 1e-17 of the leading term."""
+    halves = (*_TAIL, 43867.0 / 14364.0)  # B_2j / 2j for j = 1..9
+    c = [(1 if x_outer == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1)
+         * halves[j - 1] for j in range(1, 10)]
+    first = next(y for y in count(64, _BLOCK)
+                 if abs(c[8]) * y ** -17.0 <= 1e-17 * (y / (m - 1) if x_outer == 1.0 else 0.5))
+    return first, tuple(c[:8])
+
+
+def _tail_correction(coefficients: tuple[float, ...], y: float) -> float:
+    """sum_j c_j y^(1-2j), the part of y^m T(y) past a y + 1/2."""
+    c1, c2, c3, c4, c5, c6, c7, c8 = coefficients
+    z = 1.0 / (y * y)
+    return (((((((c8 * z + c7) * z + c6) * z + c5) * z + c4) * z + c3) * z + c2) * z + c1) / y
+
+
+@cache
+def _tail_block(m: int, x_outer: float, anchor: int) -> tuple[float, ...]:
+    """T at 1..anchor for the first anchor, else at the _BLOCK integers up to
+    it: the series at the anchor (a y + 1/2 exact) run down by T(y) = y^-m +
+    x_outer T(y+1) in 2^-scale fixed point, so each value is rounded once."""
+    first, coefficients = _tail_series(m, x_outer)
+    low = 1 if anchor == first else anchor - _BLOCK + 1
+    scale = 117 + m * anchor.bit_length()  # a unit is 2^-64 ulp(anchor^-m) or less
+    one = 1 << scale
+    num, den = (2 * anchor + m - 1, 2 * (m - 1)) if x_outer == 1.0 else (1, 2)
+    cn, cd = _tail_correction(coefficients, anchor).as_integer_ratio()
+    acc = ((num * cd + cn * den) << scale) // (den * cd * anchor ** m)
+    sign, accs = int(x_outer), [acc]
+    for y in range(anchor - 1, low - 1, -1):
+        accs.append(acc := one // y ** m + sign * acc)
+    if scale < 1000:  # float() rounds once and 2^-scale scales exactly
+        return tuple(map(mul, map(float, reversed(accs)), repeat(2.0 ** -scale)))
+    return tuple(map(truediv, reversed(accs), repeat(one)))
+
+
+def outer_tail_table(m: int, x_outer: float, start: int, stop: int) -> list[float]:
+    """T(k + 1) for k in range(start, stop), sliced from the blocks."""
+    first = _tail_series(m, x_outer)[0]
+    out: list[float] = []
+    y, end = start + 1, stop + 1
+    while y < end:
+        anchor = first if y <= first else first - _BLOCK * ((first - y) // _BLOCK)
+        block = _tail_block(m, x_outer, anchor)
+        low, top = anchor + 1 - len(block), min(end, anchor + 1)
+        out.extend(block[y - low:top - low])
+        y = top
+    return out
+
+
+def outer_tail(m: int, x_outer: float, y: float) -> float:
+    """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1, y >= 1.  An
+    int y reads its block; a float y (an Euler-Maclaurin tail node) takes the
+    series at y, or at y + n past the first anchor and runs down from there."""
+    if isinstance(y, int):
+        return outer_tail_table(m, x_outer, y - 1, y)[0]
+    first, coefficients = _tail_series(m, x_outer)
+    n = math.ceil(first - y) if y < first else 0
+    top = y + n
+    lead = top / (m - 1) + 0.5 if x_outer == 1.0 else 0.5
+    t = top ** -m * (lead + _tail_correction(coefficients, top))
+    while n:
+        n -= 1
+        t = (y + n) ** -m + x_outer * t
+    return t
 
 
 def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
@@ -239,104 +270,72 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
 
     The heavier weight sits on the larger index k2 (the only reading under
     which the unit-argument cases converge); the sum is defined when
-    m_outer >= 2, or when m_outer = 1 with x_outer = -1.
-
-    For |x_inner| = 1 the inner partial sum is split into its limit plus a
-    smooth tail, so the outer sum separates into a closed piece and a
-    series that the tail/alternating accelerators handle directly.  When
-    both arguments are -1 the outer index is summed first instead:
-    mpl2(m_o, m_i, -1, -1) = -sum_{k>=1} k^-m_i V_{m_o}(k+1), with
-    V_m(x) = sum_{i>=0} (-1)^i (x+i)^-m, one monotone series for sum_tail
-    (V_1 is a digamma difference, see _alternating_tail).  The outer index
-    is also summed first when |x_inner| < 1 = |x_outer| (_mpl2_outer_first).
-    """
-    for x in (x_outer, x_inner):
-        if not -1.0 <= x <= 1.0:
-            raise DomainError("multiple polylog arguments must lie in [-1, 1]")
+    m_outer >= 2, or when m_outer = 1 with x_outer = -1.  |x_outer| < 1 sums
+    the defining series; |x_outer| = 1 sums the outer index first,
+        mpl2 = x_outer sum_{k>=1} (x_inner x_outer)^k k^-m_inner T(k+1)
+    with T = outer_tail(m_outer, x_outer, .): by a geometric loop when
+    |x_inner| < 1, sum_tail when x_inner x_outer = 1, else sum_alternating."""
+    if not (-1.0 <= x_outer <= 1.0 and -1.0 <= x_inner <= 1.0):
+        raise DomainError("multiple polylog arguments must lie in [-1, 1]")
     if m_outer < 1 or m_inner < 1:
         raise DomainError("multiple polylog weights must be >= 1")
-    if x_outer == 0.0:
-        return 0.0
     if m_outer == 1 and x_outer != -1.0:
         raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
-
-    # each correction sum gets an eighth of the oracle precision
-    part_tol = ORACLE_TOL / 8.0
+    if x_outer == 0.0 or x_inner == 0.0:
+        return 0.0
     if abs(x_outer) < 1.0:
         return _mpl2_direct(m_outer, m_inner, x_outer, x_inner)
-    if abs(x_inner) < 1.0:
-        return _mpl2_outer_first(m_outer, m_inner, x_outer, x_inner)
+    ratio = x_inner * x_outer
+    if abs(ratio) < 1.0:
+        return x_outer * _mpl2_geometric(m_outer, m_inner, x_outer, ratio)
+    tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
+    if ratio == 1.0:
+        # T(y) falls like y^(1-m) at x_outer = 1 and like y^-m / 2 at -1
+        return x_outer * sum_tail(
+            lambda k: outer_tail(m_outer, x_outer, k + 1) * k ** -m_inner, tol,
+            m_outer + m_inner - (x_outer == 1.0),
+            direct=(partial(outer_tail_table, m_outer, x_outer), 1, 0, -m_inner))
+    return x_outer * sum_alternating(
+        lambda k: (-1) ** k * float(k) ** -m_inner * outer_tail(m_outer, x_outer, k + 1), tol)
 
-    if x_inner == 1.0 and m_inner == 1:
-        # inner partial sum is the harmonic number, real-evaluable as is
-        psi_one = psi_point(1.0)
-        if x_outer == 1.0:
-            return sum_tail(lambda k: (psi_point(k) - psi_one) * k ** (-m_outer),
-                            part_tol, m_outer,
-                            direct=(partial(psi_table, 0.0, 1.0), 1, 0, -m_outer))
-        return sum_alternating(
-            lambda k: (-1) ** k * (psi_point(float(k)) - psi_one) * float(k) ** (-m_outer),
-            part_tol)
 
-    if x_inner == 1.0:
-        # partial sum = zeta(m_inner) - U(k), U smooth and positive
-        limit = zeta_num(m_inner)
-        outer_full = zeta_num(m_outer) if x_outer == 1.0 else -eta_num(m_outer)
-        if x_outer == 1.0:
-            corr = sum_tail(lambda k: _hurwitz_tail(m_inner, k) * k ** (-m_outer),
-                            part_tol, m_outer + m_inner - 1)
-        else:
-            corr = sum_alternating(
-                lambda k: (-1) ** k * _hurwitz_tail(m_inner, float(k)) * float(k) ** (-m_outer),
-                part_tol)
-        return limit * outer_full - corr
-
-    # x_inner == -1
-    if x_outer == -1.0:
-        # outer index first: sum_{k2>k} (-1)^k2 k2^-m_outer = (-1)^{k+1} V(k+1),
-        # whose sign cancels the inner (-1)^k, leaving a monotone series
-        return -sum_tail(lambda k: k ** (-m_inner) * _alternating_tail(m_outer, k + 1),
-                         part_tol, m_outer + m_inner,
-                         direct=(partial(alternating_tail_table, m_outer), 1, 0, -m_inner))
-    # x_outer == 1: partial sum = A - (-1)^k V(k), V smooth and positive
-    corr = sum_alternating(
-        lambda k: (-1) ** k * _alternating_tail(m_inner, float(k)) * float(k) ** (-m_outer),
-        part_tol)
-    return -eta_num(m_inner) * zeta_num(m_outer) - corr
+def _mpl2_geometric(m_outer: int, m_inner: int, x_outer: float, ratio: float) -> float:
+    """sum_{k>=1} ratio^k k^-m_inner T(k+1) for 0 < r = |ratio| < 1.  T falls
+    and T(y) <= 2 y^-e (e = m_outer - 1 at x_outer = 1, m_outer at -1), so
+    the terms past the n-th add at most 2 r^(n+1) (n+1)^-m_inner (n+2)^-e
+    / (1 - r); n, the least count that puts this below 1e-16 of the first
+    term r T(2), is found first, and past 40,000 the sum fails at once."""
+    r, e = abs(ratio), m_outer - (x_outer == 1.0)
+    rate = -math.log(r)
+    need = -math.log(5e-17 * (1.0 - r) * max(outer_tail(m_outer, x_outer, 2), 1e-300))
+    n = max(1, math.ceil(need / rate))
+    while (fewer := max(1, math.ceil(
+            (need - m_inner * math.log(n + 1) - e * math.log(n + 2)) / rate))) < n:
+        n = fewer
+    if n > 40000:
+        raise ConvergenceError(f"multiple polylog series needs {n} terms, past its 40000")
+    ks = range(1, n + 1)
+    powers = map(mul, map(pow, repeat(ratio), ks), map(pow, ks, repeat(-m_inner)))
+    return math.fsum(map(mul, powers, outer_tail_table(m_outer, x_outer, 1, n + 1)))
 
 
 def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
-    total = 0.0
-    inner = 0.0
-    powi = 1.0
-    powo = x_outer
+    """The defining sum for |x_outer| = q < 1.  Past the term at k2 = n, each
+    later inner term adds at most 1/n to the inner sum of absolute values A,
+    so the rest is at most q^n n^-m_outer q/(1-q) (A + 1/(n(1-q)))."""
+    q, terms = abs(x_outer), []
+    total = inner = size = 0.0
+    powi, powo = 1.0, x_outer
     for k2 in range(2, 40000):
         powi *= x_inner
-        inner += powi / float(k2 - 1) ** m_inner
-        powo *= x_outer
-        t = powo * inner / float(k2) ** m_outer
-        total += t
-        if abs(t) < ORACLE_TOL * 1e-3 and k2 > 30:
-            return total
-    raise ConvergenceError("multiple polylog direct sum stalled", partial=total)
-
-
-def _mpl2_outer_first(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
-    """sum_{k>=1} x_inner^k k^-m_inner T(k+1) for |x_inner| < 1 = |x_outer|,
-    with T(k+1) = sum_{k2>k} x_outer^k2 k2^-m_outer: a Hurwitz tail at
-    x_outer = 1, (-1)^{k+1} V(k+1) at x_outer = -1.  |T| falls with k, so
-    once a term is t the rest is at most |t| |x_inner| / (1 - |x_inner|)."""
-    rest = abs(x_inner) / (1.0 - abs(x_inner))
-    terms = []
-    powi = 1.0
-    for k in range(1, 40000):
-        powi *= x_inner
-        tail = (_hurwitz_tail(m_outer, k + 1.0) if x_outer == 1.0
-                else (-1) ** (k + 1) * _alternating_tail(m_outer, k + 1.0))
-        terms.append(powi * tail / float(k) ** m_inner)
-        if abs(terms[-1]) * rest < ORACLE_TOL * 1e-3 and k > 30:
+        step = powi / float(k2 - 1) ** m_inner
+        inner, size, powo = inner + step, size + abs(step), powo * x_outer
+        scale = powo / float(k2) ** m_outer
+        terms.append(scale * inner)
+        total += terms[-1]
+        if abs(scale) * q / (1.0 - q) * (size + 1.0 / (k2 * (1.0 - q))) <= _EPS * abs(total):
             return math.fsum(terms)
-    raise ConvergenceError("multiple polylog outer-first sum stalled", partial=math.fsum(terms))
+    raise ConvergenceError("multiple polylog direct sum stalled", partial=math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ floats per depth asked for).  Within a call, sum_tail keeps its direct
 terms across the doublings of its cutoff and sum_alternating its terms
 across its deepenings, so each index is evaluated once.  A sum_tail caller
 whose terms are weight(k) * base(k)^e passes them as ``direct``: each
-doubling's direct terms are then one map over a memoized per-index table of
-the weights (digamma.psi_table, special.alternating_tail_table) and one
-map(pow, ...) over the bases, and the term callable is called only for the
-Euler-Maclaurin tail.
+doubling's direct terms are then one map over a per-index table of the
+weights (digamma.psi_table, memoized per block; special.outer_tail_table,
+sliced from memoized blocks) and one map(pow, ...) over the bases, and the
+term callable is called only for the Euler-Maclaurin tail.
 """
 
 from __future__ import annotations

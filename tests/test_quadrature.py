@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog import digamma, quadrature, special
+from polylog import quadrature, special
 from polylog.errors import DomainError
 from polylog.ipq import Family, ipq_numeric
 from polylog.lognm import lognm_numeric
@@ -245,7 +245,7 @@ def test_node_columns_are_thread_safe():
 
     interval = sys.getswitchinterval()
     for fn in (nodes, log_power, li_column, special._inverse_powers,
-               special.alternating_tail_table, digamma.psi_table, digamma.psi_point):
+               special._tail_series, special._tail_block):
         fn.cache_clear()
     sys.setswitchinterval(1e-6)
     try:

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog import digamma, special, summation
+from polylog import special, summation
 from polylog.closedform import ClosedForm, LN2
-from polylog.errors import DomainError
+from polylog.errors import ConvergenceError, DomainError
 from polylog.quadrature import LEFT, ORACLE_TOL, RIGHT, WHOLE, integrate01, log1m, nodes
 from polylog.sigma import cf_num
-from polylog.special import (_alternating_tail, _li_series, li_column, li_moment, li_neg,
-                             li_pos, mpl2, nielsen_num, polylog)
+from polylog.special import (_li_series, li_column, li_moment, li_neg, li_pos, mpl2,
+                             nielsen_num, outer_tail, polylog)
 from polylog.summation import zeta_num
 
 from conftest import eta_brute, li_half_brute, pointwise, zeta_brute
@@ -186,16 +186,44 @@ _MPL2_UNIT_OUTER = {
 
 def test_mpl2_unit_outer_and_interior_inner_against_references():
     for args, ref in _MPL2_UNIT_OUTER.items():
-        assert abs(mpl2(*args) - ref) <= 2e-14 * abs(ref), args
+        assert abs(mpl2(*args) - ref) <= 1e-15 * abs(ref), args
 
 
 def test_mpl2_unit_outer_and_interior_inner_meet_the_stuffle_identity():
     # mpl2(a,b,x,y) + mpl2(b,a,y,x) + Li_{a+b}(xy) = Li_a(x) Li_b(y); the
-    # swapped sum has its outer argument inside the disc
-    for a, b, x, y in ((2, 2, 1.0, 0.5), (1, 2, -1.0, 0.5), (2, 3, -1.0, -0.7),
-                       (3, 2, 1.0, -0.3)):
+    # swapped sum has its outer argument inside the disc, or on the circle
+    # too when both arguments are +-1 (each weight 1 needs its argument -1)
+    unit = [(a, b, x, y) for a in range(1, 5) for b in range(1, 5)
+            for x in (1.0, -1.0) for y in (1.0, -1.0)
+            if (a >= 2 or x == -1.0) and (b >= 2 or y == -1.0)]
+    for a, b, x, y in [(2, 2, 1.0, 0.5), (1, 2, -1.0, 0.5), (2, 3, -1.0, -0.7),
+                       (3, 2, 1.0, -0.3)] + unit:
         lhs = mpl2(a, b, x, y) + mpl2(b, a, y, x) + polylog(a + b, x * y)
         assert abs(lhs - polylog(a, x) * polylog(b, y)) <= 1e-14, (a, b, x, y)
+
+
+def test_mpl2_unit_outer_fails_fast_past_its_term_budget():
+    # the geometric bound asks for about 92,000 terms at x_inner = 0.9999;
+    # the sum raises having read only T(2), from the first block of tails
+    special._tail_block.cache_clear()
+    with pytest.raises(ConvergenceError):
+        mpl2(2, 1, -1.0, 0.9999)
+    assert special._tail_block.cache_info().currsize == 1
+
+
+# mpl2 with |x_outer| < 1 next to the unit circle, to 32 digits: the defining
+# sum and the outer-first order, each summed at 45 digits by mpmath to 110,000
+# terms, agree to 1e-43
+_MPL2_NEAR_UNIT_OUTER = {
+    (2, 1, 0.999, 1.0): 1.1702768164100613917983079373015,
+    (2, 2, 0.999, 0.5): 0.34830824045920753681841505749650,
+}
+
+
+def test_mpl2_near_unit_outer_against_references():
+    # the direct sum stops on a bound for its whole rest, not on one small term
+    for args, ref in _MPL2_NEAR_UNIT_OUTER.items():
+        assert abs(mpl2(*args) - ref) <= 1e-14 * abs(ref), args
 
 
 def test_mpl2_divergent_configurations():
@@ -221,22 +249,29 @@ def test_mpl2_integral_identities():
 
 
 # mpl2 at the arguments the ipq.low-order.* verify entries ask for (p = 2..4),
-# at ORACLE_TOL = 1e-12, as computed before the digamma points, CVZ weights and
-# alternating terms were computed once; the three doubly alternating values
-# (1, p, -1, -1) as computed once the outer index is summed first
-_MPL2_LOW_ORDER = [
-    ((1, 2, -1.0, -1.0), -0.3888958461681061), ((1, 2, -1.0, 1.0), 0.2695764795315243),
-    ((2, 1, 1.0, 1.0), 1.2020569031595942), ((2, 1, -1.0, 1.0), 0.15025711289494922),
-    ((1, 3, -1.0, -1.0), -0.33954546908735955), ((1, 3, -1.0, 1.0), 0.2866757544385379),
-    ((3, 1, 1.0, 1.0), 0.27058080842778454), ((3, 1, -1.0, 1.0), 0.08778567156865533),
-    ((1, 4, -1.0, -1.0), -0.3213520120787816), ((1, 4, -1.0, 1.0), 0.2961865271853784),
-    ((4, 1, 1.0, 1.0), 0.0965511599894437), ((4, 1, -1.0, 1.0), 0.04893639704996907),
-]
+# to 32 digits: the closed forms those entries compare with (zeta(p) ln 2 +
+# I+-(p-1,1), Li_p(-1) ln 2 + I-(p-1,1), -I+(1,p-1) - zeta(p+1) and
+# -I+-(1,p-1) + (1-2^-p) zeta(p+1)) and mpmath quadratures of their defining
+# integrals, both at 45 digits, agree to 1e-45
+_MPL2_LOW_ORDER = {
+    (1, 2, -1.0, -1.0): -0.38889584616810632909974350804769,
+    (1, 2, -1.0, 1.0): 0.26957647953152780738735538911831,
+    (2, 1, 1.0, 1.0): 1.2020569031595942853997381615114,
+    (2, 1, -1.0, 1.0): 0.15025711289494928567496727018893,
+    (1, 3, -1.0, -1.0): -0.33954546908735986959066784846086,
+    (1, 3, -1.0, 1.0): 0.28667575443853831023557074207706,
+    (3, 1, 1.0, 1.0): 0.27058080842778454787900092413529,
+    (3, 1, -1.0, 1.0): 0.087785671568655302036593294997762,
+    (1, 4, -1.0, -1.0): -0.32135201207878197700381936288068,
+    (1, 4, -1.0, 1.0): 0.29618652718537891387260905894056,
+    (4, 1, 1.0, 1.0): 0.096551159989443734465645531428943,
+    (4, 1, -1.0, 1.0): 0.048936397049969063360742748640876,
+}
 
 
-def test_mpl2_low_order_values_are_unchanged():
-    for args, value in _MPL2_LOW_ORDER:
-        assert mpl2(*args) == value, args
+def test_mpl2_low_order_values_against_references():
+    for args, ref in _MPL2_LOW_ORDER.items():
+        assert abs(mpl2(*args) - ref) <= 1e-15 * abs(ref), args
 
 
 # mpl2(1, p, -1, -1) to 32 digits: -sum_k k^-p [psi((k+2)/2) - psi((k+1)/2)]/2
@@ -253,8 +288,9 @@ def test_mpl2_doubly_alternating_against_references():
         assert abs(mpl2(1, p, -1.0, -1.0) - ref) <= 2e-15 * abs(ref), p
 
 
-# (ln^2 2 - pi^2/6)/2 = mpl2(1, 1, -1, -1), and V_1(x) = [psi((x+1)/2) -
-# psi(x/2)]/2, to 32 digits (mpmath at 40 digits)
+# (ln^2 2 - pi^2/6)/2 = mpl2(1, 1, -1, -1), and the alternating outer tail
+# V_1(x) = sum_{i>=0} (-1)^i / (x + i) = [psi((x+1)/2) - psi(x/2)]/2, to 32
+# digits (mpmath at 40 digits)
 _MPL2_WEIGHT_TWO = -0.58224052646501250590265632015968
 _V1_REFERENCES = {
     31: 0.016389042868547467908687450562792,
@@ -265,17 +301,30 @@ _V1_REFERENCES = {
 
 
 def test_mpl2_doubly_alternating_weight_one_against_reference():
-    # thousands of 1/k^2 terms with the alternating tail V_1(k+1): its
-    # asymptotic series from x = 32 on keeps them from losing digits
+    # thousands of 1/k^2 terms with the alternating tail V_1(k+1), whose
+    # values at the integers are rounded once from their exact run-down
     assert abs(mpl2(1, 1, -1.0, -1.0) - _MPL2_WEIGHT_TWO) <= 1e-15 * abs(_MPL2_WEIGHT_TWO)
     for x, ref in _V1_REFERENCES.items():
-        tol = 1e-14 if x < 32 else 2e-16
-        assert abs(_alternating_tail(1, x) - ref) <= tol * ref, x
+        assert abs(outer_tail(1, -1.0, x) - ref) <= 2e-16 * ref, x
+
+
+def test_outer_tail_matches_its_direct_sum_up_to_high_weight():
+    # m = 120 runs its blocks in fixed point too wide for float() and
+    # divides instead; both roads round each value once.  The direct sum is
+    # a correctly rounded sum of rounded terms, so within an ulp or so; the
+    # subnormal values near the anchors at m = 120 have no digits to compare
+    for m in (12, 120):
+        for x in (1.0, -1.0):
+            first = special._tail_series(m, x)[0]
+            for y in [*range(1, first + 40, 7), first - 3.5, first + 0.5]:
+                ref = math.fsum(x ** i * (y + i) ** -m for i in range(4000))
+                if abs(ref) > 1e-290:
+                    assert abs(outer_tail(m, x, y) - ref) <= 1e-15 * abs(ref), (m, x, y)
 
 
 def test_shared_series_caches_are_thread_safe():
     def work():
-        return [mpl2(*args) for args, _ in _MPL2_LOW_ORDER[:4]]
+        return [mpl2(*args) for args in list(_MPL2_LOW_ORDER)[:4]]
 
     expected = work()
     results = [None] * 8
@@ -284,8 +333,8 @@ def test_shared_series_caches_are_thread_safe():
         results[slot] = work()
 
     interval = sys.getswitchinterval()
-    digamma.psi_point.cache_clear()
-    summation._cvz_weights.cache_clear()
+    for fn in (special._tail_series, special._tail_block, summation._cvz_weights):
+        fn.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
@@ -356,8 +405,8 @@ def test_li_series_matches_reference_loop_bit_for_bit():
 
 
 def test_table_driven_direct_terms_equal_the_term_callable(monkeypatch):
-    # mpl2's harmonic and doubly alternating branches hand sum_tail a table
-    # of weights and a power of the index; each direct term must be the
+    # mpl2's series with x_inner x_outer = 1 hands sum_tail a table of
+    # outer tails and a power of the index; each direct term must be the
     # term callable's value at k, and the sum the same as without the table
     captured = []
     tail = summation.sum_tail
