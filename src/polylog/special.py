@@ -31,6 +31,7 @@ orders asked for times that node set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
 from itertools import count, repeat
@@ -228,8 +229,6 @@ def _tail_block(m: int, x_outer: float, anchor: int) -> tuple[float, ...]:
     sign, accs = int(x_outer), [acc]
     for y in range(anchor - 1, low - 1, -1):
         accs.append(acc := one // y ** m + sign * acc)
-    if scale < 1000:  # float() rounds once and 2^-scale scales exactly
-        return tuple(map(mul, map(float, reversed(accs)), repeat(2.0 ** -scale)))
     return tuple(map(truediv, reversed(accs), repeat(one)))
 
 
@@ -279,10 +278,10 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
         raise DomainError("multiple polylog arguments must lie in [-1, 1]")
     if m_outer < 1 or m_inner < 1:
         raise DomainError("multiple polylog weights must be >= 1")
-    if m_outer == 1 and x_outer != -1.0:
-        raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
     if x_outer == 0.0 or x_inner == 0.0:
         return 0.0
+    if m_outer == 1 and x_outer != -1.0:
+        raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
     if abs(x_outer) < 1.0:
         return _mpl2_direct(m_outer, m_inner, x_outer, x_inner)
     ratio = x_inner * x_outer
@@ -308,10 +307,9 @@ def _mpl2_geometric(m_outer: int, m_inner: int, x_outer: float, ratio: float) ->
     r, e = abs(ratio), m_outer - (x_outer == 1.0)
     rate = -math.log(r)
     need = -math.log(5e-17 * (1.0 - r) * max(outer_tail(m_outer, x_outer, 2), 1e-300))
-    n = max(1, math.ceil(need / rate))
-    while (fewer := max(1, math.ceil(
-            (need - m_inner * math.log(n + 1) - e * math.log(n + 2)) / rate))) < n:
-        n = fewer
+    # the least n with n rate + m_inner ln(n+1) + e ln(n+2) >= need, which grows with n
+    n = 1 + bisect_left(range(1, max(1, math.ceil(need / rate)) + 1), need, key=lambda n: (
+        n * rate + m_inner * math.log(n + 1) + e * math.log(n + 2)))
     if n > 40000:
         raise ConvergenceError(f"multiple polylog series needs {n} terms, past its 40000")
     ks = range(1, n + 1)

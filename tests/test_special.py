@@ -156,6 +156,8 @@ def test_mpl2_zeta21():
 
 def test_mpl2_zero_argument():
     assert mpl2(3, 2, 0.0, 1.0) == 0.0
+    # the series is 0 term by term, so no weight makes it diverge
+    assert mpl2(1, 2, 0.0, 0.5) == 0.0
 
 
 def test_mpl2_alternating_cases_match_brute():
@@ -176,11 +178,15 @@ def test_mpl2_interior_arguments():
 
 # mpl2 with |x_inner| < 1 = |x_outer| to 32 digits: sum_k x_inner^k k^-m_inner
 # T(k+1) with the outer tail T(k+1) = sum_{k2>k} x_outer^k2 k2^-m_outer, run up
-# from T(2) = Li_m(x_outer) - x_outer, summed at 50 digits by mpmath
+# from T(2) = Li_m(x_outer) - x_outer, summed at 50 digits or more by mpmath
 _MPL2_UNIT_OUTER = {
     (2, 2, 1.0, 0.5): 0.35228267839753708837784718983456,
     (1, 2, -1.0, 0.5): 0.14296025157172716584492349670129,
     (2, 1, -1.0, 0.999): 0.15012777666560946079358572763933,
+    # weights at which ln(n) in the geometric bound outweighs n ln(1/x_inner)
+    (3, 3, 1.0, 0.999): 0.21357007869752186445746412949533,
+    (2, 3, 1.0, 0.99): 0.70346764205539096779814784439767,
+    (4, 4, 1.0, 0.9999): 0.083664597050859442020641159132354,
 }
 
 
@@ -197,13 +203,13 @@ def test_mpl2_unit_outer_and_interior_inner_meet_the_stuffle_identity():
             for x in (1.0, -1.0) for y in (1.0, -1.0)
             if (a >= 2 or x == -1.0) and (b >= 2 or y == -1.0)]
     for a, b, x, y in [(2, 2, 1.0, 0.5), (1, 2, -1.0, 0.5), (2, 3, -1.0, -0.7),
-                       (3, 2, 1.0, -0.3)] + unit:
+                       (3, 2, 1.0, -0.3), (3, 3, 1.0, 0.999), (2, 3, 1.0, 0.99)] + unit:
         lhs = mpl2(a, b, x, y) + mpl2(b, a, y, x) + polylog(a + b, x * y)
         assert abs(lhs - polylog(a, x) * polylog(b, y)) <= 1e-14, (a, b, x, y)
 
 
 def test_mpl2_unit_outer_fails_fast_past_its_term_budget():
-    # the geometric bound asks for about 92,000 terms at x_inner = 0.9999;
+    # the geometric bound asks for 131,195 terms at x_inner = 0.9999;
     # the sum raises having read only T(2), from the first block of tails
     special._tail_block.cache_clear()
     with pytest.raises(ConvergenceError):
@@ -309,9 +315,9 @@ def test_mpl2_doubly_alternating_weight_one_against_reference():
 
 
 def test_outer_tail_matches_its_direct_sum_up_to_high_weight():
-    # m = 120 runs its blocks in fixed point too wide for float() and
-    # divides instead; both roads round each value once.  The direct sum is
-    # a correctly rounded sum of rounded terms, so within an ulp or so; the
+    # each block value is one correctly rounded division of fixed-point
+    # integers.  The direct sum is a correctly rounded sum of rounded terms,
+    # so within an ulp or so; the
     # subnormal values near the anchors at m = 120 have no digits to compare
     for m in (12, 120):
         for x in (1.0, -1.0):
