@@ -78,10 +78,8 @@ def polylog_derivative_at_minus1(p: int, k: int) -> ClosedForm:
 
 @cache
 def _derivative_cf(p: int, k: int) -> ClosedForm:
-    out = ClosedForm.zero()
-    for j in range(1, k + 1):
-        out = out + Fraction(stirling1(k, j)) * _alt_zeta_closed(p - j)
-    return out
+    return ClosedForm.combination((stirling1(k, j), _alt_zeta_closed(p - j), None)
+                                  for j in range(1, k + 1))
 
 
 def s_minus_truncated(p: int, kt: int) -> ClosedForm:
@@ -97,7 +95,6 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     if kt < 1:
         raise DomainError("requires kt >= 1")
     _check_kt(kt)
-    out = ClosedForm.zero()
-    for k in range(1, kt + 1):
-        out = out + Fraction((-1) ** (k + 1), k * math.factorial(k)) * _derivative_cf(p, k)
-    return out
+    return ClosedForm.combination(
+        (Fraction((-1) ** (k + 1), k * math.factorial(k)), _derivative_cf(p, k), None)
+        for k in range(1, kt + 1))

@@ -151,8 +151,11 @@ class ClosedForm:
     and ends with one variadic ``math.gcd``, where a map of ``Fraction``
     values would pay a gcd per coefficient.  Its results are built by
     ``_reduced`` and ``_canonical``, which skip the public constructor's
-    per-coefficient checks.  ``terms`` and ``coefficient`` hand out
-    ``Fraction`` values.
+    per-coefficient checks.  The builders fold a whole display,
+    sum c * a * b over its terms, with ``combination``: one lcm, the integer
+    numerators summed in one dict, and one gcd in total, where a chain of
+    operators builds a form and pays a gcd at every step.  ``terms`` and
+    ``coefficient`` hand out ``Fraction`` values.
 
     ``evaluate`` divides each numerator by ``_den``.  That int/int division
     is correctly rounded, as ``float(Fraction)`` is, so each term's float
@@ -190,6 +193,32 @@ class ClosedForm:
             num = {m: c // g for m, c in num.items()}
             den //= g
         return cls._canonical(num, den)
+
+    @classmethod
+    def combination(cls, terms) -> "ClosedForm":
+        """sum c * a * b over triples (c, a, b): c an int or Fraction, a a
+        form, b a form or None (then the term is c * a).
+
+        One lcm over the terms' denominators, the integer numerators summed
+        in one dict, and one variadic gcd in _reduced.
+        """
+        terms = tuple(terms)
+        dens = [c.denominator * a._den * (1 if b is None else b._den) for c, a, b in terms]
+        den = math.lcm(*dens)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for (c, a, b), d in zip(terms, dens):
+            s = c.numerator * (den // d)
+            if b is None:
+                for m, n in a._num.items():
+                    acc[m] = get(m, 0) + s * n
+            else:
+                for m1, n1 in a._num.items():
+                    n1 *= s
+                    for m2, n2 in b._num.items():
+                        m = monomial_mul(m1, m2)
+                        acc[m] = get(m, 0) + n1 * n2
+        return cls._reduced({m: n for m, n in acc.items() if n}, den)
 
     # -- constructors -----------------------------------------------------
 

@@ -53,10 +53,9 @@ def s_plus(r: int) -> ClosedForm:
     if r < 2:
         raise DomainError("S+ requires order >= 2")
     _check_weight(r + 1)
-    out = Fraction(r + 2, 2) * zeta_closed(r + 1)
-    for mu in range(1, r - 1):
-        out = out - Fraction(1, 2) * zeta_closed(mu + 1) * zeta_closed(r - mu)
-    return out
+    return ClosedForm.combination(
+        [(Fraction(r + 2, 2), zeta_closed(r + 1), None)]
+        + [(Fraction(-1, 2), zeta_closed(mu + 1), zeta_closed(r - mu)) for mu in range(1, r - 1)])
 
 
 @cache
@@ -77,20 +76,20 @@ def jordan_even(which: str, r: int) -> ClosedForm:
         raise DomainError("even-order Jordan form needs even r >= 2; "
                           "odd orders go through jordan_nielsen")
     _check_weight(r + 1)
-    n = r // 2
+    top = 2 ** (r + 1)
     if which == "J1":
-        out = Fraction(-1, 2) * (1 - Fraction(1, 2 ** (2 * n + 1))) * zeta_closed(2 * n + 1)
-        out = out + ClosedForm.atom(LN2) \
-            * (1 - Fraction(1, 2 ** (2 * n))) * zeta_closed(2 * n)
-        for mu in range(1, n):
-            out = out - Fraction(2 ** (2 * mu) - 1, 2 ** (2 * n + 1)) \
-                * zeta_closed(2 * mu) * zeta_closed(2 * n + 1 - 2 * mu)
-        return out
-    out = Fraction(1, 2) * (1 - Fraction(1, 2 ** (2 * n + 1))) * zeta_closed(2 * n + 1)
-    for mu in range(1, n):
-        out = out - (Fraction(1, 2 ** (2 * mu)) - Fraction(1, 2 ** (2 * n + 1))) \
-            * zeta_closed(2 * mu) * zeta_closed(2 * n + 1 - 2 * mu)
-    return out
+        # -(1 - 2^-(r+1))/2 zeta(r+1) + (1 - 2^-r) ln2 zeta(r)
+        #   - sum_mu (2^{2mu} - 1)/2^{r+1} zeta(2mu) zeta(r+1-2mu)
+        terms = [(Fraction(1 - top, 2 * top), zeta_closed(r + 1), None),
+                 (Fraction(2 ** r - 1, 2 ** r), ClosedForm.atom(LN2), zeta_closed(r))]
+        coeff = [Fraction(1 - 4 ** mu, top) for mu in range(1, r // 2)]
+    else:
+        # (1 - 2^-(r+1))/2 zeta(r+1) - sum_mu (2^{-2mu} - 2^-(r+1)) zeta(2mu) zeta(r+1-2mu)
+        terms = [(Fraction(top - 1, 2 * top), zeta_closed(r + 1), None)]
+        coeff = [Fraction(4 ** mu - top, top * 4 ** mu) for mu in range(1, r // 2)]
+    return ClosedForm.combination(
+        terms + [(c, zeta_closed(2 * mu), zeta_closed(r + 1 - 2 * mu))
+                 for mu, c in enumerate(coeff, start=1)])
 
 
 @cache
@@ -99,18 +98,19 @@ def milgram(r: int) -> ClosedForm:
     if r < 2:
         raise DomainError("M requires order >= 2")
     _check_weight(r + 1)
-    out = Fraction(r, 2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1) \
-        - ClosedForm.atom(LN2) * (1 - Fraction(1, 2 ** r)) * zeta_closed(r)
-    if r % 2:
-        half = (r + 1) // 2
-        if half >= 2:
-            sq = (1 - Fraction(1, 2 ** half)) * zeta_closed(half)
-            out = out - Fraction(1, 2) * sq * sq
-    for mu in range(0, (r - 4 - r % 2) // 2 + 1):
-        out = out - Fraction(2 ** (mu + 2) - 1, 2) \
-            * zeta_closed(mu + 2) * (Fraction(1, 2 ** (mu + 1)) - Fraction(1, 2 ** r)) \
-            * zeta_closed(r - 1 - mu)
-    return out
+    # r/2 (1 - 2^-(r+1)) zeta(r+1) - (1 - 2^-r) ln2 zeta(r)
+    #   - [r odd] (1 - 2^-h)^2 zeta(h)^2 / 2 at h = (r+1)/2
+    #   - sum_mu (2^(mu+2) - 1)/2 (2^-(mu+1) - 2^-r) zeta(mu+2) zeta(r-1-mu)
+    terms = [(Fraction(r * (2 ** (r + 1) - 1), 2 ** (r + 2)), zeta_closed(r + 1), None),
+             (Fraction(1 - 2 ** r, 2 ** r), ClosedForm.atom(LN2), zeta_closed(r))]
+    half = (r + 1) // 2
+    if r % 2 and half >= 2:
+        terms.append((Fraction(-(2 ** half - 1) ** 2, 2 ** (2 * half + 1)),
+                      zeta_closed(half), zeta_closed(half)))
+    terms += [(Fraction(-(2 ** (mu + 2) - 1) * (2 ** (r - 1 - mu) - 1), 2 ** (r + 1)),
+               zeta_closed(mu + 2), zeta_closed(r - 1 - mu))
+              for mu in range(0, (r - 4 - r % 2) // 2 + 1)]
+    return ClosedForm.combination(terms)
 
 
 @cache
@@ -129,8 +129,10 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     s = kolbig_snp(r - 1, 2)
     sig = sigma_tilde(r - 1, 2)
     if which == "J1":
-        return Fraction(1, 2) * (s - sig) - milgram(r)
-    return Fraction(1, 2) * ((1 - Fraction(1, 2 ** r)) * s + sig)
+        return ClosedForm.combination([(Fraction(1, 2), s, None), (Fraction(-1, 2), sig, None),
+                                       (-1, milgram(r), None)])
+    return ClosedForm.combination([(Fraction(2 ** r - 1, 2 ** (r + 1)), s, None),
+                                   (Fraction(1, 2), sig, None)])
 
 
 def s_minus_even_closed(r: int) -> ClosedForm:
@@ -141,8 +143,9 @@ def s_minus_even_closed(r: int) -> ClosedForm:
     """
     if r < 2 or r % 2:
         raise DomainError("even order required")
-    return (jordan_even("J2", r) - jordan_even("J1", r) + c_sum(r) - milgram(r)
-            - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
+    return ClosedForm.combination([
+        (1, jordan_even("J2", r), None), (-1, jordan_even("J1", r), None), (1, c_sum(r), None),
+        (-1, milgram(r), None), (Fraction(1 - 2 ** (r + 1), 2 ** (r + 1)), zeta_closed(r + 1), None)])
 
 
 @cache
@@ -156,7 +159,8 @@ def s_minus(r: int) -> ClosedForm:
     if r < 2:
         raise DomainError("S- requires order >= 2")
     _check_weight(r + 1)
-    return (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1) + sigma_tilde(r - 1, 2)
+    return ClosedForm.combination([(Fraction(1 - 2 ** r, 2 ** r), zeta_closed(r + 1), None),
+                                   (1, sigma_tilde(r - 1, 2), None)])
 
 
 @cache

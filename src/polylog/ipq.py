@@ -104,10 +104,8 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> floa
 def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
     """The R part of the telescoping solution of I(p,q-1) + I(p-1,q) = R(p,q):
     I(p,q) = (-1)^n I(p+n, q-n) + sum_{k<n} (-1)^k R(p+k+1, q-k)."""
-    out = ClosedForm.zero()
-    for k in range(n):
-        out = out + Fraction((-1) ** k) * r_value(family, p + k + 1, q - k)
-    return out
+    return ClosedForm.combination(((-1) ** k, r_value(family, p + k + 1, q - k), None)
+                                  for k in range(n))
 
 
 def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -> ClosedForm:
@@ -142,18 +140,22 @@ def _mu_sum(family: Family, p: int, q: int) -> ClosedForm:
 def _minus_named_part(r: int) -> ClosedForm:
     """The p-independent part of the minus family's display at weight r = p+q:
     2 [ln2 (2^-r - 1) zeta(r) + (1 - 2^{-r-1}) zeta(r+1)] + S-(r) - 2C(r) + 2J1(r)."""
-    return (ClosedForm.atom(LN2, 1, Fraction(2 - 2 ** (r + 1), 2 ** r)) * zeta_closed(r)
-            + Fraction(2 ** (r + 1) - 1, 2 ** r) * zeta_closed(r + 1)
-            + s_minus(r) - 2 * c_sum(r) + 2 * jordan_nielsen("J1", r))
+    return ClosedForm.combination([
+        (Fraction(2 - 2 ** (r + 1), 2 ** r), ClosedForm.atom(LN2), zeta_closed(r)),
+        (Fraction(2 ** (r + 1) - 1, 2 ** r), zeta_closed(r + 1), None),
+        (1, s_minus(r), None), (-2, c_sum(r), None), (2, jordan_nielsen("J1", r), None)])
 
 
 def _final_sum_form(family: Family, p: int, q: int) -> ClosedForm:
     """Final display in terms of the named sums S+/S-/C/J1/M."""
     r = p + q
     if family is Family.MINUS:
-        return _mu_sum(family, p, q) + (-1) ** p * _minus_named_part(r)
-    named = s_plus(r) if family is Family.PLUS else s_minus(r)
-    return _mu_sum(family, p, q) - (-1) ** p * named
+        named, sign = _minus_named_part(r), (-1) ** p
+    else:
+        named, sign = (s_plus(r) if family is Family.PLUS else s_minus(r)), (-1) ** (p + 1)
+    # two plain terms: one operator costs less than a combination
+    mu_sum = _mu_sum(family, p, q)
+    return mu_sum + named if sign > 0 else mu_sum - named
 
 
 def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
@@ -162,22 +164,19 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
     A second route to ipq_final, which verify checks term by term.
     """
     r = p + q
-    sign = Fraction((-1) ** p)
     if family is Family.PLUS:
-        body = _mu_sum(family, p, q) * sign - zeta_closed(r + 1) - kolbig_snp(r - 1, 2)
-        return sign * body
-    if family is Family.MIXED:
-        body = (_mu_sum(family, p, q) * sign
-                - Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r + 1)
-                - sigma_tilde(r - 1, 2))
-        return sign * body
-    body = (_mu_sum(family, p, q) * sign
-            + Fraction(2) * (ClosedForm.atom(LN2) * Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r))
-            + Fraction(2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1)
-            + (1 - Fraction(1, 2 ** r)) * kolbig_snp(r - 1, 2)
-            - zeta_closed(r + 1)
-            - 2 * milgram(r))
-    return sign * body
+        body = [(-1, zeta_closed(r + 1), None), (-1, kolbig_snp(r - 1, 2), None)]
+    elif family is Family.MIXED:
+        body = [(Fraction(2 ** r - 1, 2 ** r), zeta_closed(r + 1), None),
+                (-1, sigma_tilde(r - 1, 2), None)]
+    else:
+        body = [(Fraction(2 - 2 ** (r + 1), 2 ** r), ClosedForm.atom(LN2), zeta_closed(r)),
+                (Fraction(2 ** (r + 1) - 1, 2 ** r), zeta_closed(r + 1), None),
+                (Fraction(2 ** r - 1, 2 ** r), kolbig_snp(r - 1, 2), None),
+                (-1, zeta_closed(r + 1), None), (-2, milgram(r), None)]
+    # (-1)^p [(-1)^p mu_sum + body] = mu_sum + (-1)^p body
+    return ClosedForm.combination([(1, _mu_sum(family, p, q), None)]
+                                  + [((-1) ** p * c, a, b) for c, a, b in body])
 
 
 @cache

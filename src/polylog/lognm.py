@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .closedform import ClosedForm, LN2
+from .closedform import ClosedForm, LN2, monomial
 from .errors import DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
 from .seriesring import _check_weight as _check_series_weight, kolbig_snp
@@ -44,24 +44,23 @@ def i_star(n: int, m: int) -> ClosedForm:
     """i*(n,m): lattice-path solution with unit boundary on both axes."""
     if n == 0 or m == 0:
         return ClosedForm.one()
-    out = ClosedForm.rational(math.comb(n + m, n))
-    for a in range(1, n + 1):
-        for b in range(1, m + 1):
-            out = out - Fraction(math.comb(n - a + m - b, n - a)) * kolbig_snp(a, b)
-    return out
+    return ClosedForm.combination(
+        [(math.comb(n + m, n), ClosedForm.one(), None)]
+        + [(-math.comb(n - a + m - b, n - a), kolbig_snp(a, b), None)
+           for a in range(1, n + 1) for b in range(1, m + 1)])
 
 
 def i_closed(n: int, m: int) -> ClosedForm:
     """i(n,m) exactly, for n + m <= 6."""
     _check_weight(n, m)
-    return Fraction((-1) ** (n + m) * math.factorial(n) * math.factorial(m)) \
-        * i_star(n, m)
+    return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * i_star(n, m)
 
 
 def i_pde_residual(n: int, m: int) -> ClosedForm:
     """i*(n,m) - i*(n,m-1) - i*(n-1,m) + s_{n,m}; zero when all is well."""
     _check_weight(n, m)
-    return i_star(n, m) - i_star(n, m - 1) - i_star(n - 1, m) + kolbig_snp(n, m)
+    return ClosedForm.combination([(1, i_star(n, m), None), (-1, i_star(n, m - 1), None),
+                                   (-1, i_star(n - 1, m), None), (1, kolbig_snp(n, m), None)])
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +72,8 @@ def truncated_exp_ln2(m: int) -> ClosedForm:
     """e_m(-ln 2) = sum_{k=0}^{m} (-ln 2)^k / k!, exact in powers of ln 2."""
     if m < 0:
         raise DomainError("truncation order must be >= 0")
-    out = ClosedForm.zero()
-    for k in range(m + 1):
-        coeff = Fraction((-1) ** k, math.factorial(k))
-        out = out + (coeff if k == 0 else ClosedForm.atom(LN2, k, coeff))
-    return out
+    return ClosedForm({monomial((LN2, k)): Fraction((-1) ** k, math.factorial(k))
+                       for k in range(m + 1)})
 
 
 @cache
@@ -87,27 +83,25 @@ def h_star(n: int, m: int) -> ClosedForm:
         return ClosedForm.one()
     if n == 0:
         return 2 * truncated_exp_ln2(m) - 1
-    out = ClosedForm.rational(math.comb(n + m, n))
-    for mu in range(1, m + 1):
-        out = out + 2 * Fraction(math.comb(n + m - mu, n)) \
-            * ClosedForm.atom(LN2, mu, Fraction((-1) ** mu, math.factorial(mu)))
-    for nu in range(1, n + 1):
-        for mu in range(1, m + 1):
-            out = out + Fraction(math.comb(n - nu + m - mu, n - nu)) * sigma_tilde(nu, mu)
-    return out
+    return ClosedForm.combination(
+        [(math.comb(n + m, n), ClosedForm.one(), None)]
+        + [(Fraction(2 * (-1) ** mu * math.comb(n + m - mu, n), math.factorial(mu)),
+            ClosedForm.atom(LN2, mu), None) for mu in range(1, m + 1)]
+        + [(math.comb(n - nu + m - mu, n - nu), sigma_tilde(nu, mu), None)
+           for nu in range(1, n + 1) for mu in range(1, m + 1)])
 
 
 def h_closed(n: int, m: int) -> ClosedForm:
     """h(n,m) exactly for n + m <= 6 (weight-6 values carry sigma~ atoms)."""
     _check_weight(n, m)
-    return Fraction((-1) ** (n + m) * math.factorial(n) * math.factorial(m)) \
-        * h_star(n, m)
+    return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * h_star(n, m)
 
 
 def h_pde_residual(n: int, m: int) -> ClosedForm:
     """h*(n,m) - h*(n,m-1) - h*(n-1,m) - sigma~_{n,m}; zero when all is well."""
     _check_weight(n, m)
-    return h_star(n, m) - h_star(n, m - 1) - h_star(n - 1, m) - sigma_tilde(n, m)
+    return ClosedForm.combination([(1, h_star(n, m), None), (-1, h_star(n, m - 1), None),
+                                   (-1, h_star(n - 1, m), None), (-1, sigma_tilde(n, m), None)])
 
 
 def h_boundary_closed(m: int) -> ClosedForm:
@@ -175,10 +169,9 @@ def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
     itself a checkable relation.
     """
     w = n + m
-    rhs = ClosedForm.zero()
-    for k, c in enumerate(_relation_row(n, m), start=1):
-        rhs = rhs + c * sigma_tilde(k, w - k)
-    return Fraction((-1) ** w) * kolbig_snp(n, m) - rhs
+    return ClosedForm.combination(
+        [((-1) ** w, kolbig_snp(n, m), None)]
+        + [(-c, sigma_tilde(k, w - k), None) for k, c in enumerate(_relation_row(n, m), start=1)])
 
 
 def s_sigma_relation_matrix(weight: int):

@@ -37,10 +37,6 @@ def _li_half_cf(k: int) -> ClosedForm:
     return ClosedForm.atom(li_half_atom(k))
 
 
-def _ln2_pow(e: int) -> ClosedForm:
-    return ClosedForm.atom(LN2, e)
-
-
 class SigmaRegistry:
     __slots__ = ("closed", "relations")
 
@@ -61,66 +57,69 @@ def registry() -> SigmaRegistry:
     pi2 = ClosedForm.atom(PI, 2)
     pi4 = ClosedForm.atom(PI, 4)
     pi6 = ClosedForm.atom(PI, 6)
+    ln2 = [ClosedForm.atom(LN2, e) for e in range(7)]
 
     # sigma~_{n,1} = Li_{n+1}(-1), all n
     for n in range(1, 8):
         reg.closed[(n, 1)] = eta_factor_closed(n + 1)
 
+    # each display is one combination of (coefficient, factor, factor or None)
+    lin = ClosedForm.combination
     reg.closed[(1, 2)] = Fraction(1, 8) * z3
     # weight 4
-    reg.closed[(1, 3)] = (Fraction(-1, 90) * pi4
-                          - Fraction(1, 24) * pi2 * _ln2_pow(2)
-                          + Fraction(1, 24) * _ln2_pow(4)
-                          + Fraction(7, 8) * _ln2_pow(1) * z3
-                          + li4)
-    reg.closed[(2, 2)] = (Fraction(-1, 48) * pi4
-                          - Fraction(1, 12) * pi2 * _ln2_pow(2)
-                          + Fraction(1, 12) * _ln2_pow(4)
-                          + Fraction(7, 4) * _ln2_pow(1) * z3
-                          + 2 * li4)
+    reg.closed[(1, 3)] = lin([(Fraction(-1, 90), pi4, None),
+                              (Fraction(-1, 24), pi2, ln2[2]),
+                              (Fraction(1, 24), ln2[4], None),
+                              (Fraction(7, 8), ln2[1], z3),
+                              (1, li4, None)])
+    reg.closed[(2, 2)] = lin([(Fraction(-1, 48), pi4, None),
+                              (Fraction(-1, 12), pi2, ln2[2]),
+                              (Fraction(1, 12), ln2[4], None),
+                              (Fraction(7, 4), ln2[1], z3),
+                              (2, li4, None)])
     # weight 5
-    reg.closed[(1, 4)] = (z5
-                          - Fraction(7, 16) * _ln2_pow(2) * z3
-                          + Fraction(1, 36) * pi2 * _ln2_pow(3)
-                          - Fraction(1, 30) * _ln2_pow(5)
-                          - _ln2_pow(1) * li4
-                          - li5)
-    reg.closed[(2, 3)] = (Fraction(1, 12) * pi2 * z3
-                          + Fraction(33, 32) * z5
-                          - Fraction(7, 8) * _ln2_pow(2) * z3
-                          + Fraction(1, 18) * pi2 * _ln2_pow(3)
-                          - Fraction(1, 15) * _ln2_pow(5)
-                          - 2 * _ln2_pow(1) * li4
-                          - 2 * li5)
-    reg.closed[(3, 2)] = Fraction(1, 12) * pi2 * z3 - Fraction(29, 32) * z5
+    reg.closed[(1, 4)] = lin([(1, z5, None),
+                              (Fraction(-7, 16), ln2[2], z3),
+                              (Fraction(1, 36), pi2, ln2[3]),
+                              (Fraction(-1, 30), ln2[5], None),
+                              (-1, ln2[1], li4),
+                              (-1, li5, None)])
+    reg.closed[(2, 3)] = lin([(Fraction(1, 12), pi2, z3),
+                              (Fraction(33, 32), z5, None),
+                              (Fraction(-7, 8), ln2[2], z3),
+                              (Fraction(1, 18), pi2, ln2[3]),
+                              (Fraction(-1, 15), ln2[5], None),
+                              (-2, ln2[1], li4),
+                              (-2, li5, None)])
+    reg.closed[(3, 2)] = lin([(Fraction(1, 12), pi2, z3), (Fraction(-29, 32), z5, None)])
     # closed weight-6 entries.  The ln^3(2) zeta(3) coefficient is 7/48:
     # quadrature of the defining integral pins it to 14 digits.
-    reg.closed[(1, 5)] = (Fraction(-1, 945) * pi6
-                          - Fraction(1, 96) * pi2 * _ln2_pow(4)
-                          + Fraction(1, 72) * _ln2_pow(6)
-                          + Fraction(7, 48) * _ln2_pow(3) * z3
-                          + Fraction(1, 2) * _ln2_pow(2) * li4
-                          + _ln2_pow(1) * li5
-                          + li6)
+    reg.closed[(1, 5)] = lin([(Fraction(-1, 945), pi6, None),
+                              (Fraction(-1, 96), pi2, ln2[4]),
+                              (Fraction(1, 72), ln2[6], None),
+                              (Fraction(7, 48), ln2[3], z3),
+                              (Fraction(1, 2), ln2[2], li4),
+                              (1, ln2[1], li5),
+                              (1, li6, None)])
     # weights 7 and 9
-    reg.closed[(5, 2)] = (Fraction(1, 12) * pi2 * z5
-                          + Fraction(7, 720) * pi4 * z3
-                          - Fraction(251, 128) * zeta_closed(7))
-    reg.closed[(7, 2)] = (Fraction(1, 12) * pi2 * zeta_closed(7)
-                          + Fraction(7, 720) * pi4 * z5
-                          + Fraction(31, 30240) * pi6 * z3
-                          - Fraction(1529, 512) * zeta_closed(9))
+    reg.closed[(5, 2)] = lin([(Fraction(1, 12), pi2, z5),
+                              (Fraction(7, 720), pi4, z3),
+                              (Fraction(-251, 128), zeta_closed(7), None)])
+    reg.closed[(7, 2)] = lin([(Fraction(1, 12), pi2, zeta_closed(7)),
+                              (Fraction(7, 720), pi4, z5),
+                              (Fraction(31, 30240), pi6, z3),
+                              (Fraction(-1529, 512), zeta_closed(9), None)])
 
     # weight-6 relations among the open entries
-    rel1_rhs = (Fraction(-53, 15120) * pi6
-                - Fraction(1, 24) * pi2 * _ln2_pow(4)
-                + Fraction(1, 18) * _ln2_pow(6)
-                + Fraction(7, 12) * _ln2_pow(3) * z3
-                - Fraction(1, 2) * z3 * z3
-                + 2 * _ln2_pow(2) * li4
-                + 4 * _ln2_pow(1) * li5
-                + 4 * li6)
-    rel2_rhs = Fraction(1, 1512) * pi6 - Fraction(1, 2) * z3 * z3
+    rel1_rhs = lin([(Fraction(-53, 15120), pi6, None),
+                    (Fraction(-1, 24), pi2, ln2[4]),
+                    (Fraction(1, 18), ln2[6], None),
+                    (Fraction(7, 12), ln2[3], z3),
+                    (Fraction(-1, 2), z3, z3),
+                    (2, ln2[2], li4),
+                    (4, ln2[1], li5),
+                    (4, li6, None)])
+    rel2_rhs = lin([(Fraction(1, 1512), pi6, None), (Fraction(-1, 2), z3, z3)])
     reg.relations.append(({(2, 4): Fraction(2), (4, 2): Fraction(-1)}, rel1_rhs))
     reg.relations.append(({(3, 3): Fraction(2), (4, 2): Fraction(-3)}, rel2_rhs))
     return reg

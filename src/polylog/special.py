@@ -320,8 +320,18 @@ def _mpl2_geometric(m_outer: int, m_inner: int, x_outer: float, ratio: float) ->
 def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     """The defining sum for |x_outer| = q < 1.  Past the term at k2 = n, each
     later inner term adds at most 1/n to the inner sum of absolute values A,
-    so the rest is at most q^n n^-m_outer q/(1-q) (A + 1/(n(1-q)))."""
+    so the rest is at most q^n n^-m_outer q/(1-q) (A + 1/(n(1-q))).  That
+    bound is at least q^(n+1) n^-(m_outer+1) (1-q)^-2, and for |x_inner| <= 1
+    (A < n, m_outer >= 2) the sum is at most L = -ln(1-q).  So the loop stops
+    no sooner than the least n that brings the first below 2 _EPS L; that n is
+    found first, and past 40,000 the sum fails at once."""
     q, terms = abs(x_outer), []
+    rate, log_l = -math.log(q), math.log(-math.log1p(-q))
+    need = -math.log(2.0 * _EPS) - log_l - 2.0 * math.log1p(-q)
+    n = 1 + bisect_left(range(1, max(1, math.ceil(need / rate)) + 1), need,
+                        key=lambda n: (n + 1) * rate + (m_outer + 1) * math.log(n))
+    if n >= 40000:
+        raise ConvergenceError(f"multiple polylog series needs {n} terms, past its 40000")
     total = inner = size = 0.0
     powi, powo = 1.0, x_outer
     for k2 in range(2, 40000):

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import settings
@@ -35,6 +36,15 @@ def eta_brute(s: int, pairs: int = 50000) -> float:
 
 def li_half_brute(k: int) -> float:
     return math.fsum(2.0 ** (-j) * j ** (-float(k)) for j in range(1, 80))
+
+
+def clear_package_caches():
+    """Empty every functools cache of the package, for a cold build."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polylog"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.approx import (MAX_KT, _derivative_cf, _stirling_row,
+from polylog.approx import (MAX_KT, _alt_zeta_closed, _derivative_cf, _stirling_row,
                             polylog_derivative_at_minus1, s_minus_truncated,
                             stirling1)
-from polylog.closedform import (LN2, PI, UNIT, monomial, zeta_closed,
+from polylog.closedform import (ClosedForm, LN2, PI, UNIT, monomial, zeta_closed,
                                 zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
 from polylog.eulersums import sum_oracle
+from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import cf_num
 from polylog.special import polylog
 from polylog.verify import run_suite
@@ -145,6 +146,23 @@ def test_truncation_p5_kt10_exact_display():
         monomial((LN2, 1)): Fraction(1874237, 14515200),
     }
     assert s_minus_truncated(5, 10).terms == expected
+
+
+def _s_minus_truncated_reference(p, kt):
+    # the two Stirling sums folded one operator at a time
+    out = ClosedForm.zero()
+    for k in range(1, kt + 1):
+        derivative = ClosedForm.zero()
+        for j in range(1, k + 1):
+            derivative = derivative + Fraction(stirling1(k, j)) * _alt_zeta_closed(p - j)
+        out = out + Fraction((-1) ** (k + 1), k * math.factorial(k)) * derivative
+    return out
+
+
+def test_truncations_equal_the_operator_folds():
+    for p in (3, 5, 8, MAX_WEIGHT - 1):
+        for kt in (1, 2, 12, 30):
+            assert s_minus_truncated(p, kt) == _s_minus_truncated_reference(p, kt), (p, kt)
 
 
 def test_truncation_basis_stays_closed():

@@ -17,7 +17,7 @@ from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
 from polylog.errors import DomainError
 from polylog.seriesring import kolbig_snp
 
-from conftest import assert_frozen_value, zeta_brute
+from conftest import assert_frozen_value, clear_package_caches, zeta_brute
 
 
 # -- strategies --------------------------------------------------------------
@@ -250,6 +250,67 @@ def test_arithmetic_matches_the_fraction_reference(ta, tb, s, k):
         assert new.terms == ref.terms
         assert hash(new) == hash(ref)
         _assert_canonical(new)
+
+
+# -- the combination kernel against the operator fold --------------------------
+
+_triples = st.lists(st.tuples(_coeffs | st.integers(-30, 30), _closed_forms,
+                              st.none() | _closed_forms), max_size=6)
+
+
+@given(_triples, st.booleans())
+def test_combination_equals_the_operator_fold(terms, cancel):
+    if cancel:
+        # every term again with the opposite sign: the sum is exactly zero
+        terms = terms + [(-c, a, b) for c, a, b in terms]
+    fold = ClosedForm.zero()
+    for c, a, b in terms:
+        fold = fold + (c * a if b is None else c * a * b)
+    out = ClosedForm.combination(iter(terms))
+    assert (out._num, out._den) == (fold._num, fold._den)
+    _assert_canonical(out)
+    assert out.is_zero or not cancel
+
+
+def test_combination_of_nothing_is_zero():
+    for terms in ([], [(0, zeta_closed(3), None)],
+                  [(Fraction(1, 3), ClosedForm.zero(), zeta_closed(3))]):
+        out = ClosedForm.combination(terms)
+        assert (out._num, out._den) == ({}, 1)
+
+
+def test_exact_catalogue_builds_with_few_reductions(monkeypatch):
+    # a cold build of every exact-highweight closed form (the benchmark's
+    # catalogue to weight 12) folds each display with one reduction, not one
+    # per operator: 704 forms made by _canonical, where operator folds made 2,935
+    from polylog import eulersums, ipq, lognm
+    clear_package_caches()
+    count = 0
+    canonical = vars(ClosedForm)["_canonical"].__func__
+
+    def counted(cls, num, den):
+        nonlocal count
+        count += 1
+        return canonical(cls, num, den)
+    monkeypatch.setattr(ClosedForm, "_canonical", classmethod(counted))
+    for n in range(1, 12):
+        for p in range(1, 13 - n):
+            kolbig_snp(n, p, 12)
+    for fam in ipq.Family:
+        for p in range(1, 9):
+            for q in range(1, 10 - p):
+                ipq.ipq_final(fam, p, q)
+    for r in range(2, 10):
+        for fn in (eulersums.s_plus, eulersums.s_minus, eulersums.milgram, eulersums.c_sum):
+            fn(r)
+        for which in ("J1", "J2"):
+            eulersums.jordan_nielsen(which, r)
+    for n in range(1, 6):
+        for m in range(1, 7 - n):
+            for fn in (lognm.i_closed, lognm.h_closed, lognm.i_pde_residual,
+                       lognm.h_pde_residual):
+                fn(n, m)
+    assert count <= 1000
 
 
 # -- zeta / eta closed forms ---------------------------------------------------

@@ -8,6 +8,7 @@ from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram,
                                s_minus, s_minus_even_closed, s_plus, sum_oracle)
+from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import cf_num, sigma_tilde
 
 from conftest import li_half_brute, zeta_brute
@@ -113,6 +114,74 @@ def test_decomposition_identity():
                - sum_oracle("Milgram", r)
                - (1 - 2.0 ** (-r - 1)) * zeta_brute(r + 1))
         assert abs(lhs - rhs) <= 1e-10, r
+
+
+# -- the displays folded one operator at a time, as references -----------------
+
+
+def _s_plus_reference(r):
+    out = Fraction(r + 2, 2) * zeta_closed(r + 1)
+    for mu in range(1, r - 1):
+        out = out - Fraction(1, 2) * zeta_closed(mu + 1) * zeta_closed(r - mu)
+    return out
+
+
+def _jordan_even_reference(which, r):
+    n = r // 2
+    if which == "J1":
+        out = Fraction(-1, 2) * (1 - Fraction(1, 2 ** (2 * n + 1))) * zeta_closed(2 * n + 1)
+        out = out + ClosedForm.atom(LN2) \
+            * (1 - Fraction(1, 2 ** (2 * n))) * zeta_closed(2 * n)
+        for mu in range(1, n):
+            out = out - Fraction(2 ** (2 * mu) - 1, 2 ** (2 * n + 1)) \
+                * zeta_closed(2 * mu) * zeta_closed(2 * n + 1 - 2 * mu)
+        return out
+    out = Fraction(1, 2) * (1 - Fraction(1, 2 ** (2 * n + 1))) * zeta_closed(2 * n + 1)
+    for mu in range(1, n):
+        out = out - (Fraction(1, 2 ** (2 * mu)) - Fraction(1, 2 ** (2 * n + 1))) \
+            * zeta_closed(2 * mu) * zeta_closed(2 * n + 1 - 2 * mu)
+    return out
+
+
+def _milgram_reference(r):
+    out = Fraction(r, 2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1) \
+        - ClosedForm.atom(LN2) * (1 - Fraction(1, 2 ** r)) * zeta_closed(r)
+    if r % 2:
+        half = (r + 1) // 2
+        if half >= 2:
+            sq = (1 - Fraction(1, 2 ** half)) * zeta_closed(half)
+            out = out - Fraction(1, 2) * sq * sq
+    for mu in range(0, (r - 4 - r % 2) // 2 + 1):
+        out = out - Fraction(2 ** (mu + 2) - 1, 2) \
+            * zeta_closed(mu + 2) * (Fraction(1, 2 ** (mu + 1)) - Fraction(1, 2 ** r)) \
+            * zeta_closed(r - 1 - mu)
+    return out
+
+
+def _jordan_nielsen_reference(which, r):
+    s, sig = kolbig_snp(r - 1, 2), sigma_tilde(r - 1, 2)
+    if which == "J1":
+        return Fraction(1, 2) * (s - sig) - _milgram_reference(r)
+    return Fraction(1, 2) * ((1 - Fraction(1, 2 ** r)) * s + sig)
+
+
+def _s_minus_reference(r):
+    return (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1) + sigma_tilde(r - 1, 2)
+
+
+def test_sums_equal_the_operator_folds_to_the_ceiling():
+    for r in range(2, MAX_WEIGHT):
+        assert s_plus(r) == _s_plus_reference(r), r
+        assert milgram(r) == _milgram_reference(r), r
+        assert s_minus(r) == _s_minus_reference(r), r
+        for which in ("J1", "J2"):
+            assert jordan_nielsen(which, r) == _jordan_nielsen_reference(which, r), (which, r)
+        if r % 2 == 0:
+            j1, j2 = (_jordan_even_reference(which, r) for which in ("J1", "J2"))
+            assert (jordan_even("J1", r), jordan_even("J2", r)) == (j1, j2), r
+            assert s_minus_even_closed(r) == (
+                j2 - j1 + Fraction(1, 2 ** (r + 1)) * _s_plus_reference(r) - _milgram_reference(r)
+                - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1)), r
 
 
 def test_even_closed_forms_vs_oracles():

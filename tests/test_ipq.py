@@ -7,12 +7,12 @@ import pytest
 from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
 from polylog.errors import CapacityError, DomainError
-from polylog.eulersums import c_sum, jordan_nielsen, s_minus, s_plus
+from polylog.eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus
 from polylog.ipq import (Family, _reduction_route, ipq_final, ipq_numeric, ipq_series,
                          r_value, recurrence_shift)
 from polylog.quadrature import ORACLE_TOL, integrate01
-from polylog.seriesring import MAX_WEIGHT
-from polylog.sigma import cf_num
+from polylog.seriesring import MAX_WEIGHT, kolbig_snp
+from polylog.sigma import cf_num, sigma_tilde
 from polylog.special import li_neg, li_pos
 from polylog.verify import run_suite
 
@@ -180,6 +180,38 @@ def test_ipq_final_equals_the_direct_mu_loop_to_the_ceiling():
         for p in range(1, MAX_WEIGHT):
             for q in range(1, MAX_WEIGHT - p):
                 assert ipq_final(fam, p, q) == _final_sum_form_reference(fam, p, q), (fam, p, q)
+
+
+def _final_nielsen_form_reference(family, p, q):
+    # the Nielsen display folded one operator at a time
+    r = p + q
+    sign = Fraction((-1) ** p)
+    mu_sum = ipq._mu_sum(family, p, q)
+    if family is Family.PLUS:
+        return sign * (mu_sum * sign - zeta_closed(r + 1) - kolbig_snp(r - 1, 2))
+    if family is Family.MIXED:
+        return sign * (mu_sum * sign - Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r + 1)
+                       - sigma_tilde(r - 1, 2))
+    body = (mu_sum * sign
+            + Fraction(2) * (ClosedForm.atom(LN2) * Fraction(1 - 2 ** r, 2 ** r) * zeta_closed(r))
+            + Fraction(2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1)
+            + (1 - Fraction(1, 2 ** r)) * kolbig_snp(r - 1, 2)
+            - zeta_closed(r + 1)
+            - 2 * milgram(r))
+    return sign * body
+
+
+def test_nielsen_display_and_r_sums_equal_the_operator_folds_to_the_ceiling():
+    for fam in Family:
+        for p in range(1, MAX_WEIGHT):
+            for q in range(1, MAX_WEIGHT - p):
+                assert ipq._final_nielsen_form(fam, p, q) == \
+                    _final_nielsen_form_reference(fam, p, q), (fam, p, q)
+                # the longest telescoping sum in reach, n = q - 1
+                r_sum = ClosedForm.zero()
+                for k in range(q - 1):
+                    r_sum = r_sum + Fraction((-1) ** k) * r_value(fam, p + k + 1, q - k)
+                assert ipq._r_sum(fam, p, q, q - 1) == r_sum, (fam, p, q)
 
 
 def test_grid_closed_vs_numeric():

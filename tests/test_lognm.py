@@ -7,14 +7,14 @@ import pytest
 
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import CapacityError, DomainError
-from polylog.lognm import (TABLE_WEIGHT, h_boundary_closed, h_closed,
-                           h_pde_residual, i_closed, i_pde_residual,
-                           lognm_numeric, s_sigma_relation_matrix,
-                           s_sigma_relation_residual, sigma_weight6_count,
-                           truncated_exp_ln2)
+from polylog.lognm import (TABLE_WEIGHT, _relation_row, h_boundary_closed,
+                           h_closed, h_pde_residual, h_star, i_closed,
+                           i_pde_residual, i_star, lognm_numeric,
+                           s_sigma_relation_matrix, s_sigma_relation_residual,
+                           sigma_weight6_count, truncated_exp_ln2)
 from polylog.quadrature import ORACLE_TOL, integrate01, log1m
-from polylog.seriesring import MAX_WEIGHT, beta_derivative_inm
-from polylog.sigma import cf_num
+from polylog.seriesring import MAX_WEIGHT, beta_derivative_inm, kolbig_snp
+from polylog.sigma import cf_num, sigma_tilde
 from polylog.verify import expected_inm_table, run_suite
 
 from conftest import pointwise
@@ -138,6 +138,64 @@ def test_truncated_exponential():
     expected = (ClosedForm.one() + ClosedForm.atom(LN2, 1, -1)
                 + ClosedForm.atom(LN2, 2, Fraction(1, 2)))
     assert e2 == expected
+
+
+# -- the lattice-path sums folded one operator at a time, as references --------
+
+
+def _truncated_exp_ln2_reference(m):
+    out = ClosedForm.zero()
+    for k in range(m + 1):
+        coeff = Fraction((-1) ** k, math.factorial(k))
+        out = out + (coeff if k == 0 else ClosedForm.atom(LN2, k, coeff))
+    return out
+
+
+def _i_star_reference(n, m):
+    if n == 0 or m == 0:
+        return ClosedForm.one()
+    out = ClosedForm.rational(math.comb(n + m, n))
+    for a in range(1, n + 1):
+        for b in range(1, m + 1):
+            out = out - Fraction(math.comb(n - a + m - b, n - a)) * kolbig_snp(a, b)
+    return out
+
+
+def _h_star_reference(n, m):
+    if m == 0:
+        return ClosedForm.one()
+    if n == 0:
+        return 2 * _truncated_exp_ln2_reference(m) - 1
+    out = ClosedForm.rational(math.comb(n + m, n))
+    for mu in range(1, m + 1):
+        out = out + 2 * Fraction(math.comb(n + m - mu, n)) \
+            * ClosedForm.atom(LN2, mu, Fraction((-1) ** mu, math.factorial(mu)))
+    for nu in range(1, n + 1):
+        for mu in range(1, m + 1):
+            out = out + Fraction(math.comb(n - nu + m - mu, n - nu)) * sigma_tilde(nu, mu)
+    return out
+
+
+def test_lattice_sums_equal_the_operator_folds_to_the_table_weight():
+    for m in range(TABLE_WEIGHT + 1):
+        assert truncated_exp_ln2(m) == _truncated_exp_ln2_reference(m), m
+    for n in range(TABLE_WEIGHT + 1):
+        for m in range(TABLE_WEIGHT + 1 - n):
+            assert i_star(n, m) == _i_star_reference(n, m), (n, m)
+            assert h_star(n, m) == _h_star_reference(n, m), (n, m)
+            if n and m:
+                assert i_pde_residual(n, m) == (
+                    _i_star_reference(n, m) - _i_star_reference(n, m - 1)
+                    - _i_star_reference(n - 1, m) + kolbig_snp(n, m)), (n, m)
+                assert h_pde_residual(n, m) == (
+                    _h_star_reference(n, m) - _h_star_reference(n, m - 1)
+                    - _h_star_reference(n - 1, m) - sigma_tilde(n, m)), (n, m)
+                w = n + m
+                rhs = ClosedForm.zero()
+                for k, c in enumerate(_relation_row(n, m), start=1):
+                    rhs = rhs + c * sigma_tilde(k, w - k)
+                assert s_sigma_relation_residual(n, m) == (
+                    Fraction((-1) ** w) * kolbig_snp(n, m) - rhs), (n, m)
 
 
 # -- numeric oracle edge -------------------------------------------------------

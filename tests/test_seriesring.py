@@ -288,6 +288,23 @@ def test_inm_graded_route_matches_dense_series():
             assert beta_derivative_inm(n, m) == expected, (n, m)
 
 
+def _beta_derivative_inm_reference(n, m):
+    # the convolution folded one operator at a time
+    coeff = ClosedForm.zero()
+    for k in range(n + m + 1):
+        d = n + m - k
+        for i, f in enumerate(seriesring._ratio_slice(k)):
+            if 0 <= n - i <= d and not f.is_zero:
+                coeff = coeff + Fraction((-1) ** d * math.comb(d, n - i)) * f
+    return Fraction(math.factorial(n) * math.factorial(m)) * coeff
+
+
+def test_inm_equals_the_operator_fold_to_ceiling():
+    for n in range(1, MAX_WEIGHT):
+        for m in range(1, MAX_WEIGHT + 1 - n):
+            assert beta_derivative_inm(n, m) == _beta_derivative_inm_reference(n, m), (n, m)
+
+
 def test_inm_capacity():
     with pytest.raises(CapacityError, match=f"weight {MAX_WEIGHT + 1} above cap {MAX_WEIGHT} "):
         beta_derivative_inm(MAX_WEIGHT, 1)

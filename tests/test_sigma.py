@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from polylog.closedform import (_TAG_ORDER, Atom, ClosedForm, GAMMA, LN2, PI,
-                                li_half_atom, sigma_atom, zeta_odd_atom)
+                                eta_factor_closed, li_half_atom, sigma_atom,
+                                zeta_closed, zeta_odd_atom)
 from polylog.errors import DomainError, EvaluationError
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
@@ -77,6 +78,49 @@ def test_weight6_relations_in_registry():
         lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0)
                         for (n, p), c in coeffs.items())
         assert abs(lhs - cf_num(rhs)) <= 1e-10
+
+
+def _registry_reference():
+    """The registry's displays folded one operator at a time."""
+    z3, z5, z7, z9 = (zeta_closed(n) for n in (3, 5, 7, 9))
+    li4, li5, li6 = (ClosedForm.atom(li_half_atom(k)) for k in (4, 5, 6))
+    pi2, pi4, pi6 = (ClosedForm.atom(PI, e) for e in (2, 4, 6))
+    ln2 = [ClosedForm.atom(LN2, e) for e in range(7)]
+    closed = {(n, 1): eta_factor_closed(n + 1) for n in range(1, 8)}
+    closed[(1, 2)] = Fraction(1, 8) * z3
+    closed[(1, 3)] = (Fraction(-1, 90) * pi4 - Fraction(1, 24) * pi2 * ln2[2]
+                      + Fraction(1, 24) * ln2[4] + Fraction(7, 8) * ln2[1] * z3 + li4)
+    closed[(2, 2)] = (Fraction(-1, 48) * pi4 - Fraction(1, 12) * pi2 * ln2[2]
+                      + Fraction(1, 12) * ln2[4] + Fraction(7, 4) * ln2[1] * z3 + 2 * li4)
+    closed[(1, 4)] = (z5 - Fraction(7, 16) * ln2[2] * z3 + Fraction(1, 36) * pi2 * ln2[3]
+                      - Fraction(1, 30) * ln2[5] - ln2[1] * li4 - li5)
+    closed[(2, 3)] = (Fraction(1, 12) * pi2 * z3 + Fraction(33, 32) * z5
+                      - Fraction(7, 8) * ln2[2] * z3 + Fraction(1, 18) * pi2 * ln2[3]
+                      - Fraction(1, 15) * ln2[5] - 2 * ln2[1] * li4 - 2 * li5)
+    closed[(3, 2)] = Fraction(1, 12) * pi2 * z3 - Fraction(29, 32) * z5
+    closed[(1, 5)] = (Fraction(-1, 945) * pi6 - Fraction(1, 96) * pi2 * ln2[4]
+                      + Fraction(1, 72) * ln2[6] + Fraction(7, 48) * ln2[3] * z3
+                      + Fraction(1, 2) * ln2[2] * li4 + ln2[1] * li5 + li6)
+    closed[(5, 2)] = (Fraction(1, 12) * pi2 * z5 + Fraction(7, 720) * pi4 * z3
+                      - Fraction(251, 128) * z7)
+    closed[(7, 2)] = (Fraction(1, 12) * pi2 * z7 + Fraction(7, 720) * pi4 * z5
+                      + Fraction(31, 30240) * pi6 * z3 - Fraction(1529, 512) * z9)
+    rel1_rhs = (Fraction(-53, 15120) * pi6 - Fraction(1, 24) * pi2 * ln2[4]
+                + Fraction(1, 18) * ln2[6] + Fraction(7, 12) * ln2[3] * z3
+                - Fraction(1, 2) * z3 * z3 + 2 * ln2[2] * li4 + 4 * ln2[1] * li5 + 4 * li6)
+    rel2_rhs = Fraction(1, 1512) * pi6 - Fraction(1, 2) * z3 * z3
+    relations = [({(2, 4): Fraction(2), (4, 2): Fraction(-1)}, rel1_rhs),
+                 ({(3, 3): Fraction(2), (4, 2): Fraction(-3)}, rel2_rhs)]
+    return closed, relations
+
+
+def test_registry_equals_the_operator_folds():
+    closed, relations = _registry_reference()
+    reg = registry()
+    assert reg.closed.keys() == closed.keys()
+    for key, cf in closed.items():
+        assert reg.closed[key] == cf, key
+    assert reg.relations == relations
 
 
 def test_sigma_tilde_domain():

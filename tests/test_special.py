@@ -217,6 +217,15 @@ def test_mpl2_unit_outer_fails_fast_past_its_term_budget():
     assert special._tail_block.cache_info().currsize == 1
 
 
+def test_mpl2_direct_sum_fails_fast_past_its_term_budget():
+    # at |x_outer| = 0.9999 the rest bound cannot fall below 2.2e-16 of the
+    # sum within 40,000 terms, so the sum raises before its loop, as the
+    # geometric one does, instead of stalling at the end of it
+    with pytest.raises(ConvergenceError,
+                       match=r"^multiple polylog series needs \d+ terms, past its 40000$"):
+        mpl2(2, 1, 0.9999, 1.0)
+
+
 # mpl2 with |x_outer| < 1 next to the unit circle, to 32 digits: the defining
 # sum and the outer-first order, each summed at 45 digits by mpmath to 110,000
 # terms, agree to 1e-43

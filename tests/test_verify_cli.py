@@ -23,6 +23,8 @@ from polylog.sigma import atom_value
 from polylog.special import nielsen_num
 from polylog.verify import SUITES, _jordan_order3_integral, run_suite
 
+from conftest import clear_package_caches
+
 
 def _polylog_target(node: ast.AST) -> str | None:
     """The package module an import statement names ("" for the package
@@ -382,18 +384,10 @@ def test_cold_run_suite_integrates_each_order3_jordan_form_once():
     assert (info.misses, info.hits) == (2, 2)
 
 
-def _clear_package_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("polylog"):
-            for obj in list(vars(module).values()):
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
-
-
 def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
     # the depth-2 sums read their outer tails from an asymptotic series run
     # down over the integers, not a 40-term CVZ run per term (2,083 runs)
-    _clear_package_caches()
+    clear_package_caches()
     runs = []
     cvz = summation._cvz
 
@@ -408,7 +402,7 @@ def test_cold_run_suite_makes_few_cvz_runs(monkeypatch):
 def test_cold_run_suite_evaluates_li_pos_once_per_point(monkeypatch):
     # Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column instead of
     # evaluating it again (1,198 calls at 996 points before)
-    _clear_package_caches()
+    clear_package_caches()
     calls = Counter()
     kernel = special.li_pos
 
@@ -423,7 +417,7 @@ def test_cold_run_suite_evaluates_li_pos_once_per_point(monkeypatch):
 def test_cold_run_suite_calls_the_psi_kernel_once_per_point(monkeypatch):
     # the direct terms read digamma tables, each built once through
     # psi_point (2,604 kernel calls at 2,090 points before)
-    _clear_package_caches()
+    clear_package_caches()
     calls = Counter()
     kernel = digamma.psi
 
