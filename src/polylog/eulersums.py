@@ -103,8 +103,8 @@ def milgram(r: int) -> ClosedForm:
     #   - sum_mu (2^(mu+2) - 1)/2 (2^-(mu+1) - 2^-r) zeta(mu+2) zeta(r-1-mu)
     terms = [(Fraction(r * (2 ** (r + 1) - 1), 2 ** (r + 2)), zeta_closed(r + 1), None),
              (Fraction(1 - 2 ** r, 2 ** r), ClosedForm.atom(LN2), zeta_closed(r))]
-    half = (r + 1) // 2
-    if r % 2 and half >= 2:
+    if r % 2:
+        half = (r + 1) // 2
         terms.append((Fraction(-(2 ** half - 1) ** 2, 2 ** (2 * half + 1)),
                       zeta_closed(half), zeta_closed(half)))
     terms += [(Fraction(-(2 ** (mu + 2) - 1) * (2 ** (r - 1 - mu) - 1), 2 ** (r + 1)),
