@@ -5,7 +5,8 @@ The exact side lives in ClosedForm values (rational combinations of
 constant monomials); the numeric side is an independent oracle built from
 tanh-sinh quadrature, series acceleration, and the digamma function.
 Every closed form the package produces is certified against that oracle
-by the verification suites (``polylog verify``).
+by the verification suites (``polylog verify``); tests/test_reach.py checks
+that the suites, the CLI and the scripts reach every public function.
 """
 
 from .approx import polylog_derivative_at_minus1, s_minus_truncated, stirling1
@@ -23,7 +24,7 @@ from .quadrature import QuadratureResult, integrate01
 from .seriesring import (BivariateSeries, beta_derivative_inm,
                          gamma_ratio_series, kolbig_snp)
 from .sigma import atom_value, cf_num, sigma_tilde
-from .special import li_moment, mpl2, nielsen_num, polylog
+from .special import mpl2, nielsen_num, polylog
 from .summation import sum_alternating, sum_tail
 from .verify import VerificationReport, run_suite
 
@@ -35,7 +36,7 @@ __all__ = [
     "eta_factor_closed", "euler_gamma", "gamma_ratio_series", "h_closed",
     "h_pde_residual", "i_closed", "i_pde_residual", "integrate01",
     "ipq_final", "ipq_numeric", "ipq_series", "jordan_even",
-    "jordan_nielsen", "kolbig_snp", "li_moment", "lognm_numeric", "milgram",
+    "jordan_nielsen", "kolbig_snp", "lognm_numeric", "milgram",
     "mpl2", "nielsen_num", "polylog", "polylog_derivative_at_minus1", "psi",
     "r_value", "recurrence_shift", "run_suite", "s_minus",
     "s_minus_truncated", "s_plus", "s_sigma_relation_residual",

@@ -110,6 +110,7 @@ def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
 
 def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -> ClosedForm:
     """I(p+n, q-n) from I(p, q) = base by the closed telescoping solution."""
+    _check_orders(p, q)
     if n < 0:
         raise DomainError("shift count must be >= 0")
     if n == 0:

@@ -1,15 +1,18 @@
-"""Polylogarithms, Nielsen functions, depth-2 multiple polylogarithms, and
-the moments of Li_p(-t).
+"""Polylogarithms, Nielsen functions, and depth-2 multiple polylogarithms at
+unit arguments.
 
 Evaluation strategy for Li_p(x):
   |x| <= 1/2           direct series (geometric convergence);
-  1/2 < x < 1          expansion in mu = ln x, valid for |mu| < 2*pi;
+  1/2 < x < 1          expansion in mu = ln x, valid for |mu| < 2*pi; past
+                       p = 171, where (p-1)! overflows a float, the direct
+                       series, whose terms past x are below x 2^-p;
   -1 < x < -1/2        square relation Li_p(x) = 2^{1-p} Li_p(x^2) - Li_p(-x),
                        which lands both evaluations on positive arguments.
 Helpers threaded with 1-x allow full accuracy at quadrature nodes hugging
 either endpoint.
 
-The depth-2 sums with |x_outer| = 1 are one series, outer index first:
+The depth-2 sums are taken at x_outer, x_inner = +-1 only, the arguments of
+the low-order I(p,q) identities, as one series, outer index first:
 mpl2 = x_o sum_k (x_i x_o)^k k^-m_i T(k+1), the outer tail
 T(y) = sum_{i>=0} x_o^i (y+i)^-m_o read from its Euler-Maclaurin (x_o = 1)
 or Boole (x_o = -1) asymptotic series at an anchor, run down to y.
@@ -31,13 +34,11 @@ orders asked for times that node set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from fractions import Fraction
 from functools import cache, partial
 from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_nonpositive_rational
+from .closedform import zeta_nonpositive_rational
 from .digamma import _TAIL
 from .errors import ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
@@ -97,7 +98,7 @@ def _li_log_expansion(p: int, mu: float) -> float:
 
 def li_pos(p: int, x: float, omx: float) -> float:
     """Li_p(x) for x in (0, 1), with 1-x supplied exactly."""
-    if x <= 0.5:
+    if x <= 0.5 or p > 171:
         return _li_series(p, x)
     return _li_log_expansion(p, math.log1p(-omx))
 
@@ -264,31 +265,24 @@ def outer_tail(m: int, x_outer: float, y: float) -> float:
 
 
 def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
-    """Depth-2 multiple polylogarithm
+    """Depth-2 multiple polylogarithm at unit arguments x_outer, x_inner = +-1,
     sum_{k2 > k1 >= 1} x_outer^k2 x_inner^k1 / (k2^m_outer k1^m_inner).
 
     The heavier weight sits on the larger index k2 (the only reading under
     which the unit-argument cases converge); the sum is defined when
-    m_outer >= 2, or when m_outer = 1 with x_outer = -1.  |x_outer| < 1 sums
-    the defining series; |x_outer| = 1 sums the outer index first,
+    m_outer >= 2, or when m_outer = 1 with x_outer = -1.  It sums the outer
+    index first,
         mpl2 = x_outer sum_{k>=1} (x_inner x_outer)^k k^-m_inner T(k+1)
-    with T = outer_tail(m_outer, x_outer, .): by a geometric loop when
-    |x_inner| < 1, sum_tail when x_inner x_outer = 1, else sum_alternating."""
-    if not (-1.0 <= x_outer <= 1.0 and -1.0 <= x_inner <= 1.0):
-        raise DomainError("multiple polylog arguments must lie in [-1, 1]")
+    with T = outer_tail(m_outer, x_outer, .): by sum_tail when
+    x_inner x_outer = 1, else by sum_alternating."""
+    if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
+        raise DomainError("multiple polylog arguments must be 1 or -1")
     if m_outer < 1 or m_inner < 1:
         raise DomainError("multiple polylog weights must be >= 1")
-    if x_outer == 0.0 or x_inner == 0.0:
-        return 0.0
     if m_outer == 1 and x_outer != -1.0:
         raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
-    if abs(x_outer) < 1.0:
-        return _mpl2_direct(m_outer, m_inner, x_outer, x_inner)
-    ratio = x_inner * x_outer
-    if abs(ratio) < 1.0:
-        return x_outer * _mpl2_geometric(m_outer, m_inner, x_outer, ratio)
     tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
-    if ratio == 1.0:
+    if x_inner == x_outer:
         # T(y) falls like y^(1-m) at x_outer = 1 and like y^-m / 2 at -1
         return x_outer * sum_tail(
             lambda k: outer_tail(m_outer, x_outer, k + 1) * k ** -m_inner, tol,
@@ -296,83 +290,3 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
             direct=(partial(outer_tail_table, m_outer, x_outer), 1, 0, -m_inner))
     return x_outer * sum_alternating(
         lambda k: (-1) ** k * float(k) ** -m_inner * outer_tail(m_outer, x_outer, k + 1), tol)
-
-
-def _mpl2_geometric(m_outer: int, m_inner: int, x_outer: float, ratio: float) -> float:
-    """sum_{k>=1} ratio^k k^-m_inner T(k+1) for 0 < r = |ratio| < 1.  T falls
-    and T(y) <= 2 y^-e (e = m_outer - 1 at x_outer = 1, m_outer at -1), so
-    the terms past the n-th add at most 2 r^(n+1) (n+1)^-m_inner (n+2)^-e
-    / (1 - r); n, the least count that puts this below 1e-16 of the first
-    term r T(2), is found first, and past 40,000 the sum fails at once."""
-    r, e = abs(ratio), m_outer - (x_outer == 1.0)
-    rate = -math.log(r)
-    need = -math.log(5e-17 * (1.0 - r) * max(outer_tail(m_outer, x_outer, 2), 1e-300))
-    # the least n with n rate + m_inner ln(n+1) + e ln(n+2) >= need, which grows with n
-    n = 1 + bisect_left(range(1, max(1, math.ceil(need / rate)) + 1), need, key=lambda n: (
-        n * rate + m_inner * math.log(n + 1) + e * math.log(n + 2)))
-    if n > 40000:
-        raise ConvergenceError(f"multiple polylog series needs {n} terms, past its 40000")
-    ks = range(1, n + 1)
-    powers = map(mul, map(pow, repeat(ratio), ks), map(pow, ks, repeat(-m_inner)))
-    return math.fsum(map(mul, powers, outer_tail_table(m_outer, x_outer, 1, n + 1)))
-
-
-def _mpl2_direct(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
-    """The defining sum for |x_outer| = q < 1.  Past the term at k2 = n, each
-    later inner term adds at most 1/n to the inner sum of absolute values A,
-    so the rest is at most q^n n^-m_outer q/(1-q) (A + 1/(n(1-q))).  That
-    bound is at least q^(n+1) n^-(m_outer+1) (1-q)^-2, and for |x_inner| <= 1
-    (A < n, m_outer >= 2) the sum is at most L = -ln(1-q).  So the loop stops
-    no sooner than the least n that brings the first below 2 _EPS L; that n is
-    found first, and past 40,000 the sum fails at once."""
-    q, terms = abs(x_outer), []
-    rate, log_l = -math.log(q), math.log(-math.log1p(-q))
-    need = -math.log(2.0 * _EPS) - log_l - 2.0 * math.log1p(-q)
-    n = 1 + bisect_left(range(1, max(1, math.ceil(need / rate)) + 1), need,
-                        key=lambda n: (n + 1) * rate + (m_outer + 1) * math.log(n))
-    if n >= 40000:
-        raise ConvergenceError(f"multiple polylog series needs {n} terms, past its 40000")
-    total = inner = size = 0.0
-    powi, powo = 1.0, x_outer
-    for k2 in range(2, 40000):
-        powi *= x_inner
-        step = powi / float(k2 - 1) ** m_inner
-        inner, size, powo = inner + step, size + abs(step), powo * x_outer
-        scale = powo / float(k2) ** m_outer
-        terms.append(scale * inner)
-        total += terms[-1]
-        if abs(scale) * q / (1.0 - q) * (size + 1.0 / (k2 * (1.0 - q))) <= _EPS * abs(total):
-            return math.fsum(terms)
-    raise ConvergenceError("multiple polylog direct sum stalled", partial=math.fsum(terms))
-
-
-# ---------------------------------------------------------------------------
-# moments of Li_p(-t)
-# ---------------------------------------------------------------------------
-
-
-def _harm(n: int) -> Fraction:
-    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
-
-
-def li_moment(p: int, k: int) -> ClosedForm:
-    """integral_0^1 Li_p(-t) t^{k-1} dt, exactly.
-
-    Repeated integration by parts gives
-        (-1)^p / k^p [psi(k+1) - psi(k/2+1)]
-        + sum_{mu=2}^{p} (-1)^{p-mu} / k^{p+1-mu} (2^{1-mu}-1) zeta(mu),
-    with the mu-sum empty for p = 1.  The digamma difference collapses to
-    harmonic numbers (plus 2 ln 2 when k is odd), so the result is exact.
-    """
-    if p < 1 or k < 1:
-        raise DomainError("li_moment requires p >= 1 and k >= 1")
-    if k % 2 == 0:
-        diff = ClosedForm.rational(_harm(k) - _harm(k // 2))
-    else:
-        odd_sum = sum((Fraction(2, 2 * i - 1) for i in range(1, (k + 1) // 2 + 1)),
-                      Fraction(0))
-        diff = ClosedForm.rational(_harm(k) - odd_sum) + ClosedForm.atom(LN2, 1, 2)
-    out = Fraction((-1) ** p, k ** p) * diff
-    for mu in range(2, p + 1):
-        out = out + Fraction((-1) ** (p - mu), k ** (p + 1 - mu)) * eta_factor_closed(mu)
-    return out

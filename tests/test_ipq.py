@@ -67,6 +67,9 @@ def test_numeric_examples():
         0.5 * (math.pi ** 2 / 12) ** 2, abs=1e-11)
     assert ipq_numeric(Family.PLUS, 2, 3) == pytest.approx(
         0.5 * zeta_brute(3) ** 2, abs=1e-11)
+    # past p = 171, where (p-1)! overflows a float, Li_200(t) is t to the
+    # last bit: I+(200,1) is the integral of -ln(1-t), 1
+    assert ipq_numeric(Family.PLUS, 200, 1) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_numeric_symmetry():
@@ -100,6 +103,10 @@ def test_recurrence_shift_identity_and_domain():
         recurrence_shift(Family.MINUS, 2, 3, 3, base)
     with pytest.raises(DomainError):
         recurrence_shift(Family.MINUS, 2, 3, -1, base)
+    # I(p,q) is defined for p, q >= 1 only, also when no step is taken
+    for p, q, n in ((0, 3, 1), (0, 3, 0), (2, 0, 0), (-1, 4, 2)):
+        with pytest.raises(DomainError, match="orders must be >= 1"):
+            recurrence_shift(Family.MINUS, p, q, n, ClosedForm.zero())
 
 
 def test_closed_odd_examples():

@@ -1,17 +1,14 @@
 import math
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polylog import special, summation
-from polylog.closedform import ClosedForm, LN2
-from polylog.errors import ConvergenceError, DomainError
+from polylog.errors import DomainError
 from polylog.quadrature import LEFT, ORACLE_TOL, RIGHT, WHOLE, integrate01, log1m, nodes
-from polylog.sigma import cf_num
-from polylog.special import (_li_series, li_column, li_moment, li_neg, li_pos, mpl2,
+from polylog.special import (_li_series, li_column, li_neg, li_pos, mpl2,
                              nielsen_num, outer_tail, polylog)
 from polylog.summation import zeta_num
 
@@ -55,6 +52,17 @@ def test_polylog_domain():
         polylog(2, 1.5)
     with pytest.raises(DomainError):
         polylog(2, -1.01)
+
+
+def test_polylog_past_the_float_range_of_the_factorial():
+    # past p = 171, (p-1)! overflows a float and the log expansion cannot
+    # run; the direct series, whose terms past x are below x 2^-p, gives x
+    for p, x in ((172, 0.75), (200, 0.9), (200, -0.9), (400, 0.999999)):
+        assert polylog(p, x) == x, (p, x)
+    for grid in ((WHOLE, 3), (LEFT, 3), (RIGHT, 3)):
+        xs = nodes(grid)[0]
+        assert li_column(200, 1, grid) == xs
+        assert li_column(200, -1, grid) == tuple(-x for x in xs)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -155,9 +163,10 @@ def test_mpl2_zeta21():
 
 
 def test_mpl2_zero_argument():
-    assert mpl2(3, 2, 0.0, 1.0) == 0.0
-    # the series is 0 term by term, so no weight makes it diverge
-    assert mpl2(1, 2, 0.0, 0.5) == 0.0
+    # mpl2 is taken at unit arguments only
+    for args in ((3, 2, 0.0, 1.0), (1, 2, 0.0, 0.5), (2, 1, 1.0, 0.0), (2, 2, 1.0, 0.5)):
+        with pytest.raises(DomainError, match="must be 1 or -1"):
+            mpl2(*args)
 
 
 def test_mpl2_alternating_cases_match_brute():
@@ -171,74 +180,14 @@ def test_mpl2_alternating_cases_match_brute():
         assert abs(got - 0.5 * (b1 + b2)) <= 5e-7
 
 
-def test_mpl2_interior_arguments():
-    got = mpl2(2, 1, 0.7, -0.6)
-    assert abs(got - _mpl2_brute(2, 1, 0.7, -0.6)) <= 1e-10
-
-
-# mpl2 with |x_inner| < 1 = |x_outer| to 32 digits: sum_k x_inner^k k^-m_inner
-# T(k+1) with the outer tail T(k+1) = sum_{k2>k} x_outer^k2 k2^-m_outer, run up
-# from T(2) = Li_m(x_outer) - x_outer, summed at 50 digits or more by mpmath
-_MPL2_UNIT_OUTER = {
-    (2, 2, 1.0, 0.5): 0.35228267839753708837784718983456,
-    (1, 2, -1.0, 0.5): 0.14296025157172716584492349670129,
-    (2, 1, -1.0, 0.999): 0.15012777666560946079358572763933,
-    # weights at which ln(n) in the geometric bound outweighs n ln(1/x_inner)
-    (3, 3, 1.0, 0.999): 0.21357007869752186445746412949533,
-    (2, 3, 1.0, 0.99): 0.70346764205539096779814784439767,
-    (4, 4, 1.0, 0.9999): 0.083664597050859442020641159132354,
-}
-
-
-def test_mpl2_unit_outer_and_interior_inner_against_references():
-    for args, ref in _MPL2_UNIT_OUTER.items():
-        assert abs(mpl2(*args) - ref) <= 1e-15 * abs(ref), args
-
-
-def test_mpl2_unit_outer_and_interior_inner_meet_the_stuffle_identity():
-    # mpl2(a,b,x,y) + mpl2(b,a,y,x) + Li_{a+b}(xy) = Li_a(x) Li_b(y); the
-    # swapped sum has its outer argument inside the disc, or on the circle
-    # too when both arguments are +-1 (each weight 1 needs its argument -1)
-    unit = [(a, b, x, y) for a in range(1, 5) for b in range(1, 5)
-            for x in (1.0, -1.0) for y in (1.0, -1.0)
-            if (a >= 2 or x == -1.0) and (b >= 2 or y == -1.0)]
-    for a, b, x, y in [(2, 2, 1.0, 0.5), (1, 2, -1.0, 0.5), (2, 3, -1.0, -0.7),
-                       (3, 2, 1.0, -0.3), (3, 3, 1.0, 0.999), (2, 3, 1.0, 0.99)] + unit:
+def test_mpl2_unit_arguments_meet_the_stuffle_identity():
+    # mpl2(a,b,x,y) + mpl2(b,a,y,x) + Li_{a+b}(xy) = Li_a(x) Li_b(y) with
+    # x, y = +-1, where each weight 1 needs its argument -1
+    for a, b, x, y in [(a, b, x, y) for a in range(1, 5) for b in range(1, 5)
+                       for x in (1.0, -1.0) for y in (1.0, -1.0)
+                       if (a >= 2 or x == -1.0) and (b >= 2 or y == -1.0)]:
         lhs = mpl2(a, b, x, y) + mpl2(b, a, y, x) + polylog(a + b, x * y)
         assert abs(lhs - polylog(a, x) * polylog(b, y)) <= 1e-14, (a, b, x, y)
-
-
-def test_mpl2_unit_outer_fails_fast_past_its_term_budget():
-    # the geometric bound asks for 131,195 terms at x_inner = 0.9999;
-    # the sum raises having read only T(2), from the first block of tails
-    special._tail_block.cache_clear()
-    with pytest.raises(ConvergenceError):
-        mpl2(2, 1, -1.0, 0.9999)
-    assert special._tail_block.cache_info().currsize == 1
-
-
-def test_mpl2_direct_sum_fails_fast_past_its_term_budget():
-    # at |x_outer| = 0.9999 the rest bound cannot fall below 2.2e-16 of the
-    # sum within 40,000 terms, so the sum raises before its loop, as the
-    # geometric one does, instead of stalling at the end of it
-    with pytest.raises(ConvergenceError,
-                       match=r"^multiple polylog series needs \d+ terms, past its 40000$"):
-        mpl2(2, 1, 0.9999, 1.0)
-
-
-# mpl2 with |x_outer| < 1 next to the unit circle, to 32 digits: the defining
-# sum and the outer-first order, each summed at 45 digits by mpmath to 110,000
-# terms, agree to 1e-43
-_MPL2_NEAR_UNIT_OUTER = {
-    (2, 1, 0.999, 1.0): 1.1702768164100613917983079373015,
-    (2, 2, 0.999, 0.5): 0.34830824045920753681841505749650,
-}
-
-
-def test_mpl2_near_unit_outer_against_references():
-    # the direct sum stops on a bound for its whole rest, not on one small term
-    for args, ref in _MPL2_NEAR_UNIT_OUTER.items():
-        assert abs(mpl2(*args) - ref) <= 1e-14 * abs(ref), args
 
 
 def test_mpl2_divergent_configurations():
@@ -361,30 +310,6 @@ def test_shared_series_caches_are_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
-
-
-# -- moments of Li_p(-t) ---------------------------------------------------------
-
-
-def test_li_moment_examples():
-    m11 = li_moment(1, 1)
-    assert m11 == ClosedForm.rational(1) + ClosedForm.atom(LN2, 1, -2)
-    assert li_moment(1, 2) == ClosedForm.rational(Fraction(-1, 4))
-
-
-def test_li_moment_against_quadrature():
-    for (p, k) in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 1)):
-        quad = integrate01(
-            pointwise(lambda t, omt, p=p, k=k: li_neg(p, t, omt) * t ** (k - 1)),
-            1e-12).value
-        assert abs(cf_num(li_moment(p, k)) - quad) <= 1e-11
-
-
-def test_li_moment_domain():
-    with pytest.raises(DomainError):
-        li_moment(0, 1)
-    with pytest.raises(DomainError):
-        li_moment(1, 0)
 
 
 # -- cached columns and tables ---------------------------------------------------
