@@ -26,7 +26,7 @@ from functools import cache
 from itertools import repeat
 from operator import itemgetter, mul
 
-from .errors import ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError
 
 _T_MAX = 6.3          # |pi*sinh(t)| > 745 beyond this: nodes underflow
 _MAX_LEVEL = 11
@@ -118,9 +118,14 @@ def nodes(grid: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float
 @cache
 def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
     """ln^n of x, 1-x or 1+x (arg "x", "1-x", "1+x") at every node of a grid;
-    each n != 1 raises the n = 1 column to the power n, node by node."""
+    each n != 1 raises the n = 1 column to the power n, node by node.  A power
+    past the float range is a CapacityError naming the order."""
     if n != 1:
-        return tuple(map(pow, log_power(arg, 1, grid), repeat(n)))
+        try:
+            return tuple(map(pow, log_power(arg, 1, grid), repeat(n)))
+        except OverflowError as exc:
+            raise CapacityError(f"ln^{n}({arg}) overflows a float at the quadrature "
+                                f"nodes: order {n} is beyond the float oracle") from exc
     xs, omxs, _ = nodes(grid)
     if arg == "x":
         return tuple(map(math.log, xs))

@@ -170,7 +170,9 @@ def nielsen_num(n: int, p: int, z: float) -> float:
         raise DomainError("Nielsen argument must lie in [-1, 1]")
     if z == 0.0:
         return 0.0
-    pref = (-1.0) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p))
+    # int/int division is correctly rounded and never converts the factorials
+    # to float, which overflows past n + p of about 171
+    pref = (-1) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p))
 
     def values(grid: Grid):
         # ln^{n-1}(x) ln^p(1 - z x) / x; at z = -1, -z*x is x itself

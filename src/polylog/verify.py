@@ -3,7 +3,10 @@
 Every deterministic identity the package exposes is registered here as a
 check producing one report entry: an identity id, the symbolic value when
 one exists, the oracle and closed values, the absolute error, the
-tolerance, and pass/fail.  Exact (term-map) checks carry tolerance 0.
+tolerance, and pass/fail.  Exact (term-map) checks carry tolerance 0: an
+exact entry passes on term-map equality of its two sides and records the
+zero form as its symbolic value; only a failing one builds the difference
+of its sides and records that.
 Every oracle value is computed at the one precision ORACLE_TOL.
 
 The suites only measure: each numeric entry carries its default
@@ -119,10 +122,15 @@ def _verdict_entry(identity_id: str, source: str, ok: bool, symbolic: str | None
                       0.0 if ok else math.inf, 0.0, note)
 
 
+_ZERO_JSON = ClosedForm.zero().to_json()
+
+
 def _exact_entry(identity_id: str, source: str, lhs: ClosedForm, rhs: ClosedForm | int,
                  note: str = "") -> CheckEntry:
-    diff = lhs - rhs
-    return _verdict_entry(identity_id, source, diff.is_zero, diff.to_json(), note)
+    """Pass on term-map equality; only a failing entry builds lhs - rhs."""
+    if lhs == rhs:
+        return _verdict_entry(identity_id, source, True, _ZERO_JSON, note)
+    return _verdict_entry(identity_id, source, False, (lhs - rhs).to_json(), note)
 
 
 # ---------------------------------------------------------------------------

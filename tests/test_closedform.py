@@ -15,7 +15,9 @@ from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
                                 zeta_closed, zeta_nonpositive_rational,
                                 zeta_odd_atom)
 from polylog.errors import DomainError
-from polylog.seriesring import kolbig_snp
+from polylog.ipq import Family, ipq_final
+from polylog.seriesring import MAX_WEIGHT, kolbig_snp
+from polylog.sigma import registry
 
 from conftest import assert_frozen_value, clear_package_caches, zeta_brute
 
@@ -471,6 +473,40 @@ def test_json_big_integers_exact():
     big = Fraction(10 ** 40 + 1, 10 ** 39 + 7)
     cf = ClosedForm.atom(LN2, 1, big)
     assert _terms_by_name(cf.to_obj()) == {(("ln2", 1),): big}
+
+
+def _dumps(cf: ClosedForm) -> str:
+    return json.dumps(cf.to_obj(), sort_keys=True, separators=(",", ":"))
+
+
+# every atom tag, with its arguments drawn where the family has them
+_any_atoms = st.one_of(
+    st.sampled_from([PI, LN2, GAMMA]),
+    st.integers(1, 40).map(lambda k: zeta_odd_atom(2 * k + 1)),
+    st.integers(4, 40).map(li_half_atom),
+    st.builds(sigma_atom, st.integers(1, 40), st.integers(1, 40)),
+)
+_wide_forms = st.dictionaries(
+    st.lists(st.tuples(_any_atoms, st.integers(1, 6)), max_size=4).map(lambda p: monomial(*p)),
+    st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 40))
+    | st.integers(-10 ** 60, 10 ** 60),
+    max_size=6,
+).map(ClosedForm)
+
+
+@given(_wide_forms)
+def test_json_writer_matches_json_dumps(cf):
+    assert cf.to_json() == _dumps(cf)
+
+
+def test_json_writer_matches_json_dumps_on_the_catalogue():
+    assert ClosedForm.zero().to_json() == _dumps(ClosedForm.zero()) == '{"terms":[]}'
+    forms = [*registry().closed.values()]
+    forms += [ipq_final(fam, p, q) for fam in Family
+              for p in range(1, 8) for q in range(1, 9 - p)]
+    forms += [kolbig_snp(n, w - n) for w in range(2, MAX_WEIGHT + 1) for n in range(1, w)]
+    for cf in forms:
+        assert cf.to_json() == _dumps(cf)
 
 
 def test_pretty():

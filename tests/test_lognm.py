@@ -211,6 +211,13 @@ def test_lognm_numeric_edges():
         lognm_numeric("XNM", 1, 1)
 
 
+def test_lognm_numeric_past_the_float_range_is_a_capacity_error():
+    assert lognm_numeric("INM", 100, 1) == -3.6810701397980487e+127
+    for tag, n, m in (("INM", 200, 1), ("HNM", 200, 1), ("INM", 1, 200), ("INM", 150, 1)):
+        with pytest.raises(CapacityError, match=f"order {max(n, m)} "):
+            lognm_numeric(tag, n, m)
+
+
 # lognm_numeric at the 20 (tag, n, m) the lognm verify suite asks for, as computed
 # before the oracle was memoized at the one precision ORACLE_TOL = 1e-12
 _LOGNM_VALUES = {

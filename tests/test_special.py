@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polylog import special, summation
-from polylog.errors import DomainError
+from polylog.errors import CapacityError, DomainError
 from polylog.quadrature import LEFT, ORACLE_TOL, RIGHT, WHOLE, integrate01, log1m, nodes
 from polylog.special import (_li_series, li_column, li_neg, li_pos, mpl2,
                              nielsen_num, outer_tail, polylog)
@@ -130,6 +130,15 @@ def test_nielsen_num_equals_direct_integrand_bit_for_bit():
                 ev = lambda x, omx: math.log(x) ** (n - 1) * math.log1p(-z * x) ** p / x
             direct = pref * integrate01(pointwise(ev), ORACLE_TOL).value
             assert nielsen_num(n, p, z) == direct, (n, p, z)
+
+
+def test_nielsen_num_far_beyond_the_tables():
+    # the prefactor is an int/int quotient, so no factorial is converted to a
+    # float; a log column past the float range is a CapacityError
+    assert nielsen_num(100, 1, 0.5) == 0.5000000000000001
+    assert math.isfinite(nielsen_num(1, 200, -1.0))
+    with pytest.raises(CapacityError, match="order 199 "):
+        nielsen_num(200, 1, 0.5)
 
 
 def test_nielsen_domain():

@@ -15,13 +15,14 @@ import polylog
 from polylog import digamma, special, summation
 from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, build_parser, main
+from polylog.closedform import ClosedForm, zeta_closed
 from polylog.eulersums import sum_oracle
 from polylog.ipq import Family, ipq_numeric, ipq_series
 from polylog.lognm import TABLE_WEIGHT, lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import atom_value
 from polylog.special import nielsen_num
-from polylog.verify import SUITES, _jordan_order3_integral, run_suite
+from polylog.verify import SUITES, _exact_entry, _jordan_order3_integral, run_suite
 
 from conftest import clear_package_caches
 
@@ -283,6 +284,15 @@ def test_verify_entry_set_is_pinned():
     assert Counter(i.split(".")[0] for i in ids) == {
         "ipq": 240, "lognm": 114, "sums": 70, "appendix": 14}
     assert sum(1 for e in entries if e.tolerance == 0) == 219
+
+
+def test_exact_entries_record_the_difference_only_when_they_fail():
+    e = _exact_entry("t", "t", zeta_closed(3), zeta_closed(3) + 1)
+    assert e.status == "fail" and e.symbolic == ClosedForm.rational(-1).to_json()
+    exact = [e for e in run_suite("all").entries
+             if e.tolerance == 0 and e.symbolic is not None and e.status == "pass"]
+    assert len(exact) == 217
+    assert {e.symbolic for e in exact} == {ClosedForm.zero().to_json()}
 
 
 def test_order3_sums_entries_have_oracles_of_their_own():
