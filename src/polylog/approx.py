@@ -19,10 +19,9 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import (ClosedForm, eta_factor_closed,
+from .closedform import (ClosedForm, _check_weight, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .errors import CapacityError, DomainError
-from .seriesring import _check_weight
 
 # Deepest truncation and Stirling row served.  The cost of the exact form grows
 # steeply with kt; nine decimals at p = 5 need only kt = 12, and 100 keeps any
@@ -87,7 +86,7 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
 
     Exact closed form in {1, pi powers, zeta(odd), ln 2}; accuracy improves
     with kt (nine decimals at p = 5, kt = 10).  The weight p+1 of S-(p) is
-    held to the series ceiling MAX_WEIGHT, as in s_minus, and kt to MAX_KT.
+    held to the weight ceiling MAX_WEIGHT, as in s_minus, and kt to MAX_KT.
     """
     if p < 3:
         raise DomainError("requires p >= 3")

@@ -16,12 +16,12 @@ import sys
 from pathlib import Path
 
 from .approx import s_minus_truncated
-from .closedform import ClosedForm, _monomial_key, monomial_name
+from .closedform import MAX_WEIGHT, ClosedForm, _monomial_key, monomial_name
 from .errors import CapacityError, ConvergenceError, DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .ipq import Family, ipq_final, ipq_numeric
 from .lognm import h_closed, i_closed
-from .seriesring import MAX_WEIGHT, kolbig_snp
+from .seriesring import kolbig_snp
 from .sigma import cf_num, registry, sigma_tilde
 from .verify import SUITES, run_suite
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -443,8 +443,17 @@ class ClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and zeta closed forms
+# the weight ceiling, Bernoulli numbers and zeta closed forms
 # ---------------------------------------------------------------------------
+
+MAX_WEIGHT = 18  # the one weight limit of every exact builder, zeta_closed up
+
+
+def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
+    cap = min(max_weight, MAX_WEIGHT)
+    if weight > cap:
+        raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")
+
 
 @cache
 def bernoulli_fraction(n: int) -> Fraction:
@@ -474,10 +483,17 @@ def zeta_even_coefficient(n: int) -> Fraction:
 def zeta_closed(n: int) -> ClosedForm:
     """zeta(n) as a closed form: pi-power for even n, atomic for odd n.
 
-    Memoized; a ClosedForm is immutable, so every caller may share it.
+    Memoized; a ClosedForm is immutable, so every caller may share it.  The
+    weight n is held to MAX_WEIGHT, which bounds the Bernoulli recurrence.
     """
     if n < 2:
         raise DomainError("zeta(n) requires n >= 2 (the n = 1 limit lives in eta_factor_closed)")
+    _check_weight(n)
+    return _zeta_form(n)
+
+
+def _zeta_form(n: int) -> ClosedForm:
+    """zeta(n) at any weight n >= 2, for seriesring's dense reference box."""
     if n % 2 == 0:
         return ClosedForm.atom(PI, n, zeta_even_coefficient(n))
     return ClosedForm.atom(zeta_odd_atom(n))

@@ -16,7 +16,7 @@ so the sums share each psi value at the integers, half-integers and tail
 nodes they walk.  The second exact routes (the Nielsen form of C, the full
 Milgram sum, the even-order Jordan forms against the Nielsen ones, the
 Jordan decomposition of S-) are verify entries.  Every builder holds the
-weight r+1 of its sum to the series ceiling MAX_WEIGHT.
+weight r+1 of its sum to the weight ceiling MAX_WEIGHT.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .closedform import ClosedForm, LN2, zeta_closed
+from .closedform import ClosedForm, LN2, _check_weight, zeta_closed
 from .digamma import euler_gamma, psi_point, psi_table
 from .errors import DomainError
 from .quadrature import ORACLE_TOL
-from .seriesring import _check_weight, kolbig_snp
+from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
 from .summation import sum_alternating, sum_tail
 
@@ -154,7 +154,7 @@ def s_minus(r: int) -> ClosedForm:
     = (2^-r - 1) zeta(r+1) + sigma~_{r-1,2}.
 
     Fully closed whenever sigma~_{r-1,2} is registered (all even r <= 8,
-    and r = 3).  Its weight r+1 is held to the series ceiling MAX_WEIGHT.
+    and r = 3).  Its weight r+1 is held to the weight ceiling MAX_WEIGHT.
     """
     if r < 2:
         raise DomainError("S- requires order >= 2")

@@ -19,11 +19,11 @@ from fractions import Fraction
 from functools import cache
 from operator import mul, truediv
 
-from .closedform import ClosedForm, LN2, eta_factor_closed, zeta_closed
+from .closedform import ClosedForm, LN2, _check_weight, eta_factor_closed, zeta_closed
 from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, Grid, integrate01, nodes
-from .seriesring import _check_weight, kolbig_snp
+from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
 from .special import li_column
 from .summation import zeta_num
@@ -61,7 +61,7 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 
     R+ = zeta(p) zeta(q); R- = Li_p(-1) Li_q(-1); R+- = zeta(p) Li_q(-1);
     eta-type slots admit the order-1 limit -ln 2, zeta-type slots do not.
-    Its weight p+q is held to the series ceiling MAX_WEIGHT.
+    Its weight p+q is held to the weight ceiling MAX_WEIGHT.
     """
     _check_orders(p, q)
     _check_weight(p + q)
@@ -184,7 +184,7 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
 def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     """Closed form of I(p,q), from the named-sum display.
 
-    Its weight p+q+1 is held to the series ceiling MAX_WEIGHT.  The Nielsen
+    Its weight p+q+1 is held to the weight ceiling MAX_WEIGHT.  The Nielsen
     display and (where one exists) the difference-equation reduction to R
     values or the diagonal are checked against it in verify.  sigma~ atoms
     survive exactly when the required alternating sum has no known closed

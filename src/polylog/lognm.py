@@ -18,13 +18,13 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .closedform import ClosedForm, LN2, monomial
+from .closedform import ClosedForm, LN2, _check_weight as _check_series_weight, monomial
 from .errors import DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
-from .seriesring import _check_weight as _check_series_weight, kolbig_snp
+from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
 
-# the i/h tables end at this weight, below the series ceiling MAX_WEIGHT
+# the i/h tables end at this weight, below the weight ceiling MAX_WEIGHT
 TABLE_WEIGHT = 6
 
 

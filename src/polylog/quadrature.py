@@ -6,16 +6,15 @@ power of log x or log(1-x).  Every node comes with both x and 1-x, each
 computed without cancellation, so expressions like ln(1-x) stay accurate at
 nodes within 1e-300 of an endpoint.
 
-The rule is evaluated one grid at a time.  A grid is a refinement level of
-the whole interval or of one of its halves, keyed (half, level) with half
-WHOLE, LEFT or RIGHT; its columns x, 1-x and w are cached (nodes).  An
-integrand is a grid function, values(grid) -> its values at the grid's
+The rule is evaluated one grid at a time.  A grid is a refinement level
+0..11 of the whole interval; its columns x, 1-x and w are cached (nodes).
+An integrand is a grid function, values(grid) -> its values at the grid's
 nodes in order; f(x, 1-x) reads lambda g: map(f, *nodes(g)[:2]).  The
 production integrands combine cached per-grid columns, ln^n here (log_power)
 and Li_p(+-x) in special.li_column, by C-level map pipelines, in the same
 float operations as the pointwise expression, so each per-node quantity is
-computed once per process.  The caches are bounded by the fixed node set:
-levels 0..11 of the whole interval and of the two halves.
+computed once per process.  The caches are bounded by the twelve levels.
+A stalled rule raises ConvergenceError with its last value as the partial.
 """
 
 from __future__ import annotations
@@ -31,13 +30,14 @@ from .errors import CapacityError, ConvergenceError, DomainError
 _T_MAX = 6.3          # |pi*sinh(t)| > 745 beyond this: nodes underflow
 _MAX_LEVEL = 11
 _MIN_TOL = 1e-13
+# Relative roundoff of a level's sum: each node value carries its own
+# rounding, n-fold under ln^n, so levels need not agree closer (36 ulp).
+_SUM_ROUNDOFF = 8e-15
 # The one precision of every quantity oracle (sum_oracle, ipq_numeric,
 # lognm_numeric, nielsen_num, mpl2); verify tolerances only judge.
 ORACLE_TOL = 1e-12
 
-WHOLE, LEFT, RIGHT = 0, 1, 2
-
-Grid = tuple[int, int]
+Grid = int  # a refinement level, 0.._MAX_LEVEL
 
 
 def log1m(x: float, omx: float) -> float:
@@ -48,6 +48,12 @@ def log1m(x: float, omx: float) -> float:
     exact one the node generator produced.
     """
     return math.log1p(-x) if x < 0.5 else math.log(omx)
+
+
+def logx(x: float, omx: float) -> float:
+    """ln x accurate at both endpoints, the twin of log1m: near x = 1 the
+    rounded x has lost low bits of the exact 1-x, which log1p reads."""
+    return math.log1p(-omx) if omx < 0.5 else math.log(x)
 
 
 def _check_tolerance(tol: float) -> None:
@@ -89,16 +95,8 @@ def _node(t: float) -> tuple[float, float, float]:
 # Level 0 holds all integer t in [-T_MAX, T_MAX]; level L >= 1 holds the
 # odd multiples of 2^-L.
 @cache
-def nodes(grid: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The columns (x, 1-x, w) of a grid.  A half maps the whole level's
-    nodes u onto x = u/2 (LEFT) or x = 1 - u/2 (RIGHT), keeping the exact
-    distance to the nearer endpoint; integrate01 halves its values."""
-    half, level = grid
-    if half != WHOLE:
-        us, omus, ws = nodes((WHOLE, level))
-        halved = tuple(0.5 * u for u in us)
-        far = tuple(1.0 - 0.5 * u for u in us)
-        return (halved, far, ws) if half == LEFT else (far, halved, ws)
+def nodes(level: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The columns (x, 1-x, w) of a level."""
     h = 0.5 ** level
     n = int(_T_MAX / h)
     pts = []
@@ -128,7 +126,7 @@ def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
                                 f"nodes: order {n} is beyond the float oracle") from exc
     xs, omxs, _ = nodes(grid)
     if arg == "x":
-        return tuple(map(math.log, xs))
+        return tuple(map(logx, xs, omxs))
     if arg == "1-x":
         return tuple(map(log1m, xs, omxs))
     if arg == "1+x":
@@ -136,8 +134,7 @@ def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
     raise DomainError(f"unknown log column {arg!r}")
 
 
-def integrate01(values: Callable[[Grid], Iterable[float]], tol: float,
-                _allow_split: bool = True, _half: int = WHOLE) -> QuadratureResult:
+def integrate01(values: Callable[[Grid], Iterable[float]], tol: float) -> QuadratureResult:
     """Integrate over (0, 1) to absolute tolerance tol (tol >= 1e-13) the
     integrand whose values at the nodes of each grid are values(grid)."""
     _check_tolerance(tol)
@@ -146,23 +143,17 @@ def integrate01(values: Callable[[Grid], Iterable[float]], tol: float,
 
     total_g = 0.0
     evals = 0
-    prev_value = None
+    prev_value = 0.0
     prev_delta = math.inf
     stalls = 0
-    value = 0.0
     for level in range(_MAX_LEVEL + 1):
-        grid = (_half, level)
-        ws = nodes(grid)[2]
-        column = values(grid)
-        if _half != WHOLE:
-            column = map(mul, repeat(0.5), column)
+        ws = nodes(level)[2]
         evals += len(ws)
-        total_g += math.fsum(map(mul, ws, column))
-        h = 0.5 ** level
-        value = h * total_g
-        if prev_value is not None and level >= 2:
+        total_g += math.fsum(map(mul, ws, values(level)))
+        value = 0.5 ** level * total_g
+        if level >= 2:
             delta = abs(value - prev_value)
-            if delta <= max(tol, 4e-16 * (1.0 + abs(value))):
+            if delta <= max(tol, _SUM_ROUNDOFF * (1.0 + abs(value))):
                 return QuadratureResult(value, max(delta, 2e-16 * abs(value)), evals)
             if delta >= prev_delta:
                 stalls += 1
@@ -170,15 +161,5 @@ def integrate01(values: Callable[[Grid], Iterable[float]], tol: float,
                     break
             prev_delta = delta
         prev_value = value
-
-    if _allow_split:
-        # Bisect at 1/2; each half keeps exact endpoint distances.
-        left = integrate01(values, max(tol / 2, _MIN_TOL), _allow_split=False, _half=LEFT)
-        right = integrate01(values, max(tol / 2, _MIN_TOL), _allow_split=False, _half=RIGHT)
-        return QuadratureResult(
-            left.value + right.value,
-            left.error_estimate + right.error_estimate,
-            evals + left.evaluations + right.evaluations)
-
     raise ConvergenceError("tanh-sinh refinement stalled before reaching tolerance",
                            partial=value)

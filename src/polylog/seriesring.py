@@ -13,13 +13,13 @@ by the Euler-operator recurrence w F_w = sum_k k G_k F_{w-k}, where G_k is
 the weight-k slice of the log; F_w is symmetric, so only its entries
 i <= w/2 are built.  Each slice is memoized once per process, so every
 caller shares one cache, and a weight-w query never builds anything above
-weight w.  MAX_WEIGHT = 18 is the one weight limit, and
-_check_weight alone applies it: to kolbig_snp, beta_derivative_inm and the
-builders whose routes need not read the series.  A table cap is the same
-check at a lower max_weight (kolbig_snp's for eval s-np, lognm's
-TABLE_WEIGHT).  A cold build of every slice takes about 3 ms to weight 12
-and 12 ms to weight 18 on a 2-core x86 host, so no query within the
-ceiling runs for long.
+weight w.  MAX_WEIGHT = 18 (in closedform) is the one weight limit, and
+_check_weight alone applies it: to zeta_closed, kolbig_snp,
+beta_derivative_inm and the builders whose routes need not read the series.
+A table cap is the same check at a lower max_weight (kolbig_snp's for eval
+s-np, lognm's TABLE_WEIGHT).  A cold build of every slice takes about 3 ms to
+weight 12 and 12 ms to weight 18 on a 2-core x86 host, so no query within
+the ceiling runs for long.
 
 ln Gamma(1+z) is encoded with its Euler-gamma term included.  The dense
 BivariateSeries route (gamma_ratio_series) builds the same ratio as a full
@@ -34,10 +34,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import ClosedForm, GAMMA, zeta_closed
-from .errors import CapacityError, DomainError, ShapeError
-
-MAX_WEIGHT = 18
+from .closedform import MAX_WEIGHT, ClosedForm, GAMMA, _check_weight, _zeta_form, zeta_closed
+from .errors import DomainError, ShapeError
 
 
 class BivariateSeries:
@@ -129,7 +127,7 @@ def _lngamma_coeff(k: int) -> ClosedForm:
     # ln Gamma(1+z) = -gamma z + sum_{k>=2} (-1)^k zeta(k) z^k / k
     if k == 1:
         return ClosedForm.atom(GAMMA, 1, -1)
-    return Fraction((-1) ** k, k) * zeta_closed(k)
+    return Fraction((-1) ** k, k) * _zeta_form(k)
 
 
 def _lngamma_ratio_log(na: int, nb: int) -> BivariateSeries:
@@ -193,12 +191,6 @@ def _ratio_slice(w: int) -> tuple[ClosedForm, ...]:
                                    for l in range(max(1, i - w + k), min(k - 1, i) + 1))
             for i in range(w // 2 + 1)]
     return (*half, *reversed(half[:(w + 1) // 2]))
-
-
-def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
-    cap = min(max_weight, MAX_WEIGHT)
-    if weight > cap:
-        raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")
 
 
 def kolbig_snp(n: int, p: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:

@@ -24,11 +24,10 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import (Atom, ClosedForm, LN2, PI, eta_factor_closed,
+from .closedform import (Atom, ClosedForm, LN2, PI, _check_weight, eta_factor_closed,
                          li_half_atom, sigma_atom, zeta_closed)
 from .digamma import euler_gamma
 from .errors import DomainError, EvaluationError
-from .seriesring import _check_weight
 from .special import nielsen_num, polylog
 from .summation import zeta_num
 
@@ -128,7 +127,7 @@ def registry() -> SigmaRegistry:
 def sigma_tilde(n: int, p: int) -> ClosedForm:
     """sigma~_{n,p} = S_{n,p}(-1): registered closed form, else atomic.
 
-    Its weight n+p is held to the series ceiling MAX_WEIGHT.
+    Its weight n+p is held to the weight ceiling MAX_WEIGHT.
     """
     if n < 1 or p < 1:
         raise DomainError("sigma~ indices must be >= 1")

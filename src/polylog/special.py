@@ -27,8 +27,8 @@ the first), and Li_p(+-x) at the quadrature nodes (li_column), which every
 product integrand shares.  li_column holds one tuple per (order, sign,
 grid); Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column, so li_pos
 meets each node once.  The grids are the fixed tanh-sinh levels 0..11 of the
-whole interval and of its two halves, so the columns are bounded by the
-orders asked for times that node set.
+whole interval, so the columns are bounded by the orders asked for times
+that node set.
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ def polylog(p: int, x: float) -> float:
         return zeta_num(p)
     if x < 0.0:
         return li_neg(p, -x, 1.0 + x)
-    if x <= 0.5:
-        return _li_series(p, x)
     return li_pos(p, x, 1.0 - x)
 
 

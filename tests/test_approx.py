@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, strategies as st
 from polylog.approx import (MAX_KT, _alt_zeta_closed, _derivative_cf, _stirling_row,
                             polylog_derivative_at_minus1, s_minus_truncated,
                             stirling1)
-from polylog.closedform import (ClosedForm, LN2, PI, UNIT, monomial, zeta_closed,
-                                zeta_odd_atom)
+from polylog.closedform import (ClosedForm, LN2, PI, UNIT, eta_factor_closed, monomial,
+                                zeta_closed, zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
 from polylog.eulersums import sum_oracle
 from polylog.seriesring import MAX_WEIGHT
@@ -120,6 +121,18 @@ def test_derivative_domain():
         polylog_derivative_at_minus1(1, 1)
     with pytest.raises(DomainError):
         polylog_derivative_at_minus1(3, 3)  # beyond the stated regime
+
+
+def test_zeta_orders_past_the_weight_ceiling_fail_fast():
+    # uncapped, an even order runs the Bernoulli recurrence over growing
+    # Fractions: zeta_closed(800) took seconds and 10^4 would take hours
+    for build, args in ((zeta_closed, (800,)), (eta_factor_closed, (MAX_WEIGHT + 1,)),
+                        (polylog_derivative_at_minus1, (10 ** 4 + 1, 1))):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
+            build(*args)
+        assert time.perf_counter() - t0 < 0.5, build
+    assert zeta_closed(MAX_WEIGHT) == ClosedForm.atom(PI, MAX_WEIGHT, Fraction(43867, 38979295480125))
 
 
 # -- truncated alternating sums ------------------------------------------------------

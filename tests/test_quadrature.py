@@ -1,15 +1,16 @@
 import math
 import sys
 import threading
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polylog import quadrature, special
-from polylog.errors import DomainError
+from polylog.errors import ConvergenceError, DomainError
 from polylog.ipq import Family, ipq_numeric
 from polylog.lognm import lognm_numeric
-from polylog.quadrature import QuadratureResult, integrate01, log1m, log_power, nodes
+from polylog.quadrature import QuadratureResult, integrate01, log1m, log_power, logx, nodes
 from polylog.special import li_column, mpl2, nielsen_num
 
 from conftest import assert_frozen_value, pointwise, zeta_brute
@@ -119,9 +120,8 @@ def test_result_record():
 
 
 def test_discontinuous_integrand_raises_with_partial():
-    from polylog.errors import ConvergenceError
-    # a jump at an irrational point defeats the double-exponential rule and
-    # the single bisection fallback; the error must carry a usable partial
+    # a jump at an irrational point defeats the double-exponential rule;
+    # the error must carry a usable partial
     f = pointwise(lambda x, omx: 1.0 if x < 0.43721 else 0.0)
     with pytest.raises(ConvergenceError) as exc:
         integrate01(f, 1e-13)
@@ -174,60 +174,78 @@ def test_level_cache_is_thread_safe():
     assert integrate01(f, 1e-12) == expected
 
 
+# -- the oracle integrals on the whole interval --------------------------------
+
+
+def test_every_log_and_nielsen_integral_converges():
+    # the high powers of ln(1-x) once stalled the whole-interval rule
+    for tag in ("INM", "HNM"):
+        for n in range(41):
+            for m in range(max(0, 1 - n), 41 - n):
+                assert math.isfinite(lognm_numeric(tag, n, m)), (tag, n, m)
+    for n in range(1, 24):
+        for p in range(1, 25 - n):
+            assert math.isfinite(nielsen_num(n, p, 1.0)), (n, p)
+
+
+# 30-digit values of i(n,m) = int ln^n(x) ln^m(1-x) dx and of S_{n,p}(1),
+# from 40-digit quadratures split at 1/2
+_HIGH_ORDER_REFERENCES = [
+    (lambda: lognm_numeric("INM", 1, 13), 380726.150392953304919587329559),
+    (lambda: lognm_numeric("INM", 4, 29), -9574896185.72106006938064656079),
+    (lambda: lognm_numeric("INM", 1, 39), 1.8551766519133408806363655848e34),
+    (lambda: nielsen_num(2, 13, 1.0), 6.13559735172321420296963037375e-5),
+    (lambda: nielsen_num(3, 17, 1.0), 1.3055416197559905291517549075e-9),
+]
+
+
+@pytest.mark.parametrize("value, reference", _HIGH_ORDER_REFERENCES)
+def test_high_order_integrals_match_references(value, reference):
+    assert abs(value() - reference) <= 1e-14 * abs(reference)
+
+
 # -- cached node columns ---------------------------------------------------------
-
-_GRIDS = [(half, level) for half in (quadrature.WHOLE, quadrature.LEFT, quadrature.RIGHT)
-          for level in range(7)]
-
-
-def test_grid_columns_are_the_level_nodes_and_their_halves():
-    for half, level in _GRIDS:
-        us, omus, ws = nodes((quadrature.WHOLE, level))
-        xs, omxs, ws2 = nodes((half, level))
-        assert ws2 == ws and len(xs) == len(omxs) == len(ws)
-        if half == quadrature.WHOLE:
-            assert (xs, omxs) == (us, omus)
-        elif half == quadrature.LEFT:
-            assert xs == tuple(0.5 * u for u in us)
-            assert omxs == tuple(1.0 - 0.5 * u for u in us)
-        else:
-            assert xs == tuple(1.0 - 0.5 * v for v in us)
-            assert omxs == tuple(0.5 * v for v in us)
 
 
 def test_log_columns_equal_the_scalar_kernels_bit_for_bit():
-    for grid in _GRIDS:
-        xs, omxs, _ = nodes(grid)
-        assert log_power("x", 1, grid) == tuple(math.log(x) for x in xs)
-        assert log_power("1-x", 1, grid) == tuple(log1m(x, omx) for x, omx in zip(xs, omxs))
-        assert log_power("1+x", 1, grid) == tuple(math.log1p(x) for x in xs)
+    for level in range(quadrature._MAX_LEVEL + 1):
+        xs, omxs, _ = nodes(level)
+        assert log_power("x", 1, level) == tuple(map(logx, xs, omxs))
+        # the rounded x near 1 has lost low bits of 1-x; ln x = log1p(-(1-x))
+        assert all(lx == math.log1p(-omx)
+                   for lx, omx in zip(log_power("x", 1, level), omxs) if omx < 0.5)
+        assert log_power("1-x", 1, level) == tuple(map(log1m, xs, omxs))
+        assert log_power("1+x", 1, level) == tuple(map(math.log1p, xs))
         for n in range(4):
-            assert log_power("1-x", n, grid) == tuple(log1m(x, omx) ** n
-                                                      for x, omx in zip(xs, omxs))
+            assert log_power("1-x", n, level) == tuple(log1m(x, omx) ** n
+                                                       for x, omx in zip(xs, omxs))
     with pytest.raises(DomainError):
-        log_power("2-x", 1, (quadrature.WHOLE, 0))
+        log_power("2-x", 1, 0)
 
 
 def _kink(x, omx):
-    return abs(x - 0.5) * math.log(x)
+    return abs(x - 0.5) * logx(x, omx)
 
 
 def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
 
-    def kink_columns(grid):
-        xs = nodes(grid)[0]
-        return (abs(x - 0.5) * lx for x, lx in zip(xs, log_power("x", 1, grid)))
+    def kink_columns(level):
+        xs = nodes(level)[0]
+        return (abs(x - 0.5) * lx for x, lx in zip(xs, log_power("x", 1, level)))
 
-    # the kink at 1/2 stalls the whole-interval rule, so this one splits
-    direct = integrate01(pointwise(_kink), 1e-12)
-    assert integrate01(kink_columns, 1e-12) == direct
-    # the split halves as they were written before the grids held them
-    left = integrate01(pointwise(lambda u, omu: 0.5 * _kink(0.5 * u, 1.0 - 0.5 * u)), 5e-13,
-                       _allow_split=False)
-    right = integrate01(pointwise(lambda v, omv: 0.5 * _kink(1.0 - 0.5 * v, 0.5 * v)), 5e-13,
-                        _allow_split=False)
-    assert direct.value == left.value + right.value
-    assert direct.evaluations > left.evaluations + right.evaluations
+    # the kink at 1/2 stalls the whole-interval rule, and there is no split
+    # to fall back on: both integrands raise with the same usable partial
+    exact = -0.125 - 0.25 * math.log(2.0)  # antiderivatives of ln x and x ln x
+    with pytest.raises(ConvergenceError) as direct:
+        integrate01(pointwise(_kink), 1e-12)
+    with pytest.raises(ConvergenceError) as columns:
+        integrate01(kink_columns, 1e-12)
+    assert columns.value.partial == direct.value.partial
+    assert abs(direct.value.partial - exact) < 2e-8
+    # a smooth integrand converges, to the same bits both ways
+    smooth = integrate01(lambda level: map(mul, log_power("x", 1, level), nodes(level)[1]), 1e-12)
+    assert smooth == integrate01(pointwise(lambda x, omx: logx(x, omx) * omx), 1e-12)
+    assert abs(smooth.value + 0.75) < 1e-13
 
 
 def test_node_columns_are_thread_safe():
