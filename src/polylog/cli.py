@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .approx import s_minus_truncated
-from .closedform import MAX_WEIGHT, ClosedForm, _monomial_key, monomial_name
+from .closedform import MAX_WEIGHT, ClosedForm, monomial_name
 from .errors import CapacityError, ConvergenceError, DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .ipq import Family, ipq_final, ipq_numeric
@@ -133,32 +133,20 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
     if max_weight < 2:
         raise DomainError(f"max weight {max_weight} is below 2, the lowest weight of every table")
-    entries: list[tuple[str, ClosedForm]] = []
+    w = max_weight
     if kind == "inm":
-        for n in range(1, max_weight):
-            for m in range(n, max_weight):
-                if n + m <= max_weight:
-                    entries.append((f"i({n},{m})", i_closed(n, m)))
-    elif kind == "hnm":
-        for n in range(1, max_weight):
-            for m in range(1, max_weight):
-                if n + m <= max_weight:
-                    entries.append((f"h({n},{m})", h_closed(n, m)))
-    elif kind == "sigma":
-        for (n, p), cf in sorted(registry().closed.items()):
-            if n + p <= max_weight:
-                entries.append((f"sigma_{n}_{p}", cf))
-    else:  # ipq
-        # I(p,q) has weight p+q+1: refuse the table before building any entry
-        if max_weight + 1 > MAX_WEIGHT:
-            raise CapacityError(f"I(p,q) to p+q = {max_weight} needs weight {max_weight + 1}, "
-                                f"above the ceiling MAX_WEIGHT = {MAX_WEIGHT}")
-        for fam in Family:
-            for p in range(1, max_weight):
-                for q in range(1, max_weight):
-                    if p + q <= max_weight:
-                        entries.append((f"I[{fam.value}]({p},{q})", ipq_final(fam, p, q)))
-    return entries
+        return [(f"i({n},{m})", i_closed(n, m)) for n in range(1, w) for m in range(n, w - n + 1)]
+    if kind == "hnm":
+        return [(f"h({n},{m})", h_closed(n, m)) for n in range(1, w) for m in range(1, w - n + 1)]
+    if kind == "sigma":
+        return [(f"sigma_{n}_{p}", cf) for (n, p), cf in sorted(registry().closed.items())
+                if n + p <= w]
+    # I(p,q) has weight p+q+1: refuse the table before building any entry
+    if w + 1 > MAX_WEIGHT:
+        raise CapacityError(f"I(p,q) to p+q = {w} needs weight {w + 1}, "
+                            f"above the ceiling MAX_WEIGHT = {MAX_WEIGHT}")
+    return [(f"I[{fam.value}]({p},{q})", ipq_final(fam, p, q))
+            for fam in Family for p in range(1, w) for q in range(1, w - p + 1)]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -167,14 +155,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     entries = _table_entries(args.kind, args.max_weight)
     out = _out_dir(args)
 
-    columns: list = []
-    seen = set()
-    for _, cf in entries:
-        for mono in cf.terms:
-            if mono not in seen:
-                seen.add(mono)
-                columns.append(mono)
-    columns.sort(key=_monomial_key)
+    columns = sorted({m for _, cf in entries for m in cf.terms})
 
     buf = io.StringIO()
     writer = csv.writer(buf)

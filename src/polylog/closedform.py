@@ -24,35 +24,28 @@ from .errors import CapacityError, DomainError
 # atoms
 # ---------------------------------------------------------------------------
 
-_TAG_ORDER = {
-    "pi": 0,
-    "ln2": 1,
-    "gamma": 2,
-    "zeta_odd": 3,
-    "li_half": 4,
-    "sigma": 5,
-}
+_TAGS = ("pi", "ln2", "gamma", "zeta_odd", "li_half", "sigma")  # display order
 
 
 class Atom(tuple):
     """One atomic constant; ``args`` disambiguates parametric families.
 
-    A (tag, args) tuple underneath, so hashing and comparing an atom (and
-    every monomial that holds one) runs in C.
+    A (rank, args) tuple underneath, rank the index of its tag in _TAGS, so
+    atoms (and the monomials that hold them) sort in display order by their
+    own tuples, and hash and compare in C.  An unknown tag is a DomainError.
     """
 
     __slots__ = ()
-    tag = property(itemgetter(0))
+    tag = property(lambda self: _TAGS[self[0]])
     args = property(itemgetter(1))
 
     def __new__(cls, tag: str, args: tuple = ()):
-        return tuple.__new__(cls, (tag, args))
+        if tag not in _TAGS:
+            raise DomainError(f"unknown atom kind {tag!r}")
+        return tuple.__new__(cls, (_TAGS.index(tag), args))
 
     def __getnewargs__(self):
-        return tuple(self)
-
-    def sort_key(self):
-        return (_TAG_ORDER[self.tag], self.args)
+        return self.tag, self.args
 
     @property
     def name(self) -> str:
@@ -109,7 +102,7 @@ def monomial(*pairs: tuple[Atom, int]) -> Monomial:
         if exp < 0:
             raise DomainError("monomial exponents must be positive")
         acc[atom] = acc.get(atom, 0) + exp
-    return tuple(sorted(acc.items(), key=lambda it: it[0].sort_key()))
+    return tuple(sorted(acc.items()))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -129,10 +122,6 @@ def monomial_name(m: Monomial) -> str:
     if not m:
         return "1"
     return "*".join(a.name if e == 1 else f"{a.name}^{e}" for a, e in m)
-
-
-def _monomial_key(m: Monomial):
-    return tuple((a.sort_key(), e) for a, e in m)
 
 
 _ZERO_JSON = '{"terms":[]}'
@@ -273,8 +262,7 @@ class ClosedForm:
         return {a for mono in self._num for a, _ in mono}
 
     def sigma_atoms(self) -> list[Atom]:
-        return sorted((a for a in self.atoms() if a.tag == "sigma"),
-                      key=Atom.sort_key)
+        return sorted(a for a in self.atoms() if a.tag == "sigma")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -398,7 +386,7 @@ class ClosedForm:
     def _sorted_terms(self):
         """(monomial, numerator, denominator) in lowest terms, in display order."""
         den = self._den
-        for mono in sorted(self._num, key=_monomial_key):
+        for mono in sorted(self._num):
             c = self._num[mono]
             g = math.gcd(c, den)
             yield mono, c // g, den // g

@@ -105,7 +105,7 @@ def h_pde_residual(n: int, m: int) -> ClosedForm:
 
 
 def h_boundary_closed(m: int) -> ClosedForm:
-    """h(0,m) = integral_0^1 ln^m(1+x) dx = (-1)^m m! (-1 + 2 e_m(-ln 2)).
+    """h(0,m) = integral_0^1 ln^m(1+x) dx = (-1)^m m! h*(0,m).
 
     The lattice boundary condition is stated for h*(0,m); undoing the star
     normalization restores the (-1)^m m! factor that direct evaluation of
@@ -113,7 +113,7 @@ def h_boundary_closed(m: int) -> ClosedForm:
     """
     if m < 1:
         raise DomainError("m >= 1 required")
-    return Fraction((-1) ** m * math.factorial(m)) * (2 * truncated_exp_ln2(m) - 1)
+    return (-1) ** m * math.factorial(m) * h_star(0, m)
 
 
 # ---------------------------------------------------------------------------

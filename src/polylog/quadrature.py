@@ -20,10 +20,11 @@ A stalled rule raises ConvergenceError with its last value as the partial.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import CapacityError, ConvergenceError, DomainError
 
@@ -62,21 +63,7 @@ def _check_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance {tol} is not finite and positive")
 
 
-class QuadratureResult(tuple):
-    __slots__ = ()
-    value = property(itemgetter(0))
-    error_estimate = property(itemgetter(1))
-    evaluations = property(itemgetter(2))
-
-    def __new__(cls, value: float, error_estimate: float, evaluations: int):
-        return tuple.__new__(cls, (value, error_estimate, evaluations))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return (f"QuadratureResult(value={self.value!r}, "
-                f"error_estimate={self.error_estimate!r}, evaluations={self.evaluations!r})")
+QuadratureResult = namedtuple("QuadratureResult", "value error_estimate evaluations")
 
 
 def _node(t: float) -> tuple[float, float, float]:

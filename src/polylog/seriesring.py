@@ -15,9 +15,9 @@ i <= w/2 are built.  Each slice is memoized once per process, so every
 caller shares one cache, and a weight-w query never builds anything above
 weight w.  MAX_WEIGHT = 18 (in closedform) is the one weight limit, and
 _check_weight alone applies it: to zeta_closed, kolbig_snp,
-beta_derivative_inm and the builders whose routes need not read the series.
-A table cap is the same check at a lower max_weight (kolbig_snp's for eval
-s-np, lognm's TABLE_WEIGHT).  A cold build of every slice takes about 3 ms to
+beta_derivative_inm, each order of gamma_ratio_series and the builders
+whose routes need not read the series.  A table cap is the same check at a
+lower max_weight (kolbig_snp's for eval s-np, lognm's TABLE_WEIGHT).  A cold build of every slice takes about 3 ms to
 weight 12 and 12 ms to weight 18 on a 2-core x86 host, so no query within
 the ceiling runs for long.
 
@@ -153,10 +153,12 @@ def gamma_ratio_series(orders: tuple[int, int]) -> BivariateSeries:
     Equals exp(sum_{k>=2} (-1)^k zeta(k)/k [a^k + b^k - (a+b)^k]); the
     gamma terms cancel in the log and the cancellation is asserted.  The
     builders read the graded slices instead; this box is their reference.
+    Each order is held to MAX_WEIGHT: the box reads zeta up to na + nb.
     """
     na, nb = orders
     if na < 1 or nb < 1:
         raise ShapeError("gamma ratio series needs orders >= (1, 1)")
+    _check_weight(max(na, nb))
     logs = _lngamma_ratio_log(na, nb)
     for i in range(na + 1):
         for j in range(nb + 1):

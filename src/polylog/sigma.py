@@ -21,13 +21,14 @@ as relation records.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
 from .closedform import (Atom, ClosedForm, LN2, PI, _check_weight, eta_factor_closed,
                          li_half_atom, sigma_atom, zeta_closed)
 from .digamma import euler_gamma
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .special import nielsen_num, polylog
 from .summation import zeta_num
 
@@ -36,18 +37,14 @@ def _li_half_cf(k: int) -> ClosedForm:
     return ClosedForm.atom(li_half_atom(k))
 
 
-class SigmaRegistry:
-    __slots__ = ("closed", "relations")
-
-    def __init__(self):
-        self.closed: dict[tuple[int, int], ClosedForm] = {}
-        # each relation: (coefficient map over (n, p) atoms, right-hand side)
-        self.relations: list[tuple[dict[tuple[int, int], Fraction], ClosedForm]] = []
+# closed: (n, p) -> closed form; relations: (coefficient map over (n, p)
+# atoms, right-hand side) pairs
+SigmaRegistry = namedtuple("SigmaRegistry", "closed relations")
 
 
 @cache
 def registry() -> SigmaRegistry:
-    reg = SigmaRegistry()
+    closed: dict[tuple[int, int], ClosedForm] = {}
     z3 = zeta_closed(3)
     z5 = zeta_closed(5)
     li4 = _li_half_cf(4)
@@ -60,54 +57,54 @@ def registry() -> SigmaRegistry:
 
     # sigma~_{n,1} = Li_{n+1}(-1), all n
     for n in range(1, 8):
-        reg.closed[(n, 1)] = eta_factor_closed(n + 1)
+        closed[(n, 1)] = eta_factor_closed(n + 1)
 
     # each display is one combination of (coefficient, factor, factor or None)
     lin = ClosedForm.combination
-    reg.closed[(1, 2)] = Fraction(1, 8) * z3
+    closed[(1, 2)] = Fraction(1, 8) * z3
     # weight 4
-    reg.closed[(1, 3)] = lin([(Fraction(-1, 90), pi4, None),
-                              (Fraction(-1, 24), pi2, ln2[2]),
-                              (Fraction(1, 24), ln2[4], None),
-                              (Fraction(7, 8), ln2[1], z3),
-                              (1, li4, None)])
-    reg.closed[(2, 2)] = lin([(Fraction(-1, 48), pi4, None),
-                              (Fraction(-1, 12), pi2, ln2[2]),
-                              (Fraction(1, 12), ln2[4], None),
-                              (Fraction(7, 4), ln2[1], z3),
-                              (2, li4, None)])
+    closed[(1, 3)] = lin([(Fraction(-1, 90), pi4, None),
+                          (Fraction(-1, 24), pi2, ln2[2]),
+                          (Fraction(1, 24), ln2[4], None),
+                          (Fraction(7, 8), ln2[1], z3),
+                          (1, li4, None)])
+    closed[(2, 2)] = lin([(Fraction(-1, 48), pi4, None),
+                          (Fraction(-1, 12), pi2, ln2[2]),
+                          (Fraction(1, 12), ln2[4], None),
+                          (Fraction(7, 4), ln2[1], z3),
+                          (2, li4, None)])
     # weight 5
-    reg.closed[(1, 4)] = lin([(1, z5, None),
-                              (Fraction(-7, 16), ln2[2], z3),
-                              (Fraction(1, 36), pi2, ln2[3]),
-                              (Fraction(-1, 30), ln2[5], None),
-                              (-1, ln2[1], li4),
-                              (-1, li5, None)])
-    reg.closed[(2, 3)] = lin([(Fraction(1, 12), pi2, z3),
-                              (Fraction(33, 32), z5, None),
-                              (Fraction(-7, 8), ln2[2], z3),
-                              (Fraction(1, 18), pi2, ln2[3]),
-                              (Fraction(-1, 15), ln2[5], None),
-                              (-2, ln2[1], li4),
-                              (-2, li5, None)])
-    reg.closed[(3, 2)] = lin([(Fraction(1, 12), pi2, z3), (Fraction(-29, 32), z5, None)])
+    closed[(1, 4)] = lin([(1, z5, None),
+                          (Fraction(-7, 16), ln2[2], z3),
+                          (Fraction(1, 36), pi2, ln2[3]),
+                          (Fraction(-1, 30), ln2[5], None),
+                          (-1, ln2[1], li4),
+                          (-1, li5, None)])
+    closed[(2, 3)] = lin([(Fraction(1, 12), pi2, z3),
+                          (Fraction(33, 32), z5, None),
+                          (Fraction(-7, 8), ln2[2], z3),
+                          (Fraction(1, 18), pi2, ln2[3]),
+                          (Fraction(-1, 15), ln2[5], None),
+                          (-2, ln2[1], li4),
+                          (-2, li5, None)])
+    closed[(3, 2)] = lin([(Fraction(1, 12), pi2, z3), (Fraction(-29, 32), z5, None)])
     # closed weight-6 entries.  The ln^3(2) zeta(3) coefficient is 7/48:
     # quadrature of the defining integral pins it to 14 digits.
-    reg.closed[(1, 5)] = lin([(Fraction(-1, 945), pi6, None),
-                              (Fraction(-1, 96), pi2, ln2[4]),
-                              (Fraction(1, 72), ln2[6], None),
-                              (Fraction(7, 48), ln2[3], z3),
-                              (Fraction(1, 2), ln2[2], li4),
-                              (1, ln2[1], li5),
-                              (1, li6, None)])
+    closed[(1, 5)] = lin([(Fraction(-1, 945), pi6, None),
+                          (Fraction(-1, 96), pi2, ln2[4]),
+                          (Fraction(1, 72), ln2[6], None),
+                          (Fraction(7, 48), ln2[3], z3),
+                          (Fraction(1, 2), ln2[2], li4),
+                          (1, ln2[1], li5),
+                          (1, li6, None)])
     # weights 7 and 9
-    reg.closed[(5, 2)] = lin([(Fraction(1, 12), pi2, z5),
-                              (Fraction(7, 720), pi4, z3),
-                              (Fraction(-251, 128), zeta_closed(7), None)])
-    reg.closed[(7, 2)] = lin([(Fraction(1, 12), pi2, zeta_closed(7)),
-                              (Fraction(7, 720), pi4, z5),
-                              (Fraction(31, 30240), pi6, z3),
-                              (Fraction(-1529, 512), zeta_closed(9), None)])
+    closed[(5, 2)] = lin([(Fraction(1, 12), pi2, z5),
+                          (Fraction(7, 720), pi4, z3),
+                          (Fraction(-251, 128), zeta_closed(7), None)])
+    closed[(7, 2)] = lin([(Fraction(1, 12), pi2, zeta_closed(7)),
+                          (Fraction(7, 720), pi4, z5),
+                          (Fraction(31, 30240), pi6, z3),
+                          (Fraction(-1529, 512), zeta_closed(9), None)])
 
     # weight-6 relations among the open entries
     rel1_rhs = lin([(Fraction(-53, 15120), pi6, None),
@@ -119,9 +116,9 @@ def registry() -> SigmaRegistry:
                     (4, ln2[1], li5),
                     (4, li6, None)])
     rel2_rhs = lin([(Fraction(1, 1512), pi6, None), (Fraction(-1, 2), z3, z3)])
-    reg.relations.append(({(2, 4): Fraction(2), (4, 2): Fraction(-1)}, rel1_rhs))
-    reg.relations.append(({(3, 3): Fraction(2), (4, 2): Fraction(-3)}, rel2_rhs))
-    return reg
+    relations = [({(2, 4): Fraction(2), (4, 2): Fraction(-1)}, rel1_rhs),
+                 ({(3, 3): Fraction(2), (4, 2): Fraction(-3)}, rel2_rhs)]
+    return SigmaRegistry(closed, relations)
 
 
 def sigma_tilde(n: int, p: int) -> ClosedForm:
@@ -154,7 +151,7 @@ def atom_value(atom: Atom) -> float:
     Each kind of atom has one route, named in PROVENANCE: the sigma~ atoms
     are integrated by quadrature, the other atoms summed or built in.
     """
-    tag, args = atom
+    tag, args = atom.tag, atom.args
     if tag == "pi":
         return math.pi
     if tag == "ln2":
@@ -165,9 +162,7 @@ def atom_value(atom: Atom) -> float:
         return zeta_num(*args)
     if tag == "li_half":
         return polylog(*args, 0.5)
-    if tag == "sigma":
-        return nielsen_num(*args, -1.0)
-    raise EvaluationError(f"no numeric value for atom {atom.name}")
+    return nielsen_num(*args, -1.0)  # the sigma~ atoms, by quadrature
 
 
 def cf_num(x: ClosedForm) -> float:

@@ -40,7 +40,7 @@ from operator import mul, truediv
 
 from .closedform import zeta_nonpositive_rational
 from .digamma import _TAIL
-from .errors import ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
 from .summation import eta_num, sum_alternating, sum_tail, zeta_num
 
@@ -156,6 +156,13 @@ def polylog(p: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log1m_zx(z: float, x: float, omx: float) -> float:
+    """ln(1 - z x) for |z| < 1: where z x >= 1/2 the rounded z x has lost low
+    bits of 1 - z x, which (1 - z) + z (1 - x) keeps from the exact 1 - x."""
+    zx = z * x
+    return math.log((1.0 - z) + z * omx) if zx >= 0.5 else math.log1p(-zx)
+
+
 def nielsen_num(n: int, p: int, z: float) -> float:
     """S_{n,p}(z) by quadrature of its defining integral at ORACLE_TOL, |z| <= 1.
 
@@ -174,13 +181,13 @@ def nielsen_num(n: int, p: int, z: float) -> float:
 
     def values(grid: Grid):
         # ln^{n-1}(x) ln^p(1 - z x) / x; at z = -1, -z*x is x itself
-        xs = nodes(grid)[0]
+        xs, omxs, _ = nodes(grid)
         if z == 1.0:
             lz = log_power("1-x", p, grid)
         elif z == -1.0:
             lz = log_power("1+x", p, grid)
         else:
-            lz = map(pow, map(math.log1p, map(mul, repeat(-z), xs)), repeat(p))
+            lz = map(pow, map(partial(_log1m_zx, z), xs, omxs), repeat(p))
         return map(truediv, map(mul, log_power("x", n - 1, grid), lz), xs)
 
     return pref * integrate01(values, ORACLE_TOL).value
@@ -274,13 +281,17 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     index first,
         mpl2 = x_outer sum_{k>=1} (x_inner x_outer)^k k^-m_inner T(k+1)
     with T = outer_tail(m_outer, x_outer, .): by sum_tail when
-    x_inner x_outer = 1, else by sum_alternating."""
+    x_inner x_outer = 1, else by sum_alternating.  Past m_outer = 1074 every
+    term is below the smallest subnormal, and it raises CapacityError."""
     if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
     if m_outer < 1 or m_inner < 1:
         raise DomainError("multiple polylog weights must be >= 1")
     if m_outer == 1 and x_outer != -1.0:
         raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
+    if m_outer > 1074:
+        raise CapacityError(f"outer order {m_outer} is beyond the float oracle: the largest "
+                            f"term, 2^-{m_outer}, is below the smallest subnormal 2^-1074")
     tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
     if x_inner == x_outer:
         # T(y) falls like y^(1-m) at x_outer = 1 and like y^-m / 2 at -1

@@ -56,7 +56,7 @@ _value = {
 def test_atom_ordering_is_total():
     atoms = [sigma_atom(1, 2), li_half_atom(5), zeta_odd_atom(3), GAMMA, LN2, PI,
              zeta_odd_atom(5), li_half_atom(4)]
-    ordered = sorted(atoms, key=Atom.sort_key)
+    ordered = sorted(atoms)
     assert ordered == [PI, LN2, GAMMA, zeta_odd_atom(3), zeta_odd_atom(5),
                        li_half_atom(4), li_half_atom(5), sigma_atom(1, 2)]
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,16 @@ def test_gamma_ratio_low_coefficients():
 def test_gamma_ratio_orders_validation():
     with pytest.raises(ShapeError):
         gamma_ratio_series((0, 3))
+
+
+def test_gamma_ratio_series_is_held_to_the_ceiling():
+    # each order is a weight the box reads zeta at; past MAX_WEIGHT it fails
+    # at once, where a cold build grew by seconds per order
+    for orders in ((MAX_WEIGHT + 1, 1), (1, MAX_WEIGHT + 1), (40, 40)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"weight {max(orders)} above"):
+            gamma_ratio_series(orders)
+        assert time.perf_counter() - start < 0.1, orders
 
 
 # -- Nielsen constants ----------------------------------------------------------

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from polylog.closedform import (_TAG_ORDER, Atom, ClosedForm, GAMMA, LN2, PI,
+from polylog.closedform import (_TAGS, Atom, ClosedForm, GAMMA, LN2, PI,
                                 eta_factor_closed, li_half_atom, sigma_atom,
                                 zeta_closed, zeta_odd_atom)
-from polylog.errors import DomainError, EvaluationError
+from polylog.errors import DomainError
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num
@@ -135,7 +135,7 @@ def test_context_values_and_provenance():
     assert abs(atom_value(zeta_odd_atom(3)) - zeta_brute(3)) < 1e-13
     assert abs(atom_value(li_half_atom(4)) - li_half_brute(4)) < 1e-14
     # every atom kind has a value, and says how it is made
-    assert set(PROVENANCE) == set(_TAG_ORDER)
+    assert set(PROVENANCE) == set(_TAGS)
     assert PROVENANCE[PI.tag] == "builtin"
     assert PROVENANCE[zeta_odd_atom(3).tag] == "series"
     # sigma atoms resolve through quadrature
@@ -153,10 +153,10 @@ def test_context_reproducibility():
 
 
 def test_context_unknown_atom():
-    with pytest.raises(EvaluationError, match="mystery"):
-        atom_value(Atom("mystery"))
-    with pytest.raises(EvaluationError, match="mystery"):
-        cf_num(ClosedForm({((Atom("mystery"), 1),): 1}))
+    # an unknown atom kind is refused at construction, so no atom reaches
+    # atom_value without a route
+    with pytest.raises(DomainError, match="mystery"):
+        Atom("mystery")
 
 
 def test_atom_values_are_thread_safe():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +141,18 @@ def test_nielsen_num_far_beyond_the_tables():
         nielsen_num(200, 1, 0.5)
 
 
+def test_nielsen_num_near_one_reads_the_exact_one_minus_x():
+    # where z x >= 1/2 the integrand takes 1 - z x as (1 - z) + z (1 - x),
+    # from the exact 1 - x column; the rounded z x loses 1 - z x near x = 1,
+    # and S_{1,20}(0.999) stalled.  References: 70-digit quadratures of the
+    # defining integral at the float z.
+    for n, p, z, expected in ((1, 20, 0.999, 1.19818254081081558492350829669e-5),
+                              (1, 23, 0.999, 3.09187486713030405893924461124e-7),
+                              (3, 12, 0.999, 2.56424426255374812232611916009e-7),
+                              (1, 22, 0.99, 8.69785898254877090547467785511e-10)):
+        assert abs(nielsen_num(n, p, z) - expected) <= 1e-15 * expected, (n, p, z)
+
+
 def test_nielsen_domain():
     with pytest.raises(DomainError):
         nielsen_num(0, 1, 0.5)
@@ -205,6 +218,17 @@ def test_mpl2_divergent_configurations():
         mpl2(1, 2, 0.5, 1.0)
     with pytest.raises(DomainError):
         mpl2(2, 1, 1.5, 1.0)
+
+
+def test_mpl2_fails_fast_past_the_float_range():
+    # past m_outer = 1074 the largest term, 2^-m_outer, is below the smallest
+    # subnormal; the tail's anchor and fixed-point width grew with m_outer
+    for m in (1075, 20000):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"outer order {m} "):
+            mpl2(m, 1, -1.0, 1.0)
+        assert time.perf_counter() - start < 0.1, m
+    assert mpl2(1074, 1, 1.0, -1.0) == -5e-324
 
 
 def test_mpl2_integral_identities():

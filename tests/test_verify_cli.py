@@ -101,6 +101,37 @@ def test_package_modules_import_only_names_they_use():
     assert unused == []
 
 
+# Each private name one package module imports from another: its importers,
+# and why it crosses the module boundary.
+_SHARED_PRIVATE_NAMES = {
+    "closedform._check_weight": (
+        {"approx", "eulersums", "ipq", "lognm", "seriesring", "sigma"},
+        "the one weight ceiling, applied by every exact builder"),
+    "closedform._zeta_form": (
+        {"seriesring"}, "zeta past the ceiling, for the dense reference box"),
+    "digamma._TAIL": (
+        {"special"}, "the B_2j/2j of digamma's tail, which mpl2's outer tail extends"),
+    "quadrature._check_tolerance": (
+        {"summation"}, "one tolerance check for both oracle drivers"),
+    "ipq._final_nielsen_form": (
+        {"verify"}, "the second route to ipq_final, which verify checks it against"),
+    "ipq._reduction_route": (
+        {"verify"}, "the diagonal-reduction route, which verify checks ipq_final against"),
+}
+
+
+def test_private_names_cross_modules_only_as_listed():
+    # a private name another module reads is an interface: each one is listed
+    found: dict[str, set[str]] = defaultdict(set)
+    for path in sorted(Path(polylog.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found[f"{node.module}.{alias.name}"].add(path.stem)
+    assert found == {name: importers for name, (importers, _) in _SHARED_PRIVATE_NAMES.items()}
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
