@@ -103,8 +103,11 @@ def _read_config(path: str | None) -> dict[str, float]:
         key, _, value = line.partition("=")
         if not _:
             raise DomainError(f"config line without '=': {line!r}")
+        key = key.strip()
+        if key in overrides:
+            raise DomainError(f"config key {key!r} is given twice")
         try:
-            overrides[key.strip()] = float(value)
+            overrides[key] = float(value)
         except ValueError:
             raise DomainError(f"config value is not a number: {line!r}") from None
     return overrides

@@ -1,21 +1,20 @@
 """Identity verification suites.
 
 Every deterministic identity the package exposes is registered here as a
-check producing one report entry: an identity id, the symbolic value when
-one exists, the oracle and closed values, the absolute error, the
-tolerance, and pass/fail.  Exact (term-map) checks carry tolerance 0: an
-exact entry passes on term-map equality of its two sides and records the
-zero form as its symbolic value; only a failing one builds the difference
-of its sides and records that.
+row that a suite generator yields once its work is done.  _entries, the
+only place a report entry is built, turns each row into one entry (an
+identity id, the symbolic value when one exists, the oracle and closed
+values, the absolute error, the tolerance, and pass/fail) before it asks
+for the next row.  Exact (term-map) rows carry tolerance 0.
 Every oracle value is computed at the one precision ORACLE_TOL.
 
-The suites only measure: each numeric entry carries its default
-tolerance, and an entry's status is derived from its error and tolerance
-whenever it is read.  run_suite alone applies the tolerance policy, once,
-after the suites return: it scales every nonzero tolerance and replaces
-the default of exactly the entry each override names.  An override key
-that names no numeric entry of the run (a typo, an exact entry, an entry
-of another suite) is a DomainError.
+The suites only measure: each numeric row carries its default tolerance,
+and an entry's status is derived from its error and tolerance whenever it
+is read.  run_suite alone applies the tolerance policy, once, after the
+suites return: it scales every nonzero tolerance and replaces the default
+of exactly the entry each override names.  An override key that names no
+numeric entry of the run (a typo, an exact entry, an entry of another
+suite) is a DomainError.
 
 Each builder takes one production route; the second exact routes to the
 same quantities (the Nielsen and reduction displays of I(p,q), the full
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -108,29 +107,42 @@ class VerificationReport:
         return json.dumps(self.to_obj(), sort_keys=True, indent=indent)
 
 
-def _entry(identity_id: str, source: str, oracle: float, closed: float,
-           tol: float, symbolic: ClosedForm | None = None, note: str = "") -> CheckEntry:
-    return CheckEntry(identity_id, source,
-                      symbolic.to_json() if symbolic is not None else None,
-                      oracle, closed, abs(oracle - closed), tol, note)
-
-
-def _verdict_entry(identity_id: str, source: str, ok: bool, symbolic: str | None = None,
-                   note: str = "") -> CheckEntry:
-    """A pass/fail entry: error 0 if ok else inf, at tolerance 0."""
-    return CheckEntry(identity_id, source, symbolic, None, None,
-                      0.0 if ok else math.inf, 0.0, note)
-
-
 _ZERO_JSON = ClosedForm.zero().to_json()
 
 
-def _exact_entry(identity_id: str, source: str, lhs: ClosedForm, rhs: ClosedForm | int,
-                 note: str = "") -> CheckEntry:
-    """Pass on term-map equality; only a failing entry builds lhs - rhs."""
-    if lhs == rhs:
-        return _verdict_entry(identity_id, source, True, _ZERO_JSON, note)
-    return _verdict_entry(identity_id, source, False, (lhs - rhs).to_json(), note)
+def _entries(rows: Iterable[tuple]) -> list[CheckEntry]:
+    """Build one CheckEntry per row as soon as the row is yielded, so each
+    entry's work runs after the previous entry is built and before its own.
+
+    A row is (identity_id, source, oracle, closed, tolerance[, note]).  At
+    tolerance 0 the sides are exact and the entry passes on ==: form sides
+    record the zero form, or on a failure their difference, and a bool
+    verdict (against True) records no symbolic value.  A numeric row's
+    ClosedForm closed side is recorded and evaluated by cf_num; a tuple
+    oracle holds float routes whose spread, closed side included, is the
+    error.
+    """
+    out = []
+    for identity_id, source, oracle, closed, tol, *note in rows:
+        symbolic = None
+        if not tol:
+            same = oracle == closed
+            if not isinstance(oracle, bool):
+                symbolic = _ZERO_JSON if same else (oracle - closed).to_json()
+            oracle = closed = None
+            error = 0.0 if same else math.inf
+        else:
+            if isinstance(closed, ClosedForm):
+                closed, symbolic = cf_num(closed), closed.to_json()
+            if isinstance(oracle, tuple):
+                # max and min skip a NaN that is not first, so a NaN route is caught here
+                routes, oracle = (*oracle, closed), oracle[0]
+                error = math.nan if any(map(math.isnan, routes)) else max(routes) - min(routes)
+            else:
+                error = abs(oracle - closed)
+        out.append(CheckEntry(identity_id, source, symbolic, oracle, closed, error, tol,
+                              *note))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +150,7 @@ def _exact_entry(identity_id: str, source: str, lhs: ClosedForm, rhs: ClosedForm
 # ---------------------------------------------------------------------------
 
 
-def _checks_sums() -> list[CheckEntry]:
-    out: list[CheckEntry] = []
+def _rows_sums() -> Iterator[tuple]:
     # each named sum: its closed-form builder and the tag of its defining series
     for name, fn, tag in (("splus", s_plus, "SPlus"),
                           ("jordan1", lambda r: jordan_nielsen("J1", r), "Jordan1"),
@@ -149,35 +160,32 @@ def _checks_sums() -> list[CheckEntry]:
                           ("sminus", s_minus, "SMinus")):
         for r in range(2, 7):
             cf = fn(r)
-            out.append(_entry(f"sums.closed-vs-oracle.{name}.r{r}",
-                              f"{name}({r}) closed form vs defining series",
-                              sum_oracle(tag, r), cf_num(cf), 1e-10, cf))
+            yield (f"sums.closed-vs-oracle.{name}.r{r}",
+                   f"{name}({r}) closed form vs defining series",
+                   sum_oracle(tag, r), cf, 1e-10)
     for r in range(2, 8):
         nielsen = Fraction(1, 2 ** (r + 1)) * (zeta_closed(r + 1) + kolbig_snp(r - 1, 2))
-        out.append(_exact_entry(f"sums.csum-dual-forms.r{r}",
-                                f"C({r}): S+ multiple vs Nielsen form", c_sum(r), nielsen))
+        yield (f"sums.csum-dual-forms.r{r}", f"C({r}): S+ multiple vs Nielsen form",
+               c_sum(r), nielsen, 0.0)
     for which in ("J1", "J2"):
         for r in (2, 4, 6, 8):
-            out.append(_exact_entry(
-                f"sums.jordan-nielsen-equals-even.{which}.r{r}",
-                f"{which}({r}): Nielsen form vs even-order closed form",
-                jordan_nielsen(which, r), jordan_even(which, r)))
+            yield (f"sums.jordan-nielsen-equals-even.{which}.r{r}",
+                   f"{which}({r}): Nielsen form vs even-order closed form",
+                   jordan_nielsen(which, r), jordan_even(which, r), 0.0)
     for r in range(2, 10):
-        out.append(_exact_entry(f"sums.milgram-full-vs-simplified.r{r}",
-                                f"M({r}): full mu-sum vs simplified display",
-                                _milgram_full(r), milgram(r)))
+        yield (f"sums.milgram-full-vs-simplified.r{r}",
+               f"M({r}): full mu-sum vs simplified display", _milgram_full(r), milgram(r), 0.0)
     for r in range(2, 9):
-        out.append(_exact_entry(f"sums.sminus-direct-vs-decomposed.r{r}",
-                                f"S-({r}): (2^-r - 1) zeta(r+1) + sigma~ vs Jordan decomposition",
-                                s_minus(r), _s_minus_decomposed(r)))
+        yield (f"sums.sminus-direct-vs-decomposed.r{r}",
+               f"S-({r}): (2^-r - 1) zeta(r+1) + sigma~ vs Jordan decomposition",
+               s_minus(r), _s_minus_decomposed(r), 0.0)
     for r in range(2, 9):
         lhs = sum_oracle("SMinus", r)
         rhs = (sum_oracle("Jordan2", r) - sum_oracle("Jordan1", r) + sum_oracle("CSum", r)
                - sum_oracle("Milgram", r)
                - (1 - 2.0 ** (-r - 1)) * zeta_num(r + 1))
-        out.append(_entry(f"sums.sminus-decomposition.r{r}",
-                          f"S-({r}) sum decomposition, every term from its own oracle",
-                          lhs, rhs, 1e-10))
+        yield (f"sums.sminus-decomposition.r{r}",
+               f"S-({r}) sum decomposition, every term from its own oracle", lhs, rhs, 1e-10)
     # order-3 closed forms vs integrals that no other entry pairs them with:
     # S-(3) = -1/2 integral ln^2(x) ln(1+x) / (x(1+x)) is its generating function
     s_minus3 = -0.5 * integrate01(_log2_integrand(
@@ -189,18 +197,14 @@ def _checks_sums() -> list[CheckEntry]:
              _jordan_order3_integral("J2"), "integral representation"),
             ("sminus3-closed", "S-", s_minus(3), s_minus3,
              "harmonic generating-function integral")):
-        out.append(_entry(f"sums.{name}", f"{label}(3) closed form vs its {route}",
-                          oracle, cf_num(cf), 1e-10, cf))
+        yield f"sums.{name}", f"{label}(3) closed form vs its {route}", oracle, cf, 1e-10
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
     oracle = sum_oracle("SMinus", 5)
     general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
     variant = cf_num(Fraction(1, 2 ** 5) * zeta_closed(6) + sigma_tilde(4, 2))
-    out.append(_entry("sums.sminus-odd-general-form.r5",
-                      "S-(5) = (2^-5 - 1) zeta(6) + sigma~_{4,2}",
-                      oracle, general, 1e-9,
-                      note=f"the 2^-r zeta(r+1) variant (without -1) misses by "
-                           f"{abs(oracle - variant):.3e}"))
-    return out
+    yield ("sums.sminus-odd-general-form.r5", "S-(5) = (2^-5 - 1) zeta(6) + sigma~_{4,2}",
+           oracle, general, 1e-9,
+           f"the 2^-r zeta(r+1) variant (without -1) misses by {abs(oracle - variant):.3e}")
 
 
 def _milgram_full(r: int) -> ClosedForm:
@@ -225,8 +229,7 @@ def _s_minus_decomposed(r: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _checks_appendix() -> list[CheckEntry]:
-    out: list[CheckEntry] = []
+def _rows_appendix() -> Iterator[tuple]:
     pi, ln2 = math.pi, math.log(2.0)
     z3 = zeta_num(3)
     li4h = atom_value(li_half_atom(4))
@@ -243,15 +246,14 @@ def _checks_appendix() -> list[CheckEntry]:
              + 3.5 * ln2 * z3)):
         note = ("pi^4/24 term: the weight-4 power of pi is forced by dimensional "
                 "consistency and confirmed by quadrature" if kind == "pp" else "")
-        out.append(_entry(f"appendix.log2-integral.{kind}",
-                          f"integral ln^2(x) {f} vs closed form",
-                          integrate01(ev, ORACLE_TOL).value, closed, 1e-10, note=note))
+        yield (f"appendix.log2-integral.{kind}", f"integral ln^2(x) {f} vs closed form",
+               integrate01(ev, ORACLE_TOL).value, closed, 1e-10, note)
     # odd-order Jordan integral representations, n = 1 (order 3)
     for which in ("J1", "J2"):
         oracle = sum_oracle("Jordan1" if which == "J1" else "Jordan2", 3)
-        out.append(_entry(f"appendix.jordan-integral-rep.{which}",
-                          f"{which}(3) integral representation vs series",
-                          _jordan_order3_integral(which), oracle, 1e-9))
+        yield (f"appendix.jordan-integral-rep.{which}",
+               f"{which}(3) integral representation vs series",
+               _jordan_order3_integral(which), oracle, 1e-9)
     # C(r) integral representation
     for r in (2, 3):
 
@@ -262,33 +264,29 @@ def _checks_appendix() -> list[CheckEntry]:
                        map(mul, xs, omxs))
         quad = integrate01(values, ORACLE_TOL).value
         quad *= (-1.0) ** r / (2 ** (r + 1) * math.factorial(r - 1))
-        out.append(_entry(f"appendix.csum-integral-rep.r{r}",
-                          f"C({r}) integral representation vs closed form",
-                          quad, cf_num(c_sum(r)), 1e-9))
+        yield (f"appendix.csum-integral-rep.r{r}",
+               f"C({r}) integral representation vs closed form", quad, cf_num(c_sum(r)), 1e-9)
     # truncated alternating sums
     display = _expected_truncation_display()
-    out.append(_exact_entry("appendix.truncation-display-exact.p5kt10",
-                            "S-(5) truncation at kt=10 vs its printed rationals",
-                            s_minus_truncated(5, 10), display))
+    yield ("appendix.truncation-display-exact.p5kt10",
+           "S-(5) truncation at kt=10 vs its printed rationals",
+           s_minus_truncated(5, 10), display, 0.0)
     oracle5 = sum_oracle("SMinus", 5)
-    out.append(_entry("appendix.truncation-nine-decimals.p5kt10",
-                      "S-(5) truncation at kt=10 against the series oracle",
-                      oracle5, cf_num(s_minus_truncated(5, 10)), 5e-10,
-                      note="the kt=10 truncation is exactly its published value but "
-                           "sits 3.39e-9 from S-(5); the stated nine-decimal accuracy "
-                           "is first reached at kt=12 (3.5e-10)"))
+    yield ("appendix.truncation-nine-decimals.p5kt10",
+           "S-(5) truncation at kt=10 against the series oracle",
+           oracle5, cf_num(s_minus_truncated(5, 10)), 5e-10,
+           "the kt=10 truncation is exactly its published value but "
+           "sits 3.39e-9 from S-(5); the stated nine-decimal accuracy "
+           "is first reached at kt=12 (3.5e-10)")
     errs = [abs(cf_num(s_minus_truncated(5, kt)) - oracle5) for kt in range(3, 11)]
-    out.append(_verdict_entry("appendix.truncation-monotone.p5",
-                              "S-(5) truncation error decreases for kt = 3..10",
-                              not any(b > a for a, b in zip(errs, errs[1:]))))
+    yield ("appendix.truncation-monotone.p5", "S-(5) truncation error decreases for kt = 3..10",
+           not any(b > a for a, b in zip(errs, errs[1:])), True, 0.0)
     # derivative values vs one-sided finite differences (domain ends at t = 1)
     for (p, k) in ((5, 1), (5, 2), (4, 1)):
         exact = cf_num(polylog_derivative_at_minus1(p, k))
         fd = _li_derivative_fd(p, k)
-        out.append(_entry(f"appendix.li-derivative-fd.p{p}k{k}",
-                          f"d^{k} Li_{p}(-t)/dt^{k} at t=1 vs finite differences",
-                          fd, exact, 1e-6))
-    return out
+        yield (f"appendix.li-derivative-fd.p{p}k{k}",
+               f"d^{k} Li_{p}(-t)/dt^{k} at t=1 vs finite differences", fd, exact, 1e-6)
 
 
 @cache
@@ -355,51 +353,46 @@ def _ipq_oracle(family: Family, p: int, q: int) -> tuple[float, str]:
     return polylog(q + 1, s) * polylog(p, s) - ipq_numeric(family, q + 1, p - 1), "by parts"
 
 
-def _checks_ipq() -> list[CheckEntry]:
-    out: list[CheckEntry] = []
+def _rows_ipq() -> Iterator[tuple]:
     for family in Family:
         for p in range(1, 5):
             for q in range(1, 5):
                 cf = ipq_final(family, p, q)
                 nv, leg = _ipq_oracle(family, p, q)
-                out.append(_entry(f"ipq.grid.{family.value}.p{p}q{q}",
-                                  f"I[{family.value}]({p},{q}) closed vs {leg}",
-                                  nv, cf_num(cf), 1e-8, cf))
-                out.append(_exact_entry(
-                    f"ipq.nielsen-display.{family.value}.p{p}q{q}",
-                    f"I[{family.value}]({p},{q}): named-sum vs Nielsen display",
-                    cf, _final_nielsen_form(family, p, q)))
+                yield (f"ipq.grid.{family.value}.p{p}q{q}",
+                       f"I[{family.value}]({p},{q}) closed vs {leg}", nv, cf, 1e-8)
+                yield (f"ipq.nielsen-display.{family.value}.p{p}q{q}",
+                       f"I[{family.value}]({p},{q}): named-sum vs Nielsen display",
+                       cf, _final_nielsen_form(family, p, q), 0.0)
                 reduction = _reduction_route(family, p, q)
                 if reduction is not None:
-                    out.append(_exact_entry(
-                        f"ipq.reduction-route.{family.value}.p{p}q{q}",
-                        f"I[{family.value}]({p},{q}) vs its difference-equation reduction",
-                        cf, reduction))
+                    yield (f"ipq.reduction-route.{family.value}.p{p}q{q}",
+                           f"I[{family.value}]({p},{q}) vs its difference-equation reduction",
+                           cf, reduction, 0.0)
     for family in (Family.PLUS, Family.MINUS):
         for p in range(1, 4):
             for q in range(p + 1, 5):
                 # the series route sums different mu-terms at (p,q) and (q,p)
-                out.append(_entry(f"ipq.symmetry.{family.value}.p{p}q{q}",
-                                  f"I[{family.value}] order symmetry of the series route",
-                                  ipq_series(family, p, q), ipq_series(family, q, p), 1e-9))
+                yield (f"ipq.symmetry.{family.value}.p{p}q{q}",
+                       f"I[{family.value}] order symmetry of the series route",
+                       ipq_series(family, p, q), ipq_series(family, q, p), 1e-9)
         # odd/even reduction examples at weights 5 and 6
         for p, q, combination in (
                 (1, 4, Fraction(-1, 2) * r_value(family, 3, 3) + r_value(family, 2, 4)),
                 (2, 3, Fraction(1, 2) * r_value(family, 3, 3)),
                 (1, 5, ipq_final(family, 3, 3) + r_value(family, 2, 5) - r_value(family, 3, 4)),
                 (2, 4, -ipq_final(family, 3, 3) + r_value(family, 3, 4))):
-            out.append(_exact_entry(f"ipq.reduction-examples.{family.value}.{p}q{q}",
-                                    f"I[{family.value}]({p},{q}) vs its R-combination",
-                                    ipq_final(family, p, q), combination))
+            yield (f"ipq.reduction-examples.{family.value}.{p}q{q}",
+                   f"I[{family.value}]({p},{q}) vs its R-combination",
+                   ipq_final(family, p, q), combination, 0.0)
     for family in Family:
         for p in range(2, 5):
             for q in range(2, 5):
                 res = (ipq_final(family, p, q - 1) + ipq_final(family, p - 1, q)
                        - r_value(family, p, q))
-                out.append(_exact_entry(
-                    f"ipq.pair-residual.{family.value}.p{p}q{q}",
-                    f"I[{family.value}]({p},{q-1}) + I[{family.value}]({p-1},{q}) "
-                    f"- R({p},{q})", res, 0))
+                yield (f"ipq.pair-residual.{family.value}.p{p}q{q}",
+                       f"I[{family.value}]({p},{q-1}) + I[{family.value}]({p-1},{q}) "
+                       f"- R({p},{q})", res, 0, 0.0)
     # n-step shift solution vs single steps
     for (family, p, q, n) in ((Family.PLUS, 1, 4, 2), (Family.MINUS, 1, 4, 3),
                               (Family.MIXED, 2, 4, 2), (Family.PLUS, 2, 3, 1)):
@@ -407,27 +400,22 @@ def _checks_ipq() -> list[CheckEntry]:
         stepped = base
         for k in range(n):
             stepped = recurrence_shift(family, p + k, q - k, 1, stepped)
-        out.append(_exact_entry(
-            f"ipq.shift-solution.{family.value}.p{p}q{q}n{n}",
-            f"I[{family.value}] {n}-step shift: closed solution vs iteration",
-            recurrence_shift(family, p, q, n, base), stepped))
+        yield (f"ipq.shift-solution.{family.value}.p{p}q{q}n{n}",
+               f"I[{family.value}] {n}-step shift: closed solution vs iteration",
+               recurrence_shift(family, p, q, n, base), stepped, 0.0)
     # three routes
     for family in Family:
         for p in range(1, 4):
             for q in range(1, 4):
                 nv, leg = _ipq_oracle(family, p, q)
-                sv = ipq_series(family, p, q)
-                cv = cf_num(ipq_final(family, p, q))
-                worst = max(abs(nv - sv), abs(nv - cv), abs(sv - cv))
-                out.append(CheckEntry(f"ipq.three-routes.{family.value}.p{p}q{q}",
-                                      f"I[{family.value}]({p},{q}): {leg} vs "
-                                      f"series vs closed", None, nv, cv, worst, 1e-8))
+                yield (f"ipq.three-routes.{family.value}.p{p}q{q}",
+                       f"I[{family.value}]({p},{q}): {leg} vs series vs closed",
+                       (nv, ipq_series(family, p, q)), cf_num(ipq_final(family, p, q)), 1e-8)
     for p in (2, 3, 4):
-        out.extend(_low_order_entries(p))
-    return out
+        yield from _low_order_rows(p)
 
 
-def _low_order_entries(p: int) -> list[CheckEntry]:
+def _low_order_rows(p: int) -> Iterator[tuple]:
     """Low-order special integrals, each against a closed route and its
     depth-2 polylog form.
 
@@ -437,7 +425,6 @@ def _low_order_entries(p: int) -> list[CheckEntry]:
     on the alternating argument.  Both corrected forms verify to full
     precision.
     """
-    out: list[CheckEntry] = []
     ln2 = ClosedForm.atom(LN2)
     lim = (2.0 ** (1 - p) - 1.0) * zeta_num(p)
     # the integral, its integrand, the closed route, the depth-2 route, the note
@@ -472,11 +459,9 @@ def _low_order_entries(p: int) -> list[CheckEntry]:
              "argument-corrected form: the alternating sign sits on "
              "the outer (weight-p) index")):
         lhs = integrate01(ev, ORACLE_TOL).value
-        out.append(_entry(f"ipq.low-order.{name}.p{p}", f"{integral} vs {closed_text}",
-                          lhs, closed(), 1e-9))
-        out.append(_entry(f"ipq.low-order.{name}-mpl.p{p}", f"{integral} vs depth-2 sum",
-                          lhs, depth2(), 1e-9, note=note))
-    return out
+        yield f"ipq.low-order.{name}.p{p}", f"{integral} vs {closed_text}", lhs, closed(), 1e-9
+        yield (f"ipq.low-order.{name}-mpl.p{p}", f"{integral} vs depth-2 sum",
+               lhs, depth2(), 1e-9, note)
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +498,21 @@ def expected_inm_table() -> dict[tuple[int, int], ClosedForm]:
     }
 
 
-def _checks_lognm() -> list[CheckEntry]:
-    out: list[CheckEntry] = []
+def _rows_lognm() -> Iterator[tuple]:
     table = expected_inm_table()
     corrected = {(2, 2): "zeta(3) coefficient -8; a commonly printed -12 fails "
                          "both quadrature and the Beta-derivative route",
                  (2, 3): "+36 zeta(3) present; omitting it fails quadrature by ~43"}
     for (n, m), cf in sorted(table.items()):
-        out.append(_exact_entry(f"lognm.inm-table.n{n}m{m}",
-                                f"i({n},{m}) closed form vs certified table",
-                                i_closed(n, m), cf, note=corrected.get((n, m), "")))
-        out.append(_entry(f"lognm.inm-numeric.n{n}m{m}", f"i({n},{m}) vs quadrature",
-                          lognm_numeric("INM", n, m), cf_num(cf), 1e-9))
-        out.append(_exact_entry(f"lognm.inm-symmetry.n{n}m{m}",
-                                f"i({n},{m}) = i({m},{n})",
-                                i_closed(n, m), i_closed(m, n)))
-        out.append(_exact_entry(f"lognm.inm-beta-route.n{n}m{m}",
-                                f"i({n},{m}) lattice solution vs Beta derivative",
-                                i_closed(n, m), beta_derivative_inm(n, m)))
+        yield (f"lognm.inm-table.n{n}m{m}", f"i({n},{m}) closed form vs certified table",
+               i_closed(n, m), cf, 0.0, corrected.get((n, m), ""))
+        yield (f"lognm.inm-numeric.n{n}m{m}", f"i({n},{m}) vs quadrature",
+               lognm_numeric("INM", n, m), cf_num(cf), 1e-9)
+        yield (f"lognm.inm-symmetry.n{n}m{m}", f"i({n},{m}) = i({m},{n})",
+               i_closed(n, m), i_closed(m, n), 0.0)
+        yield (f"lognm.inm-beta-route.n{n}m{m}",
+               f"i({n},{m}) lattice solution vs Beta derivative",
+               i_closed(n, m), beta_derivative_inm(n, m), 0.0)
     h_notes = {
         (1, 2): "sign-corrected: the integrand is negative on (0,1), so h(1,2) < 0",
         (3, 1): "corrected: the weight-4 term is -7 pi^4/120 (a pi^4, not ln^4(2))",
@@ -541,57 +523,50 @@ def _checks_lognm() -> list[CheckEntry]:
             if n + m > 5:
                 continue
             cf = h_closed(n, m)
-            out.append(_entry(f"lognm.hnm-numeric.n{n}m{m}",
-                              f"h({n},{m}) closed form vs quadrature",
-                              lognm_numeric("HNM", n, m), cf_num(cf), 1e-9, cf,
-                              note=h_notes.get((n, m), "")))
+            yield (f"lognm.hnm-numeric.n{n}m{m}", f"h({n},{m}) closed form vs quadrature",
+                   lognm_numeric("HNM", n, m), cf, 1e-9, h_notes.get((n, m), ""))
     for m in range(1, 5):
-        out.append(_entry(f"lognm.hnm-boundary.m{m}",
-                          f"h(0,{m}) vs (-1)^m m! (2 e_m(-ln2) - 1)",
-                          lognm_numeric("HNM", 0, m), cf_num(h_boundary_closed(m)), 1e-9,
-                          note="the truncated-exponential boundary value needs the "
-                               "(-1)^m m! factor restored from the starred normalization"))
+        yield (f"lognm.hnm-boundary.m{m}", f"h(0,{m}) vs (-1)^m m! (2 e_m(-ln2) - 1)",
+               lognm_numeric("HNM", 0, m), cf_num(h_boundary_closed(m)), 1e-9,
+               "the truncated-exponential boundary value needs the "
+               "(-1)^m m! factor restored from the starred normalization")
     for n in range(1, 6):
         for m in range(1, 6):
             if n + m > 6:
                 continue
-            out.append(_exact_entry(f"lognm.inm-pde.n{n}m{m}",
-                                    f"i*({n},{m}) difference-equation residual",
-                                    i_pde_residual(n, m), 0))
-            out.append(_exact_entry(f"lognm.hnm-pde.n{n}m{m}",
-                                    f"h*({n},{m}) difference-equation residual",
-                                    h_pde_residual(n, m), 0))
+            yield (f"lognm.inm-pde.n{n}m{m}", f"i*({n},{m}) difference-equation residual",
+                   i_pde_residual(n, m), 0, 0.0)
+            yield (f"lognm.hnm-pde.n{n}m{m}", f"h*({n},{m}) difference-equation residual",
+                   h_pde_residual(n, m), 0, 0.0)
     for w in range(2, 6):
         for n in range(1, w // 2 + 1):
-            out.append(_exact_entry(f"lognm.s-sigma-network.n{n}m{w - n}",
-                                    f"s({n},{w - n}) reflection relation residual",
-                                    s_sigma_relation_residual(n, w - n), 0))
-    out.extend(_sigma_weight6_entries())
+            yield (f"lognm.s-sigma-network.n{n}m{w - n}",
+                   f"s({n},{w - n}) reflection relation residual",
+                   s_sigma_relation_residual(n, w - n), 0, 0.0)
+    yield from _sigma_weight6_rows()
     for r in (2, 4, 6, 8):
-        out.append(_exact_entry(
-            f"lognm.sigma-even-route.n{r - 1}p2",
-            f"sigma~({r - 1},2) table value vs the even-order S- route",
-            sigma_tilde(r - 1, 2),
-            s_minus_even_closed(r) - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1)))
+        yield (f"lognm.sigma-even-route.n{r - 1}p2",
+               f"sigma~({r - 1},2) table value vs the even-order S- route",
+               sigma_tilde(r - 1, 2),
+               s_minus_even_closed(r) - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1), 0.0)
     for (n, p), cf in sorted(registry().closed.items()):
         note = ""
         if (n, p) == (1, 5):
             note = ("ln^3(2) zeta(3) coefficient 7/48: quadrature pins it to 14 "
                     "digits (a commonly printed 7/28 misses by 0.1)")
-        out.append(_entry(f"lognm.sigma-registry.n{n}p{p}",
-                          f"sigma~({n},{p}) registered closed form vs quadrature",
-                          atom_value(sigma_atom(n, p)), cf_num(cf), 1e-9, cf, note=note))
+        yield (f"lognm.sigma-registry.n{n}p{p}",
+               f"sigma~({n},{p}) registered closed form vs quadrature",
+               atom_value(sigma_atom(n, p)), cf, 1e-9, note)
     for n in range(1, 6):
         for p in range(1, 6):
             if n + p > 6:
                 continue
-            out.append(_entry(f"lognm.nielsen-vs-snp.n{n}p{p}",
-                              f"S_({n},{p})(1) quadrature vs generating function",
-                              nielsen_num(n, p, 1.0), cf_num(kolbig_snp(n, p)), 1e-10))
-    return out
+            yield (f"lognm.nielsen-vs-snp.n{n}p{p}",
+                   f"S_({n},{p})(1) quadrature vs generating function",
+                   nielsen_num(n, p, 1.0), cf_num(kolbig_snp(n, p)), 1e-10)
 
 
-def _sigma_weight6_entries() -> list[CheckEntry]:
+def _sigma_weight6_rows() -> Iterator[tuple]:
     """The weight-6 sigma~ block: displayed relations plus the rank count.
 
     The linear network at weight 6 has five unknowns and rank 3, leaving
@@ -600,26 +575,20 @@ def _sigma_weight6_entries() -> list[CheckEntry]:
     against the alternating series of sigma~ (the registry entries check the
     same closed forms against quadrature).
     """
-    out: list[CheckEntry] = []
     unknowns, rank, free = sigma_weight6_count()
-    out.append(_verdict_entry("lognm.sigma-weight6-rank",
-                              "weight-6 sigma~ relation system: rank and free atoms",
-                              (rank, free) == (3, 2),
-                              note=f"{unknowns} unknowns, rank {rank}, {free} free atoms"))
+    yield ("lognm.sigma-weight6-rank", "weight-6 sigma~ relation system: rank and free atoms",
+           (rank, free) == (3, 2), True, 0.0,
+           f"{unknowns} unknowns, rank {rank}, {free} free atoms")
     for i, (coeffs, rhs) in enumerate(registry().relations, start=1):
         lhs = math.fsum(float(c) * atom_value(sigma_atom(n, p))
                         for (n, p), c in sorted(coeffs.items()))
-        out.append(_entry(f"lognm.sigma-weight6-relation.{i}",
-                          " + ".join(f"{c}*sigma~({n},{p})"
-                                     for (n, p), c in sorted(coeffs.items()))
-                          + " vs closed form",
-                          lhs, cf_num(rhs), 1e-9, rhs))
+        yield (f"lognm.sigma-weight6-relation.{i}",
+               " + ".join(f"{c}*sigma~({n},{p})" for (n, p), c in sorted(coeffs.items()))
+               + " vs closed form", lhs, rhs, 1e-9)
     for key in ((1, 5), (5, 1)):
-        cf = sigma_tilde(*key)
-        out.append(_entry(f"lognm.sigma-weight6-closed.n{key[0]}p{key[1]}",
-                          f"sigma~({key[0]},{key[1]}) closed form vs alternating series",
-                          _sigma_series(*key), cf_num(cf), 1e-9, cf))
-    return out
+        yield (f"lognm.sigma-weight6-closed.n{key[0]}p{key[1]}",
+               f"sigma~({key[0]},{key[1]}) closed form vs alternating series",
+               _sigma_series(*key), sigma_tilde(*key), 1e-9)
 
 
 def _sigma_series(n: int, p: int) -> float:
@@ -640,10 +609,10 @@ def _sigma_series(n: int, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 SUITES: dict[str, Callable[[], list[CheckEntry]]] = {
-    "sums": _checks_sums,
-    "appendix": _checks_appendix,
-    "ipq": _checks_ipq,
-    "lognm": _checks_lognm,
+    "sums": lambda: _entries(_rows_sums()),
+    "appendix": lambda: _entries(_rows_appendix()),
+    "ipq": lambda: _entries(_rows_ipq()),
+    "lognm": lambda: _entries(_rows_lognm()),
 }
 
 

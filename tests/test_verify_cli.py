@@ -2,6 +2,7 @@ import argparse
 import ast
 import graphlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import polylog
-from polylog import digamma, special, summation
+from polylog import digamma, special, summation, verify
 from polylog.approx import MAX_KT
 from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, build_parser, main
 from polylog.closedform import ClosedForm, zeta_closed
@@ -20,9 +21,9 @@ from polylog.eulersums import sum_oracle
 from polylog.ipq import Family, ipq_numeric, ipq_series
 from polylog.lognm import TABLE_WEIGHT, lognm_numeric
 from polylog.seriesring import MAX_WEIGHT
-from polylog.sigma import atom_value
+from polylog.sigma import atom_value, cf_num
 from polylog.special import nielsen_num
-from polylog.verify import SUITES, _exact_entry, _jordan_order3_integral, run_suite
+from polylog.verify import SUITES, CheckEntry, _entries, _jordan_order3_integral, run_suite
 
 from conftest import clear_package_caches
 
@@ -295,6 +296,14 @@ def test_verify_config_overrides(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_config_key_given_twice_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "tols.cfg"
+    cfg.write_text("sums.sminus3-closed = 1e-3\n# again\n sums.sminus3-closed = 1e-12\n")
+    assert main(["verify", "--suite", "sums", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "sums.sminus3-closed" in err and "twice" in err
+
+
 def test_verify_unknown_suite_is_domain_error(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
@@ -318,12 +327,72 @@ def test_verify_entry_set_is_pinned():
 
 
 def test_exact_entries_record_the_difference_only_when_they_fail():
-    e = _exact_entry("t", "t", zeta_closed(3), zeta_closed(3) + 1)
+    [e] = _entries([("t", "t", zeta_closed(3), zeta_closed(3) + 1, 0.0)])
     assert e.status == "fail" and e.symbolic == ClosedForm.rational(-1).to_json()
     exact = [e for e in run_suite("all").entries
              if e.tolerance == 0 and e.symbolic is not None and e.status == "pass"]
     assert len(exact) == 217
     assert {e.symbolic for e in exact} == {ClosedForm.zero().to_json()}
+
+
+def test_each_row_kind_builds_its_entry():
+    verdict, routes, numeric = _entries([
+        ("v", "verdict", False, True, 0.0, "why"),
+        ("r", "three routes", (1.0, 1.5), 0.25, 1e-8),
+        ("n", "numeric", 1.2, zeta_closed(3), 1e-9)])
+    assert (verdict.symbolic, verdict.abs_error, verdict.status, verdict.note) == (
+        None, math.inf, "fail", "why")
+    assert (verdict.oracle_value, verdict.closed_value, verdict.tolerance) == (None, None, 0.0)
+    assert (routes.abs_error, routes.oracle_value, routes.closed_value) == (1.25, 1.0, 0.25)
+    assert routes.symbolic is None
+    assert numeric.symbolic == zeta_closed(3).to_json()
+    assert numeric.closed_value == cf_num(zeta_closed(3))
+    assert numeric.abs_error == abs(1.2 - cf_num(zeta_closed(3))) and numeric.note == ""
+    for nan_at in range(3):
+        values = [1.0, 1.0, 1.0]
+        values[nan_at] = math.nan
+        [e] = _entries([("r", "three routes", tuple(values[:2]), values[2], 1e-8)])
+        assert e.status == "fail", nan_at
+
+
+def test_each_entry_is_built_right_after_its_own_row(monkeypatch):
+    # perfbench times an entry from the previous entry's construction to its
+    # own, so a row's work must run between the two and no earlier
+    tags = {"splus": "SPlus", "jordan1": "Jordan1", "jordan2": "Jordan2",
+            "milgram": "Milgram", "csum": "CSum", "sminus": "SMinus"}
+    events = []
+    oracle, init = verify.sum_oracle, vars(CheckEntry)["__init__"]
+
+    def called(tag, r):
+        events.append(f"{tag}.r{r}")
+        return oracle(tag, r)
+
+    def built(self, identity_id, *args, **kwargs):
+        events.append(identity_id)
+        init(self, identity_id, *args, **kwargs)
+    monkeypatch.setattr(verify, "sum_oracle", called)
+    monkeypatch.setattr(CheckEntry, "__init__", built)
+    run_suite("sums")
+    calls, rows = [], []
+    for event in events:
+        if not event.startswith("sums."):
+            calls.append(event)
+        elif event.startswith("sums.closed-vs-oracle."):
+            rows.append((event, calls))
+            calls = []
+    assert len(rows) == 30
+    for ident, before in rows:
+        name, r = ident.split(".")[2:]
+        assert before == [f"{tags[name]}.{r}"], ident
+
+
+def test_one_place_builds_every_entry():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "CheckEntry"]
+    entries = next(fn for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_entries")
+    assert len(calls) == 1 and calls[0] in list(ast.walk(entries))
 
 
 def test_order3_sums_entries_have_oracles_of_their_own():
