@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .approx import s_minus_truncated
-from .closedform import MAX_WEIGHT, ClosedForm, monomial_name
+from .closedform import ClosedForm, _check_weight, monomial_name
 from .errors import CapacityError, ConvergenceError, DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .ipq import Family, ipq_final, ipq_numeric
@@ -144,10 +144,7 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
     if kind == "sigma":
         return [(f"sigma_{n}_{p}", cf) for (n, p), cf in sorted(registry().closed.items())
                 if n + p <= w]
-    # I(p,q) has weight p+q+1: refuse the table before building any entry
-    if w + 1 > MAX_WEIGHT:
-        raise CapacityError(f"I(p,q) to p+q = {w} needs weight {w + 1}, "
-                            f"above the ceiling MAX_WEIGHT = {MAX_WEIGHT}")
+    _check_weight(w + 1)  # I(p,q) has weight p+q+1: refuse before building any entry
     return [(f"I[{fam.value}]({p},{q})", ipq_final(fam, p, q))
             for fam in Family for p in range(1, w) for q in range(1, w - p + 1)]
 

@@ -477,11 +477,6 @@ def zeta_closed(n: int) -> ClosedForm:
     if n < 2:
         raise DomainError("zeta(n) requires n >= 2 (the n = 1 limit lives in eta_factor_closed)")
     _check_weight(n)
-    return _zeta_form(n)
-
-
-def _zeta_form(n: int) -> ClosedForm:
-    """zeta(n) at any weight n >= 2, for seriesring's dense reference box."""
     if n % 2 == 0:
         return ClosedForm.atom(PI, n, zeta_even_coefficient(n))
     return ClosedForm.atom(zeta_odd_atom(n))

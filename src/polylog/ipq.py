@@ -147,18 +147,6 @@ def _minus_named_part(r: int) -> ClosedForm:
         (1, s_minus(r), None), (-2, c_sum(r), None), (2, jordan_nielsen("J1", r), None)])
 
 
-def _final_sum_form(family: Family, p: int, q: int) -> ClosedForm:
-    """Final display in terms of the named sums S+/S-/C/J1/M."""
-    r = p + q
-    if family is Family.MINUS:
-        named, sign = _minus_named_part(r), (-1) ** p
-    else:
-        named, sign = (s_plus(r) if family is Family.PLUS else s_minus(r)), (-1) ** (p + 1)
-    # two plain terms: one operator costs less than a combination
-    mu_sum = _mu_sum(family, p, q)
-    return mu_sum + named if sign > 0 else mu_sum - named
-
-
 def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
     """Final display in Nielsen terms (s_{r-1,2} and sigma~_{r-1,2}).
 
@@ -182,7 +170,7 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
 
 @cache
 def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
-    """Closed form of I(p,q), from the named-sum display.
+    """Closed form of I(p,q), from the display in the named sums S+/S-/C/J1/M.
 
     Its weight p+q+1 is held to the weight ceiling MAX_WEIGHT.  The Nielsen
     display and (where one exists) the difference-equation reduction to R
@@ -191,8 +179,15 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     form (odd p+q >= 5 in the mixed family).
     """
     _check_orders(p, q)
-    _check_weight(p + q + 1)
-    return _final_sum_form(family, p, q)
+    r = p + q
+    _check_weight(r + 1)
+    if family is Family.MINUS:
+        named, sign = _minus_named_part(r), (-1) ** p
+    else:
+        named, sign = (s_plus(r) if family is Family.PLUS else s_minus(r)), (-1) ** (p + 1)
+    # two plain terms: one operator costs less than a combination
+    mu_sum = _mu_sum(family, p, q)
+    return mu_sum + named if sign > 0 else mu_sum - named
 
 
 def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
@@ -205,7 +200,7 @@ def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
         return None
     n = (q - p) // 2
     endpoint = (Fraction(1, 2) * r_value(family, p + n + 1, p + n + 1)
-                if family.symmetric and (q - p) % 2 else _final_sum_form(family, p + n, q - n))
+                if family.symmetric and (q - p) % 2 else ipq_final(family, p + n, q - n))
     return Fraction((-1) ** n) * endpoint + _r_sum(family, p, q, n)
 
 

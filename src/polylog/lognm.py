@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .closedform import ClosedForm, LN2, _check_weight as _check_series_weight, monomial
+from .closedform import ClosedForm, LN2, _check_weight, monomial
 from .errors import DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
 from .seriesring import kolbig_snp
@@ -28,10 +28,10 @@ from .sigma import sigma_tilde
 TABLE_WEIGHT = 6
 
 
-def _check_weight(n: int, m: int) -> None:
+def _check_table_weight(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise DomainError("closed forms need n, m >= 1")
-    _check_series_weight(n + m, TABLE_WEIGHT)
+    _check_weight(n + m, TABLE_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +52,13 @@ def i_star(n: int, m: int) -> ClosedForm:
 
 def i_closed(n: int, m: int) -> ClosedForm:
     """i(n,m) exactly, for n + m <= 6."""
-    _check_weight(n, m)
+    _check_table_weight(n, m)
     return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * i_star(n, m)
 
 
 def i_pde_residual(n: int, m: int) -> ClosedForm:
     """i*(n,m) - i*(n,m-1) - i*(n-1,m) + s_{n,m}; zero when all is well."""
-    _check_weight(n, m)
+    _check_table_weight(n, m)
     return ClosedForm.combination([(1, i_star(n, m), None), (-1, i_star(n, m - 1), None),
                                    (-1, i_star(n - 1, m), None), (1, kolbig_snp(n, m), None)])
 
@@ -93,13 +93,13 @@ def h_star(n: int, m: int) -> ClosedForm:
 
 def h_closed(n: int, m: int) -> ClosedForm:
     """h(n,m) exactly for n + m <= 6 (weight-6 values carry sigma~ atoms)."""
-    _check_weight(n, m)
+    _check_table_weight(n, m)
     return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * h_star(n, m)
 
 
 def h_pde_residual(n: int, m: int) -> ClosedForm:
     """h*(n,m) - h*(n,m-1) - h*(n-1,m) - sigma~_{n,m}; zero when all is well."""
-    _check_weight(n, m)
+    _check_table_weight(n, m)
     return ClosedForm.combination([(1, h_star(n, m), None), (-1, h_star(n, m - 1), None),
                                    (-1, h_star(n - 1, m), None), (-1, sigma_tilde(n, m), None)])
 
@@ -174,17 +174,6 @@ def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
         + [(-c, sigma_tilde(k, w - k), None) for k, c in enumerate(_relation_row(n, m), start=1)])
 
 
-def s_sigma_relation_matrix(weight: int):
-    """Coefficient rows of the relation network at fixed weight.
-
-    One row per unordered pair {n, m} with n + m = weight: coefficients over
-    the unknowns sigma~_{k, weight-k} (k = 1..weight-1) and the exact
-    right-hand side (-1)^weight s_{n,m}.
-    """
-    return [(_relation_row(n, weight - n), Fraction((-1) ** weight) * kolbig_snp(n, weight - n))
-            for n in range(1, weight // 2 + 1)]
-
-
 def _rank(rows: list[list[Fraction]]) -> int:
     mat = [row[:] for row in rows]
     rank = 0
@@ -205,8 +194,9 @@ def _rank(rows: list[list[Fraction]]) -> int:
 
 
 def sigma_weight6_count() -> tuple[int, int, int]:
-    """(unknowns, relation rank, free atoms) for the weight-6 sigma~ block."""
-    rows = [coeffs for coeffs, _ in s_sigma_relation_matrix(6)]
+    """(unknowns, relation rank, free atoms) for the weight-6 sigma~ block:
+    one relation row per unordered pair {n, 6 - n}."""
+    rows = [_relation_row(n, 6 - n) for n in range(1, 4)]
     rank = _rank(rows)
     unknowns = len(rows[0])
     return unknowns, rank, unknowns - rank

@@ -46,15 +46,10 @@ def log1m(x: float, omx: float) -> float:
 
     Near x = 0 the supplied 1-x rounds to 1.0 and would zero the logarithm,
     so the log1p channel takes over; near x = 1 the supplied distance is the
-    exact one the node generator produced.
+    exact one the node generator produced.  With the arguments swapped,
+    log1m(1-x, x) is ln x, accurate at both endpoints in the same way.
     """
     return math.log1p(-x) if x < 0.5 else math.log(omx)
-
-
-def logx(x: float, omx: float) -> float:
-    """ln x accurate at both endpoints, the twin of log1m: near x = 1 the
-    rounded x has lost low bits of the exact 1-x, which log1p reads."""
-    return math.log1p(-omx) if omx < 0.5 else math.log(x)
 
 
 def _check_tolerance(tol: float) -> None:
@@ -113,7 +108,7 @@ def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
                                 f"nodes: order {n} is beyond the float oracle") from exc
     xs, omxs, _ = nodes(grid)
     if arg == "x":
-        return tuple(map(logx, xs, omxs))
+        return tuple(map(log1m, omxs, xs))
     if arg == "1-x":
         return tuple(map(log1m, xs, omxs))
     if arg == "1+x":

@@ -17,15 +17,18 @@ weight w.  MAX_WEIGHT = 18 (in closedform) is the one weight limit, and
 _check_weight alone applies it: to zeta_closed, kolbig_snp,
 beta_derivative_inm, each order of gamma_ratio_series and the builders
 whose routes need not read the series.  A table cap is the same check at a
-lower max_weight (kolbig_snp's for eval s-np, lognm's TABLE_WEIGHT).  A cold build of every slice takes about 3 ms to
-weight 12 and 12 ms to weight 18 on a 2-core x86 host, so no query within
-the ceiling runs for long.
+lower max_weight (kolbig_snp's for eval s-np, lognm's TABLE_WEIGHT).  A
+cold build of every slice takes about 3 ms to weight 12 and 12 ms to weight
+18 on a 2-core x86 host, so no query within the ceiling runs for long.
 
 ln Gamma(1+z) is encoded with its Euler-gamma term included.  The dense
 BivariateSeries route (gamma_ratio_series) builds the same ratio as a full
 box by series exponentiation, asserts that gamma cancels in its log, and
-is kept as the reference the graded slices are tested against.  The slices
-use the closed form of each log slice, in which gamma is already gone.
+is kept as the reference the graded slices are tested against.  Its box
+reads zeta(k) up to k = na + nb, past MAX_WEIGHT, so _lngamma_coeff builds
+zeta(k) from zeta_even_coefficient and zeta_odd_atom, not by the capped
+zeta_closed.  The slices use the closed form of each log slice, in which
+gamma is already gone.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import MAX_WEIGHT, ClosedForm, GAMMA, _check_weight, _zeta_form, zeta_closed
+from .closedform import (MAX_WEIGHT, ClosedForm, GAMMA, PI, _check_weight, zeta_closed,
+                         zeta_even_coefficient, zeta_odd_atom)
 from .errors import DomainError, ShapeError
 
 
@@ -127,7 +131,9 @@ def _lngamma_coeff(k: int) -> ClosedForm:
     # ln Gamma(1+z) = -gamma z + sum_{k>=2} (-1)^k zeta(k) z^k / k
     if k == 1:
         return ClosedForm.atom(GAMMA, 1, -1)
-    return Fraction((-1) ** k, k) * _zeta_form(k)
+    if k % 2:
+        return ClosedForm.atom(zeta_odd_atom(k), 1, Fraction(-1, k))
+    return ClosedForm.atom(PI, k, zeta_even_coefficient(k) / k)
 
 
 def _lngamma_ratio_log(na: int, nb: int) -> BivariateSeries:

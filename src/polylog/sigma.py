@@ -6,7 +6,8 @@ form; everything else stays an atomic constant whose numeric value comes
 from quadrature of the defining integral.  Known closed forms come in
 three groups:
 
-* the S_{n,1}(-1) = Li_{n+1}(-1) column, valid for every n;
+* the S_{n,1}(-1) = Li_{n+1}(-1) column, which sigma_tilde applies at every
+  n; the registry lists it to n = 7, as rows of the sigma table;
 * the tabulated values of weight <= 5 plus the closed weight-6 entries
   sigma~_{1,5} and sigma~_{5,1};
 * sigma~_{5,2} and sigma~_{7,2}, tabulated like sigma~_{3,2}.  The S- and
@@ -55,7 +56,7 @@ def registry() -> SigmaRegistry:
     pi6 = ClosedForm.atom(PI, 6)
     ln2 = [ClosedForm.atom(LN2, e) for e in range(7)]
 
-    # sigma~_{n,1} = Li_{n+1}(-1), all n
+    # sigma~_{n,1} = Li_{n+1}(-1), which sigma_tilde applies at every n
     for n in range(1, 8):
         closed[(n, 1)] = eta_factor_closed(n + 1)
 
@@ -122,13 +123,16 @@ def registry() -> SigmaRegistry:
 
 
 def sigma_tilde(n: int, p: int) -> ClosedForm:
-    """sigma~_{n,p} = S_{n,p}(-1): registered closed form, else atomic.
+    """sigma~_{n,p} = S_{n,p}(-1): Li_{n+1}(-1) at p = 1, else the
+    registered closed form, else atomic.
 
     Its weight n+p is held to the weight ceiling MAX_WEIGHT.
     """
     if n < 1 or p < 1:
         raise DomainError("sigma~ indices must be >= 1")
     _check_weight(n + p)
+    if p == 1:
+        return eta_factor_closed(n + 1)
     reg = registry()
     if (n, p) in reg.closed:
         return reg.closed[(n, p)]

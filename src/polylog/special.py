@@ -38,8 +38,7 @@ from functools import cache, partial
 from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import zeta_nonpositive_rational
-from .digamma import _TAIL
+from .closedform import bernoulli_fraction, zeta_nonpositive_rational
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
 from .summation import eta_num, sum_alternating, sum_tail, zeta_num
@@ -207,9 +206,8 @@ def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
     x_outer = 1 (a = 1/(m-1), c_j = B_2j/(2j)! (m)_(2j-1)), Boole at -1 (a = 0,
     c_j times 4^j - 1).  The first anchor is the least of 64, 80, ... where
     the first dropped term c_9 y^-17 is below 1e-17 of the leading term."""
-    halves = (*_TAIL, 43867.0 / 14364.0)  # B_2j / 2j for j = 1..9
     c = [(1 if x_outer == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1)
-         * halves[j - 1] for j in range(1, 10)]
+         * float(bernoulli_fraction(2 * j) / (2 * j)) for j in range(1, 10)]
     first = next(y for y in count(64, _BLOCK)
                  if abs(c[8]) * y ** -17.0 <= 1e-17 * (y / (m - 1) if x_outer == 1.0 else 0.5))
     return first, tuple(c[:8])

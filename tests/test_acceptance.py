@@ -18,7 +18,7 @@ from polylog.closedform import (ClosedForm, LN2, PI, li_half_atom,
                                 zeta_closed, zeta_odd_atom)
 from polylog.eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from polylog.ipq import Family, ipq_final, ipq_numeric, r_value
-from polylog.ipq import _final_nielsen_form, _final_sum_form
+from polylog.ipq import _final_nielsen_form
 from polylog.lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual,
                            lognm_numeric, s_sigma_relation_residual,
                            sigma_weight6_count)
@@ -258,7 +258,7 @@ def test_criterion_10_cross_route_coherence():
     for family in Family:
         for p in range(1, 5):
             for q in range(1, 5):
-                assert _final_sum_form(family, p, q) == \
+                assert ipq_final(family, p, q) == \
                     _final_nielsen_form(family, p, q), (family, p, q)
     print("\nACCEPTANCE 10: PASS  generating-function, Beta-derivative, "
           "quadrature, and both final-display routes coincide")

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from polylog.closedform import bernoulli_fraction
 from polylog.digamma import _TAIL, euler_gamma, psi
 from polylog.errors import DomainError
 
@@ -68,6 +69,12 @@ def _psi_reference(x):
     for c in reversed(_TAIL):
         tail = (tail + c) * y
     return acc + math.log(x) - 0.5 / x - tail
+
+
+def test_tail_literals_are_the_bernoulli_quotients():
+    # digamma keeps B_2j/2j as literals (deriving them at import is slower);
+    # mpl2's outer tail reads them from closedform's exact Bernoulli numbers
+    assert _TAIL == tuple(float(bernoulli_fraction(2 * j) / (2 * j)) for j in range(1, 9))
 
 
 def test_psi_matches_reference_loop_bit_for_bit():

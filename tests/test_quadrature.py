@@ -10,7 +10,7 @@ from polylog import quadrature, special
 from polylog.errors import ConvergenceError, DomainError
 from polylog.ipq import Family, ipq_numeric
 from polylog.lognm import lognm_numeric
-from polylog.quadrature import QuadratureResult, integrate01, log1m, log_power, logx, nodes
+from polylog.quadrature import QuadratureResult, integrate01, log1m, log_power, nodes
 from polylog.special import li_column, mpl2, nielsen_num
 
 from conftest import assert_frozen_value, pointwise, zeta_brute
@@ -210,7 +210,7 @@ def test_high_order_integrals_match_references(value, reference):
 def test_log_columns_equal_the_scalar_kernels_bit_for_bit():
     for level in range(quadrature._MAX_LEVEL + 1):
         xs, omxs, _ = nodes(level)
-        assert log_power("x", 1, level) == tuple(map(logx, xs, omxs))
+        assert log_power("x", 1, level) == tuple(map(log1m, omxs, xs))
         # the rounded x near 1 has lost low bits of 1-x; ln x = log1p(-(1-x))
         assert all(lx == math.log1p(-omx)
                    for lx, omx in zip(log_power("x", 1, level), omxs) if omx < 0.5)
@@ -224,7 +224,7 @@ def test_log_columns_equal_the_scalar_kernels_bit_for_bit():
 
 
 def _kink(x, omx):
-    return abs(x - 0.5) * logx(x, omx)
+    return abs(x - 0.5) * log1m(omx, x)
 
 
 def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
@@ -244,7 +244,7 @@ def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
     assert abs(direct.value.partial - exact) < 2e-8
     # a smooth integrand converges, to the same bits both ways
     smooth = integrate01(lambda level: map(mul, log_power("x", 1, level), nodes(level)[1]), 1e-12)
-    assert smooth == integrate01(pointwise(lambda x, omx: logx(x, omx) * omx), 1e-12)
+    assert smooth == integrate01(pointwise(lambda x, omx: log1m(omx, x) * omx), 1e-12)
     assert abs(smooth.value + 0.75) < 1e-13
 
 

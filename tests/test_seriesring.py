@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.closedform import ClosedForm, GAMMA, PI, zeta_closed
+from polylog.closedform import ClosedForm, GAMMA, PI, zeta_closed, zeta_odd_atom
 from polylog.errors import CapacityError, DomainError, ShapeError
 from polylog import seriesring
 from polylog.quadrature import integrate01, log1m
@@ -115,6 +115,15 @@ def test_gamma_ratio_series_is_held_to_the_ceiling():
         with pytest.raises(CapacityError, match=f"weight {max(orders)} above"):
             gamma_ratio_series(orders)
         assert time.perf_counter() - start < 0.1, orders
+
+
+def test_dense_box_reads_zeta_past_the_ceiling():
+    # the (11, 12) box that the benchmark times reads zeta(23), which the
+    # capped zeta_closed refuses; the log coefficients must not go through it
+    with pytest.raises(CapacityError):
+        zeta_closed(23)
+    logs = seriesring._lngamma_ratio_log(11, 12)
+    assert logs.c[11][12] == Fraction(math.comb(23, 11), 23) * ClosedForm.atom(zeta_odd_atom(23))
 
 
 # -- Nielsen constants ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polylog.cli import main
 from polylog.closedform import (_TAGS, Atom, ClosedForm, GAMMA, LN2, PI,
                                 eta_factor_closed, li_half_atom, sigma_atom,
                                 zeta_closed, zeta_odd_atom)
@@ -21,6 +23,22 @@ def test_li_column_is_closed():
     assert sigma_tilde(1, 1) == ClosedForm.atom(PI, 2, Fraction(-1, 12))
     assert cf_num(sigma_tilde(3, 1)) == pytest.approx(-7 * math.pi ** 4 / 720, abs=1e-14)
     assert cf_num(sigma_tilde(5, 1)) == pytest.approx(-31 * math.pi ** 6 / 30240, abs=1e-13)
+
+
+# Li_{n+1}(-1) = -(1 - 2^-n) zeta(n+1), to 20 digits
+_LI_AT_MINUS_ONE = {8: -0.99809429754160533077, 12: -0.99987854276326511549,
+                    17: -0.99999618786961011348}
+
+
+def test_li_column_is_closed_past_the_registry(capsys):
+    # the registry lists sigma~_{n,1} to n = 7; sigma_tilde applies the rule at every n
+    for n in range(1, MAX_WEIGHT):
+        assert sigma_tilde(n, 1) == eta_factor_closed(n + 1), n
+    assert all(sigma_tilde(n, 1) is registry().closed[(n, 1)] for n in range(1, 8))
+    for n, value in _LI_AT_MINUS_ONE.items():
+        assert main(["eval", "sigma-np", "--n", str(n), "--p", "1"]) == 0
+        decimal = json.loads(capsys.readouterr().out)["decimal"]
+        assert abs(decimal - value) <= 2e-15 * abs(value), n
 
 
 def test_table_values_match_quadrature():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from polylog import special, summation
 from polylog.errors import CapacityError, DomainError
-from polylog.quadrature import ORACLE_TOL, integrate01, log1m, logx, nodes
+from polylog.quadrature import ORACLE_TOL, integrate01, log1m, nodes
 from polylog.special import (_li_series, li_column, li_neg, li_pos, mpl2,
                              nielsen_num, outer_tail, polylog)
 from polylog.summation import zeta_num
@@ -125,9 +125,9 @@ def test_nielsen_num_equals_direct_integrand_bit_for_bit():
         pref = (-1.0) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p))
         for z in (1.0, -1.0, 0.3):
             if z == 1.0:
-                ev = lambda x, omx: logx(x, omx) ** (n - 1) * log1m(x, omx) ** p / x
+                ev = lambda x, omx: log1m(omx, x) ** (n - 1) * log1m(x, omx) ** p / x
             else:
-                ev = lambda x, omx: logx(x, omx) ** (n - 1) * math.log1p(-z * x) ** p / x
+                ev = lambda x, omx: log1m(omx, x) ** (n - 1) * math.log1p(-z * x) ** p / x
             direct = pref * integrate01(pointwise(ev), ORACLE_TOL).value
             assert nielsen_num(n, p, z) == direct, (n, p, z)
 

@@ -106,12 +106,8 @@ def test_package_modules_import_only_names_they_use():
 # and why it crosses the module boundary.
 _SHARED_PRIVATE_NAMES = {
     "closedform._check_weight": (
-        {"approx", "eulersums", "ipq", "lognm", "seriesring", "sigma"},
-        "the one weight ceiling, applied by every exact builder"),
-    "closedform._zeta_form": (
-        {"seriesring"}, "zeta past the ceiling, for the dense reference box"),
-    "digamma._TAIL": (
-        {"special"}, "the B_2j/2j of digamma's tail, which mpl2's outer tail extends"),
+        {"approx", "cli", "eulersums", "ipq", "lognm", "seriesring", "sigma"},
+        "the one weight ceiling, applied by every exact builder and cli's ipq table"),
     "quadrature._check_tolerance": (
         {"summation"}, "one tolerance check for both oracle drivers"),
     "ipq._final_nielsen_form": (
@@ -706,7 +702,8 @@ def test_ipq_table_beyond_ceiling_refused_before_any_build(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert time.perf_counter() - t0 < 0.5
     assert code == 3
-    assert f"needs weight {MAX_WEIGHT + 1}" in capsys.readouterr().err
+    # the one weight check's message: I(p,q) to p+q = MAX_WEIGHT has weight MAX_WEIGHT + 1
+    assert f"weight {MAX_WEIGHT + 1} above cap {MAX_WEIGHT}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
