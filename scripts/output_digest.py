@@ -16,7 +16,10 @@ runs in this one process, through polylog.cli.main:
   the same three parts as eval;
 - table <kind>: --max-weight 2..18, the exit code and the CSV and JSON
   bytes (a refused table writes neither);
-- truncation_study: the stdout of scripts/truncation_study.py.
+- truncation_study: the stdout of scripts/truncation_study.py;
+- usage: malformed argv and -h/--help, top level and for each command: the
+  exit code, the first stdout line and the whole of stderr (a usage error
+  writes its usage line and then its error line).
 
 Usage:
     PYTHONPATH=src python scripts/output_digest.py
@@ -32,13 +35,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-from polylog.cli import _EVAL_TARGETS, main as cli_main
+from polylog.cli import _COMMANDS, _EVAL_TARGETS, main as cli_main
 from polylog.verify import SUITES
 
 _FLAG_VALUES = range(-1, 20)
 _FAMILIES = ("plus", "minus", "mixed")
 _TABLE_KINDS = ("inm", "hnm", "sigma", "ipq")
 _TABLE_WEIGHTS = range(2, 19)
+_USAGE_ARGV = (
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["--bogus", "eval", "c", "--r", "3"],
+    *([command, flag] for command in _COMMANDS for flag in ("-h", "--help")),
+    ["eval"], ["eval", "nonsense"], ["eval", "s-plus", "--r"], ["eval", "s-plus", "--r", "x"],
+    ["eval", "s-plus", "--r=1.5"], ["eval", "s-plus", "--r", "--pretty"],
+    ["eval", "s-plus", "--pretty=x"], ["eval", "s-plus", "3"], ["eval", "s-plus", "--bogus"],
+    ["eval", "ipq", "--p", "2", "--q", "3"], ["ipq", "--family", "plus", "--p", "1"],
+    ["approx", "s-plus", "--p", "1", "--kt", "1"], ["verify", "--suite", "bogus"],
+    ["verify", "--tol-scale", "x"], ["verify", "--=x"], ["table", "--kind"],
+    ["table", "--kind", "bogus"], ["table", "--kind", "inm", "--max-weight", "x"],
+)
 
 
 def _captured(run) -> tuple[object, str, str]:
@@ -103,6 +117,12 @@ def _truncation_study():
     yield [out]
 
 
+def _usage():
+    for argv in _USAGE_ARGV:
+        code, out, err = _captured(lambda: cli_main(argv))
+        yield [argv, code, out.partition("\n")[0], err]
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         families = [("verify", _verify(Path(tmp)))]
@@ -111,6 +131,7 @@ def main() -> None:
         families += [("ipq", _ipq()), ("approx", _approx())]
         families += [(f"table {kind}", _table(kind)) for kind in _TABLE_KINDS]
         families.append(("truncation_study", _truncation_study()))
+        families.append(("usage", _usage()))
         for family, outputs in families:
             digest, count = hashlib.sha256(), 0
             for output in outputs:

@@ -2,18 +2,21 @@
 
 Output is machine-first JSON (sorted keys, stable float repr); --pretty
 switches to indented JSON.  Exit codes: 0 success, 1 verification failure,
-2 usage error (argparse), 3 domain/capacity error from the math modules or
-an input/output file that cannot be read or written.
+2 usage error, 3 domain/capacity error from the math modules or an
+input/output file that cannot be read or written.  One command table,
+_COMMANDS, drives the argument parser (parse_args), the usage lines and the
+help; -h/--help exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .approx import s_minus_truncated
 from .closedform import ClosedForm, _check_weight, monomial_name
@@ -54,7 +57,7 @@ def _closed_payload(cf: ClosedForm) -> dict:
     return {"closed": cf.to_obj(), "pretty": cf.pretty(), "decimal": cf_num(cf)}
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     names, build = _EVAL_TARGETS[args.target]
     params = {n: getattr(args, n) for n in names}
     missing = [n for n in names if params[n] is None]
@@ -69,7 +72,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ipq(args: argparse.Namespace) -> int:
+def _cmd_ipq(args: SimpleNamespace) -> int:
     fam = Family.parse(args.family)
     payload = _closed_payload(ipq_final(fam, args.p, args.q))
     oracle = ipq_numeric(fam, args.p, args.q)
@@ -78,7 +81,7 @@ def _cmd_ipq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_approx(args: argparse.Namespace) -> int:
+def _cmd_approx(args: SimpleNamespace) -> int:
     cf = s_minus_truncated(args.p, args.kt)
     value = cf_num(cf)
     reference = sum_oracle("SMinus", args.p)
@@ -113,7 +116,7 @@ def _read_config(path: str | None) -> dict[str, float]:
     return overrides
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     report = run_suite(args.suite, args.tol_scale, _read_config(args.config))
     for e in report.entries:
         line = f"{e.status.upper():4s} {e.identity_id}  err={e.abs_error:.3e} tol={e.tolerance:.1e}"
@@ -126,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_dir(args: SimpleNamespace) -> Path:
     out = args.out or os.environ.get("POLYLOG_OUT") or "out"
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -149,7 +152,7 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
             for fam in Family for p in range(1, w) for q in range(1, w - p + 1)]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     import csv
 
     entries = _table_entries(args.kind, args.max_weight)
@@ -178,63 +181,212 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="polylog",
-        description="Exact closed forms and certified numerics for "
-                    "logarithmic/polylogarithmic integrals and Euler sums")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table.  Each command maps to (help line, positional, flags,
+# handler).  The positional is (name, choices) or None.  Each flag maps its
+# --name to (type, required, default, choices, help line); a flag of type
+# None is a switch, False unless given.
+_PRETTY = (None, False, False, None, "indent the JSON output")
+_COMMANDS = {
+    "eval": ("evaluate a named quantity", ("target", _EVAL_TARGETS), {
+        "--family": (str, False, None, None, "family of ipq: plus, minus or mixed"),
+        "--p": (int, False, None, None, "p of ipq, s-np, sigma-np and approx"),
+        "--q": (int, False, None, None, "q of ipq"),
+        "--r": (int, False, None, None, "r of s-plus, s-minus, jordan1, jordan2, milgram and c"),
+        "--n": (int, False, None, None, "n of s-np, sigma-np, inm and hnm"),
+        "--m": (int, False, None, None, "m of inm and hnm"),
+        "--kt": (int, False, None, None, "kt, the terms kept by approx"),
+        "--pretty": _PRETTY,
+    }, _cmd_eval),
+    "ipq": ("one I(p,q) value with its quadrature oracle", None, {
+        "--family": (str, True, None, None, "plus, minus or mixed"),
+        "--p": (int, True, None, None, "p of I(p,q)"),
+        "--q": (int, True, None, None, "q of I(p,q)"),
+        "--pretty": _PRETTY,
+    }, _cmd_ipq),
+    "approx": ("truncated alternating Euler sum", ("quantity", ("s-minus",)), {
+        "--p": (int, True, None, None, "p of S-(p)"),
+        "--kt": (int, True, None, None, "kt, the terms kept"),
+        "--pretty": _PRETTY,
+    }, _cmd_approx),
+    "verify": ("run identity verification suites", None, {
+        "--suite": (str, False, "all", ("all", *SUITES), "the suite to run"),
+        "--tol-scale": (float, False, 1.0, None, "multiply every tolerance by this"),
+        "--config": (str, False, None, None,
+                     "key = value file of per-identity tolerance overrides"),
+        "--json": (str, False, None, None, "write the full report to this path"),
+    }, _cmd_verify),
+    "table": ("emit a closed-form table as CSV + JSON", None, {
+        "--kind": (str, True, None, ("inm", "hnm", "sigma", "ipq"), "the table to emit"),
+        "--max-weight": (int, False, 6, None, "the highest weight in the table"),
+        "--out": (str, False, None, None, "output directory (default $POLYLOG_OUT or ./out)"),
+    }, _cmd_table),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
-    pe = sub.add_parser("eval", help="evaluate a named quantity")
-    pe.add_argument("target", choices=_EVAL_TARGETS)
-    pe.add_argument("--family", type=str)
-    pe.add_argument("--p", type=int)
-    pe.add_argument("--q", type=int)
-    pe.add_argument("--r", type=int)
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--m", type=int)
-    pe.add_argument("--kt", type=int)
-    pe.add_argument("--pretty", action="store_true")
-    pe.set_defaults(fn=_cmd_eval)
 
-    pi = sub.add_parser("ipq", help="one I(p,q) value with its quadrature oracle")
-    pi.add_argument("--family", required=True)
-    pi.add_argument("--p", type=int, required=True)
-    pi.add_argument("--q", type=int, required=True)
-    pi.add_argument("--pretty", action="store_true")
-    pi.set_defaults(fn=_cmd_ipq)
+def _shown(flag: str, kind, choices) -> str:
+    """A flag as usage and help show it: a switch alone, else with its value."""
+    if kind is None:
+        return flag
+    return f"{flag} " + ("{" + ",".join(choices) + "}" if choices
+                         else flag[2:].upper().replace("-", "_"))
 
-    pa = sub.add_parser("approx", help="truncated alternating Euler sum")
-    pa.add_argument("quantity", choices=["s-minus"])
-    pa.add_argument("--p", type=int, required=True)
-    pa.add_argument("--kt", type=int, required=True)
-    pa.add_argument("--pretty", action="store_true")
-    pa.set_defaults(fn=_cmd_approx)
 
-    pv = sub.add_parser("verify", help="run identity verification suites")
-    pv.add_argument("--suite", default="all", choices=["all", *SUITES])
-    pv.add_argument("--tol-scale", type=float, default=1.0)
-    pv.add_argument("--config", type=str, default=None,
-                    help="key = value file of per-identity tolerance overrides")
-    pv.add_argument("--json", type=str, default=None,
-                    help="write the full report to this path")
-    pv.set_defaults(fn=_cmd_verify)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: polylog [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, positional, flags, _ = _COMMANDS[command]
+    words = [_shown(flag, kind, choices) if required else f"[{_shown(flag, kind, choices)}]"
+             for flag, (kind, required, _, choices, _) in flags.items()]
+    if positional:
+        words.append("{" + ",".join(positional[1]) + "}")
+    return " ".join(["usage: polylog", command, "[-h]", *words])
 
-    pt = sub.add_parser("table", help="emit a closed-form table as CSV + JSON")
-    pt.add_argument("--kind", required=True, choices=["inm", "hnm", "sigma", "ipq"])
-    pt.add_argument("--max-weight", type=int, default=6)
-    pt.add_argument("--out", type=str, default=None,
-                    help="output directory (default $POLYLOG_OUT or ./out)")
-    pt.set_defaults(fn=_cmd_table)
 
-    return parser
+def _fail(command: str | None, message: str):
+    """A usage error: the usage line and the error on stderr, exit code 2."""
+    prog = f"polylog {command}" if command else "polylog"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _print_help(command: str | None):
+    """The usage line, the help line and one line per argument; exit code 0."""
+    if command is None:
+        about = ("Exact closed forms and certified numerics for "
+                 "logarithmic/polylogarithmic integrals and Euler sums")
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+    else:
+        about, positional, flags, _ = _COMMANDS[command]
+        rows = [(positional[0], "one of " + ", ".join(positional[1]))] if positional else []
+        rows += [(_shown(flag, kind, choices), text)
+                 for flag, (kind, _, _, choices, text) in flags.items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    print(_usage(command), "", about, "", *(f"  {left:22}  {text}" for left, text in rows),
+          sep="\n")
+    raise SystemExit(0)
+
+
+def _switch(command: str | None, name: str, value: str | None) -> None:
+    """A switch takes no value: one given with "=" is a usage error."""
+    if value is not None:
+        _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+
+
+def _read_word(word: str, names: tuple[str, ...], command: str | None):
+    """One word as argparse reads it: (flag, its =value or None) for a flag,
+    (None, None) for a value and ("", None) for an unknown option.  A unique
+    prefix of a --flag names it; a negative number, a lone "-" or a word with
+    a space is a value; -hh... is -h."""
+    if word[:1] != "-":
+        return None, None
+    if word in names:
+        return word, None
+    if len(word) == 1:
+        return None, None
+    name, eq, value = word.partition("=")
+    if eq and name in names:
+        return name, value
+    if word[1] == "-":
+        hits = [flag for flag in names if flag.startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {word} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif word[1] == "h":
+        return "-h", None if word.rstrip("h") == "-" else word[2:]
+    if " " in word or re.match(_NEGATIVE_NUMBER, word):
+        return None, None
+    return "", None
+
+
+def _convert(command: str | None, name: str, kind, choices, word: str):
+    try:
+        value = kind(word)
+    except ValueError:
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: {word!r}")
+    if choices is not None and value not in choices:
+        _fail(command, f"argument {name}: invalid choice: {word!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse_command(command: str, words: list[str]) -> SimpleNamespace:
+    _, positional, flags, _ = _COMMANDS[command]
+    names = (*flags, *_HELP)
+    # every word is read before any is taken, so an ambiguous prefix fails
+    # first; every word after the first "--" is a value
+    read = []
+    for i, word in enumerate(words):
+        if word == "--":
+            read += [("--", None)] + [(None, None)] * (len(words) - i - 1)
+            break
+        read.append(_read_word(word, names, command))
+    args = {"command": command}
+    args.update((flag[2:].replace("-", "_"), default)
+                for flag, (_, _, default, _, _) in flags.items())
+    given, unknown, taken_at, i = set(), [], None, 0
+    while i < len(words):
+        word, (flag, value) = words[i], read[i]
+        i += 1
+        if flag in _HELP:
+            _switch(command, "-h/--help", value)
+            _print_help(command)
+        elif flag == "--":
+            # argparse drops it before the positional and right after it
+            if not positional or taken_at not in (None, i - 2):
+                unknown.append(word)
+        elif flag:
+            kind, _, _, choices, _ = flags[flag]
+            if kind is None:
+                _switch(command, flag, value)
+                value = True
+            else:
+                if value is None:
+                    if i == len(words) or read[i] != (None, None):
+                        _fail(command, f"argument {flag}: expected one argument")
+                    value, i = words[i], i + 1
+                value = _convert(command, flag, kind, choices, value)
+            args[flag[2:].replace("-", "_")] = value
+            given.add(flag)
+        elif flag is None and positional and taken_at is None:
+            args[positional[0]] = _convert(command, positional[0], str, positional[1], word)
+            taken_at = i - 1
+        else:
+            unknown.append(word)
+    missing = [positional[0]] if positional and taken_at is None else []
+    missing += [flag for flag, (_, required, _, _, _) in flags.items()
+                if required and flag not in given]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**args)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its values from argv, as the handlers read them; a
+    usage error exits with code 2, and -h/--help prints the help and exits 0."""
+    unknown = []
+    for i, word in enumerate(argv):
+        flag, value = _read_word(word, _HELP, None) if word != "--" else (None, None)
+        if flag is None:
+            args = _parse_command(_convert(None, "command", str, _COMMANDS, word), argv[i + 1:])
+            if unknown:
+                _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+            return args
+        if flag:
+            _switch(None, "-h/--help", value)
+            _print_help(None)
+        unknown.append(word)
+    _fail(None, "the following arguments are required: command")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][3](args)
     except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,8 @@ Values that do not depend on the caller are computed once per process: the
 coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
 integer argument, none below -78 since k < 80), the powers k^-p of the
 direct series (_inverse_powers, one tuple per order), the outer tails'
-series coefficients (_tail_series, one tuple per order and sign) and their
+series coefficients (_tail_series, one tuple per order and sign, from the
+nine B_2j/(2j) in _bernoulli_quotients) and their
 values at the integers (_tail_block, one tuple per anchor, 16 values past
 the first), and Li_p(+-x) at the quadrature nodes (li_column), which every
 product integrand shares.  li_column holds one tuple per (order, sign,
@@ -200,14 +201,20 @@ _BLOCK = 16  # the blocks of T at the integers end at anchors this far apart
 
 
 @cache
+def _bernoulli_quotients() -> tuple[float, ...]:
+    """B_2j/(2j) for j = 1..9 as floats, shared by every outer tail."""
+    return tuple(float(bernoulli_fraction(2 * j) / (2 * j)) for j in range(1, 10))
+
+
+@cache
 def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
     """First anchor and coefficients c_1..c_8 of the outer tail's asymptotic
     series T(y) ~ y^-m [a y + 1/2 + sum_j c_j y^(1-2j)]: Euler-Maclaurin at
     x_outer = 1 (a = 1/(m-1), c_j = B_2j/(2j)! (m)_(2j-1)), Boole at -1 (a = 0,
     c_j times 4^j - 1).  The first anchor is the least of 64, 80, ... where
     the first dropped term c_9 y^-17 is below 1e-17 of the leading term."""
-    c = [(1 if x_outer == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1)
-         * float(bernoulli_fraction(2 * j) / (2 * j)) for j in range(1, 10)]
+    c = [(1 if x_outer == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1) * b
+         for j, b in enumerate(_bernoulli_quotients(), 1)]
     first = next(y for y in count(64, _BLOCK)
                  if abs(c[8]) * y ** -17.0 <= 1e-17 * (y / (m - 1) if x_outer == 1.0 else 0.5))
     return first, tuple(c[:8])

@@ -1,7 +1,9 @@
+import itertools
 import math
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -316,6 +318,21 @@ def test_outer_tail_matches_its_direct_sum_up_to_high_weight():
                 ref = math.fsum(x ** i * (y + i) ** -m for i in range(4000))
                 if abs(ref) > 1e-290:
                     assert abs(outer_tail(m, x, y) - ref) <= 1e-15 * abs(ref), (m, x, y)
+
+
+def test_tail_series_is_the_written_formula():
+    # c_j = (1, or 4^j - 1 at x = -1) C(m + 2j - 2, 2j - 1) B_2j/(2j), bit for
+    # bit, and the first anchor is the least of 64, 80, ... where c_9 y^-17 is
+    # below 1e-17 of the leading term
+    b = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+         Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798))
+    for m in range(2, 60):
+        for x in (1.0, -1.0):
+            c = [(1 if x == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1)
+                 * float(b[j - 1] / (2 * j)) for j in range(1, 10)]
+            first = next(y for y in itertools.count(64, 16)
+                         if abs(c[8]) * y ** -17.0 <= 1e-17 * (y / (m - 1) if x == 1.0 else 0.5))
+            assert special._tail_series(m, x) == (first, tuple(c[:8])), (m, x)
 
 
 def test_shared_series_caches_are_thread_safe():

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import graphlib
 import json
@@ -15,7 +14,7 @@ import pytest
 import polylog
 from polylog import digamma, special, summation, verify
 from polylog.approx import MAX_KT
-from polylog.cli import _EVAL_TARGETS, SNP_TABLE_WEIGHT, build_parser, main
+from polylog.cli import _COMMANDS, _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
 from polylog.closedform import ClosedForm, zeta_closed
 from polylog.eulersums import sum_oracle
 from polylog.ipq import Family, ipq_numeric, ipq_series
@@ -306,10 +305,9 @@ def test_verify_unknown_suite_is_domain_error(capsys):
 
 
 def test_verify_suite_choices_come_from_the_suite_table():
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    suite = next(a for a in subparsers.choices["verify"]._actions if a.dest == "suite")
-    assert suite.choices == ["all", *SUITES]
+    _, _, flags, _ = _COMMANDS["verify"]
+    _, _, default, choices, _ = flags["--suite"]
+    assert default == "all" and choices == ("all", *SUITES)
 
 
 def test_verify_entry_set_is_pinned():
@@ -642,12 +640,14 @@ def test_cold_start_imports_no_heavy_stdlib_modules():
     env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
     code = ("import sys; before = set(sys.modules); "
             "import polylog; from polylog import cli; "
+            "cli.main(['eval', 's-plus', '--r', '3']); "
             "print(*sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=30, check=True)
-    loaded = set(proc.stdout.split())
+    loaded = set(proc.stdout.splitlines()[-1].split())
     assert "polylog.cli" in loaded
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv",
+             "argparse", "gettext", "locale"}
     assert not loaded & heavy
 
 
