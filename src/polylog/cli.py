@@ -222,7 +222,7 @@ _COMMANDS = {
     }, _cmd_table),
 }
 _HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # argparse's: such a word is a value
 
 
 def _shown(flag: str, kind, choices) -> str:
