@@ -62,9 +62,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     params = {n: getattr(args, n) for n in names}
     missing = [n for n in names if params[n] is None]
     if missing:
-        print(f"error: target {args.target!r} requires "
-              + ", ".join(f"--{n}" for n in missing), file=sys.stderr)
-        raise SystemExit(2)
+        _fail("eval", f"target {args.target!r} requires " + ", ".join(f"--{n}" for n in missing))
     if "family" in params:
         params["family"] = Family.parse(params["family"]).value
     _emit({"target": args.target, "params": params, **_closed_payload(build(**params))},

@@ -5,11 +5,11 @@ asymptotic series, evaluated as an unrolled Horner scheme, finishes;
 relative error is below 1e-13 on (0, inf).
 
 psi is the uncached kernel.  psi_point memoizes it for the Euler-sum
-series oracles (eulersums.sum_oracle), whose terms all walk the same
-integers, half-integers and Euler-Maclaurin tail nodes; its cache holds one
-float per point those series reach.  psi_table keeps their direct terms'
-digamma differences psi(k + shift) - psi(shift) as one tuple per block of
-indices, read through psi_point, so each point still meets the kernel once.
+series oracles (eulersums.sum_oracle), whose direct terms all walk the same
+integers and half-integers; its cache holds one float per point those
+series reach.  psi_table keeps their direct terms' digamma differences
+psi(k + shift) - psi(shift) as one tuple per block of indices, read through
+psi_point, so each point still meets the kernel once.
 Neither serves special.mpl2, whose outer tails have an asymptotic series of
 their own.  psi itself stays uncached: a cache on arbitrary floats would
 grow without bound for library callers.
@@ -57,9 +57,8 @@ def psi(x: float) -> float:
 def psi_point(x: float) -> float:
     """psi(x) memoized, for the points the series oracles share.
 
-    The cache holds the integers, half-integers and tail nodes of sum_oracle
-    (psi_table reads its points through here) and the point 1 of
-    euler_gamma.
+    The cache holds the integers and half-integers of sum_oracle (psi_table
+    reads its points through here) and the point 1 of euler_gamma.
     """
     return psi(x)
 

@@ -10,10 +10,11 @@ exists as a direct accelerated summation of its defining series
 tag and order.  Every series but S- is
 sum_k scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r, so its
 direct terms are one memoized digamma table (digamma.psi_table) times one
-map(pow, ...); its term lambda serves the Euler-Maclaurin tail, and S-'s
+map(pow, ...), and its Euler-Maclaurin tail is taken in closed form from
+the asymptotic series of psi (_monotone_expansion); S-'s term lambda serves
 the alternating acceleration.  All of them read digamma through psi_point,
-so the sums share each psi value at the integers, half-integers and tail
-nodes they walk.  The second exact routes (the Nielsen form of C, the full
+so the sums share each psi value at the integers and half-integers they
+walk.  The second exact routes (the Nielsen form of C, the full
 Milgram sum, the even-order Jordan forms against the Nielsen ones, the
 Jordan decomposition of S-) are verify entries.  Every builder holds the
 weight r+1 of its sum to the weight ceiling MAX_WEIGHT.
@@ -21,6 +22,7 @@ weight r+1 of its sum to the weight ceiling MAX_WEIGHT.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -32,7 +34,7 @@ from .errors import DomainError
 from .quadrature import ORACLE_TOL
 from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
-from .summation import sum_alternating, sum_tail
+from .summation import Expansion, bernoulli_quotients, sum_alternating, sum_tail
 
 # (scale, shift, step, offset) of each monotone series
 # sum_{k>=1} scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r;
@@ -180,9 +182,36 @@ def sum_oracle(tag: str, r: int) -> float:
     scale, shift, step, offset = _MONOTONE[tag]
     origin = psi_point(shift)
 
-    def term(k: float) -> float:
+    def term(k: int) -> float:
         return scale * (psi_point(k + shift) - origin) * (step * k + offset) ** e
 
     def weights(a: int, b: int):
         return map(mul, repeat(scale), psi_table(shift, a, b))
-    return sum_tail(term, ORACLE_TOL, r, direct=(weights, step, offset, e))
+    return sum_tail(term, ORACLE_TOL, (step, offset, _monotone_expansion(tag, r)),
+                    direct=(weights, step, offset, e))
+
+
+@cache
+def _digamma_series(alpha: float) -> tuple[float, ...]:
+    """c_k of psi(z + alpha) ~ ln z + sum_k c_k z^-k for alpha in {0, 1/2, 1}
+    and k = 1..20: c_1 = alpha - 1/2, c_2j = -B_2j(alpha)/(2j) with
+    B_2j(0) = B_2j(1) = B_2j and B_2j(1/2) = (2^(1-2j) - 1) B_2j, and the
+    other odd c_k zero."""
+    out = [alpha - 0.5]
+    for j, q in enumerate(bernoulli_quotients(), 1):
+        out += [-(2.0 ** (1 - 2 * j) - 1.0 if alpha == 0.5 else 1.0) * q, 0.0]
+    return tuple(out[:-1])
+
+
+@cache
+def _monotone_expansion(tag: str, r: int) -> Expansion:
+    """The term of the monotone series tag as F(step*k + offset),
+    F(y) = scale [psi(y/step + alpha) - psi(shift)] y^-r with
+    alpha = shift - offset/step, expanded in powers of y:
+    scale (ln y - ln step - psi(shift)) y^-r + sum_k scale c_k step^k y^(-r-k)."""
+    scale, shift, step, offset = _MONOTONE[tag]
+    out = [(r, scale * (-math.log(step) - psi_point(shift)), scale)]
+    for k, c in enumerate(_digamma_series(shift - offset / step), 1):
+        if c:
+            out.append((r + k, scale * c * step ** k, 0.0))
+    return tuple(out)

@@ -15,14 +15,16 @@ The depth-2 sums are taken at x_outer, x_inner = +-1 only, the arguments of
 the low-order I(p,q) identities, as one series, outer index first:
 mpl2 = x_o sum_k (x_i x_o)^k k^-m_i T(k+1), the outer tail
 T(y) = sum_{i>=0} x_o^i (y+i)^-m_o read from its Euler-Maclaurin (x_o = 1)
-or Boole (x_o = -1) asymptotic series at an anchor, run down to y.
+or Boole (x_o = -1) asymptotic series at an anchor, run down to the integer y
+(outer_tail takes integer y only).  With x_i x_o = 1 the series' tail is
+taken in closed form from the expansion of its term (_mpl2_expansion).
 
 Values that do not depend on the caller are computed once per process: the
 coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
 integer argument, none below -78 since k < 80), the powers k^-p of the
 direct series (_inverse_powers, one tuple per order), the outer tails'
 series coefficients (_tail_series, one tuple per order and sign, from the
-nine B_2j/(2j) in _bernoulli_quotients) and their
+first nine B_2j/(2j) of summation.bernoulli_quotients) and their
 values at the integers (_tail_block, one tuple per anchor, 16 values past
 the first), and Li_p(+-x) at the quadrature nodes (li_column), which every
 product integrand shares.  li_column holds one tuple per (order, sign,
@@ -39,10 +41,10 @@ from functools import cache, partial
 from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import bernoulli_fraction, zeta_nonpositive_rational
+from .closedform import zeta_nonpositive_rational
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
-from .summation import eta_num, sum_alternating, sum_tail, zeta_num
+from .summation import Expansion, bernoulli_quotients, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
 
@@ -201,12 +203,6 @@ _BLOCK = 16  # the blocks of T at the integers end at anchors this far apart
 
 
 @cache
-def _bernoulli_quotients() -> tuple[float, ...]:
-    """B_2j/(2j) for j = 1..9 as floats, shared by every outer tail."""
-    return tuple(float(bernoulli_fraction(2 * j) / (2 * j)) for j in range(1, 10))
-
-
-@cache
 def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
     """First anchor and coefficients c_1..c_8 of the outer tail's asymptotic
     series T(y) ~ y^-m [a y + 1/2 + sum_j c_j y^(1-2j)]: Euler-Maclaurin at
@@ -214,7 +210,7 @@ def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
     c_j times 4^j - 1).  The first anchor is the least of 64, 80, ... where
     the first dropped term c_9 y^-17 is below 1e-17 of the leading term."""
     c = [(1 if x_outer == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1) * b
-         for j, b in enumerate(_bernoulli_quotients(), 1)]
+         for j, b in enumerate(bernoulli_quotients()[:9], 1)]
     first = next(y for y in count(64, _BLOCK)
                  if abs(c[8]) * y ** -17.0 <= 1e-17 * (y / (m - 1) if x_outer == 1.0 else 0.5))
     return first, tuple(c[:8])
@@ -259,21 +255,29 @@ def outer_tail_table(m: int, x_outer: float, start: int, stop: int) -> list[floa
     return out
 
 
-def outer_tail(m: int, x_outer: float, y: float) -> float:
-    """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1, y >= 1.  An
-    int y reads its block; a float y (an Euler-Maclaurin tail node) takes the
-    series at y, or at y + n past the first anchor and runs down from there."""
-    if isinstance(y, int):
-        return outer_tail_table(m, x_outer, y - 1, y)[0]
-    first, coefficients = _tail_series(m, x_outer)
-    n = math.ceil(first - y) if y < first else 0
-    top = y + n
-    lead = top / (m - 1) + 0.5 if x_outer == 1.0 else 0.5
-    t = top ** -m * (lead + _tail_correction(coefficients, top))
-    while n:
-        n -= 1
-        t = (y + n) ** -m + x_outer * t
-    return t
+def outer_tail(m: int, x_outer: float, y: int) -> float:
+    """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1 at an integer
+    y >= 1, read from its block."""
+    return outer_tail_table(m, x_outer, y - 1, y)[0]
+
+
+@cache
+def _mpl2_expansion(m_outer: int, m_inner: int, x_outer: float) -> Expansion:
+    """F(y) = T(y) (y - 1)^-m_inner, the term of mpl2's series at
+    x_inner = x_outer and y = k + 1, as sum_N f_N y^(1 - m_outer - m_inner - N):
+    the series of T, y^-m [A y + 1/2 + sum_j c_j y^(1-2j)] (A = 1/(m - 1) at
+    x_outer = 1, A = 0 at -1), times the binomial series of
+    (1 - 1/y)^-m_inner, both to the order of c_8."""
+    # t[n] is the coefficient of y^(1 - m - n) in T, n = 0..16
+    t = [1.0 / (m_outer - 1) if x_outer == 1.0 else 0.0, 0.5] + [0.0] * 15
+    t[2::2] = _tail_series(m_outer, x_outer)[1]
+    lead = m_outer + m_inner - 1
+    out = []
+    for n in range(len(t)):
+        f = math.fsum(t[i] * math.comb(m_inner + n - i - 1, n - i) for i in range(n + 1))
+        if f:
+            out.append((lead + n, f, 0.0))
+    return tuple(out)
 
 
 def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
@@ -286,7 +290,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     index first,
         mpl2 = x_outer sum_{k>=1} (x_inner x_outer)^k k^-m_inner T(k+1)
     with T = outer_tail(m_outer, x_outer, .): by sum_tail when
-    x_inner x_outer = 1, else by sum_alternating.  Past m_outer = 1074 every
+    x_inner x_outer = 1, its tail from _mpl2_expansion, else by
+    sum_alternating.  Past m_outer = 1074 every
     term is below the smallest subnormal, and it raises CapacityError."""
     if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
@@ -299,10 +304,9 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
                             f"term, 2^-{m_outer}, is below the smallest subnormal 2^-1074")
     tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
     if x_inner == x_outer:
-        # T(y) falls like y^(1-m) at x_outer = 1 and like y^-m / 2 at -1
         return x_outer * sum_tail(
             lambda k: outer_tail(m_outer, x_outer, k + 1) * k ** -m_inner, tol,
-            m_outer + m_inner - (x_outer == 1.0),
+            (1, 1, _mpl2_expansion(m_outer, m_inner, x_outer)),
             direct=(partial(outer_tail_table, m_outer, x_outer), 1, 0, -m_inner))
     return x_outer * sum_alternating(
         lambda k: (-1) ** k * float(k) ** -m_inner * outer_tail(m_outer, x_outer, k + 1), tol)

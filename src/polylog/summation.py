@@ -2,14 +2,17 @@
 
 Alternating sums use the Chebyshev-polynomial scheme of Cohen, Rodriguez
 Villegas and Zagier: n terms give roughly (3 + sqrt 8)^-n accuracy for
-smoothly decaying magnitudes.  Monotone sums with a known power-law decay
-use direct summation plus an Euler-Maclaurin tail whose integral part is
-evaluated by the tanh-sinh rule; the term callable must therefore accept
-real (not just integer) arguments beyond the cutoff.
+smoothly decaying magnitudes.  Monotone sums use direct summation plus an
+Euler-Maclaurin tail taken in closed form from the caller's asymptotic
+expansion of the term, term(k) ~ F(a*k + b) with
+F(y) = sum (u + v ln y) y^-p over a finite tuple of (p, u, v); the term
+callable is called at integers only.
 
 sum_alternating and sum_tail raise ConvergenceError past their term budgets,
 the module constants ALTERNATING_TERMS and TAIL_TERMS, and DomainError for a
-tolerance that is not finite and positive.
+tolerance that is not finite and positive; sum_tail also raises
+ConvergenceError for a tail whose Euler-Maclaurin corrections have not
+settled by B_20 (EM_CORRECTIONS) and DomainError for a power p <= 1.
 
 Across calls, eta_num/zeta_num keep one float per integer order and the
 CVZ weights are kept per depth n (_cvz_weights, at most ALTERNATING_TERMS
@@ -20,7 +23,7 @@ whose terms are weight(k) * base(k)^e passes them as ``direct``: each
 doubling's direct terms are then one map over a per-index table of the
 weights (digamma.psi_table, memoized per block; special.outer_tail_table,
 sliced from memoized blocks) and one map(pow, ...) over the bases, and the
-term callable is called only for the Euler-Maclaurin tail.
+term callable is not called at all.
 """
 
 from __future__ import annotations
@@ -31,13 +34,18 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 
+from .closedform import bernoulli_fraction
 from .errors import ConvergenceError, DomainError
-from .quadrature import _check_tolerance, integrate01, nodes
+from .quadrature import _check_tolerance
 
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 # the CVZ divisor (3 + sqrt 8)^n overflows a double past n = 402
 ALTERNATING_TERMS = 400
 TAIL_TERMS = 1 << 21
+# the Euler-Maclaurin corrections run through B_2 .. B_2j for j up to this
+EM_CORRECTIONS = 10
+# a piece of a tail below this fraction of the sum so far is dropped
+_NEGLIGIBLE = 2.0 ** -60
 
 
 @cache
@@ -86,39 +94,61 @@ def sum_alternating(term: Callable[[int], float], tol: float) -> float:
 
 
 Direct = tuple[Callable[[int, int], Iterable[float]], int, int, float]
+Expansion = tuple[tuple[int, float, float], ...]
+Tail = tuple[int, int, Expansion]
 
 
-def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
+@cache
+def bernoulli_quotients() -> tuple[float, ...]:
+    """B_2j/(2j) for j = 1..EM_CORRECTIONS as floats, shared by the
+    Euler-Maclaurin weights here, the digamma series of eulersums and the
+    outer tails of special."""
+    return tuple(float(bernoulli_fraction(2 * j) / (2 * j))
+                 for j in range(1, EM_CORRECTIONS + 1))
+
+
+@cache
+def _em_weights() -> tuple[float, ...]:
+    """B_2j/(2j)! for j = 1..EM_CORRECTIONS, the Euler-Maclaurin weights."""
+    return tuple(q / math.factorial(2 * j - 1) for j, q in enumerate(bernoulli_quotients(), 1))
+
+
+def sum_tail(term: Callable[[int], float], tol: float, tail: Tail,
              direct: Direct | None = None) -> float:
-    """sum_{k>=1} term(k) for term(k) = O(k^-s) with s = decay_exponent >= 2.
+    """sum_{k>=1} term(k) for a term with the asymptotic expansion tail.
 
-    Direct summation to a cutoff K plus the Euler-Maclaurin tail
-    integral(K..inf) + term(K)/2 - term'(K)/12; K doubles until the total
-    moves by less than tol/4.  Each integer k is evaluated once: a doubling
-    extends the list of direct terms kept from the previous cutoff.
+    tail = (a, b, expansion): term(k) ~ F(a*k + b) for large k, where
+    F(y) = sum (u + v ln y) y^-p over the (p, u, v) of expansion, in
+    increasing p; the leading p must exceed 1.  Direct summation to a cutoff
+    K plus the Euler-Maclaurin tail of F from K on (_expansion_tail); K
+    starts at 64 and doubles until the total moves by less than tol/4.  Each
+    integer k is evaluated once: a doubling extends the list of direct terms
+    kept from the previous cutoff.
 
     direct = (weights, step, offset, e) gives the direct terms without
     calling term: for k in range(a, b) they are
     weights(a, b)[k - a] * (step*k + offset) ** e, which must equal term(k)
     bit for bit.
     """
-    if decay_exponent < 2:
-        raise DomainError("tail summation needs decay exponent >= 2 (sum may diverge)")
+    a, b, expansion = tail
+    if min(p for p, _, _ in expansion) <= 1:
+        raise DomainError("tail summation needs a leading power p > 1 (sum may diverge)")
     _check_tolerance(tol)
-    K = 256
+    K = 64
     prev = None
     terms: list[float] = []
     while K <= TAIL_TERMS:
         # each doubling only adds the terms of the new k; fsum is correctly
         # rounded, so summing the whole list equals a fresh summation
-        a = 1 + len(terms)
+        first = 1 + len(terms)
         if direct is None:
-            terms.extend(map(term, range(a, K)))
+            terms.extend(map(term, range(first, K)))
         else:
             weights, step, offset, e = direct
-            bases = range(step * a + offset, step * K + offset, step)
-            terms.extend(map(mul, weights(a, K), map(pow, bases, repeat(e))))
-        total = math.fsum(terms) + _em_tail(term, float(K), tol)
+            bases = range(step * first + offset, step * K + offset, step)
+            terms.extend(map(mul, weights(first, K), map(pow, bases, repeat(e))))
+        head = math.fsum(terms)
+        total = head + _expansion_tail(float(a * K + b), a, expansion, head)
         if prev is not None and abs(total - prev) <= tol / 4:
             return total
         prev = total
@@ -127,21 +157,44 @@ def sum_tail(term: Callable[[float], float], tol: float, decay_exponent: float,
                            partial=prev)
 
 
-def _em_tail(term: Callable[[float], float], m: float, tol: float) -> float:
-    def transformed(u: float, omu: float) -> float:
-        # integral_m^inf term(x) dx with x = m/u; written as x*term(x)/u to
-        # survive u near the underflow edge.  Nodes this close to u = 0
-        # carry double-exponentially small weights, so truncating is safe
-        # for any term with the declared power-law decay.
-        if u < 1e-290:
-            return 0.0
-        x = m / u
-        return x * term(x) / u
+def _expansion_tail(y: float, a: int, expansion: Expansion, head: float) -> float:
+    """sum_{k>=K} F(a*k + b) at y = a*K + b, by Euler-Maclaurin in closed form.
 
-    quad = integrate01(lambda g: map(transformed, *nodes(g)[:2]), max(1e-13, tol / 8.0))
-    h = max(1e-4, 1e-6 * m)
-    slope = (term(m + h) - term(m - h)) / (2.0 * h)
-    return quad.value + term(m) / 2.0 - slope / 12.0
+    Each (p, u, v) of F adds its integral from y on, half its value at y and
+    the corrections B_2j/(2j)! a^(2j-1) (p)_(2j-1) y^(-p-2j+1)
+    (u + v (ln y - sum_{i<2j-1} 1/(p+i))).  One stopping rule: a piece at or
+    below 2^-60 of |head| + |the leading integral| is negligible.  A term
+    whose integral and half value are negligible is dropped; a term's
+    corrections end at the first negligible one, and a term whose
+    corrections are not negligible by B_(2*EM_CORRECTIONS) raises
+    ConvergenceError.
+    """
+    ln_y = math.log(y)
+    p, u, v = expansion[0]
+    floor = _NEGLIGIBLE * (abs(head) + abs(y ** (1 - p) * (u + v * ln_y) / (a * (p - 1))))
+    step = (a / y) ** 2
+    total = 0.0
+    for p, u, v in expansion:
+        power = y ** -p
+        q = p - 1
+        part = power * (y / (a * q) * (u + v * (ln_y + 1.0 / q)) + (u + v * ln_y) / 2.0)
+        if abs(part) <= floor:
+            continue
+        # scale = a^(2j-1) (p)_(2j-1) y^(-p-2j+1), shift = sum_{i<2j-1} 1/(p+i)
+        scale, shift, n = power * p * a / y, 1.0 / p, p + 1
+        for weight in _em_weights():
+            correction = weight * scale * (u + v * (ln_y - shift))
+            part += correction
+            if abs(correction) <= floor:
+                break
+            scale *= n * (n + 1) * step
+            shift += 1.0 / n + 1.0 / (n + 1)
+            n += 2
+        else:
+            raise ConvergenceError(f"the Euler-Maclaurin corrections of y^-{p} at y = {y} "
+                                   f"did not settle by B_{2 * EM_CORRECTIONS}", partial=total)
+        total += part
+    return total
 
 
 # ---------------------------------------------------------------------------

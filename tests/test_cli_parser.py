@@ -93,6 +93,7 @@ def test_double_dash_makes_every_later_word_a_value(argv, accepted):
 @pytest.mark.parametrize("argv", [
     [], ["bogus"], ["eval", "nonsense"], ["eval", "s-plus", "--r", "x"], ["table", "--kind"],
     ["ipq", "--family", "plus", "--p", "1"], ["verify", "--=x"], ["eval", "s-plus", "3"],
+    ["eval", "ipq", "--p", "2", "--q", "3"], ["eval", "inm", "--n", "2"],
 ])
 def test_usage_error_is_one_usage_line_and_one_error_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

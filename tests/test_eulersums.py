@@ -213,26 +213,26 @@ def test_sminus_odd_general_vs_dropped_minus_one():
     assert abs(oracle - variant) > 1.0
 
 
-# sum_oracle(tag, r) for r = 2..9 at ORACLE_TOL = 1e-12, as computed
-# before the oracle was memoized and sum_tail made incremental; both changes
-# keep every bit.  The other five tags return the bits they had at 1e-11; the
-# S- values differ from those by 1-3 ulp.
+# sum_oracle(tag, r) for r = 2..9 at ORACLE_TOL = 1e-12, pinned bit for bit
+# as the sums are computed with the Euler-Maclaurin tail in closed form (the
+# accuracy is checked against 30-digit references below).  The S- values come
+# from the alternating acceleration, which that tail does not touch.
 _ORACLE_VALUES = {
-    "SPlus": [2.404113806319194, 1.3529040421389225, 1.1334789151328135, 1.0578799592559687,
+    "SPlus": [2.4041138063191885, 1.3529040421389225, 1.1334789151328135, 1.0578799592559687,
               1.026705205699417, 1.0127278852975052, 1.0061786348715647, 1.0030322872352364],
     "SMinus": [-0.7512855644747463, -0.8592471579285903, -0.9231833733969401,
                -0.9591519425043179, -0.9786774861751244, -0.9890151059772536,
                -0.994392985052318, -0.9971564834064575],
-    "Jordan1": [0.3292361628498178, 0.05944110386190106, 0.015687052544619478,
-                0.004684241825317659, 0.0014750285940842434, 0.0004766695204320553,
-                0.00015614597925012023, 5.153126868057102e-05],
-    "Jordan2": [0.5258998951323232, 0.16227193947148333, 0.06972655477003625,
-                0.03283463401245083, 0.015992725342619765, 0.007900421358182488,
+    "Jordan1": [0.329236162849817, 0.05944110386190106, 0.015687052544619478,
+                0.004684241825317658, 0.0014750285940842434, 0.00047666952043205524,
+                0.00015614597925012023, 5.153126868057103e-05],
+    "Jordan2": [0.5258998951323223, 0.16227193947148333, 0.06972655477003625,
+                0.032834634012450827, 0.015992725342619765, 0.00790042135818249,
                 0.0039276322633898415, 0.0019583781963863163],
-    "Milgram": [0.19666373228250608, 0.031956464567663545, 0.00812032892511785,
-                0.0023846324138837353, 0.000744768690810024, 0.0002396470916513964,
+    "Milgram": [0.1966637322825054, 0.031956464567663545, 0.008120328925117848,
+                0.002384632413883735, 0.0007447686908100239, 0.0002396470916513964,
                 7.831879884759425e-05, 2.5812689121708054e-05],
-    "CSum": [0.3005142257898992, 0.08455650263368265, 0.03542121609790042,
+    "CSum": [0.30051422578989856, 0.08455650263368265, 0.03542121609790042,
              0.01652937436337451, 0.008021134419526696, 0.00395596830194338,
              0.0019651926462335247, 0.0009795237180031606],
 }
@@ -277,9 +277,9 @@ def test_sum_oracle_direct_terms_equal_the_term_callable(monkeypatch):
     captured = []
     tail = summation.sum_tail
 
-    def capturing(term, tol, decay, direct=None):
+    def capturing(term, tol, tail_expansion, direct=None):
         captured.append((term, direct))
-        return tail(term, tol, decay, direct=direct)
+        return tail(term, tol, tail_expansion, direct=direct)
 
     monkeypatch.setattr(eulersums, "sum_tail", capturing)
     sum_oracle.cache_clear()
@@ -287,6 +287,50 @@ def test_sum_oracle_direct_terms_equal_the_term_callable(monkeypatch):
         assert [sum_oracle(tag, r) for r in range(2, 10)] == values, tag
     assert len(captured) == 5 * 8
     for term, (weights, step, offset, e) in captured:
-        for a, b in ((1, 256), (256, 512), (512, 1024)):
+        for a, b in ((1, 64), (64, 128), (128, 1024)):
             got = [w * (step * k + offset) ** e for w, k in zip(weights(a, b), range(a, b))]
             assert got == [term(k) for k in range(a, b)], (a, b)
+
+
+# the five monotone sums at r = 2, 3, 5, 9, 17 to 30 digits (mpmath at 50
+# digits: direct terms, the integral of the tail by quadrature and the
+# Euler-Maclaurin corrections from the polygamma derivatives; the S+ values
+# equal Euler's closed form to every printed digit)
+_ORACLE_ORDERS = (2, 3, 5, 9, 17)
+_ORACLE_REFERENCES = {
+    "SPlus": (2.40411380631918857079947632302, 1.35290404213892273939500462068,
+              1.05787995925596887754356383773, 1.00303228723523658254841306744,
+              1.00001145841267430202032049281),
+    "Jordan1": (0.329236162849817068243549448583, 0.0594411038619010762765559288921,
+                0.00468424182531766003951015078374, 0.0000515312686805710479631412839839,
+                0.00000000774527869737229952817733999602),
+    "Jordan2": (0.525899895132322499862385445661, 0.162271939471483390715359551808,
+                0.0328346340124508464774531651598, 0.0019583781963863172239593290627,
+                0.0000076294722328146049738812302523),
+    "Milgram": (0.196663732282505431618835997078, 0.0319564645676635466446478856766,
+                0.00238463241388373540850374968463, 0.0000258126891217080631617601525266,
+                0.00000000387274923288621147875433953282),
+    "CSum": (0.300514225789898571349934540378, 0.0845565026336826712121877887923,
+             0.0165293743633745137116181849645, 0.000979523718003160725144934636167,
+             0.00000381474097600049706276062199712),
+}
+
+
+def test_sum_oracle_monotone_sums_against_30_digit_references():
+    for tag, references in _ORACLE_REFERENCES.items():
+        for r, ref in zip(_ORACLE_ORDERS, references):
+            assert abs(sum_oracle(tag, r) - ref) <= 1e-15 * ref, (tag, r)
+
+
+def test_monotone_expansion_matches_the_term_callable():
+    # term(k) = F(step*k + offset) at the cutoffs sum_tail starts from; a
+    # wrong sign or a wrong B_k(alpha) shows at the 1e-5 level or above
+    for tag, (scale, shift, step, offset) in eulersums._MONOTONE.items():
+        origin = digamma.psi_point(shift)
+        for r in range(2, 18):
+            expansion = eulersums._monotone_expansion(tag, r)
+            for k in (64, 128):
+                y = step * k + offset
+                f = math.fsum((u + v * math.log(y)) * y ** -p for p, u, v in expansion)
+                term = scale * (digamma.psi_point(k + shift) - origin) * y ** -float(r)
+                assert abs(f - term) <= 1e-15 * term, (tag, r, k)

@@ -272,6 +272,12 @@ def test_mpl2_low_order_values_against_references():
         assert abs(mpl2(*args) - ref) <= 1e-15 * abs(ref), args
 
 
+def test_mpl2_weight_three_is_zeta3_to_an_ulp():
+    # mpl2(2, 1, 1, 1) = zeta(2, 1) = zeta(3); its sum_tail tail is the
+    # Euler-Maclaurin series of its term's expansion, not a truncated one
+    assert abs(mpl2(2, 1, 1.0, 1.0) - _MPL2_LOW_ORDER[2, 1, 1.0, 1.0]) <= 2.3e-16
+
+
 # mpl2(1, p, -1, -1) to 32 digits: -sum_k k^-p [psi((k+2)/2) - psi((k+1)/2)]/2
 # summed at 40 digits by mpmath, and equal to the inner-first order there
 _MPL2_DOUBLY_ALTERNATING = {
@@ -314,10 +320,30 @@ def test_outer_tail_matches_its_direct_sum_up_to_high_weight():
     for m in (12, 120):
         for x in (1.0, -1.0):
             first = special._tail_series(m, x)[0]
-            for y in [*range(1, first + 40, 7), first - 3.5, first + 0.5]:
+            for y in range(1, first + 40, 7):
                 ref = math.fsum(x ** i * (y + i) ** -m for i in range(4000))
                 if abs(ref) > 1e-290:
                     assert abs(outer_tail(m, x, y) - ref) <= 1e-15 * abs(ref), (m, x, y)
+
+
+def test_mpl2_expansion_matches_the_term_callable():
+    # mpl2's term at x_inner = x_outer is F(k + 1) wherever T's series holds,
+    # k + 1 at or above the first anchor, at the cutoffs sum_tail starts from
+    checked = 0
+    for x in (1.0, -1.0):
+        for m_outer in range(2 if x == 1.0 else 1, 30):
+            first = special._tail_series(m_outer, x)[0]
+            for m_inner in range(1, 12):
+                expansion = special._mpl2_expansion(m_outer, m_inner, x)
+                for k in (64, 128):
+                    if k + 1 < first:
+                        continue
+                    y = k + 1.0
+                    f = math.fsum(u * y ** -p for p, u, _ in expansion)
+                    term = outer_tail(m_outer, x, k + 1) * k ** -m_inner
+                    assert abs(f - term) <= 1e-15 * term, (m_outer, m_inner, x, k)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_tail_series_is_the_written_formula():
@@ -400,26 +426,27 @@ def test_table_driven_direct_terms_equal_the_term_callable(monkeypatch):
     captured = []
     tail = summation.sum_tail
 
-    def capturing(term, tol, decay, direct=None):
-        captured.append((term, tol, decay, direct))
-        return tail(term, tol, decay, direct=direct)
+    def capturing(term, tol, tail_expansion, direct=None):
+        captured.append((term, tol, tail_expansion, direct))
+        return tail(term, tol, tail_expansion, direct=direct)
 
     monkeypatch.setattr(special, "sum_tail", capturing)
     for args in ((2, 1, 1.0, 1.0), (3, 1, 1.0, 1.0), (1, 2, -1.0, -1.0), (1, 1, -1.0, -1.0),
                  (2, 3, -1.0, -1.0)):
         mpl2(*args)
     assert len(captured) == 5 and all(c[3] is not None for c in captured)
-    for term, tol, decay, direct in captured:
+    for term, tol, tail_expansion, direct in captured:
         weights, step, offset, e = direct
-        for a, b in ((1, 256), (256, 512), (512, 1024)):
+        for a, b in ((1, 64), (64, 128), (128, 1024)):
             got = [w * (step * k + offset) ** e for w, k in zip(weights(a, b), range(a, b))]
             assert got == [term(k) for k in range(a, b)], (a, b)
-        assert tail(term, tol, decay, direct=direct) == tail(term, tol, decay)
+        assert tail(term, tol, tail_expansion, direct=direct) == tail(term, tol, tail_expansion)
 
 
 # NaN arguments and tolerances that are not finite and positive
 _QUIET = pointwise(lambda x, omx: 1.0)
 _TERM = lambda k: k ** -2.0  # noqa: E731
+_TAIL = (1, 0, ((2, 1.0, 0.0),))
 _ALT = lambda k: (-1) ** k / k ** 2.0  # noqa: E731
 _NAN = math.nan
 
@@ -432,9 +459,9 @@ _NAN = math.nan
     lambda: integrate01(_QUIET, _NAN),
     lambda: integrate01(_QUIET, math.inf),
     lambda: integrate01(_QUIET, -1e-12),
-    lambda: summation.sum_tail(_TERM, _NAN, 2.0),
-    lambda: summation.sum_tail(_TERM, math.inf, 2.0),
-    lambda: summation.sum_tail(_TERM, 0.0, 2.0),
+    lambda: summation.sum_tail(_TERM, _NAN, _TAIL),
+    lambda: summation.sum_tail(_TERM, math.inf, _TAIL),
+    lambda: summation.sum_tail(_TERM, 0.0, _TAIL),
     lambda: summation.sum_alternating(_ALT, _NAN),
     lambda: summation.sum_alternating(_ALT, math.inf),
     lambda: summation.sum_alternating(_ALT, -1.0),

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from polylog.digamma import euler_gamma, psi
-from polylog.errors import DomainError
-from polylog.summation import _cvz, _em_tail, eta_num, sum_alternating, sum_tail, zeta_num
+from polylog.errors import ConvergenceError, DomainError
+from polylog.summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
 
 from conftest import eta_brute, zeta_brute
 
@@ -32,13 +32,32 @@ def test_alternating_sminus3():
     assert abs(got - brute) <= 1e-10
 
 
+# psi(z) ~ ln z + sum_n c_n z^-n, through B_10: c_1 = -1/2, c_2j = -B_2j/(2j)
+_PSI_SERIES = ((1, -0.5), (2, -1 / 12), (4, 1 / 120), (6, -1 / 252), (8, 1 / 240),
+               (10, -1 / 132))
+
+
+def _psi_tail(scale, step, offset, shift, r):
+    """The sum_tail tail of scale [psi(k + shift) - psi(shift)] (step k + offset)^-r
+    with shift - offset/step = 0 or 1: psi(z + 1) = psi(z) + 1/z, z = y/step."""
+    plus_one = shift - offset / step == 1.0
+    expansion = [(r, scale * (-math.log(step) - psi(shift)), scale)]
+    expansion += [(r + n, scale * (c + (n == 1 and plus_one)) * step ** n, 0.0)
+                  for n, c in _PSI_SERIES]
+    return step, offset, tuple(expansion)
+
+
+def _power_tail(r):
+    return 1, 0, ((r, 1.0, 0.0),)
+
+
 def test_tail_basic():
-    assert abs(sum_tail(lambda k: k ** -2.0, 1e-12, 2) - zeta_brute(2)) <= 1e-12
+    assert abs(sum_tail(lambda k: k ** -2.0, 1e-12, _power_tail(2)) - zeta_brute(2)) <= 1e-12
 
 
 def test_tail_harmonic_weighted():
     g = euler_gamma()
-    got = sum_tail(lambda k: (psi(k + 1.0) + g) * k ** -2.0, 1e-12, 2)
+    got = sum_tail(lambda k: (psi(k + 1.0) + g) * k ** -2.0, 1e-12, _psi_tail(1.0, 1, 0, 1.0, 2))
     # Euler: sum H_k/k^2 = 2 zeta(3)
     assert abs(got - 2 * zeta_brute(3)) <= 1e-11
 
@@ -46,7 +65,7 @@ def test_tail_harmonic_weighted():
 def test_tail_half_integer_digamma():
     # sum_{k>=0} [psi(k+1/2) - psi(1/2)] / (2(2k+1)^3), the odd-order case
     got = sum_tail(lambda k: 0.5 * (psi(k + 0.5) - psi(0.5)) * (2 * k + 1.0) ** -3.0,
-                   1e-12, 3)
+                   1e-12, _psi_tail(0.5, 2, 1, 0.5, 3))
     ln2 = math.log(2.0)
     li4h = math.fsum(2.0 ** -j * j ** -4.0 for j in range(1, 80))
     expected = (23.0 * math.pi ** 4 / 5760.0 + math.pi ** 2 * ln2 ** 2 / 24.0
@@ -55,14 +74,24 @@ def test_tail_half_integer_digamma():
 
 
 def test_tail_divergence_guard():
-    with pytest.raises(DomainError):
-        sum_tail(lambda k: 1.0 / k, 1e-10, 1.5)
+    # a power p <= 1 anywhere in the expansion means the sum may diverge
+    for expansion in (((1, 1.0, 0.0),), ((0.5, 1.0, 0.0), (3, 1.0, 0.0)),
+                      ((3, 1.0, 0.0), (1, 1.0, 1.0))):
+        with pytest.raises(DomainError):
+            sum_tail(lambda k: 1.0 / k, 1e-10, (1, 0, expansion))
+
+
+def test_tail_corrections_that_do_not_settle_raise():
+    # at y = 65 the corrections of y^-150 shrink by about (150/(2 pi 65))^2
+    # a step, so they are not below 2^-60 of the tail by B_20
+    with pytest.raises(ConvergenceError):
+        sum_tail(lambda k: 0.0, 1e-12, (1, 1, ((150, 1.0, 0.0),)))
 
 
 def test_alternating_vs_tail_cross_check():
     for r in range(2, 7):
         alt = sum_alternating(lambda k, r=r: (-1) ** k * float(k) ** -float(r), 1e-12)
-        tail = sum_tail(lambda k, r=r: k ** -float(r), 1e-12, r)
+        tail = sum_tail(lambda k, r=r: k ** -float(r), 1e-12, _power_tail(r))
         assert abs(alt - (2.0 ** (1 - r) - 1.0) * tail) <= 1e-12
 
 
@@ -88,23 +117,15 @@ def test_sum_tail_evaluates_each_integer_once():
     seen = {}
 
     def term(k):
-        if isinstance(k, int):
-            seen[k] = seen.get(k, 0) + 1
+        seen[k] = seen.get(k, 0) + 1
         return k ** -2.0
 
-    got = sum_tail(term, 1e-13, 2.0)
-    assert set(seen.values()) == {1}
-    last = max(seen)
-    # several doublings of the cutoff happened, each adding only new k
-    assert last + 1 >= 1024 and sorted(seen) == list(range(1, last + 1))
-    # the same value as summing every cutoff's direct terms afresh
-    K, prev = 256, None
-    while True:
-        total = math.fsum(k ** -2.0 for k in range(1, K)) + _em_tail(term, float(K), 1e-13)
-        if prev is not None and abs(total - prev) <= 1e-13 / 4:
-            break
-        prev, K = total, 2 * K
-    assert got == total and K == last + 1
+    got = sum_tail(term, 1e-13, _power_tail(2))
+    assert set(seen.values()) == {1} and all(isinstance(k, int) for k in seen)
+    # the cutoff doubled from 64 to 128, the doubling adding only the new k
+    assert sorted(seen) == list(range(1, 128))
+    # the tail from the expansion leaves the sum within an ulp or so
+    assert abs(got - math.pi ** 2 / 6) <= 4e-16
 
 
 def _cvz_reference(a):

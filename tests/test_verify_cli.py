@@ -557,6 +557,12 @@ _NUMERIC_COINCIDENCES = {
     ("ipq.three-routes.minus.p1q3", "ipq.three-routes.minus.p3q1"): _BY_PARTS,
     ("lognm.sigma-registry.n5p1", "lognm.sigma-weight6-closed.n5p1"):
         "quadrature and the alternating series both round -eta(6) correctly",
+    ("ipq.grid.plus.p1q1", "sums.closed-vs-oracle.splus.r2"):
+        "quadrature and the S+ series both round 2 zeta(3) correctly",
+    ("ipq.grid.minus.p1q1", "sums.closed-vs-oracle.csum.r2"):
+        "quadrature and the C series both round zeta(3)/4 correctly",
+    ("ipq.low-order.plus-subtracted-mpl.p2", "ipq.low-order.plus-subtracted.p2"):
+        "the depth-2 sum and the closed form both round -2 zeta(3) correctly",
 }
 
 
