@@ -447,16 +447,24 @@ def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
 def bernoulli_fraction(n: int) -> Fraction:
     """B_n with the B_1 = -1/2 convention, exact.
 
-    Memoized; the recurrence asks for B_0..B_{n-1} in increasing order, so
-    the recursion is never more than two calls deep.
+    An even index reads the tangent number T_m, m = n/2, from the integer
+    recurrence of Knuth and Buckholtz:
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  Memoized.
     """
     if n < 0:
         raise DomainError("Bernoulli index must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    s = sum(math.comb(n + 1, j) * bernoulli_fraction(j) for j in range(n))
-    return Fraction(-s, n + 1)
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    m = n // 2
+    t = [0, 1]  # t[k] = T_k once the sweeps are done
+    for k in range(2, m + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return Fraction((-1) ** (m - 1) * n * t[m], 4 ** m * (4 ** m - 1))
 
 
 def zeta_even_coefficient(n: int) -> Fraction:

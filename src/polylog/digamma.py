@@ -2,7 +2,8 @@
 
 Upward recurrence pushes the argument above 10, then an eight-term
 asymptotic series, evaluated as an unrolled Horner scheme, finishes;
-relative error is below 1e-13 on (0, inf).
+relative error is below 1e-13 on (0, inf).  The series' coefficients
+B_2n/(2n) come from one cached table, bernoulli_quotients.
 
 psi is the uncached kernel.  psi_point memoizes it for the Euler-sum
 series oracles (eulersums.sum_oracle), whose direct terms all walk the same
@@ -20,19 +21,18 @@ from __future__ import annotations
 import math
 from functools import cache
 
+from .closedform import bernoulli_fraction
 from .errors import DomainError
 
-# B_{2n} / (2n) for the asymptotic tail, n = 1..8.
-_TAIL = _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
+
+@cache
+def bernoulli_quotients() -> tuple[float, ...]:
+    """B_2n/(2n) for n = 1..10 as floats, from closedform's exact Bernoulli
+    numbers, filled on first use.  psi's asymptotic series reads the first
+    eight; summation's Euler-Maclaurin weights, the digamma series of
+    eulersums and the outer tails of special share the table."""
+    return tuple(float(bernoulli_fraction(2 * n) / (2 * n)) for n in range(1, 11))
+
 
 _THRESHOLD = 10.0
 
@@ -47,9 +47,9 @@ def psi(x: float) -> float:
     while x < _THRESHOLD:
         acc -= 1.0 / x
         x += 1.0
+    b1, b2, b3, b4, b5, b6, b7, b8, _, _ = bernoulli_quotients()
     y = 1.0 / (x * x)
-    tail = (((((((_B8 * y + _B7) * y + _B6) * y + _B5) * y + _B4) * y + _B3) * y + _B2) * y
-            + _B1) * y
+    tail = (((((((b8 * y + b7) * y + b6) * y + b5) * y + b4) * y + b3) * y + b2) * y + b1) * y
     return acc + math.log(x) - 0.5 / x - tail
 
 

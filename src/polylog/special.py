@@ -24,7 +24,7 @@ coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
 integer argument, none below -78 since k < 80), the powers k^-p of the
 direct series (_inverse_powers, one tuple per order), the outer tails'
 series coefficients (_tail_series, one tuple per order and sign, from the
-first nine B_2j/(2j) of summation.bernoulli_quotients) and their
+first nine B_2j/(2j) of digamma.bernoulli_quotients) and their
 values at the integers (_tail_block, one tuple per anchor, 16 values past
 the first), and Li_p(+-x) at the quadrature nodes (li_column), which every
 product integrand shares.  li_column holds one tuple per (order, sign,
@@ -42,9 +42,10 @@ from itertools import count, repeat
 from operator import mul, truediv
 
 from .closedform import zeta_nonpositive_rational
+from .digamma import bernoulli_quotients
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
-from .summation import Expansion, bernoulli_quotients, eta_num, sum_alternating, sum_tail, zeta_num
+from .summation import Expansion, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
 

@@ -2,28 +2,27 @@
 
 Alternating sums use the Chebyshev-polynomial scheme of Cohen, Rodriguez
 Villegas and Zagier: n terms give roughly (3 + sqrt 8)^-n accuracy for
-smoothly decaying magnitudes.  Monotone sums use direct summation plus an
-Euler-Maclaurin tail taken in closed form from the caller's asymptotic
-expansion of the term, term(k) ~ F(a*k + b) with
+smoothly decaying magnitudes.  Monotone sums use direct summation to the
+cutoff TAIL_CUTOFF plus an Euler-Maclaurin tail taken in closed form from
+the caller's asymptotic expansion of the term, term(k) ~ F(a*k + b) with
 F(y) = sum (u + v ln y) y^-p over a finite tuple of (p, u, v); the term
-callable is called at integers only.
+callable is called at the integers below the cutoff only, once each.
 
-sum_alternating and sum_tail raise ConvergenceError past their term budgets,
-the module constants ALTERNATING_TERMS and TAIL_TERMS, and DomainError for a
-tolerance that is not finite and positive; sum_tail also raises
-ConvergenceError for a tail whose Euler-Maclaurin corrections have not
-settled by B_20 (EM_CORRECTIONS) and DomainError for a power p <= 1.
+sum_alternating raises ConvergenceError past its term budget, the module
+constant ALTERNATING_TERMS; sum_tail raises it for a direct sum that is not
+finite and for a tail whose Euler-Maclaurin corrections have not settled by
+B_20 (EM_CORRECTIONS), and DomainError for a power p <= 1.  Both raise
+DomainError for a tolerance that is not finite and positive.
 
 Across calls, eta_num/zeta_num keep one float per integer order and the
 CVZ weights are kept per depth n (_cvz_weights, at most ALTERNATING_TERMS
-floats per depth asked for).  Within a call, sum_tail keeps its direct
-terms across the doublings of its cutoff and sum_alternating its terms
+floats per depth asked for).  Within a call, sum_alternating keeps its terms
 across its deepenings, so each index is evaluated once.  A sum_tail caller
-whose terms are weight(k) * base(k)^e passes them as ``direct``: each
-doubling's direct terms are then one map over a per-index table of the
-weights (digamma.psi_table, memoized per block; special.outer_tail_table,
-sliced from memoized blocks) and one map(pow, ...) over the bases, and the
-term callable is not called at all.
+whose terms are weight(k) * base(k)^e passes them as ``direct``: the direct
+terms are then one map over a per-index table of the weights
+(digamma.psi_table, memoized per block; special.outer_tail_table, sliced
+from memoized blocks) and one map(pow, ...) over the bases, and the term
+callable is not called at all.
 """
 
 from __future__ import annotations
@@ -34,15 +33,17 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .closedform import bernoulli_fraction
+from .digamma import bernoulli_quotients
 from .errors import ConvergenceError, DomainError
 from .quadrature import _check_tolerance
 
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 # the CVZ divisor (3 + sqrt 8)^n overflows a double past n = 402
 ALTERNATING_TERMS = 400
-TAIL_TERMS = 1 << 21
-# the Euler-Maclaurin corrections run through B_2 .. B_2j for j up to this
+# sum_tail sums the terms below this index directly
+TAIL_CUTOFF = 64
+# the Euler-Maclaurin corrections run through B_2 .. B_2j for j up to this,
+# the length of digamma.bernoulli_quotients
 EM_CORRECTIONS = 10
 # a piece of a tail below this fraction of the sum so far is dropped
 _NEGLIGIBLE = 2.0 ** -60
@@ -99,15 +100,6 @@ Tail = tuple[int, int, Expansion]
 
 
 @cache
-def bernoulli_quotients() -> tuple[float, ...]:
-    """B_2j/(2j) for j = 1..EM_CORRECTIONS as floats, shared by the
-    Euler-Maclaurin weights here, the digamma series of eulersums and the
-    outer tails of special."""
-    return tuple(float(bernoulli_fraction(2 * j) / (2 * j))
-                 for j in range(1, EM_CORRECTIONS + 1))
-
-
-@cache
 def _em_weights() -> tuple[float, ...]:
     """B_2j/(2j)! for j = 1..EM_CORRECTIONS, the Euler-Maclaurin weights."""
     return tuple(q / math.factorial(2 * j - 1) for j, q in enumerate(bernoulli_quotients(), 1))
@@ -119,11 +111,11 @@ def sum_tail(term: Callable[[int], float], tol: float, tail: Tail,
 
     tail = (a, b, expansion): term(k) ~ F(a*k + b) for large k, where
     F(y) = sum (u + v ln y) y^-p over the (p, u, v) of expansion, in
-    increasing p; the leading p must exceed 1.  Direct summation to a cutoff
-    K plus the Euler-Maclaurin tail of F from K on (_expansion_tail); K
-    starts at 64 and doubles until the total moves by less than tol/4.  Each
-    integer k is evaluated once: a doubling extends the list of direct terms
-    kept from the previous cutoff.
+    increasing p; the leading p must exceed 1.  The terms below
+    K = TAIL_CUTOFF are summed directly, each integer k evaluated once, and
+    the Euler-Maclaurin tail of F from K on is taken in closed form
+    (_expansion_tail), its pieces settled to 2^-60 of the sum, far inside
+    any tolerance tol; tol itself is only checked.
 
     direct = (weights, step, offset, e) gives the direct terms without
     calling term: for k in range(a, b) they are
@@ -134,27 +126,17 @@ def sum_tail(term: Callable[[int], float], tol: float, tail: Tail,
     if min(p for p, _, _ in expansion) <= 1:
         raise DomainError("tail summation needs a leading power p > 1 (sum may diverge)")
     _check_tolerance(tol)
-    K = 64
-    prev = None
-    terms: list[float] = []
-    while K <= TAIL_TERMS:
-        # each doubling only adds the terms of the new k; fsum is correctly
-        # rounded, so summing the whole list equals a fresh summation
-        first = 1 + len(terms)
-        if direct is None:
-            terms.extend(map(term, range(first, K)))
-        else:
-            weights, step, offset, e = direct
-            bases = range(step * first + offset, step * K + offset, step)
-            terms.extend(map(mul, weights(first, K), map(pow, bases, repeat(e))))
-        head = math.fsum(terms)
-        total = head + _expansion_tail(float(a * K + b), a, expansion, head)
-        if prev is not None and abs(total - prev) <= tol / 4:
-            return total
-        prev = total
-        K *= 2
-    raise ConvergenceError("tail summation did not settle within the term budget",
-                           partial=prev)
+    K = TAIL_CUTOFF
+    if direct is None:
+        terms = map(term, range(1, K))
+    else:
+        weights, step, offset, e = direct
+        bases = range(step + offset, step * K + offset, step)
+        terms = map(mul, weights(1, K), map(pow, bases, repeat(e)))
+    head = math.fsum(terms)
+    if not math.isfinite(head):
+        raise ConvergenceError(f"the direct sum of terms 1..{K - 1} is {head}: not finite")
+    return head + _expansion_tail(float(a * K + b), a, expansion, head)
 
 
 def _expansion_tail(y: float, a: int, expansion: Expansion, head: float) -> float:

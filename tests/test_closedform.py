@@ -365,6 +365,28 @@ def test_snp_builds_to_weight_12_construct_few_fractions():
     assert _fraction_constructions(build) <= 600
 
 
+def _bernoulli_reference(count):
+    # the recurrence sum_{j<=n} C(n+1, j) B_j = 0 that built the table before
+    # the tangent numbers, kept as the reference they must reproduce
+    table = [Fraction(1)]
+    for n in range(1, count):
+        table.append(Fraction(-sum(math.comb(n + 1, j) * table[j] for j in range(n)), n + 1))
+    return table
+
+
+def test_bernoulli_numbers_equal_the_sum_recurrence():
+    bernoulli_fraction.cache_clear()
+    assert [bernoulli_fraction(n) for n in range(61)] == _bernoulli_reference(61)
+
+
+def test_a_cold_bernoulli_number_builds_one_fraction():
+    # the tangent numbers are integers, so B_2m is one Fraction; the sum
+    # recurrence built every B_j below it first
+    bernoulli_fraction.cache_clear()
+    assert [_fraction_constructions(lambda n=n: bernoulli_fraction(n)) for n in (60, 18, 2)] \
+        == [1, 1, 1]
+
+
 def test_bernoulli_table_is_thread_safe():
     expected = [bernoulli_fraction(n) for n in range(81)]
     results = [None] * 8

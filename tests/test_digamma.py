@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.closedform import bernoulli_fraction
-from polylog.digamma import _TAIL, euler_gamma, psi
+import polylog
+from polylog.digamma import bernoulli_quotients, euler_gamma, psi
 from polylog.errors import DomainError
 
 # gamma by brute force: H_n - ln(n) - 1/(2n) + 1/(12n^2) at large n
@@ -66,15 +70,9 @@ def _psi_reference(x):
         x += 1.0
     y = 1.0 / (x * x)
     tail = 0.0
-    for c in reversed(_TAIL):
+    for c in reversed(bernoulli_quotients()[:8]):
         tail = (tail + c) * y
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def test_tail_literals_are_the_bernoulli_quotients():
-    # digamma keeps B_2j/2j as literals (deriving them at import is slower);
-    # mpl2's outer tail reads them from closedform's exact Bernoulli numbers
-    assert _TAIL == tuple(float(bernoulli_fraction(2 * j) / (2 * j)) for j in range(1, 9))
 
 
 def test_psi_matches_reference_loop_bit_for_bit():
@@ -83,3 +81,15 @@ def test_psi_matches_reference_loop_bit_for_bit():
     points += [rng.uniform(1e-3, 1e6) for _ in range(2000)] + [1e-300, 1e300]
     for x in points:
         assert psi(x) == _psi_reference(x), x
+
+
+def test_series_coefficients_are_read_on_first_use():
+    # importing the package builds no Bernoulli number; the first psi call
+    # fills the one table
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    code = ("import polylog; from polylog.digamma import bernoulli_quotients, psi; "
+            "print(bernoulli_quotients.cache_info().currsize); psi(1.5); "
+            "print(bernoulli_quotients.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30, check=True)
+    assert proc.stdout.split() == ["0", "1"]

@@ -129,6 +129,36 @@ def test_discontinuous_integrand_raises_with_partial():
     assert abs(exc.value.partial - 0.43721) < 1e-2
 
 
+def test_non_finite_integrand_fails_fast():
+    # a NaN or an infinity in the first level's sum ends the rule there,
+    # instead of twelve levels of NaN ending as a stall
+    for bad in (math.nan, math.inf):
+        levels = []
+
+        def values(level, bad=bad):
+            levels.append(level)
+            return (bad if x > 0.9 else 1.0 for x in nodes(level)[0])
+        with pytest.raises(ConvergenceError, match="level 0 sum is .*not finite"):
+            integrate01(values, 1e-12)
+        assert levels == [0]
+
+
+def test_stops_once_the_projected_change_is_below_an_ulp():
+    # ln^2 x ln^2(1-x): level 3 moves level 2 by 8.8e-12, more than the
+    # tolerance, but after a change of 1.3e-4 the next is projected at 6e-19,
+    # below 2^-52 of the value, so the rule returns level 3 and never
+    # computes level 4 (whose change is 0.0)
+    levels = []
+
+    def values(level):
+        levels.append(level)
+        return map(mul, log_power("x", 2, level), log_power("1-x", 2, level))
+    r = integrate01(values, 1e-12)
+    assert levels == [0, 1, 2, 3]
+    assert r.evaluations == sum(len(nodes(level)[2]) for level in levels)
+    assert r.error_estimate <= 2.0 ** -52 * abs(r.value)
+
+
 @given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
 def test_split_agrees_with_direct_on_log_class(a, b, c, d):
     # log-power integrand class: integrate directly and as two half-interval

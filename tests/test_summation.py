@@ -88,6 +88,14 @@ def test_tail_corrections_that_do_not_settle_raise():
         sum_tail(lambda k: 0.0, 1e-12, (1, 1, ((150, 1.0, 0.0),)))
 
 
+def test_tail_with_a_non_finite_term_fails_fast():
+    # a NaN or an infinity among the direct terms ends the sum at once,
+    # before the tail's corrections are asked to settle against it
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            sum_tail(lambda k, bad=bad: bad if k == 5 else k ** -2.0, 1e-12, _power_tail(2))
+
+
 def test_alternating_vs_tail_cross_check():
     for r in range(2, 7):
         alt = sum_alternating(lambda k, r=r: (-1) ** k * float(k) ** -float(r), 1e-12)
@@ -122,8 +130,8 @@ def test_sum_tail_evaluates_each_integer_once():
 
     got = sum_tail(term, 1e-13, _power_tail(2))
     assert set(seen.values()) == {1} and all(isinstance(k, int) for k in seen)
-    # the cutoff doubled from 64 to 128, the doubling adding only the new k
-    assert sorted(seen) == list(range(1, 128))
+    # the terms below the one cutoff, 64; the expansion gives the rest
+    assert sorted(seen) == list(range(1, 64))
     # the tail from the expansion leaves the sum within an ulp or so
     assert abs(got - math.pi ** 2 / 6) <= 4e-16
 
