@@ -66,19 +66,30 @@ LN2 = Atom("ln2")
 GAMMA = Atom("gamma")
 
 
+def _check_order(*orders) -> None:
+    """Each order must have an integral value.  3.0 passes, since it equals 3
+    and hashes alike (a cache answers it as 3); 3.5, inf and nan do not."""
+    for n in orders:
+        if n % 1:
+            raise DomainError(f"order {n!r} is not an integer")
+
+
 def zeta_odd_atom(n: int) -> Atom:
+    _check_order(n)
     if n < 3 or n % 2 == 0:
         raise DomainError(f"zeta atom requires odd n >= 3, got {n}")
     return Atom("zeta_odd", (n,))
 
 
 def li_half_atom(k: int) -> Atom:
+    _check_order(k)
     if k < 4:
         raise DomainError(f"Li_k(1/2) atom requires k >= 4, got {k}")
     return Atom("li_half", (k,))
 
 
 def sigma_atom(n: int, p: int) -> Atom:
+    _check_order(n, p)
     if n < 1 or p < 1:
         raise DomainError(f"sigma atom requires n, p >= 1, got ({n}, {p})")
     return Atom("sigma", (n, p))
@@ -122,9 +133,6 @@ def monomial_name(m: Monomial) -> str:
     if not m:
         return "1"
     return "*".join(a.name if e == 1 else f"{a.name}^{e}" for a, e in m)
-
-
-_ZERO_JSON = '{"terms":[]}'
 
 
 @cache
@@ -399,8 +407,6 @@ class ClosedForm:
     def to_json(self) -> str:
         """The bytes of json.dumps(to_obj(), sort_keys=True, separators=(",", ":")),
         written directly: one join over the terms, a cached fragment per monomial."""
-        if not self._num:
-            return _ZERO_JSON
         return '{"terms":[' + ",".join(
             f'{{"den":"{d}{_monomial_json(mono)}{n}"}}'
             for mono, n, d in self._sorted_terms()) + "]}"

@@ -41,8 +41,6 @@ def psi(x: float) -> float:
     """Digamma psi(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"psi requires x > 0, got {x}")
-    if math.isinf(x):
-        return x
     acc = 0.0
     while x < _THRESHOLD:
         acc -= 1.0 / x

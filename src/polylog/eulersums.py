@@ -28,7 +28,7 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .closedform import ClosedForm, LN2, _check_weight, zeta_closed
+from .closedform import ClosedForm, LN2, _check_order, _check_weight, zeta_closed
 from .digamma import bernoulli_quotients, euler_gamma, psi_point, psi_table
 from .errors import DomainError
 from .quadrature import ORACLE_TOL
@@ -172,6 +172,7 @@ def sum_oracle(tag: str, r: int) -> float:
     the same sums many times."""
     if tag != "SMinus" and tag not in _MONOTONE:
         raise DomainError(f"unknown sum tag {tag!r}")
+    _check_order(r)  # in the body, so no non-integral order is ever cached
     if r < 2:
         raise DomainError("sum order must be >= 2")
     e = -float(r)

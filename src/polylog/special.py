@@ -1,5 +1,5 @@
-"""Polylogarithms, Nielsen functions, and depth-2 multiple polylogarithms at
-unit arguments.
+"""Polylogarithms, and Nielsen functions and depth-2 multiple
+polylogarithms at unit arguments.
 
 Evaluation strategy for Li_p(x):
   |x| <= 1/2           direct series (geometric convergence);
@@ -10,6 +10,9 @@ Evaluation strategy for Li_p(x):
                        which lands both evaluations on positive arguments.
 Helpers threaded with 1-x allow full accuracy at quadrature nodes hugging
 either endpoint.
+
+The Nielsen functions S_{n,p}(z) are integrated at z = +-1 only, the s_{n,p}
+and sigma~_{n,p} of the closed forms, over the shared log columns.
 
 The depth-2 sums are taken at x_outer, x_inner = +-1 only, the arguments of
 the low-order I(p,q) identities, as one series, outer index first:
@@ -41,7 +44,7 @@ from functools import cache, partial
 from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import zeta_nonpositive_rational
+from .closedform import _check_order, zeta_nonpositive_rational
 from .digamma import bernoulli_quotients
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
@@ -137,6 +140,7 @@ def li_column(p: int, sign: int, grid: Grid) -> tuple[float, ...]:
 
 def polylog(p: int, x: float) -> float:
     """Li_p(x) for integer p >= 1 and -1 <= x <= 1 (x < 1 when p = 1)."""
+    _check_order(p)
     if p < 1:
         raise DomainError("polylog order must be >= 1")
     if not -1.0 <= x <= 1.0:
@@ -145,8 +149,6 @@ def polylog(p: int, x: float) -> float:
         if x == 1.0:
             raise DomainError("Li_1(1) diverges")
         return -math.log1p(-x)
-    if x == 0.0:
-        return 0.0
     if x == 1.0:
         return zeta_num(p)
     if x < 0.0:
@@ -159,41 +161,33 @@ def polylog(p: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log1m_zx(z: float, x: float, omx: float) -> float:
-    """ln(1 - z x) for |z| < 1: where z x >= 1/2 the rounded z x has lost low
-    bits of 1 - z x, which (1 - z) + z (1 - x) keeps from the exact 1 - x."""
-    zx = z * x
-    return math.log((1.0 - z) + z * omx) if zx >= 0.5 else math.log1p(-zx)
-
-
 def nielsen_num(n: int, p: int, z: float) -> float:
-    """S_{n,p}(z) by quadrature of its defining integral at ORACLE_TOL, |z| <= 1.
+    """S_{n,p}(z) at z = +-1 by quadrature of its defining integral at
+    ORACLE_TOL: s_{n,p} = S_{n,p}(1) and sigma~_{n,p} = S_{n,p}(-1).
 
     S_{n,p}(z) = (-1)^{n+p-1} / ((n-1)! p!) *
                  integral_0^1 ln^{n-1}(x) ln^p(1 - z x) / x dx.
+
+    The integral comes first: a log column past the float range fails at
+    level 0, and a zero integral returns before the factorials are built.
     """
     if n < 1 or p < 1:
         raise DomainError("Nielsen indices must be >= 1")
-    if not -1.0 <= z <= 1.0:
-        raise DomainError("Nielsen argument must lie in [-1, 1]")
-    if z == 0.0:
-        return 0.0
-    # int/int division is correctly rounded and never converts the factorials
-    # to float, which overflows past n + p of about 171
-    pref = (-1) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p))
+    if z not in (1.0, -1.0):
+        raise DomainError("Nielsen argument must be 1 or -1")
+    column = "1-x" if z == 1.0 else "1+x"  # 1 - z x; at z = -1, -z x is x itself
 
     def values(grid: Grid):
-        # ln^{n-1}(x) ln^p(1 - z x) / x; at z = -1, -z*x is x itself
-        xs, omxs, _ = nodes(grid)
-        if z == 1.0:
-            lz = log_power("1-x", p, grid)
-        elif z == -1.0:
-            lz = log_power("1+x", p, grid)
-        else:
-            lz = map(pow, map(partial(_log1m_zx, z), xs, omxs), repeat(p))
-        return map(truediv, map(mul, log_power("x", n - 1, grid), lz), xs)
+        # ln^{n-1}(x) ln^p(1 - z x) / x
+        return map(truediv, map(mul, log_power("x", n - 1, grid), log_power(column, p, grid)),
+                   nodes(grid)[0])
 
-    return pref * integrate01(values, ORACLE_TOL).value
+    value = integrate01(values, ORACLE_TOL).value
+    if not value:
+        return value if (n + p) % 2 else -value
+    # int/int division is correctly rounded and never converts the factorials
+    # to float, which overflows past n + p of about 171
+    return (-1) ** (n + p - 1) / (math.factorial(n - 1) * math.factorial(p)) * value
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ def test_package_modules_import_only_names_they_use():
 # Each private name one package module imports from another: its importers,
 # and why it crosses the module boundary.
 _SHARED_PRIVATE_NAMES = {
+    "closedform._check_order": (
+        {"eulersums", "special"},
+        "the one integral-order check, in the atom factories, polylog and sum_oracle"),
     "closedform._check_weight": (
         {"approx", "cli", "eulersums", "ipq", "lognm", "seriesring", "sigma"},
         "the one weight ceiling, applied by every exact builder and cli's ipq table"),
@@ -573,6 +576,55 @@ def test_cold_run_suite_oracle_work_counts(monkeypatch):
     run_suite("all")
     assert (len(evaluations), sum(evaluations)) == (112, 12530)
     assert len(tails) == 40 and set(tails) == {63}
+
+
+# the misses of every functools.cache of the package in a cold
+# run_suite("all"), by module and name; a change that moves one names the
+# count, old and new, in CHANGES.md
+_COLD_SUITE_CACHE_MISSES = {
+    "approx._stirling_row": 10, "approx._derivative_cf": 11,
+    "closedform._monomial_product": 54, "closedform._monomial_json": 41,
+    "closedform.bernoulli_fraction": 16, "closedform.zeta_closed": 9,
+    "closedform.eta_factor_closed": 8,
+    "digamma.bernoulli_quotients": 1, "digamma.psi_point": 128, "digamma.psi_table": 2,
+    "digamma.euler_gamma": 1,
+    "eulersums.s_plus": 7, "eulersums.c_sum": 7, "eulersums.jordan_even": 8,
+    "eulersums.milgram": 8, "eulersums.jordan_nielsen": 14, "eulersums.s_minus": 7,
+    "eulersums.sum_oracle": 41, "eulersums._digamma_series": 3,
+    "eulersums._monotone_expansion": 34,
+    "ipq.ipq_numeric": 36, "ipq._mu_sum": 66, "ipq._minus_named_part": 7, "ipq.ipq_final": 50,
+    "lognm.i_star": 25, "lognm.h_star": 25, "lognm.lognm_numeric": 20,
+    "quadrature.nodes": 5, "quadrature.log_power": 82,
+    "seriesring.gamma_ratio_series": 0, "seriesring._ratio_slice": 10,
+    "sigma.registry": 1, "sigma.atom_value": 29,
+    "special._zeta_int": 18, "special._inverse_powers": 6, "special.li_column": 32,
+    "special._tail_series": 7, "special._tail_block": 7, "special._mpl2_expansion": 6,
+    "summation._cvz_weights": 8, "summation._em_weights": 1, "summation.eta_num": 9,
+    "summation.zeta_num": 8,
+    "verify._jordan_order3_integral": 2,
+}
+
+
+def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
+    # Fraction constructions are left out: Python 3.12 builds arithmetic
+    # results without Fraction.__new__, so that count moves with the version
+    clear_package_caches()
+    combinations = []
+    combination = vars(ClosedForm)["combination"].__func__
+
+    def counted(cls, terms):
+        combinations.append(1)
+        return combination(cls, terms)
+    monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
+    run_suite("all")
+    misses = {}
+    for name, module in sys.modules.items():
+        if name.startswith("polylog."):
+            for fn in vars(module).values():
+                if callable(getattr(fn, "cache_info", None)) and fn.__module__ == name:
+                    misses[f"{name[8:]}.{fn.__qualname__}"] = fn.cache_info().misses
+    assert len(combinations) == 289
+    assert misses == _COLD_SUITE_CACHE_MISSES  # 870 in all
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
