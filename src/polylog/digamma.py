@@ -6,11 +6,12 @@ relative error is below 1e-13 on (0, inf).  The series' coefficients
 B_2n/(2n) come from one cached table, bernoulli_quotients.
 
 psi is the uncached kernel.  psi_point memoizes it for the Euler-sum
-series oracles (eulersums.sum_oracle), whose direct terms all walk the same
+series oracles (eulersums.sum_oracle), whose terms all walk the same
 integers and half-integers; its cache holds one float per point those
-series reach.  psi_table keeps their direct terms' digamma differences
-psi(k + shift) - psi(shift) as one tuple per block of indices, read through
-psi_point, so each point still meets the kernel once.
+series reach.  psi_table keeps the digamma differences
+psi(k + shift) - psi(shift) of their heads, the terms below sum_tail's
+cutoff, as one tuple per shift, read through psi_point, so each point
+still meets the kernel once.
 Neither serves special.mpl2, whose outer tails have an asymptotic series of
 their own.  psi itself stays uncached: a cache on arbitrary floats would
 grow without bound for library callers.
@@ -62,11 +63,11 @@ def psi_point(x: float) -> float:
 
 
 @cache
-def psi_table(shift: float, start: int, stop: int) -> tuple[float, ...]:
-    """psi(k + shift) - psi(shift) for k in range(start, stop), read through
-    psi_point.  The series oracles ask for the blocks their cutoffs add."""
+def psi_table(shift: float, stop: int) -> tuple[float, ...]:
+    """psi(k + shift) - psi(shift) for k in range(1, stop), read through
+    psi_point: the digamma differences of a series oracle's head."""
     origin = psi_point(shift)
-    return tuple(psi_point(k + shift) - origin for k in range(start, stop))
+    return tuple(psi_point(k + shift) - origin for k in range(1, stop))
 
 
 @cache

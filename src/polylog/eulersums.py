@@ -5,14 +5,15 @@ from the sigma registry; s_minus_even_closed, which never touches sigma~,
 is the route the verify entries check that registry against.
 
 Each builder takes one route and is memoized.  Each closed form also
-exists as a direct accelerated summation of its defining series
-(sum_oracle(tag, r)), at ORACLE_TOL and memoized as well: one float per
-tag and order.  Every series but S- is
-sum_k scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r, so its
-direct terms are one memoized digamma table (digamma.psi_table) times one
-map(pow, ...), and its Euler-Maclaurin tail is taken in closed form from
-the asymptotic series of psi (_monotone_expansion); S-'s term lambda serves
-the alternating acceleration.  All of them read digamma through psi_point,
+exists as an accelerated summation of its defining series
+(sum_oracle(tag, r)), memoized as well: one float per tag and order.
+Every series but S- is
+sum_k scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r, its
+terms written once, as the head of its sum_tail: the terms below the
+cutoff, over one memoized digamma table (digamma.psi_table).  Its
+Euler-Maclaurin tail is taken in closed form from the asymptotic series of
+psi (_monotone_expansion).  S-'s term lambda serves the alternating
+acceleration at ORACLE_TOL.  All of them read digamma through psi_point,
 so the sums share each psi value at the integers and half-integers they
 walk.  The second exact routes (the Nielsen form of C, the full
 Milgram sum, the even-order Jordan forms against the Nielsen ones, the
@@ -25,8 +26,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
-from operator import mul
 
 from .closedform import ClosedForm, LN2, _check_order, _check_weight, zeta_closed
 from .digamma import bernoulli_quotients, euler_gamma, psi_point, psi_table
@@ -167,9 +166,9 @@ def s_minus(r: int) -> ClosedForm:
 @cache
 def sum_oracle(tag: str, r: int) -> float:
     """The sum named by tag (SPlus, SMinus, Jordan1, Jordan2, Milgram or
-    CSum) at order r >= 2, by direct accelerated summation of its defining
-    series at ORACLE_TOL, memoized per (tag, r): the verify suites ask for
-    the same sums many times."""
+    CSum) at order r >= 2, by accelerated summation of its defining series
+    (S- alternating at ORACLE_TOL, the others by sum_tail), memoized per
+    (tag, r): the verify suites ask for the same sums many times."""
     if tag != "SMinus" and tag not in _MONOTONE:
         raise DomainError(f"unknown sum tag {tag!r}")
     _check_order(r)  # in the body, so no non-integral order is ever cached
@@ -181,15 +180,11 @@ def sum_oracle(tag: str, r: int) -> float:
         return sum_alternating(
             lambda k: (-1) ** k * (psi_point(k + 1.0) + g) * float(k) ** e, ORACLE_TOL)
     scale, shift, step, offset = _MONOTONE[tag]
-    origin = psi_point(shift)
 
-    def term(k: int) -> float:
-        return scale * (psi_point(k + shift) - origin) * (step * k + offset) ** e
-
-    def weights(a: int, b: int):
-        return map(mul, repeat(scale), psi_table(shift, a, b))
-    return sum_tail(term, ORACLE_TOL, (step, offset, _monotone_expansion(tag, r)),
-                    direct=(weights, step, offset, e))
+    def head(stop: int):
+        return (scale * d * (step * k + offset) ** e
+                for k, d in enumerate(psi_table(shift, stop), 1))
+    return sum_tail(head, (step, offset, _monotone_expansion(tag, r)))
 
 
 @cache
@@ -204,7 +199,6 @@ def _digamma_series(alpha: float) -> tuple[float, ...]:
     return tuple(out[:-1])
 
 
-@cache
 def _monotone_expansion(tag: str, r: int) -> Expansion:
     """The term of the monotone series tag as F(step*k + offset),
     F(y) = scale [psi(y/step + alpha) - psi(shift)] y^-r with

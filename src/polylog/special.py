@@ -19,8 +19,10 @@ the low-order I(p,q) identities, as one series, outer index first:
 mpl2 = x_o sum_k (x_i x_o)^k k^-m_i T(k+1), the outer tail
 T(y) = sum_{i>=0} x_o^i (y+i)^-m_o read from its Euler-Maclaurin (x_o = 1)
 or Boole (x_o = -1) asymptotic series at an anchor, run down to the integer y
-(outer_tail takes integer y only).  With x_i x_o = 1 the series' tail is
-taken in closed form from the expansion of its term (_mpl2_expansion).
+(outer_tail takes integer y only).  With x_i x_o = 1 the series is a
+sum_tail: its head, the terms below the cutoff, reads one slice of
+outer_tail_table, and its tail is taken in closed form from the expansion
+of its term (_mpl2_expansion).
 
 Values that do not depend on the caller are computed once per process: the
 coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
@@ -40,7 +42,7 @@ that node set.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 from itertools import count, repeat
 from operator import mul, truediv
 
@@ -285,8 +287,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     index first,
         mpl2 = x_outer sum_{k>=1} (x_inner x_outer)^k k^-m_inner T(k+1)
     with T = outer_tail(m_outer, x_outer, .): by sum_tail when
-    x_inner x_outer = 1, its tail from _mpl2_expansion, else by
-    sum_alternating.  Past m_outer = 1074 every
+    x_inner x_outer = 1, its head over outer_tail_table and its tail from
+    _mpl2_expansion, else by sum_alternating.  Past m_outer = 1074 every
     term is below the smallest subnormal, and it raises CapacityError."""
     if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
@@ -297,11 +299,11 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     if m_outer > 1074:
         raise CapacityError(f"outer order {m_outer} is beyond the float oracle: the largest "
                             f"term, 2^-{m_outer}, is below the smallest subnormal 2^-1074")
-    tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
     if x_inner == x_outer:
-        return x_outer * sum_tail(
-            lambda k: outer_tail(m_outer, x_outer, k + 1) * k ** -m_inner, tol,
-            (1, 1, _mpl2_expansion(m_outer, m_inner, x_outer)),
-            direct=(partial(outer_tail_table, m_outer, x_outer), 1, 0, -m_inner))
+        def head(stop: int):
+            return (t * k ** -m_inner
+                    for k, t in enumerate(outer_tail_table(m_outer, x_outer, 1, stop), 1))
+        return x_outer * sum_tail(head, (1, 1, _mpl2_expansion(m_outer, m_inner, x_outer)))
+    tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
     return x_outer * sum_alternating(
         lambda k: (-1) ** k * float(k) ** -m_inner * outer_tail(m_outer, x_outer, k + 1), tol)

@@ -2,27 +2,24 @@
 
 Alternating sums use the Chebyshev-polynomial scheme of Cohen, Rodriguez
 Villegas and Zagier: n terms give roughly (3 + sqrt 8)^-n accuracy for
-smoothly decaying magnitudes.  Monotone sums use direct summation to the
-cutoff TAIL_CUTOFF plus an Euler-Maclaurin tail taken in closed form from
-the caller's asymptotic expansion of the term, term(k) ~ F(a*k + b) with
-F(y) = sum (u + v ln y) y^-p over a finite tuple of (p, u, v); the term
-callable is called at the integers below the cutoff only, once each.
+smoothly decaying magnitudes.  Monotone sums add the terms below the cutoff
+TAIL_CUTOFF, which the caller's head gives in one call, to an
+Euler-Maclaurin tail taken in closed form from the caller's asymptotic
+expansion of the term, t(k) ~ F(a*k + b) with
+F(y) = sum (u + v ln y) y^-p over a finite tuple of (p, u, v).
 
 sum_alternating raises ConvergenceError past its term budget, the module
-constant ALTERNATING_TERMS; sum_tail raises it for a direct sum that is not
-finite and for a tail whose Euler-Maclaurin corrections have not settled by
-B_20 (EM_CORRECTIONS), and DomainError for a power p <= 1.  Both raise
-DomainError for a tolerance that is not finite and positive.
+constant ALTERNATING_TERMS, and DomainError for a tolerance that is not
+finite and positive; sum_tail raises ConvergenceError for a head sum that
+is not finite and for a tail whose Euler-Maclaurin corrections have not
+settled by B_20 (EM_CORRECTIONS), and DomainError for a power p <= 1.
 
 Across calls, eta_num/zeta_num keep one float per integer order and the
 CVZ weights are kept per depth n (_cvz_weights, at most ALTERNATING_TERMS
 floats per depth asked for).  Within a call, sum_alternating keeps its terms
-across its deepenings, so each index is evaluated once.  A sum_tail caller
-whose terms are weight(k) * base(k)^e passes them as ``direct``: the direct
-terms are then one map over a per-index table of the weights
-(digamma.psi_table, memoized per block; special.outer_tail_table, sliced
-from memoized blocks) and one map(pow, ...) over the bases, and the term
-callable is not called at all.
+across its deepenings, so each index is evaluated once.  The heads of the
+production callers read per-index tables that are memoized where they live
+(digamma.psi_table; special.outer_tail_table, sliced from memoized blocks).
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from functools import cache
-from itertools import repeat
-from operator import mul
 
 from .digamma import bernoulli_quotients
 from .errors import ConvergenceError, DomainError
@@ -40,7 +35,7 @@ from .quadrature import _check_tolerance
 _LOG_CVZ_BASE = math.log(3.0 + math.sqrt(8.0))
 # the CVZ divisor (3 + sqrt 8)^n overflows a double past n = 402
 ALTERNATING_TERMS = 400
-# sum_tail sums the terms below this index directly
+# sum_tail's head gives the terms below this index
 TAIL_CUTOFF = 64
 # the Euler-Maclaurin corrections run through B_2 .. B_2j for j up to this,
 # the length of digamma.bernoulli_quotients
@@ -94,7 +89,6 @@ def sum_alternating(term: Callable[[int], float], tol: float) -> float:
     raise ConvergenceError("alternating-series acceleration did not settle", partial=prev)
 
 
-Direct = tuple[Callable[[int, int], Iterable[float]], int, int, float]
 Expansion = tuple[tuple[int, float, float], ...]
 Tail = tuple[int, int, Expansion]
 
@@ -105,38 +99,24 @@ def _em_weights() -> tuple[float, ...]:
     return tuple(q / math.factorial(2 * j - 1) for j, q in enumerate(bernoulli_quotients(), 1))
 
 
-def sum_tail(term: Callable[[int], float], tol: float, tail: Tail,
-             direct: Direct | None = None) -> float:
-    """sum_{k>=1} term(k) for a term with the asymptotic expansion tail.
+def sum_tail(head: Callable[[int], Iterable[float]], tail: Tail) -> float:
+    """sum_{k>=1} t(k) for terms t with the asymptotic expansion tail.
 
-    tail = (a, b, expansion): term(k) ~ F(a*k + b) for large k, where
-    F(y) = sum (u + v ln y) y^-p over the (p, u, v) of expansion, in
-    increasing p; the leading p must exceed 1.  The terms below
-    K = TAIL_CUTOFF are summed directly, each integer k evaluated once, and
-    the Euler-Maclaurin tail of F from K on is taken in closed form
-    (_expansion_tail), its pieces settled to 2^-60 of the sum, far inside
-    any tolerance tol; tol itself is only checked.
-
-    direct = (weights, step, offset, e) gives the direct terms without
-    calling term: for k in range(a, b) they are
-    weights(a, b)[k - a] * (step*k + offset) ** e, which must equal term(k)
-    bit for bit.
+    head(K) gives the terms t(1) .. t(K-1) below the cutoff K = TAIL_CUTOFF,
+    which are added up with fsum.  tail = (a, b, expansion): t(k) ~ F(a*k + b)
+    for large k, where F(y) = sum (u + v ln y) y^-p over the (p, u, v) of
+    expansion, in increasing p; the leading p must exceed 1.  The
+    Euler-Maclaurin tail of F from K on is taken in closed form
+    (_expansion_tail), its pieces settled to 2^-60 of the sum.
     """
     a, b, expansion = tail
     if min(p for p, _, _ in expansion) <= 1:
         raise DomainError("tail summation needs a leading power p > 1 (sum may diverge)")
-    _check_tolerance(tol)
     K = TAIL_CUTOFF
-    if direct is None:
-        terms = map(term, range(1, K))
-    else:
-        weights, step, offset, e = direct
-        bases = range(step + offset, step * K + offset, step)
-        terms = map(mul, weights(1, K), map(pow, bases, repeat(e)))
-    head = math.fsum(terms)
-    if not math.isfinite(head):
-        raise ConvergenceError(f"the direct sum of terms 1..{K - 1} is {head}: not finite")
-    return head + _expansion_tail(float(a * K + b), a, expansion, head)
+    total = math.fsum(head(K))
+    if not math.isfinite(total):
+        raise ConvergenceError(f"the sum of the head terms 1..{K - 1} is {total}: not finite")
+    return total + _expansion_tail(float(a * K + b), a, expansion, total)
 
 
 def _expansion_tail(y: float, a: int, expansion: Expansion, head: float) -> float:

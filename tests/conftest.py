@@ -6,7 +6,11 @@ import sys
 import pytest
 from hypothesis import settings
 
+from polylog.eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus
+from polylog.ipq import Family, ipq_final
+from polylog.lognm import h_closed, h_pde_residual, i_closed, i_pde_residual
 from polylog.quadrature import nodes
+from polylog.seriesring import kolbig_snp
 
 settings.register_profile("default", max_examples=60, deadline=None)
 settings.load_profile("default")
@@ -45,6 +49,32 @@ def clear_package_caches():
             for obj in list(vars(module).values()):
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def package_cache_misses() -> dict[str, int]:
+    """The misses of every functools cache of the package, keyed by module
+    and name."""
+    misses = {}
+    for name, module in sys.modules.items():
+        if name.startswith("polylog."):
+            for fn in vars(module).values():
+                if callable(getattr(fn, "cache_info", None)) and fn.__module__ == name:
+                    misses[f"{name[8:]}.{fn.__qualname__}"] = fn.cache_info().misses
+    return misses
+
+
+def build_exact_catalogue() -> int:
+    """Build every closed form of the exact-highweight benchmark, to weight
+    12, with the calls perfbench makes (its workloads.exact_catalogue,
+    restated so the tests do not import the benchmark); returns how many."""
+    built = [kolbig_snp(n, p, max_weight=12) for n in range(1, 12) for p in range(1, 13 - n)]
+    built += [ipq_final(fam, p, q) for fam in Family for p in range(1, 9) for q in range(1, 10 - p)]
+    for r in range(2, 10):
+        built += [s_plus(r), s_minus(r), milgram(r), c_sum(r),
+                  jordan_nielsen("J1", r), jordan_nielsen("J2", r)]
+    built += [fn(n, m) for n in range(1, 6) for m in range(1, 7 - n)
+              for fn in (i_closed, h_closed, i_pde_residual, h_pde_residual)]
+    return len(built)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_sum_oracle_calls_the_psi_kernel_once_per_point(monkeypatch):
     info = digamma.psi_point.cache_info()
     # one kernel call per distinct point, shared by every tag and order
     assert len(calls) == info.misses == len(set(calls))
-    # the direct terms' digamma tables are built once and shared by every
+    # the heads' digamma tables are built once and shared by every
     # order and by the tags with the same shift
     tables = digamma.psi_table.cache_info()
     assert tables.misses == tables.currsize
@@ -275,22 +275,28 @@ def test_sum_oracle_calls_the_psi_kernel_once_per_point(monkeypatch):
 
 
 def test_sum_oracle_direct_terms_equal_the_term_callable(monkeypatch):
-    captured = []
+    # each monotone sum hands sum_tail a head; its terms below the cutoff
+    # must be the defining term, written here with the psi kernel, bit for bit
+    heads = []
     tail = summation.sum_tail
 
-    def capturing(term, tol, tail_expansion, direct=None):
-        captured.append((term, direct))
-        return tail(term, tol, tail_expansion, direct=direct)
+    def capturing(head, tail_expansion):
+        heads.append(head)
+        return tail(head, tail_expansion)
 
     monkeypatch.setattr(eulersums, "sum_tail", capturing)
     sum_oracle.cache_clear()
-    for tag, values in _ORACLE_VALUES.items():
-        assert [sum_oracle(tag, r) for r in range(2, 10)] == values, tag
-    assert len(captured) == 5 * 8
-    for term, (weights, step, offset, e) in captured:
-        for a, b in ((1, 64), (64, 128), (128, 1024)):
-            got = [w * (step * k + offset) ** e for w, k in zip(weights(a, b), range(a, b))]
-            assert got == [term(k) for k in range(a, b)], (a, b)
+    cases = [(tag, r) for tag in eulersums._MONOTONE for r in range(2, 10)]
+    for tag, r in cases:
+        assert sum_oracle(tag, r) == _ORACLE_VALUES[tag][r - 2], (tag, r)
+    assert len(heads) == len(cases) == 5 * 8
+    for (tag, r), head in zip(cases, heads):
+        scale, shift, step, offset = eulersums._MONOTONE[tag]
+
+        def term(k):
+            y = step * k + offset
+            return scale * (digamma.psi(k + shift) - digamma.psi(shift)) * y ** -float(r)
+        assert list(head(64)) == [term(k) for k in range(1, 64)], (tag, r)
 
 
 # the five monotone sums at r = 2, 3, 5, 9, 17 to 30 digits (mpmath at 50

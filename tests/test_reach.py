@@ -41,8 +41,6 @@ _REFUSED = (["eval", "s-plus", "--r", "-1"], ["ipq", "--family", "bogus", "--p",
 _DENSE = "the dense series route, which perfbench times (ROADMAP items 5 and 6)"
 _PINNED = "a ClosedForm operator that perfbench wraps and no route calls (items 5 and 6)"
 _ITEM5 = "a ClosedForm query that only the dense route and the tests read (item 5)"
-_TERM = ("a term callable, which perfbench passes to sum_tail; production passes "
-         "direct tables (item 5)")
 _PROTOCOL = "binary-operator protocol: NotImplemented defers to the other operand"
 _FAILURE = "handles a failure that no production input raises"
 _COPY, _REPR, _HASH = "copy and pickle protocol", "repr", "hash"
@@ -93,8 +91,6 @@ _ALLOWED = [
      "B_0 and B_1 of the Bernoulli table, which the tests pin; routes read even indices"),
     ("errors", "ConvergenceError.__init__", "super().__init__(message)", _FAILURE),
     ("errors", "ConvergenceError.__init__", "self.partial = partial", _FAILURE),
-    ("eulersums", "sum_oracle.term",
-     "return scale * (psi_point(k + shift) - origin) * (step * k + offset) ** e", _TERM),
     ("ipq", "recurrence_shift", "return base",
      "a zero shift returns its input itself, which the tests pin; verify shifts by n >= 1"),
     ("quadrature", "log_power", "except OverflowError as exc:", _FAILURE),
@@ -191,7 +187,6 @@ _ALLOWED = [
      "the Li_1 shortcut: the general route is up to 3.2e-15 off -log1p(-x)"),
     ("special", "nielsen_num", "return value if (n + p) % 2 else -value",
      "a zero integral, an order past the float range: its sign without the factorials"),
-    ("summation", "sum_tail", "terms = map(term, range(1, K))", _TERM),
 ]
 
 

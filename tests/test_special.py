@@ -428,33 +428,29 @@ def test_li_series_matches_reference_loop_bit_for_bit():
 
 
 def test_table_driven_direct_terms_equal_the_term_callable(monkeypatch):
-    # mpl2's series with x_inner x_outer = 1 hands sum_tail a table of
-    # outer tails and a power of the index; each direct term must be the
-    # term callable's value at k, and the sum the same as without the table
-    captured = []
+    # mpl2's series with x_inner x_outer = 1 hands sum_tail a head over the
+    # outer tails' table; its terms below the cutoff must be the defining
+    # term T(k+1) k^-m_inner, written here with outer_tail, bit for bit
+    heads = []
     tail = summation.sum_tail
 
-    def capturing(term, tol, tail_expansion, direct=None):
-        captured.append((term, tol, tail_expansion, direct))
-        return tail(term, tol, tail_expansion, direct=direct)
+    def capturing(head, tail_expansion):
+        heads.append(head)
+        return tail(head, tail_expansion)
 
     monkeypatch.setattr(special, "sum_tail", capturing)
-    for args in ((2, 1, 1.0, 1.0), (3, 1, 1.0, 1.0), (1, 2, -1.0, -1.0), (1, 1, -1.0, -1.0),
-                 (2, 3, -1.0, -1.0)):
+    cases = ((2, 1, 1.0, 1.0), (3, 1, 1.0, 1.0), (1, 2, -1.0, -1.0), (1, 1, -1.0, -1.0),
+             (2, 3, -1.0, -1.0))
+    for args in cases:
         mpl2(*args)
-    assert len(captured) == 5 and all(c[3] is not None for c in captured)
-    for term, tol, tail_expansion, direct in captured:
-        weights, step, offset, e = direct
-        for a, b in ((1, 64), (64, 128), (128, 1024)):
-            got = [w * (step * k + offset) ** e for w, k in zip(weights(a, b), range(a, b))]
-            assert got == [term(k) for k in range(a, b)], (a, b)
-        assert tail(term, tol, tail_expansion, direct=direct) == tail(term, tol, tail_expansion)
+    assert len(heads) == len(cases)
+    for (m_outer, m_inner, x_outer, _), head in zip(cases, heads):
+        assert list(head(64)) == [outer_tail(m_outer, x_outer, k + 1) * k ** -m_inner
+                                  for k in range(1, 64)], (m_outer, m_inner, x_outer)
 
 
 # NaN arguments and tolerances that are not finite and positive
 _QUIET = pointwise(lambda x, omx: 1.0)
-_TERM = lambda k: k ** -2.0  # noqa: E731
-_TAIL = (1, 0, ((2, 1.0, 0.0),))
 _ALT = lambda k: (-1) ** k / k ** 2.0  # noqa: E731
 _NAN = math.nan
 
@@ -467,15 +463,11 @@ _NAN = math.nan
     lambda: integrate01(_QUIET, _NAN),
     lambda: integrate01(_QUIET, math.inf),
     lambda: integrate01(_QUIET, -1e-12),
-    lambda: summation.sum_tail(_TERM, _NAN, _TAIL),
-    lambda: summation.sum_tail(_TERM, math.inf, _TAIL),
-    lambda: summation.sum_tail(_TERM, 0.0, _TAIL),
     lambda: summation.sum_alternating(_ALT, _NAN),
     lambda: summation.sum_alternating(_ALT, math.inf),
     lambda: summation.sum_alternating(_ALT, -1.0),
 ], ids=["polylog-nan", "nielsen-nan", "mpl2-outer-nan", "mpl2-inner-nan",
         "integrate01-nan", "integrate01-inf", "integrate01-negative",
-        "sum_tail-nan", "sum_tail-inf", "sum_tail-zero",
         "sum_alternating-nan", "sum_alternating-inf", "sum_alternating-negative"])
 def test_nan_arguments_and_bad_tolerances_raise_domain_error(call):
     with pytest.raises(DomainError):

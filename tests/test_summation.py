@@ -5,7 +5,7 @@ import pytest
 
 from polylog.digamma import euler_gamma, psi
 from polylog.errors import ConvergenceError, DomainError
-from polylog.summation import _cvz, eta_num, sum_alternating, sum_tail, zeta_num
+from polylog.summation import TAIL_CUTOFF, _cvz, eta_num, sum_alternating, sum_tail, zeta_num
 
 from conftest import eta_brute, zeta_brute
 
@@ -51,21 +51,26 @@ def _power_tail(r):
     return 1, 0, ((r, 1.0, 0.0),)
 
 
+def _tail_sum(term, tail):
+    """sum_tail of a scalar term, through a head that maps it over 1..K-1."""
+    return sum_tail(lambda K: map(term, range(1, K)), tail)
+
+
 def test_tail_basic():
-    assert abs(sum_tail(lambda k: k ** -2.0, 1e-12, _power_tail(2)) - zeta_brute(2)) <= 1e-12
+    assert abs(_tail_sum(lambda k: k ** -2.0, _power_tail(2)) - zeta_brute(2)) <= 1e-12
 
 
 def test_tail_harmonic_weighted():
     g = euler_gamma()
-    got = sum_tail(lambda k: (psi(k + 1.0) + g) * k ** -2.0, 1e-12, _psi_tail(1.0, 1, 0, 1.0, 2))
+    got = _tail_sum(lambda k: (psi(k + 1.0) + g) * k ** -2.0, _psi_tail(1.0, 1, 0, 1.0, 2))
     # Euler: sum H_k/k^2 = 2 zeta(3)
     assert abs(got - 2 * zeta_brute(3)) <= 1e-11
 
 
 def test_tail_half_integer_digamma():
     # sum_{k>=0} [psi(k+1/2) - psi(1/2)] / (2(2k+1)^3), the odd-order case
-    got = sum_tail(lambda k: 0.5 * (psi(k + 0.5) - psi(0.5)) * (2 * k + 1.0) ** -3.0,
-                   1e-12, _psi_tail(0.5, 2, 1, 0.5, 3))
+    got = _tail_sum(lambda k: 0.5 * (psi(k + 0.5) - psi(0.5)) * (2 * k + 1.0) ** -3.0,
+                    _psi_tail(0.5, 2, 1, 0.5, 3))
     ln2 = math.log(2.0)
     li4h = math.fsum(2.0 ** -j * j ** -4.0 for j in range(1, 80))
     expected = (23.0 * math.pi ** 4 / 5760.0 + math.pi ** 2 * ln2 ** 2 / 24.0
@@ -78,14 +83,14 @@ def test_tail_divergence_guard():
     for expansion in (((1, 1.0, 0.0),), ((0.5, 1.0, 0.0), (3, 1.0, 0.0)),
                       ((3, 1.0, 0.0), (1, 1.0, 1.0))):
         with pytest.raises(DomainError):
-            sum_tail(lambda k: 1.0 / k, 1e-10, (1, 0, expansion))
+            _tail_sum(lambda k: 1.0 / k, (1, 0, expansion))
 
 
 def test_tail_corrections_that_do_not_settle_raise():
     # at y = 65 the corrections of y^-150 shrink by about (150/(2 pi 65))^2
     # a step, so they are not below 2^-60 of the tail by B_20
     with pytest.raises(ConvergenceError):
-        sum_tail(lambda k: 0.0, 1e-12, (1, 1, ((150, 1.0, 0.0),)))
+        _tail_sum(lambda k: 0.0, (1, 1, ((150, 1.0, 0.0),)))
 
 
 def test_tail_with_a_non_finite_term_fails_fast():
@@ -93,13 +98,13 @@ def test_tail_with_a_non_finite_term_fails_fast():
     # before the tail's corrections are asked to settle against it
     for bad in (math.nan, math.inf):
         with pytest.raises(ConvergenceError, match="not finite"):
-            sum_tail(lambda k, bad=bad: bad if k == 5 else k ** -2.0, 1e-12, _power_tail(2))
+            _tail_sum(lambda k, bad=bad: bad if k == 5 else k ** -2.0, _power_tail(2))
 
 
 def test_alternating_vs_tail_cross_check():
     for r in range(2, 7):
         alt = sum_alternating(lambda k, r=r: (-1) ** k * float(k) ** -float(r), 1e-12)
-        tail = sum_tail(lambda k, r=r: k ** -float(r), 1e-12, _power_tail(r))
+        tail = _tail_sum(lambda k, r=r: k ** -float(r), _power_tail(r))
         assert abs(alt - (2.0 ** (1 - r) - 1.0) * tail) <= 1e-12
 
 
@@ -122,15 +127,21 @@ def test_alternating_factorial_terms_raise():
 
 
 def test_sum_tail_evaluates_each_integer_once():
-    seen = {}
+    seen, asked = {}, []
 
     def term(k):
         seen[k] = seen.get(k, 0) + 1
         return k ** -2.0
 
-    got = sum_tail(term, 1e-13, _power_tail(2))
+    def head(K):
+        asked.append(K)
+        return map(term, range(1, K))
+
+    got = sum_tail(head, _power_tail(2))
+    # one head call, at the one cutoff, 64, whose terms are read once
+    assert asked == [TAIL_CUTOFF] == [64]
     assert set(seen.values()) == {1} and all(isinstance(k, int) for k in seen)
-    # the terms below the one cutoff, 64; the expansion gives the rest
+    # the terms below the cutoff; the expansion gives the rest
     assert sorted(seen) == list(range(1, 64))
     # the tail from the expansion leaves the sum within an ulp or so
     assert abs(got - math.pi ** 2 / 6) <= 4e-16

@@ -24,7 +24,7 @@ from polylog.sigma import atom_value, cf_num
 from polylog.special import nielsen_num
 from polylog.verify import SUITES, CheckEntry, _entries, _jordan_order3_integral, run_suite
 
-from conftest import clear_package_caches
+from conftest import clear_package_caches, package_cache_misses
 
 
 def _polylog_target(node: ast.AST) -> str | None:
@@ -525,7 +525,7 @@ def test_cold_run_suite_evaluates_li_pos_once_per_point(monkeypatch):
 
 
 def test_cold_run_suite_calls_the_psi_kernel_once_per_point(monkeypatch):
-    # the direct terms read digamma tables, each built once through
+    # the sums' heads read digamma tables, each built once through
     # psi_point (2,604 kernel calls at 2,090 points before)
     clear_package_caches()
     calls = Counter()
@@ -544,8 +544,8 @@ def test_cold_run_suite_calls_the_psi_kernel_once_per_point(monkeypatch):
 def test_cold_run_suite_oracle_work_counts(monkeypatch):
     # tanh-sinh stops at the first level its projected next change certifies
     # (17,038 evaluations when it ran a level more to confirm), and each
-    # monotone sum adds its closed-form tail to 63 direct terms (127 when
-    # it doubled its cutoff to confirm the total)
+    # monotone sum adds its closed-form tail to the 63 terms of its head
+    # (127 when it doubled its cutoff to confirm the total)
     clear_package_caches()
     evaluations, tails = [], []
     integrate01 = quadrature.integrate01
@@ -555,20 +555,12 @@ def test_cold_run_suite_oracle_work_counts(monkeypatch):
         evaluations.append(result.evaluations)
         return result
 
-    def counted_tail(term, tol, tail, direct=None):
-        weights, step, offset, e = direct
-        asked = []
-
-        def counted_weights(a, b):
-            asked.append(b - a)
-            return weights(a, b)
-
-        def counted_term(k):
-            asked.append(1)
-            return term(k)
-        value = summation.sum_tail(counted_term, tol, tail, (counted_weights, step, offset, e))
-        tails.append(sum(asked))
-        return value
+    def counted_tail(head, tail):
+        def counted_head(stop):
+            terms = list(head(stop))
+            tails.append(len(terms))
+            return terms
+        return summation.sum_tail(counted_head, tail)
     for module in (ipq, lognm, special, verify):
         monkeypatch.setattr(module, "integrate01", counted_integral)
     for module in (eulersums, special):
@@ -591,7 +583,6 @@ _COLD_SUITE_CACHE_MISSES = {
     "eulersums.s_plus": 7, "eulersums.c_sum": 7, "eulersums.jordan_even": 8,
     "eulersums.milgram": 8, "eulersums.jordan_nielsen": 14, "eulersums.s_minus": 7,
     "eulersums.sum_oracle": 41, "eulersums._digamma_series": 3,
-    "eulersums._monotone_expansion": 34,
     "ipq.ipq_numeric": 36, "ipq._mu_sum": 66, "ipq._minus_named_part": 7, "ipq.ipq_final": 50,
     "lognm.i_star": 25, "lognm.h_star": 25, "lognm.lognm_numeric": 20,
     "quadrature.nodes": 5, "quadrature.log_power": 82,
@@ -617,14 +608,8 @@ def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
         return combination(cls, terms)
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     run_suite("all")
-    misses = {}
-    for name, module in sys.modules.items():
-        if name.startswith("polylog."):
-            for fn in vars(module).values():
-                if callable(getattr(fn, "cache_info", None)) and fn.__module__ == name:
-                    misses[f"{name[8:]}.{fn.__qualname__}"] = fn.cache_info().misses
     assert len(combinations) == 289
-    assert misses == _COLD_SUITE_CACHE_MISSES  # 870 in all
+    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 836 in all
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
