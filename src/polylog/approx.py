@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import (ClosedForm, _check_weight, eta_factor_closed,
+from .closedform import (ClosedForm, _check_order, _check_weight, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .errors import CapacityError, DomainError
 
@@ -45,6 +45,7 @@ def _stirling_row(k: int) -> tuple[int, ...]:
 
 def stirling1(k: int, j: int) -> int:
     """Signed Stirling number of the first kind S_k^(j), exact, for k <= MAX_KT."""
+    _check_order(k, j)
     if k < 1:
         raise DomainError("row index must be >= 1")
     _check_kt(k)
@@ -68,6 +69,7 @@ def polylog_derivative_at_minus1(p: int, k: int) -> ClosedForm:
     derivatives would need the analytic continuation used internally by
     s_minus_truncated.
     """
+    _check_order(p, k)
     if p < 2 or k < 1:
         raise DomainError("requires p >= 2 and k >= 1")
     if k > p - 1:
@@ -88,6 +90,7 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     with kt (nine decimals at p = 5, kt = 10).  The weight p+1 of S-(p) is
     held to the weight ceiling MAX_WEIGHT, as in s_minus, and kt to MAX_KT.
     """
+    _check_order(p, kt)
     if p < 3:
         raise DomainError("requires p >= 3")
     _check_weight(p + 1)

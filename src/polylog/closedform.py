@@ -181,8 +181,9 @@ class ClosedForm:
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         coeffs = {}
         den = 1
-        for mono, coeff in (terms or {}).items():
-            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        for mono, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
             if c:
                 coeffs[mono] = c
                 den = math.lcm(den, c.denominator)
@@ -268,9 +269,6 @@ class ClosedForm:
 
     def atoms(self) -> set[Atom]:
         return {a for mono in self._num for a, _ in mono}
-
-    def sigma_atoms(self) -> list[Atom]:
-        return sorted(a for a in self.atoms() if a.tag == "sigma")
 
     # -- arithmetic ---------------------------------------------------------
 

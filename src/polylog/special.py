@@ -18,10 +18,11 @@ The depth-2 sums are taken at x_outer, x_inner = +-1 only, the arguments of
 the low-order I(p,q) identities, as one series, outer index first:
 mpl2 = x_o sum_k (x_i x_o)^k k^-m_i T(k+1), the outer tail
 T(y) = sum_{i>=0} x_o^i (y+i)^-m_o read from its Euler-Maclaurin (x_o = 1)
-or Boole (x_o = -1) asymptotic series at an anchor, run down to the integer y
-(outer_tail takes integer y only).  With x_i x_o = 1 the series is a
-sum_tail: its head, the terms below the cutoff, reads one slice of
-outer_tail_table, and its tail is taken in closed form from the expansion
+or Boole (x_o = -1) asymptotic series at the first anchor (at least the
+sum_tail cutoff), run down to the integers below it; past it, T is the series
+at the integer y itself (outer_tail takes integer y only).  With x_i x_o = 1
+the series is a sum_tail: its head, the terms below the cutoff, reads one
+slice of T's block, and its tail is taken in closed form from the expansion
 of its term (_mpl2_expansion).
 
 Values that do not depend on the caller are computed once per process: the
@@ -29,10 +30,10 @@ coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
 integer argument, none below -78 since k < 80), the powers k^-p of the
 direct series (_inverse_powers, one tuple per order), the outer tails'
 series coefficients (_tail_series, one tuple per order and sign, from the
-first nine B_2j/(2j) of digamma.bernoulli_quotients) and their
-values at the integers (_tail_block, one tuple per anchor, 16 values past
-the first), and Li_p(+-x) at the quadrature nodes (li_column), which every
-product integrand shares.  li_column holds one tuple per (order, sign,
+first nine B_2j/(2j) of digamma.bernoulli_quotients) and their values at
+the integers (_tail_block, one tuple per order and sign, T at 1 up to the
+first anchor), and Li_p(+-x) at the quadrature nodes (li_column), which
+every product integrand shares.  li_column holds one tuple per (order, sign,
 grid); Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column, so li_pos
 meets each node once.  The grids are the fixed tanh-sinh levels 0..11 of the
 whole interval, so the columns are bounded by the orders asked for times
@@ -50,7 +51,7 @@ from .closedform import _check_order, zeta_nonpositive_rational
 from .digamma import bernoulli_quotients
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
-from .summation import Expansion, eta_num, sum_alternating, sum_tail, zeta_num
+from .summation import TAIL_CUTOFF, Expansion, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
 
@@ -196,19 +197,19 @@ def nielsen_num(n: int, p: int, z: float) -> float:
 # depth-2 multiple polylogarithms
 # ---------------------------------------------------------------------------
 
-_BLOCK = 16  # the blocks of T at the integers end at anchors this far apart
-
 
 @cache
 def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
     """First anchor and coefficients c_1..c_8 of the outer tail's asymptotic
     series T(y) ~ y^-m [a y + 1/2 + sum_j c_j y^(1-2j)]: Euler-Maclaurin at
     x_outer = 1 (a = 1/(m-1), c_j = B_2j/(2j)! (m)_(2j-1)), Boole at -1 (a = 0,
-    c_j times 4^j - 1).  The first anchor is the least of 64, 80, ... where
-    the first dropped term c_9 y^-17 is below 1e-17 of the leading term."""
+    c_j times 4^j - 1).  The first anchor is the least of TAIL_CUTOFF,
+    TAIL_CUTOFF + 16, ... where the first dropped term c_9 y^-17 is below
+    1e-17 of the leading term, so _tail_block holds every T a sum_tail head
+    reads."""
     c = [(1 if x_outer == 1.0 else 4 ** j - 1) * math.comb(m + 2 * j - 2, 2 * j - 1) * b
          for j, b in enumerate(bernoulli_quotients()[:9], 1)]
-    first = next(y for y in count(64, _BLOCK)
+    first = next(y for y in count(TAIL_CUTOFF, 16)
                  if abs(c[8]) * y ** -17.0 <= 1e-17 * (y / (m - 1) if x_outer == 1.0 else 0.5))
     return first, tuple(c[:8])
 
@@ -220,13 +221,11 @@ def _tail_correction(coefficients: tuple[float, ...], y: float) -> float:
     return (((((((c8 * z + c7) * z + c6) * z + c5) * z + c4) * z + c3) * z + c2) * z + c1) / y
 
 
-@cache
-def _tail_block(m: int, x_outer: float, anchor: int) -> tuple[float, ...]:
-    """T at 1..anchor for the first anchor, else at the _BLOCK integers up to
-    it: the series at the anchor (a y + 1/2 exact) run down by T(y) = y^-m +
-    x_outer T(y+1) in 2^-scale fixed point, so each value is rounded once."""
-    first, coefficients = _tail_series(m, x_outer)
-    low = 1 if anchor == first else anchor - _BLOCK + 1
+def _tail_run(m: int, x_outer: float, anchor: int, low: int) -> tuple[float, ...]:
+    """T at low..anchor: the series at the anchor (a y + 1/2 exact) run down
+    by T(y) = y^-m + x_outer T(y+1) in 2^-scale fixed point, so each value is
+    rounded once."""
+    coefficients = _tail_series(m, x_outer)[1]
     scale = 117 + m * anchor.bit_length()  # a unit is 2^-64 ulp(anchor^-m) or less
     one = 1 << scale
     num, den = (2 * anchor + m - 1, 2 * (m - 1)) if x_outer == 1.0 else (1, 2)
@@ -238,27 +237,21 @@ def _tail_block(m: int, x_outer: float, anchor: int) -> tuple[float, ...]:
     return tuple(map(truediv, reversed(accs), repeat(one)))
 
 
-def outer_tail_table(m: int, x_outer: float, start: int, stop: int) -> list[float]:
-    """T(k + 1) for k in range(start, stop), sliced from the blocks."""
-    first = _tail_series(m, x_outer)[0]
-    out: list[float] = []
-    y, end = start + 1, stop + 1
-    while y < end:
-        anchor = first if y <= first else first - _BLOCK * ((first - y) // _BLOCK)
-        block = _tail_block(m, x_outer, anchor)
-        low, top = anchor + 1 - len(block), min(end, anchor + 1)
-        out.extend(block[y - low:top - low])
-        y = top
-    return out
+@cache
+def _tail_block(m: int, x_outer: float) -> tuple[float, ...]:
+    """T at 1..the first anchor, one tuple per order and sign."""
+    return _tail_run(m, x_outer, _tail_series(m, x_outer)[0], 1)
 
 
 def outer_tail(m: int, x_outer: float, y: int) -> float:
     """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1 at an integer
-    y >= 1, read from its block."""
-    return outer_tail_table(m, x_outer, y - 1, y)[0]
+    y >= 1: read from its block, or past the first anchor the series at y."""
+    if y < 1:
+        raise DomainError("the outer tail is taken at integers y >= 1")
+    block = _tail_block(m, x_outer)
+    return block[y - 1] if y <= len(block) else _tail_run(m, x_outer, y, y)[0]
 
 
-@cache
 def _mpl2_expansion(m_outer: int, m_inner: int, x_outer: float) -> Expansion:
     """F(y) = T(y) (y - 1)^-m_inner, the term of mpl2's series at
     x_inner = x_outer and y = k + 1, as sum_N f_N y^(1 - m_outer - m_inner - N):
@@ -287,7 +280,7 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     index first,
         mpl2 = x_outer sum_{k>=1} (x_inner x_outer)^k k^-m_inner T(k+1)
     with T = outer_tail(m_outer, x_outer, .): by sum_tail when
-    x_inner x_outer = 1, its head over outer_tail_table and its tail from
+    x_inner x_outer = 1, its head a slice of T's block and its tail from
     _mpl2_expansion, else by sum_alternating.  Past m_outer = 1074 every
     term is below the smallest subnormal, and it raises CapacityError."""
     if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
@@ -302,7 +295,7 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     if x_inner == x_outer:
         def head(stop: int):
             return (t * k ** -m_inner
-                    for k, t in enumerate(outer_tail_table(m_outer, x_outer, 1, stop), 1))
+                    for k, t in enumerate(_tail_block(m_outer, x_outer)[1:stop], 1))
         return x_outer * sum_tail(head, (1, 1, _mpl2_expansion(m_outer, m_inner, x_outer)))
     tol = ORACLE_TOL / 8.0  # keeps the sum's own error out of the entries it meets
     return x_outer * sum_alternating(

@@ -19,7 +19,7 @@ CVZ weights are kept per depth n (_cvz_weights, at most ALTERNATING_TERMS
 floats per depth asked for).  Within a call, sum_alternating keeps its terms
 across its deepenings, so each index is evaluated once.  The heads of the
 production callers read per-index tables that are memoized where they live
-(digamma.psi_table; special.outer_tail_table, sliced from memoized blocks).
+(digamma.psi_table; special._tail_block, one block per order and sign).
 """
 
 from __future__ import annotations

@@ -63,6 +63,11 @@ def package_cache_misses() -> dict[str, int]:
     return misses
 
 
+def sigma_atoms(cf) -> list:
+    """The sigma~ atoms of a closed form, sorted."""
+    return sorted(a for a in cf.atoms() if a.tag == "sigma")
+
+
 def build_exact_catalogue() -> int:
     """Build every closed form of the exact-highweight benchmark, to weight
     12, with the calls perfbench makes (its workloads.exact_catalogue,

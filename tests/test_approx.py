@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.approx import (MAX_KT, _alt_zeta_closed, _derivative_cf, _stirling_row,
+from polylog.approx import (MAX_KT, _alt_zeta_closed, _stirling_row,
                             polylog_derivative_at_minus1, s_minus_truncated,
                             stirling1)
 from polylog.closedform import (ClosedForm, LN2, PI, UNIT, eta_factor_closed, monomial,
@@ -17,7 +17,8 @@ from polylog.eulersums import sum_oracle
 from polylog.seriesring import MAX_WEIGHT
 from polylog.sigma import cf_num
 from polylog.special import polylog
-from polylog.verify import run_suite
+
+from conftest import sigma_atoms
 
 
 # -- Stirling numbers -----------------------------------------------------------
@@ -123,6 +124,18 @@ def test_derivative_domain():
         polylog_derivative_at_minus1(3, 3)  # beyond the stated regime
 
 
+def test_non_integral_orders_are_domain_errors():
+    # stirling1(3.5, 1) used to recurse past k = 1 into a RecursionError, and
+    # the other two to fail with a TypeError deep inside
+    calls = (lambda: stirling1(3.5, 1), lambda: stirling1(3, 1.5),
+             lambda: polylog_derivative_at_minus1(5.5, 1),
+             lambda: polylog_derivative_at_minus1(5, 0.5),
+             lambda: s_minus_truncated(5.5, 2), lambda: s_minus_truncated(5, 2.5))
+    for call in calls:
+        with pytest.raises(DomainError, match="is not an integer"):
+            call()
+
+
 def test_zeta_orders_past_the_weight_ceiling_fail_fast():
     # uncapped, an even order runs the Bernoulli recurrence over growing
     # Fractions: zeta_closed(800) took seconds and 10^4 would take hours
@@ -180,7 +193,7 @@ def test_truncations_equal_the_operator_folds():
 
 def test_truncation_basis_stays_closed():
     cf = s_minus_truncated(5, 10)
-    assert not cf.sigma_atoms()
+    assert not sigma_atoms(cf)
     names = {a.name for a in cf.atoms()}
     assert names <= {"pi", "ln2", "zeta3", "zeta5"}
 
@@ -196,11 +209,3 @@ def test_truncation_error_profile():
         assert errs[kt] < errs[kt - 1], kt
     assert 3.3e-9 < errs[10] < 3.5e-9
     assert errs[12] <= 5e-10
-
-
-def test_cold_run_suite_builds_each_derivative_form_once():
-    # every s_minus_truncated(5, kt) shares the (5, k) pieces of the shallower
-    # truncations; the derivative entries add (4, 1)
-    _derivative_cf.cache_clear()
-    run_suite("all")
-    assert _derivative_cf.cache_info().misses == 11

@@ -179,6 +179,17 @@ def test_division_by_zero_and_fractional_powers_are_domain_errors():
     assert z3 / Fraction(-2, 3) == Fraction(-3, 2) * z3
 
 
+def test_coefficients_that_are_not_int_or_fraction_are_refused():
+    # no quiet conversion: 0.1 is not 3602879701896397/36028797018963968, a
+    # string is not parsed, and nan and inf fail as every bad coefficient does
+    for coeff in (0.1, 1.0, "1/3", math.nan, math.inf):
+        with pytest.raises(DomainError, match="not an int or a Fraction"):
+            ClosedForm.rational(coeff)
+        with pytest.raises(DomainError, match="not an int or a Fraction"):
+            ClosedForm.atom(LN2, 1, coeff)
+    assert ClosedForm.rational(Fraction(1, 3)).terms == {UNIT: Fraction(1, 3)}
+
+
 # -- the dict-of-Fraction arithmetic, as the reference for the integer layout --
 
 

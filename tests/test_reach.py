@@ -58,8 +58,6 @@ _ALLOWED = [
     ("closedform", "ClosedForm.is_zero", "return not self._num", _ITEM5),
     ("closedform", "ClosedForm.atoms",
      "return {a for mono in self._num for a, _ in mono}", _ITEM5),
-    ("closedform", "ClosedForm.sigma_atoms",
-     'return sorted(a for a in self.atoms() if a.tag == "sigma")', _ITEM5),
     ("closedform", "ClosedForm._sum", "return NotImplemented", _PROTOCOL),
     ("closedform", "ClosedForm._scaled", "return ClosedForm.zero()", _PINNED),
     ("closedform", "ClosedForm.__rsub__", "out = self._sum(other, -1)", _PINNED),

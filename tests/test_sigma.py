@@ -15,7 +15,7 @@ from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num
 
-from conftest import li_half_brute, zeta_brute
+from conftest import li_half_brute, sigma_atoms, zeta_brute
 
 
 def test_li_column_is_closed():
@@ -77,7 +77,7 @@ def test_open_entries_stay_atomic():
     for (n, p) in ((2, 4), (3, 3), (4, 2), (6, 2), (2, 6)):
         cf = sigma_tilde(n, p)
         assert cf == ClosedForm.atom(sigma_atom(n, p))
-        assert cf.sigma_atoms() == [sigma_atom(n, p)]
+        assert sigma_atoms(cf) == [sigma_atom(n, p)]
 
 
 def test_derived_odd_first_index_entries():
@@ -85,7 +85,7 @@ def test_derived_odd_first_index_entries():
     for key in ((5, 2), (7, 2)):
         assert key in registry().closed
         cf = sigma_tilde(*key)
-        assert not cf.sigma_atoms()
+        assert not sigma_atoms(cf)
         assert abs(cf_num(cf) - nielsen_num(*key, -1.0)) <= 1e-10
 
 

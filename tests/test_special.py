@@ -334,6 +334,13 @@ def test_outer_tail_matches_its_direct_sum_up_to_high_weight():
                     assert abs(outer_tail(m, x, y) - ref) <= 1e-15 * abs(ref), (m, x, y)
 
 
+def test_outer_tail_is_taken_at_positive_integers_only():
+    # y = 0 would index the block's last value, T at the first anchor
+    for y in (0, -3):
+        with pytest.raises(DomainError, match="integers y >= 1"):
+            outer_tail(2, 1.0, y)
+
+
 def test_mpl2_expansion_matches_the_term_callable():
     # mpl2's term at x_inner = x_outer is F(k + 1) wherever T's series holds,
     # k + 1 at or above the first anchor, at the cutoffs sum_tail starts from

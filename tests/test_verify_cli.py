@@ -16,11 +16,10 @@ from polylog import digamma, eulersums, ipq, lognm, quadrature, special, summati
 from polylog.approx import MAX_KT
 from polylog.cli import _COMMANDS, _EVAL_TARGETS, SNP_TABLE_WEIGHT, main
 from polylog.closedform import ClosedForm, zeta_closed
-from polylog.eulersums import sum_oracle
-from polylog.ipq import Family, ipq_numeric, ipq_series
-from polylog.lognm import TABLE_WEIGHT, lognm_numeric
+from polylog.ipq import Family, ipq_series
+from polylog.lognm import TABLE_WEIGHT
 from polylog.seriesring import MAX_WEIGHT
-from polylog.sigma import atom_value, cf_num
+from polylog.sigma import cf_num
 from polylog.special import nielsen_num
 from polylog.verify import SUITES, CheckEntry, _entries, _jordan_order3_integral, run_suite
 
@@ -105,8 +104,9 @@ def test_package_modules_import_only_names_they_use():
 # and why it crosses the module boundary.
 _SHARED_PRIVATE_NAMES = {
     "closedform._check_order": (
-        {"eulersums", "special"},
-        "the one integral-order check, in the atom factories, polylog and sum_oracle"),
+        {"approx", "eulersums", "special"},
+        "the one integral-order check, in the atom factories, polylog, sum_oracle and "
+        "the Stirling truncation"),
     "closedform._check_weight": (
         {"approx", "cli", "eulersums", "ipq", "lognm", "seriesring", "sigma"},
         "the one weight ceiling, applied by every exact builder and cli's ipq table"),
@@ -464,12 +464,10 @@ def test_verify_rejects_bad_tolerance_inputs_fast(tmp_path, args, config):
 
 
 def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
-    oracles = (sum_oracle, ipq_numeric, lognm_numeric)
-    for fn in oracles:
-        fn.cache_clear()
     # nielsen_num is uncached: each S_{n,p}(z) must be asked for once, the
-    # sigma~ values (z = -1) through atom_value, which keeps them
-    atom_value.cache_clear()
+    # sigma~ values (z = -1) through atom_value, which keeps them; the misses
+    # of the oracle caches are pinned in _COLD_SUITE_CACHE_MISSES
+    clear_package_caches()
     calls = Counter()
 
     def counted(n, p, z):
@@ -479,7 +477,6 @@ def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
         if name.startswith("polylog") and getattr(module, "nielsen_num", None) is nielsen_num:
             monkeypatch.setattr(module, "nielsen_num", counted)
     run_suite("all")
-    assert [fn.cache_info().misses for fn in oracles] == [41, 36, 20]
     assert calls and max(calls.values()) == 1, [k for k, c in calls.items() if c > 1]
 
 
@@ -589,7 +586,7 @@ _COLD_SUITE_CACHE_MISSES = {
     "seriesring.gamma_ratio_series": 0, "seriesring._ratio_slice": 10,
     "sigma.registry": 1, "sigma.atom_value": 29,
     "special._zeta_int": 18, "special._inverse_powers": 6, "special.li_column": 32,
-    "special._tail_series": 7, "special._tail_block": 7, "special._mpl2_expansion": 6,
+    "special._tail_series": 7, "special._tail_block": 7,
     "summation._cvz_weights": 8, "summation._em_weights": 1, "summation.eta_num": 9,
     "summation.zeta_num": 8,
     "verify._jordan_order3_integral": 2,
@@ -609,7 +606,62 @@ def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     run_suite("all")
     assert len(combinations) == 289
-    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 836 in all
+    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 830 in all
+
+
+# a fixed list of CLI queries, each answered cold, and the work they take
+# together: two of them are refused at the weight caps
+_COLD_QUERIES = (
+    "eval ipq --family mixed --p 3 --q 4", "ipq --family plus --p 2 --q 3",
+    "eval s-minus --r 7", "eval jordan1 --r 5", "eval s-np --n 3 --p 4",
+    "eval sigma-np --n 2 --p 3", "eval inm --n 2 --m 3", "eval hnm --n 3 --m 2",
+    "eval approx --p 5 --kt 10", "approx s-minus --p 4 --kt 8",
+    "eval s-np --n 5 --p 4", "eval inm --n 3 --m 4",
+)
+_COLD_QUERY_CACHE_MISSES = {
+    "approx._derivative_cf": 18, "approx._stirling_row": 18,
+    "closedform._monomial_product": 100, "closedform.bernoulli_fraction": 55,
+    "closedform.eta_factor_closed": 42, "closedform.zeta_closed": 59,
+    "digamma.bernoulli_quotients": 1, "digamma.euler_gamma": 1, "digamma.psi_point": 34,
+    "eulersums.jordan_nielsen": 1, "eulersums.milgram": 1, "eulersums.s_minus": 2,
+    "eulersums.s_plus": 1, "eulersums.sum_oracle": 1,
+    "ipq._mu_sum": 5, "ipq.ipq_final": 2, "ipq.ipq_numeric": 1,
+    "lognm.h_star": 1, "lognm.i_star": 1,
+    "quadrature.log_power": 56, "quadrature.nodes": 18, "seriesring._ratio_slice": 19,
+    "sigma.atom_value": 36, "sigma.registry": 5,
+    "special._inverse_powers": 5, "special._zeta_int": 16, "special.li_column": 8,
+    "summation._cvz_weights": 20, "summation.eta_num": 17, "summation.zeta_num": 17,
+}
+
+
+def test_cold_query_work_counts(monkeypatch, capsys):
+    # each query runs after clear_package_caches(), as a fresh process would;
+    # the counts are summed over the list, the misses cache by cache
+    combinations, evaluations = [], []
+    combination = vars(ClosedForm)["combination"].__func__
+    integrate01 = quadrature.integrate01
+
+    def counted(cls, terms):
+        combinations.append(1)
+        return combination(cls, terms)
+
+    def counted_integral(values, tol):
+        result = integrate01(values, tol)
+        evaluations.append(result.evaluations)
+        return result
+    monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
+    for module in (ipq, lognm, special, verify):
+        monkeypatch.setattr(module, "integrate01", counted_integral)
+    codes, misses = [], Counter()
+    for query in _COLD_QUERIES:
+        clear_package_caches()
+        codes.append(main(query.split()))
+        misses.update(package_cache_misses())
+    capsys.readouterr()
+    assert codes == [0] * 10 + [3, 3]
+    assert len(combinations) == 115
+    assert (len(evaluations), sum(evaluations)) == (4, 584)
+    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 561 in all
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
