@@ -45,11 +45,9 @@ def _stirling_row(k: int) -> tuple[int, ...]:
 
 def stirling1(k: int, j: int) -> int:
     """Signed Stirling number of the first kind S_k^(j), exact, for k <= MAX_KT."""
-    _check_order(k, j)
-    if k < 1:
-        raise DomainError("row index must be >= 1")
+    k, j = _check_order(k, 1), _check_order(j, 1)
     _check_kt(k)
-    if j < 1 or j > k:
+    if j > k:
         raise DomainError(f"column {j} outside 1..{k}")
     return _stirling_row(k)[j - 1]
 
@@ -69,9 +67,7 @@ def polylog_derivative_at_minus1(p: int, k: int) -> ClosedForm:
     derivatives would need the analytic continuation used internally by
     s_minus_truncated.
     """
-    _check_order(p, k)
-    if p < 2 or k < 1:
-        raise DomainError("requires p >= 2 and k >= 1")
+    p, k = _check_order(p, 2), _check_order(k, 1)
     if k > p - 1:
         raise DomainError("derivative order beyond p - 1 leaves the stated regime")
     return _derivative_cf(p, k)
@@ -90,12 +86,9 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     with kt (nine decimals at p = 5, kt = 10).  The weight p+1 of S-(p) is
     held to the weight ceiling MAX_WEIGHT, as in s_minus, and kt to MAX_KT.
     """
-    _check_order(p, kt)
-    if p < 3:
-        raise DomainError("requires p >= 3")
+    p = _check_order(p, 3)
     _check_weight(p + 1)
-    if kt < 1:
-        raise DomainError("requires kt >= 1")
+    kt = _check_order(kt, 1)
     _check_kt(kt)
     return ClosedForm.combination(
         (Fraction((-1) ** (k + 1), k * math.factorial(k)), _derivative_cf(p, k), None)

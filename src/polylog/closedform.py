@@ -66,33 +66,42 @@ LN2 = Atom("ln2")
 GAMMA = Atom("gamma")
 
 
-def _check_order(*orders) -> None:
-    """Each order must have an integral value.  3.0 passes, since it equals 3
-    and hashes alike (a cache answers it as 3); 3.5, inf and nan do not."""
-    for n in orders:
-        if n % 1:
+def _check_order(n: int, least: int) -> int:
+    """The one order rule: an integer order the paper indexes its quantities
+    by (Li_p, S_{n,p}, I(p,q), i(n,m), h(n,m), S+-(r), ...) must have an
+    integral value no smaller than least, else DomainError (3.5, inf and nan
+    are not integers).  Returns the order as an int, so 3.0 is answered
+    exactly as 3.
+
+    Every order-taking entry point binds each of its orders through it at
+    entry; a memoized builder does so in its body, so no cache hit skips the
+    check and no rejected order is ever cached.  Other guards test only what
+    a least value cannot: parity, or a relation between arguments.  One
+    order per call, with no keyword: the builders call it on every call, so
+    its int path is kept to a type test and a comparison.
+    """
+    if type(n) is not int:
+        if n % 1:  # nan % 1 and inf % 1 are nan, which is true
             raise DomainError(f"order {n!r} is not an integer")
+        n = int(n)
+    if n < least:
+        raise DomainError(f"order {n} is below its least value {least}")
+    return n
 
 
 def zeta_odd_atom(n: int) -> Atom:
-    _check_order(n)
-    if n < 3 or n % 2 == 0:
+    n = _check_order(n, 3)
+    if n % 2 == 0:
         raise DomainError(f"zeta atom requires odd n >= 3, got {n}")
     return Atom("zeta_odd", (n,))
 
 
 def li_half_atom(k: int) -> Atom:
-    _check_order(k)
-    if k < 4:
-        raise DomainError(f"Li_k(1/2) atom requires k >= 4, got {k}")
-    return Atom("li_half", (k,))
+    return Atom("li_half", (_check_order(k, 4),))
 
 
 def sigma_atom(n: int, p: int) -> Atom:
-    _check_order(n, p)
-    if n < 1 or p < 1:
-        raise DomainError(f"sigma atom requires n, p >= 1, got ({n}, {p})")
-    return Atom("sigma", (n, p))
+    return Atom("sigma", (_check_order(n, 1), _check_order(p, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +464,7 @@ def bernoulli_fraction(n: int) -> Fraction:
     recurrence of Knuth and Buckholtz:
     B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  Memoized.
     """
-    if n < 0:
-        raise DomainError("Bernoulli index must be >= 0")
+    n = _check_order(n, 0)
     if n < 2:
         return Fraction(1) if n == 0 else Fraction(-1, 2)
     if n % 2:
@@ -473,7 +481,7 @@ def bernoulli_fraction(n: int) -> Fraction:
 
 def zeta_even_coefficient(n: int) -> Fraction:
     """Rational c with zeta(n) = c * pi^n, for even n >= 2."""
-    if n < 2 or n % 2:
+    if n % 2:
         raise DomainError(f"even zeta argument required, got {n}")
     m = n // 2
     return Fraction((-1) ** (m + 1)) * bernoulli_fraction(n) * Fraction(2 ** n, 2 * math.factorial(n))
@@ -486,8 +494,7 @@ def zeta_closed(n: int) -> ClosedForm:
     Memoized; a ClosedForm is immutable, so every caller may share it.  The
     weight n is held to MAX_WEIGHT, which bounds the Bernoulli recurrence.
     """
-    if n < 2:
-        raise DomainError("zeta(n) requires n >= 2 (the n = 1 limit lives in eta_factor_closed)")
+    n = _check_order(n, 2)  # the n = 1 limit lives in eta_factor_closed
     _check_weight(n)
     if n % 2 == 0:
         return ClosedForm.atom(PI, n, zeta_even_coefficient(n))
@@ -507,8 +514,7 @@ def zeta_nonpositive_rational(n: int) -> Fraction:
 @cache
 def eta_factor_closed(n: int) -> ClosedForm:
     """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized."""
-    if n < 1:
-        raise DomainError("eta_factor_closed requires n >= 1")
+    n = _check_order(n, 1)
     if n == 1:
         return ClosedForm.atom(LN2, 1, -1)
     return Fraction(1 - 2 ** (n - 1), 2 ** (n - 1)) * zeta_closed(n)

@@ -50,8 +50,7 @@ _MONOTONE = {
 @cache
 def s_plus(r: int) -> ClosedForm:
     """S+(r) = sum_k [psi(k+1)+gamma] / k^r, Euler's closed form."""
-    if r < 2:
-        raise DomainError("S+ requires order >= 2")
+    r = _check_order(r, 2)
     _check_weight(r + 1)
     return ClosedForm.combination(
         [(Fraction(r + 2, 2), zeta_closed(r + 1), None)]
@@ -61,8 +60,7 @@ def s_plus(r: int) -> ClosedForm:
 @cache
 def c_sum(r: int) -> ClosedForm:
     """C(r) = 2^{-r-1} S+(r)."""
-    if r < 2:
-        raise DomainError("C requires order >= 2")
+    r = _check_order(r, 2)
     _check_weight(r + 1)
     return Fraction(1, 2 ** (r + 1)) * s_plus(r)
 
@@ -72,7 +70,8 @@ def jordan_even(which: str, r: int) -> ClosedForm:
     """J1(2n) or J2(2n), closed, for even order r = 2n >= 2."""
     if which not in ("J1", "J2"):
         raise DomainError("which must be 'J1' or 'J2'")
-    if r < 2 or r % 2:
+    r = _check_order(r, 2)
+    if r % 2:
         raise DomainError("even-order Jordan form needs even r >= 2; "
                           "odd orders go through jordan_nielsen")
     _check_weight(r + 1)
@@ -95,8 +94,7 @@ def jordan_even(which: str, r: int) -> ClosedForm:
 @cache
 def milgram(r: int) -> ClosedForm:
     """M(r) closed, in its simplified even/odd display."""
-    if r < 2:
-        raise DomainError("M requires order >= 2")
+    r = _check_order(r, 2)
     _check_weight(r + 1)
     # r/2 (1 - 2^-(r+1)) zeta(r+1) - (1 - 2^-r) ln2 zeta(r)
     #   - [r odd] (1 - 2^-h)^2 zeta(h)^2 / 2 at h = (r+1)/2
@@ -124,8 +122,7 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     """
     if which not in ("J1", "J2"):
         raise DomainError("which must be 'J1' or 'J2'")
-    if r < 2:
-        raise DomainError("Jordan sums require order >= 2")
+    r = _check_order(r, 2)
     s = kolbig_snp(r - 1, 2)
     sig = sigma_tilde(r - 1, 2)
     if which == "J1":
@@ -141,7 +138,7 @@ def s_minus_even_closed(r: int) -> ClosedForm:
     Uses S- = J2 - J1 + C - M - (1 - 2^{-r-1}) zeta(r+1); every piece is a
     zeta/ln2 polynomial, so this route never touches sigma~ constants.
     """
-    if r < 2 or r % 2:
+    if r % 2:
         raise DomainError("even order required")
     return ClosedForm.combination([
         (1, jordan_even("J2", r), None), (-1, jordan_even("J1", r), None), (1, c_sum(r), None),
@@ -156,8 +153,7 @@ def s_minus(r: int) -> ClosedForm:
     Fully closed whenever sigma~_{r-1,2} is registered (all even r <= 8,
     and r = 3).  Its weight r+1 is held to the weight ceiling MAX_WEIGHT.
     """
-    if r < 2:
-        raise DomainError("S- requires order >= 2")
+    r = _check_order(r, 2)
     _check_weight(r + 1)
     return ClosedForm.combination([(Fraction(1 - 2 ** r, 2 ** r), zeta_closed(r + 1), None),
                                    (1, sigma_tilde(r - 1, 2), None)])
@@ -171,9 +167,7 @@ def sum_oracle(tag: str, r: int) -> float:
     (tag, r): the verify suites ask for the same sums many times."""
     if tag != "SMinus" and tag not in _MONOTONE:
         raise DomainError(f"unknown sum tag {tag!r}")
-    _check_order(r)  # in the body, so no non-integral order is ever cached
-    if r < 2:
-        raise DomainError("sum order must be >= 2")
+    r = _check_order(r, 2)
     e = -float(r)
     if tag == "SMinus":
         g = euler_gamma()

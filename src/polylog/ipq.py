@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cache
 from operator import mul, truediv
 
-from .closedform import ClosedForm, LN2, _check_weight, eta_factor_closed, zeta_closed
+from .closedform import (ClosedForm, LN2, _check_order, _check_weight, eta_factor_closed,
+                         zeta_closed)
 from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, Grid, integrate01, nodes
@@ -46,11 +47,6 @@ class Family(Enum):
         return self is not Family.MIXED
 
 
-def _check_orders(p: int, q: int) -> None:
-    if p < 1 or q < 1:
-        raise DomainError("orders must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # boundary products R(p, q)
 # ---------------------------------------------------------------------------
@@ -63,7 +59,7 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
     eta-type slots admit the order-1 limit -ln 2, zeta-type slots do not.
     Its weight p+q is held to the weight ceiling MAX_WEIGHT.
     """
-    _check_orders(p, q)
+    p, q = _check_order(p, 1), _check_order(q, 1)
     _check_weight(p + q)
     if family is Family.PLUS:
         if p < 2 or q < 2:
@@ -86,7 +82,7 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> floa
     """I(p,q) by tanh-sinh quadrature at ORACLE_TOL, memoized per (family,
     p, q); the Li values at the nodes are shared with every other integral
     through li_column.  Only perfbench's evaluation count passes its own tol."""
-    _check_orders(p, q)
+    p, q = _check_order(p, 1), _check_order(q, 1)
     sp = -1 if family is Family.MINUS else 1
     sq = 1 if family is Family.PLUS else -1
 
@@ -110,9 +106,8 @@ def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
 
 def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -> ClosedForm:
     """I(p+n, q-n) from I(p, q) = base by the closed telescoping solution."""
-    _check_orders(p, q)
-    if n < 0:
-        raise DomainError("shift count must be >= 0")
+    p, q = _check_order(p, 1), _check_order(q, 1)
+    n = _check_order(n, 0)
     if n == 0:
         return base
     if q - n < 1:
@@ -178,7 +173,7 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     survive exactly when the required alternating sum has no known closed
     form (odd p+q >= 5 in the mixed family).
     """
-    _check_orders(p, q)
+    p, q = _check_order(p, 1), _check_order(q, 1)
     r = p + q
     _check_weight(r + 1)
     if family is Family.MINUS:
@@ -212,7 +207,7 @@ def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
 def ipq_series(family: Family, p: int, q: int) -> float:
     """I(p,q) from the series displays, with every psi-sum taken from
     sum_oracle (never through the closed forms)."""
-    _check_orders(p, q)
+    p, q = _check_order(p, 1), _check_order(q, 1)
     r = p + q
     mu_sum = 0.0
     for mu in range(2, p + 1):

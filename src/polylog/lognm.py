@@ -8,7 +8,7 @@ Both solve a three-term partial difference equation in their starred
 normalizations i*(n,m) = (-1)^{n+m} i(n,m)/(n! m!) (same for h*), which a
 lattice-path (generating function) argument turns into explicit binomial
 sums over s_{n,p} resp. sigma~_{n,p}.  lognm_numeric(tag, n, m) is their
-quadrature oracle, memoized per (tag, n, m).
+quadrature oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .closedform import ClosedForm, LN2, _check_weight, monomial
+from .closedform import ClosedForm, LN2, _check_order, _check_weight, monomial
 from .errors import DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
 from .seriesring import kolbig_snp
@@ -26,12 +26,6 @@ from .sigma import sigma_tilde
 
 # the i/h tables end at this weight, below the weight ceiling MAX_WEIGHT
 TABLE_WEIGHT = 6
-
-
-def _check_table_weight(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise DomainError("closed forms need n, m >= 1")
-    _check_weight(n + m, TABLE_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +46,15 @@ def i_star(n: int, m: int) -> ClosedForm:
 
 def i_closed(n: int, m: int) -> ClosedForm:
     """i(n,m) exactly, for n + m <= 6."""
-    _check_table_weight(n, m)
+    n, m = _check_order(n, 1), _check_order(m, 1)
+    _check_weight(n + m, TABLE_WEIGHT)
     return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * i_star(n, m)
 
 
 def i_pde_residual(n: int, m: int) -> ClosedForm:
     """i*(n,m) - i*(n,m-1) - i*(n-1,m) + s_{n,m}; zero when all is well."""
-    _check_table_weight(n, m)
+    n, m = _check_order(n, 1), _check_order(m, 1)
+    _check_weight(n + m, TABLE_WEIGHT)
     return ClosedForm.combination([(1, i_star(n, m), None), (-1, i_star(n, m - 1), None),
                                    (-1, i_star(n - 1, m), None), (1, kolbig_snp(n, m), None)])
 
@@ -70,8 +66,7 @@ def i_pde_residual(n: int, m: int) -> ClosedForm:
 
 def truncated_exp_ln2(m: int) -> ClosedForm:
     """e_m(-ln 2) = sum_{k=0}^{m} (-ln 2)^k / k!, exact in powers of ln 2."""
-    if m < 0:
-        raise DomainError("truncation order must be >= 0")
+    m = _check_order(m, 0)
     return ClosedForm({monomial((LN2, k)): Fraction((-1) ** k, math.factorial(k))
                        for k in range(m + 1)})
 
@@ -93,13 +88,15 @@ def h_star(n: int, m: int) -> ClosedForm:
 
 def h_closed(n: int, m: int) -> ClosedForm:
     """h(n,m) exactly for n + m <= 6 (weight-6 values carry sigma~ atoms)."""
-    _check_table_weight(n, m)
+    n, m = _check_order(n, 1), _check_order(m, 1)
+    _check_weight(n + m, TABLE_WEIGHT)
     return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * h_star(n, m)
 
 
 def h_pde_residual(n: int, m: int) -> ClosedForm:
     """h*(n,m) - h*(n,m-1) - h*(n-1,m) - sigma~_{n,m}; zero when all is well."""
-    _check_table_weight(n, m)
+    n, m = _check_order(n, 1), _check_order(m, 1)
+    _check_weight(n + m, TABLE_WEIGHT)
     return ClosedForm.combination([(1, h_star(n, m), None), (-1, h_star(n, m - 1), None),
                                    (-1, h_star(n - 1, m), None), (-1, sigma_tilde(n, m), None)])
 
@@ -111,8 +108,7 @@ def h_boundary_closed(m: int) -> ClosedForm:
     normalization restores the (-1)^m m! factor that direct evaluation of
     the integral shows (already at m = 1, where the integral is 2 ln 2 - 1).
     """
-    if m < 1:
-        raise DomainError("m >= 1 required")
+    m = _check_order(m, 1)
     return (-1) ** m * math.factorial(m) * h_star(0, m)
 
 
@@ -121,14 +117,13 @@ def h_boundary_closed(m: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-@cache
 def lognm_numeric(tag: str, n: int, m: int) -> float:
-    """i(n,m) (tag "INM") or h(n,m) (tag "HNM") by quadrature at ORACLE_TOL,
-    memoized per (tag, n, m)."""
+    """i(n,m) (tag "INM") or h(n,m) (tag "HNM") by quadrature at ORACLE_TOL."""
     if tag not in ("INM", "HNM"):
         raise DomainError(f"unknown log-integral tag {tag!r}")
-    if n < 0 or m < 0 or n + m < 1:
-        raise DomainError("need n, m >= 0 with n + m >= 1")
+    n, m = _check_order(n, 0), _check_order(m, 0)
+    if n + m < 1:
+        raise DomainError(f"need n + m >= 1, got n = {n}, m = {m}")
     # ln^n(x) ln^m(1-x) for i(n,m), ln^n(x) ln^m(1+x) for h(n,m)
     arg = "1-x" if tag == "INM" else "1+x"
 
@@ -149,8 +144,6 @@ def _relation_row(n: int, m: int) -> list[Fraction]:
     (-1)^{n+m} s_{n,m} = sum_{k=1}^{n} (-1)^k C(n+m-1-k, m-1) sigma~_{k,n+m-k}
                        + sum_{k=1}^{m} (-1)^k C(n+m-1-k, n-1) sigma~_{k,n+m-k}.
     """
-    if n < 1 or m < 1:
-        raise DomainError("indices must be >= 1")
     w = n + m
     row = [Fraction(0)] * (w - 1)
     for k in range(1, n + 1):
@@ -168,6 +161,7 @@ def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
     (all weights <= 5); at weight 6 the surviving atomic combination is
     itself a checkable relation.
     """
+    n, m = _check_order(n, 1), _check_order(m, 1)
     w = n + m
     return ClosedForm.combination(
         [((-1) ** w, kolbig_snp(n, m), None)]

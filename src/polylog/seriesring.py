@@ -37,8 +37,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .closedform import (MAX_WEIGHT, ClosedForm, GAMMA, PI, _check_weight, zeta_closed,
-                         zeta_even_coefficient, zeta_odd_atom)
+from .closedform import (MAX_WEIGHT, ClosedForm, GAMMA, PI, _check_order, _check_weight,
+                         zeta_closed, zeta_even_coefficient, zeta_odd_atom)
 from .errors import DomainError, ShapeError
 
 
@@ -161,9 +161,7 @@ def gamma_ratio_series(orders: tuple[int, int]) -> BivariateSeries:
     builders read the graded slices instead; this box is their reference.
     Each order is held to MAX_WEIGHT: the box reads zeta up to na + nb.
     """
-    na, nb = orders
-    if na < 1 or nb < 1:
-        raise ShapeError("gamma ratio series needs orders >= (1, 1)")
+    na, nb = (_check_order(n, 1) for n in orders)
     _check_weight(max(na, nb))
     logs = _lngamma_ratio_log(na, nb)
     for i in range(na + 1):
@@ -208,8 +206,7 @@ def kolbig_snp(n: int, p: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:
     generating identity shifts the b index by one), read from its weight
     n+p slice.
     """
-    if n < 1 or p < 1:
-        raise DomainError("s_{n,p} requires n, p >= 1")
+    n, p = _check_order(n, 1), _check_order(p, 1)
     _check_weight(n + p, max_weight)
     f = _ratio_slice(n + p)[p]
     return f if (n + p) % 2 else -f
@@ -221,8 +218,7 @@ def beta_derivative_inm(n: int, m: int) -> ClosedForm:
     B(a+1, b+1) is the Gamma ratio times 1/(1+a+b), whose weight-d slice
     is (-1)^d C(d, i); the a^n b^m coefficient convolves the two.
     """
-    if n < 1 or m < 1:
-        raise DomainError("i(n,m) requires n, m >= 1")
+    n, m = _check_order(n, 1), _check_order(m, 1)
     _check_weight(n + m)
     scale = math.factorial(n) * math.factorial(m)
     return ClosedForm.combination(

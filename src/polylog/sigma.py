@@ -26,10 +26,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .closedform import (Atom, ClosedForm, LN2, PI, _check_weight, eta_factor_closed,
-                         li_half_atom, sigma_atom, zeta_closed)
+from .closedform import (Atom, ClosedForm, LN2, PI, _check_order, _check_weight,
+                         eta_factor_closed, li_half_atom, sigma_atom, zeta_closed)
 from .digamma import euler_gamma
-from .errors import DomainError
 from .special import nielsen_num, polylog
 from .summation import zeta_num
 
@@ -128,8 +127,7 @@ def sigma_tilde(n: int, p: int) -> ClosedForm:
 
     Its weight n+p is held to the weight ceiling MAX_WEIGHT.
     """
-    if n < 1 or p < 1:
-        raise DomainError("sigma~ indices must be >= 1")
+    n, p = _check_order(n, 1), _check_order(p, 1)
     _check_weight(n + p)
     if p == 1:
         return eta_factor_closed(n + 1)

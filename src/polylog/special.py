@@ -143,9 +143,7 @@ def li_column(p: int, sign: int, grid: Grid) -> tuple[float, ...]:
 
 def polylog(p: int, x: float) -> float:
     """Li_p(x) for integer p >= 1 and -1 <= x <= 1 (x < 1 when p = 1)."""
-    _check_order(p)
-    if p < 1:
-        raise DomainError("polylog order must be >= 1")
+    p = _check_order(p, 1)
     if not -1.0 <= x <= 1.0:
         raise DomainError("polylog argument must lie in [-1, 1]")
     if p == 1:
@@ -174,8 +172,7 @@ def nielsen_num(n: int, p: int, z: float) -> float:
     The integral comes first: a log column past the float range fails at
     level 0, and a zero integral returns before the factorials are built.
     """
-    if n < 1 or p < 1:
-        raise DomainError("Nielsen indices must be >= 1")
+    n, p = _check_order(n, 1), _check_order(p, 1)
     if z not in (1.0, -1.0):
         raise DomainError("Nielsen argument must be 1 or -1")
     column = "1-x" if z == 1.0 else "1+x"  # 1 - z x; at z = -1, -z x is x itself
@@ -246,8 +243,7 @@ def _tail_block(m: int, x_outer: float) -> tuple[float, ...]:
 def outer_tail(m: int, x_outer: float, y: int) -> float:
     """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1 at an integer
     y >= 1: read from its block, or past the first anchor the series at y."""
-    if y < 1:
-        raise DomainError("the outer tail is taken at integers y >= 1")
+    m, y = _check_order(m, 1), _check_order(y, 1)
     block = _tail_block(m, x_outer)
     return block[y - 1] if y <= len(block) else _tail_run(m, x_outer, y, y)[0]
 
@@ -285,8 +281,7 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     term is below the smallest subnormal, and it raises CapacityError."""
     if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
-    if m_outer < 1 or m_inner < 1:
-        raise DomainError("multiple polylog weights must be >= 1")
+    m_outer, m_inner = _check_order(m_outer, 1), _check_order(m_inner, 1)
     if m_outer == 1 and x_outer != -1.0:
         raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
     if m_outer > 1074:

@@ -28,6 +28,7 @@ import math
 from collections.abc import Callable, Iterable
 from functools import cache
 
+from .closedform import _check_order
 from .digamma import bernoulli_quotients
 from .errors import ConvergenceError, DomainError
 from .quadrature import _check_tolerance
@@ -166,14 +167,12 @@ def _expansion_tail(y: float, a: int, expansion: Expansion, head: float) -> floa
 @cache
 def eta_num(s: int) -> float:
     """eta(s) = sum_{k>=1} (-1)^{k-1} k^-s for s >= 1."""
-    if s < 1:
-        raise DomainError("eta_num requires s >= 1")
+    s = _check_order(s, 1)
     return sum_alternating(lambda k: (-1) ** (k - 1) * float(k) ** (-s), 1e-15)
 
 
 @cache
 def zeta_num(s: int) -> float:
     """zeta(s) for integer s >= 2, via the alternating eta series."""
-    if s < 2:
-        raise DomainError("zeta_num requires s >= 2")
+    s = _check_order(s, 2)
     return eta_num(s) / (1.0 - 2.0 ** (1 - s))

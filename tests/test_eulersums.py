@@ -193,7 +193,7 @@ def test_even_closed_forms_vs_oracles():
 
 
 def test_sum_oracle_validates_and_memoizes():
-    with pytest.raises(DomainError, match="sum order must be >= 2"):
+    with pytest.raises(DomainError, match="order 1 is below its least value 2"):
         sum_oracle("SPlus", 1)
     with pytest.raises(DomainError, match="unknown sum tag 'Nope'"):
         sum_oracle("Nope", 3)

@@ -282,7 +282,7 @@ def test_node_columns_are_thread_safe():
 
     def work():
         return [ipq_numeric.__wrapped__(Family.MIXED, 2, 3),
-                lognm_numeric.__wrapped__("HNM", 2, 2), nielsen_num(2, 2, -1.0),
+                lognm_numeric("HNM", 2, 2), nielsen_num(2, 2, -1.0),
                 mpl2(1, 3, -1.0, -1.0), mpl2(3, 1, 1.0, 1.0)]
 
     expected = work()

@@ -85,6 +85,8 @@ _ALLOWED = [
     ("closedform", "ClosedForm.pretty",
      'return "0"', "the display of the zero form, which repr shows and no output prints"),
     ("closedform", "ClosedForm.__repr__", 'return f"ClosedForm({self.pretty()})"', _REPR),
+    ("closedform", "_check_order", "n = int(n)",
+     "an integral float order, which the tests pass; every route passes ints"),
     ("closedform", "bernoulli_fraction", "return Fraction(1) if n == 0 else Fraction(-1, 2)",
      "B_0 and B_1 of the Bernoulli table, which the tests pin; routes read even indices"),
     ("errors", "ConvergenceError.__init__", "super().__init__(message)", _FAILURE),
@@ -173,7 +175,8 @@ _ALLOWED = [
     ("seriesring", "_lngamma_ratio_log", "j = k - i", _DENSE),
     ("seriesring", "_lngamma_ratio_log", "s.c[i][j] = s.c[i][j] - math.comb(k, i) * lg", _DENSE),
     ("seriesring", "_lngamma_ratio_log", "return s", _DENSE),
-    ("seriesring", "gamma_ratio_series", "na, nb = orders", _DENSE),
+    ("seriesring", "gamma_ratio_series",
+     "na, nb = (_check_order(n, 1) for n in orders)", _DENSE),
     ("seriesring", "gamma_ratio_series", "_check_weight(max(na, nb))", _DENSE),
     ("seriesring", "gamma_ratio_series", "logs = _lngamma_ratio_log(na, nb)", _DENSE),
     ("seriesring", "gamma_ratio_series", "for i in range(na + 1):", _DENSE),

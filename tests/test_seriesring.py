@@ -103,7 +103,7 @@ def test_gamma_ratio_low_coefficients():
 
 
 def test_gamma_ratio_orders_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="order 0 is below its least value 1"):
         gamma_ratio_series((0, 3))
 
 

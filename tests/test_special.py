@@ -9,15 +9,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polylog import special, summation
-from polylog.closedform import li_half_atom, sigma_atom, zeta_closed
+from polylog.approx import polylog_derivative_at_minus1, s_minus_truncated, stirling1
+from polylog.closedform import (Atom, ClosedForm, eta_factor_closed, li_half_atom, sigma_atom,
+                                zeta_closed, zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
-from polylog.eulersums import sum_oracle
+from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus, s_plus,
+                               sum_oracle)
+from polylog.ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value, recurrence_shift
+from polylog.lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
+                           s_sigma_relation_residual)
 from polylog.quadrature import ORACLE_TOL, integrate01, log1m, nodes
+from polylog.seriesring import (BivariateSeries, beta_derivative_inm, gamma_ratio_series,
+                                kolbig_snp)
+from polylog.sigma import sigma_tilde
 from polylog.special import (_li_series, li_column, li_neg, li_pos, mpl2,
                              nielsen_num, outer_tail, polylog)
 from polylog.summation import zeta_num
 
-from conftest import eta_brute, li_half_brute, pointwise, zeta_brute
+from conftest import clear_package_caches, eta_brute, li_half_brute, pointwise, zeta_brute
 
 
 def _li_brute(p: int, x: float, terms: int = 2_000_000) -> float:
@@ -337,7 +346,7 @@ def test_outer_tail_matches_its_direct_sum_up_to_high_weight():
 def test_outer_tail_is_taken_at_positive_integers_only():
     # y = 0 would index the block's last value, T at the first anchor
     for y in (0, -3):
-        with pytest.raises(DomainError, match="integers y >= 1"):
+        with pytest.raises(DomainError, match=f"order {y} is below its least value 1"):
             outer_tail(2, 1.0, y)
 
 
@@ -483,34 +492,104 @@ def test_nan_arguments_and_bad_tolerances_raise_domain_error(call):
 
 _SUM_TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
 
+# every order-taking name of polylog.__all__ with in-domain arguments: its
+# int arguments are its orders (gamma_ratio_series takes them as a pair)
+_ORDER_TAKING = {
+    "stirling1": (stirling1, (3, 1)),
+    "polylog_derivative_at_minus1": (polylog_derivative_at_minus1, (5, 2)),
+    "s_minus_truncated": (s_minus_truncated, (5, 3)),
+    "zeta_closed": (zeta_closed, (3,)), "eta_factor_closed": (eta_factor_closed, (3,)),
+    "s_plus": (s_plus, (3,)), "s_minus": (s_minus, (3,)), "c_sum": (c_sum, (3,)),
+    "milgram": (milgram, (3,)), "jordan_even": (jordan_even, ("J1", 4)),
+    "jordan_nielsen": (jordan_nielsen, ("J2", 3)), "sum_oracle": (sum_oracle, ("SPlus", 3)),
+    "ipq_final": (ipq_final, (Family.MIXED, 2, 3)),
+    "ipq_numeric": (ipq_numeric, (Family.MINUS, 2, 3)),
+    "ipq_series": (ipq_series, (Family.PLUS, 2, 3)),
+    "r_value": (r_value, (Family.MIXED, 2, 3)),
+    "recurrence_shift": (recurrence_shift, (Family.PLUS, 2, 3, 1, ClosedForm.one())),
+    "i_closed": (i_closed, (2, 3)), "h_closed": (h_closed, (2, 3)),
+    "i_pde_residual": (i_pde_residual, (2, 3)), "h_pde_residual": (h_pde_residual, (2, 3)),
+    "lognm_numeric": (lognm_numeric, ("HNM", 2, 3)),
+    "s_sigma_relation_residual": (s_sigma_relation_residual, (2, 3)),
+    "beta_derivative_inm": (beta_derivative_inm, (2, 3)),
+    "gamma_ratio_series": (lambda na, nb: gamma_ratio_series((na, nb)), (2, 3)),
+    "kolbig_snp": (kolbig_snp, (2, 3)), "sigma_tilde": (sigma_tilde, (2, 3)),
+    "mpl2": (mpl2, (3, 2, 1.0, -1.0)), "nielsen_num": (nielsen_num, (2, 3, -1.0)),
+    "polylog": (polylog, (3, 0.3)),
+    # and the atom factories
+    "zeta_odd_atom": (zeta_odd_atom, (5,)), "li_half_atom": (li_half_atom, (4,)),
+    "sigma_atom": (sigma_atom, (2, 3)),
+}
 
-@pytest.mark.parametrize("call", [
-    lambda: zeta_closed(3.5),
-    lambda: zeta_closed(_NAN),
-    lambda: li_half_atom(4.5),
-    lambda: li_half_atom(math.inf),
-    lambda: sigma_atom(1.5, 2),
-    lambda: sigma_atom(2, 2.5),
-    lambda: polylog(2.5, 0.3),
-    lambda: polylog(2.5, -0.3),
-    lambda: polylog(2.5, 0.7),
-    lambda: polylog(math.inf, 0.5),
-    lambda: polylog(_NAN, 0.5),
-    *(lambda tag=tag: sum_oracle(tag, 2.5) for tag in _SUM_TAGS),
-    lambda: sum_oracle("SPlus", math.inf),
-    lambda: sum_oracle("SMinus", _NAN),
-], ids=["zeta_closed-3.5", "zeta_closed-nan", "li_half_atom-4.5", "li_half_atom-inf",
-        "sigma_atom-n1.5", "sigma_atom-p2.5", "polylog-2.5-at-0.3", "polylog-2.5-at-minus-0.3",
-        "polylog-2.5-at-0.7", "polylog-inf", "polylog-nan",
-        *(f"sum_oracle-{tag}-2.5" for tag in _SUM_TAGS), "sum_oracle-inf", "sum_oracle-nan"])
-def test_non_integral_orders_raise_domain_error(call):
-    # the atom factories, polylog and sum_oracle's body check the order's
-    # value, where no cache hit can skip the check
-    with pytest.raises(DomainError, match="is not an integer"):
-        call()
+
+def _orders(args: tuple) -> list[int]:
+    return [i for i, a in enumerate(args) if type(a) is int]
 
 
-def test_an_integral_float_order_is_accepted():
-    # 3.0 == 3 and the two hash alike, so a cache answers either for both
-    assert polylog(3.0, 0.3) == polylog(3, 0.3)
-    assert li_half_atom(4.0) == li_half_atom(4)
+def _with(args: tuple, i: int, value) -> tuple:
+    return args[:i] + (value,) + args[i + 1:]
+
+
+def _bits(value):
+    """What an integral float order must reproduce exactly: a closed form's
+    JSON bytes, a float's bits, an atom's name, a dense series' coefficients."""
+    if isinstance(value, ClosedForm):
+        return value.to_json()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Atom):
+        return value.name
+    if isinstance(value, BivariateSeries):
+        return [[c.to_json() for c in row] for row in value.c]
+    return repr(value)
+
+
+# (call, in-domain arguments, order positions, non-integral order) by id:
+# each order-taking name at 2.5, inf and nan, and the named cases, which
+# replace a generated case of the same id
+_NON_INTEGRAL = {
+    **{f"{name}-{bad}": (call, args, _orders(args), bad)
+       for name, (call, args) in _ORDER_TAKING.items() for bad in (2.5, math.inf, _NAN)},
+    "zeta_closed-3.5": (zeta_closed, (3,), [0], 3.5),
+    "zeta_closed-nan": (zeta_closed, (3,), [0], _NAN),
+    "li_half_atom-4.5": (li_half_atom, (4,), [0], 4.5),
+    "li_half_atom-inf": (li_half_atom, (4,), [0], math.inf),
+    "sigma_atom-n1.5": (sigma_atom, (1, 2), [0], 1.5),
+    "sigma_atom-p2.5": (sigma_atom, (2, 2), [1], 2.5),
+    "polylog-2.5-at-0.3": (polylog, (2, 0.3), [0], 2.5),
+    "polylog-2.5-at-minus-0.3": (polylog, (2, -0.3), [0], 2.5),
+    "polylog-2.5-at-0.7": (polylog, (2, 0.7), [0], 2.5),
+    "polylog-inf": (polylog, (2, 0.5), [0], math.inf),
+    "polylog-nan": (polylog, (2, 0.5), [0], _NAN),
+    **{f"sum_oracle-{tag}-2.5": (sum_oracle, (tag, 2), [1], 2.5) for tag in _SUM_TAGS},
+    "sum_oracle-inf": (sum_oracle, ("SPlus", 2), [1], math.inf),
+    "sum_oracle-nan": (sum_oracle, ("SMinus", 2), [1], _NAN),
+}
+
+
+@pytest.mark.parametrize("call, args, positions, bad", _NON_INTEGRAL.values(),
+                         ids=_NON_INTEGRAL.keys())
+def test_non_integral_orders_raise_domain_error(call, args, positions, bad):
+    # every order is checked where no cache hit can skip it: cold, and warm
+    # with the in-domain result cached
+    for warm in (False, True):
+        clear_package_caches()
+        if warm:
+            call(*args)
+        for i in positions:
+            with pytest.raises(DomainError, match="is not an integer"):
+                call(*_with(args, i, bad))
+
+
+@pytest.mark.parametrize("name", _ORDER_TAKING)
+def test_an_integral_float_order_is_accepted(name):
+    # 3.0 is answered exactly as 3: cold, and warm with the int's result cached
+    call, args = _ORDER_TAKING[name]
+    clear_package_caches()
+    expected = _bits(call(*args))
+    floated = tuple(float(a) if type(a) is int else a for a in args)
+    for warm in (False, True):
+        clear_package_caches()
+        if warm:
+            call(*args)
+        assert _bits(call(*floated)) == expected, warm
