@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the package's outputs, one line per family.
 
-A change that must leave every output byte-identical is checked by running
-this script before and after it and comparing the lines.  Each line gives
-the family, its number of outputs and the digest over them.  Every query
+CI diffs its output against the committed scripts/output_digest.txt on
+every Python version, so a change that must leave every output
+byte-identical is checked by it; a change meant to move an output edits
+that file and names the family.  Each line gives the family, its number of
+outputs and the digest over them.  Every query
 runs in this one process, through polylog.cli.main:
 
 - verify: for each suite and for all, the report JSON bytes, stdout and

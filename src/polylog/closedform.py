@@ -6,13 +6,15 @@ Li_k(1/2), and open Nielsen sigma constants); the coefficients are stored as
 integer numerators over one common denominator (see ``ClosedForm``).  Even
 zeta arguments are rewritten as rational multiples of pi powers at
 construction, so comparing two closed forms against a table reduces to
-term-map equality.
+term-map equality.  A form keys its numerators by monomial id, an int local
+to the process that never leaves this module: a form pickles by monomial.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from _thread import allocate_lock
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache
@@ -108,34 +110,56 @@ def sigma_atom(n: int, p: int) -> Atom:
 # monomials
 # ---------------------------------------------------------------------------
 
-# A monomial is a sorted tuple of (atom, positive exponent); () is the unit.
+# A monomial is a sorted tuple of (atom, positive int exponent); () is the unit.
 Monomial = tuple
 
 UNIT: Monomial = ()
 
 
 def monomial(*pairs: tuple[Atom, int]) -> Monomial:
+    """The canonical monomial of (atom, exponent) pairs; each exponent is
+    bound by _check_order(exp, 0), so 2.0 is 2 and 2.5 is a DomainError."""
     acc: dict[Atom, int] = {}
     for atom, exp in pairs:
-        if exp == 0:
-            continue
-        if exp < 0:
-            raise DomainError("monomial exponents must be positive")
-        acc[atom] = acc.get(atom, 0) + exp
+        exp = _check_order(exp, 0)
+        if exp:
+            acc[atom] = acc.get(atom, 0) + exp
     return tuple(sorted(acc.items()))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    return _monomial_product(a, b)
+# The intern table: an id indexes _MONOMIALS, _IDS maps each canonical
+# monomial back, and id 0 is the unit.  Append-only, and no cache clear
+# empties it: live forms hold ids.  Builders make monomials of weight at most
+# MAX_WEIGHT, so it grows no further than _monomial_product's cache.
+_MONOMIALS: list[Monomial] = [UNIT]
+_IDS: dict[Monomial, int] = {UNIT: 0}
+_INTERN_LOCK = allocate_lock()
+
+
+def _intern(m: Monomial) -> int:
+    """The id of the canonical monomial m.  A lookup takes no lock; a new
+    monomial is appended under it and entered in _IDS only after, so no
+    thread sees an id before its monomial, or two ids for one monomial."""
+    i = _IDS.get(m)
+    if i is None:
+        with _INTERN_LOCK:
+            i = _IDS.get(m)
+            if i is None:
+                _MONOMIALS.append(m)
+                i = _IDS[m] = len(_MONOMIALS) - 1
+    return i
+
+
+def _id(key) -> int:
+    """The id of a public monomial key: found, else canonicalized and interned."""
+    i = _IDS.get(key)
+    return _intern(monomial(*key)) if i is None else i
 
 
 @cache
-def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
-    return monomial(*a, *b)
+def _monomial_product(i: int, j: int) -> int:
+    """The id of the product of the monomials with ids i and j."""
+    return _intern(monomial(*_MONOMIALS[i], *_MONOMIALS[j]))
 
 
 def monomial_name(m: Monomial) -> str:
@@ -145,9 +169,10 @@ def monomial_name(m: Monomial) -> str:
 
 
 @cache
-def _monomial_json(m: Monomial) -> str:
+def _monomial_json(i: int) -> str:
     """A serialized term's middle, from the end of its den to the start of its
-    num, with the sorted keys and compact separators of ClosedForm.to_json."""
+    num (monomial id i), with the sorted keys and compact separators of to_json."""
+    m = _MONOMIALS[i]
     return ('","monomial":' + json.dumps([[a.name, e] for a, e in m], separators=(",", ":"))
             + ',"num":"')
 
@@ -174,6 +199,11 @@ class ClosedForm:
     operators builds a form and pays a gcd at every step.  ``terms`` and
     ``coefficient`` hand out ``Fraction`` values.
 
+    ``_num`` is keyed by process-local monomial ids, so the arithmetic
+    hashes ints.  Every public method takes or gives monomials, and a form
+    pickles and copies by monomial.  The constructor canonicalizes each key:
+    ``{((LN2, 1), (PI, 2)): 1}`` is pi^2 ln 2, and alike keys add up.
+
     ``evaluate`` divides each numerator by ``_den``.  That int/int division
     is correctly rounded, as ``float(Fraction)`` is, so each term's float
     equals that of its reduced coefficient and every decimal keeps its bits.
@@ -189,20 +219,19 @@ class ClosedForm:
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         coeffs = {}
-        den = 1
         for mono, c in (terms or {}).items():
             if not isinstance(c, (int, Fraction)):
                 raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
-            if c:
-                coeffs[mono] = c
-                den = math.lcm(den, c.denominator)
-        # each c is in lowest terms and den is the lcm of their denominators,
-        # so the scaled numerators already share no factor with den
-        self._num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+            i = _id(mono)
+            coeffs[i] = coeffs[i] + c if i in coeffs else c
+        # each c is in lowest terms and den is the lcm of their denominators
+        # (a zero's is 1), so the scaled numerators share no factor with den
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._num = {i: c.numerator * (den // c.denominator) for i, c in coeffs.items() if c}
         self._den = den
 
     @classmethod
-    def _canonical(cls, num: dict[Monomial, int], den: int) -> "ClosedForm":
+    def _canonical(cls, num: dict[int, int], den: int) -> "ClosedForm":
         """A form from a map that already meets the class invariant."""
         out = object.__new__(cls)
         out._num = num
@@ -210,7 +239,7 @@ class ClosedForm:
         return out
 
     @classmethod
-    def _reduced(cls, num: dict[Monomial, int], den: int) -> "ClosedForm":
+    def _reduced(cls, num: dict[int, int], den: int) -> "ClosedForm":
         """A form from nonzero numerators over a positive den: divide out the gcd."""
         g = math.gcd(den, *num.values())
         if g != 1:
@@ -229,7 +258,7 @@ class ClosedForm:
         terms = tuple(terms)
         dens = [c.denominator * a._den * (1 if b is None else b._den) for c, a, b in terms]
         den = math.lcm(*dens)
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for (c, a, b), d in zip(terms, dens):
             s = c.numerator * (den // d)
@@ -240,7 +269,8 @@ class ClosedForm:
                 for m1, n1 in a._num.items():
                     n1 *= s
                     for m2, n2 in b._num.items():
-                        m = monomial_mul(m1, m2)
+                        # id 0 is the unit: a unit factor needs no product
+                        m = _monomial_product(m1, m2) if m1 and m2 else m1 or m2
                         acc[m] = get(m, 0) + n1 * n2
         return cls._reduced({m: n for m, n in acc.items() if n}, den)
 
@@ -252,7 +282,7 @@ class ClosedForm:
 
     @classmethod
     def one(cls) -> "ClosedForm":
-        return cls._canonical({UNIT: 1}, 1)
+        return cls._canonical({0: 1}, 1)
 
     @classmethod
     def rational(cls, value) -> "ClosedForm":
@@ -260,24 +290,24 @@ class ClosedForm:
 
     @classmethod
     def atom(cls, a: Atom, exp: int = 1, coeff=1) -> "ClosedForm":
-        return cls({monomial((a, exp)): coeff})
+        return cls({((a, exp),): coeff})  # canonicalized once, if not interned
 
     # -- access ------------------------------------------------------------
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         den = self._den
-        return {m: Fraction(c, den) for m, c in self._num.items()}
+        return {_MONOMIALS[i]: Fraction(c, den) for i, c in self._num.items()}
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return Fraction(self._num.get(m, 0), self._den)
+        return Fraction(self._num.get(_id(m), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
         return not self._num
 
     def atoms(self) -> set[Atom]:
-        return {a for mono in self._num for a, _ in mono}
+        return {a for i in self._num for a, _ in _MONOMIALS[i]}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -286,7 +316,7 @@ class ClosedForm:
         if isinstance(other, ClosedForm):
             onum, oden = other._num, other._den
         elif isinstance(other, (int, Fraction)):
-            onum, oden = ({UNIT: other.numerator} if other else {}), other.denominator
+            onum, oden = ({0: other.numerator} if other else {}), other.denominator
         else:
             return NotImplemented
         if not onum:
@@ -337,10 +367,10 @@ class ClosedForm:
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for m1, c1 in self._num.items():
             for m2, c2 in other._num.items():
-                m = monomial_mul(m1, m2)
+                m = _monomial_product(m1, m2) if m1 and m2 else m1 or m2
                 c = c1 * c2
                 if m in acc:
                     c += acc[m]
@@ -372,15 +402,22 @@ class ClosedForm:
         if isinstance(other, ClosedForm):
             return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            return (self._num.keys() <= {UNIT} and self._den == other.denominator
-                    and self._num.get(UNIT, 0) == other.numerator)
+            return (self._num.keys() <= {0} and self._den == other.denominator
+                    and self._num.get(0, 0) == other.numerator)
         return NotImplemented
 
     def __hash__(self):
         # a pure-rational form (zero included) equals its Fraction: hash as one
-        if self._num.keys() <= {UNIT}:
+        if self._num.keys() <= {0}:
             return hash(self.coefficient(UNIT))
         return hash(frozenset(self.terms.items()))
+
+    def __getstate__(self):  # copy and pickle by monomial: ids are process-local
+        return {_MONOMIALS[i]: c for i, c in self._num.items()}, self._den
+
+    def __setstate__(self, state):
+        num, self._den = state
+        self._num = {_id(m): c for m, c in num.items()}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -389,9 +426,9 @@ class ClosedForm:
         # term, and the correctly rounded fsum, keeps its bits
         den = self._den
         parts = []
-        for mono, c in self._num.items():
+        for i, c in self._num.items():
             v = c / den
-            for a, e in mono:
+            for a, e in _MONOMIALS[i]:
                 v *= value(a) ** e
             parts.append(v)
         return math.fsum(parts)
@@ -399,24 +436,25 @@ class ClosedForm:
     # -- serialization ---------------------------------------------------------
 
     def _sorted_terms(self):
-        """(monomial, numerator, denominator) in lowest terms, in display order."""
+        """(monomial id, numerator, denominator) in lowest terms, in display
+        order: sorted by the monomials themselves."""
         den = self._den
-        for mono in sorted(self._num):
-            c = self._num[mono]
+        for i in sorted(self._num, key=_MONOMIALS.__getitem__):
+            c = self._num[i]
             g = math.gcd(c, den)
-            yield mono, c // g, den // g
+            yield i, c // g, den // g
 
     def to_obj(self) -> dict:
-        return {"terms": [{"monomial": [[a.name, e] for a, e in mono],
+        return {"terms": [{"monomial": [[a.name, e] for a, e in _MONOMIALS[i]],
                            "num": str(n), "den": str(d)}
-                          for mono, n, d in self._sorted_terms()]}
+                          for i, n, d in self._sorted_terms()]}
 
     def to_json(self) -> str:
         """The bytes of json.dumps(to_obj(), sort_keys=True, separators=(",", ":")),
         written directly: one join over the terms, a cached fragment per monomial."""
         return '{"terms":[' + ",".join(
-            f'{{"den":"{d}{_monomial_json(mono)}{n}"}}'
-            for mono, n, d in self._sorted_terms()) + "]}"
+            f'{{"den":"{d}{_monomial_json(i)}{n}"}}'
+            for i, n, d in self._sorted_terms()) + "]}"
 
     # -- display -----------------------------------------------------------------
 
@@ -424,14 +462,14 @@ class ClosedForm:
         if not self._num:
             return "0"
         parts = []
-        for mono, n, d in self._sorted_terms():
+        for i, n, d in self._sorted_terms():
             mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
-            if not mono:
+            if not i:
                 body = mag
             elif mag == "1":
-                body = monomial_name(mono)
+                body = monomial_name(_MONOMIALS[i])
             else:
-                body = f"{mag}*{monomial_name(mono)}"
+                body = f"{mag}*{monomial_name(_MONOMIALS[i])}"
             parts.append(("-" if n < 0 else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body

@@ -43,14 +43,15 @@ from .errors import DomainError, ShapeError
 
 
 class BivariateSeries:
-    """Dense truncated series sum c[i][j] * a^i * b^j, coefficients exact."""
+    """Dense truncated series sum c[i][j] * a^i * b^j, coefficients exact.
+    Its truncation orders are bound by _check_order(n, 0); a ShapeError is
+    only for operands of different shapes."""
 
     __slots__ = ("na", "nb", "c")
 
     def __init__(self, na: int, nb: int,
                  coeffs: list[list[ClosedForm]] | None = None):
-        if na < 0 or nb < 0:
-            raise ShapeError("truncation orders must be >= 0")
+        na, nb = _check_order(na, 0), _check_order(nb, 0)
         self.na = na
         self.nb = nb
         if coeffs is None:

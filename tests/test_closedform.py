@@ -1,7 +1,12 @@
+import copy
 import json
 import math
+import os
+import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -11,7 +16,7 @@ from polylog import closedform, seriesring
 from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
                                 bernoulli_fraction,
                                 eta_factor_closed, li_half_atom, monomial,
-                                monomial_mul, monomial_name, sigma_atom,
+                                monomial_name, sigma_atom,
                                 zeta_closed, zeta_nonpositive_rational,
                                 zeta_odd_atom)
 from polylog.errors import DomainError
@@ -96,7 +101,42 @@ def test_monomial_normalization():
     assert m == monomial((PI, 2), (LN2, 2))
     assert monomial_name(m) == "pi^2*ln2^2"
     assert monomial_name(UNIT) == "1"
-    assert monomial_mul(m, UNIT) == m
+    assert ClosedForm({m: 1}) * ClosedForm.one() == ClosedForm({m: 1})
+
+
+def test_an_exponent_has_one_representation():
+    # monomial() binds each exponent by the order rule: 2.0 is the int 2 in
+    # every output, whichever of the two a cache saw first, and 2.5, nan,
+    # inf and -1 are refused
+    clear_package_caches()
+    pi2 = '{"terms":[{"den":"1","monomial":[["pi",2]],"num":"1"}]}'
+    assert ClosedForm.atom(PI, 2.0).to_json() == pi2
+    assert ClosedForm.atom(PI, 2).to_json() == pi2
+    assert zeta_closed(2).to_json() == _dumps(zeta_closed(2))
+    assert ClosedForm.atom(PI, 2.0) == ClosedForm.atom(PI, 2)
+    assert [type(e) for _, e in monomial((PI, 2.0), (LN2, 1.0))] == [int, int]
+    for bad in (2.5, math.nan, math.inf, -1):
+        with pytest.raises(DomainError):
+            ClosedForm.atom(PI, bad)
+        with pytest.raises(DomainError):
+            monomial((PI, bad))
+
+
+def test_the_constructor_keys_each_monomial_once():
+    # a term map's keys are canonicalized, and coefficient() reads the same
+    # key: order, a repeated atom or a float exponent makes no second
+    # monomial, and keys that agree add up
+    pi2_ln2 = ClosedForm.atom(PI, 2) * ClosedForm.atom(LN2)
+    for key in (((LN2, 1), (PI, 2)), ((PI, 1), (LN2, 1), (PI, 1)), ((PI, 2.0), (LN2, 1))):
+        cf = ClosedForm({key: 1})
+        assert cf == pi2_ln2 and (cf - pi2_ln2).is_zero
+        assert pi2_ln2.coefficient(key) == 1
+    assert ClosedForm({((PI, 1), (PI, 1)): 1}) == ClosedForm.atom(PI, 2)
+    assert ClosedForm({((PI, 1), (PI, 1)): Fraction(1, 3),
+                       ((PI, 2),): Fraction(2, 3)}) == ClosedForm.atom(PI, 2)
+    assert ClosedForm({((PI, 1), (PI, 1)): 1, ((PI, 2),): -1}).is_zero
+    assert ClosedForm({((LN2, 0),): 5}) == 5
+    assert pi2_ln2.coefficient(((PI, 2),)) == 0
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -247,6 +287,8 @@ class _FractionForm:
 
 
 def _assert_canonical(cf):
+    # keyed by monomial id: an int that indexes the intern table
+    assert all(type(i) is int and closedform._IDS[closedform._MONOMIALS[i]] == i for i in cf._num)
     assert cf._den > 0 and all(type(c) is int and c for c in cf._num.values())
     assert math.gcd(cf._den, *cf._num.values()) == 1
 
@@ -413,6 +455,52 @@ def test_a_cold_bernoulli_number_builds_one_fraction():
         == [1, 1, 1]
 
 
+def test_threads_interning_the_same_new_monomials_get_one_id_each():
+    # sigma~_{k,89} is in no other test, so every monomial here is new to
+    # the intern table, and 8 threads, started together, race to intern each
+    # one; an unlocked table gives some monomial two ids in most runs
+    atoms = [sigma_atom(k, 89) for k in range(1, 1001)]
+    assert not any(monomial((a, 1)) in closedform._IDS for a in atoms)
+    build = lambda: [ClosedForm.atom(a, 2) * ClosedForm.atom(b) - ClosedForm.atom(b, 3)
+                     for a, b in zip(atoms, atoms[1:])]
+    results = [None] * 8
+
+    start = threading.Barrier(8)
+
+    def work(slot):
+        start.wait()
+        results[slot] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    table = closedform._MONOMIALS
+    assert len(set(table)) == len(table) == len(closedform._IDS)
+    assert all(closedform._IDS[m] == i for i, m in enumerate(table))
+    assert all(r == results[0] for r in results) and results[0] == build()
+
+
+def test_a_form_rebuilt_after_the_caches_are_cleared_is_equal():
+    # clearing the memo caches leaves the intern table, whose ids the
+    # forms built before still hold
+    build = lambda: [kolbig_snp(3, 4), ipq_final(Family.MIXED, 3, 4), zeta_closed(6),
+                     *registry().closed.values()]
+    clear_package_caches()
+    first = build()
+    clear_package_caches()
+    again = build()
+    assert all(a is not b and a == b and a.to_json() == b.to_json()
+               for a, b in zip(first, again))
+
+
 def test_bernoulli_table_is_thread_safe():
     expected = [bernoulli_fraction(n) for n in range(81)]
     results = [None] * 8
@@ -476,7 +564,8 @@ def test_eta_factor_closed():
 
 
 def test_eta_factor_closed_is_memoized():
-    eta_factor_closed.cache_clear()
+    # every cache, not eta's alone: the sigma~ registry holds eta's forms
+    clear_package_caches()
     first = [eta_factor_closed(n) for n in range(1, 9)]
     assert all(eta_factor_closed(n) is f for n, f in zip(range(1, 9), first))
     info = eta_factor_closed.cache_info()
@@ -555,6 +644,27 @@ def test_json_writer_matches_json_dumps_on_the_catalogue():
     forms += [kolbig_snp(n, w - n) for w in range(2, MAX_WEIGHT + 1) for n in range(1, w)]
     for cf in forms:
         assert cf.to_json() == _dumps(cf)
+
+
+def test_a_form_pickles_by_monomial_across_processes():
+    # the child interns other monomials first, so its ids are not ours; the
+    # pickle carries monomials, so the form unpickles equal here
+    env = dict(os.environ, PYTHONPATH=str(Path(closedform.__file__).parents[1]))
+    code = ("import pickle; from fractions import Fraction; "
+            "from polylog.closedform import ClosedForm, LN2, sigma_atom, zeta_closed; "
+            "from polylog.seriesring import kolbig_snp; "
+            "[ClosedForm.atom(sigma_atom(k, 97), 3) for k in range(1, 40)]; "
+            "cf = kolbig_snp(2, 3) * zeta_closed(3) + ClosedForm.atom(LN2, 2, Fraction(1, 3)); "
+            "print(pickle.dumps(cf).hex(), *sorted(cf._num))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30, check=True)
+    payload, *ids = proc.stdout.split()
+    cf = kolbig_snp(2, 3) * zeta_closed(3) + ClosedForm.atom(LN2, 2, Fraction(1, 3))
+    assert sorted(cf._num) != [int(i) for i in ids]
+    for twin in (pickle.loads(bytes.fromhex(payload)), pickle.loads(pickle.dumps(cf)),
+                 copy.copy(cf), copy.deepcopy(cf)):
+        assert type(twin) is ClosedForm
+        assert twin == cf and hash(twin) == hash(cf) and twin.to_json() == cf.to_json()
 
 
 def test_pretty():

@@ -7,11 +7,18 @@ The judged lines of each src/polylog module are the lines of its functions
 and lambdas, from co_lines().  What import runs is left out: module and
 class bodies, decorators and whole def headers with their defaults.  So,
 by ast, are raise statements and the if tests that guard only a raise: a
-fail-fast guard is judged by the tests of its error, not by reach."""
+fail-fast guard is judged by the tests of its error, not by reach.
+
+The routes run traced in a fresh interpreter (this file run as a script),
+where every cache and the monomial intern table start empty, so no value
+that an earlier test built or interned skips the lines that build it."""
 
 import ast
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -20,8 +27,6 @@ from pathlib import Path
 import polylog
 from polylog import cli
 from polylog.verify import run_suite
-
-from conftest import clear_package_caches
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 _PACKAGE = Path(polylog.__file__).parent
@@ -53,11 +58,9 @@ _ALLOWED = [
     ("cli", "main", "return 3", _FAILURE),
     ("closedform", "Atom.__getnewargs__", "return self.tag, self.args", _COPY),
     ("closedform", "Atom.__repr__", 'return f"Atom({self.name})"', _REPR),
-    ("closedform", "monomial_mul", "return b",
-     "a unit left factor, which only the pinned __pow__ and the dense route give"),
     ("closedform", "ClosedForm.is_zero", "return not self._num", _ITEM5),
     ("closedform", "ClosedForm.atoms",
-     "return {a for mono in self._num for a, _ in mono}", _ITEM5),
+     "return {a for i in self._num for a, _ in _MONOMIALS[i]}", _ITEM5),
     ("closedform", "ClosedForm._sum", "return NotImplemented", _PROTOCOL),
     ("closedform", "ClosedForm._scaled", "return ClosedForm.zero()", _PINNED),
     ("closedform", "ClosedForm.__rsub__", "out = self._sum(other, -1)", _PINNED),
@@ -79,9 +82,14 @@ _ALLOWED = [
     ("closedform", "ClosedForm.__pow__", "out = out * self", _PINNED),
     ("closedform", "ClosedForm.__pow__", "return out", _PINNED),
     ("closedform", "ClosedForm.__eq__", "return NotImplemented", _PROTOCOL),
-    ("closedform", "ClosedForm.__hash__", "if self._num.keys() <= {UNIT}:", _HASH),
+    ("closedform", "ClosedForm.__hash__", "if self._num.keys() <= {0}:", _HASH),
     ("closedform", "ClosedForm.__hash__", "return hash(self.coefficient(UNIT))", _HASH),
     ("closedform", "ClosedForm.__hash__", "return hash(frozenset(self.terms.items()))", _HASH),
+    ("closedform", "ClosedForm.__getstate__",
+     "return {_MONOMIALS[i]: c for i, c in self._num.items()}, self._den", _COPY),
+    ("closedform", "ClosedForm.__setstate__", "num, self._den = state", _COPY),
+    ("closedform", "ClosedForm.__setstate__",
+     "self._num = {_id(m): c for m, c in num.items()}", _COPY),
     ("closedform", "ClosedForm.pretty",
      'return "0"', "the display of the zero form, which repr shows and no output prints"),
     ("closedform", "ClosedForm.__repr__", 'return f"ClosedForm({self.pretty()})"', _REPR),
@@ -97,6 +105,8 @@ _ALLOWED = [
     ("quadrature", "integrate01", "stalls += 1", _FAILURE),
     ("quadrature", "integrate01", "if stalls >= 2:", _FAILURE),
     ("quadrature", "integrate01", "break", _FAILURE),
+    ("seriesring", "BivariateSeries.__init__",
+     "na, nb = _check_order(na, 0), _check_order(nb, 0)", _DENSE),
     ("seriesring", "BivariateSeries.__init__", "self.na = na", _DENSE),
     ("seriesring", "BivariateSeries.__init__", "self.nb = nb", _DENSE),
     ("seriesring", "BivariateSeries.__init__", "if coeffs is None:", _DENSE),
@@ -198,7 +208,7 @@ def _script(name: str):
     return module
 
 
-def _production_routes(tmp_path, monkeypatch) -> None:
+def _production_routes(tmp_path) -> None:
     assert run_suite("all").failed == 1
     for target, (flags, _) in cli._EVAL_TARGETS.items():
         argv = ["eval", target]
@@ -209,9 +219,9 @@ def _production_routes(tmp_path, monkeypatch) -> None:
     assert cli.main(["approx", "s-minus", "--p", "5", "--kt", "3"]) == 0
     for kind in ("inm", "hnm", "sigma", "ipq"):
         assert cli.main(["table", "--kind", kind, "--out", str(tmp_path / "cli")]) == 0
-    monkeypatch.setattr(sys, "argv", ["truncation_study.py"])
+    sys.argv = ["truncation_study.py"]
     _script("truncation_study").main()
-    monkeypatch.setattr(sys, "argv", ["make_tables.py", "--out", str(tmp_path / "tables")])
+    sys.argv = ["make_tables.py", "--out", str(tmp_path / "tables")]
     assert _script("make_tables").main() == 0
 
 
@@ -299,15 +309,23 @@ def _judged_lines(source: str, filename: str) -> dict[int, str]:
     return {line: scope.get(line, "<module>") for line in lines}
 
 
-def test_every_line_is_reached_by_a_production_route(tmp_path, monkeypatch, capsys):
-    assert all(reason for *_, reason in _ALLOWED)
-    clear_package_caches()  # a cached value would skip its function's body
-
+def _trace_routes(tmp_path: Path) -> None:
+    """Run every production route traced, and write the (file, line) pairs
+    executed to tmp_path/executed.json."""
     def routes():
-        _production_routes(tmp_path, monkeypatch)
+        _production_routes(tmp_path)
         _cli_edges(tmp_path)
     executed = _executed_lines(routes)
-    capsys.readouterr()
+    (tmp_path / "executed.json").write_text(json.dumps(sorted(executed)))
+
+
+def test_every_line_is_reached_by_a_production_route(tmp_path):
+    assert all(reason for *_, reason in _ALLOWED)
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    executed = {tuple(pair) for pair in json.loads((tmp_path / "executed.json").read_text())}
     unreached, where = Counter(), {}
     for path in sorted(_PACKAGE.glob("*.py")):
         source = path.read_text()
@@ -322,3 +340,7 @@ def test_every_line_is_reached_by_a_production_route(tmp_path, monkeypatch, caps
     no_longer_unreached = sorted(allowed - unreached)
     assert not newly_unreached and not no_longer_unreached, (newly_unreached,
                                                              no_longer_unreached)
+
+
+if __name__ == "__main__":
+    _trace_routes(Path(sys.argv[1]))

@@ -514,6 +514,7 @@ _ORDER_TAKING = {
     "beta_derivative_inm": (beta_derivative_inm, (2, 3)),
     "gamma_ratio_series": (lambda na, nb: gamma_ratio_series((na, nb)), (2, 3)),
     "kolbig_snp": (kolbig_snp, (2, 3)), "sigma_tilde": (sigma_tilde, (2, 3)),
+    "BivariateSeries": (BivariateSeries, (2, 3)),
     "mpl2": (mpl2, (3, 2, 1.0, -1.0)), "nielsen_num": (nielsen_num, (2, 3, -1.0)),
     "polylog": (polylog, (3, 0.3)),
     # and the atom factories

@@ -776,7 +776,7 @@ def test_cold_start_imports_no_heavy_stdlib_modules():
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "polylog.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv",
-             "argparse", "gettext", "locale"}
+             "argparse", "gettext", "locale", "threading"}
     assert not loaded & heavy
 
 
