@@ -56,8 +56,7 @@ def _alt_zeta_closed(s: int) -> ClosedForm:
     """(2^{1-s} - 1) zeta(s) continued to every integer s."""
     if s >= 1:
         return eta_factor_closed(s)
-    return ClosedForm.rational(
-        Fraction(2 ** (1 - s) - 1) * zeta_nonpositive_rational(s))
+    return ClosedForm.rational((2 ** (1 - s) - 1) * zeta_nonpositive_rational(s))
 
 
 def polylog_derivative_at_minus1(p: int, k: int) -> ClosedForm:

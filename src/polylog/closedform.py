@@ -186,33 +186,28 @@ class ClosedForm:
     """Finite rational-linear combination of constant monomials.
 
     Immutable.  The coefficients are integer numerators ``_num`` over one
-    common denominator ``_den`` (the layout of FLINT's ``fmpq_poly``).  The
-    pair is canonical: ``_den > 0``, no numerator is zero, and
-    ``gcd(_den, *numerators) == 1``.  So equal forms have equal pairs, and
-    equality is exact term-map equality.  Arithmetic works on the integers
-    and ends with one variadic ``math.gcd``, where a map of ``Fraction``
-    values would pay a gcd per coefficient.  Its results are built by
-    ``_reduced`` and ``_canonical``, which skip the public constructor's
-    per-coefficient checks.  The builders fold a whole display,
-    sum c * a * b over its terms, with ``combination``: one lcm, the integer
-    numerators summed in one dict, and one gcd in total, where a chain of
-    operators builds a form and pays a gcd at every step.  ``terms`` and
-    ``coefficient`` hand out ``Fraction`` values.
+    common denominator ``_den`` (the layout of FLINT's ``fmpq_poly``), kept
+    canonical: ``_den > 0``, no numerator zero, ``gcd(_den, *numerators) ==
+    1``.  So equality is exact term-map equality.  Arithmetic works on the
+    integers and ends with one variadic ``math.gcd`` (in ``_reduced``), where
+    ``Fraction`` values would pay a gcd per coefficient.  The builders fold a
+    whole display, sum c * a * b / den over its terms, with ``combination``:
+    one lcm and one gcd in total, where a chain of operators pays a gcd per
+    step.  A display whose coefficients share one denominator (2^r, w, m!)
+    passes it as ``den`` with integer numerators, so it builds no
+    ``Fraction``.  ``terms`` and ``coefficient`` hand out ``Fraction`` values.
 
     ``_num`` is keyed by process-local monomial ids, so the arithmetic
     hashes ints.  Every public method takes or gives monomials, and a form
     pickles and copies by monomial.  The constructor canonicalizes each key:
     ``{((LN2, 1), (PI, 2)): 1}`` is pi^2 ln 2, and alike keys add up.
 
-    ``evaluate`` divides each numerator by ``_den``.  That int/int division
-    is correctly rounded, as ``float(Fraction)`` is, so each term's float
-    equals that of its reduced coefficient and every decimal keeps its bits.
-
-    ``to_json`` writes the bytes of ``json.dumps(to_obj(), sort_keys=True,
-    separators=(",", ":"))`` directly: one join over the sorted terms, with a
-    cached fragment per monomial.  A verify suite's exact entry passes on
-    term-map equality ``lhs == rhs`` and carries the zero form's JSON; only a
-    failing entry builds ``lhs - rhs`` to record it.
+    ``evaluate`` divides each numerator by ``_den``: that int/int division
+    is correctly rounded, as ``float(Fraction)`` is, so every decimal keeps
+    its bits.  ``to_json`` writes the bytes of ``json.dumps(to_obj(),
+    sort_keys=True, separators=(",", ":"))`` directly, with a cached
+    fragment per monomial.  A verify suite's exact entry passes on
+    ``lhs == rhs``; only a failing one builds ``lhs - rhs`` to record it.
     """
 
     __slots__ = ("_num", "_den")
@@ -248,13 +243,13 @@ class ClosedForm:
         return cls._canonical(num, den)
 
     @classmethod
-    def combination(cls, terms) -> "ClosedForm":
-        """sum c * a * b over triples (c, a, b): c an int or Fraction, a a
-        form, b a form or None (then the term is c * a).
-
-        One lcm over the terms' denominators, the integer numerators summed
-        in one dict, and one variadic gcd in _reduced.
+    def combination(cls, terms, den: int = 1) -> "ClosedForm":
+        """sum c * a * b / den over triples (c, a, b): c an int or Fraction,
+        a a form, b a form or None (then the term is c * a), den a positive
+        int by _check_order.  One lcm over the terms' denominators, the
+        integer numerators summed in one dict, and one gcd in _reduced.
         """
+        scale = _check_order(den, 1)
         terms = tuple(terms)
         dens = [c.denominator * a._den * (1 if b is None else b._den) for c, a, b in terms]
         den = math.lcm(*dens)
@@ -272,7 +267,7 @@ class ClosedForm:
                         # id 0 is the unit: a unit factor needs no product
                         m = _monomial_product(m1, m2) if m1 and m2 else m1 or m2
                         acc[m] = get(m, 0) + n1 * n2
-        return cls._reduced({m: n for m, n in acc.items() if n}, den)
+        return cls._reduced({m: n for m, n in acc.items() if n}, den * scale)
 
     # -- constructors -----------------------------------------------------
 

@@ -24,7 +24,6 @@ weight r+1 of its sum to the weight ceiling MAX_WEIGHT.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .closedform import ClosedForm, LN2, _check_order, _check_weight, zeta_closed
@@ -53,8 +52,8 @@ def s_plus(r: int) -> ClosedForm:
     r = _check_order(r, 2)
     _check_weight(r + 1)
     return ClosedForm.combination(
-        [(Fraction(r + 2, 2), zeta_closed(r + 1), None)]
-        + [(Fraction(-1, 2), zeta_closed(mu + 1), zeta_closed(r - mu)) for mu in range(1, r - 1)])
+        [(r + 2, zeta_closed(r + 1), None)]
+        + [(-1, zeta_closed(mu + 1), zeta_closed(r - mu)) for mu in range(1, r - 1)], 2)
 
 
 @cache
@@ -62,7 +61,7 @@ def c_sum(r: int) -> ClosedForm:
     """C(r) = 2^{-r-1} S+(r)."""
     r = _check_order(r, 2)
     _check_weight(r + 1)
-    return Fraction(1, 2 ** (r + 1)) * s_plus(r)
+    return s_plus(r) / 2 ** (r + 1)
 
 
 @cache
@@ -79,16 +78,18 @@ def jordan_even(which: str, r: int) -> ClosedForm:
     if which == "J1":
         # -(1 - 2^-(r+1))/2 zeta(r+1) + (1 - 2^-r) ln2 zeta(r)
         #   - sum_mu (2^{2mu} - 1)/2^{r+1} zeta(2mu) zeta(r+1-2mu)
-        terms = [(Fraction(1 - top, 2 * top), zeta_closed(r + 1), None),
-                 (Fraction(2 ** r - 1, 2 ** r), ClosedForm.atom(LN2), zeta_closed(r))]
-        coeff = [Fraction(1 - 4 ** mu, top) for mu in range(1, r // 2)]
+        den = 2 * top
+        terms = [(1 - top, zeta_closed(r + 1), None),
+                 (4 * (2 ** r - 1), ClosedForm.atom(LN2), zeta_closed(r))]
+        coeff = [2 * (1 - 4 ** mu) for mu in range(1, r // 2)]
     else:
         # (1 - 2^-(r+1))/2 zeta(r+1) - sum_mu (2^{-2mu} - 2^-(r+1)) zeta(2mu) zeta(r+1-2mu)
-        terms = [(Fraction(top - 1, 2 * top), zeta_closed(r + 1), None)]
-        coeff = [Fraction(4 ** mu - top, top * 4 ** mu) for mu in range(1, r // 2)]
+        den = 4 ** r
+        terms = [(2 ** (r - 2) * (top - 1), zeta_closed(r + 1), None)]
+        coeff = [2 ** (r - 1) - 4 ** (r - mu) for mu in range(1, r // 2)]
     return ClosedForm.combination(
         terms + [(c, zeta_closed(2 * mu), zeta_closed(r + 1 - 2 * mu))
-                 for mu, c in enumerate(coeff, start=1)])
+                 for mu, c in enumerate(coeff, start=1)], den)
 
 
 @cache
@@ -98,17 +99,17 @@ def milgram(r: int) -> ClosedForm:
     _check_weight(r + 1)
     # r/2 (1 - 2^-(r+1)) zeta(r+1) - (1 - 2^-r) ln2 zeta(r)
     #   - [r odd] (1 - 2^-h)^2 zeta(h)^2 / 2 at h = (r+1)/2
-    #   - sum_mu (2^(mu+2) - 1)/2 (2^-(mu+1) - 2^-r) zeta(mu+2) zeta(r-1-mu)
-    terms = [(Fraction(r * (2 ** (r + 1) - 1), 2 ** (r + 2)), zeta_closed(r + 1), None),
-             (Fraction(1 - 2 ** r, 2 ** r), ClosedForm.atom(LN2), zeta_closed(r))]
+    #   - sum_mu (2^(mu+2) - 1)/2 (2^-(mu+1) - 2^-r) zeta(mu+2) zeta(r-1-mu),
+    # over 2^(r+2) (at odd r, 2h + 1 = r + 2)
+    terms = [(r * (2 ** (r + 1) - 1), zeta_closed(r + 1), None),
+             (4 * (1 - 2 ** r), ClosedForm.atom(LN2), zeta_closed(r))]
     if r % 2:
         half = (r + 1) // 2
-        terms.append((Fraction(-(2 ** half - 1) ** 2, 2 ** (2 * half + 1)),
-                      zeta_closed(half), zeta_closed(half)))
-    terms += [(Fraction(-(2 ** (mu + 2) - 1) * (2 ** (r - 1 - mu) - 1), 2 ** (r + 1)),
+        terms.append((-(2 ** half - 1) ** 2, zeta_closed(half), zeta_closed(half)))
+    terms += [(-2 * (2 ** (mu + 2) - 1) * (2 ** (r - 1 - mu) - 1),
                zeta_closed(mu + 2), zeta_closed(r - 1 - mu))
               for mu in range(0, (r - 4 - r % 2) // 2 + 1)]
-    return ClosedForm.combination(terms)
+    return ClosedForm.combination(terms, 2 ** (r + 2))
 
 
 @cache
@@ -126,10 +127,8 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     s = kolbig_snp(r - 1, 2)
     sig = sigma_tilde(r - 1, 2)
     if which == "J1":
-        return ClosedForm.combination([(Fraction(1, 2), s, None), (Fraction(-1, 2), sig, None),
-                                       (-1, milgram(r), None)])
-    return ClosedForm.combination([(Fraction(2 ** r - 1, 2 ** (r + 1)), s, None),
-                                   (Fraction(1, 2), sig, None)])
+        return ClosedForm.combination([(1, s, None), (-1, sig, None), (-2, milgram(r), None)], 2)
+    return ClosedForm.combination([(2 ** r - 1, s, None), (2 ** r, sig, None)], 2 ** (r + 1))
 
 
 def s_minus_even_closed(r: int) -> ClosedForm:
@@ -140,9 +139,10 @@ def s_minus_even_closed(r: int) -> ClosedForm:
     """
     if r % 2:
         raise DomainError("even order required")
+    top = 2 ** (r + 1)
     return ClosedForm.combination([
-        (1, jordan_even("J2", r), None), (-1, jordan_even("J1", r), None), (1, c_sum(r), None),
-        (-1, milgram(r), None), (Fraction(1 - 2 ** (r + 1), 2 ** (r + 1)), zeta_closed(r + 1), None)])
+        (top, jordan_even("J2", r), None), (-top, jordan_even("J1", r), None),
+        (top, c_sum(r), None), (-top, milgram(r), None), (1 - top, zeta_closed(r + 1), None)], top)
 
 
 @cache
@@ -155,8 +155,8 @@ def s_minus(r: int) -> ClosedForm:
     """
     r = _check_order(r, 2)
     _check_weight(r + 1)
-    return ClosedForm.combination([(Fraction(1 - 2 ** r, 2 ** r), zeta_closed(r + 1), None),
-                                   (1, sigma_tilde(r - 1, 2), None)])
+    return ClosedForm.combination([(1 - 2 ** r, zeta_closed(r + 1), None),
+                                   (2 ** r, sigma_tilde(r - 1, 2), None)], 2 ** r)
 
 
 @cache

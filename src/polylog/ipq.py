@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from operator import mul, truediv
 
@@ -112,7 +111,7 @@ def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -
         return base
     if q - n < 1:
         raise DomainError("shift would leave the (p, q >= 1) domain")
-    return Fraction((-1) ** n) * (base - _r_sum(family, p, q, n))
+    return (-1) ** n * (base - _r_sum(family, p, q, n))
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +135,10 @@ def _mu_sum(family: Family, p: int, q: int) -> ClosedForm:
 def _minus_named_part(r: int) -> ClosedForm:
     """The p-independent part of the minus family's display at weight r = p+q:
     2 [ln2 (2^-r - 1) zeta(r) + (1 - 2^{-r-1}) zeta(r+1)] + S-(r) - 2C(r) + 2J1(r)."""
+    t = 2 ** r  # the one denominator
     return ClosedForm.combination([
-        (Fraction(2 - 2 ** (r + 1), 2 ** r), ClosedForm.atom(LN2), zeta_closed(r)),
-        (Fraction(2 ** (r + 1) - 1, 2 ** r), zeta_closed(r + 1), None),
-        (1, s_minus(r), None), (-2, c_sum(r), None), (2, jordan_nielsen("J1", r), None)])
+        (2 - 2 * t, ClosedForm.atom(LN2), zeta_closed(r)), (2 * t - 1, zeta_closed(r + 1), None),
+        (t, s_minus(r), None), (-2 * t, c_sum(r), None), (2 * t, jordan_nielsen("J1", r), None)], t)
 
 
 def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
@@ -148,19 +147,18 @@ def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
     A second route to ipq_final, which verify checks term by term.
     """
     r = p + q
+    t = 2 ** r  # the one denominator
     if family is Family.PLUS:
-        body = [(-1, zeta_closed(r + 1), None), (-1, kolbig_snp(r - 1, 2), None)]
+        body = [(-t, zeta_closed(r + 1), None), (-t, kolbig_snp(r - 1, 2), None)]
     elif family is Family.MIXED:
-        body = [(Fraction(2 ** r - 1, 2 ** r), zeta_closed(r + 1), None),
-                (-1, sigma_tilde(r - 1, 2), None)]
+        body = [(t - 1, zeta_closed(r + 1), None), (-t, sigma_tilde(r - 1, 2), None)]
     else:
-        body = [(Fraction(2 - 2 ** (r + 1), 2 ** r), ClosedForm.atom(LN2), zeta_closed(r)),
-                (Fraction(2 ** (r + 1) - 1, 2 ** r), zeta_closed(r + 1), None),
-                (Fraction(2 ** r - 1, 2 ** r), kolbig_snp(r - 1, 2), None),
-                (-1, zeta_closed(r + 1), None), (-2, milgram(r), None)]
+        body = [(2 - 2 * t, ClosedForm.atom(LN2), zeta_closed(r)),
+                (2 * t - 1, zeta_closed(r + 1), None), (t - 1, kolbig_snp(r - 1, 2), None),
+                (-t, zeta_closed(r + 1), None), (-2 * t, milgram(r), None)]
     # (-1)^p [(-1)^p mu_sum + body] = mu_sum + (-1)^p body
-    return ClosedForm.combination([(1, _mu_sum(family, p, q), None)]
-                                  + [((-1) ** p * c, a, b) for c, a, b in body])
+    return ClosedForm.combination([(t, _mu_sum(family, p, q), None)]
+                                  + [((-1) ** p * c, a, b) for c, a, b in body], t)
 
 
 @cache
@@ -194,9 +192,9 @@ def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
     elif q < p:
         return None
     n = (q - p) // 2
-    endpoint = (Fraction(1, 2) * r_value(family, p + n + 1, p + n + 1)
+    endpoint = (r_value(family, p + n + 1, p + n + 1) / 2
                 if family.symmetric and (q - p) % 2 else ipq_final(family, p + n, q - n))
-    return Fraction((-1) ** n) * endpoint + _r_sum(family, p, q, n)
+    return (-1) ** n * endpoint + _r_sum(family, p, q, n)
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,13 @@ def h_star(n: int, m: int) -> ClosedForm:
         return ClosedForm.one()
     if n == 0:
         return 2 * truncated_exp_ln2(m) - 1
+    f = math.factorial(m)  # the one denominator; m!/mu! = perm(m, m - mu)
     return ClosedForm.combination(
-        [(math.comb(n + m, n), ClosedForm.one(), None)]
-        + [(Fraction(2 * (-1) ** mu * math.comb(n + m - mu, n), math.factorial(mu)),
+        [(f * math.comb(n + m, n), ClosedForm.one(), None)]
+        + [(2 * (-1) ** mu * math.comb(n + m - mu, n) * math.perm(m, m - mu),
             ClosedForm.atom(LN2, mu), None) for mu in range(1, m + 1)]
-        + [(math.comb(n - nu + m - mu, n - nu), sigma_tilde(nu, mu), None)
-           for nu in range(1, n + 1) for mu in range(1, m + 1)])
+        + [(f * math.comb(n - nu + m - mu, n - nu), sigma_tilde(nu, mu), None)
+           for nu in range(1, n + 1) for mu in range(1, m + 1)], f)
 
 
 def h_closed(n: int, m: int) -> ClosedForm:
@@ -137,7 +138,7 @@ def lognm_numeric(tag: str, n: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _relation_row(n: int, m: int) -> list[Fraction]:
+def _relation_row(n: int, m: int) -> list[int]:
     """Coefficients of sigma~_{k, n+m-k}, k = 1..n+m-1, in the reflection
     relation for s_{n,m}:
 
@@ -145,11 +146,11 @@ def _relation_row(n: int, m: int) -> list[Fraction]:
                        + sum_{k=1}^{m} (-1)^k C(n+m-1-k, n-1) sigma~_{k,n+m-k}.
     """
     w = n + m
-    row = [Fraction(0)] * (w - 1)
+    row = [0] * (w - 1)
     for k in range(1, n + 1):
-        row[k - 1] += Fraction((-1) ** k * math.comb(w - 1 - k, m - 1))
+        row[k - 1] += (-1) ** k * math.comb(w - 1 - k, m - 1)
     for k in range(1, m + 1):
-        row[k - 1] += Fraction((-1) ** k * math.comb(w - 1 - k, n - 1))
+        row[k - 1] += (-1) ** k * math.comb(w - 1 - k, n - 1)
     return row
 
 
@@ -168,8 +169,8 @@ def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
         + [(-c, sigma_tilde(k, w - k), None) for k, c in enumerate(_relation_row(n, m), start=1)])
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
+def _rank(rows: list[list[int]]) -> int:
+    mat = [list(map(Fraction, row)) for row in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
     for col in range(cols):

@@ -9,17 +9,18 @@ This is the machinery behind two generating-function routes:
 
 The builders read the Gamma ratio one homogeneous weight at a time: the
 slice F_w (the coefficients of a^i b^(w-i)) follows from the lower slices
-by the Euler-operator recurrence w F_w = sum_k k G_k F_{w-k}, where G_k is
-the weight-k slice of the log; F_w is symmetric, so only its entries
-i <= w/2 are built.  Each slice is memoized once per process, so every
-caller shares one cache, and a weight-w query never builds anything above
-weight w.  MAX_WEIGHT = 18 (in closedform) is the one weight limit, and
-_check_weight alone applies it: to zeta_closed, kolbig_snp,
-beta_derivative_inm, each order of gamma_ratio_series and the builders
-whose routes need not read the series.  A table cap is the same check at a
-lower max_weight (kolbig_snp's for eval s-np, lognm's TABLE_WEIGHT).  A
-cold build of every slice takes about 3 ms to weight 12 and 12 ms to weight
-18 on a 2-core x86 host, so no query within the ceiling runs for long.
+by the Euler-operator recurrence w F_w = sum_k k G_k F_{w-k}, G_k the
+weight-k slice of the log, each entry one combination of integer
+numerators over w.  F_w is symmetric, so only its entries i <= w/2 are
+built.  kolbig_snp reads the signed slice (-1)^(w+1) F_w, negated once per
+weight.  Each slice is memoized once per process, and a weight-w query
+builds nothing above weight w.  MAX_WEIGHT = 18 (in closedform) is the
+one weight limit, applied by _check_weight alone: to zeta_closed,
+kolbig_snp, beta_derivative_inm, each order of gamma_ratio_series and the
+builders whose routes need not read the series; a table cap is the same
+check at a lower max_weight.  A cold build of every slice took 1.4-3 ms
+to weight 12 and 6-12 ms to weight 18 on a shared 2-core x86 host (whose
+speed swings about 2x between processes), so no query runs for long.
 
 ln Gamma(1+z) is encoded with its Euler-gamma term included.  The dense
 BivariateSeries route (gamma_ratio_series) builds the same ratio as a full
@@ -186,31 +187,36 @@ def _ratio_slice(w: int) -> tuple[ClosedForm, ...]:
         F_w[i] = sum_{k=2}^{w} sum_{0<l<k} C(k,l) g_k F_{w-k}[i-l],
 
     with g_k = (-k/w) lg_k = (-1)^(k+1) zeta(k)/w; each entry is one
-    ClosedForm.combination over the pairs (k, l).  F is symmetric in a and
-    b: only the entries i <= w/2 are built, and the rest mirror them.
+    ClosedForm.combination of the numerators (-1)^(k+1) C(k,l) over w.  F is
+    symmetric in a and b: only the entries i <= w/2 are built.
     """
     if w == 0:
         return (ClosedForm.one(),)
-    g = {k: (Fraction((-1) ** (k + 1), w) * zeta_closed(k), _ratio_slice(w - k))
-         for k in range(2, w + 1)}
-    half = [ClosedForm.combination((math.comb(k, l), gk, lower[i - l])
-                                   for k, (gk, lower) in g.items()
-                                   for l in range(max(1, i - w + k), min(k - 1, i) + 1))
+    g = {k: ((-1) ** (k + 1), zeta_closed(k), _ratio_slice(w - k)) for k in range(2, w + 1)}
+    half = [ClosedForm.combination(((sign * math.comb(k, l), zk, lower[i - l])
+                                    for k, (sign, zk, lower) in g.items()
+                                    for l in range(max(1, i - w + k), min(k - 1, i) + 1)), w)
             for i in range(w // 2 + 1)]
     return (*half, *reversed(half[:(w + 1) // 2]))
+
+
+@cache
+def _snp_slice(w: int) -> tuple[ClosedForm, ...]:
+    """s_{n,p} at weight w = n + p, indexed by p: F_w at odd w, -F_w at even w."""
+    f = _ratio_slice(w)
+    return f if w % 2 else tuple(-x for x in f)
 
 
 def kolbig_snp(n: int, p: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:
     """Nielsen constant s_{n,p} = S_{n,p}(1), exactly.
 
     The a^p b^n coefficient of the Gamma ratio (the 1/b prefactor in the
-    generating identity shifts the b index by one), read from its weight
-    n+p slice.
+    generating identity shifts the b index by one), signed (-1)^(n+p+1):
+    entry p of _snp_slice(n + p).
     """
     n, p = _check_order(n, 1), _check_order(p, 1)
     _check_weight(n + p, max_weight)
-    f = _ratio_slice(n + p)[p]
-    return f if (n + p) % 2 else -f
+    return _snp_slice(n + p)[p]
 
 
 def beta_derivative_inm(n: int, m: int) -> ClosedForm:

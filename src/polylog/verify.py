@@ -164,7 +164,7 @@ def _rows_sums() -> Iterator[tuple]:
                    f"{name}({r}) closed form vs defining series",
                    sum_oracle(tag, r), cf, 1e-10)
     for r in range(2, 8):
-        nielsen = Fraction(1, 2 ** (r + 1)) * (zeta_closed(r + 1) + kolbig_snp(r - 1, 2))
+        nielsen = (zeta_closed(r + 1) + kolbig_snp(r - 1, 2)) / 2 ** (r + 1)
         yield (f"sums.csum-dual-forms.r{r}", f"C({r}): S+ multiple vs Nielsen form",
                c_sum(r), nielsen, 0.0)
     for which in ("J1", "J2"):
@@ -200,28 +200,28 @@ def _rows_sums() -> Iterator[tuple]:
         yield f"sums.{name}", f"{label}(3) closed form vs its {route}", oracle, cf, 1e-10
     # which specialization of S-(odd) holds: general (2^-r - 1) vs 2^-r variant
     oracle = sum_oracle("SMinus", 5)
-    general = cf_num((Fraction(1, 2 ** 5) - 1) * zeta_closed(6) + sigma_tilde(4, 2))
-    variant = cf_num(Fraction(1, 2 ** 5) * zeta_closed(6) + sigma_tilde(4, 2))
+    general = cf_num((1 - 2 ** 5) * zeta_closed(6) / 2 ** 5 + sigma_tilde(4, 2))
+    variant = cf_num(zeta_closed(6) / 2 ** 5 + sigma_tilde(4, 2))
     yield ("sums.sminus-odd-general-form.r5", "S-(5) = (2^-5 - 1) zeta(6) + sigma~_{4,2}",
            oracle, general, 1e-9,
            f"the 2^-r zeta(r+1) variant (without -1) misses by {abs(oracle - variant):.3e}")
 
 
 def _milgram_full(r: int) -> ClosedForm:
-    """M(r) as the full mu-sum that the simplified display condenses."""
-    out = Fraction(r, 2) * (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1) \
-        - ClosedForm.atom(LN2) * (1 - Fraction(1, 2 ** r)) * zeta_closed(r)
+    """M(r) as the full mu-sum that the simplified display condenses, its
+    integer numerators over 2^(r+2) (r-1)."""
+    out = (r - 1) * r * (2 ** (r + 1) - 1) * zeta_closed(r + 1) \
+        - 4 * (r - 1) * (2 ** r - 1) * ClosedForm.atom(LN2) * zeta_closed(r)
     for mu in range(0, r - 2):
-        out = out - Fraction(mu + 1, 2 * (r - 1)) * Fraction(2 ** (mu + 2) - 1, 1) \
-            * zeta_closed(mu + 2) * (Fraction(1, 2 ** (mu + 1)) - Fraction(1, 2 ** r)) \
-            * zeta_closed(r - 1 - mu)
-    return out
+        out = out - 2 * (mu + 1) * (2 ** (mu + 2) - 1) * (2 ** (r - 1 - mu) - 1) \
+            * zeta_closed(mu + 2) * zeta_closed(r - 1 - mu)
+    return out / (2 ** (r + 2) * (r - 1))
 
 
 def _s_minus_decomposed(r: int) -> ClosedForm:
     """S-(r) = J2 - J1 + C - M - (1 - 2^{-r-1}) zeta(r+1), Jordan sums in Nielsen form."""
     return (jordan_nielsen("J2", r) - jordan_nielsen("J1", r) + c_sum(r) - milgram(r)
-            - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1))
+            - (2 ** (r + 1) - 1) * zeta_closed(r + 1) / 2 ** (r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +378,8 @@ def _rows_ipq() -> Iterator[tuple]:
                        ipq_series(family, p, q), ipq_series(family, q, p), 1e-9)
         # odd/even reduction examples at weights 5 and 6
         for p, q, combination in (
-                (1, 4, Fraction(-1, 2) * r_value(family, 3, 3) + r_value(family, 2, 4)),
-                (2, 3, Fraction(1, 2) * r_value(family, 3, 3)),
+                (1, 4, r_value(family, 2, 4) - r_value(family, 3, 3) / 2),
+                (2, 3, r_value(family, 3, 3) / 2),
                 (1, 5, ipq_final(family, 3, 3) + r_value(family, 2, 5) - r_value(family, 3, 4)),
                 (2, 4, -ipq_final(family, 3, 3) + r_value(family, 3, 4))):
             yield (f"ipq.reduction-examples.{family.value}.{p}q{q}",
@@ -548,7 +548,7 @@ def _rows_lognm() -> Iterator[tuple]:
         yield (f"lognm.sigma-even-route.n{r - 1}p2",
                f"sigma~({r - 1},2) table value vs the even-order S- route",
                sigma_tilde(r - 1, 2),
-               s_minus_even_closed(r) - (Fraction(1, 2 ** r) - 1) * zeta_closed(r + 1), 0.0)
+               s_minus_even_closed(r) + (2 ** r - 1) * zeta_closed(r + 1) / 2 ** r, 0.0)
     for (n, p), cf in sorted(registry().closed.items()):
         note = ""
         if (n, p) == (1, 5):

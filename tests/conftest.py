@@ -1,11 +1,16 @@
+import contextlib
 import copy
+import io
 import math
 import pickle
+import signal
 import sys
+import time
 
 import pytest
 from hypothesis import settings
 
+from polylog.cli import main as cli_main
 from polylog.eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus
 from polylog.ipq import Family, ipq_final
 from polylog.lognm import h_closed, h_pde_residual, i_closed, i_pde_residual
@@ -61,6 +66,38 @@ def package_cache_misses() -> dict[str, int]:
                 if callable(getattr(fn, "cache_info", None)) and fn.__module__ == name:
                     misses[f"{name[8:]}.{fn.__qualname__}"] = fn.cache_info().misses
     return misses
+
+
+class DeadlineExceeded(Exception):
+    """A command run by run_cli outlived its deadline."""
+
+
+def run_cli(argv: list[str], deadline_s: float) -> tuple[object, str, str, float]:
+    """polylog's cli.main(argv) in this process, as a fresh interpreter would
+    answer it: every package cache cleared first, stdout and stderr captured,
+    a SystemExit turned into its code.  Returns (exit code, stdout, stderr,
+    elapsed seconds).  A SIGALRM timer raises DeadlineExceeded deadline_s
+    seconds in, between bytecodes: it cannot cut short one long C-level
+    call, such as a huge integer power, so a test of that keeps its own
+    interpreter.  Main thread only, as signal handlers are."""
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"polylog {' '.join(argv)} still running after {deadline_s} s")
+
+    clear_package_caches()
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    t0 = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, deadline_s)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 
 def sigma_atoms(cf) -> list:

@@ -71,12 +71,7 @@ _ALLOWED = [
     ("closedform", "ClosedForm.__mul__", "if not c:", _PINNED),
     ("closedform", "ClosedForm.__mul__", "del acc[m]", _PINNED),
     ("closedform", "ClosedForm.__mul__", "continue", _PINNED),
-    ("closedform", "ClosedForm.__truediv__",
-     "if not isinstance(other, (int, Fraction)):", _PINNED),
     ("closedform", "ClosedForm.__truediv__", "return NotImplemented", _PROTOCOL),
-    ("closedform", "ClosedForm.__truediv__", "n, d = other.numerator, other.denominator", _PINNED),
-    ("closedform", "ClosedForm.__truediv__",
-     "return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)", _PINNED),
     ("closedform", "ClosedForm.__pow__", "out = ClosedForm.one()", _PINNED),
     ("closedform", "ClosedForm.__pow__", "for _ in range(exp):", _PINNED),
     ("closedform", "ClosedForm.__pow__", "out = out * self", _PINNED),

@@ -23,7 +23,7 @@ from polylog.sigma import cf_num
 from polylog.special import nielsen_num
 from polylog.verify import SUITES, CheckEntry, _entries, _jordan_order3_integral, run_suite
 
-from conftest import clear_package_caches, package_cache_misses
+from conftest import clear_package_caches, package_cache_misses, run_cli
 
 
 def _polylog_target(node: ast.AST) -> str | None:
@@ -446,7 +446,7 @@ def test_verify_report_is_sorted_and_deterministic():
         "config-missing", "config-directory", "config-unknown-id", "config-exact-entry",
         "config-other-suite"])
 def test_verify_rejects_bad_tolerance_inputs_fast(tmp_path, args, config):
-    # a fresh interpreter, so the exit code and stderr are the command's own
+    # run cold with its output captured, so the exit code and stderr are the command's own
     if config == "missing":
         args = args + ["--config", str(tmp_path / "no-such.cfg")]
     elif config == "directory":
@@ -454,12 +454,11 @@ def test_verify_rejects_bad_tolerance_inputs_fast(tmp_path, args, config):
     elif config is not None:
         (tmp_path / "tols.cfg").write_text(config)
         args = args + ["--config", str(tmp_path / "tols.cfg")]
-    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "polylog", "verify", *args], env=env,
-                          capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    code, out, err, elapsed = run_cli(["verify", *args], 2.0)
+    assert elapsed < 2.0
+    assert code == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_run_suite_computes_each_oracle_quantity_once(monkeypatch):
@@ -583,6 +582,7 @@ _COLD_SUITE_CACHE_MISSES = {
     "lognm.i_star": 25, "lognm.h_star": 25,
     "quadrature.nodes": 5, "quadrature.log_power": 82,
     "seriesring.gamma_ratio_series": 0, "seriesring._ratio_slice": 10,
+    "seriesring._snp_slice": 8,
     "sigma.registry": 1, "sigma.atom_value": 29,
     "special._zeta_int": 18, "special._inverse_powers": 6, "special.li_column": 32,
     "special._tail_series": 7, "special._tail_block": 7,
@@ -599,13 +599,13 @@ def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
     combinations = []
     combination = vars(ClosedForm)["combination"].__func__
 
-    def counted(cls, terms):
+    def counted(cls, *args):
         combinations.append(1)
-        return combination(cls, terms)
+        return combination(cls, *args)
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     run_suite("all")
     assert len(combinations) == 289
-    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 810 in all
+    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 818 in all
 
 
 # a fixed list of CLI queries, each answered cold, and the work they take
@@ -627,6 +627,7 @@ _COLD_QUERY_CACHE_MISSES = {
     "ipq._mu_sum": 5, "ipq.ipq_final": 2, "ipq.ipq_numeric": 1,
     "lognm.h_star": 1, "lognm.i_star": 1,
     "quadrature.log_power": 56, "quadrature.nodes": 18, "seriesring._ratio_slice": 19,
+    "seriesring._snp_slice": 6,
     "sigma.atom_value": 36, "sigma.registry": 5,
     "special._inverse_powers": 5, "special._zeta_int": 16, "special.li_column": 8,
     "summation._cvz_weights": 20, "summation.eta_num": 17, "summation.zeta_num": 17,
@@ -640,9 +641,9 @@ def test_cold_query_work_counts(monkeypatch, capsys):
     combination = vars(ClosedForm)["combination"].__func__
     integrate01 = quadrature.integrate01
 
-    def counted(cls, terms):
+    def counted(cls, *args):
         combinations.append(1)
-        return combination(cls, terms)
+        return combination(cls, *args)
 
     def counted_integral(values, tol):
         result = integrate01(values, tol)
@@ -660,7 +661,7 @@ def test_cold_query_work_counts(monkeypatch, capsys):
     assert codes == [0] * 10 + [3, 3]
     assert len(combinations) == 115
     assert (len(evaluations), sum(evaluations)) == (4, 584)
-    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 561 in all
+    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 567 in all
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
@@ -754,14 +755,11 @@ def test_eval_missing_parameter_usage_error(capsys):
     ["eval", "s-plus", "--r", "30"],
 ])
 def test_beyond_weight_ceiling_fails_fast(argv):
-    # a fresh interpreter, so no cache filled by other tests hides a slow path
-    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "polylog", *argv], env=env,
-                          capture_output=True, text=True, timeout=2.0)
-    assert time.perf_counter() - t0 < 2.0
-    assert proc.returncode == 3
-    assert f"ceiling MAX_WEIGHT = {MAX_WEIGHT}" in proc.stderr
+    # run cold, so no cache filled by other tests hides a slow path
+    code, out, err, elapsed = run_cli(argv, 2.0)
+    assert elapsed < 2.0
+    assert code == 3
+    assert f"ceiling MAX_WEIGHT = {MAX_WEIGHT}" in err
 
 
 def test_cold_start_imports_no_heavy_stdlib_modules():
@@ -797,24 +795,17 @@ _PAST_CAP = {
 
 @pytest.mark.parametrize("target", _EVAL_TARGETS)
 def test_every_eval_target_fails_fast_past_its_cap(target):
-    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "polylog", "eval", target, *_PAST_CAP[target]],
-                          env=env, capture_output=True, text=True, timeout=2.0)
-    assert time.perf_counter() - t0 < 2.0
-    assert proc.returncode == 3, proc.stderr
-    assert "above" in proc.stderr and "cap" in proc.stderr
+    code, out, err, elapsed = run_cli(["eval", target, *_PAST_CAP[target]], 2.0)
+    assert elapsed < 2.0
+    assert code == 3, err
+    assert "above" in err and "cap" in err
 
 
 def test_truncation_depth_past_its_cap_fails_fast():
-    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "polylog", "eval", "approx", "--p", "5",
-                           "--kt", str(MAX_KT + 1)],
-                          env=env, capture_output=True, text=True, timeout=2.0)
-    assert time.perf_counter() - t0 < 2.0
-    assert proc.returncode == 3, proc.stderr
-    assert f"above cap MAX_KT = {MAX_KT}" in proc.stderr
+    code, out, err, elapsed = run_cli(["eval", "approx", "--p", "5", "--kt", str(MAX_KT + 1)], 2.0)
+    assert elapsed < 2.0
+    assert code == 3, err
+    assert f"above cap MAX_KT = {MAX_KT}" in err
 
 
 def test_weight_above_twelve_within_ceiling_returns_value(capsys):
