@@ -9,17 +9,16 @@ by the verification suites (``polylog verify``); tests/test_reach.py checks
 that the suites, the CLI and the scripts run every line but an allow-list.
 """
 
-from .approx import polylog_derivative_at_minus1, s_minus_truncated, stirling1
+from .approx import s_minus_truncated, stirling1
 from .closedform import Atom, ClosedForm, eta_factor_closed, zeta_closed
 from .digamma import euler_gamma, psi
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      EvaluationError, ShapeError)
 from .eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus,
                         s_plus, sum_oracle)
-from .ipq import (Family, ipq_final, ipq_numeric, ipq_series, r_value,
-                  recurrence_shift)
+from .ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value
 from .lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual,
-                    lognm_numeric, s_sigma_relation_residual, sigma_weight6_count)
+                    lognm_numeric)
 from .quadrature import QuadratureResult, integrate01
 from .seriesring import (BivariateSeries, beta_derivative_inm,
                          gamma_ratio_series, kolbig_snp)
@@ -37,10 +36,7 @@ __all__ = [
     "h_pde_residual", "i_closed", "i_pde_residual", "integrate01",
     "ipq_final", "ipq_numeric", "ipq_series", "jordan_even",
     "jordan_nielsen", "kolbig_snp", "lognm_numeric", "milgram",
-    "mpl2", "nielsen_num", "polylog", "polylog_derivative_at_minus1", "psi",
-    "r_value", "recurrence_shift", "run_suite", "s_minus",
-    "s_minus_truncated", "s_plus", "s_sigma_relation_residual",
-    "sigma_tilde", "sigma_weight6_count",
-    "stirling1", "sum_alternating",
-    "sum_oracle", "sum_tail", "zeta_closed",
+    "mpl2", "nielsen_num", "polylog", "psi", "r_value", "run_suite",
+    "s_minus", "s_minus_truncated", "s_plus", "sigma_tilde", "stirling1",
+    "sum_alternating", "sum_oracle", "sum_tail", "zeta_closed",
 ]

@@ -16,7 +16,6 @@ approximation relies on do reach.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .closedform import (ClosedForm, _check_order, _check_weight, eta_factor_closed,
@@ -59,21 +58,10 @@ def _alt_zeta_closed(s: int) -> ClosedForm:
     return ClosedForm.rational((2 ** (1 - s) - 1) * zeta_nonpositive_rational(s))
 
 
-def polylog_derivative_at_minus1(p: int, k: int) -> ClosedForm:
-    """[d^k Li_p(-t) / dt^k] at t = 1, exactly.
-
-    Valid as stated for k <= p - 1 (the eta limit covers p - j = 1); deeper
-    derivatives would need the analytic continuation used internally by
-    s_minus_truncated.
-    """
-    p, k = _check_order(p, 2), _check_order(k, 1)
-    if k > p - 1:
-        raise DomainError("derivative order beyond p - 1 leaves the stated regime")
-    return _derivative_cf(p, k)
-
-
 @cache
 def _derivative_cf(p: int, k: int) -> ClosedForm:
+    """[d^k Li_p(-t) / dt^k] at t = 1, exactly: sum_j S_k^(j) (2^{1+j-p} - 1)
+    zeta(p - j), continued past j = p - 1 as in _alt_zeta_closed."""
     return ClosedForm.combination((stirling1(k, j), _alt_zeta_closed(p - j), None)
                                   for j in range(1, k + 1))
 
@@ -89,6 +77,7 @@ def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     _check_weight(p + 1)
     kt = _check_order(kt, 1)
     _check_kt(kt)
-    return ClosedForm.combination(
-        (Fraction((-1) ** (k + 1), k * math.factorial(k)), _derivative_cf(p, k), None)
-        for k in range(1, kt + 1))
+    weights = [k * math.factorial(k) for k in range(1, kt + 1)]
+    den = math.lcm(*weights)  # the one denominator
+    return ClosedForm.combination([((-1) ** (k + 1) * (den // w), _derivative_cf(p, k), None)
+                                   for k, w in enumerate(weights, start=1)], den)

@@ -143,7 +143,7 @@ def _table_entries(kind: str, max_weight: int) -> list[tuple[str, ClosedForm]]:
     if kind == "hnm":
         return [(f"h({n},{m})", h_closed(n, m)) for n in range(1, w) for m in range(1, w - n + 1)]
     if kind == "sigma":
-        return [(f"sigma_{n}_{p}", cf) for (n, p), cf in sorted(registry().closed.items())
+        return [(f"sigma_{n}_{p}", cf) for (n, p), cf in sorted(registry().items())
                 if n + p <= w]
     _check_weight(w + 1)  # I(p,q) has weight p+q+1: refuse before building any entry
     return [(f"I[{fam.value}]({p},{q})", ipq_final(fam, p, q))

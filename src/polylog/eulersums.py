@@ -1,8 +1,9 @@
 """Euler sums: S+, S-, the Jordan sums J1/J2, the Milgram sum M, and C.
 
 S-(r) and the Nielsen forms of J1/J2 read sigma~_{r-1,2} = S_{r-1,2}(-1)
-from the sigma registry; s_minus_even_closed, which never touches sigma~,
-is the route the verify entries check that registry against.
+from the sigma registry; the even-order Jordan forms never touch sigma~, so
+verify's Jordan decomposition of S- through them is the route that checks
+that registry.
 
 Each builder takes one route and is memoized.  Each closed form also
 exists as an accelerated summation of its defining series
@@ -129,20 +130,6 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     if which == "J1":
         return ClosedForm.combination([(1, s, None), (-1, sig, None), (-2, milgram(r), None)], 2)
     return ClosedForm.combination([(2 ** r - 1, s, None), (2 ** r, sig, None)], 2 ** (r + 1))
-
-
-def s_minus_even_closed(r: int) -> ClosedForm:
-    """S-(r) for even r via the even-order Jordan closed forms only.
-
-    Uses S- = J2 - J1 + C - M - (1 - 2^{-r-1}) zeta(r+1); every piece is a
-    zeta/ln2 polynomial, so this route never touches sigma~ constants.
-    """
-    if r % 2:
-        raise DomainError("even order required")
-    top = 2 ** (r + 1)
-    return ClosedForm.combination([
-        (top, jordan_even("J2", r), None), (-top, jordan_even("J1", r), None),
-        (top, c_sum(r), None), (-top, milgram(r), None), (1 - top, zeta_closed(r + 1), None)], top)
 
 
 @cache

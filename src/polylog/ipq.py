@@ -6,9 +6,9 @@
 
 with their difference-equation machinery, closed forms, infinite-series
 representations, and quadrature oracles.  ipq_final builds each closed form
-once, from the named-sum display, and memoizes it; the Nielsen display and
-the telescoping solution of the difference equation (_reduction_route) are
-its second routes, which the verify suites check exactly against it.
+once, from the named-sum display, and memoizes it.  Its second routes, the
+Nielsen display and the telescoping solution of the difference equation,
+are written in verify, as the exact entries that check it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from operator import mul, truediv
 from .closedform import (ClosedForm, LN2, _check_order, _check_weight, eta_factor_closed,
                          zeta_closed)
 from .errors import DomainError
-from .eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus, sum_oracle
+from .eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, Grid, integrate01, nodes
-from .seriesring import kolbig_snp
-from .sigma import sigma_tilde
 from .special import li_column
 from .summation import zeta_num
 
@@ -92,29 +90,6 @@ def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> floa
 
 
 # ---------------------------------------------------------------------------
-# difference-equation machinery
-# ---------------------------------------------------------------------------
-
-
-def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
-    """The R part of the telescoping solution of I(p,q-1) + I(p-1,q) = R(p,q):
-    I(p,q) = (-1)^n I(p+n, q-n) + sum_{k<n} (-1)^k R(p+k+1, q-k)."""
-    return ClosedForm.combination(((-1) ** k, r_value(family, p + k + 1, q - k), None)
-                                  for k in range(n))
-
-
-def recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -> ClosedForm:
-    """I(p+n, q-n) from I(p, q) = base by the closed telescoping solution."""
-    p, q = _check_order(p, 1), _check_order(q, 1)
-    n = _check_order(n, 0)
-    if n == 0:
-        return base
-    if q - n < 1:
-        raise DomainError("shift would leave the (p, q >= 1) domain")
-    return (-1) ** n * (base - _r_sum(family, p, q, n))
-
-
-# ---------------------------------------------------------------------------
 # final closed forms
 # ---------------------------------------------------------------------------
 
@@ -141,26 +116,6 @@ def _minus_named_part(r: int) -> ClosedForm:
         (t, s_minus(r), None), (-2 * t, c_sum(r), None), (2 * t, jordan_nielsen("J1", r), None)], t)
 
 
-def _final_nielsen_form(family: Family, p: int, q: int) -> ClosedForm:
-    """Final display in Nielsen terms (s_{r-1,2} and sigma~_{r-1,2}).
-
-    A second route to ipq_final, which verify checks term by term.
-    """
-    r = p + q
-    t = 2 ** r  # the one denominator
-    if family is Family.PLUS:
-        body = [(-t, zeta_closed(r + 1), None), (-t, kolbig_snp(r - 1, 2), None)]
-    elif family is Family.MIXED:
-        body = [(t - 1, zeta_closed(r + 1), None), (-t, sigma_tilde(r - 1, 2), None)]
-    else:
-        body = [(2 - 2 * t, ClosedForm.atom(LN2), zeta_closed(r)),
-                (2 * t - 1, zeta_closed(r + 1), None), (t - 1, kolbig_snp(r - 1, 2), None),
-                (-t, zeta_closed(r + 1), None), (-2 * t, milgram(r), None)]
-    # (-1)^p [(-1)^p mu_sum + body] = mu_sum + (-1)^p body
-    return ClosedForm.combination([(t, _mu_sum(family, p, q), None)]
-                                  + [((-1) ** p * c, a, b) for c, a, b in body], t)
-
-
 @cache
 def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     """Closed form of I(p,q), from the display in the named sums S+/S-/C/J1/M.
@@ -181,20 +136,6 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     # two plain terms: one operator costs less than a combination
     mu_sum = _mu_sum(family, p, q)
     return mu_sum + named if sign > 0 else mu_sum - named
-
-
-def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
-    """I(p,q) by the telescoping solution shifted n = (q-p)//2 steps to the
-    diagonal I(m,m) or near-diagonal I(m,m+1), where a symmetric family has
-    I(m,m+1) = R(m+1,m+1)/2; None for the mixed family with q < p."""
-    if family.symmetric:
-        p, q = min(p, q), max(p, q)
-    elif q < p:
-        return None
-    n = (q - p) // 2
-    endpoint = (r_value(family, p + n + 1, p + n + 1) / 2
-                if family.symmetric and (q - p) % 2 else ipq_final(family, p + n, q - n))
-    return (-1) ** n * endpoint + _r_sum(family, p, q, n)
 
 
 # ---------------------------------------------------------------------------

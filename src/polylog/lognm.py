@@ -1,5 +1,5 @@
-"""Logarithmic integrals i(n,m) and h(n,m), their Pascal-type difference
-equations, and the linear network relating s_{n,p} to sigma~_{n,p}.
+"""Logarithmic integrals i(n,m) and h(n,m) and their Pascal-type difference
+equations.
 
     i(n,m) = integral_0^1 ln^n(x) ln^m(1-x) dx = i(m,n)
     h(n,m) = integral_0^1 ln^n(x) ln^m(1+x) dx
@@ -8,7 +8,9 @@ Both solve a three-term partial difference equation in their starred
 normalizations i*(n,m) = (-1)^{n+m} i(n,m)/(n! m!) (same for h*), which a
 lattice-path (generating function) argument turns into explicit binomial
 sums over s_{n,p} resp. sigma~_{n,p}.  lognm_numeric(tag, n, m) is their
-quadrature oracle.
+quadrature oracle.  The second routes, the boundary value
+h(0,m) = (-1)^m m! h*(0,m) and the reflection network relating s_{n,p} to
+sigma~_{n,p}, are written in verify, next to the entries that check them.
 """
 
 from __future__ import annotations
@@ -102,17 +104,6 @@ def h_pde_residual(n: int, m: int) -> ClosedForm:
                                    (-1, h_star(n - 1, m), None), (-1, sigma_tilde(n, m), None)])
 
 
-def h_boundary_closed(m: int) -> ClosedForm:
-    """h(0,m) = integral_0^1 ln^m(1+x) dx = (-1)^m m! h*(0,m).
-
-    The lattice boundary condition is stated for h*(0,m); undoing the star
-    normalization restores the (-1)^m m! factor that direct evaluation of
-    the integral shows (already at m = 1, where the integral is 2 ln 2 - 1).
-    """
-    m = _check_order(m, 1)
-    return (-1) ** m * math.factorial(m) * h_star(0, m)
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
@@ -132,66 +123,3 @@ def lognm_numeric(tag: str, n: int, m: int) -> float:
         return map(mul, log_power("x", n, grid), log_power(arg, m, grid))
     return integrate01(values, ORACLE_TOL).value
 
-
-# ---------------------------------------------------------------------------
-# the s <-> sigma~ linear network
-# ---------------------------------------------------------------------------
-
-
-def _relation_row(n: int, m: int) -> list[int]:
-    """Coefficients of sigma~_{k, n+m-k}, k = 1..n+m-1, in the reflection
-    relation for s_{n,m}:
-
-    (-1)^{n+m} s_{n,m} = sum_{k=1}^{n} (-1)^k C(n+m-1-k, m-1) sigma~_{k,n+m-k}
-                       + sum_{k=1}^{m} (-1)^k C(n+m-1-k, n-1) sigma~_{k,n+m-k}.
-    """
-    w = n + m
-    row = [0] * (w - 1)
-    for k in range(1, n + 1):
-        row[k - 1] += (-1) ** k * math.comb(w - 1 - k, m - 1)
-    for k in range(1, m + 1):
-        row[k - 1] += (-1) ** k * math.comb(w - 1 - k, n - 1)
-    return row
-
-
-def s_sigma_relation_residual(n: int, m: int) -> ClosedForm:
-    """Residual of the reflection network tying s_{n,m} to weight n+m sigma~:
-    the left side of the relation in _relation_row minus its right side.
-
-    Exactly zero whenever every needed sigma~ has a registered closed form
-    (all weights <= 5); at weight 6 the surviving atomic combination is
-    itself a checkable relation.
-    """
-    n, m = _check_order(n, 1), _check_order(m, 1)
-    w = n + m
-    return ClosedForm.combination(
-        [((-1) ** w, kolbig_snp(n, m), None)]
-        + [(-c, sigma_tilde(k, w - k), None) for k, c in enumerate(_relation_row(n, m), start=1)])
-
-
-def _rank(rows: list[list[int]]) -> int:
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def sigma_weight6_count() -> tuple[int, int, int]:
-    """(unknowns, relation rank, free atoms) for the weight-6 sigma~ block:
-    one relation row per unordered pair {n, 6 - n}."""
-    rows = [_relation_row(n, 6 - n) for n in range(1, 4)]
-    rank = _rank(rows)
-    unknowns = len(rows[0])
-    return unknowns, rank, unknowns - rank

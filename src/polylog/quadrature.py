@@ -91,7 +91,10 @@ def _node(t: float) -> tuple[float, float, float]:
 # odd multiples of 2^-L.
 @cache
 def nodes(level: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The columns (x, 1-x, w) of a level."""
+    """The columns (x, 1-x, w) of a level, an integer 0.._MAX_LEVEL, else
+    DomainError; checked on a miss, so a cache hit pays nothing."""
+    if level not in range(_MAX_LEVEL + 1):
+        raise DomainError(f"grid level {level!r} is not an integer in 0..{_MAX_LEVEL}")
     h = 0.5 ** level
     n = int(_T_MAX / h)
     pts = []

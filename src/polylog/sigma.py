@@ -15,14 +15,14 @@ three groups:
   checks all four sigma~_{r-1,2} against the even-order S- route.
 
 At weight 6 the mid-table entries sigma~_{2,4}, sigma~_{3,3}, sigma~_{4,2}
-have no individual closed forms, only two linear relations; those are kept
-as relation records.
+have no individual closed forms, only two linear relations.  No builder
+reads those, so they are written in verify, with the entries that check
+them, and the registry holds closed forms only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -37,13 +37,9 @@ def _li_half_cf(k: int) -> ClosedForm:
     return ClosedForm.atom(li_half_atom(k))
 
 
-# closed: (n, p) -> closed form; relations: (coefficient map over (n, p)
-# atoms, right-hand side) pairs
-SigmaRegistry = namedtuple("SigmaRegistry", "closed relations")
-
-
 @cache
-def registry() -> SigmaRegistry:
+def registry() -> dict[tuple[int, int], ClosedForm]:
+    """(n, p) -> the closed form of sigma~_{n,p}, for every registered (n, p)."""
     closed: dict[tuple[int, int], ClosedForm] = {}
     z3 = zeta_closed(3)
     z5 = zeta_closed(5)
@@ -105,20 +101,7 @@ def registry() -> SigmaRegistry:
                           (Fraction(7, 720), pi4, z5),
                           (Fraction(31, 30240), pi6, z3),
                           (Fraction(-1529, 512), zeta_closed(9), None)])
-
-    # weight-6 relations among the open entries
-    rel1_rhs = lin([(Fraction(-53, 15120), pi6, None),
-                    (Fraction(-1, 24), pi2, ln2[4]),
-                    (Fraction(1, 18), ln2[6], None),
-                    (Fraction(7, 12), ln2[3], z3),
-                    (Fraction(-1, 2), z3, z3),
-                    (2, ln2[2], li4),
-                    (4, ln2[1], li5),
-                    (4, li6, None)])
-    rel2_rhs = lin([(Fraction(1, 1512), pi6, None), (Fraction(-1, 2), z3, z3)])
-    relations = [({(2, 4): Fraction(2), (4, 2): Fraction(-1)}, rel1_rhs),
-                 ({(3, 3): Fraction(2), (4, 2): Fraction(-3)}, rel2_rhs)]
-    return SigmaRegistry(closed, relations)
+    return closed
 
 
 def sigma_tilde(n: int, p: int) -> ClosedForm:
@@ -131,10 +114,8 @@ def sigma_tilde(n: int, p: int) -> ClosedForm:
     _check_weight(n + p)
     if p == 1:
         return eta_factor_closed(n + 1)
-    reg = registry()
-    if (n, p) in reg.closed:
-        return reg.closed[(n, p)]
-    return ClosedForm.atom(sigma_atom(n, p))
+    closed = registry().get((n, p))
+    return ClosedForm.atom(sigma_atom(n, p)) if closed is None else closed
 
 
 # ---------------------------------------------------------------------------

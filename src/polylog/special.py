@@ -240,10 +240,27 @@ def _tail_block(m: int, x_outer: float) -> tuple[float, ...]:
     return _tail_run(m, x_outer, _tail_series(m, x_outer)[0], 1)
 
 
+def _check_outer(m: int, x_outer: float) -> int:
+    """The outer index's rules, which mpl2 and outer_tail share: x_outer is 1
+    or -1 and m an order >= 1, with m >= 2 at x_outer = 1 (else the sum
+    diverges), else DomainError.  Past m = 1074 every term is below the
+    smallest subnormal, a CapacityError.  Returns m as an int."""
+    if x_outer not in (1.0, -1.0):
+        raise DomainError("multiple polylog arguments must be 1 or -1")
+    m = _check_order(m, 1)
+    if m == 1 and x_outer != -1.0:
+        raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
+    if m > 1074:
+        raise CapacityError(f"outer order {m} is beyond the float oracle: the largest "
+                            f"term, 2^-{m}, is below the smallest subnormal 2^-1074")
+    return m
+
+
 def outer_tail(m: int, x_outer: float, y: int) -> float:
     """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1 at an integer
-    y >= 1: read from its block, or past the first anchor the series at y."""
-    m, y = _check_order(m, 1), _check_order(y, 1)
+    y >= 1: read from its block, or past the first anchor the series at y.
+    Its arguments follow mpl2's outer rules (_check_outer)."""
+    m, y = _check_outer(m, x_outer), _check_order(y, 1)
     block = _tail_block(m, x_outer)
     return block[y - 1] if y <= len(block) else _tail_run(m, x_outer, y, y)[0]
 
@@ -278,15 +295,11 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     with T = outer_tail(m_outer, x_outer, .): by sum_tail when
     x_inner x_outer = 1, its head a slice of T's block and its tail from
     _mpl2_expansion, else by sum_alternating.  Past m_outer = 1074 every
-    term is below the smallest subnormal, and it raises CapacityError."""
-    if x_outer not in (1.0, -1.0) or x_inner not in (1.0, -1.0):
+    term is below the smallest subnormal, and it raises CapacityError
+    (_check_outer)."""
+    if x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
-    m_outer, m_inner = _check_order(m_outer, 1), _check_order(m_inner, 1)
-    if m_outer == 1 and x_outer != -1.0:
-        raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
-    if m_outer > 1074:
-        raise CapacityError(f"outer order {m_outer} is beyond the float oracle: the largest "
-                            f"term, 2^-{m_outer}, is below the smallest subnormal 2^-1074")
+    m_outer, m_inner = _check_outer(m_outer, x_outer), _check_order(m_inner, 1)
     if x_inner == x_outer:
         def head(stop: int):
             return (t * k ** -m_inner

@@ -16,10 +16,13 @@ of exactly the entry each override names.  An override key that names no
 numeric entry of the run (a typo, an exact entry, an entry of another
 suite) is a DomainError.
 
-Each builder takes one production route; the second exact routes to the
-same quantities (the Nielsen and reduction displays of I(p,q), the full
-Milgram sum, the Jordan decomposition of S-, the even-order route to the
-tabulated sigma~ values) are written here once, as exact entries.
+Each builder takes one production route, and every route that only a
+check reads is written here once, next to its rows: the Nielsen display,
+the telescoping shift and the diagonal reduction of I(p,q), the full
+Milgram sum, the Jordan decomposition of S- (through either Jordan route,
+so also the even-order route to the tabulated sigma~ values), the
+derivatives of Li_p(-t) at t = 1, the boundary value h(0,m), the
+s <-> sigma~ reflection network and the two weight-6 sigma~ relations.
 
 No two numeric entries compare the same pair of computations: the swapped
 twins of the symmetric I(p,q) families take the integration-by-parts value
@@ -41,17 +44,15 @@ from functools import cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .approx import polylog_derivative_at_minus1, s_minus_truncated
+from .approx import _derivative_cf, s_minus_truncated
 from .closedform import (ClosedForm, LN2, PI, eta_factor_closed, li_half_atom,
                          sigma_atom, zeta_closed, zeta_odd_atom)
 from .errors import DomainError
-from .eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus,
-                        s_minus_even_closed, s_plus, sum_oracle)
-from .ipq import (Family, _final_nielsen_form, _reduction_route, ipq_final,
-                  ipq_numeric, ipq_series, r_value, recurrence_shift)
-from .lognm import (h_boundary_closed, h_closed, h_pde_residual, i_closed,
-                    i_pde_residual, lognm_numeric, s_sigma_relation_residual,
-                    sigma_weight6_count)
+from .eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus, s_plus,
+                        sum_oracle)
+from .ipq import Family, _mu_sum, ipq_final, ipq_numeric, ipq_series, r_value
+from .lognm import (h_closed, h_pde_residual, h_star, i_closed, i_pde_residual,
+                    lognm_numeric)
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
 from .seriesring import beta_derivative_inm, kolbig_snp
 from .sigma import atom_value, cf_num, registry, sigma_tilde
@@ -178,7 +179,7 @@ def _rows_sums() -> Iterator[tuple]:
     for r in range(2, 9):
         yield (f"sums.sminus-direct-vs-decomposed.r{r}",
                f"S-({r}): (2^-r - 1) zeta(r+1) + sigma~ vs Jordan decomposition",
-               s_minus(r), _s_minus_decomposed(r), 0.0)
+               s_minus(r), _s_minus_decomposed(r, jordan_nielsen), 0.0)
     for r in range(2, 9):
         lhs = sum_oracle("SMinus", r)
         rhs = (sum_oracle("Jordan2", r) - sum_oracle("Jordan1", r) + sum_oracle("CSum", r)
@@ -218,10 +219,14 @@ def _milgram_full(r: int) -> ClosedForm:
     return out / (2 ** (r + 2) * (r - 1))
 
 
-def _s_minus_decomposed(r: int) -> ClosedForm:
-    """S-(r) = J2 - J1 + C - M - (1 - 2^{-r-1}) zeta(r+1), Jordan sums in Nielsen form."""
-    return (jordan_nielsen("J2", r) - jordan_nielsen("J1", r) + c_sum(r) - milgram(r)
-            - (2 ** (r + 1) - 1) * zeta_closed(r + 1) / 2 ** (r + 1))
+def _s_minus_decomposed(r: int, jordan: Callable[[str, int], ClosedForm]) -> ClosedForm:
+    """S-(r) = J2 - J1 + C - M - (1 - 2^{-r-1}) zeta(r+1) over 2^(r+1), its
+    Jordan sums from jordan: jordan_nielsen, or at even r jordan_even, a
+    zeta/ln2 polynomial that never touches sigma~."""
+    top = 2 ** (r + 1)  # the one denominator
+    return ClosedForm.combination([
+        (top, jordan("J2", r), None), (-top, jordan("J1", r), None), (top, c_sum(r), None),
+        (-top, milgram(r), None), (1 - top, zeta_closed(r + 1), None)], top)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ def _rows_appendix() -> Iterator[tuple]:
            not any(b > a for a, b in zip(errs, errs[1:])), True, 0.0)
     # derivative values vs one-sided finite differences (domain ends at t = 1)
     for (p, k) in ((5, 1), (5, 2), (4, 1)):
-        exact = cf_num(polylog_derivative_at_minus1(p, k))
+        exact = cf_num(_derivative_cf(p, k))
         fd = _li_derivative_fd(p, k)
         yield (f"appendix.li-derivative-fd.p{p}k{k}",
                f"d^{k} Li_{p}(-t)/dt^{k} at t=1 vs finite differences", fd, exact, 1e-6)
@@ -363,7 +368,7 @@ def _rows_ipq() -> Iterator[tuple]:
                        f"I[{family.value}]({p},{q}) closed vs {leg}", nv, cf, 1e-8)
                 yield (f"ipq.nielsen-display.{family.value}.p{p}q{q}",
                        f"I[{family.value}]({p},{q}): named-sum vs Nielsen display",
-                       cf, _final_nielsen_form(family, p, q), 0.0)
+                       cf, _nielsen_display(family, p, q), 0.0)
                 reduction = _reduction_route(family, p, q)
                 if reduction is not None:
                     yield (f"ipq.reduction-route.{family.value}.p{p}q{q}",
@@ -399,10 +404,10 @@ def _rows_ipq() -> Iterator[tuple]:
         base = ipq_final(family, p, q)
         stepped = base
         for k in range(n):
-            stepped = recurrence_shift(family, p + k, q - k, 1, stepped)
+            stepped = _recurrence_shift(family, p + k, q - k, 1, stepped)
         yield (f"ipq.shift-solution.{family.value}.p{p}q{q}n{n}",
                f"I[{family.value}] {n}-step shift: closed solution vs iteration",
-               recurrence_shift(family, p, q, n, base), stepped, 0.0)
+               _recurrence_shift(family, p, q, n, base), stepped, 0.0)
     # three routes
     for family in Family:
         for p in range(1, 4):
@@ -413,6 +418,50 @@ def _rows_ipq() -> Iterator[tuple]:
                        (nv, ipq_series(family, p, q)), cf_num(ipq_final(family, p, q)), 1e-8)
     for p in (2, 3, 4):
         yield from _low_order_rows(p)
+
+
+def _nielsen_display(family: Family, p: int, q: int) -> ClosedForm:
+    """I(p,q) from its final display in Nielsen terms (s_{r-1,2} and
+    sigma~_{r-1,2}) over 2^r, r = p+q, sharing ipq_final's mu block."""
+    r = p + q
+    t = 2 ** r  # the one denominator
+    if family is Family.PLUS:
+        body = [(-t, zeta_closed(r + 1), None), (-t, kolbig_snp(r - 1, 2), None)]
+    elif family is Family.MIXED:
+        body = [(t - 1, zeta_closed(r + 1), None), (-t, sigma_tilde(r - 1, 2), None)]
+    else:
+        body = [(2 - 2 * t, ClosedForm.atom(LN2), zeta_closed(r)),
+                (2 * t - 1, zeta_closed(r + 1), None), (t - 1, kolbig_snp(r - 1, 2), None),
+                (-t, zeta_closed(r + 1), None), (-2 * t, milgram(r), None)]
+    # (-1)^p [(-1)^p mu_sum + body] = mu_sum + (-1)^p body
+    return ClosedForm.combination([(t, _mu_sum(family, p, q), None)]
+                                  + [((-1) ** p * c, a, b) for c, a, b in body], t)
+
+
+def _r_sum(family: Family, p: int, q: int, n: int) -> ClosedForm:
+    """The R part of the telescoping solution of I(p,q-1) + I(p-1,q) = R(p,q):
+    I(p,q) = (-1)^n I(p+n, q-n) + sum_{k<n} (-1)^k R(p+k+1, q-k)."""
+    return ClosedForm.combination(((-1) ** k, r_value(family, p + k + 1, q - k), None)
+                                  for k in range(n))
+
+
+def _recurrence_shift(family: Family, p: int, q: int, n: int, base: ClosedForm) -> ClosedForm:
+    """I(p+n, q-n), n >= 1, from I(p, q) = base by the telescoping solution."""
+    return (-1) ** n * (base - _r_sum(family, p, q, n))
+
+
+def _reduction_route(family: Family, p: int, q: int) -> ClosedForm | None:
+    """I(p,q) by the telescoping solution shifted n = (q-p)//2 steps to the
+    diagonal I(m,m) or near-diagonal I(m,m+1), where a symmetric family has
+    I(m,m+1) = R(m+1,m+1)/2; None for the mixed family with q < p."""
+    if family.symmetric:
+        p, q = min(p, q), max(p, q)
+    elif q < p:
+        return None
+    n = (q - p) // 2
+    endpoint = (r_value(family, p + n + 1, p + n + 1) / 2
+                if family.symmetric and (q - p) % 2 else ipq_final(family, p + n, q - n))
+    return (-1) ** n * endpoint + _r_sum(family, p, q, n)
 
 
 def _low_order_rows(p: int) -> Iterator[tuple]:
@@ -527,7 +576,8 @@ def _rows_lognm() -> Iterator[tuple]:
                    lognm_numeric("HNM", n, m), cf, 1e-9, h_notes.get((n, m), ""))
     for m in range(1, 5):
         yield (f"lognm.hnm-boundary.m{m}", f"h(0,{m}) vs (-1)^m m! (2 e_m(-ln2) - 1)",
-               lognm_numeric("HNM", 0, m), cf_num(h_boundary_closed(m)), 1e-9,
+               lognm_numeric("HNM", 0, m), cf_num((-1) ** m * math.factorial(m) * h_star(0, m)),
+               1e-9,
                "the truncated-exponential boundary value needs the "
                "(-1)^m m! factor restored from the starred normalization")
     for n in range(1, 6):
@@ -542,14 +592,15 @@ def _rows_lognm() -> Iterator[tuple]:
         for n in range(1, w // 2 + 1):
             yield (f"lognm.s-sigma-network.n{n}m{w - n}",
                    f"s({n},{w - n}) reflection relation residual",
-                   s_sigma_relation_residual(n, w - n), 0, 0.0)
+                   _s_sigma_residual(n, w - n), 0, 0.0)
     yield from _sigma_weight6_rows()
     for r in (2, 4, 6, 8):
         yield (f"lognm.sigma-even-route.n{r - 1}p2",
                f"sigma~({r - 1},2) table value vs the even-order S- route",
                sigma_tilde(r - 1, 2),
-               s_minus_even_closed(r) + (2 ** r - 1) * zeta_closed(r + 1) / 2 ** r, 0.0)
-    for (n, p), cf in sorted(registry().closed.items()):
+               _s_minus_decomposed(r, jordan_even) + (2 ** r - 1) * zeta_closed(r + 1) / 2 ** r,
+               0.0)
+    for (n, p), cf in sorted(registry().items()):
         note = ""
         if (n, p) == (1, 5):
             note = ("ln^3(2) zeta(3) coefficient 7/48: quadrature pins it to 14 "
@@ -575,11 +626,11 @@ def _sigma_weight6_rows() -> Iterator[tuple]:
     against the alternating series of sigma~ (the registry entries check the
     same closed forms against quadrature).
     """
-    unknowns, rank, free = sigma_weight6_count()
+    unknowns, rank, free = _sigma_weight6_count()
     yield ("lognm.sigma-weight6-rank", "weight-6 sigma~ relation system: rank and free atoms",
            (rank, free) == (3, 2), True, 0.0,
            f"{unknowns} unknowns, rank {rank}, {free} free atoms")
-    for i, (coeffs, rhs) in enumerate(registry().relations, start=1):
+    for i, (coeffs, rhs) in enumerate(_sigma_weight6_relations(), start=1):
         lhs = math.fsum(float(c) * atom_value(sigma_atom(n, p))
                         for (n, p), c in sorted(coeffs.items()))
         yield (f"lognm.sigma-weight6-relation.{i}",
@@ -589,6 +640,80 @@ def _sigma_weight6_rows() -> Iterator[tuple]:
         yield (f"lognm.sigma-weight6-closed.n{key[0]}p{key[1]}",
                f"sigma~({key[0]},{key[1]}) closed form vs alternating series",
                _sigma_series(*key), sigma_tilde(*key), 1e-9)
+
+
+def _relation_row(n: int, m: int) -> list[int]:
+    """Coefficients of sigma~_{k, n+m-k}, k = 1..n+m-1, in the reflection
+    relation for s_{n,m}:
+
+    (-1)^{n+m} s_{n,m} = sum_{k=1}^{n} (-1)^k C(n+m-1-k, m-1) sigma~_{k,n+m-k}
+                       + sum_{k=1}^{m} (-1)^k C(n+m-1-k, n-1) sigma~_{k,n+m-k}.
+    """
+    w = n + m
+    row = [0] * (w - 1)
+    for k in range(1, n + 1):
+        row[k - 1] += (-1) ** k * math.comb(w - 1 - k, m - 1)
+    for k in range(1, m + 1):
+        row[k - 1] += (-1) ** k * math.comb(w - 1 - k, n - 1)
+    return row
+
+
+def _s_sigma_residual(n: int, m: int) -> ClosedForm:
+    """The left side of the reflection relation of _relation_row minus its
+    right side: zero whenever every sigma~ it needs has a registered closed
+    form (all weights <= 5); at weight 6 an atomic combination that is zero
+    in value."""
+    w = n + m
+    return ClosedForm.combination(
+        [((-1) ** w, kolbig_snp(n, m), None)]
+        + [(-c, sigma_tilde(k, w - k), None) for k, c in enumerate(_relation_row(n, m), start=1)])
+
+
+def _rank(rows: list[list[int]]) -> int:
+    mat = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _sigma_weight6_count() -> tuple[int, int, int]:
+    """(unknowns, relation rank, free atoms) for the weight-6 sigma~ block:
+    one relation row per unordered pair {n, 6 - n}."""
+    rows = [_relation_row(n, 6 - n) for n in range(1, 4)]
+    rank = _rank(rows)
+    unknowns = len(rows[0])
+    return unknowns, rank, unknowns - rank
+
+
+def _sigma_weight6_relations() -> list[tuple[dict[tuple[int, int], int], ClosedForm]]:
+    """The two weight-6 relations among the open sigma~_{2,4}, sigma~_{3,3}
+    and sigma~_{4,2}: the coefficient of each (n, p), and the closed value."""
+    z3 = zeta_closed(3)
+    pi2, pi6 = ClosedForm.atom(PI, 2), ClosedForm.atom(PI, 6)
+    ln2 = [ClosedForm.atom(LN2, e) for e in range(7)]
+    li4, li5, li6 = (ClosedForm.atom(li_half_atom(k)) for k in (4, 5, 6))
+    rhs1 = ClosedForm.combination([(Fraction(-53, 15120), pi6, None),
+                                   (Fraction(-1, 24), pi2, ln2[4]),
+                                   (Fraction(1, 18), ln2[6], None),
+                                   (Fraction(7, 12), ln2[3], z3),
+                                   (Fraction(-1, 2), z3, z3),
+                                   (2, ln2[2], li4),
+                                   (4, ln2[1], li5),
+                                   (4, li6, None)])
+    rhs2 = ClosedForm.combination([(Fraction(1, 1512), pi6, None), (Fraction(-1, 2), z3, z3)])
+    return [({(2, 4): 2, (4, 2): -1}, rhs1), ({(3, 3): 2, (4, 2): -3}, rhs2)]
 
 
 def _sigma_series(n: int, p: int) -> float:

@@ -18,16 +18,15 @@ from polylog.closedform import (ClosedForm, LN2, PI, li_half_atom,
                                 zeta_closed, zeta_odd_atom)
 from polylog.eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from polylog.ipq import Family, ipq_final, ipq_numeric, r_value
-from polylog.ipq import _final_nielsen_form
 from polylog.lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual,
-                           lognm_numeric, s_sigma_relation_residual,
-                           sigma_weight6_count)
+                           lognm_numeric)
 from polylog.quadrature import integrate01, log1m
 from polylog.seriesring import beta_derivative_inm, kolbig_snp
-from polylog.sigma import cf_num, registry, sigma_tilde
+from polylog.sigma import cf_num, sigma_tilde
 from polylog.special import nielsen_num, polylog
 from polylog.approx import s_minus_truncated
-from polylog.verify import expected_inm_table, run_suite
+from polylog.verify import (_nielsen_display, _s_sigma_residual, _sigma_weight6_count,
+                            _sigma_weight6_relations, expected_inm_table, run_suite)
 
 from conftest import pointwise
 
@@ -195,10 +194,10 @@ def test_criterion_7_difference_equation_residuals():
 def test_criterion_8_s_sigma_network():
     for w in range(2, 6):
         for n in range(1, w):
-            assert s_sigma_relation_residual(n, w - n).is_zero, (n, w - n)
-    unknowns, rank, free = sigma_weight6_count()
+            assert _s_sigma_residual(n, w - n).is_zero, (n, w - n)
+    unknowns, rank, free = _sigma_weight6_count()
     assert (rank, free) == (3, 2)
-    for coeffs, rhs in registry().relations:
+    for coeffs, rhs in _sigma_weight6_relations():
         lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0)
                         for (n, p), c in sorted(coeffs.items()))
         assert abs(lhs - cf_num(rhs)) <= 1e-9
@@ -259,7 +258,7 @@ def test_criterion_10_cross_route_coherence():
         for p in range(1, 5):
             for q in range(1, 5):
                 assert ipq_final(family, p, q) == \
-                    _final_nielsen_form(family, p, q), (family, p, q)
+                    _nielsen_display(family, p, q), (family, p, q)
     print("\nACCEPTANCE 10: PASS  generating-function, Beta-derivative, "
           "quadrature, and both final-display routes coincide")
 

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polylog.approx import (MAX_KT, _alt_zeta_closed, _stirling_row,
-                            polylog_derivative_at_minus1, s_minus_truncated,
-                            stirling1)
+from polylog.approx import (MAX_KT, _alt_zeta_closed, _derivative_cf, _stirling_row,
+                            s_minus_truncated, stirling1)
 from polylog.closedform import (ClosedForm, LN2, PI, UNIT, eta_factor_closed, monomial,
                                 zeta_closed, zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
@@ -98,11 +97,11 @@ def test_truncation_depth_cap():
 
 
 def test_derivative_closed_forms():
-    assert polylog_derivative_at_minus1(5, 1) == Fraction(-7, 8) * zeta_closed(4)
+    assert _derivative_cf(5, 1) == Fraction(-7, 8) * zeta_closed(4)
     expected_52 = (Fraction(7, 8) * zeta_closed(4)
                    + Fraction(-3, 4) * zeta_closed(3))
-    assert polylog_derivative_at_minus1(5, 2) == expected_52
-    assert polylog_derivative_at_minus1(3, 1) == Fraction(-1, 2) * zeta_closed(2)
+    assert _derivative_cf(5, 2) == expected_52
+    assert _derivative_cf(3, 1) == Fraction(-1, 2) * zeta_closed(2)
 
 
 def test_derivative_against_finite_differences():
@@ -110,26 +109,17 @@ def test_derivative_against_finite_differences():
     h = 1e-4
     for (p, k) in ((5, 1), (4, 1)):
         fd = (3 * f(p, 1.0) - 4 * f(p, 1.0 - h) + f(p, 1.0 - 2 * h)) / (2 * h)
-        assert abs(cf_num(polylog_derivative_at_minus1(p, k)) - fd) <= 1e-6
+        assert abs(cf_num(_derivative_cf(p, k)) - fd) <= 1e-6
     h = 2e-3
     fd = (2 * f(5, 1.0) - 5 * f(5, 1.0 - h) + 4 * f(5, 1.0 - 2 * h)
           - f(5, 1.0 - 3 * h)) / h ** 2
-    assert abs(cf_num(polylog_derivative_at_minus1(5, 2)) - fd) <= 1e-6
-
-
-def test_derivative_domain():
-    with pytest.raises(DomainError):
-        polylog_derivative_at_minus1(1, 1)
-    with pytest.raises(DomainError):
-        polylog_derivative_at_minus1(3, 3)  # beyond the stated regime
+    assert abs(cf_num(_derivative_cf(5, 2)) - fd) <= 1e-6
 
 
 def test_non_integral_orders_are_domain_errors():
     # stirling1(3.5, 1) used to recurse past k = 1 into a RecursionError, and
-    # the other two to fail with a TypeError deep inside
+    # the others to fail with a TypeError deep inside
     calls = (lambda: stirling1(3.5, 1), lambda: stirling1(3, 1.5),
-             lambda: polylog_derivative_at_minus1(5.5, 1),
-             lambda: polylog_derivative_at_minus1(5, 0.5),
              lambda: s_minus_truncated(5.5, 2), lambda: s_minus_truncated(5, 2.5))
     for call in calls:
         with pytest.raises(DomainError, match="is not an integer"):
@@ -140,7 +130,7 @@ def test_zeta_orders_past_the_weight_ceiling_fail_fast():
     # uncapped, an even order runs the Bernoulli recurrence over growing
     # Fractions: zeta_closed(800) took seconds and 10^4 would take hours
     for build, args in ((zeta_closed, (800,)), (eta_factor_closed, (MAX_WEIGHT + 1,)),
-                        (polylog_derivative_at_minus1, (10 ** 4 + 1, 1))):
+                        (_derivative_cf, (10 ** 4 + 1, 1))):
         t0 = time.perf_counter()
         with pytest.raises(CapacityError, match=f"above cap {MAX_WEIGHT} "):
             build(*args)

@@ -7,9 +7,10 @@ from polylog import digamma, eulersums, summation
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram,
-                               s_minus, s_minus_even_closed, s_plus, sum_oracle)
+                               s_minus, s_plus, sum_oracle)
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import cf_num, sigma_tilde
+from polylog.verify import _s_minus_decomposed
 
 from conftest import li_half_brute, sigma_atoms, zeta_brute
 
@@ -87,10 +88,13 @@ def test_sminus_values():
 
 
 def test_sminus_even_closed_route():
+    # the Jordan decomposition through the even-order Jordan forms
     for r in (2, 4, 6, 8):
-        cf = s_minus_even_closed(r)
+        cf = _s_minus_decomposed(r, jordan_even)
         assert not sigma_atoms(cf)
         assert cf == s_minus(r)
+    for r in range(2, 9):
+        assert _s_minus_decomposed(r, jordan_nielsen) == s_minus(r), r
 
 
 def test_closed_vs_oracles():
@@ -179,7 +183,7 @@ def test_sums_equal_the_operator_folds_to_the_ceiling():
         if r % 2 == 0:
             j1, j2 = (_jordan_even_reference(which, r) for which in ("J1", "J2"))
             assert (jordan_even("J1", r), jordan_even("J2", r)) == (j1, j2), r
-            assert s_minus_even_closed(r) == (
+            assert _s_minus_decomposed(r, jordan_even) == (
                 j2 - j1 + Fraction(1, 2 ** (r + 1)) * _s_plus_reference(r) - _milgram_reference(r)
                 - (1 - Fraction(1, 2 ** (r + 1))) * zeta_closed(r + 1)), r
 

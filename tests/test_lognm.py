@@ -7,15 +7,13 @@ import pytest
 
 from polylog.closedform import ClosedForm, LN2, PI, zeta_closed
 from polylog.errors import CapacityError, DomainError
-from polylog.lognm import (TABLE_WEIGHT, _relation_row, h_boundary_closed,
-                           h_closed, h_pde_residual, h_star, i_closed,
-                           i_pde_residual, i_star, lognm_numeric,
-                           s_sigma_relation_residual, sigma_weight6_count,
-                           truncated_exp_ln2)
+from polylog.lognm import (TABLE_WEIGHT, h_closed, h_pde_residual, h_star, i_closed,
+                           i_pde_residual, i_star, lognm_numeric, truncated_exp_ln2)
 from polylog.quadrature import ORACLE_TOL, integrate01, log1m
 from polylog.seriesring import MAX_WEIGHT, beta_derivative_inm, kolbig_snp
 from polylog.sigma import cf_num, sigma_tilde
-from polylog.verify import expected_inm_table, run_suite
+from polylog.verify import (_relation_row, _s_sigma_residual, _sigma_weight6_count,
+                            expected_inm_table, run_suite)
 
 from conftest import pointwise, sigma_atoms
 
@@ -126,11 +124,13 @@ def test_h_pde_residuals_vanish():
 
 
 def test_h_boundary_condition():
-    # h(0,1) = 2 ln 2 - 1 fixes the (-1)^m m! normalization
-    assert h_boundary_closed(1) == ClosedForm.atom(LN2, 1, 2) - 1
+    # h(0,1) = 2 ln 2 - 1 fixes the (-1)^m m! normalization of h*(0,m)
+    def h_boundary(m):
+        return (-1) ** m * math.factorial(m) * h_star(0, m)
+    assert h_boundary(1) == ClosedForm.atom(LN2, 1, 2) - 1
     for m in range(1, 5):
         quad = lognm_numeric("HNM", 0, m)
-        assert abs(cf_num(h_boundary_closed(m)) - quad) <= 1e-10, m
+        assert abs(cf_num(h_boundary(m)) - quad) <= 1e-10, m
 
 
 def test_truncated_exponential():
@@ -194,7 +194,7 @@ def test_lattice_sums_equal_the_operator_folds_to_the_table_weight():
                 rhs = ClosedForm.zero()
                 for k, c in enumerate(_relation_row(n, m), start=1):
                     rhs = rhs + c * sigma_tilde(k, w - k)
-                assert s_sigma_relation_residual(n, m) == (
+                assert _s_sigma_residual(n, m) == (
                     Fraction((-1) ** w) * kolbig_snp(n, m) - rhs), (n, m)
 
 
@@ -291,18 +291,18 @@ def test_lognm_numeric_equals_direct_integrand_bit_for_bit():
 def test_relation_residuals_vanish_through_weight5():
     for w in range(2, 6):
         for n in range(1, w):
-            assert s_sigma_relation_residual(n, w - n).is_zero, (n, w - n)
+            assert _s_sigma_residual(n, w - n).is_zero, (n, w - n)
 
 
 def test_relation_residuals_weight6_are_atomic_but_numerically_zero():
     for (n, m) in ((1, 5), (2, 4), (3, 3)):
-        res = s_sigma_relation_residual(n, m)
+        res = _s_sigma_residual(n, m)
         assert sigma_atoms(res)
         assert abs(cf_num(res)) <= 1e-9
 
 
 def test_weight6_rank_and_free_atoms():
-    unknowns, rank, free = sigma_weight6_count()
+    unknowns, rank, free = _sigma_weight6_count()
     assert (unknowns, rank, free) == (5, 3, 2)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from operator import mul
 
 import pytest
@@ -13,7 +14,7 @@ from polylog.lognm import lognm_numeric
 from polylog.quadrature import QuadratureResult, integrate01, log1m, log_power, nodes
 from polylog.special import li_column, mpl2, nielsen_num
 
-from conftest import assert_frozen_value, pointwise, zeta_brute
+from conftest import assert_frozen_value, clear_package_caches, pointwise, zeta_brute
 
 # Expected values below come from elementary series or antiderivatives
 # computed inline, never through the quadrature under test.
@@ -276,6 +277,20 @@ def test_columns_integrand_equals_the_pointwise_one_bit_for_bit():
     smooth = integrate01(lambda level: map(mul, log_power("x", 1, level), nodes(level)[1]), 1e-12)
     assert smooth == integrate01(pointwise(lambda x, omx: log1m(omx, x) * omx), 1e-12)
     assert abs(smooth.value + 0.75) < 1e-13
+
+
+@pytest.mark.parametrize("level", [-1, 2.5, 12, 19, math.nan, math.inf])
+def test_nodes_refuse_a_level_outside_the_grid_fast(level):
+    # nodes(-1) used to return 3 nodes, nodes(2.5) 34, and nodes(19) took 7 s
+    # (8x per level); the columns built on nodes inherit the check
+    clear_package_caches()
+    for call in (lambda: nodes(level), lambda: log_power("x", 2, level),
+                 lambda: li_column(2, -1, level)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="is not an integer in 0..11"):
+            call()
+        assert time.perf_counter() - start < 0.1
+    assert len(nodes(2)[0]) == 24 and nodes(2.0) == nodes(2)
 
 
 def test_node_columns_are_thread_safe():

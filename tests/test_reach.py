@@ -94,8 +94,6 @@ _ALLOWED = [
      "B_0 and B_1 of the Bernoulli table, which the tests pin; routes read even indices"),
     ("errors", "ConvergenceError.__init__", "super().__init__(message)", _FAILURE),
     ("errors", "ConvergenceError.__init__", "self.partial = partial", _FAILURE),
-    ("ipq", "recurrence_shift", "return base",
-     "a zero shift returns its input itself, which the tests pin; verify shifts by n >= 1"),
     ("quadrature", "log_power", "except OverflowError as exc:", _FAILURE),
     ("quadrature", "integrate01", "stalls += 1", _FAILURE),
     ("quadrature", "integrate01", "if stalls >= 2:", _FAILURE),

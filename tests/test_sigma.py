@@ -14,6 +14,7 @@ from polylog.errors import DomainError
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import PROVENANCE, atom_value, cf_num, registry, sigma_tilde
 from polylog.special import nielsen_num
+from polylog.verify import _sigma_weight6_relations
 
 from conftest import li_half_brute, sigma_atoms, zeta_brute
 
@@ -34,7 +35,7 @@ def test_li_column_is_closed_past_the_registry(capsys):
     # the registry lists sigma~_{n,1} to n = 7; sigma_tilde applies the rule at every n
     for n in range(1, MAX_WEIGHT):
         assert sigma_tilde(n, 1) == eta_factor_closed(n + 1), n
-    assert all(sigma_tilde(n, 1) is registry().closed[(n, 1)] for n in range(1, 8))
+    assert all(sigma_tilde(n, 1) is registry()[(n, 1)] for n in range(1, 8))
     for n, value in _LI_AT_MINUS_ONE.items():
         assert main(["eval", "sigma-np", "--n", str(n), "--p", "1"]) == 0
         decimal = json.loads(capsys.readouterr().out)["decimal"]
@@ -52,10 +53,9 @@ def test_table_values_match_quadrature():
 def test_decimals_keep_the_bits_of_float_coefficients():
     # evaluate divides integer numerators by one denominator; that is correctly
     # rounded, as float(Fraction) is, so every decimal keeps its bits
-    reg = registry()
     forms = [kolbig_snp(n, p) for n in range(1, MAX_WEIGHT)
              for p in range(1, MAX_WEIGHT + 1 - n)]
-    forms += list(reg.closed.values()) + [rhs for _, rhs in reg.relations]
+    forms += list(registry().values()) + [rhs for _, rhs in _sigma_weight6_relations()]
     for cf in forms:
         parts = []
         for mono, c in cf.terms.items():
@@ -83,23 +83,25 @@ def test_open_entries_stay_atomic():
 def test_derived_odd_first_index_entries():
     # the even-order alternating-sum route extends the closed family
     for key in ((5, 2), (7, 2)):
-        assert key in registry().closed
+        assert key in registry()
         cf = sigma_tilde(*key)
         assert not sigma_atoms(cf)
         assert abs(cf_num(cf) - nielsen_num(*key, -1.0)) <= 1e-10
 
 
-def test_weight6_relations_in_registry():
-    reg = registry()
-    assert len(reg.relations) == 2
-    for coeffs, rhs in reg.relations:
+def test_weight6_relations():
+    # the two relations among the open weight-6 entries, which verify checks
+    relations = _sigma_weight6_relations()
+    assert relations == _registry_reference()[1]
+    for coeffs, rhs in relations:
         lhs = math.fsum(float(c) * nielsen_num(n, p, -1.0)
                         for (n, p), c in coeffs.items())
         assert abs(lhs - cf_num(rhs)) <= 1e-10
 
 
 def _registry_reference():
-    """The registry's displays folded one operator at a time."""
+    """The registry's displays and the weight-6 relations, folded one
+    operator at a time."""
     z3, z5, z7, z9 = (zeta_closed(n) for n in (3, 5, 7, 9))
     li4, li5, li6 = (ClosedForm.atom(li_half_atom(k)) for k in (4, 5, 6))
     pi2, pi4, pi6 = (ClosedForm.atom(PI, e) for e in (2, 4, 6))
@@ -133,12 +135,11 @@ def _registry_reference():
 
 
 def test_registry_equals_the_operator_folds():
-    closed, relations = _registry_reference()
+    closed = _registry_reference()[0]
     reg = registry()
-    assert reg.closed.keys() == closed.keys()
+    assert reg.keys() == closed.keys()
     for key, cf in closed.items():
-        assert reg.closed[key] == cf, key
-    assert reg.relations == relations
+        assert reg[key] == cf, key
 
 
 def test_sigma_tilde_domain():
@@ -180,7 +181,7 @@ def test_context_unknown_atom():
 def test_atom_values_are_thread_safe():
     # atom_value is shared by the whole process: concurrent first lookups
     # must agree with a single-threaded run
-    forms = list(registry().closed.values())
+    forms = list(registry().values())
     free = [sigma_atom(2, 4), sigma_atom(3, 3), sigma_atom(4, 2)]
 
     def values():

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polylog import special, summation
-from polylog.approx import polylog_derivative_at_minus1, s_minus_truncated, stirling1
+from polylog.approx import s_minus_truncated, stirling1
 from polylog.closedform import (Atom, ClosedForm, eta_factor_closed, li_half_atom, sigma_atom,
                                 zeta_closed, zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus, s_plus,
                                sum_oracle)
-from polylog.ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value, recurrence_shift
-from polylog.lognm import (h_closed, h_pde_residual, i_closed, i_pde_residual, lognm_numeric,
-                           s_sigma_relation_residual)
+from polylog.ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value
+from polylog.lognm import h_closed, h_pde_residual, i_closed, i_pde_residual, lognm_numeric
 from polylog.quadrature import ORACLE_TOL, integrate01, log1m, nodes
 from polylog.seriesring import (BivariateSeries, beta_derivative_inm, gamma_ratio_series,
                                 kolbig_snp)
@@ -350,6 +349,43 @@ def test_outer_tail_is_taken_at_positive_integers_only():
             outer_tail(2, 1.0, y)
 
 
+@pytest.mark.parametrize("args, error", [
+    ((3, 0.5, 2), DomainError),      # was 0.125, the first term of a series of 0.14885
+    ((3, math.nan, 2), DomainError),  # was a ValueError
+    ((1, 1.0, 2), DomainError),       # the harmonic tail diverges; was a ZeroDivisionError
+    ((3000, 1.0, 1), CapacityError),  # took 2.9 s
+    ((10000, 1.0, 1), CapacityError),  # ran past 20 s
+], ids=["half", "nan", "divergent", "m3000", "m10000"])
+def test_outer_tail_applies_the_mpl2_outer_rules_fast(args, error):
+    clear_package_caches()
+    start = time.perf_counter()
+    with pytest.raises(error):
+        outer_tail(*args)
+    assert time.perf_counter() - start < 0.1
+
+
+# in-domain values of outer_tail and mpl2, bit for bit as before the two
+# shared one check of their outer arguments
+_OUTER_TAIL_BITS = {
+    (3, 1.0, 2): "0x1.9dd002780310ap-3", (2, 1.0, 1): "0x1.a51a6625307d3p+0",
+    (1, -1.0, 5): "0x1.c1cc2a27c7a24p-4", (12, -1.0, 200): "0x1.3ec41b5152f9fp-93",
+    (1074, 1.0, 1): "0x1.0000000000000p+0", (1074, -1.0, 3): "0x0.0p+0",
+    (120, 1.0, 40): "0x1.5c9c17aec850cp-639",
+}
+_MPL2_BITS = {
+    (2, 1, 1.0, 1.0): "0x1.33ba004f00621p+0", (1, 1, -1.0, -1.0): "-0x1.2a1b6e2725670p-1",
+    (3, 2, -1.0, 1.0): "0x1.7be5d11fc8718p-4", (5, 3, 1.0, -1.0): "-0x1.291c5c3550bfcp-5",
+    (1074, 1, 1.0, -1.0): "-0x0.0000000000001p-1022",
+}
+
+
+def test_outer_tail_and_mpl2_keep_their_bits():
+    for args, bits in _OUTER_TAIL_BITS.items():
+        assert outer_tail(*args).hex() == bits, args
+    for args, bits in _MPL2_BITS.items():
+        assert mpl2(*args).hex() == bits, args
+
+
 def test_mpl2_expansion_matches_the_term_callable():
     # mpl2's term at x_inner = x_outer is F(k + 1) wherever T's series holds,
     # k + 1 at or above the first anchor, at the cutoffs sum_tail starts from
@@ -496,7 +532,6 @@ _SUM_TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
 # int arguments are its orders (gamma_ratio_series takes them as a pair)
 _ORDER_TAKING = {
     "stirling1": (stirling1, (3, 1)),
-    "polylog_derivative_at_minus1": (polylog_derivative_at_minus1, (5, 2)),
     "s_minus_truncated": (s_minus_truncated, (5, 3)),
     "zeta_closed": (zeta_closed, (3,)), "eta_factor_closed": (eta_factor_closed, (3,)),
     "s_plus": (s_plus, (3,)), "s_minus": (s_minus, (3,)), "c_sum": (c_sum, (3,)),
@@ -506,11 +541,9 @@ _ORDER_TAKING = {
     "ipq_numeric": (ipq_numeric, (Family.MINUS, 2, 3)),
     "ipq_series": (ipq_series, (Family.PLUS, 2, 3)),
     "r_value": (r_value, (Family.MIXED, 2, 3)),
-    "recurrence_shift": (recurrence_shift, (Family.PLUS, 2, 3, 1, ClosedForm.one())),
     "i_closed": (i_closed, (2, 3)), "h_closed": (h_closed, (2, 3)),
     "i_pde_residual": (i_pde_residual, (2, 3)), "h_pde_residual": (h_pde_residual, (2, 3)),
     "lognm_numeric": (lognm_numeric, ("HNM", 2, 3)),
-    "s_sigma_relation_residual": (s_sigma_relation_residual, (2, 3)),
     "beta_derivative_inm": (beta_derivative_inm, (2, 3)),
     "gamma_ratio_series": (lambda na, nb: gamma_ratio_series((na, nb)), (2, 3)),
     "kolbig_snp": (kolbig_snp, (2, 3)), "sigma_tilde": (sigma_tilde, (2, 3)),

@@ -111,10 +111,11 @@ _SHARED_PRIVATE_NAMES = {
         "the one weight ceiling, applied by every exact builder and cli's ipq table"),
     "quadrature._check_tolerance": (
         {"summation"}, "one tolerance check for both oracle drivers"),
-    "ipq._final_nielsen_form": (
-        {"verify"}, "the second route to ipq_final, which verify checks it against"),
-    "ipq._reduction_route": (
-        {"verify"}, "the diagonal-reduction route, which verify checks ipq_final against"),
+    "ipq._mu_sum": (
+        {"verify"}, "ipq_final's memoized mu block, which verify's Nielsen display shares"),
+    "approx._derivative_cf": (
+        {"verify"}, "the derivative block s_minus_truncated folds, which verify checks "
+        "against finite differences"),
 }
 
 
@@ -128,6 +129,55 @@ def test_private_names_cross_modules_only_as_listed():
                     if alias.name.startswith("_"):
                         found[f"{node.module}.{alias.name}"].add(path.stem)
     assert found == {name: importers for name, (importers, _) in _SHARED_PRIVATE_NAMES.items()}
+
+
+# The functions verify imports from the exact side that no other module
+# calls: each stays where it is because perfbench reads it by name, until the
+# benchmark names its spans by an explicit list (ROADMAP item 6)
+_READ_BY_PERFBENCH = {
+    "eulersums.jordan_even": "perfbench/layers.py names its span",
+    "ipq.ipq_series": "perfbench/layers.py names its span",
+    "lognm.lognm_numeric": "perfbench/layers.py names its span",
+    "seriesring.beta_derivative_inm": "perfbench/layers.py names its span",
+    "lognm.i_pde_residual": "perfbench's exact catalogue calls it by name",
+    "lognm.h_pde_residual": "perfbench's exact catalogue calls it by name",
+}
+_EXACT_MODULES = {"approx", "closedform", "eulersums", "ipq", "lognm", "seriesring", "sigma"}
+
+
+def test_verify_imports_only_functions_that_production_calls():
+    # a route that only a check reads is written in verify, next to its rows:
+    # every function verify imports from an exact module is also called, or
+    # handed to a call, by a module other than verify and __init__ (its own
+    # module counts, outside the function's own body)
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(polylog.__file__).parent.glob("*.py")}
+
+    def imports(importer: str, module: str, name: str) -> bool:
+        return importer == module or any(
+            isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            and any(alias.name == name for alias in node.names)
+            for node in ast.walk(trees[importer]))
+
+    def calls(importer: str, module: str, name: str) -> bool:
+        return imports(importer, module, name) and any(
+            isinstance(node, ast.Name) and node.id == name
+            for top in trees[importer].body
+            if not (importer == module and getattr(top, "name", None) == name)
+            for node in ast.walk(top))
+
+    only_verify = set()
+    for node in ast.walk(trees["verify"]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in _EXACT_MODULES:
+            functions = {top.name for top in trees[node.module].body
+                         if isinstance(top, ast.FunctionDef)}
+            only_verify.update(
+                f"{node.module}.{alias.name}" for alias in node.names
+                if alias.name in functions and not any(
+                    calls(importer, node.module, alias.name)
+                    for importer in trees if importer not in ("verify", "__init__")))
+    assert sorted(only_verify - _READ_BY_PERFBENCH.keys()) == []
+    assert only_verify == _READ_BY_PERFBENCH.keys()
 
 
 def _run(capsys, *argv):
@@ -604,7 +654,7 @@ def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
         return combination(cls, *args)
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     run_suite("all")
-    assert len(combinations) == 289
+    assert len(combinations) == 296
     assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 818 in all
 
 
@@ -619,7 +669,7 @@ _COLD_QUERIES = (
 )
 _COLD_QUERY_CACHE_MISSES = {
     "approx._derivative_cf": 18, "approx._stirling_row": 18,
-    "closedform._monomial_product": 100, "closedform.bernoulli_fraction": 55,
+    "closedform._monomial_product": 96, "closedform.bernoulli_fraction": 55,
     "closedform.eta_factor_closed": 42, "closedform.zeta_closed": 59,
     "digamma.bernoulli_quotients": 1, "digamma.euler_gamma": 1, "digamma.psi_point": 34,
     "eulersums.jordan_nielsen": 1, "eulersums.milgram": 1, "eulersums.s_minus": 2,
@@ -659,9 +709,9 @@ def test_cold_query_work_counts(monkeypatch, capsys):
         misses.update(package_cache_misses())
     capsys.readouterr()
     assert codes == [0] * 10 + [3, 3]
-    assert len(combinations) == 115
+    assert len(combinations) == 105
     assert (len(evaluations), sum(evaluations)) == (4, 584)
-    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 567 in all
+    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 563 in all
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
