@@ -546,8 +546,10 @@ def zeta_nonpositive_rational(n: int) -> Fraction:
 
 @cache
 def eta_factor_closed(n: int) -> ClosedForm:
-    """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized."""
+    """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized.
+    The weight n is checked before 2^(n-1) is built."""
     n = _check_order(n, 1)
     if n == 1:
         return ClosedForm.atom(LN2, 1, -1)
+    _check_weight(n)
     return Fraction(1 - 2 ** (n - 1), 2 ** (n - 1)) * zeta_closed(n)

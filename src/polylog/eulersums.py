@@ -33,7 +33,7 @@ from .errors import DomainError
 from .quadrature import ORACLE_TOL
 from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
-from .summation import Expansion, sum_alternating, sum_tail
+from .summation import FLOAT_ORDER, Expansion, sum_alternating, sum_tail
 
 # (scale, shift, step, offset) of each monotone series
 # sum_{k>=1} scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r;
@@ -151,10 +151,11 @@ def sum_oracle(tag: str, r: int) -> float:
     """The sum named by tag (SPlus, SMinus, Jordan1, Jordan2, Milgram or
     CSum) at order r >= 2, by accelerated summation of its defining series
     (S- alternating at ORACLE_TOL, the others by sum_tail), memoized per
-    (tag, r): the verify suites ask for the same sums many times."""
+    (tag, r): the verify suites ask for the same sums many times.  An order
+    past FLOAT_ORDER is read as FLOAT_ORDER: every term past k = 1 underflows."""
     if tag != "SMinus" and tag not in _MONOTONE:
         raise DomainError(f"unknown sum tag {tag!r}")
-    r = _check_order(r, 2)
+    r = min(_check_order(r, 2), FLOAT_ORDER)
     e = -float(r)
     if tag == "SMinus":
         g = euler_gamma()

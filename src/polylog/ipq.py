@@ -24,7 +24,7 @@ from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, Grid, integrate01, nodes
 from .special import li_column
-from .summation import zeta_num
+from .summation import FLOAT_ORDER, zeta_num
 
 
 class Family(Enum):
@@ -78,8 +78,9 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> float:
     """I(p,q) by tanh-sinh quadrature at ORACLE_TOL, memoized per (family,
     p, q); the Li values at the nodes are shared with every other integral
-    through li_column.  Only perfbench's evaluation count passes its own tol."""
-    p, q = _check_order(p, 1), _check_order(q, 1)
+    through li_column.  Only perfbench's evaluation count passes its own tol.
+    An order past FLOAT_ORDER is read as FLOAT_ORDER, as polylog reads it."""
+    p, q = min(_check_order(p, 1), FLOAT_ORDER), min(_check_order(q, 1), FLOAT_ORDER)
     sp = -1 if family is Family.MINUS else 1
     sq = 1 if family is Family.PLUS else -1
 
@@ -145,9 +146,11 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
 
 def ipq_series(family: Family, p: int, q: int) -> float:
     """I(p,q) from the series displays, with every psi-sum taken from
-    sum_oracle (never through the closed forms)."""
+    sum_oracle (never through the closed forms).  It evaluates ipq_final's
+    display in floats, so its weight p+q+1 is held to MAX_WEIGHT as there."""
     p, q = _check_order(p, 1), _check_order(q, 1)
     r = p + q
+    _check_weight(r + 1)
     mu_sum = 0.0
     for mu in range(2, p + 1):
         if family is Family.PLUS:

@@ -51,7 +51,8 @@ from .closedform import _check_order, zeta_nonpositive_rational
 from .digamma import bernoulli_quotients
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
-from .summation import TAIL_CUTOFF, Expansion, eta_num, sum_alternating, sum_tail, zeta_num
+from .summation import (FLOAT_ORDER, TAIL_CUTOFF, Expansion, eta_num, sum_alternating, sum_tail,
+                         zeta_num)
 
 _EPS = 2.2e-16
 
@@ -142,8 +143,9 @@ def li_column(p: int, sign: int, grid: Grid) -> tuple[float, ...]:
 
 
 def polylog(p: int, x: float) -> float:
-    """Li_p(x) for integer p >= 1 and -1 <= x <= 1 (x < 1 when p = 1)."""
-    p = _check_order(p, 1)
+    """Li_p(x) for integer p >= 1 and -1 <= x <= 1 (x < 1 when p = 1).
+    From p = FLOAT_ORDER on every term after x underflows: Li_p(x) is x."""
+    p = min(_check_order(p, 1), FLOAT_ORDER)
     if not -1.0 <= x <= 1.0:
         raise DomainError("polylog argument must lie in [-1, 1]")
     if p == 1:
@@ -212,9 +214,13 @@ def _tail_series(m: int, x_outer: float) -> tuple[int, tuple[float, ...]]:
 
 
 def _tail_correction(coefficients: tuple[float, ...], y: float) -> float:
-    """sum_j c_j y^(1-2j), the part of y^m T(y) past a y + 1/2."""
+    """sum_j c_j y^(1-2j), the part of y^m T(y) past a y + 1/2; 0.0 once y^2
+    passes the float range, where it is below 2^-1000 of a y + 1/2."""
     c1, c2, c3, c4, c5, c6, c7, c8 = coefficients
-    z = 1.0 / (y * y)
+    try:
+        z = 1.0 / (y * y)
+    except OverflowError:
+        return 0.0
     return (((((((c8 * z + c7) * z + c6) * z + c5) * z + c4) * z + c3) * z + c2) * z + c1) / y
 
 
@@ -296,10 +302,11 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     x_inner x_outer = 1, its head a slice of T's block and its tail from
     _mpl2_expansion, else by sum_alternating.  Past m_outer = 1074 every
     term is below the smallest subnormal, and it raises CapacityError
-    (_check_outer)."""
+    (_check_outer); an m_inner past FLOAT_ORDER is read as FLOAT_ORDER."""
     if x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
-    m_outer, m_inner = _check_outer(m_outer, x_outer), _check_order(m_inner, 1)
+    m_outer = _check_outer(m_outer, x_outer)
+    m_inner = min(_check_order(m_inner, 1), FLOAT_ORDER)
     if x_inner == x_outer:
         def head(stop: int):
             return (t * k ** -m_inner

@@ -69,34 +69,41 @@ def package_cache_misses() -> dict[str, int]:
 
 
 class DeadlineExceeded(Exception):
-    """A command run by run_cli outlived its deadline."""
+    """A call run under deadline outlived it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: float, what: str):
+    """Raise DeadlineExceeded in the with-block `seconds` in, from a SIGALRM
+    timer, between bytecodes: it cannot cut short one long C-level call, such
+    as a huge integer power, so a test of that keeps its own interpreter.
+    Main thread only, as signal handlers are."""
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"{what} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli(argv: list[str], deadline_s: float) -> tuple[object, str, str, float]:
     """polylog's cli.main(argv) in this process, as a fresh interpreter would
     answer it: every package cache cleared first, stdout and stderr captured,
-    a SystemExit turned into its code.  Returns (exit code, stdout, stderr,
-    elapsed seconds).  A SIGALRM timer raises DeadlineExceeded deadline_s
-    seconds in, between bytecodes: it cannot cut short one long C-level
-    call, such as a huge integer power, so a test of that keeps its own
-    interpreter.  Main thread only, as signal handlers are."""
-    def expire(signum, frame):
-        raise DeadlineExceeded(f"polylog {' '.join(argv)} still running after {deadline_s} s")
-
+    a SystemExit turned into its code, all under deadline(deadline_s).
+    Returns (exit code, stdout, stderr, elapsed seconds)."""
     clear_package_caches()
     out, err = io.StringIO(), io.StringIO()
-    previous = signal.signal(signal.SIGALRM, expire)
     t0 = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, deadline_s)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with deadline(deadline_s, f"polylog {' '.join(argv)}"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 

@@ -19,13 +19,13 @@ from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
                                 monomial_name, sigma_atom,
                                 zeta_closed, zeta_nonpositive_rational,
                                 zeta_odd_atom)
-from polylog.errors import DomainError
+from polylog.errors import CapacityError, DomainError
 from polylog.ipq import Family, ipq_final
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import registry
 
 from conftest import (assert_frozen_value, build_exact_catalogue, clear_package_caches,
-                      package_cache_misses, zeta_brute)
+                      deadline, package_cache_misses, zeta_brute)
 
 
 # -- strategies --------------------------------------------------------------
@@ -588,6 +588,16 @@ def test_eta_factor_closed():
     assert eta_factor_closed(3) == Fraction(-3, 4) * zeta_closed(3)
     with pytest.raises(DomainError):
         eta_factor_closed(0)
+
+
+def test_eta_factor_closed_checks_the_weight_before_building_two_powers():
+    # 2^(n-1) was built before zeta_closed(n) checked the weight: n = 10**8
+    # took 0.93 s, n = 10**9 11 s and 250 MB, n = 10**12 a MemoryError
+    for n in (MAX_WEIGHT + 1, 10 ** 8):
+        clear_package_caches()
+        with deadline(0.5, f"eta_factor_closed({n})"), \
+                pytest.raises(CapacityError, match=f"weight {n} above cap {MAX_WEIGHT}"):
+            eta_factor_closed(n)
 
 
 def test_eta_factor_closed_is_memoized():

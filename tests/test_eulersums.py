@@ -345,3 +345,13 @@ def test_monotone_expansion_matches_the_term_callable():
                 f = math.fsum((u + v * math.log(y)) * y ** -p for p, u, v in expansion)
                 term = scale * (digamma.psi_point(k + shift) - origin) * y ** -float(r)
                 assert abs(f - term) <= 1e-15 * term, (tag, r, k)
+
+
+def test_sum_oracle_past_the_float_order():
+    # every term past k = 1 underflows from FLOAT_ORDER on: an order past the
+    # float range is read as one inside it, bit for bit; S+ is then H_1 = 1
+    # and S- is -H_1, each as digamma reads psi(2) - psi(1)
+    for tag in ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum"):
+        assert sum_oracle(tag, 10 ** 400).hex() == sum_oracle(tag, 2000).hex(), tag
+    assert sum_oracle("SPlus", 10 ** 400) == pytest.approx(1.0, abs=1e-15)
+    assert sum_oracle("SMinus", 10 ** 400) == pytest.approx(-1.0, abs=1e-15)

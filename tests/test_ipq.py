@@ -16,7 +16,7 @@ from polylog.special import li_neg, li_pos
 from polylog.verify import (_nielsen_display, _r_sum, _recurrence_shift, _reduction_route,
                             run_suite)
 
-from conftest import pointwise, sigma_atoms, zeta_brute
+from conftest import clear_package_caches, deadline, pointwise, sigma_atoms, zeta_brute
 
 
 def _pi_pow(e, c):
@@ -404,3 +404,30 @@ def test_ipq_numeric_grid_against_30_digit_references():
         # the I(2,2) of the three families are 1.14e-15 to 1.22e-15 off
         bound = 1.25e-15 if p == q == 2 else 1e-15
         assert abs(ipq_numeric(fam, p, q) - ref) <= bound * abs(ref), (fam, p, q)
+
+
+# -- orders past the caps and the float range --------------------------------
+
+
+@pytest.mark.parametrize("family, p, q", [
+    (Family.MINUS, 10 ** 5, 1),    # took 2.2 s
+    (Family.PLUS, 10 ** 8, 3),     # ran past a 2 s alarm
+    (Family.MIXED, 3, 10 ** 400),  # raised OverflowError
+    (Family.PLUS, 9, 9),
+], ids=["minus-1e5", "plus-1e8", "mixed-q1e400", "plus-weight19"])
+def test_ipq_series_holds_its_weight_to_the_ceiling(family, p, q):
+    # it evaluates ipq_final's display in floats, under ipq_final's cap
+    clear_package_caches()
+    with deadline(0.5, f"ipq_series{(family, p, q)}"), \
+            pytest.raises(CapacityError, match=f"weight {p + q + 1} above cap {MAX_WEIGHT}"):
+        ipq_series(family, p, q)
+
+
+def test_ipq_numeric_past_the_float_order():
+    # Li_p(t) is t from FLOAT_ORDER on: an order past the float range is read
+    # as one inside it, bit for bit; I+(p, 3) is then the integral of Li_3
+    for family in Family:
+        assert ipq_numeric(family, 10 ** 400, 3) == ipq_numeric(family, 2000, 3), family
+        assert ipq_numeric(family, 3, 10 ** 400) == ipq_numeric(family, 3, 2000), family
+    assert ipq_numeric(Family.PLUS, 10 ** 400, 3) == pytest.approx(
+        zeta_brute(3) - math.pi ** 2 / 6 + 1, abs=1e-12)

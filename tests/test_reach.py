@@ -191,6 +191,8 @@ _ALLOWED = [
      "the Li_1 shortcut: the general route is up to 3.2e-15 off -log1p(-x)"),
     ("special", "nielsen_num", "return value if (n + p) % 2 else -value",
      "a zero integral, an order past the float range: its sign without the factorials"),
+    ("special", "_tail_correction", "except OverflowError:", _FAILURE),
+    ("special", "_tail_correction", "return 0.0", _FAILURE),
 ]
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import sys
@@ -6,26 +7,31 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import polylog as package
 from polylog import special, summation
 from polylog.approx import s_minus_truncated, stirling1
 from polylog.closedform import (Atom, ClosedForm, eta_factor_closed, li_half_atom, sigma_atom,
                                 zeta_closed, zeta_odd_atom)
-from polylog.errors import CapacityError, DomainError
+from polylog.cli import _EVAL_TARGETS
+from polylog.errors import CapacityError, ConvergenceError, DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus, s_plus,
                                sum_oracle)
 from polylog.ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value
 from polylog.lognm import h_closed, h_pde_residual, i_closed, i_pde_residual, lognm_numeric
 from polylog.quadrature import ORACLE_TOL, integrate01, log1m, nodes
-from polylog.seriesring import (BivariateSeries, beta_derivative_inm, gamma_ratio_series,
-                                kolbig_snp)
+from polylog.seriesring import (MAX_WEIGHT, BivariateSeries, beta_derivative_inm,
+                                gamma_ratio_series, kolbig_snp)
 from polylog.sigma import sigma_tilde
 from polylog.special import (_li_series, li_column, li_neg, li_pos, mpl2,
                              nielsen_num, outer_tail, polylog)
-from polylog.summation import zeta_num
+from polylog.summation import FLOAT_ORDER, zeta_num
+from polylog.verify import run_suite
 
-from conftest import clear_package_caches, eta_brute, li_half_brute, pointwise, zeta_brute
+from conftest import (clear_package_caches, deadline, eta_brute, li_half_brute, pointwise,
+                      zeta_brute)
+from test_reach import _EVAL_FLAGS
 
 
 def _li_brute(p: int, x: float, terms: int = 2_000_000) -> float:
@@ -379,6 +385,32 @@ _MPL2_BITS = {
 }
 
 
+def test_outer_tail_past_the_float_range_of_y_squared():
+    # past y^2 = 2^1024 the correction sum_j c_j y^(1-2j) is below 2^-1000 of
+    # a y + 1/2, and T(y) is read without it; T(y) = 1/y + 1/(2 y^2) + ... at
+    # m = 2, and 1/(2 y^3) + ... at m = 3 and x_outer = -1
+    assert outer_tail(2, 1.0, 10 ** 300) == pytest.approx(1e-300, rel=1e-15)
+    assert outer_tail(3, -1.0, 10 ** 200) == 0.0
+    assert outer_tail(2, 1.0, 10 ** 400) == 0.0
+
+
+def test_polylog_past_the_float_order_is_x():
+    # every term past x underflows from FLOAT_ORDER on, so Li_p(x) is x, with
+    # the bits of an order inside the float range (+0.0 at x = -0.0)
+    xs = (-1.0, -0.7, -0.3, -0.0, 0.0, 1e-300, 0.3, 0.7, 1.0)
+    for p in (FLOAT_ORDER, 2000, 10 ** 8, 10 ** 400):
+        assert [polylog(p, x).hex() for x in xs] == [(x + 0.0).hex() for x in xs], p
+
+
+def test_mpl2_past_the_float_order_of_m_inner():
+    # only k1 = 1 is left from FLOAT_ORDER on: an m_inner past the float range
+    # is read as one inside it, bit for bit; at (2, 1, 1) the sum is zeta(2) - 1
+    for m_outer, x_outer, x_inner in ((2, 1.0, 1.0), (3, 1.0, -1.0), (1, -1.0, -1.0)):
+        assert (mpl2(m_outer, 10 ** 400, x_outer, x_inner).hex()
+                == mpl2(m_outer, 2000, x_outer, x_inner).hex()), (m_outer, x_outer, x_inner)
+    assert mpl2(2, 10 ** 400, 1.0, 1.0) == pytest.approx(math.pi ** 2 / 6 - 1, abs=1e-15)
+
+
 def test_outer_tail_and_mpl2_keep_their_bits():
     for args, bits in _OUTER_TAIL_BITS.items():
         assert outer_tail(*args).hex() == bits, args
@@ -528,8 +560,11 @@ def test_nan_arguments_and_bad_tolerances_raise_domain_error(call):
 
 _SUM_TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
 
-# every order-taking name of polylog.__all__ with in-domain arguments: its
-# int arguments are its orders (gamma_ratio_series takes them as a pair)
+# the one table of in-domain arguments: every function of polylog.__all__
+# that takes orders or floats, every cli eval target ("eval-<target>", its
+# flags at test_reach's in-domain values), and the order-taking names the
+# package keeps in its modules.  An int argument
+# is an order (gamma_ratio_series takes them as a pair), a float one a real
 _ORDER_TAKING = {
     "stirling1": (stirling1, (3, 1)),
     "s_minus_truncated": (s_minus_truncated, (5, 3)),
@@ -553,6 +588,9 @@ _ORDER_TAKING = {
     # and the atom factories
     "zeta_odd_atom": (zeta_odd_atom, (5,)), "li_half_atom": (li_half_atom, (4,)),
     "sigma_atom": (sigma_atom, (2, 3)),
+    "run_suite": (run_suite, ("appendix", 1.0)),
+    **{f"eval-{target}": (build, tuple(_EVAL_FLAGS[flag] for flag in flags))
+       for target, (flags, build) in _EVAL_TARGETS.items()},
 }
 
 
@@ -578,12 +616,18 @@ def _bits(value):
     return repr(value)
 
 
+# the names of _ORDER_TAKING that take an order; the eval targets call the
+# builders listed above, so the order tests leave them to the fuzz
+_WITH_ORDERS = [name for name, (_, args) in _ORDER_TAKING.items()
+                if _orders(args) and not name.startswith("eval-")]
+
 # (call, in-domain arguments, order positions, non-integral order) by id:
 # each order-taking name at 2.5, inf and nan, and the named cases, which
 # replace a generated case of the same id
 _NON_INTEGRAL = {
     **{f"{name}-{bad}": (call, args, _orders(args), bad)
-       for name, (call, args) in _ORDER_TAKING.items() for bad in (2.5, math.inf, _NAN)},
+       for name, (call, args) in _ORDER_TAKING.items() if name in _WITH_ORDERS
+       for bad in (2.5, math.inf, _NAN)},
     "zeta_closed-3.5": (zeta_closed, (3,), [0], 3.5),
     "zeta_closed-nan": (zeta_closed, (3,), [0], _NAN),
     "li_half_atom-4.5": (li_half_atom, (4,), [0], 4.5),
@@ -615,7 +659,7 @@ def test_non_integral_orders_raise_domain_error(call, args, positions, bad):
                 call(*_with(args, i, bad))
 
 
-@pytest.mark.parametrize("name", _ORDER_TAKING)
+@pytest.mark.parametrize("name", _WITH_ORDERS)
 def test_an_integral_float_order_is_accepted(name):
     # 3.0 is answered exactly as 3: cold, and warm with the int's result cached
     call, args = _ORDER_TAKING[name]
@@ -627,3 +671,54 @@ def test_an_integral_float_order_is_accepted(name):
         if warm:
             call(*args)
         assert _bits(call(*floated)) == expected, warm
+
+
+# the surface the fuzz calls: every function of polylog.__all__ with an int
+# or float parameter, and every eval target
+_FUZZED = [name for name in package.__all__
+           if callable(fn := getattr(package, name)) and not isinstance(fn, type)
+           and {p.annotation for p in inspect.signature(fn).parameters.values()}
+           & {"int", "float"}] + [f"eval-{target}" for target in _EVAL_TARGETS]
+# orders and reals inside, at the edge of and past each domain and cap; None
+# keeps the in-domain argument
+_FUZZ_ORDERS = (None, -1, 0, 1, 2, 3, 5, 8, MAX_WEIGHT - 1, MAX_WEIGHT, MAX_WEIGHT + 1,
+                FLOAT_ORDER - 1, FLOAT_ORDER, 10 ** 8, 10 ** 400, 2.5, math.inf, -math.inf, _NAN)
+_PAST_ONE = math.nextafter(1.0, 2.0)
+_FUZZ_REALS = (None, -math.inf, -_PAST_ONE, -1.0, -0.5, -0.0, 5e-324, 0.3, 0.5, 0.9, 1.0,
+               _PAST_ONE, 1e300, math.inf, _NAN)
+# the budget of one cold call; a slow path's first symptom is seconds
+_CALL_BUDGET_S = 0.5
+
+
+def _each_order_far_past_its_cap(test):
+    """The fuzz's explicit examples: each order of each fuzzed name at 10**8
+    and at 10**400, its other arguments in-domain."""
+    for name in _FUZZED:
+        for i in range(len(_orders(_ORDER_TAKING[name][1]))):
+            for far in (10 ** 8, 10 ** 400):
+                orders = [None, None]
+                orders[i] = far
+                test = example(name=name, orders=tuple(orders), reals=(None, None))(test)
+    return test
+
+
+@settings(max_examples=60)
+@_each_order_far_past_its_cap
+@given(name=st.sampled_from(_FUZZED), orders=st.tuples(*[st.sampled_from(_FUZZ_ORDERS)] * 2),
+       reals=st.tuples(*[st.sampled_from(_FUZZ_REALS)] * 2))
+def test_every_surface_call_fails_fast_or_returns(name, orders, reals):
+    # the i-th order and the i-th real of the in-domain arguments take the
+    # i-th draw, None keeping the in-domain value; the call runs cold, under
+    # the budget, and returns or raises one of the package's three errors
+    call, domain = _ORDER_TAKING[name]
+    draws = {int: iter(orders), float: iter(reals)}
+    args = []
+    for a in domain:
+        d = next(draws[type(a)], None) if type(a) in draws else None
+        args.append(a if d is None else d)
+    clear_package_caches()
+    with deadline(_CALL_BUDGET_S, f"{name}{tuple(args)!r}"):
+        try:
+            call(*args)
+        except (DomainError, CapacityError, ConvergenceError):
+            pass

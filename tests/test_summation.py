@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from polylog.closedform import ClosedForm, zeta_odd_atom
 from polylog.digamma import euler_gamma, psi
 from polylog.errors import ConvergenceError, DomainError
-from polylog.summation import TAIL_CUTOFF, _cvz, eta_num, sum_alternating, sum_tail, zeta_num
+from polylog.sigma import cf_num
+from polylog.summation import (FLOAT_ORDER, TAIL_CUTOFF, _cvz, eta_num, sum_alternating, sum_tail,
+                               zeta_num)
 
 from conftest import eta_brute, zeta_brute
 
@@ -186,3 +189,12 @@ def test_sum_alternating_evaluates_each_index_once():
     assert last > 12 and sorted(seen) == list(range(1, last + 1))
     # the same value as a fresh acceleration of the final depth's terms
     assert got == -_cvz([(-1) ** k * term(k) for k in range(1, last + 1)])
+
+
+def test_zeta_and_eta_past_the_float_order():
+    # every term past k = 1 underflows from FLOAT_ORDER on: an order past the
+    # float range is read as one inside it, bit for bit, so a zeta atom of
+    # any odd order has a value
+    for order in (FLOAT_ORDER, 2001, 10 ** 400 + 1):
+        assert (zeta_num(order), eta_num(order)) == (1.0, 1.0), order
+    assert cf_num(ClosedForm.atom(zeta_odd_atom(10 ** 400 + 1))) == 1.0

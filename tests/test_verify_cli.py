@@ -8,6 +8,7 @@ import sys
 import time
 from collections import Counter, defaultdict
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -178,6 +179,33 @@ def test_verify_imports_only_functions_that_production_calls():
                     for importer in trees if importer not in ("verify", "__init__")))
     assert sorted(only_verify - _READ_BY_PERFBENCH.keys()) == []
     assert only_verify == _READ_BY_PERFBENCH.keys()
+
+
+# The public names of the package outside __all__.  Each stays importable from
+# the package only because perfbench reads it there by name, until the
+# benchmark names what it reads by an explicit list (ROADMAP item 6): the
+# perfbench file and the text that reads it, and why.
+_PACKAGE_ONLY = {
+    "psi": ("child.py", "polylog.psi(", "job_micro times it"),
+    "i_pde_residual": ("workloads.py", '"i_pde_residual"',
+                       "the exact catalogue fetches it with getattr"),
+    "h_pde_residual": ("workloads.py", '"h_pde_residual"',
+                       "the exact catalogue fetches it with getattr"),
+}
+
+
+def test_public_surface_is_all_and_the_names_perfbench_reads():
+    # every public attribute of the package but its modules is in __all__ or
+    # listed above, so the surface cannot grow unseen; a listed name that
+    # perfbench no longer reads is stale
+    public = {name for name, obj in vars(polylog).items()
+              if not name.startswith("_") and not isinstance(obj, ModuleType)}
+    assert sorted(set(polylog.__all__)) == polylog.__all__
+    assert set(polylog.__all__) <= public
+    assert public - set(polylog.__all__) == _PACKAGE_ONLY.keys()
+    bench = Path(__file__).parents[1] / "perfbench"
+    for name, (file, text, _) in _PACKAGE_ONLY.items():
+        assert text in (bench / file).read_text(), name
 
 
 def _run(capsys, *argv):
@@ -813,19 +841,44 @@ def test_beyond_weight_ceiling_fails_fast(argv):
 
 
 def test_cold_start_imports_no_heavy_stdlib_modules():
-    # what every cold query pays before its own work, in a fresh interpreter
+    # what every cold query pays before its own work, in a fresh interpreter;
+    # `import polylog` alone loads every package module but cli and
+    # __main__, whatever __all__ names (perfbench's tracer wraps what it loads)
     env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
-    code = ("import sys; before = set(sys.modules); "
-            "import polylog; from polylog import cli; "
+    code = ("import sys; before = set(sys.modules); import polylog; "
+            "package = sorted(m for m in sys.modules if m.startswith('polylog.')); "
+            "from polylog import cli; "
             "cli.main(['eval', 's-plus', '--r', '3']); "
-            "print(*sorted(set(sys.modules) - before))")
+            "print(*package); print(*sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=30, check=True)
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    *_, package, loaded = proc.stdout.splitlines()
+    assert set(package.split()) == {f"polylog.{path.stem}" for path in
+                                    Path(polylog.__file__).parent.glob("*.py")} - {
+        "polylog.__init__", "polylog.cli", "polylog.__main__"}
+    loaded = set(loaded.split())
     assert "polylog.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv",
              "argparse", "gettext", "locale", "threading"}
     assert not loaded & heavy
+
+
+def test_python_m_polylog_entry_point():
+    # the one fresh-interpreter run of `python -m polylog`: an answer exits 0
+    # with its JSON, a refused order exits 3 with an "error:" line, each as
+    # cli.main answers in-process
+    env = dict(os.environ, PYTHONPATH=str(Path(polylog.__file__).parents[1]))
+    answers = {}
+    for r in ("3", "1"):
+        argv = ["eval", "s-plus", "--r", r]
+        proc = subprocess.run([sys.executable, "-m", "polylog", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, 2.0)[:3]
+        answers[r] = proc
+    assert answers["3"].returncode == 0
+    assert json.loads(answers["3"].stdout)["params"] == {"r": 3}
+    assert answers["1"].returncode == 3
+    assert answers["1"].stderr.startswith("error:")
 
 
 # Each eval target just past its own cap: MAX_WEIGHT, or the narrower table
