@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import (ClosedForm, _check_order, _check_weight, eta_factor_closed,
+from .closedform import (MAX_KT, ClosedForm, _check_order, _check_weight, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .errors import CapacityError, DomainError
 
-# Deepest truncation and Stirling row served.  The cost of the exact form grows
-# steeply with kt; nine decimals at p = 5 need only kt = 12, and 100 keeps any
-# query within a fraction of a second.
-MAX_KT = 100
+# MAX_KT (in closedform) is the deepest truncation and Stirling row served.
+# The cost of the exact form grows steeply with kt; nine decimals at p = 5
+# need only kt = 12, and 100 keeps any query within a fraction of a second.
 
 
 def _check_kt(k: int) -> None:
@@ -55,7 +54,8 @@ def _alt_zeta_closed(s: int) -> ClosedForm:
     """(2^{1-s} - 1) zeta(s) continued to every integer s."""
     if s >= 1:
         return eta_factor_closed(s)
-    return ClosedForm.rational((2 ** (1 - s) - 1) * zeta_nonpositive_rational(s))
+    num, den = zeta_nonpositive_rational(s)
+    return ClosedForm.rational((2 ** (1 - s) - 1) * num) / den
 
 
 @cache

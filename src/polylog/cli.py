@@ -156,16 +156,17 @@ def _cmd_table(args: SimpleNamespace) -> int:
     entries = _table_entries(args.kind, args.max_weight)
     out = _out_dir(args)
 
-    columns = sorted({m for _, cf in entries for m in cf.terms})
+    ratios = [(name, cf.ratios()) for name, cf in entries]
+    columns = sorted({m for _, r in ratios for m in r})
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["entry"] + [monomial_name(m) for m in columns])
-    for name, cf in entries:
+    for name, r in ratios:
         row = [name]
         for mono in columns:
-            c = cf.coefficient(mono)
-            row.append(str(c) if c else "")
+            n, d = r.get(mono, (0, 1))
+            row.append("" if not n else str(n) if d == 1 else f"{n}/{d}")
         writer.writerow(row)
     csv_path = out / f"{args.kind}_table.csv"
     csv_path.write_text(buf.getvalue())

@@ -16,7 +16,6 @@ import json
 import math
 from _thread import allocate_lock
 from collections.abc import Callable, Mapping
-from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
@@ -182,6 +181,16 @@ def _monomial_json(i: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _ratio(c) -> tuple[int, int] | None:
+    """(numerator, denominator) of an exact rational c: an int, or any value
+    whose numerator and denominator are ints, the denominator positive (a
+    Fraction is one).  None for anything else, a float included."""
+    n, d = getattr(c, "numerator", None), getattr(c, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int) and d > 0:
+        return n, d
+    return None
+
+
 class ClosedForm:
     """Finite rational-linear combination of constant monomials.
 
@@ -194,8 +203,16 @@ class ClosedForm:
     whole display, sum c * a * b / den over its terms, with ``combination``:
     one lcm and one gcd in total, where a chain of operators pays a gcd per
     step.  A display whose coefficients share one denominator (2^r, w, m!)
-    passes it as ``den`` with integer numerators, so it builds no
-    ``Fraction``.  ``terms`` and ``coefficient`` hand out ``Fraction`` values.
+    passes it as ``den`` with integer numerators.
+
+    ``Fraction`` appears only at the edges.  A coefficient may be an int or
+    any exact rational whose ``numerator`` and ``denominator`` are ints (a
+    ``Fraction`` is one); a float is refused.  ``terms``, ``coefficient``
+    and the hash of a pure rational hand out or hash ``Fraction`` values,
+    importing ``fractions`` only when called; ``ratios`` gives the same
+    coefficients as int pairs.  No builder and no query makes a
+    ``Fraction``, so ``import polylog`` loads neither ``fractions`` nor
+    ``decimal``.
 
     ``_num`` is keyed by process-local monomial ids, so the arithmetic
     hashes ints.  Every public method takes or gives monomials, and a form
@@ -212,18 +229,22 @@ class ClosedForm:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        coeffs = {}
+    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+        parts = []
         for mono, c in (terms or {}).items():
-            if not isinstance(c, (int, Fraction)):
-                raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
-            i = _id(mono)
-            coeffs[i] = coeffs[i] + c if i in coeffs else c
-        # each c is in lowest terms and den is the lcm of their denominators
-        # (a zero's is 1), so the scaled numerators share no factor with den
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self._num = {i: c.numerator * (den // c.denominator) for i, c in coeffs.items() if c}
-        self._den = den
+            r = (c, 1) if type(c) is int else _ratio(c)
+            if r is None:
+                raise DomainError(f"coefficient {c!r} is not an int or an exact rational")
+            parts.append((_id(mono), *r))
+        # the numerators over the lcm of the denominators, alike keys added
+        den = math.lcm(*(d for _, _, d in parts))
+        acc: dict[int, int] = {}
+        for i, n, d in parts:
+            acc[i] = acc.get(i, 0) + n * (den // d)
+        num = {i: n for i, n in acc.items() if n}
+        g = math.gcd(den, *num.values())
+        self._num = {i: n // g for i, n in num.items()} if g != 1 else num
+        self._den = den // g
 
     @classmethod
     def _canonical(cls, num: dict[int, int], den: int) -> "ClosedForm":
@@ -244,7 +265,7 @@ class ClosedForm:
 
     @classmethod
     def combination(cls, terms, den: int = 1) -> "ClosedForm":
-        """sum c * a * b / den over triples (c, a, b): c an int or Fraction,
+        """sum c * a * b / den over triples (c, a, b): c an int or rational,
         a a form, b a form or None (then the term is c * a), den a positive
         int by _check_order.  One lcm over the terms' denominators, the
         integer numerators summed in one dict, and one gcd in _reduced.
@@ -290,12 +311,21 @@ class ClosedForm:
     # -- access ------------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict:
+        """{monomial: Fraction coefficient}."""
+        from fractions import Fraction
         den = self._den
         return {_MONOMIALS[i]: Fraction(c, den) for i, c in self._num.items()}
 
-    def coefficient(self, m: Monomial) -> Fraction:
+    def coefficient(self, m: Monomial):
+        """The Fraction coefficient of the monomial m, zero if absent."""
+        from fractions import Fraction
         return Fraction(self._num.get(_id(m), 0), self._den)
+
+    def ratios(self) -> dict[Monomial, tuple[int, int]]:
+        """{monomial: (numerator, denominator)}, each in lowest terms: the
+        coefficients of terms as int pairs, in display order."""
+        return {_MONOMIALS[i]: (n, d) for i, n, d in self._sorted_terms()}
 
     @property
     def is_zero(self) -> bool:
@@ -307,13 +337,16 @@ class ClosedForm:
     # -- arithmetic ---------------------------------------------------------
 
     def _sum(self, other, sign: int) -> "ClosedForm":
-        """self + sign * other for a ClosedForm, int or Fraction other."""
+        """self + sign * other for a ClosedForm, int or rational other."""
         if isinstance(other, ClosedForm):
             onum, oden = other._num, other._den
-        elif isinstance(other, (int, Fraction)):
-            onum, oden = ({0: other.numerator} if other else {}), other.denominator
+        elif isinstance(other, int):
+            onum, oden = ({0: other} if other else {}), 1
         else:
-            return NotImplemented
+            r = _ratio(other)
+            if r is None:
+                return NotImplemented
+            onum, oden = ({0: r[0]} if r[0] else {}), r[1]
         if not onum:
             return self
         num, den = self._num, self._den
@@ -358,10 +391,11 @@ class ClosedForm:
         return out if out is NotImplemented else -out
 
     def __mul__(self, other) -> "ClosedForm":
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+        if isinstance(other, int):
+            return self._scaled(other, 1)
         if not isinstance(other, ClosedForm):
-            return NotImplemented
+            r = _ratio(other)
+            return NotImplemented if r is None else self._scaled(*r)
         acc: dict[int, int] = {}
         for m1, c1 in self._num.items():
             for m2, c2 in other._num.items():
@@ -378,11 +412,12 @@ class ClosedForm:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ClosedForm":
-        if not isinstance(other, (int, Fraction)):
+        r = (other, 1) if isinstance(other, int) else _ratio(other)
+        if r is None:
             return NotImplemented
-        if not other:
+        n, d = r
+        if not n:
             raise DomainError("division of a closed form by zero")
-        n, d = other.numerator, other.denominator
         return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
 
     def __pow__(self, exp: int) -> "ClosedForm":
@@ -396,10 +431,10 @@ class ClosedForm:
     def __eq__(self, other) -> bool:
         if isinstance(other, ClosedForm):
             return self._den == other._den and self._num == other._num
-        if isinstance(other, (int, Fraction)):
-            return (self._num.keys() <= {0} and self._den == other.denominator
-                    and self._num.get(0, 0) == other.numerator)
-        return NotImplemented
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return self._num.keys() <= {0} and (self._num.get(0, 0), self._den) == r
 
     def __hash__(self):
         # a pure-rational form (zero included) equals its Fraction: hash as one
@@ -481,6 +516,10 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 MAX_WEIGHT = 18  # the one weight limit of every exact builder, zeta_closed up
+# the deepest Bernoulli index, zeta(1 - k) and truncation depth served:
+# approx._derivative_cf reads zeta down to zeta(-97) at depth MAX_KT, and
+# special._zeta_int down to zeta(-78)
+MAX_KT = 100
 
 
 def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
@@ -489,19 +528,29 @@ def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
         raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")
 
 
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 @cache
-def bernoulli_fraction(n: int) -> Fraction:
-    """B_n with the B_1 = -1/2 convention, exact.
+def bernoulli(n: int) -> tuple[int, int]:
+    """B_n with the B_1 = -1/2 convention, exact: (numerator, denominator)
+    in lowest terms.
 
     An even index reads the tangent number T_m, m = n/2, from the integer
     recurrence of Knuth and Buckholtz:
-    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  Memoized.
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  Memoized; an index past
+    MAX_KT is a CapacityError.
     """
     n = _check_order(n, 0)
+    if n > MAX_KT:
+        raise CapacityError(f"Bernoulli index {n} above cap MAX_KT = {MAX_KT}")
     if n < 2:
-        return Fraction(1) if n == 0 else Fraction(-1, 2)
+        return (1, 1) if n == 0 else (-1, 2)
     if n % 2:
-        return Fraction(0)
+        return 0, 1
     m = n // 2
     t = [0, 1]  # t[k] = T_k once the sweeps are done
     for k in range(2, m + 1):
@@ -509,15 +558,22 @@ def bernoulli_fraction(n: int) -> Fraction:
     for k in range(2, m + 1):
         for j in range(k, m + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return Fraction((-1) ** (m - 1) * n * t[m], 4 ** m * (4 ** m - 1))
+    return _lowest((-1) ** (m - 1) * n * t[m], 4 ** m * (4 ** m - 1))
 
 
-def zeta_even_coefficient(n: int) -> Fraction:
-    """Rational c with zeta(n) = c * pi^n, for even n >= 2."""
+def zeta_even_coefficient(n: int) -> tuple[int, int]:
+    """The rational c with zeta(n) = c * pi^n, for even n >= 2, as
+    (numerator, denominator) in lowest terms.  Past 2 MAX_WEIGHT, the
+    deepest zeta that gamma_ratio_series reads (the box of two orders
+    MAX_WEIGHT), a CapacityError."""
+    n = _check_order(n, 2)
+    if n > 2 * MAX_WEIGHT:
+        raise CapacityError(f"zeta({n}) above cap 2 * MAX_WEIGHT = {2 * MAX_WEIGHT}")
     if n % 2:
         raise DomainError(f"even zeta argument required, got {n}")
-    m = n // 2
-    return Fraction((-1) ** (m + 1)) * bernoulli_fraction(n) * Fraction(2 ** n, 2 * math.factorial(n))
+    b, d = bernoulli(n)
+    # (-1)^(n/2 + 1) B_n 2^n / (2 n!)
+    return _lowest((-1) ** (n // 2 + 1) * b * 2 ** (n - 1), d * math.factorial(n))
 
 
 @cache
@@ -530,18 +586,21 @@ def zeta_closed(n: int) -> ClosedForm:
     n = _check_order(n, 2)  # the n = 1 limit lives in eta_factor_closed
     _check_weight(n)
     if n % 2 == 0:
-        return ClosedForm.atom(PI, n, zeta_even_coefficient(n))
+        num, den = zeta_even_coefficient(n)
+        return ClosedForm.atom(PI, n, num) / den
     return ClosedForm.atom(zeta_odd_atom(n))
 
 
-def zeta_nonpositive_rational(n: int) -> Fraction:
-    """zeta(n) for integer n <= 0 via Bernoulli numbers."""
+def zeta_nonpositive_rational(n: int) -> tuple[int, int]:
+    """zeta(n) for integer n <= 0, -B_k/k at k = 1 - n, as (numerator,
+    denominator) in lowest terms.  Past k = MAX_KT, a CapacityError."""
     if n > 0:
         raise DomainError("nonpositive argument required")
     if n == 0:
-        return Fraction(-1, 2)
+        return -1, 2
     k = 1 - n
-    return -bernoulli_fraction(k) / k
+    b, d = bernoulli(k)
+    return _lowest(-b, d * k)
 
 
 @cache
@@ -552,4 +611,4 @@ def eta_factor_closed(n: int) -> ClosedForm:
     if n == 1:
         return ClosedForm.atom(LN2, 1, -1)
     _check_weight(n)
-    return Fraction(1 - 2 ** (n - 1), 2 ** (n - 1)) * zeta_closed(n)
+    return (1 - 2 ** (n - 1)) * zeta_closed(n) / 2 ** (n - 1)

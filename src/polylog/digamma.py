@@ -22,17 +22,18 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import bernoulli_fraction
+from .closedform import bernoulli
 from .errors import DomainError
 
 
 @cache
 def bernoulli_quotients() -> tuple[float, ...]:
     """B_2n/(2n) for n = 1..10 as floats, from closedform's exact Bernoulli
-    numbers, filled on first use.  psi's asymptotic series reads the first
-    eight; summation's Euler-Maclaurin weights, the digamma series of
-    eulersums and the outer tails of special share the table."""
-    return tuple(float(bernoulli_fraction(2 * n) / (2 * n)) for n in range(1, 11))
+    numbers, filled on first use, each one correctly rounded int/int
+    division.  psi's asymptotic series reads the first eight; summation's
+    Euler-Maclaurin weights, the digamma series of eulersums and the outer
+    tails of special share the table."""
+    return tuple(b / (d * 2 * n) for n, (b, d) in enumerate(map(bernoulli, range(2, 21, 2)), 1))
 
 
 _THRESHOLD = 10.0

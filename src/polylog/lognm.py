@@ -16,11 +16,10 @@ sigma~_{n,p}, are written in verify, next to the entries that check them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .closedform import ClosedForm, LN2, _check_order, _check_weight, monomial
+from .closedform import ClosedForm, LN2, _check_order, _check_weight
 from .errors import DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
 from .seriesring import kolbig_snp
@@ -67,10 +66,12 @@ def i_pde_residual(n: int, m: int) -> ClosedForm:
 
 
 def truncated_exp_ln2(m: int) -> ClosedForm:
-    """e_m(-ln 2) = sum_{k=0}^{m} (-ln 2)^k / k!, exact in powers of ln 2."""
+    """e_m(-ln 2) = sum_{k=0}^{m} (-ln 2)^k / k!, exact in powers of ln 2:
+    the numerators (-1)^k m!/k! over m!.  Its weight m is held to MAX_WEIGHT."""
     m = _check_order(m, 0)
-    return ClosedForm({monomial((LN2, k)): Fraction((-1) ** k, math.factorial(k))
-                       for k in range(m + 1)})
+    _check_weight(m)
+    return ClosedForm.combination([((-1) ** k * math.perm(m, m - k), ClosedForm.atom(LN2, k), None)
+                                   for k in range(m + 1)], math.factorial(m))
 
 
 @cache

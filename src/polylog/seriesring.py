@@ -35,7 +35,6 @@ gamma is already gone.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .closedform import (MAX_WEIGHT, ClosedForm, GAMMA, PI, _check_order, _check_weight,
@@ -105,11 +104,12 @@ class BivariateSeries:
                         out.c[i1 + i2][j1 + j2] = out.c[i1 + i2][j1 + j2] + c1 * c2
         return out
 
-    def scale(self, q) -> "BivariateSeries":
+    def scale(self, q, den: int = 1) -> "BivariateSeries":
+        """Every coefficient times q / den, q an int or rational."""
         out = BivariateSeries(self.na, self.nb)
         for i in range(self.na + 1):
             for j in range(self.nb + 1):
-                out.c[i][j] = self.c[i][j] * q
+                out.c[i][j] = ClosedForm.combination([(q, self.c[i][j], None)], den)
         return out
 
     def is_zero(self) -> bool:
@@ -125,7 +125,7 @@ class BivariateSeries:
             power = power * self
             if power.is_zero():
                 break
-            out = out + power.scale(Fraction(1, math.factorial(k)))
+            out = out + power.scale(1, math.factorial(k))
         return out
 
 
@@ -134,8 +134,9 @@ def _lngamma_coeff(k: int) -> ClosedForm:
     if k == 1:
         return ClosedForm.atom(GAMMA, 1, -1)
     if k % 2:
-        return ClosedForm.atom(zeta_odd_atom(k), 1, Fraction(-1, k))
-    return ClosedForm.atom(PI, k, zeta_even_coefficient(k) / k)
+        return ClosedForm.atom(zeta_odd_atom(k), 1, -1) / k
+    num, den = zeta_even_coefficient(k)
+    return ClosedForm.atom(PI, k, num) / (den * k)
 
 
 def _lngamma_ratio_log(na: int, nb: int) -> BivariateSeries:

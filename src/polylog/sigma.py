@@ -23,7 +23,6 @@ them, and the registry holds closed forms only.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .closedform import (Atom, ClosedForm, LN2, PI, _check_order, _check_weight,
@@ -55,52 +54,53 @@ def registry() -> dict[tuple[int, int], ClosedForm]:
     for n in range(1, 8):
         closed[(n, 1)] = eta_factor_closed(n + 1)
 
-    # each display is one combination of (coefficient, factor, factor or None)
+    # each display is one combination of (numerator, factor, factor or None)
+    # over its one denominator
     lin = ClosedForm.combination
-    closed[(1, 2)] = Fraction(1, 8) * z3
+    closed[(1, 2)] = z3 / 8
     # weight 4
-    closed[(1, 3)] = lin([(Fraction(-1, 90), pi4, None),
-                          (Fraction(-1, 24), pi2, ln2[2]),
-                          (Fraction(1, 24), ln2[4], None),
-                          (Fraction(7, 8), ln2[1], z3),
-                          (1, li4, None)])
-    closed[(2, 2)] = lin([(Fraction(-1, 48), pi4, None),
-                          (Fraction(-1, 12), pi2, ln2[2]),
-                          (Fraction(1, 12), ln2[4], None),
-                          (Fraction(7, 4), ln2[1], z3),
-                          (2, li4, None)])
+    closed[(1, 3)] = lin([(-4, pi4, None),
+                          (-15, pi2, ln2[2]),
+                          (15, ln2[4], None),
+                          (315, ln2[1], z3),
+                          (360, li4, None)], 360)
+    closed[(2, 2)] = lin([(-1, pi4, None),
+                          (-4, pi2, ln2[2]),
+                          (4, ln2[4], None),
+                          (84, ln2[1], z3),
+                          (96, li4, None)], 48)
     # weight 5
-    closed[(1, 4)] = lin([(1, z5, None),
-                          (Fraction(-7, 16), ln2[2], z3),
-                          (Fraction(1, 36), pi2, ln2[3]),
-                          (Fraction(-1, 30), ln2[5], None),
-                          (-1, ln2[1], li4),
-                          (-1, li5, None)])
-    closed[(2, 3)] = lin([(Fraction(1, 12), pi2, z3),
-                          (Fraction(33, 32), z5, None),
-                          (Fraction(-7, 8), ln2[2], z3),
-                          (Fraction(1, 18), pi2, ln2[3]),
-                          (Fraction(-1, 15), ln2[5], None),
-                          (-2, ln2[1], li4),
-                          (-2, li5, None)])
-    closed[(3, 2)] = lin([(Fraction(1, 12), pi2, z3), (Fraction(-29, 32), z5, None)])
+    closed[(1, 4)] = lin([(720, z5, None),
+                          (-315, ln2[2], z3),
+                          (20, pi2, ln2[3]),
+                          (-24, ln2[5], None),
+                          (-720, ln2[1], li4),
+                          (-720, li5, None)], 720)
+    closed[(2, 3)] = lin([(120, pi2, z3),
+                          (1485, z5, None),
+                          (-1260, ln2[2], z3),
+                          (80, pi2, ln2[3]),
+                          (-96, ln2[5], None),
+                          (-2880, ln2[1], li4),
+                          (-2880, li5, None)], 1440)
+    closed[(3, 2)] = lin([(8, pi2, z3), (-87, z5, None)], 96)
     # closed weight-6 entries.  The ln^3(2) zeta(3) coefficient is 7/48:
     # quadrature of the defining integral pins it to 14 digits.
-    closed[(1, 5)] = lin([(Fraction(-1, 945), pi6, None),
-                          (Fraction(-1, 96), pi2, ln2[4]),
-                          (Fraction(1, 72), ln2[6], None),
-                          (Fraction(7, 48), ln2[3], z3),
-                          (Fraction(1, 2), ln2[2], li4),
-                          (1, ln2[1], li5),
-                          (1, li6, None)])
+    closed[(1, 5)] = lin([(-32, pi6, None),
+                          (-315, pi2, ln2[4]),
+                          (420, ln2[6], None),
+                          (4410, ln2[3], z3),
+                          (15120, ln2[2], li4),
+                          (30240, ln2[1], li5),
+                          (30240, li6, None)], 30240)
     # weights 7 and 9
-    closed[(5, 2)] = lin([(Fraction(1, 12), pi2, z5),
-                          (Fraction(7, 720), pi4, z3),
-                          (Fraction(-251, 128), zeta_closed(7), None)])
-    closed[(7, 2)] = lin([(Fraction(1, 12), pi2, zeta_closed(7)),
-                          (Fraction(7, 720), pi4, z5),
-                          (Fraction(31, 30240), pi6, z3),
-                          (Fraction(-1529, 512), zeta_closed(9), None)])
+    closed[(5, 2)] = lin([(480, pi2, z5),
+                          (56, pi4, z3),
+                          (-11295, zeta_closed(7), None)], 5760)
+    closed[(7, 2)] = lin([(40320, pi2, zeta_closed(7)),
+                          (4704, pi4, z5),
+                          (496, pi6, z3),
+                          (-1444905, zeta_closed(9), None)], 483840)
     return closed
 
 

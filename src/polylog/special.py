@@ -63,12 +63,15 @@ def _zeta_int(s: int) -> float:
         return zeta_num(s)
     if s == 1:
         raise DomainError("zeta(1) diverges")
-    return float(zeta_nonpositive_rational(s))
+    num, den = zeta_nonpositive_rational(s)
+    return num / den  # correctly rounded
 
 
 @cache
 def _inverse_powers(p: int) -> tuple[float, ...]:
-    """k^-p for k = 1..399, the divisors of the direct series."""
+    """k^-p for k = 1..399, the divisors of the direct series; an order past
+    FLOAT_ORDER is read as FLOAT_ORDER, which gives the same floats."""
+    p = min(p, FLOAT_ORDER)
     return tuple(float(k) ** (-p) for k in range(1, 400))
 
 
@@ -126,7 +129,11 @@ def li_neg(p: int, t: float, omt: float, li_t: float | None = None) -> float:
         li_t = li_pos(p, t, omt)
     tsq = t * t
     omtsq = omt * (1.0 + t)
-    return 2.0 ** (1 - p) * li_pos(p, tsq, omtsq) - li_t
+    try:
+        half = 2.0 ** (1 - p)
+    except OverflowError:  # an order past the float range: 2^(1-p) is 0.0
+        half = 0.0
+    return half * li_pos(p, tsq, omtsq) - li_t
 
 
 @cache

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
@@ -332,6 +331,7 @@ def _li_derivative_fd(p: int, k: int) -> float:
 
 
 def _expected_truncation_display() -> ClosedForm:
+    from fractions import Fraction
     return (ClosedForm.rational(Fraction(-24387227, 1741824000))
             + ClosedForm.atom(PI, 2, Fraction(-358039, 11197440))
             + ClosedForm.atom(PI, 4, Fraction(-1968329, 130636800))
@@ -519,7 +519,7 @@ def _low_order_rows(p: int) -> Iterator[tuple]:
 
 
 def _pi_pow(e: int, c) -> ClosedForm:
-    return ClosedForm.atom(PI, e, Fraction(c))
+    return ClosedForm.atom(PI, e, c)
 
 
 def expected_inm_table() -> dict[tuple[int, int], ClosedForm]:
@@ -530,6 +530,7 @@ def expected_inm_table() -> dict[tuple[int, int], ClosedForm]:
     zeta(3) (often omitted); the Beta-derivative route and quadrature agree
     on the values below to machine precision.
     """
+    from fractions import Fraction
     z3 = zeta_closed(3)
     z5 = zeta_closed(5)
     return {
@@ -670,6 +671,7 @@ def _s_sigma_residual(n: int, m: int) -> ClosedForm:
 
 
 def _rank(rows: list[list[int]]) -> int:
+    from fractions import Fraction
     mat = [list(map(Fraction, row)) for row in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
@@ -700,6 +702,7 @@ def _sigma_weight6_count() -> tuple[int, int, int]:
 def _sigma_weight6_relations() -> list[tuple[dict[tuple[int, int], int], ClosedForm]]:
     """The two weight-6 relations among the open sigma~_{2,4}, sigma~_{3,3}
     and sigma~_{4,2}: the coefficient of each (n, p), and the closed value."""
+    from fractions import Fraction
     z3 = zeta_closed(3)
     pi2, pi6 = ClosedForm.atom(PI, 2), ClosedForm.atom(PI, 6)
     ln2 = [ClosedForm.atom(LN2, e) for e in range(7)]

@@ -68,6 +68,25 @@ def package_cache_misses() -> dict[str, int]:
     return misses
 
 
+def fraction_constructions(fn) -> int:
+    """How many times fn() calls Fraction.__new__."""
+    from fractions import Fraction
+    new = vars(Fraction)["__new__"]
+    count = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        fn()
+    finally:
+        Fraction.__new__ = new
+    return count
+
+
 class DeadlineExceeded(Exception):
     """A call run under deadline outlived it."""
 

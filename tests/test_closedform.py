@@ -13,19 +13,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polylog import closedform, seriesring
-from polylog.closedform import (Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
-                                bernoulli_fraction,
+from polylog.closedform import (MAX_KT, Atom, ClosedForm, LN2, PI, GAMMA, UNIT,
+                                bernoulli,
                                 eta_factor_closed, li_half_atom, monomial,
                                 monomial_name, sigma_atom,
-                                zeta_closed, zeta_nonpositive_rational,
-                                zeta_odd_atom)
+                                zeta_closed, zeta_even_coefficient,
+                                zeta_nonpositive_rational, zeta_odd_atom)
 from polylog.errors import CapacityError, DomainError
 from polylog.ipq import Family, ipq_final
+from polylog.lognm import truncated_exp_ln2
 from polylog.seriesring import MAX_WEIGHT, kolbig_snp
 from polylog.sigma import registry
 
 from conftest import (assert_frozen_value, build_exact_catalogue, clear_package_caches,
-                      deadline, package_cache_misses, zeta_brute)
+                      deadline, fraction_constructions, package_cache_misses, zeta_brute)
 
 
 # -- strategies --------------------------------------------------------------
@@ -223,11 +224,38 @@ def test_coefficients_that_are_not_int_or_fraction_are_refused():
     # no quiet conversion: 0.1 is not 3602879701896397/36028797018963968, a
     # string is not parsed, and nan and inf fail as every bad coefficient does
     for coeff in (0.1, 1.0, "1/3", math.nan, math.inf):
-        with pytest.raises(DomainError, match="not an int or a Fraction"):
+        with pytest.raises(DomainError, match="not an int or an exact rational"):
             ClosedForm.rational(coeff)
-        with pytest.raises(DomainError, match="not an int or a Fraction"):
+        with pytest.raises(DomainError, match="not an int or an exact rational"):
             ClosedForm.atom(LN2, 1, coeff)
     assert ClosedForm.rational(Fraction(1, 3)).terms == {UNIT: Fraction(1, 3)}
+
+
+def test_fraction_is_an_edge_type_only():
+    # int and Fraction coefficients build equal forms, a float operand is
+    # refused as it always was, and the edge accessors still hand out Fractions
+    z3, half = zeta_closed(3), Fraction(1, 2)
+    assert ClosedForm.atom(PI, 2, Fraction(6, 3)) == ClosedForm.atom(PI, 2, 2)
+    assert ClosedForm({UNIT: half, monomial((LN2, 1)): Fraction(4)}) \
+        == ClosedForm.combination([(1, ClosedForm.one(), None), (8, ClosedForm.atom(LN2), None)], 2)
+    assert z3 * half == z3 / 2 == half * z3 == ClosedForm.combination([(1, z3, None)], 2)
+    assert z3 + half == half + z3 and z3 - half == -(half - z3)
+    assert ClosedForm.rational(3) == 3 == Fraction(3) and ClosedForm.rational(half) == half
+    assert hash(ClosedForm.rational(half)) == hash(half)
+    assert hash(ClosedForm.rational(3)) == hash(3)
+    with pytest.raises(DomainError, match="not an int or an exact rational"):
+        ClosedForm({UNIT: 0.5})
+    for op in (lambda: z3 + 0.5, lambda: 0.5 + z3, lambda: z3 - 0.5, lambda: 0.5 - z3,
+               lambda: z3 * 0.5, lambda: 0.5 * z3, lambda: z3 / 0.5):
+        with pytest.raises(TypeError):
+            op()
+    assert (ClosedForm.rational(half) == 0.5) is False and (z3 != 0.5) is True
+    assert ClosedForm.__eq__(z3, 0.5) is NotImplemented
+    x = ClosedForm.atom(PI, 2, Fraction(-1, 6)) + 2
+    assert x.terms == {UNIT: Fraction(2), monomial((PI, 2)): Fraction(-1, 6)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert type(x.coefficient(UNIT)) is Fraction and x.coefficient(monomial((LN2, 1))) == 0
+    assert x.ratios() == {UNIT: (2, 1), monomial((PI, 2)): (-1, 6)}
 
 
 # -- the dict-of-Fraction arithmetic, as the reference for the integer layout --
@@ -371,7 +399,7 @@ def test_exact_catalogue_builds_with_few_reductions(monkeypatch):
 # catalogue fills, by module and name; a change that moves one names the
 # count, old and new, in CHANGES.md
 _CATALOGUE_CACHE_MISSES = {
-    "closedform._monomial_product": 98, "closedform.bernoulli_fraction": 6,
+    "closedform._monomial_product": 98, "closedform.bernoulli": 6,
     "closedform.zeta_closed": 11, "closedform.eta_factor_closed": 7,
     "eulersums.s_plus": 8, "eulersums.c_sum": 8, "eulersums.milgram": 8,
     "eulersums.jordan_nielsen": 16, "eulersums.s_minus": 8,
@@ -395,7 +423,7 @@ def test_cold_exact_catalogue_work_counts(monkeypatch):
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     assert build_exact_catalogue() == 282
     misses = {name: n for name, n in package_cache_misses().items() if n}
-    assert len(combinations) == 164
+    assert len(combinations) == 169
     assert misses == _CATALOGUE_CACHE_MISSES  # 469 in all
 
 
@@ -403,61 +431,42 @@ def test_cold_exact_catalogue_work_counts(monkeypatch):
 
 
 def test_bernoulli_values():
-    expected = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0),
-                Fraction(-1, 30), Fraction(0), Fraction(1, 42)]
-    assert [bernoulli_fraction(n) for n in range(7)] == expected
-
-
-def _fraction_constructions(fn) -> int:
-    new = vars(Fraction)["__new__"]
-    count = 0
-
-    def counted(cls, *args, **kwargs):
-        nonlocal count
-        count += 1
-        return new(cls, *args, **kwargs)
-
-    Fraction.__new__ = counted
-    try:
-        fn()
-    finally:
-        Fraction.__new__ = new
-    return count
+    expected = [(1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42)]
+    assert [bernoulli(n) for n in range(7)] == expected
 
 
 def test_normalization_constructs_no_fractions():
     # a term map is normalized once, in the constructor; building a form from
     # Fractions, or adding forms with disjoint monomials, only re-keys them
     third = Fraction(1, 3)
-    assert _fraction_constructions(lambda: ClosedForm.rational(third)) == 0
-    assert _fraction_constructions(lambda: ClosedForm.atom(PI, 2, third)) == 0
+    assert fraction_constructions(lambda: ClosedForm.rational(third)) == 0
+    assert fraction_constructions(lambda: ClosedForm.atom(PI, 2, third)) == 0
     terms = {monomial((PI, 2)): Fraction(1, 6), monomial((LN2, 1)): Fraction(-3, 4)}
     x = ClosedForm(terms)
     y = ClosedForm({monomial((zeta_odd_atom(3), 1)): Fraction(5, 7)})
-    assert _fraction_constructions(lambda: ClosedForm(terms)) == 0
-    assert _fraction_constructions(lambda: x + y) == 0
+    assert fraction_constructions(lambda: ClosedForm(terms)) == 0
+    assert fraction_constructions(lambda: x + y) == 0
     assert (x + y).terms == {**terms, **y.terms}
 
 
 def test_snp_builds_to_weight_12_construct_few_fractions():
-    # coefficients are integers over one denominator, so a cold build of every
-    # s_{n,p} to weight 12 makes Fractions only for its rational inputs
+    # coefficients are integers over one denominator, and so are its rational
+    # inputs, the zeta(2k) coefficients: a cold build of every s_{n,p} to
+    # weight 12 makes no Fraction
     for memo in (seriesring._ratio_slice, closedform.zeta_closed,
-                 closedform._monomial_product, bernoulli_fraction):
+                 closedform._monomial_product, bernoulli):
         memo.cache_clear()
     build = lambda: [kolbig_snp(n, p) for n in range(1, 12) for p in range(1, 13 - n)]
-    assert _fraction_constructions(build) <= 600
+    assert fraction_constructions(build) == 0
 
 
 def test_cold_exact_catalogue_constructs_few_fractions():
-    # each display passes integer numerators over its one denominator, so a
-    # cold catalogue makes Fractions only in its memoized once-per-process
-    # sites (Bernoulli, the sigma~ registry, eta and zeta factors, e_m(-ln 2)):
-    # 99 on Python 3.10 and 3.11, where per-coefficient Fractions made 332.
-    # An upper bound: 3.12 and later build arithmetic results without
-    # Fraction.__new__ (87 there)
+    # every display, the Bernoulli numbers, the sigma~ registry, the eta and
+    # zeta factors and e_m(-ln 2) are integer numerators over one
+    # denominator, so a cold catalogue makes no Fraction (99 did, and
+    # per-coefficient Fractions 332)
     clear_package_caches()
-    assert _fraction_constructions(build_exact_catalogue) <= 99
+    assert fraction_constructions(build_exact_catalogue) == 0
 
 
 def _bernoulli_reference(count):
@@ -470,16 +479,35 @@ def _bernoulli_reference(count):
 
 
 def test_bernoulli_numbers_equal_the_sum_recurrence():
-    bernoulli_fraction.cache_clear()
-    assert [bernoulli_fraction(n) for n in range(61)] == _bernoulli_reference(61)
+    # every index served, each in lowest terms
+    bernoulli.cache_clear()
+    assert [bernoulli(n) for n in range(MAX_KT + 1)] \
+        == [(b.numerator, b.denominator) for b in _bernoulli_reference(MAX_KT + 1)]
 
 
-def test_a_cold_bernoulli_number_builds_one_fraction():
-    # the tangent numbers are integers, so B_2m is one Fraction; the sum
-    # recurrence built every B_j below it first
-    bernoulli_fraction.cache_clear()
-    assert [_fraction_constructions(lambda n=n: bernoulli_fraction(n)) for n in (60, 18, 2)] \
-        == [1, 1, 1]
+def test_a_cold_bernoulli_number_builds_no_fraction():
+    # the tangent numbers are integers, so B_2m is one reduced int pair; the
+    # sum recurrence built every B_j below it first, as Fractions
+    bernoulli.cache_clear()
+    assert [fraction_constructions(lambda n=n: bernoulli(n)) for n in (60, 18, 2)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("call, cap, what", [
+    (bernoulli, MAX_KT, "Bernoulli index"),
+    (zeta_even_coefficient, 2 * MAX_WEIGHT, "zeta"),
+    (lambda n: zeta_nonpositive_rational(1 - n), MAX_KT, "Bernoulli index"),
+    (truncated_exp_ln2, MAX_WEIGHT, "weight"),
+], ids=["bernoulli", "zeta_even_coefficient", "zeta_nonpositive_rational", "truncated_exp_ln2"])
+def test_exact_constant_helpers_refuse_past_their_cap_before_any_work(call, cap, what):
+    # bernoulli(2000) took 0.53 s, truncated_exp_ln2(3000) 1.39 s,
+    # zeta_nonpositive_rational(-20001) over 5 s and zeta_even_coefficient(10**8)
+    # a MemoryError; the cap is the deepest index a route reads (the Bernoulli
+    # numbers at zeta(-97) and gamma_ratio_series at zeta(2 MAX_WEIGHT))
+    for n in (cap + 1, 10 ** 8):
+        clear_package_caches()
+        with deadline(0.5, f"{what} {n}"), pytest.raises(CapacityError, match="above cap"):
+            call(n)
+    call(cap)
 
 
 def test_threads_interning_the_same_new_monomials_get_one_id_each():
@@ -529,14 +557,14 @@ def test_a_form_rebuilt_after_the_caches_are_cleared_is_equal():
 
 
 def test_bernoulli_table_is_thread_safe():
-    expected = [bernoulli_fraction(n) for n in range(81)]
+    expected = [bernoulli(n) for n in range(81)]
     results = [None] * 8
 
     def work(slot):
-        results[slot] = [bernoulli_fraction(n) for n in range(81)]
+        results[slot] = [bernoulli(n) for n in range(81)]
 
     interval = sys.getswitchinterval()
-    bernoulli_fraction.cache_clear()
+    bernoulli.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
@@ -548,7 +576,7 @@ def test_bernoulli_table_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
-    assert [bernoulli_fraction(n) for n in range(81)] == expected
+    assert [bernoulli(n) for n in range(81)] == expected
 
 
 def test_zeta_closed_even():
@@ -576,10 +604,10 @@ def test_zeta_even_matches_series():
 
 
 def test_zeta_nonpositive():
-    assert zeta_nonpositive_rational(0) == Fraction(-1, 2)
-    assert zeta_nonpositive_rational(-1) == Fraction(-1, 12)
-    assert zeta_nonpositive_rational(-2) == 0
-    assert zeta_nonpositive_rational(-3) == Fraction(1, 120)
+    assert zeta_nonpositive_rational(0) == (-1, 2)
+    assert zeta_nonpositive_rational(-1) == (-1, 12)
+    assert zeta_nonpositive_rational(-2) == (0, 1)
+    assert zeta_nonpositive_rational(-3) == (1, 120)
 
 
 def test_eta_factor_closed():

@@ -49,6 +49,9 @@ _ITEM5 = "a ClosedForm query that only the dense route and the tests read (item 
 _PROTOCOL = "binary-operator protocol: NotImplemented defers to the other operand"
 _FAILURE = "handles a failure that no production input raises"
 _COPY, _REPR, _HASH = "copy and pickle protocol", "repr", "hash"
+_EDGE = "the Fraction view of a form, for callers; every route reads ratios or the integers"
+_RATIONAL = "a Fraction operand, which callers pass; every route passes ints and forms"
+_FAR_ORDER = "an order past the float range, which only the tests pass to the kernel"
 
 # the lines no production route executes: (module, enclosing function,
 # stripped source text, reason); a line that repeats in one function is
@@ -58,15 +61,29 @@ _ALLOWED = [
     ("cli", "main", "return 3", _FAILURE),
     ("closedform", "Atom.__getnewargs__", "return self.tag, self.args", _COPY),
     ("closedform", "Atom.__repr__", 'return f"Atom({self.name})"', _REPR),
+    ("closedform", "_ratio", "return None", _PROTOCOL),
+    ("closedform", "ClosedForm.terms", "from fractions import Fraction", _EDGE),
+    ("closedform", "ClosedForm.terms", "den = self._den", _EDGE),
+    ("closedform", "ClosedForm.terms",
+     "return {_MONOMIALS[i]: Fraction(c, den) for i, c in self._num.items()}", _EDGE),
+    ("closedform", "ClosedForm.coefficient", "from fractions import Fraction", _EDGE),
+    ("closedform", "ClosedForm.coefficient",
+     "return Fraction(self._num.get(_id(m), 0), self._den)", _EDGE),
     ("closedform", "ClosedForm.is_zero", "return not self._num", _ITEM5),
     ("closedform", "ClosedForm.atoms",
      "return {a for i in self._num for a, _ in _MONOMIALS[i]}", _ITEM5),
+    ("closedform", "ClosedForm._sum", "r = _ratio(other)", _RATIONAL),
+    ("closedform", "ClosedForm._sum", "if r is None:", _RATIONAL),
     ("closedform", "ClosedForm._sum", "return NotImplemented", _PROTOCOL),
+    ("closedform", "ClosedForm._sum",
+     "onum, oden = ({0: r[0]} if r[0] else {}), r[1]", _RATIONAL),
     ("closedform", "ClosedForm._scaled", "return ClosedForm.zero()", _PINNED),
     ("closedform", "ClosedForm.__rsub__", "out = self._sum(other, -1)", _PINNED),
     ("closedform", "ClosedForm.__rsub__",
      "return out if out is NotImplemented else -out", _PINNED),
-    ("closedform", "ClosedForm.__mul__", "return NotImplemented", _PROTOCOL),
+    ("closedform", "ClosedForm.__mul__", "r = _ratio(other)", _RATIONAL),
+    ("closedform", "ClosedForm.__mul__",
+     "return NotImplemented if r is None else self._scaled(*r)", _RATIONAL),
     ("closedform", "ClosedForm.__mul__", "c += acc[m]", _PINNED),
     ("closedform", "ClosedForm.__mul__", "if not c:", _PINNED),
     ("closedform", "ClosedForm.__mul__", "del acc[m]", _PINNED),
@@ -90,7 +107,7 @@ _ALLOWED = [
     ("closedform", "ClosedForm.__repr__", 'return f"ClosedForm({self.pretty()})"', _REPR),
     ("closedform", "_check_order", "n = int(n)",
      "an integral float order, which the tests pass; every route passes ints"),
-    ("closedform", "bernoulli_fraction", "return Fraction(1) if n == 0 else Fraction(-1, 2)",
+    ("closedform", "bernoulli", "return (1, 1) if n == 0 else (-1, 2)",
      "B_0 and B_1 of the Bernoulli table, which the tests pin; routes read even indices"),
     ("errors", "ConvergenceError.__init__", "super().__init__(message)", _FAILURE),
     ("errors", "ConvergenceError.__init__", "self.partial = partial", _FAILURE),
@@ -143,7 +160,8 @@ _ALLOWED = [
     ("seriesring", "BivariateSeries.scale", "out = BivariateSeries(self.na, self.nb)", _DENSE),
     ("seriesring", "BivariateSeries.scale", "for i in range(self.na + 1):", _DENSE),
     ("seriesring", "BivariateSeries.scale", "for j in range(self.nb + 1):", _DENSE),
-    ("seriesring", "BivariateSeries.scale", "out.c[i][j] = self.c[i][j] * q", _DENSE),
+    ("seriesring", "BivariateSeries.scale",
+     "out.c[i][j] = ClosedForm.combination([(q, self.c[i][j], None)], den)", _DENSE),
     ("seriesring", "BivariateSeries.scale", "return out", _DENSE),
     ("seriesring", "BivariateSeries.is_zero",
      "return all(c.is_zero for row in self.c for c in row)", _DENSE),
@@ -156,15 +174,15 @@ _ALLOWED = [
     ("seriesring", "BivariateSeries.exp", "if power.is_zero():", _DENSE),
     ("seriesring", "BivariateSeries.exp", "break", _DENSE),
     ("seriesring", "BivariateSeries.exp",
-     "out = out + power.scale(Fraction(1, math.factorial(k)))", _DENSE),
+     "out = out + power.scale(1, math.factorial(k))", _DENSE),
     ("seriesring", "BivariateSeries.exp", "return out", _DENSE),
     ("seriesring", "_lngamma_coeff", "if k == 1:", _DENSE),
     ("seriesring", "_lngamma_coeff", "return ClosedForm.atom(GAMMA, 1, -1)", _DENSE),
     ("seriesring", "_lngamma_coeff", "if k % 2:", _DENSE),
     ("seriesring", "_lngamma_coeff",
-     "return ClosedForm.atom(zeta_odd_atom(k), 1, Fraction(-1, k))", _DENSE),
-    ("seriesring", "_lngamma_coeff",
-     "return ClosedForm.atom(PI, k, zeta_even_coefficient(k) / k)", _DENSE),
+     "return ClosedForm.atom(zeta_odd_atom(k), 1, -1) / k", _DENSE),
+    ("seriesring", "_lngamma_coeff", "num, den = zeta_even_coefficient(k)", _DENSE),
+    ("seriesring", "_lngamma_coeff", "return ClosedForm.atom(PI, k, num) / (den * k)", _DENSE),
     ("seriesring", "_lngamma_ratio_log", "s = BivariateSeries(na, nb)", _DENSE),
     ("seriesring", "_lngamma_ratio_log", "kmax = na + nb", _DENSE),
     ("seriesring", "_lngamma_ratio_log", "for k in range(1, kmax + 1):", _DENSE),
@@ -191,6 +209,9 @@ _ALLOWED = [
      "the Li_1 shortcut: the general route is up to 3.2e-15 off -log1p(-x)"),
     ("special", "nielsen_num", "return value if (n + p) % 2 else -value",
      "a zero integral, an order past the float range: its sign without the factorials"),
+    ("special", "li_neg", "except OverflowError:  # an order past the float range: 2^(1-p) is 0.0",
+     _FAR_ORDER),
+    ("special", "li_neg", "half = 0.0", _FAR_ORDER),
     ("special", "_tail_correction", "except OverflowError:", _FAILURE),
     ("special", "_tail_correction", "return 0.0", _FAILURE),
 ]

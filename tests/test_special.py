@@ -402,6 +402,18 @@ def test_polylog_past_the_float_order_is_x():
         assert [polylog(p, x).hex() for x in xs] == [(x + 0.0).hex() for x in xs], p
 
 
+def test_li_kernels_past_the_float_order_are_x():
+    # the kernels themselves: k^-p and 2^(1-p) of an order past the float
+    # range raised a bare OverflowError; Li_p(x) is x and Li_p(-t) is -t, with
+    # the bits of FLOAT_ORDER
+    for x in (0.3, 0.5, 0.7, 0.999):
+        for p in (2000, 10 ** 400):
+            assert li_pos(p, x, 1.0 - x).hex() == li_pos(FLOAT_ORDER, x, 1.0 - x).hex() \
+                == x.hex(), (p, x)
+            assert li_neg(p, x, 1.0 - x).hex() == li_neg(FLOAT_ORDER, x, 1.0 - x).hex() \
+                == (-x).hex(), (p, x)
+
+
 def test_mpl2_past_the_float_order_of_m_inner():
     # only k1 = 1 is left from FLOAT_ORDER on: an m_inner past the float range
     # is read as one inside it, bit for bit; at (2, 1, 1) the sum is zeta(2) - 1

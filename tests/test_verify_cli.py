@@ -24,7 +24,7 @@ from polylog.sigma import cf_num
 from polylog.special import nielsen_num
 from polylog.verify import SUITES, CheckEntry, _entries, _jordan_order3_integral, run_suite
 
-from conftest import clear_package_caches, package_cache_misses, run_cli
+from conftest import clear_package_caches, fraction_constructions, package_cache_misses, run_cli
 
 
 def _polylog_target(node: ast.AST) -> str | None:
@@ -649,7 +649,7 @@ def test_cold_run_suite_oracle_work_counts(monkeypatch):
 _COLD_SUITE_CACHE_MISSES = {
     "approx._stirling_row": 10, "approx._derivative_cf": 11,
     "closedform._monomial_product": 54, "closedform._monomial_json": 41,
-    "closedform.bernoulli_fraction": 16, "closedform.zeta_closed": 9,
+    "closedform.bernoulli": 16, "closedform.zeta_closed": 9,
     "closedform.eta_factor_closed": 8,
     "digamma.bernoulli_quotients": 1, "digamma.psi_point": 128, "digamma.psi_table": 2,
     "digamma.euler_gamma": 1,
@@ -682,7 +682,7 @@ def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
         return combination(cls, *args)
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     run_suite("all")
-    assert len(combinations) == 296
+    assert len(combinations) == 301
     assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 818 in all
 
 
@@ -697,7 +697,7 @@ _COLD_QUERIES = (
 )
 _COLD_QUERY_CACHE_MISSES = {
     "approx._derivative_cf": 18, "approx._stirling_row": 18,
-    "closedform._monomial_product": 96, "closedform.bernoulli_fraction": 55,
+    "closedform._monomial_product": 96, "closedform.bernoulli": 55,
     "closedform.eta_factor_closed": 42, "closedform.zeta_closed": 59,
     "digamma.bernoulli_quotients": 1, "digamma.euler_gamma": 1, "digamma.psi_point": 34,
     "eulersums.jordan_nielsen": 1, "eulersums.milgram": 1, "eulersums.s_minus": 2,
@@ -740,6 +740,21 @@ def test_cold_query_work_counts(monkeypatch, capsys):
     assert len(combinations) == 105
     assert (len(evaluations), sum(evaluations)) == (4, 584)
     assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 563 in all
+
+
+def test_cold_queries_and_tables_construct_no_fraction(tmp_path, capsys):
+    # every display and constant is integer numerators over one denominator,
+    # and a table writes its cells from ClosedForm.ratios
+    queries = [q.split() for q in _COLD_QUERIES] + [
+        ["table", "--kind", kind, "--out", str(tmp_path)] for kind in ("inm", "hnm", "sigma", "ipq")]
+
+    def answer_cold():
+        for argv in queries:
+            clear_package_caches()
+            main(argv)
+    assert fraction_constructions(answer_cold) == 0
+    assert len(list(tmp_path.iterdir())) == 8
+    capsys.readouterr()
 
 
 # every pair of numeric entries whose symbolic field, oracle value and closed
@@ -859,7 +874,7 @@ def test_cold_start_imports_no_heavy_stdlib_modules():
     loaded = set(loaded.split())
     assert "polylog.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv",
-             "argparse", "gettext", "locale", "threading"}
+             "argparse", "gettext", "locale", "threading", "fractions", "decimal", "numbers"}
     assert not loaded & heavy
 
 
