@@ -8,6 +8,11 @@ zeta arguments are rewritten as rational multiples of pi powers at
 construction, so comparing two closed forms against a table reduces to
 term-map equality.  A form keys its numerators by monomial id, an int local
 to the process that never leaves this module: a form pickles by monomial.
+
+The module also holds the exact rationals the builders read (the Bernoulli
+numbers, the zeta(2n) coefficients and zeta(1 - k), as int pairs) and, in
+the same integers, the correctly rounded floats zeta(s), eta(s) and
+Li_k(1/2) that the numeric oracle reads.
 """
 
 from __future__ import annotations
@@ -516,6 +521,11 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 MAX_WEIGHT = 18  # the one weight limit of every exact builder, zeta_closed up
+# From this order on k^-p rounds to 0.0 for every k >= 2 (2^-1075 is half the
+# smallest subnormal), so a float series in k^-p is its k = 1 term: the
+# oracles read a larger order as this one, which gives the same bits and keeps
+# an order past the float range from converting to float.
+FLOAT_ORDER = 1075
 # the deepest Bernoulli index, zeta(1 - k) and truncation depth served:
 # approx._derivative_cf reads zeta down to zeta(-97) at depth MAX_KT, and
 # special._zeta_int down to zeta(-78)
@@ -612,3 +622,73 @@ def eta_factor_closed(n: int) -> ClosedForm:
         return ClosedForm.atom(LN2, 1, -1)
     _check_weight(n)
     return (1 - 2 ** (n - 1)) * zeta_closed(n) / 2 ** (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# zeta, eta and Li_k(1/2) as correctly rounded floats, in integers
+# ---------------------------------------------------------------------------
+
+# The acceleration of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9,
+# 2000) at _CVZ_TERMS terms errs by at most 2 (3 + sqrt 8)^-36, about 6e-28,
+# on an alternating sum of moments such as eta(s); each term is floored to
+# a multiple of 1/_SCALE.  Every value is then within about 1e-27 of exact,
+# and each is rounded once, by an int/int division: all zeta(2..1075),
+# eta(1..1075) and Li_k(1/2), k = 1..1075, are correctly rounded.
+_CVZ_TERMS = 36
+_SCALE = 10 ** 32
+
+
+@cache
+def _cvz_integer_weights() -> tuple[tuple[int, ...], int]:
+    """The CVZ weights c_k, k < n, and divisor d_n at n = _CVZ_TERMS, exact:
+    sum_k c_k a_k / d_n is sum_k (-1)^k a_k.  d_n = ((3 + sqrt 8)^n +
+    (3 - sqrt 8)^n) / 2 comes from d_k = 6 d_(k-1) - d_(k-2), d_0 = 1,
+    d_1 = 3, and b_(k+1) = 2 b_k (k + n)(k - n) / ((2k + 1)(k + 1)) divides
+    exactly; filled on first use."""
+    n = _CVZ_TERMS
+    d_prev, d = 1, 3
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, weights = -1, -d, []
+    for k in range(n):
+        c = b - c
+        weights.append(c)
+        b = 2 * b * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return tuple(weights), d
+
+
+def _eta_scaled(s: int) -> tuple[int, int]:
+    """(N, D) with N / D = eta(s) to about 1e-27, for an integer s >= 1:
+    N = sum_k c_k (_SCALE // (k+1)^s) and D = d_n _SCALE."""
+    weights, d = _cvz_integer_weights()
+    return sum(c * (_SCALE // k ** s) for k, c in enumerate(weights, 1)), d * _SCALE
+
+
+def eta_rounded(s: int) -> float:
+    """eta(s) = sum_{k>=1} (-1)^(k-1) k^-s for an integer s >= 1, correctly
+    rounded; s past FLOAT_ORDER is read as FLOAT_ORDER."""
+    num, den = _eta_scaled(min(_check_order(s, 1), FLOAT_ORDER))
+    return num / den
+
+
+def zeta_rounded(s: int) -> float:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)) for an integer s >= 2, correctly
+    rounded, in one int/int division; s past FLOAT_ORDER is read as
+    FLOAT_ORDER."""
+    s = min(_check_order(s, 2), FLOAT_ORDER)
+    num, den = _eta_scaled(s)
+    h = 2 ** (s - 1)
+    return num * h / (den * (h - 1))
+
+
+def li_half_rounded(k: int) -> float:
+    """Li_k(1/2) = sum_{j>=1} 2^-j j^-k for an integer k >= 1, correctly
+    rounded: each term floored to a multiple of 1/_SCALE, up to the first
+    that floors to 0, beyond which the rest sum to under 2/_SCALE; k past
+    FLOAT_ORDER is read as FLOAT_ORDER."""
+    k = min(_check_order(k, 1), FLOAT_ORDER)
+    total, j = 0, 1
+    while t := _SCALE // (2 ** j * j ** k):
+        total += t
+        j += 1
+    return total / _SCALE

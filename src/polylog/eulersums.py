@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import ClosedForm, LN2, _check_order, _check_weight, zeta_closed
+from .closedform import FLOAT_ORDER, ClosedForm, LN2, _check_order, _check_weight, zeta_closed
 from .digamma import bernoulli_quotients, euler_gamma, psi_point, psi_table
 from .errors import DomainError
 from .quadrature import ORACLE_TOL
 from .seriesring import kolbig_snp
 from .sigma import sigma_tilde
-from .summation import FLOAT_ORDER, Expansion, sum_alternating, sum_tail
+from .summation import Expansion, sum_alternating, sum_tail
 
 # (scale, shift, step, offset) of each monotone series
 # sum_{k>=1} scale * [psi(k + shift) - psi(shift)] * (step*k + offset)^-r;

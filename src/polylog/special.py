@@ -47,12 +47,11 @@ from functools import cache
 from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import _check_order, zeta_nonpositive_rational
+from .closedform import FLOAT_ORDER, _check_order, li_half_rounded, zeta_nonpositive_rational
 from .digamma import bernoulli_quotients
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
-from .summation import (FLOAT_ORDER, TAIL_CUTOFF, Expansion, eta_num, sum_alternating, sum_tail,
-                         zeta_num)
+from .summation import TAIL_CUTOFF, Expansion, eta_num, sum_alternating, sum_tail, zeta_num
 
 _EPS = 2.2e-16
 
@@ -161,6 +160,8 @@ def polylog(p: int, x: float) -> float:
         return -math.log1p(-x)
     if x == 1.0:
         return zeta_num(p)
+    if x == 0.5:
+        return li_half_rounded(p)
     if x < 0.0:
         return li_neg(p, -x, 1.0 + x)
     return li_pos(p, x, 1.0 - x)

@@ -28,7 +28,7 @@ import math
 from collections.abc import Callable, Iterable
 from functools import cache
 
-from .closedform import _check_order
+from .closedform import eta_rounded, zeta_rounded
 from .digamma import bernoulli_quotients
 from .errors import ConvergenceError, DomainError
 from .quadrature import _check_tolerance
@@ -43,11 +43,6 @@ TAIL_CUTOFF = 64
 EM_CORRECTIONS = 10
 # a piece of a tail below this fraction of the sum so far is dropped
 _NEGLIGIBLE = 2.0 ** -60
-# From this order on k^-p rounds to 0.0 for every k >= 2 (2^-1075 is half the
-# smallest subnormal), so a float series in k^-p is its k = 1 term: the
-# oracles read a larger order as this one, which gives the same bits and keeps
-# an order past the float range from converting to float.
-FLOAT_ORDER = 1075
 
 
 @cache
@@ -171,15 +166,13 @@ def _expansion_tail(y: float, a: int, expansion: Expansion, head: float) -> floa
 
 @cache
 def eta_num(s: int) -> float:
-    """eta(s) = sum_{k>=1} (-1)^{k-1} k^-s for s >= 1; s past FLOAT_ORDER is
-    read as FLOAT_ORDER."""
-    s = min(_check_order(s, 1), FLOAT_ORDER)
-    return sum_alternating(lambda k: (-1) ** (k - 1) * float(k) ** (-s), 1e-15)
+    """eta(s) = sum_{k>=1} (-1)^{k-1} k^-s for s >= 1, correctly rounded
+    (closedform.eta_rounded); s past FLOAT_ORDER is read as FLOAT_ORDER."""
+    return eta_rounded(s)
 
 
 @cache
 def zeta_num(s: int) -> float:
-    """zeta(s) for integer s >= 2, via the alternating eta series; s past
-    FLOAT_ORDER is read as FLOAT_ORDER."""
-    s = min(_check_order(s, 2), FLOAT_ORDER)
-    return eta_num(s) / (1.0 - 2.0 ** (1 - s))
+    """zeta(s) for integer s >= 2, correctly rounded (closedform.zeta_rounded);
+    s past FLOAT_ORDER is read as FLOAT_ORDER."""
+    return zeta_rounded(s)

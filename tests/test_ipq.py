@@ -330,22 +330,22 @@ def test_node_cache_holds_each_node_once_and_is_reused(monkeypatch):
 # change is below 2^-52 of its value, or whose change meets ORACLE_TOL
 _GRID_VALUES = {
     "plus": [
-        2.4041138063191885, 1.3529040421389218, 1.1334789151328137, 1.0578799592559691,
-        1.3529040421389218, 0.8438254351644815, 0.7224703992168169, 0.678972583596368,
-        1.1334789151328137, 0.7224703992168169, 0.6220415309361207, 0.5857117911154678,
-        1.0578799592559691, 0.678972583596368, 0.5857117911154678, 0.5518761933074294,
+        2.4041138063191885, 1.3529040421389227, 1.1334789151328137, 1.0578799592559687,
+        1.3529040421389227, 0.8438254351644824, 0.7224703992168171, 0.6789725835963681,
+        1.1334789151328137, 0.7224703992168171, 0.6220415309361205, 0.5857117911154675,
+        1.0578799592559687, 0.6789725835963681, 0.5857117911154675, 0.5518761933074291,
     ],
     "minus": [
-        0.3005142257898985, 0.33822601053473045, 0.36024660847834455, 0.37251368227238435,
-        0.33822601053473045, 0.3812425228831411, 0.40638959955945947, 0.4204094279038062,
-        0.36024660847834455, 0.40638959955945947, 0.4333810847581395, 0.4484355900727801,
-        0.37251368227238435, 0.4204094279038062, 0.4484355900727801, 0.4640707888044536,
+        0.3005142257898985, 0.33822601053473067, 0.36024660847834444, 0.37251368227238424,
+        0.33822601053473067, 0.38124252288314153, 0.40638959955945964, 0.4204094279038063,
+        0.36024660847834444, 0.40638959955945964, 0.4333810847581394, 0.4484355900727799,
+        0.37251368227238424, 0.4204094279038063, 0.4484355900727799, 0.4640707888044533,
     ],
     "mixed": [
-        -0.7512855644747463, -0.8592471579285901, -0.9231833733969403, -0.9591519425043186,
-        -0.4936568842103318, -0.5597948893260312, -0.5986546211593694, -0.6203954412896744,
-        -0.42885728582261623, -0.4850509776658558, -0.5179919089262532, -0.5363918220462838,
-        -0.40512420157053697, -0.4577686769731133, -0.4886038124057849, -0.5058177246758344,
+        -0.7512855644747463, -0.8592471579285905, -0.9231833733969403, -0.9591519425043182,
+        -0.49365688421033205, -0.5597948893260318, -0.5986546211593695, -0.6203954412896745,
+        -0.4288572858226162, -0.4850509776658561, -0.517991908926253, -0.5363918220462836,
+        -0.4051242015705368, -0.4577686769731134, -0.48860381240578465, -0.505817724675834,
     ],
 }
 
@@ -360,10 +360,10 @@ def test_ipq_numeric_values_are_unchanged_and_memoized():
 
 
 # the same grid to 30 digits (mpmath quadratures of the defining integral at
-# 55 digits, which agree with 45-digit ones to 3e-31).  The float Li_2 column
-# is up to 1e-15 relative low near x = 0.6..0.8, so the three I(2,2) sit
-# just outside 1e-15; the quadrature of 30-digit integrand values at the
-# same nodes is within 3e-17 of each.
+# 55 digits, which agree with 45-digit ones to 3e-31).  The Li_p columns read
+# correctly rounded zeta(k), so every cell is within 3e-16 relative; the
+# quadrature of 30-digit integrand values at the same nodes is within 3e-17
+# of each.
 _GRID_REFERENCES = {
     "plus": (
         2.40411380631918857079947632302, 1.35290404213892273939500462068,
@@ -401,9 +401,10 @@ _GRID_REFERENCES = {
 def test_ipq_numeric_grid_against_30_digit_references():
     references = (r for fam in Family for r in _GRID_REFERENCES[fam.value])
     for (fam, p, q), ref in zip(_GRID, references):
-        # the I(2,2) of the three families are 1.14e-15 to 1.22e-15 off
-        bound = 1.25e-15 if p == q == 2 else 1e-15
-        assert abs(ipq_numeric(fam, p, q) - ref) <= bound * abs(ref), (fam, p, q)
+        # the worst cell is 3.0e-16 off; the I(2,2) were 1.14e-15 to 1.22e-15
+        # off while the zeta(k) of the log expansion of Li_p were not
+        # correctly rounded
+        assert abs(ipq_numeric(fam, p, q) - ref) <= 1e-15 * abs(ref), (fam, p, q)
 
 
 # -- orders past the caps and the float range --------------------------------

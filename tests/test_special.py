@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 import polylog as package
 from polylog import special, summation
 from polylog.approx import s_minus_truncated, stirling1
-from polylog.closedform import (Atom, ClosedForm, eta_factor_closed, li_half_atom, sigma_atom,
-                                zeta_closed, zeta_odd_atom)
+from polylog.closedform import (FLOAT_ORDER, Atom, ClosedForm, eta_factor_closed, li_half_atom,
+                                sigma_atom, zeta_closed, zeta_odd_atom)
 from polylog.cli import _EVAL_TARGETS
 from polylog.errors import CapacityError, ConvergenceError, DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus, s_plus,
@@ -26,7 +26,7 @@ from polylog.seriesring import (MAX_WEIGHT, BivariateSeries, beta_derivative_inm
 from polylog.sigma import sigma_tilde
 from polylog.special import (_li_series, li_column, li_neg, li_pos, mpl2,
                              nielsen_num, outer_tail, polylog)
-from polylog.summation import FLOAT_ORDER, zeta_num
+from polylog.summation import zeta_num
 from polylog.verify import run_suite
 
 from conftest import (clear_package_caches, deadline, eta_brute, li_half_brute, pointwise,
