@@ -212,10 +212,10 @@ class ClosedForm:
 
     ``Fraction`` appears only at the edges.  A coefficient may be an int or
     any exact rational whose ``numerator`` and ``denominator`` are ints (a
-    ``Fraction`` is one); a float is refused.  ``terms``, ``coefficient``
-    and the hash of a pure rational hand out or hash ``Fraction`` values,
-    importing ``fractions`` only when called; ``ratios`` gives the same
-    coefficients as int pairs.  No builder and no query makes a
+    ``Fraction`` is one); a float is refused.  ``terms`` and
+    ``coefficient`` hand out ``Fraction`` values and ``__hash__`` hashes
+    them, each importing ``fractions`` only when called; ``ratios`` gives
+    the coefficients as int pairs.  No builder and no query makes a
     ``Fraction``, so ``import polylog`` loads neither ``fractions`` nor
     ``decimal``.
 

@@ -18,8 +18,8 @@ from enum import Enum
 from functools import cache
 from operator import mul, truediv
 
-from .closedform import (FLOAT_ORDER, ClosedForm, LN2, _check_order, _check_weight, eta_factor_closed,
-                         zeta_closed)
+from .closedform import (FLOAT_ORDER, ClosedForm, LN2, _check_order, _check_weight,
+                         eta_factor_closed, zeta_closed)
 from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, Grid, integrate01, nodes

@@ -129,10 +129,10 @@ def li_neg(p: int, t: float, omt: float, li_t: float | None = None) -> float:
     tsq = t * t
     omtsq = omt * (1.0 + t)
     try:
-        half = 2.0 ** (1 - p)
+        power = 2.0 ** (1 - p)
     except OverflowError:  # an order past the float range: 2^(1-p) is 0.0
-        half = 0.0
-    return half * li_pos(p, tsq, omtsq) - li_t
+        power = 0.0
+    return power * li_pos(p, tsq, omtsq) - li_t
 
 
 @cache

@@ -214,7 +214,7 @@ _ALLOWED = [
      "a zero integral, an order past the float range: its sign without the factorials"),
     ("special", "li_neg", "except OverflowError:  # an order past the float range: 2^(1-p) is 0.0",
      _FAR_ORDER),
-    ("special", "li_neg", "half = 0.0", _FAR_ORDER),
+    ("special", "li_neg", "power = 0.0", _FAR_ORDER),
     ("special", "_tail_correction", "except OverflowError:", _FAILURE),
     ("special", "_tail_correction", "return 0.0", _FAILURE),
 ]
