@@ -246,10 +246,8 @@ class ClosedForm:
         acc: dict[int, int] = {}
         for i, n, d in parts:
             acc[i] = acc.get(i, 0) + n * (den // d)
-        num = {i: n for i, n in acc.items() if n}
-        g = math.gcd(den, *num.values())
-        self._num = {i: n // g for i, n in num.items()} if g != 1 else num
-        self._den = den // g
+        form = ClosedForm._reduced({i: n for i, n in acc.items() if n}, den)
+        self._num, self._den = form._num, form._den
 
     @classmethod
     def _canonical(cls, num: dict[int, int], den: int) -> "ClosedForm":
