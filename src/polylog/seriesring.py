@@ -104,12 +104,11 @@ class BivariateSeries:
                         out.c[i1 + i2][j1 + j2] = out.c[i1 + i2][j1 + j2] + c1 * c2
         return out
 
-    def scale(self, q, den: int = 1) -> "BivariateSeries":
-        """Every coefficient times q / den, q an int or rational."""
+    def scale(self, q) -> "BivariateSeries":
         out = BivariateSeries(self.na, self.nb)
         for i in range(self.na + 1):
             for j in range(self.nb + 1):
-                out.c[i][j] = ClosedForm.combination([(q, self.c[i][j], None)], den)
+                out.c[i][j] = self.c[i][j] * q
         return out
 
     def is_zero(self) -> bool:
@@ -125,7 +124,7 @@ class BivariateSeries:
             power = power * self
             if power.is_zero():
                 break
-            out = out + power.scale(1, math.factorial(k))
+            out = out + power.scale(ClosedForm.one() / math.factorial(k))
         return out
 
 

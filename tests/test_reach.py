@@ -160,8 +160,7 @@ _ALLOWED = [
     ("seriesring", "BivariateSeries.scale", "out = BivariateSeries(self.na, self.nb)", _DENSE),
     ("seriesring", "BivariateSeries.scale", "for i in range(self.na + 1):", _DENSE),
     ("seriesring", "BivariateSeries.scale", "for j in range(self.nb + 1):", _DENSE),
-    ("seriesring", "BivariateSeries.scale",
-     "out.c[i][j] = ClosedForm.combination([(q, self.c[i][j], None)], den)", _DENSE),
+    ("seriesring", "BivariateSeries.scale", "out.c[i][j] = self.c[i][j] * q", _DENSE),
     ("seriesring", "BivariateSeries.scale", "return out", _DENSE),
     ("seriesring", "BivariateSeries.is_zero",
      "return all(c.is_zero for row in self.c for c in row)", _DENSE),
@@ -174,7 +173,7 @@ _ALLOWED = [
     ("seriesring", "BivariateSeries.exp", "if power.is_zero():", _DENSE),
     ("seriesring", "BivariateSeries.exp", "break", _DENSE),
     ("seriesring", "BivariateSeries.exp",
-     "out = out + power.scale(1, math.factorial(k))", _DENSE),
+     "out = out + power.scale(ClosedForm.one() / math.factorial(k))", _DENSE),
     ("seriesring", "BivariateSeries.exp", "return out", _DENSE),
     ("seriesring", "_lngamma_coeff", "if k == 1:", _DENSE),
     ("seriesring", "_lngamma_coeff", "return ClosedForm.atom(GAMMA, 1, -1)", _DENSE),
