@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import (MAX_KT, ClosedForm, _check_order, _check_weight, eta_factor_closed,
+from .closedform import (MAX_KT, ClosedForm, _check_order, builder, eta_factor_closed,
                          zeta_nonpositive_rational)
 from .errors import CapacityError, DomainError
 
@@ -27,9 +27,12 @@ from .errors import CapacityError, DomainError
 # need only kt = 12, and 100 keeps any query within a fraction of a second.
 
 
-def _check_kt(k: int) -> None:
+def _check_kt(k: int) -> int:
+    """A truncation depth: an order >= 1, at most MAX_KT."""
+    k = _check_order(k, 1)
     if k > MAX_KT:
         raise CapacityError(f"truncation depth {k} above cap MAX_KT = {MAX_KT}")
+    return k
 
 
 @cache
@@ -41,9 +44,9 @@ def _stirling_row(k: int) -> tuple[int, ...]:
     return tuple(prev[j - 1] - (k - 1) * prev[j] for j in range(1, k + 1))
 
 
+@builder(1, 1)
 def stirling1(k: int, j: int) -> int:
     """Signed Stirling number of the first kind S_k^(j), exact, for k <= MAX_KT."""
-    k, j = _check_order(k, 1), _check_order(j, 1)
     _check_kt(k)
     if j > k:
         raise DomainError(f"column {j} outside 1..{k}")
@@ -66,17 +69,14 @@ def _derivative_cf(p: int, k: int) -> ClosedForm:
                                   for j in range(1, k + 1))
 
 
+@builder(3, weight=lambda p: p + 1)
 def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     """Truncation at k = kt of the Stirling expansion of S-(p).
 
     Exact closed form in {1, pi powers, zeta(odd), ln 2}; accuracy improves
-    with kt (nine decimals at p = 5, kt = 10).  The weight p+1 of S-(p) is
-    held to the weight ceiling MAX_WEIGHT, as in s_minus, and kt to MAX_KT.
+    with kt (nine decimals at p = 5, kt = 10); kt is held to MAX_KT.
     """
-    p = _check_order(p, 3)
-    _check_weight(p + 1)
-    kt = _check_order(kt, 1)
-    _check_kt(kt)
+    kt = _check_kt(kt)
     weights = [k * math.factorial(k) for k in range(1, kt + 1)]
     den = math.lcm(*weights)  # the one denominator
     return ClosedForm.combination([((-1) ** (k + 1) * (den // w), _derivative_cf(p, k), None)

@@ -21,7 +21,7 @@ import json
 import math
 from _thread import allocate_lock
 from collections.abc import Callable, Mapping
-from functools import cache
+from functools import cache, wraps
 from operator import itemgetter
 
 from .errors import CapacityError, DomainError
@@ -71,21 +71,23 @@ PI = Atom("pi")
 LN2 = Atom("ln2")
 GAMMA = Atom("gamma")
 
+MAX_WEIGHT = 18  # the one weight limit of every exact builder, zeta_closed up
+# From this order on k^-p rounds to 0.0 for every k >= 2 (2^-1075 is half the
+# smallest subnormal), so a float series in k^-p is its k = 1 term: the
+# oracles read a larger order as this one, which gives the same bits and keeps
+# an order past the float range from converting to float.
+FLOAT_ORDER = 1075
+# the deepest Bernoulli index, zeta(1 - k) and truncation depth served:
+# approx._derivative_cf reads zeta down to zeta(-97) at depth MAX_KT, and
+# special._zeta_int down to zeta(-78)
+MAX_KT = 100
+
 
 def _check_order(n: int, least: int) -> int:
-    """The one order rule: an integer order the paper indexes its quantities
-    by (Li_p, S_{n,p}, I(p,q), i(n,m), h(n,m), S+-(r), ...) must have an
-    integral value no smaller than least, else DomainError (3.5, inf and nan
-    are not integers).  Returns the order as an int, so 3.0 is answered
-    exactly as 3.
-
-    Every order-taking entry point binds each of its orders through it at
-    entry; a memoized builder does so in its body, so no cache hit skips the
-    check and no rejected order is ever cached.  Other guards test only what
-    a least value cannot: parity, or a relation between arguments.  One
-    order per call, with no keyword: the builders call it on every call, so
-    its int path is kept to a type test and a comparison.
-    """
+    """The one order rule: an order the paper indexes its quantities by (Li_p,
+    S_{n,p}, I(p,q), i(n,m), h(n,m), S+-(r), ...) is integral and at least
+    least, else DomainError (3.5, inf and nan are not integers); returned as
+    an int, so 3.0 is answered as 3.  builder applies it to every order."""
     if type(n) is not int:
         if n % 1:  # nan % 1 and inf % 1 are nan, which is true
             raise DomainError(f"order {n!r} is not an integer")
@@ -95,19 +97,66 @@ def _check_order(n: int, least: int) -> int:
     return n
 
 
+def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
+    cap = min(max_weight, MAX_WEIGHT)
+    if weight > cap:
+        raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")
+
+
+def _declaration(least: tuple, weight: Callable[..., int] | None, memoize: bool):
+    slots, arity = tuple((i, lo) for i, lo in enumerate(least) if lo is not None), len(least)
+
+    def declare(fn):
+        @wraps(fn)
+        def bound(*args, **kwargs):
+            if len(args) < arity:
+                raise TypeError(f"{fn.__qualname__}() takes its orders by position")
+            for i, lo in slots:
+                n = args[i]
+                if type(n) is not int or n < lo:  # bind, or raise, and come back with ints
+                    ints = [a if low is None else _check_order(a, low)
+                            for a, low in zip(args, least)]
+                    return entry(*ints, *args[arity:], **kwargs)
+            if weight is not None and weight(*args[:arity]) > MAX_WEIGHT:
+                _check_weight(weight(*args[:arity]))
+            return fn(*args, **kwargs) if kwargs else fn(*args)
+
+        entry = cache(bound) if memoize else bound
+        return entry
+    return declare
+
+
+def builder(*least: int | None, weight: Callable[..., int] | None = None):
+    """Declare a pure builder by the least value of each order, by position
+    (None for an argument that is not an order), and the weight the orders
+    imply, held to MAX_WEIGHT, as a function of the declared arguments:
+    @builder(None, 1, 1, weight=lambda family, p, q: p + q + 1).  The name is a
+    functools.cache, outermost, so a hit is a C lookup; a miss binds the
+    orders and checks the weight before the body runs, and a non-int order
+    (3.0) returns its ints' entry.  __wrapped__ runs the body uncached."""
+    return _declaration(least, weight, memoize=True)
+
+
+def bind_orders(*least: int | None, weight: Callable[..., int] | None = None):
+    """builder without the cache, for the float kernels and oracles and BivariateSeries."""
+    return _declaration(least, weight, memoize=False)
+
+
+@builder(3)
 def zeta_odd_atom(n: int) -> Atom:
-    n = _check_order(n, 3)
     if n % 2 == 0:
         raise DomainError(f"zeta atom requires odd n >= 3, got {n}")
     return Atom("zeta_odd", (n,))
 
 
+@builder(4)
 def li_half_atom(k: int) -> Atom:
-    return Atom("li_half", (_check_order(k, 4),))
+    return Atom("li_half", (k,))
 
 
+@builder(1, 1)
 def sigma_atom(n: int, p: int) -> Atom:
-    return Atom("sigma", (_check_order(n, 1), _check_order(p, 1)))
+    return Atom("sigma", (n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +564,8 @@ class ClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# the weight ceiling, Bernoulli numbers and zeta closed forms
+# Bernoulli numbers and zeta closed forms
 # ---------------------------------------------------------------------------
-
-MAX_WEIGHT = 18  # the one weight limit of every exact builder, zeta_closed up
-# From this order on k^-p rounds to 0.0 for every k >= 2 (2^-1075 is half the
-# smallest subnormal), so a float series in k^-p is its k = 1 term: the
-# oracles read a larger order as this one, which gives the same bits and keeps
-# an order past the float range from converting to float.
-FLOAT_ORDER = 1075
-# the deepest Bernoulli index, zeta(1 - k) and truncation depth served:
-# approx._derivative_cf reads zeta down to zeta(-97) at depth MAX_KT, and
-# special._zeta_int down to zeta(-78)
-MAX_KT = 100
-
-
-def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
-    cap = min(max_weight, MAX_WEIGHT)
-    if weight > cap:
-        raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")
-
 
 def _lowest(num: int, den: int) -> tuple[int, int]:
     """num / den in lowest terms, for den > 0."""
@@ -542,7 +573,7 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-@cache
+@builder(0)
 def bernoulli(n: int) -> tuple[int, int]:
     """B_n with the B_1 = -1/2 convention, exact: (numerator, denominator)
     in lowest terms.
@@ -552,7 +583,6 @@ def bernoulli(n: int) -> tuple[int, int]:
     B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).  Memoized; an index past
     MAX_KT is a CapacityError.
     """
-    n = _check_order(n, 0)
     if n > MAX_KT:
         raise CapacityError(f"Bernoulli index {n} above cap MAX_KT = {MAX_KT}")
     if n < 2:
@@ -569,12 +599,12 @@ def bernoulli(n: int) -> tuple[int, int]:
     return _lowest((-1) ** (m - 1) * n * t[m], 4 ** m * (4 ** m - 1))
 
 
+@builder(2)
 def zeta_even_coefficient(n: int) -> tuple[int, int]:
     """The rational c with zeta(n) = c * pi^n, for even n >= 2, as
     (numerator, denominator) in lowest terms.  Past 2 MAX_WEIGHT, the
     deepest zeta that gamma_ratio_series reads (the box of two orders
     MAX_WEIGHT), a CapacityError."""
-    n = _check_order(n, 2)
     if n > 2 * MAX_WEIGHT:
         raise CapacityError(f"zeta({n}) above cap 2 * MAX_WEIGHT = {2 * MAX_WEIGHT}")
     if n % 2:
@@ -584,41 +614,34 @@ def zeta_even_coefficient(n: int) -> tuple[int, int]:
     return _lowest((-1) ** (n // 2 + 1) * b * 2 ** (n - 1), d * math.factorial(n))
 
 
-@cache
+@builder(2, weight=lambda n: n)  # the n = 1 limit lives in eta_factor_closed
 def zeta_closed(n: int) -> ClosedForm:
-    """zeta(n) as a closed form: pi-power for even n, atomic for odd n.
-
-    Memoized; a ClosedForm is immutable, so every caller may share it.  The
-    weight n is held to MAX_WEIGHT, which bounds the Bernoulli recurrence.
-    """
-    n = _check_order(n, 2)  # the n = 1 limit lives in eta_factor_closed
-    _check_weight(n)
+    """zeta(n) as a closed form: pi-power for even n, atomic for odd n."""
     if n % 2 == 0:
         num, den = zeta_even_coefficient(n)
         return ClosedForm.atom(PI, n, num) / den
     return ClosedForm.atom(zeta_odd_atom(n))
 
 
+@builder(None)
 def zeta_nonpositive_rational(n: int) -> tuple[int, int]:
     """zeta(n) for integer n <= 0, -B_k/k at k = 1 - n, as (numerator,
-    denominator) in lowest terms.  Past k = MAX_KT, a CapacityError."""
+    denominator) in lowest terms; k is bound as bernoulli's order, and past
+    MAX_KT it is a CapacityError."""
     if n > 0:
         raise DomainError("nonpositive argument required")
     if n == 0:
         return -1, 2
     k = 1 - n
-    b, d = bernoulli(k)
-    return _lowest(-b, d * k)
+    b, d = bernoulli(k)  # which binds k, so int(k) is exact
+    return _lowest(-b, d * int(k))
 
 
-@cache
+@builder(1, weight=lambda n: n)
 def eta_factor_closed(n: int) -> ClosedForm:
-    """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized.
-    The weight n is checked before 2^(n-1) is built."""
-    n = _check_order(n, 1)
+    """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized."""
     if n == 1:
         return ClosedForm.atom(LN2, 1, -1)
-    _check_weight(n)
     return (1 - 2 ** (n - 1)) * zeta_closed(n) / 2 ** (n - 1)
 
 
@@ -662,29 +685,32 @@ def _eta_scaled(s: int) -> tuple[int, int]:
     return sum(c * (_SCALE // k ** s) for k, c in enumerate(weights, 1)), d * _SCALE
 
 
+@bind_orders(1)
 def eta_rounded(s: int) -> float:
     """eta(s) = sum_{k>=1} (-1)^(k-1) k^-s for an integer s >= 1, correctly
     rounded; s past FLOAT_ORDER is read as FLOAT_ORDER."""
-    num, den = _eta_scaled(min(_check_order(s, 1), FLOAT_ORDER))
+    num, den = _eta_scaled(min(s, FLOAT_ORDER))
     return num / den
 
 
+@bind_orders(2)
 def zeta_rounded(s: int) -> float:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) for an integer s >= 2, correctly
     rounded, in one int/int division; s past FLOAT_ORDER is read as
     FLOAT_ORDER."""
-    s = min(_check_order(s, 2), FLOAT_ORDER)
+    s = min(s, FLOAT_ORDER)
     num, den = _eta_scaled(s)
     h = 2 ** (s - 1)
     return num * h / (den * (h - 1))
 
 
+@bind_orders(1)
 def li_half_rounded(k: int) -> float:
     """Li_k(1/2) = sum_{j>=1} 2^-j j^-k for an integer k >= 1, correctly
     rounded: each term floored to a multiple of 1/_SCALE, up to the first
     that floors to 0, beyond which the rest sum to under 2/_SCALE; k past
     FLOAT_ORDER is read as FLOAT_ORDER."""
-    k = min(_check_order(k, 1), FLOAT_ORDER)
+    k = min(k, FLOAT_ORDER)
     total, j = 0, 1
     while t := _SCALE // (2 ** j * j ** k):
         total += t

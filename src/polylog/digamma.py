@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import bernoulli
-from .errors import DomainError
+from .closedform import bernoulli, builder
+from .errors import CapacityError, DomainError
 
 
 @cache
@@ -63,10 +63,12 @@ def psi_point(x: float) -> float:
     return psi(x)
 
 
-@cache
+@builder(None, 1)
 def psi_table(shift: float, stop: int) -> tuple[float, ...]:
-    """psi(k + shift) - psi(shift) for k in range(1, stop), read through
-    psi_point: the digamma differences of a series oracle's head."""
+    """psi(k + shift) - psi(shift) for k in range(1, stop), stop at most 4096,
+    read through psi_point: the digamma differences of a series oracle's head."""
+    if stop > 4096:
+        raise CapacityError(f"digamma table to {stop} above cap 4096")
     origin = psi_point(shift)
     return tuple(psi_point(k + shift) - origin for k in range(1, stop))
 

@@ -18,8 +18,7 @@ acceleration at ORACLE_TOL.  All of them read digamma through psi_point,
 so the sums share each psi value at the integers and half-integers they
 walk.  The second exact routes (the Nielsen form of C, the full
 Milgram sum, the even-order Jordan forms against the Nielsen ones, the
-Jordan decomposition of S-) are verify entries.  Every builder holds the
-weight r+1 of its sum to the weight ceiling MAX_WEIGHT.
+Jordan decomposition of S-) are verify entries.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import FLOAT_ORDER, ClosedForm, LN2, _check_order, _check_weight, zeta_closed
+from .closedform import FLOAT_ORDER, ClosedForm, LN2, builder, zeta_closed
 from .digamma import bernoulli_quotients, euler_gamma, psi_point, psi_table
 from .errors import DomainError
 from .quadrature import ORACLE_TOL
@@ -47,34 +46,28 @@ _MONOTONE = {
 }
 
 
-@cache
+@builder(2, weight=lambda r: r + 1)
 def s_plus(r: int) -> ClosedForm:
     """S+(r) = sum_k [psi(k+1)+gamma] / k^r, Euler's closed form."""
-    r = _check_order(r, 2)
-    _check_weight(r + 1)
     return ClosedForm.combination(
         [(r + 2, zeta_closed(r + 1), None)]
         + [(-1, zeta_closed(mu + 1), zeta_closed(r - mu)) for mu in range(1, r - 1)], 2)
 
 
-@cache
+@builder(2, weight=lambda r: r + 1)
 def c_sum(r: int) -> ClosedForm:
     """C(r) = 2^{-r-1} S+(r)."""
-    r = _check_order(r, 2)
-    _check_weight(r + 1)
     return s_plus(r) / 2 ** (r + 1)
 
 
-@cache
+@builder(None, 2, weight=lambda which, r: r + 1)
 def jordan_even(which: str, r: int) -> ClosedForm:
     """J1(2n) or J2(2n), closed, for even order r = 2n >= 2."""
     if which not in ("J1", "J2"):
         raise DomainError("which must be 'J1' or 'J2'")
-    r = _check_order(r, 2)
     if r % 2:
         raise DomainError("even-order Jordan form needs even r >= 2; "
                           "odd orders go through jordan_nielsen")
-    _check_weight(r + 1)
     top = 2 ** (r + 1)
     if which == "J1":
         # -(1 - 2^-(r+1))/2 zeta(r+1) + (1 - 2^-r) ln2 zeta(r)
@@ -93,11 +86,9 @@ def jordan_even(which: str, r: int) -> ClosedForm:
                  for mu, c in enumerate(coeff, start=1)], den)
 
 
-@cache
+@builder(2, weight=lambda r: r + 1)
 def milgram(r: int) -> ClosedForm:
     """M(r) closed, in its simplified even/odd display."""
-    r = _check_order(r, 2)
-    _check_weight(r + 1)
     # r/2 (1 - 2^-(r+1)) zeta(r+1) - (1 - 2^-r) ln2 zeta(r)
     #   - [r odd] (1 - 2^-h)^2 zeta(h)^2 / 2 at h = (r+1)/2
     #   - sum_mu (2^(mu+2) - 1)/2 (2^-(mu+1) - 2^-r) zeta(mu+2) zeta(r-1-mu),
@@ -113,7 +104,7 @@ def milgram(r: int) -> ClosedForm:
     return ClosedForm.combination(terms, 2 ** (r + 2))
 
 
-@cache
+@builder(None, 2, weight=lambda which, r: r + 1)
 def jordan_nielsen(which: str, r: int) -> ClosedForm:
     """J1(r) or J2(r) in Nielsen terms, valid for any order r >= 2.
 
@@ -124,7 +115,6 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     """
     if which not in ("J1", "J2"):
         raise DomainError("which must be 'J1' or 'J2'")
-    r = _check_order(r, 2)
     s = kolbig_snp(r - 1, 2)
     sig = sigma_tilde(r - 1, 2)
     if which == "J1":
@@ -132,21 +122,19 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     return ClosedForm.combination([(2 ** r - 1, s, None), (2 ** r, sig, None)], 2 ** (r + 1))
 
 
-@cache
+@builder(2, weight=lambda r: r + 1)
 def s_minus(r: int) -> ClosedForm:
     """S-(r) = sum_k (-1)^k [psi(k+1)+gamma] / k^r
     = (2^-r - 1) zeta(r+1) + sigma~_{r-1,2}.
 
     Fully closed whenever sigma~_{r-1,2} is registered (all even r <= 8,
-    and r = 3).  Its weight r+1 is held to the weight ceiling MAX_WEIGHT.
+    and r = 3).
     """
-    r = _check_order(r, 2)
-    _check_weight(r + 1)
     return ClosedForm.combination([(1 - 2 ** r, zeta_closed(r + 1), None),
                                    (2 ** r, sigma_tilde(r - 1, 2), None)], 2 ** r)
 
 
-@cache
+@builder(None, 2)
 def sum_oracle(tag: str, r: int) -> float:
     """The sum named by tag (SPlus, SMinus, Jordan1, Jordan2, Milgram or
     CSum) at order r >= 2, by accelerated summation of its defining series
@@ -155,7 +143,7 @@ def sum_oracle(tag: str, r: int) -> float:
     past FLOAT_ORDER is read as FLOAT_ORDER: every term past k = 1 underflows."""
     if tag != "SMinus" and tag not in _MONOTONE:
         raise DomainError(f"unknown sum tag {tag!r}")
-    r = min(_check_order(r, 2), FLOAT_ORDER)
+    r = min(r, FLOAT_ORDER)
     e = -float(r)
     if tag == "SMinus":
         g = euler_gamma()

@@ -18,8 +18,8 @@ from enum import Enum
 from functools import cache
 from operator import mul, truediv
 
-from .closedform import (FLOAT_ORDER, ClosedForm, LN2, _check_order, _check_weight,
-                         eta_factor_closed, zeta_closed)
+from .closedform import (FLOAT_ORDER, ClosedForm, LN2, bind_orders, builder, eta_factor_closed,
+                         zeta_closed)
 from .errors import DomainError
 from .eulersums import c_sum, jordan_nielsen, s_minus, s_plus, sum_oracle
 from .quadrature import ORACLE_TOL, Grid, integrate01, nodes
@@ -49,15 +49,13 @@ class Family(Enum):
 # ---------------------------------------------------------------------------
 
 
+@builder(None, 1, 1, weight=lambda family, p, q: p + q)
 def r_value(family: Family, p: int, q: int) -> ClosedForm:
     """R(p,q): the product of endpoint polylog values for the family.
 
     R+ = zeta(p) zeta(q); R- = Li_p(-1) Li_q(-1); R+- = zeta(p) Li_q(-1);
     eta-type slots admit the order-1 limit -ln 2, zeta-type slots do not.
-    Its weight p+q is held to the weight ceiling MAX_WEIGHT.
     """
-    p, q = _check_order(p, 1), _check_order(q, 1)
-    _check_weight(p + q)
     if family is Family.PLUS:
         if p < 2 or q < 2:
             raise DomainError("R+ diverges when either order is 1")
@@ -74,13 +72,13 @@ def r_value(family: Family, p: int, q: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-@cache
+@builder(None, 1, 1)
 def ipq_numeric(family: Family, p: int, q: int, tol: float = ORACLE_TOL) -> float:
     """I(p,q) by tanh-sinh quadrature at ORACLE_TOL, memoized per (family,
     p, q); the Li values at the nodes are shared with every other integral
     through li_column.  Only perfbench's evaluation count passes its own tol.
     An order past FLOAT_ORDER is read as FLOAT_ORDER, as polylog reads it."""
-    p, q = min(_check_order(p, 1), FLOAT_ORDER), min(_check_order(q, 1), FLOAT_ORDER)
+    p, q = min(p, FLOAT_ORDER), min(q, FLOAT_ORDER)
     sp = -1 if family is Family.MINUS else 1
     sq = 1 if family is Family.PLUS else -1
 
@@ -117,19 +115,16 @@ def _minus_named_part(r: int) -> ClosedForm:
         (t, s_minus(r), None), (-2 * t, c_sum(r), None), (2 * t, jordan_nielsen("J1", r), None)], t)
 
 
-@cache
+@builder(None, 1, 1, weight=lambda family, p, q: p + q + 1)
 def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     """Closed form of I(p,q), from the display in the named sums S+/S-/C/J1/M.
 
-    Its weight p+q+1 is held to the weight ceiling MAX_WEIGHT.  The Nielsen
-    display and (where one exists) the difference-equation reduction to R
-    values or the diagonal are checked against it in verify.  sigma~ atoms
-    survive exactly when the required alternating sum has no known closed
-    form (odd p+q >= 5 in the mixed family).
+    The Nielsen display and (where one exists) the difference-equation
+    reduction to R values or the diagonal are checked against it in verify.
+    sigma~ atoms survive exactly when the required alternating sum has no
+    known closed form (odd p+q >= 5 in the mixed family).
     """
-    p, q = _check_order(p, 1), _check_order(q, 1)
     r = p + q
-    _check_weight(r + 1)
     if family is Family.MINUS:
         named, sign = _minus_named_part(r), (-1) ** p
     else:
@@ -144,13 +139,12 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
+@bind_orders(None, 1, 1, weight=lambda family, p, q: p + q + 1)
 def ipq_series(family: Family, p: int, q: int) -> float:
     """I(p,q) from the series displays, with every psi-sum taken from
-    sum_oracle (never through the closed forms).  It evaluates ipq_final's
-    display in floats, so its weight p+q+1 is held to MAX_WEIGHT as there."""
-    p, q = _check_order(p, 1), _check_order(q, 1)
+    sum_oracle (never through the closed forms): ipq_final's display in
+    floats, so it is declared with ipq_final's weight."""
     r = p + q
-    _check_weight(r + 1)
     mu_sum = 0.0
     for mu in range(2, p + 1):
         if family is Family.PLUS:

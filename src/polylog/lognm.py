@@ -16,10 +16,9 @@ sigma~_{n,p}, are written in verify, next to the entries that check them.
 from __future__ import annotations
 
 import math
-from functools import cache
 from operator import mul
 
-from .closedform import ClosedForm, LN2, _check_order, _check_weight
+from .closedform import ClosedForm, LN2, _check_weight, bind_orders, builder
 from .errors import DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power
 from .seriesring import kolbig_snp
@@ -34,7 +33,7 @@ TABLE_WEIGHT = 6
 # ---------------------------------------------------------------------------
 
 
-@cache
+@builder(0, 0, weight=lambda n, m: n + m)
 def i_star(n: int, m: int) -> ClosedForm:
     """i*(n,m): lattice-path solution with unit boundary on both axes."""
     if n == 0 or m == 0:
@@ -45,16 +44,16 @@ def i_star(n: int, m: int) -> ClosedForm:
            for a in range(1, n + 1) for b in range(1, m + 1)])
 
 
+@builder(1, 1)
 def i_closed(n: int, m: int) -> ClosedForm:
     """i(n,m) exactly, for n + m <= 6."""
-    n, m = _check_order(n, 1), _check_order(m, 1)
     _check_weight(n + m, TABLE_WEIGHT)
     return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * i_star(n, m)
 
 
+@builder(1, 1)
 def i_pde_residual(n: int, m: int) -> ClosedForm:
     """i*(n,m) - i*(n,m-1) - i*(n-1,m) + s_{n,m}; zero when all is well."""
-    n, m = _check_order(n, 1), _check_order(m, 1)
     _check_weight(n + m, TABLE_WEIGHT)
     return ClosedForm.combination([(1, i_star(n, m), None), (-1, i_star(n, m - 1), None),
                                    (-1, i_star(n - 1, m), None), (1, kolbig_snp(n, m), None)])
@@ -65,16 +64,15 @@ def i_pde_residual(n: int, m: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
+@builder(0, weight=lambda m: m)
 def truncated_exp_ln2(m: int) -> ClosedForm:
     """e_m(-ln 2) = sum_{k=0}^{m} (-ln 2)^k / k!, exact in powers of ln 2:
-    the numerators (-1)^k m!/k! over m!.  Its weight m is held to MAX_WEIGHT."""
-    m = _check_order(m, 0)
-    _check_weight(m)
+    the numerators (-1)^k m!/k! over m!."""
     return ClosedForm.combination([((-1) ** k * math.perm(m, m - k), ClosedForm.atom(LN2, k), None)
                                    for k in range(m + 1)], math.factorial(m))
 
 
-@cache
+@builder(0, 0, weight=lambda n, m: n + m)
 def h_star(n: int, m: int) -> ClosedForm:
     """h*(n,m): lattice-path solution with boundary h*(0,m) = -1 + 2 e_m(-ln 2)."""
     if m == 0:
@@ -90,16 +88,16 @@ def h_star(n: int, m: int) -> ClosedForm:
            for nu in range(1, n + 1) for mu in range(1, m + 1)], f)
 
 
+@builder(1, 1)
 def h_closed(n: int, m: int) -> ClosedForm:
     """h(n,m) exactly for n + m <= 6 (weight-6 values carry sigma~ atoms)."""
-    n, m = _check_order(n, 1), _check_order(m, 1)
     _check_weight(n + m, TABLE_WEIGHT)
     return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * h_star(n, m)
 
 
+@builder(1, 1)
 def h_pde_residual(n: int, m: int) -> ClosedForm:
     """h*(n,m) - h*(n,m-1) - h*(n-1,m) - sigma~_{n,m}; zero when all is well."""
-    n, m = _check_order(n, 1), _check_order(m, 1)
     _check_weight(n + m, TABLE_WEIGHT)
     return ClosedForm.combination([(1, h_star(n, m), None), (-1, h_star(n, m - 1), None),
                                    (-1, h_star(n - 1, m), None), (-1, sigma_tilde(n, m), None)])
@@ -110,11 +108,11 @@ def h_pde_residual(n: int, m: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
+@bind_orders(None, 0, 0)
 def lognm_numeric(tag: str, n: int, m: int) -> float:
     """i(n,m) (tag "INM") or h(n,m) (tag "HNM") by quadrature at ORACLE_TOL."""
     if tag not in ("INM", "HNM"):
         raise DomainError(f"unknown log-integral tag {tag!r}")
-    n, m = _check_order(n, 0), _check_order(m, 0)
     if n + m < 1:
         raise DomainError(f"need n + m >= 1, got n = {n}, m = {m}")
     # ln^n(x) ln^m(1-x) for i(n,m), ln^n(x) ln^m(1+x) for h(n,m)

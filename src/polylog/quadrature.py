@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from functools import cache
 from itertools import repeat
 from operator import mul
 
+from .closedform import builder
 from .errors import CapacityError, ConvergenceError, DomainError
 
 _T_MAX = 6.3          # |pi*sinh(t)| > 745 beyond this: nodes underflow
@@ -62,7 +62,10 @@ def log1m(x: float, omx: float) -> float:
     exact one the node generator produced.  With the arguments swapped,
     log1m(1-x, x) is ln x, accurate at both endpoints in the same way.
     """
-    return math.log1p(-x) if x < 0.5 else math.log(omx)
+    try:
+        return math.log1p(-x) if x < 0.5 else math.log(omx)
+    except ValueError:  # 1-x <= 0, past x = 1
+        raise DomainError(f"ln(1 - x) needs 1 - x > 0, got {omx!r}") from None
 
 
 def _check_tolerance(tol: float) -> None:
@@ -89,12 +92,11 @@ def _node(t: float) -> tuple[float, float, float]:
 
 # Level 0 holds all integer t in [-T_MAX, T_MAX]; level L >= 1 holds the
 # odd multiples of 2^-L.
-@cache
+@builder(0)
 def nodes(level: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The columns (x, 1-x, w) of a level, an integer 0.._MAX_LEVEL, else
-    DomainError; checked on a miss, so a cache hit pays nothing."""
-    if level not in range(_MAX_LEVEL + 1):
-        raise DomainError(f"grid level {level!r} is not an integer in 0..{_MAX_LEVEL}")
+    """The columns (x, 1-x, w) of a level, an order 0.._MAX_LEVEL."""
+    if level > _MAX_LEVEL:
+        raise DomainError(f"grid level {level} is not in 0..{_MAX_LEVEL}")
     h = 0.5 ** level
     n = int(_T_MAX / h)
     pts = []
@@ -111,7 +113,7 @@ def nodes(level: Grid) -> tuple[tuple[float, ...], tuple[float, ...], tuple[floa
     return xs, omxs, ws
 
 
-@cache
+@builder(None, 0, 0)
 def log_power(arg: str, n: int, grid: Grid) -> tuple[float, ...]:
     """ln^n of x, 1-x or 1+x (arg "x", "1-x", "1+x") at every node of a grid;
     each n != 1 raises the n = 1 column to the power n, node by node.  A power

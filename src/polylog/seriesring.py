@@ -14,13 +14,7 @@ weight-k slice of the log, each entry one combination of integer
 numerators over w.  F_w is symmetric, so only its entries i <= w/2 are
 built.  kolbig_snp reads the signed slice (-1)^(w+1) F_w, negated once per
 weight.  Each slice is memoized once per process, and a weight-w query
-builds nothing above weight w.  MAX_WEIGHT = 18 (in closedform) is the
-one weight limit, applied by _check_weight alone: to zeta_closed,
-kolbig_snp, beta_derivative_inm, each order of gamma_ratio_series and the
-builders whose routes need not read the series; a table cap is the same
-check at a lower max_weight.  A cold build of every slice took 1.4-3 ms
-to weight 12 and 6-12 ms to weight 18 on a shared 2-core x86 host (whose
-speed swings about 2x between processes), so no query runs for long.
+builds nothing above weight w, at most MAX_WEIGHT = 18 (in closedform).
 
 ln Gamma(1+z) is encoded with its Euler-gamma term included.  The dense
 BivariateSeries route (gamma_ratio_series) builds the same ratio as a full
@@ -38,22 +32,21 @@ import math
 from functools import cache
 
 from .closedform import (MAX_WEIGHT, ClosedForm, GAMMA, PI, _check_order, _check_weight,
-                         zeta_closed, zeta_even_coefficient, zeta_odd_atom)
+                         bind_orders, builder, zeta_closed, zeta_even_coefficient, zeta_odd_atom)
 from .errors import DomainError, ShapeError
 
 
 class BivariateSeries:
     """Dense truncated series sum c[i][j] * a^i * b^j, coefficients exact.
-    Its truncation orders are bound by _check_order(n, 0); a ShapeError is
-    only for operands of different shapes."""
+    Its truncation orders are orders >= 0 held to MAX_WEIGHT before the box
+    is allocated; a ShapeError is only for operands of different shapes."""
 
     __slots__ = ("na", "nb", "c")
 
+    @bind_orders(None, 0, 0, weight=lambda self, na, nb: max(na, nb))
     def __init__(self, na: int, nb: int,
                  coeffs: list[list[ClosedForm]] | None = None):
-        na, nb = _check_order(na, 0), _check_order(nb, 0)
-        self.na = na
-        self.nb = nb
+        self.na, self.nb = na, nb
         if coeffs is None:
             self.c = [[ClosedForm.zero() for _ in range(nb + 1)]
                       for _ in range(na + 1)]
@@ -207,26 +200,25 @@ def _snp_slice(w: int) -> tuple[ClosedForm, ...]:
     return f if w % 2 else tuple(-x for x in f)
 
 
+@builder(1, 1)
 def kolbig_snp(n: int, p: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:
     """Nielsen constant s_{n,p} = S_{n,p}(1), exactly.
 
     The a^p b^n coefficient of the Gamma ratio (the 1/b prefactor in the
     generating identity shifts the b index by one), signed (-1)^(n+p+1):
-    entry p of _snp_slice(n + p).
+    entry p of _snp_slice(n + p).  max_weight is a table's narrower cap.
     """
-    n, p = _check_order(n, 1), _check_order(p, 1)
     _check_weight(n + p, max_weight)
     return _snp_slice(n + p)[p]
 
 
+@builder(1, 1, weight=lambda n, m: n + m)
 def beta_derivative_inm(n: int, m: int) -> ClosedForm:
     """i(n,m) as the mixed Taylor coefficient of the Beta function route.
 
     B(a+1, b+1) is the Gamma ratio times 1/(1+a+b), whose weight-d slice
     is (-1)^d C(d, i); the a^n b^m coefficient convolves the two.
     """
-    n, m = _check_order(n, 1), _check_order(m, 1)
-    _check_weight(n + m)
     scale = math.factorial(n) * math.factorial(m)
     return ClosedForm.combination(
         ((-1) ** (n + m - k) * scale * math.comb(n + m - k, n - i), _ratio_slice(k)[i], None)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .closedform import (Atom, ClosedForm, LN2, PI, _check_order, _check_weight,
-                         eta_factor_closed, li_half_atom, sigma_atom, zeta_closed)
+from .closedform import (Atom, ClosedForm, LN2, PI, builder, eta_factor_closed, li_half_atom,
+                         sigma_atom, zeta_closed)
 from .digamma import euler_gamma
 from .special import nielsen_num, polylog
 from .summation import zeta_num
@@ -104,14 +104,10 @@ def registry() -> dict[tuple[int, int], ClosedForm]:
     return closed
 
 
+@builder(1, 1, weight=lambda n, p: n + p)
 def sigma_tilde(n: int, p: int) -> ClosedForm:
     """sigma~_{n,p} = S_{n,p}(-1): Li_{n+1}(-1) at p = 1, else the
-    registered closed form, else atomic.
-
-    Its weight n+p is held to the weight ceiling MAX_WEIGHT.
-    """
-    n, p = _check_order(n, 1), _check_order(p, 1)
-    _check_weight(n + p)
+    registered closed form, else atomic."""
     if p == 1:
         return eta_factor_closed(n + 1)
     closed = registry().get((n, p))

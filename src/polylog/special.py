@@ -25,19 +25,14 @@ the series is a sum_tail: its head, the terms below the cutoff, reads one
 slice of T's block, and its tail is taken in closed form from the expansion
 of its term (_mpl2_expansion).
 
-Values that do not depend on the caller are computed once per process: the
-coefficients zeta(p - k) of the log expansion (_zeta_int, one float per
-integer argument, none below -78 since k < 80), the powers k^-p of the
-direct series (_inverse_powers, one tuple per order), the outer tails'
-series coefficients (_tail_series, one tuple per order and sign, from the
-first nine B_2j/(2j) of digamma.bernoulli_quotients) and their values at
-the integers (_tail_block, one tuple per order and sign, T at 1 up to the
-first anchor), and Li_p(+-x) at the quadrature nodes (li_column), which
-every product integrand shares.  li_column holds one tuple per (order, sign,
-grid); Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column, so li_pos
-meets each node once.  The grids are the fixed tanh-sinh levels 0..11 of the
-whole interval, so the columns are bounded by the orders asked for times
-that node set.
+Values that do not depend on the caller are memoized: zeta(p - k) of the
+log expansion (_zeta_int, none below -78 since k < 80), the powers k^-p of
+the direct series (_inverse_powers), the outer tails' series coefficients
+(_tail_series) and their values at 1 up to the first anchor (_tail_block),
+one tuple per order and sign, and Li_p(+-x) at the nodes of each of the
+twelve quadrature grids (li_column), which every product integrand shares;
+Li_p(-t) at t > 1/2 reads Li_p(t) from the plus column, so li_pos meets
+each node once.
 """
 
 from __future__ import annotations
@@ -47,7 +42,8 @@ from functools import cache
 from itertools import count, repeat
 from operator import mul, truediv
 
-from .closedform import FLOAT_ORDER, _check_order, li_half_rounded, zeta_nonpositive_rational
+from .closedform import (FLOAT_ORDER, bind_orders, builder, li_half_rounded,
+                         zeta_nonpositive_rational)
 from .digamma import bernoulli_quotients
 from .errors import CapacityError, ConvergenceError, DomainError
 from .quadrature import ORACLE_TOL, Grid, integrate01, log_power, nodes
@@ -108,13 +104,17 @@ def _li_log_expansion(p: int, mu: float) -> float:
     return total
 
 
+@bind_orders(1)
 def li_pos(p: int, x: float, omx: float) -> float:
     """Li_p(x) for x in (0, 1), with 1-x supplied exactly."""
     if x <= 0.5 or p > 171:
         return _li_series(p, x)
+    if not 0.0 < omx < 1.0:
+        raise DomainError(f"Li_p(x) past x = 1/2 needs 1 - x in (0, 1), got {omx!r}")
     return _li_log_expansion(p, math.log1p(-omx))
 
 
+@bind_orders(1)
 def li_neg(p: int, t: float, omt: float, li_t: float | None = None) -> float:
     """Li_p(-t) for t in (0, 1], with 1-t supplied exactly.
 
@@ -135,7 +135,7 @@ def li_neg(p: int, t: float, omt: float, li_t: float | None = None) -> float:
     return power * li_pos(p, tsq, omtsq) - li_t
 
 
-@cache
+@builder(1, None, 0)
 def li_column(p: int, sign: int, grid: Grid) -> tuple[float, ...]:
     """Li_p(sign * x) at every node x of a quadrature grid.
 
@@ -148,10 +148,11 @@ def li_column(p: int, sign: int, grid: Grid) -> tuple[float, ...]:
     return tuple(map(li_neg, repeat(p), xs, omxs, li_column(p, 1, grid)))
 
 
+@bind_orders(1)
 def polylog(p: int, x: float) -> float:
     """Li_p(x) for integer p >= 1 and -1 <= x <= 1 (x < 1 when p = 1).
     From p = FLOAT_ORDER on every term after x underflows: Li_p(x) is x."""
-    p = min(_check_order(p, 1), FLOAT_ORDER)
+    p = min(p, FLOAT_ORDER)
     if not -1.0 <= x <= 1.0:
         raise DomainError("polylog argument must lie in [-1, 1]")
     if p == 1:
@@ -172,6 +173,7 @@ def polylog(p: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@bind_orders(1, 1)
 def nielsen_num(n: int, p: int, z: float) -> float:
     """S_{n,p}(z) at z = +-1 by quadrature of its defining integral at
     ORACLE_TOL: s_{n,p} = S_{n,p}(1) and sigma~_{n,p} = S_{n,p}(-1).
@@ -182,7 +184,6 @@ def nielsen_num(n: int, p: int, z: float) -> float:
     The integral comes first: a log column past the float range fails at
     level 0, and a zero integral returns before the factorials are built.
     """
-    n, p = _check_order(n, 1), _check_order(p, 1)
     if z not in (1.0, -1.0):
         raise DomainError("Nielsen argument must be 1 or -1")
     column = "1-x" if z == 1.0 else "1+x"  # 1 - z x; at z = -1, -z x is x itself
@@ -254,27 +255,26 @@ def _tail_block(m: int, x_outer: float) -> tuple[float, ...]:
     return _tail_run(m, x_outer, _tail_series(m, x_outer)[0], 1)
 
 
-def _check_outer(m: int, x_outer: float) -> int:
-    """The outer index's rules, which mpl2 and outer_tail share: x_outer is 1
-    or -1 and m an order >= 1, with m >= 2 at x_outer = 1 (else the sum
-    diverges), else DomainError.  Past m = 1074 every term is below the
-    smallest subnormal, a CapacityError.  Returns m as an int."""
+def _check_outer(m: int, x_outer: float) -> None:
+    """The outer index's rules, which mpl2 and outer_tail share, for an order
+    m >= 1 that their declarations bind: x_outer is 1 or -1, with m >= 2 at
+    x_outer = 1 (else the sum diverges), else DomainError.  Past m = 1074
+    every term is below the smallest subnormal, a CapacityError."""
     if x_outer not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
-    m = _check_order(m, 1)
     if m == 1 and x_outer != -1.0:
         raise DomainError("outer weight 1 requires x_outer = -1 for convergence")
     if m > 1074:
         raise CapacityError(f"outer order {m} is beyond the float oracle: the largest "
                             f"term, 2^-{m}, is below the smallest subnormal 2^-1074")
-    return m
 
 
+@bind_orders(1, None, 1)
 def outer_tail(m: int, x_outer: float, y: int) -> float:
     """T(y) = sum_{i>=0} x_outer^i (y + i)^-m for x_outer = +-1 at an integer
     y >= 1: read from its block, or past the first anchor the series at y.
     Its arguments follow mpl2's outer rules (_check_outer)."""
-    m, y = _check_outer(m, x_outer), _check_order(y, 1)
+    _check_outer(m, x_outer)
     block = _tail_block(m, x_outer)
     return block[y - 1] if y <= len(block) else _tail_run(m, x_outer, y, y)[0]
 
@@ -297,6 +297,7 @@ def _mpl2_expansion(m_outer: int, m_inner: int, x_outer: float) -> Expansion:
     return tuple(out)
 
 
+@bind_orders(1, 1)
 def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     """Depth-2 multiple polylogarithm at unit arguments x_outer, x_inner = +-1,
     sum_{k2 > k1 >= 1} x_outer^k2 x_inner^k1 / (k2^m_outer k1^m_inner).
@@ -313,8 +314,8 @@ def mpl2(m_outer: int, m_inner: int, x_outer: float, x_inner: float) -> float:
     (_check_outer); an m_inner past FLOAT_ORDER is read as FLOAT_ORDER."""
     if x_inner not in (1.0, -1.0):
         raise DomainError("multiple polylog arguments must be 1 or -1")
-    m_outer = _check_outer(m_outer, x_outer)
-    m_inner = min(_check_order(m_inner, 1), FLOAT_ORDER)
+    _check_outer(m_outer, x_outer)
+    m_inner = min(m_inner, FLOAT_ORDER)
     if x_inner == x_outer:
         def head(stop: int):
             return (t * k ** -m_inner

@@ -28,7 +28,7 @@ import math
 from collections.abc import Callable, Iterable
 from functools import cache
 
-from .closedform import eta_rounded, zeta_rounded
+from .closedform import builder, eta_rounded, zeta_rounded
 from .digamma import bernoulli_quotients
 from .errors import ConvergenceError, DomainError
 from .quadrature import _check_tolerance
@@ -76,7 +76,7 @@ def sum_alternating(term: Callable[[int], float], tol: float) -> float:
     smoothly.  Two runs at different depths must agree within tol.
     """
     _check_tolerance(tol)
-    n = max(12, int(math.log(max(4.0 / tol, 10.0)) / _LOG_CVZ_BASE) + 6)
+    n = max(12, int(min(math.log(max(4.0 / tol, 10.0)) / _LOG_CVZ_BASE, ALTERNATING_TERMS)) + 6)
     prev = None
     a: list[float] = []
     while n <= ALTERNATING_TERMS:
@@ -164,14 +164,14 @@ def _expansion_tail(y: float, a: int, expansion: Expansion, head: float) -> floa
 # zeta and friends, numeric
 # ---------------------------------------------------------------------------
 
-@cache
+@builder(1)
 def eta_num(s: int) -> float:
     """eta(s) = sum_{k>=1} (-1)^{k-1} k^-s for s >= 1, correctly rounded
     (closedform.eta_rounded); s past FLOAT_ORDER is read as FLOAT_ORDER."""
     return eta_rounded(s)
 
 
-@cache
+@builder(2)
 def zeta_num(s: int) -> float:
     """zeta(s) for integer s >= 2, correctly rounded (closedform.zeta_rounded);
     s past FLOAT_ORDER is read as FLOAT_ORDER."""

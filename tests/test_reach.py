@@ -11,7 +11,9 @@ fail-fast guard is judged by the tests of its error, not by reach.
 
 The routes run traced in a fresh interpreter (this file run as a script),
 where every cache and the monomial intern table start empty, so no value
-that an earlier test built or interned skips the lines that build it."""
+that an earlier test built or interned skips the lines that build it.  A
+second import of the package runs traced with them, so the function lines
+that only import runs (closedform's builder declarations) count as reached."""
 
 import ast
 import importlib.util
@@ -40,8 +42,10 @@ _EDGE_ARGV = (
     (["-"], 2), (["-hh"], 0), (["--"], 2), (["eval", "s-plus", "--r", "3", "--"], 2),
     (["eval", "s-plus", "--r", "3", "--pretty"], 0),
 )
-# refused queries, exit code 3: a negative order and an unknown family
-_REFUSED = (["eval", "s-plus", "--r", "-1"], ["ipq", "--family", "bogus", "--p", "1", "--q", "2"])
+# refused queries, exit code 3: a negative order, a weight past the ceiling
+# and an unknown family
+_REFUSED = (["eval", "s-plus", "--r", "-1"], ["eval", "s-plus", "--r", "30"],
+            ["ipq", "--family", "bogus", "--p", "1", "--q", "2"])
 
 _DENSE = "the dense series route, which perfbench times (ROADMAP items 5 and 6)"
 _PINNED = "a ClosedForm operator that perfbench wraps and no route calls (items 5 and 6)"
@@ -52,6 +56,7 @@ _COPY, _REPR, _HASH = "copy and pickle protocol", "repr", "hash"
 _EDGE = "the Fraction view of a form, for callers; every route reads ratios or the integers"
 _RATIONAL = "a Fraction operand, which callers pass; every route passes ints and forms"
 _FAR_ORDER = "an order past the float range, which only the tests pass to the kernel"
+_FLOAT_ORDER = "an integral float order, which the tests pass; every route passes ints"
 
 # the lines no production route executes: (module, enclosing function,
 # stripped source text, reason); a line that repeats in one function is
@@ -105,20 +110,19 @@ _ALLOWED = [
     ("closedform", "ClosedForm.pretty",
      'return "0"', "the display of the zero form, which repr shows and no output prints"),
     ("closedform", "ClosedForm.__repr__", 'return f"ClosedForm({self.pretty()})"', _REPR),
-    ("closedform", "_check_order", "n = int(n)",
-     "an integral float order, which the tests pass; every route passes ints"),
+    ("closedform", "_check_order", "n = int(n)", _FLOAT_ORDER),
+    ("closedform", "_declaration.declare.bound",
+     "return entry(*ints, *args[arity:], **kwargs)", _FLOAT_ORDER),
     ("closedform", "bernoulli", "return (1, 1) if n == 0 else (-1, 2)",
      "B_0 and B_1 of the Bernoulli table, which the tests pin; routes read even indices"),
     ("errors", "ConvergenceError.__init__", "super().__init__(message)", _FAILURE),
     ("errors", "ConvergenceError.__init__", "self.partial = partial", _FAILURE),
+    ("quadrature", "log1m", "except ValueError:  # 1-x <= 0, past x = 1", _FAILURE),
     ("quadrature", "log_power", "except OverflowError as exc:", _FAILURE),
     ("quadrature", "integrate01", "stalls += 1", _FAILURE),
     ("quadrature", "integrate01", "if stalls >= 2:", _FAILURE),
     ("quadrature", "integrate01", "break", _FAILURE),
-    ("seriesring", "BivariateSeries.__init__",
-     "na, nb = _check_order(na, 0), _check_order(nb, 0)", _DENSE),
-    ("seriesring", "BivariateSeries.__init__", "self.na = na", _DENSE),
-    ("seriesring", "BivariateSeries.__init__", "self.nb = nb", _DENSE),
+    ("seriesring", "BivariateSeries.__init__", "self.na, self.nb = na, nb", _DENSE),
     ("seriesring", "BivariateSeries.__init__", "if coeffs is None:", _DENSE),
     ("seriesring", "BivariateSeries.__init__",
      "self.c = [[ClosedForm.zero() for _ in range(nb + 1)]", _DENSE),
@@ -327,10 +331,23 @@ def _judged_lines(source: str, filename: str) -> dict[int, str]:
     return {line: scope.get(line, "<module>") for line in lines}
 
 
+def _import_anew() -> None:
+    """Import the package a second time, into modules the routes never read,
+    so that what import runs is traced too: the builder declarations, which
+    run closedform's decorator factory once per declared name."""
+    first = {name: sys.modules.pop(name) for name in list(sys.modules)
+             if name.partition(".")[0] == "polylog"}
+    try:
+        importlib.import_module("polylog.cli")
+    finally:
+        sys.modules.update(first)
+
+
 def _trace_routes(tmp_path: Path) -> None:
-    """Run every production route traced, and write the (file, line) pairs
-    executed to tmp_path/executed.json."""
+    """Run every production route traced, and the package's import, and write
+    the (file, line) pairs executed to tmp_path/executed.json."""
     def routes():
+        _import_anew()
         _production_routes(tmp_path)
         _cli_edges(tmp_path)
     executed = _executed_lines(routes)

@@ -15,7 +15,7 @@ from polylog.seriesring import (MAX_WEIGHT, BivariateSeries, beta_derivative_inm
                                 gamma_ratio_series, kolbig_snp)
 from polylog.sigma import cf_num
 
-from conftest import pointwise
+from conftest import deadline, pointwise
 
 
 def _series_from(na, nb, entries):
@@ -115,6 +115,15 @@ def test_gamma_ratio_series_is_held_to_the_ceiling():
         with pytest.raises(CapacityError, match=f"weight {max(orders)} above"):
             gamma_ratio_series(orders)
         assert time.perf_counter() - start < 0.1, orders
+
+
+def test_a_dense_box_past_the_ceiling_is_refused_before_it_is_allocated():
+    # its truncation orders are held to MAX_WEIGHT, the most gamma_ratio_series
+    # reads; (10**7, 1) allocated until MemoryError (17 s under a 1.5 GB ulimit)
+    with deadline(0.5, "BivariateSeries(10**7, 1)"):
+        with pytest.raises(CapacityError, match=f"weight {10 ** 7} above cap {MAX_WEIGHT} "):
+            BivariateSeries(10 ** 7, 1)
+    assert BivariateSeries(MAX_WEIGHT, MAX_WEIGHT).c[MAX_WEIGHT][MAX_WEIGHT].is_zero
 
 
 def test_dense_box_reads_zeta_past_the_ceiling():

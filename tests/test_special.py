@@ -10,17 +10,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polylog as package
-from polylog import special, summation
+from polylog import approx, closedform, digamma, eulersums, ipq, lognm, quadrature, seriesring
+from polylog import sigma, special, summation, verify
 from polylog.approx import s_minus_truncated, stirling1
-from polylog.closedform import (FLOAT_ORDER, Atom, ClosedForm, eta_factor_closed, li_half_atom,
-                                sigma_atom, zeta_closed, zeta_odd_atom)
+from polylog.closedform import (FLOAT_ORDER, Atom, ClosedForm, bernoulli, eta_factor_closed,
+                                eta_rounded, li_half_atom, li_half_rounded, sigma_atom,
+                                zeta_closed, zeta_even_coefficient, zeta_nonpositive_rational,
+                                zeta_odd_atom, zeta_rounded)
 from polylog.cli import _EVAL_TARGETS
 from polylog.errors import CapacityError, ConvergenceError, DomainError
 from polylog.eulersums import (c_sum, jordan_even, jordan_nielsen, milgram, s_minus, s_plus,
                                sum_oracle)
 from polylog.ipq import Family, ipq_final, ipq_numeric, ipq_series, r_value
-from polylog.lognm import h_closed, h_pde_residual, i_closed, i_pde_residual, lognm_numeric
-from polylog.quadrature import ORACLE_TOL, integrate01, log1m, nodes
+from polylog.lognm import (h_closed, h_pde_residual, h_star, i_closed, i_pde_residual, i_star,
+                           lognm_numeric, truncated_exp_ln2)
+from polylog.quadrature import ORACLE_TOL, integrate01, log1m, log_power, nodes
 from polylog.seriesring import (MAX_WEIGHT, BivariateSeries, beta_derivative_inm,
                                 gamma_ratio_series, kolbig_snp)
 from polylog.sigma import sigma_tilde
@@ -546,6 +550,10 @@ def test_table_driven_direct_terms_equal_the_term_callable(monkeypatch):
 
 
 # NaN arguments and tolerances that are not finite and positive
+# every module of the package but cli, whose public functions take argv, and
+# __main__, which runs it
+_MODULES = (approx, closedform, digamma, eulersums, ipq, lognm, quadrature, seriesring, sigma,
+            special, summation, verify)
 _QUIET = pointwise(lambda x, omx: 1.0)
 _ALT = lambda k: (-1) ** k / k ** 2.0  # noqa: E731
 _NAN = math.nan
@@ -572,12 +580,28 @@ def test_nan_arguments_and_bad_tolerances_raise_domain_error(call):
 
 _SUM_TAGS = ("SPlus", "SMinus", "Jordan1", "Jordan2", "Milgram", "CSum")
 
-# the one table of in-domain arguments: every function of polylog.__all__
-# that takes orders or floats, every cli eval target ("eval-<target>", its
-# flags at test_reach's in-domain values), and the order-taking names the
-# package keeps in its modules.  An int argument
-# is an order (gamma_ratio_series takes them as a pair), a float one a real
+# the one table of in-domain arguments: every public function of every
+# polylog.* module that takes orders or floats, every cli eval target
+# ("eval-<target>", its flags at test_reach's in-domain values), and
+# BivariateSeries.  An int argument is an order (gamma_ratio_series takes
+# them as a pair, li_column's sign is fixed, zeta_nonpositive_rational is
+# read at n = 1 - k), a float one a real
 _ORDER_TAKING = {
+    "bernoulli": (bernoulli, (4,)), "zeta_even_coefficient": (zeta_even_coefficient, (4,)),
+    "zeta_nonpositive_rational": (lambda k: zeta_nonpositive_rational(1 - k), (4,)),
+    "eta_rounded": (eta_rounded, (3,)), "zeta_rounded": (zeta_rounded, (3,)),
+    "li_half_rounded": (li_half_rounded, (3,)),
+    "psi": (digamma.psi, (0.7,)), "psi_point": (digamma.psi_point, (0.7,)),
+    "psi_table": (digamma.psi_table, (0.5, 10)),
+    "i_star": (i_star, (2, 3)), "h_star": (h_star, (2, 3)),
+    "truncated_exp_ln2": (truncated_exp_ln2, (3,)),
+    "log1m": (log1m, (0.3, 0.7)), "nodes": (nodes, (2,)), "log_power": (log_power, ("x", 2, 2)),
+    "integrate01": (integrate01, (_QUIET, 1e-10)),
+    "li_pos": (li_pos, (3, 0.3, 0.7)), "li_neg": (li_neg, (3, 0.7, 0.3)),
+    "li_column": (lambda p, grid: li_column(p, -1, grid), (3, 2)),
+    "outer_tail": (outer_tail, (3, -1.0, 5)),
+    "sum_alternating": (summation.sum_alternating, (_ALT, 1e-10)),
+    "eta_num": (summation.eta_num, (3,)), "zeta_num": (zeta_num, (3,)),
     "stirling1": (stirling1, (3, 1)),
     "s_minus_truncated": (s_minus_truncated, (5, 3)),
     "zeta_closed": (zeta_closed, (3,)), "eta_factor_closed": (eta_factor_closed, (3,)),
@@ -685,12 +709,13 @@ def test_an_integral_float_order_is_accepted(name):
         assert _bits(call(*floated)) == expected, warm
 
 
-# the surface the fuzz calls: every function of polylog.__all__ with an int
-# or float parameter, and every eval target
-_FUZZED = [name for name in package.__all__
-           if callable(fn := getattr(package, name)) and not isinstance(fn, type)
+# the surface the fuzz calls: every public function of every polylog.*
+# module with an int, grid level or float parameter, and every eval target
+_FUZZED = [name for module in _MODULES for name, fn in vars(module).items()
+           if not name.startswith("_") and callable(fn) and not isinstance(fn, type)
+           and fn.__module__ == module.__name__
            and {p.annotation for p in inspect.signature(fn).parameters.values()}
-           & {"int", "float"}] + [f"eval-{target}" for target in _EVAL_TARGETS]
+           & {"int", "Grid", "float"}] + [f"eval-{target}" for target in _EVAL_TARGETS]
 # orders and reals inside, at the edge of and past each domain and cap; None
 # keeps the in-domain argument
 _FUZZ_ORDERS = (None, -1, 0, 1, 2, 3, 5, 8, MAX_WEIGHT - 1, MAX_WEIGHT, MAX_WEIGHT + 1,

@@ -105,11 +105,11 @@ def test_package_modules_import_only_names_they_use():
 # and why it crosses the module boundary.
 _SHARED_PRIVATE_NAMES = {
     "closedform._check_order": (
-        {"approx", "eulersums", "ipq", "lognm", "seriesring", "sigma", "special"},
-        "the one order check, applied by every order-taking entry point"),
+        {"approx", "seriesring"}, "the order rule, for a truncation depth with its MAX_KT cap "
+        "and gamma_ratio_series' pair; every other order is bound by the builder declaration"),
     "closedform._check_weight": (
-        {"approx", "cli", "eulersums", "ipq", "lognm", "seriesring", "sigma"},
-        "the one weight ceiling, applied by every exact builder and cli's ipq table"),
+        {"cli", "lognm", "seriesring"}, "the weight ceiling at a narrower cap (the i/h tables, "
+        "kolbig_snp's max_weight, cli's ipq table) and for gamma_ratio_series' pair"),
     "quadrature._check_tolerance": (
         {"summation"}, "one tolerance check for both oracle drivers"),
     "ipq._mu_sum": (
@@ -647,22 +647,27 @@ def test_cold_run_suite_oracle_work_counts(monkeypatch):
 # run_suite("all"), by module and name; a change that moves one names the
 # count, old and new, in CHANGES.md
 _COLD_SUITE_CACHE_MISSES = {
-    "approx._stirling_row": 10, "approx._derivative_cf": 11,
+    "approx._stirling_row": 10, "approx._derivative_cf": 11, "approx.stirling1": 55,
+    "approx.s_minus_truncated": 8,
     "closedform._monomial_product": 54, "closedform._monomial_json": 41,
     "closedform.bernoulli": 16, "closedform.zeta_closed": 9,
     "closedform._cvz_integer_weights": 1,
-    "closedform.eta_factor_closed": 8,
+    "closedform.eta_factor_closed": 8, "closedform.zeta_even_coefficient": 5,
+    "closedform.zeta_nonpositive_rational": 14, "closedform.zeta_odd_atom": 4,
+    "closedform.li_half_atom": 3, "closedform.sigma_atom": 20,
     "digamma.bernoulli_quotients": 1, "digamma.psi_point": 128, "digamma.psi_table": 2,
     "digamma.euler_gamma": 1,
     "eulersums.s_plus": 7, "eulersums.c_sum": 7, "eulersums.jordan_even": 8,
     "eulersums.milgram": 8, "eulersums.jordan_nielsen": 14, "eulersums.s_minus": 7,
     "eulersums.sum_oracle": 41, "eulersums._digamma_series": 3,
     "ipq.ipq_numeric": 36, "ipq._mu_sum": 66, "ipq._minus_named_part": 7, "ipq.ipq_final": 50,
-    "lognm.i_star": 25, "lognm.h_star": 25,
+    "ipq.r_value": 45,
+    "lognm.i_star": 25, "lognm.h_star": 25, "lognm.i_closed": 9, "lognm.h_closed": 10,
+    "lognm.i_pde_residual": 15, "lognm.h_pde_residual": 15, "lognm.truncated_exp_ln2": 5,
     "quadrature.nodes": 5, "quadrature.log_power": 82,
     "seriesring.gamma_ratio_series": 0, "seriesring._ratio_slice": 10,
-    "seriesring._snp_slice": 8,
-    "sigma.registry": 1, "sigma.atom_value": 29,
+    "seriesring._snp_slice": 8, "seriesring.kolbig_snp": 18, "seriesring.beta_derivative_inm": 6,
+    "sigma.registry": 1, "sigma.atom_value": 29, "sigma.sigma_tilde": 18,
     "special._zeta_int": 18, "special._inverse_powers": 4, "special.li_column": 32,
     "special._tail_series": 7, "special._tail_block": 7,
     "summation._cvz_weights": 4, "summation._em_weights": 1, "summation.eta_num": 5,
@@ -683,8 +688,9 @@ def test_cold_run_suite_exact_and_cache_work_counts(monkeypatch):
         return combination(cls, *args)
     monkeypatch.setattr(ClosedForm, "combination", classmethod(counted))
     run_suite("all")
-    assert len(combinations) == 301
-    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 809 in all
+    # 301 while s_minus_truncated was uncached: verify reads its (5, 10) thrice
+    assert len(combinations) == 299
+    assert package_cache_misses() == _COLD_SUITE_CACHE_MISSES  # 1059 in all
 
 
 # a fixed list of CLI queries, each answered cold, and the work they take
@@ -697,18 +703,21 @@ _COLD_QUERIES = (
     "eval s-np --n 5 --p 4", "eval inm --n 3 --m 4",
 )
 _COLD_QUERY_CACHE_MISSES = {
-    "approx._derivative_cf": 18, "approx._stirling_row": 18,
+    "approx._derivative_cf": 18, "approx._stirling_row": 18, "approx.stirling1": 91,
+    "approx.s_minus_truncated": 2,
     "closedform._monomial_product": 96, "closedform.bernoulli": 55,
     "closedform._cvz_integer_weights": 9,
     "closedform.eta_factor_closed": 42, "closedform.zeta_closed": 59,
+    "closedform.zeta_even_coefficient": 31, "closedform.zeta_nonpositive_rational": 25,
+    "closedform.zeta_odd_atom": 28, "closedform.li_half_atom": 15, "closedform.sigma_atom": 3,
     "digamma.bernoulli_quotients": 1, "digamma.euler_gamma": 1, "digamma.psi_point": 34,
     "eulersums.jordan_nielsen": 1, "eulersums.milgram": 1, "eulersums.s_minus": 2,
     "eulersums.s_plus": 1, "eulersums.sum_oracle": 1,
-    "ipq._mu_sum": 5, "ipq.ipq_final": 2, "ipq.ipq_numeric": 1,
-    "lognm.h_star": 1, "lognm.i_star": 1,
+    "ipq._mu_sum": 5, "ipq.ipq_final": 2, "ipq.ipq_numeric": 1, "ipq.r_value": 3,
+    "lognm.h_star": 1, "lognm.i_star": 1, "lognm.h_closed": 1, "lognm.i_closed": 2,
     "quadrature.log_power": 56, "quadrature.nodes": 18, "seriesring._ratio_slice": 19,
-    "seriesring._snp_slice": 6,
-    "sigma.atom_value": 36, "sigma.registry": 5,
+    "seriesring._snp_slice": 6, "seriesring.kolbig_snp": 9,
+    "sigma.atom_value": 36, "sigma.registry": 5, "sigma.sigma_tilde": 10,
     "special._inverse_powers": 2, "special._zeta_int": 16, "special.li_column": 8,
     "summation._cvz_weights": 2, "summation.zeta_num": 17,
 }
@@ -741,7 +750,7 @@ def test_cold_query_work_counts(monkeypatch, capsys):
     assert codes == [0] * 10 + [3, 3]
     assert len(combinations) == 105
     assert (len(evaluations), sum(evaluations)) == (4, 584)
-    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 534 in all
+    assert {name: n for name, n in misses.items() if n} == _COLD_QUERY_CACHE_MISSES  # 754 in all
 
 
 def test_cold_queries_and_tables_construct_no_fraction(tmp_path, capsys):
