@@ -28,7 +28,6 @@ from .errors import CapacityError, DomainError
 
 
 def _check_kt(k: int) -> int:
-    """A truncation depth: an order >= 1, at most MAX_KT."""
     k = _check_order(k, 1)
     if k > MAX_KT:
         raise CapacityError(f"truncation depth {k} above cap MAX_KT = {MAX_KT}")
@@ -69,7 +68,7 @@ def _derivative_cf(p: int, k: int) -> ClosedForm:
                                   for j in range(1, k + 1))
 
 
-@builder(3, weight=lambda p: p + 1)
+@builder(3, weight=1)
 def s_minus_truncated(p: int, kt: int) -> ClosedForm:
     """Truncation at k = kt of the Stirling expansion of S-(p).
 

@@ -84,10 +84,9 @@ MAX_KT = 100
 
 
 def _check_order(n: int, least: int) -> int:
-    """The one order rule: an order the paper indexes its quantities by (Li_p,
-    S_{n,p}, I(p,q), i(n,m), h(n,m), S+-(r), ...) is integral and at least
-    least, else DomainError (3.5, inf and nan are not integers); returned as
-    an int, so 3.0 is answered as 3.  builder applies it to every order."""
+    """The one order rule, which builder applies to every order: an order (Li_p,
+    S_{n,p}, I(p,q), i(n,m), h(n,m), S+-(r), ...) is integral and at least least,
+    else DomainError (3.5, inf and nan are not); returned as an int, so 3.0 is 3."""
     if type(n) is not int:
         if n % 1:  # nan % 1 and inf % 1 are nan, which is true
             raise DomainError(f"order {n!r} is not an integer")
@@ -103,22 +102,26 @@ def _check_weight(weight: int, max_weight: int = MAX_WEIGHT) -> None:
         raise CapacityError(f"weight {weight} above cap {cap} (ceiling MAX_WEIGHT = {MAX_WEIGHT})")
 
 
-def _declaration(least: tuple, weight: Callable[..., int] | None, memoize: bool):
-    slots, arity = tuple((i, lo) for i, lo in enumerate(least) if lo is not None), len(least)
+def _declaration(least: tuple, weight: int | None, memoize: bool):
+    orders, arity = [(i, lo) for i, lo in enumerate(least) if lo is not None], len(least)
+    assert len(orders) <= 2, "a declaration binds at most two orders"
 
     def declare(fn):
+        if not orders:
+            return cache(fn) if memoize else fn
+        (i, lo_i), (j, lo_j) = orders[0], orders[-1]  # a lone order is checked twice
+
         @wraps(fn)
         def bound(*args, **kwargs):
             if len(args) < arity:
                 raise TypeError(f"{fn.__qualname__}() takes its orders by position")
-            for i, lo in slots:
-                n = args[i]
-                if type(n) is not int or n < lo:  # bind, or raise, and come back with ints
-                    ints = [a if low is None else _check_order(a, low)
-                            for a, low in zip(args, least)]
-                    return entry(*ints, *args[arity:], **kwargs)
-            if weight is not None and weight(*args[:arity]) > MAX_WEIGHT:
-                _check_weight(weight(*args[:arity]))
+            n, m = args[i], args[j]
+            if type(n) is not int or n < lo_i or type(m) is not int or m < lo_j:
+                # bind, or raise, and come back with ints
+                ints = [a if low is None else _check_order(a, low) for a, low in zip(args, least)]
+                return entry(*ints, *args[arity:], **kwargs)
+            if weight is not None and (w := weight + (n if i == j else n + m)) > MAX_WEIGHT:
+                _check_weight(w)
             return fn(*args, **kwargs) if kwargs else fn(*args)
 
         entry = cache(bound) if memoize else bound
@@ -126,18 +129,17 @@ def _declaration(least: tuple, weight: Callable[..., int] | None, memoize: bool)
     return declare
 
 
-def builder(*least: int | None, weight: Callable[..., int] | None = None):
-    """Declare a pure builder by the least value of each order, by position
-    (None for an argument that is not an order), and the weight the orders
-    imply, held to MAX_WEIGHT, as a function of the declared arguments:
-    @builder(None, 1, 1, weight=lambda family, p, q: p + q + 1).  The name is a
-    functools.cache, outermost, so a hit is a C lookup; a miss binds the
-    orders and checks the weight before the body runs, and a non-int order
-    (3.0) returns its ints' entry.  __wrapped__ runs the body uncached."""
+def builder(*least: int | None, weight: int | None = None):
+    """Declare a pure builder by the least value of each of its (at most two)
+    orders, by position, None for an argument that is not an order, and by
+    its weight less the sum of its orders: I(p,q), of weight p+q+1, is
+    @builder(None, 1, 1, weight=1).  A functools.cache, outermost, so a hit
+    is a C lookup; a miss binds the orders, holds the weight to MAX_WEIGHT,
+    then runs the body, and a non-int order (3.0) returns its ints' entry."""
     return _declaration(least, weight, memoize=True)
 
 
-def bind_orders(*least: int | None, weight: Callable[..., int] | None = None):
+def bind_orders(*least: int | None, weight: int | None = None):
     """builder without the cache, for the float kernels and oracles and BivariateSeries."""
     return _declaration(least, weight, memoize=False)
 
@@ -614,7 +616,7 @@ def zeta_even_coefficient(n: int) -> tuple[int, int]:
     return _lowest((-1) ** (n // 2 + 1) * b * 2 ** (n - 1), d * math.factorial(n))
 
 
-@builder(2, weight=lambda n: n)  # the n = 1 limit lives in eta_factor_closed
+@builder(2, weight=0)  # the n = 1 limit lives in eta_factor_closed
 def zeta_closed(n: int) -> ClosedForm:
     """zeta(n) as a closed form: pi-power for even n, atomic for odd n."""
     if n % 2 == 0:
@@ -625,9 +627,8 @@ def zeta_closed(n: int) -> ClosedForm:
 
 @builder(None)
 def zeta_nonpositive_rational(n: int) -> tuple[int, int]:
-    """zeta(n) for integer n <= 0, -B_k/k at k = 1 - n, as (numerator,
-    denominator) in lowest terms; k is bound as bernoulli's order, and past
-    MAX_KT it is a CapacityError."""
+    """zeta(n) for integer n <= 0, -B_k/k at k = 1 - n, as (numerator, denominator)
+    in lowest terms; k is bernoulli's order, and past MAX_KT a CapacityError."""
     if n > 0:
         raise DomainError("nonpositive argument required")
     if n == 0:
@@ -637,7 +638,7 @@ def zeta_nonpositive_rational(n: int) -> tuple[int, int]:
     return _lowest(-b, d * int(k))
 
 
-@builder(1, weight=lambda n: n)
+@builder(1, weight=0)
 def eta_factor_closed(n: int) -> ClosedForm:
     """(2^{1-n} - 1) * zeta(n) = Li_n(-1), with the n = 1 limit -ln 2; memoized."""
     if n == 1:

@@ -46,7 +46,7 @@ _MONOTONE = {
 }
 
 
-@builder(2, weight=lambda r: r + 1)
+@builder(2, weight=1)
 def s_plus(r: int) -> ClosedForm:
     """S+(r) = sum_k [psi(k+1)+gamma] / k^r, Euler's closed form."""
     return ClosedForm.combination(
@@ -54,13 +54,13 @@ def s_plus(r: int) -> ClosedForm:
         + [(-1, zeta_closed(mu + 1), zeta_closed(r - mu)) for mu in range(1, r - 1)], 2)
 
 
-@builder(2, weight=lambda r: r + 1)
+@builder(2, weight=1)
 def c_sum(r: int) -> ClosedForm:
     """C(r) = 2^{-r-1} S+(r)."""
     return s_plus(r) / 2 ** (r + 1)
 
 
-@builder(None, 2, weight=lambda which, r: r + 1)
+@builder(None, 2, weight=1)
 def jordan_even(which: str, r: int) -> ClosedForm:
     """J1(2n) or J2(2n), closed, for even order r = 2n >= 2."""
     if which not in ("J1", "J2"):
@@ -86,7 +86,7 @@ def jordan_even(which: str, r: int) -> ClosedForm:
                  for mu, c in enumerate(coeff, start=1)], den)
 
 
-@builder(2, weight=lambda r: r + 1)
+@builder(2, weight=1)
 def milgram(r: int) -> ClosedForm:
     """M(r) closed, in its simplified even/odd display."""
     # r/2 (1 - 2^-(r+1)) zeta(r+1) - (1 - 2^-r) ln2 zeta(r)
@@ -104,7 +104,7 @@ def milgram(r: int) -> ClosedForm:
     return ClosedForm.combination(terms, 2 ** (r + 2))
 
 
-@builder(None, 2, weight=lambda which, r: r + 1)
+@builder(None, 2, weight=1)
 def jordan_nielsen(which: str, r: int) -> ClosedForm:
     """J1(r) or J2(r) in Nielsen terms, valid for any order r >= 2.
 
@@ -122,7 +122,7 @@ def jordan_nielsen(which: str, r: int) -> ClosedForm:
     return ClosedForm.combination([(2 ** r - 1, s, None), (2 ** r, sig, None)], 2 ** (r + 1))
 
 
-@builder(2, weight=lambda r: r + 1)
+@builder(2, weight=1)
 def s_minus(r: int) -> ClosedForm:
     """S-(r) = sum_k (-1)^k [psi(k+1)+gamma] / k^r
     = (2^-r - 1) zeta(r+1) + sigma~_{r-1,2}.

@@ -49,7 +49,7 @@ class Family(Enum):
 # ---------------------------------------------------------------------------
 
 
-@builder(None, 1, 1, weight=lambda family, p, q: p + q)
+@builder(None, 1, 1, weight=0)
 def r_value(family: Family, p: int, q: int) -> ClosedForm:
     """R(p,q): the product of endpoint polylog values for the family.
 
@@ -115,7 +115,7 @@ def _minus_named_part(r: int) -> ClosedForm:
         (t, s_minus(r), None), (-2 * t, c_sum(r), None), (2 * t, jordan_nielsen("J1", r), None)], t)
 
 
-@builder(None, 1, 1, weight=lambda family, p, q: p + q + 1)
+@builder(None, 1, 1, weight=1)
 def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
     """Closed form of I(p,q), from the display in the named sums S+/S-/C/J1/M.
 
@@ -139,7 +139,7 @@ def ipq_final(family: Family, p: int, q: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-@bind_orders(None, 1, 1, weight=lambda family, p, q: p + q + 1)
+@bind_orders(None, 1, 1, weight=1)
 def ipq_series(family: Family, p: int, q: int) -> float:
     """I(p,q) from the series displays, with every psi-sum taken from
     sum_oracle (never through the closed forms): ipq_final's display in

@@ -33,7 +33,7 @@ TABLE_WEIGHT = 6
 # ---------------------------------------------------------------------------
 
 
-@builder(0, 0, weight=lambda n, m: n + m)
+@builder(0, 0, weight=0)
 def i_star(n: int, m: int) -> ClosedForm:
     """i*(n,m): lattice-path solution with unit boundary on both axes."""
     if n == 0 or m == 0:
@@ -64,7 +64,7 @@ def i_pde_residual(n: int, m: int) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-@builder(0, weight=lambda m: m)
+@builder(0, weight=0)
 def truncated_exp_ln2(m: int) -> ClosedForm:
     """e_m(-ln 2) = sum_{k=0}^{m} (-ln 2)^k / k!, exact in powers of ln 2:
     the numerators (-1)^k m!/k! over m!."""
@@ -72,7 +72,7 @@ def truncated_exp_ln2(m: int) -> ClosedForm:
                                    for k in range(m + 1)], math.factorial(m))
 
 
-@builder(0, 0, weight=lambda n, m: n + m)
+@builder(0, 0, weight=0)
 def h_star(n: int, m: int) -> ClosedForm:
     """h*(n,m): lattice-path solution with boundary h*(0,m) = -1 + 2 e_m(-ln 2)."""
     if m == 0:

@@ -43,9 +43,10 @@ class BivariateSeries:
 
     __slots__ = ("na", "nb", "c")
 
-    @bind_orders(None, 0, 0, weight=lambda self, na, nb: max(na, nb))
+    @bind_orders(None, 0, 0)
     def __init__(self, na: int, nb: int,
                  coeffs: list[list[ClosedForm]] | None = None):
+        _check_weight(max(na, nb))  # each order, as in gamma_ratio_series
         self.na, self.nb = na, nb
         if coeffs is None:
             self.c = [[ClosedForm.zero() for _ in range(nb + 1)]
@@ -154,10 +155,9 @@ def gamma_ratio_series(orders: tuple[int, int]) -> BivariateSeries:
     Equals exp(sum_{k>=2} (-1)^k zeta(k)/k [a^k + b^k - (a+b)^k]); the
     gamma terms cancel in the log and the cancellation is asserted.  The
     builders read the graded slices instead; this box is their reference.
-    Each order is held to MAX_WEIGHT: the box reads zeta up to na + nb.
+    Each order is held to MAX_WEIGHT (in BivariateSeries); the box reads zeta to na + nb.
     """
     na, nb = (_check_order(n, 1) for n in orders)
-    _check_weight(max(na, nb))
     logs = _lngamma_ratio_log(na, nb)
     for i in range(na + 1):
         for j in range(nb + 1):
@@ -212,7 +212,7 @@ def kolbig_snp(n: int, p: int, max_weight: int = MAX_WEIGHT) -> ClosedForm:
     return _snp_slice(n + p)[p]
 
 
-@builder(1, 1, weight=lambda n, m: n + m)
+@builder(1, 1, weight=0)
 def beta_derivative_inm(n: int, m: int) -> ClosedForm:
     """i(n,m) as the mixed Taylor coefficient of the Beta function route.
 

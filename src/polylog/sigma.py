@@ -104,7 +104,7 @@ def registry() -> dict[tuple[int, int], ClosedForm]:
     return closed
 
 
-@builder(1, 1, weight=lambda n, p: n + p)
+@builder(1, 1, weight=0)
 def sigma_tilde(n: int, p: int) -> ClosedForm:
     """sigma~_{n,p} = S_{n,p}(-1): Li_{n+1}(-1) at p = 1, else the
     registered closed form, else atomic."""

@@ -27,7 +27,8 @@ _HAND_WRITTEN = {
     ("closedform", "monomial", "_check_order"): "a value check on a monomial's exponents",
     ("closedform", "ClosedForm.combination", "_check_order"): "a value check on combination's den",
     ("seriesring", "gamma_ratio_series", "_check_order"): "its orders come as one tuple argument",
-    ("seriesring", "gamma_ratio_series", "_check_weight"): "its orders come as one tuple argument",
+    ("seriesring", "BivariateSeries.__init__", "_check_weight"):
+        "each truncation order is held to MAX_WEIGHT alone, as gamma_ratio_series' pair",
     ("seriesring", "kolbig_snp", "_check_weight"):
         "max_weight, the narrower table cap that perfbench and cli pass",
     ("lognm", "i_closed", "_check_weight"): _TABLE_CAP,

@@ -122,6 +122,8 @@ _ALLOWED = [
     ("quadrature", "integrate01", "stalls += 1", _FAILURE),
     ("quadrature", "integrate01", "if stalls >= 2:", _FAILURE),
     ("quadrature", "integrate01", "break", _FAILURE),
+    ("seriesring", "BivariateSeries.__init__",
+     "_check_weight(max(na, nb))  # each order, as in gamma_ratio_series", _DENSE),
     ("seriesring", "BivariateSeries.__init__", "self.na, self.nb = na, nb", _DENSE),
     ("seriesring", "BivariateSeries.__init__", "if coeffs is None:", _DENSE),
     ("seriesring", "BivariateSeries.__init__",
@@ -201,7 +203,6 @@ _ALLOWED = [
     ("seriesring", "_lngamma_ratio_log", "return s", _DENSE),
     ("seriesring", "gamma_ratio_series",
      "na, nb = (_check_order(n, 1) for n in orders)", _DENSE),
-    ("seriesring", "gamma_ratio_series", "_check_weight(max(na, nb))", _DENSE),
     ("seriesring", "gamma_ratio_series", "logs = _lngamma_ratio_log(na, nb)", _DENSE),
     ("seriesring", "gamma_ratio_series", "for i in range(na + 1):", _DENSE),
     ("seriesring", "gamma_ratio_series", "for j in range(nb + 1):", _DENSE),
